@@ -13,9 +13,11 @@ reproducible and independent of how work is partitioned.
 The two hot stages use the problem's structure instead of general tools.
 Spectra come from the six independent entries of each momentum-map matrix
 through the closed-form 3x3 eigenvalue kernel of :mod:`su3` (no LAPACK
-call), and :func:`polytope.hull2d` sends large clouds through an exact
-Akl-Toussaint prefilter, so its Python chain sees about a thousand points
-instead of every sample.
+call), and :func:`polytope.hull2d` sends every cloud through an
+Akl-Toussaint prefilter, so its Python chain sees a few thousand points
+instead of every sample.  The filter drops only points strictly inside the
+hull, but the chain's area tolerance can still pick a different vertex
+inside clusters finer than about ``sqrt(eps)`` of the scale.
 """
 
 from __future__ import annotations

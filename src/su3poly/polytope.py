@@ -434,9 +434,8 @@ def _spectrum_from_xy(p: Point2) -> Spectrum:
 
 def _segment_halfplanes(a: Spectrum, c: Spectrum, tag: str) -> List[HalfPlane]:
     d = tuple(cc - aa for cc, aa in zip(c.astuple(), a.astuple()))
-    d2 = (d[0] - d[2], d[1] - d[2])
     n_perp = (exact_div(d[2] - d[1], 3), exact_div(d[0] - d[2], 3), exact_div(d[1] - d[0], 3))
-    n_dir = _lift_2d(d2[0], d2[1])
+    n_dir = d
 
     def dot(n, s):
         return n[0] * s.l1 + n[1] * s.l2 + n[2] * s.l3
@@ -507,8 +506,6 @@ def build_polytope(w, tol: float = 1e-9) -> ChamberPolytope:
 # ---------------------------------------------------------------------------
 
 
-#: Inputs larger than this go through the extreme-point prefilter first.
-PREFILTER_MIN = 64
 #: Fixed directions of the prefilter.  On 1e6 samples of (4, 2, -1), on a
 #: 2-vCPU x86-64 host, 8 directions keep about 3,000 points in 0.16 s and 16
 #: keep as many in 0.4 s.
@@ -520,12 +517,12 @@ def _extreme_point_filter(pts, eps_abs: float):
 
     The extreme points of ``pts`` in fixed directions are hull vertices, and
     in angular order they span a convex polygon inside the hull.  A point
-    that lies inside every edge of that polygon by more than ``eps_abs``
-    (the monotone chain's own orientation threshold, compared on the same
-    cross product) is no hull vertex, so it is dropped.  Polygon vertices
-    and points on or near an edge survive.  Returns ``pts`` itself when the
-    polygon has fewer than three corners.  Akl and Toussaint, Inf. Proc.
-    Lett. 7(5), 1978.
+    whose cross product with every edge of that polygon exceeds ``eps_abs``
+    (the monotone chain's own orientation threshold) lies strictly inside
+    the hull, so it is no vertex of the exact hull and is dropped.  Polygon
+    vertices and points on or near an edge survive.  Returns ``pts`` itself
+    when the polygon has fewer than three corners.  Akl and Toussaint, Inf.
+    Proc. Lett. 7(5), 1978.
     """
     import numpy as np
 
@@ -543,21 +540,15 @@ def _extreme_point_filter(pts, eps_abs: float):
     return pts[~inside]
 
 
-def _hull_vertices(arr, eps: float) -> List[Tuple[float, float]]:
-    """Counterclockwise hull vertices of an (n, 2) float array.
+def _hull_vertices(arr, eps_abs: float) -> List[Tuple[float, float]]:
+    """Counterclockwise hull vertices of a non-empty (n, 2) float array.
 
     Monotone chain on the distinct points, lexicographically sorted; a turn
-    counts as convex only when its cross product exceeds ``eps`` times the
-    squared scale, so near-collinear points are dropped.
+    counts as convex only when its cross product exceeds ``eps_abs``, so
+    near-collinear points are dropped.
     """
     import numpy as np
 
-    if arr.size == 0:
-        raise ValueError("need at least one point")
-    scale = max(float(np.abs(arr).max()), 1.0)
-    eps_abs = eps * scale * scale
-    if len(arr) > PREFILTER_MIN:
-        arr = _extreme_point_filter(arr, eps_abs)
     order = np.lexsort((arr[:, 1], arr[:, 0]))
     pts = arr[order]
     keep = np.ones(len(pts), dtype=bool)
@@ -583,14 +574,15 @@ def hull2d(points, eps: float = 1e-9) -> ChamberPolytope:
     ``points`` may be an (n, 2) array, a sequence of ChamberPoint, or (p, q)
     pairs, all inside the closed chamber.  Collinear inputs collapse to a
     Segment, coincident ones to a Point; ``eps`` is the relative orientation
-    tolerance.  Inputs of more than :data:`PREFILTER_MIN` points first pass
-    an exact Akl-Toussaint prefilter, so the Python chain sees a few thousand
-    of 1e6 samples.  The dropped points lie strictly inside a polygon of
-    hull vertices, so no hull vertex is lost.  The chain's tolerance is an
-    area (``eps`` times the squared scale), so within a cluster of points
+    tolerance: a turn counts as convex when its cross product exceeds
+    ``eps`` times the squared scale.  The points first pass an
+    Akl-Toussaint prefilter, so the Python chain sees a few thousand of 1e6
+    samples.  The filter drops only points strictly inside the exact hull,
+    but the chain's tolerance is an area, so within a cluster of points
     finer than about ``sqrt(eps)`` of the scale it may treat a real corner
-    as collinear, and which corner it drops depends on the points around it.
-    Only there can the vertex list differ from the chain's on all points.
+    as collinear, and which corner it drops depends on the other points
+    present.  There the vertex list can differ from the chain's on all
+    points; a tolerance on distance rather than area would remove this.
     """
     import numpy as np
 
@@ -598,7 +590,11 @@ def hull2d(points, eps: float = 1e-9) -> ChamberPolytope:
         arr = points
     else:
         arr = np.array([(p.p, p.q) if isinstance(p, ChamberPoint) else (p[0], p[1]) for p in points], dtype=float)
-    hull = _hull_vertices(arr, eps)
+    if arr.size == 0:
+        raise ValueError("need at least one point")
+    scale = max(float(np.abs(arr).max()), 1.0)
+    eps_abs = eps * scale * scale
+    hull = _hull_vertices(_extreme_point_filter(arr, eps_abs), eps_abs)
 
     if len(hull) == 1:
         s = Spectrum(*chamber_to_spectrum_floats(*hull[0]))

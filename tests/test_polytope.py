@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import random
-import unittest.mock
 from fractions import Fraction as F
 
 import numpy as np
@@ -189,15 +188,15 @@ class TestHull2d:
             assert hull.contains(chamber_to_spectrum_floats(p, q))
 
     def test_prefilter_keeps_large_cloud_hull(self):
-        # above PREFILTER_MIN the prefilter runs; the vertices must be those
-        # of the chain on every point
+        # the chain on the filtered points gives the vertices of the chain
+        # on every point
         rng = np.random.default_rng(4)
         pts = np.abs(rng.standard_normal((20000, 2))) + (0.0, 1.0)
         pts = np.concatenate([pts, np.round(pts[:500] * 64) / 64])
-        with_filter = polytope._hull_vertices(pts, 1e-9)
-        with unittest.mock.patch.object(polytope, "PREFILTER_MIN", len(pts)):
-            assert polytope._hull_vertices(pts, 1e-9) == with_filter
-        assert len(polytope._extreme_point_filter(pts, 1e-9 * float(np.abs(pts).max()) ** 2)) < 1000
+        eps_abs = 1e-9 * float(np.abs(pts).max()) ** 2
+        kept = polytope._extreme_point_filter(pts, eps_abs)
+        assert len(kept) < 1000
+        assert polytope._hull_vertices(kept, eps_abs) == polytope._hull_vertices(pts, eps_abs)
 
 
 def exact_hull_vertices(points):
@@ -247,10 +246,10 @@ class TestHullPrefilter:
     @given(st.one_of(random_clouds, with_duplicates, collinear, single_point, fewer_than_directions, on_wall))
     def test_matches_brute_force(self, points):
         # coordinates k/8 keep every product exact, so the chain's tolerance
-        # cannot decide a turn and the exact hull is the reference
+        # cannot decide a turn and the exact hull is the reference; the grid
+        # is not inside the chamber, so hull2d's two stages are called directly
         arr = np.array(points, dtype=float) / 8
-        with unittest.mock.patch.object(polytope, "PREFILTER_MIN", 0):
-            got = polytope._hull_vertices(arr, 1e-9)
+        got = polytope._hull_vertices(polytope._extreme_point_filter(arr, 1e-9), 1e-9)
         assert {(round(x * 8), round(y * 8)) for x, y in got} == exact_hull_vertices(points)
         assert len(got) == len(set(got))
         if len(got) > 2:  # strictly convex, counterclockwise
