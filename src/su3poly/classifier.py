@@ -9,18 +9,18 @@ permutation and whether a global sign flip was applied; flipped inputs
 produce the star-reflected polytope.
 
 Rational weights are classified exactly; floating weights snap to a
-transition when within ``tol`` (relative to the largest weight).
+transition when within ``tol`` times the largest weight (``su3.snap_sign``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
-from typing import Optional, Tuple
+from functools import partial
+from typing import Tuple
 
 from .moment_map import as_gammas
-from .su3 import Scalar, all_exact, sgn
+from .su3 import Scalar, snap_sign, sort_descending
 
 
 class N3Type(Enum):
@@ -99,21 +99,9 @@ def canonicalize(w, tol: float = 1e-9) -> Canonicalization:
     floating input) is treated as zero and not flipped.
     """
     g = as_gammas(w, n=3)
-    scale = max((abs(x) for x in g), default=0)
-    total = g[0] + g[1] + g[2]
-    if all_exact(g):
-        negative = total < 0
-    else:
-        negative = total < -tol * max(float(scale), 1.0)
-    starred = bool(negative)
+    starred = snap_sign(g[0] + g[1] + g[2], max(abs(x) for x in g), tol) < 0
     flipped = tuple(-x for x in g) if starred else g
-    best: Optional[Tuple[int, ...]] = None
-    for perm in permutations(range(3)):
-        cand = tuple(flipped[p] for p in perm)
-        if all(cand[i] >= cand[i + 1] for i in range(2)) and (best is None or perm < best):
-            best = perm
-    assert best is not None
-    return Canonicalization(tuple(flipped[p] for p in best), best, starred)
+    return Canonicalization(*sort_descending(flipped), starred)
 
 
 @dataclass(frozen=True)
@@ -138,14 +126,7 @@ class SignProfile:
 
 def sign_profile(canonical_gammas, tol: float = 1e-9) -> SignProfile:
     g1, g2, g3 = canonical_gammas
-    scale = max(abs(g1), abs(g2), abs(g3), 1)
-    exact = all_exact((g1, g2, g3))
-
-    def snap(x) -> int:
-        if exact:
-            return sgn(x)
-        return 0 if abs(x) <= tol * float(scale) else sgn(x)
-
+    snap = partial(snap_sign, scale=max(abs(g1), abs(g2), abs(g3)), tol=tol)
     return SignProfile(
         zero_weight=any(snap(x) == 0 for x in (g1, g2, g3)),
         sum=snap(g1 + g2 + g3),
@@ -220,14 +201,7 @@ def classify_n3(w, tol: float = 1e-9) -> Tuple[N3Type, Canonicalization]:
 def classify_n2(w, tol: float = 1e-9) -> N2Type:
     """Segment taxonomy for two weighted planes (after sorting g1 >= g2)."""
     g = as_gammas(w, n=2)
-    scale = max(abs(g[0]), abs(g[1]), 1)
-    exact = all_exact(g)
-
-    def snap(x) -> int:
-        if exact:
-            return sgn(x)
-        return 0 if abs(x) <= tol * float(scale) else sgn(x)
-
+    snap = partial(snap_sign, scale=max(abs(g[0]), abs(g[1])), tol=tol)
     g1, g2 = sorted(g, reverse=True)
     if snap(g1) == 0 or snap(g2) == 0:
         return N2Type.DEGENERATE_ZERO_WEIGHT

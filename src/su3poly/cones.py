@@ -22,11 +22,14 @@ from .su3 import (
     Root,
     Scalar,
     Spectrum,
-    all_exact,
     apply_perm,
     exact_div,
     identify_signed_root,
+    lift_2d,
+    num_out,
     sgn,
+    snap_sign,
+    sort_descending,
     star_vector,
 )
 
@@ -125,14 +128,12 @@ class ConeSpec:
 
     def asdict(self) -> dict:
         d = {
-            "apex": [str(x) if all_exact(self.apex.astuple()) else float(x) for x in self.apex],
+            "apex": [num_out(x) for x in self.apex],
             "generators": [g.asdict() for g in self.generators],
             "weyl_folded": self.weyl_folded,
         }
         if self.side_normal is not None:
-            d["side_normal"] = [
-                str(x) if all_exact(self.side_normal) else float(x) for x in self.side_normal
-            ]
+            d["side_normal"] = [num_out(x) for x in self.side_normal]
         return d
 
 
@@ -143,23 +144,19 @@ def _ray(sign: int, root: Root) -> Generator:
 def _fold(raw_point: Sequence[Scalar], raw_gens: Sequence[Generator]):
     """Sort a raw fixed-point value into the chamber, folding the generators.
 
-    Python's stable sort breaks ties the way a perturbation towards strictly
+    The stable sort breaks ties the way a perturbation towards strictly
     decreasing entries would, which is the one-sided limit used at weight
     coincidences.
     """
-    order = sorted(range(3), key=lambda i: -raw_point[i])
-    # Stable descending: ties keep original index order, which is the
-    # one-sided limit from strictly decreasing entries.
-    # order[k] = index of the k-th largest entry, i.e. sorted[k] = raw[order[k]]
-    apex = Spectrum(*apply_perm(tuple(raw_point), order))
+    entries, order = sort_descending(tuple(raw_point))
+    apex = Spectrum(*entries)
     folded = []
     for g in raw_gens:
         v = apply_perm(g.vector, order)
         sr = identify_signed_root(v)
         kind = LINE if g.is_line else (RAY_POS if sr.sign > 0 else RAY_NEG)
         folded.append(Generator(sr.root, kind))
-    identity = order == [0, 1, 2]
-    return apex, tuple(folded), not identity, tuple(order)
+    return apex, tuple(folded), order != (0, 1, 2), order
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +189,15 @@ def slice_cone_b(w, tol: float = 1e-9, allow_coincident: bool = False) -> ConeSp
     """
     g = as_gammas(w, n=3, allow_zero=False)
     scale = max(abs(x) for x in g)
-    exact = all_exact(g)
-
-    def iszero(x):
-        return x == 0 if exact else abs(x) <= tol * scale
-
-    coincident = any(iszero(g[i] - g[j]) for i in range(3) for j in range(i + 1, 3))
-    if coincident and not allow_coincident:
+    diff_signs = [snap_sign(g[i] - g[j], scale, tol) for i, j in ((1, 2), (0, 2), (0, 1))]
+    if 0 in diff_signs and not allow_coincident:
         raise CoincidentWeights(f"weights {g} are not pairwise distinct")
+    # one-sided limit from g_i > g_j (i < j) where a difference vanishes
+    d23, d13, d12 = (d or 1 for d in diff_signs)
 
-    def limit_sign(diff, ratio_sign):
-        d = 0 if iszero(diff) else sgn(diff)
-        if d == 0:
-            d = 1  # one-sided limit from g_i > g_j (i < j)
-        return d * ratio_sign
-
-    s1 = limit_sign(g[1] - g[2], sgn(g[2]) * sgn(g[1]))  # sign of (g3/g2)(g2-g3)
-    s2 = -limit_sign(g[0] - g[2], sgn(g[0]) * sgn(g[2]))  # sign of (g1/g3)(g3-g1)
-    s3 = limit_sign(g[0] - g[1], sgn(g[1]) * sgn(g[0]))  # sign of (g2/g1)(g1-g2)
+    s1 = d23 * sgn(g[2]) * sgn(g[1])  # sign of (g3/g2)(g2-g3)
+    s2 = -d13 * sgn(g[0]) * sgn(g[2])  # sign of (g1/g3)(g3-g1)
+    s3 = d12 * sgn(g[1]) * sgn(g[0])  # sign of (g2/g1)(g1-g2)
 
     raw_gens = (_ray(s1, Root.ALPHA1), _ray(s2, Root.ALPHA2), _ray(s3, Root.ALPHA3))
     raw_point = raw_fixed_point_diagonals(g)["b"]
@@ -271,13 +259,8 @@ def slice_cone_c(j: int, w, tol: float = 1e-9) -> ConeSpec:
     """
     g = as_gammas(w, n=3, allow_zero=False)
     scale = max(abs(x) for x in g)
-    exact = all_exact(g)
-
-    def iszero(x):
-        return x == 0 if exact else abs(x) <= tol * scale
-
     u, v = _C_WALL_QUANTITIES[j](g)
-    if iszero(u) or iszero(v):
+    if snap_sign(u, scale, tol) == 0 or snap_sign(v, scale, tol) == 0:
         raise OnWall(f"c{j} lies on a chamber wall for weights {g}")
 
     a1_sign = sgn(c_alpha1_coefficient(j, g))
@@ -313,21 +296,13 @@ def a_slice_form(w) -> QuadraticForm2:
 def _line_cone_with_side(apex: Spectrum, line_root: Root, centroid) -> ConeSpec:
     """Half-plane cone bounded by a root line, on the side of the centroid."""
     d = line_root.vector
-    # Sum-zero normal to the line inside the plane.
-    n = _perp_normal(d)
+    # Sum-zero functional vanishing on the line (2D cross product with d).
+    n = lift_2d(-d[1], d[0])
     side = sgn(sum(nc * (c - a) for nc, c, a in zip(n, centroid, apex)))
     if side == 0:
         raise ValueError("ambiguous side for the half-plane cone at a")
     normal = tuple(side * nc for nc in n)
     return ConeSpec(apex, (Generator(line_root, LINE),), False, normal)
-
-
-def _perp_normal(d):
-    """A sum-zero functional vanishing on direction d (2D cross within the plane)."""
-    # f(s) = cross2(d2, s2) with s2 = (l1, l2): lift back to a sum-zero triple.
-    a, b = -d[1], d[0]
-    m = exact_div(a + b, 3)
-    return (a - m, b - m, -m)
 
 
 def slice_cone_a(w, tol: float = 1e-9) -> ConeSpec:
@@ -340,10 +315,8 @@ def slice_cone_a(w, tol: float = 1e-9) -> ConeSpec:
     the star involution; a zero sum raises :class:`ZeroSum`.
     """
     g = as_gammas(w, n=3, allow_zero=False)
-    scale = max(abs(x) for x in g)
-    exact = all_exact(g)
     s = g[0] + g[1] + g[2]
-    if (s == 0) if exact else (abs(s) <= tol * scale):
+    if snap_sign(s, max(abs(x) for x in g), tol) == 0:
         raise ZeroSum(f"weights {g} sum to zero")
     if s < 0:
         return _star_cone(slice_cone_a(tuple(-x for x in g), tol))

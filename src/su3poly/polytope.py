@@ -7,11 +7,16 @@ transition value (a wall-hitting doubled point, a zero total weight) are
 dropped; the cone at the triple-orthogonal point is kept as its one-sided
 limit at weight coincidences, which reproduces the transition shapes.
 
-Half-plane intersection runs in exact rational arithmetic (floating weights
-are promoted to exact binary fractions), so vertices of rational-weight
-polytopes are exact.  Normals are stored as sum-zero functionals on spectra;
-signed distances divide by the Euclidean norm of the functional, which is
-the gradient norm in the isometric chamber embedding.
+Every cone edge is a root ray or a root line, so every facet normal is one
+of eight fixed directions: the two walls and the six directions
+perpendicular to a root.  The vertices are therefore solved directly: the
+tightest offset per direction, a 2x2 integer solve for each pair of
+directions, and the solutions that satisfy every half-plane, ordered by the
+monotone chain.  Everything runs in exact rational arithmetic (floating
+weights are promoted to exact binary fractions), so vertices of
+rational-weight polytopes are exact.  Normals are stored as sum-zero
+functionals on spectra; signed distances divide by the Euclidean norm of the
+functional, which is the gradient norm in the isometric chamber embedding.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ from .su3 import (
     chamber_to_spectrum_floats,
     exact_div,
     is_exact,
+    lift_2d,
+    num_out,
+    snap_sign,
     star_vector,
     to_chamber,
     to_positive_chamber,
@@ -84,107 +92,64 @@ class HalfPlane:
         return (n[0] - n[2], n[1] - n[2], self.offset)
 
 
-def _lift_2d(a: Scalar, b: Scalar) -> Tuple[Scalar, Scalar, Scalar]:
-    """Sum-zero normal matching the functional a*l1 + b*l2 on sum-zero triples."""
-    m = exact_div(a + b, 3)
-    return (a - m, b - m, -m)
-
-
 WALL_12 = HalfPlane((1, -1, 0), 0, "wall:l1=l2")
 WALL_23 = HalfPlane((0, 1, -1), 0, "wall:l2=l3")
 
 
 # ---------------------------------------------------------------------------
-# Exact 2D polygon clipping (coordinates are (l1, l2))
+# Exact vertices from the fixed facet directions (coordinates are (l1, l2))
 # ---------------------------------------------------------------------------
 
 Point2 = Tuple[Scalar, Scalar]
 
-
-def _clip(points: List[Point2], f: Tuple[Scalar, Scalar, Scalar]) -> List[Point2]:
-    a, b, c = f
-    if not points:
-        return []
-    vals = [a * x + b * y - c for (x, y) in points]
-    out: List[Point2] = []
-    n = len(points)
-    for i in range(n):
-        j = (i + 1) % n
-        vi, vj = vals[i], vals[j]
-        if vi >= 0:
-            out.append(points[i])
-        if (vi > 0 > vj) or (vi < 0 < vj):
-            t = exact_div(vi, vi - vj)
-            pi, pj = points[i], points[j]
-            out.append((pi[0] + t * (pj[0] - pi[0]), pi[1] + t * (pj[1] - pi[1])))
-    dedup: List[Point2] = []
-    for p in out:
-        if not dedup or p != dedup[-1]:
-            dedup.append(p)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return dedup
+#: Primitive integer functionals (a, b), read as a*l1 + b*l2, of the eight
+#: possible facet directions: the walls l1 >= l2 and l2 >= l3, and the two
+#: directions perpendicular to each root.
+_FACET_DIRECTIONS = frozenset({(1, -1), (1, 2), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)})
 
 
-def _cross(o: Point2, p: Point2, q: Point2) -> Scalar:
-    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+def _polygon_vertices(halfplanes: Sequence[HalfPlane]) -> List[Point2]:
+    """Exact counterclockwise vertices of an intersection of half-planes.
 
-
-def _extreme_cycle(points: List[Point2]):
-    """Reduce a clipped cycle to its extreme points; returns (points, kind)."""
-    uniq: List[Point2] = []
-    for p in points:
-        if p not in uniq:
-            uniq.append(p)
-    if not uniq:
-        return [], "Empty"
-    if len(uniq) == 1:
-        return uniq, "Point"
-    p0 = uniq[0]
-    direction = None
-    coplanar = True
-    for p in uniq[1:]:
-        v = (p[0] - p0[0], p[1] - p0[1])
-        if direction is None:
-            direction = v
-        elif direction[0] * v[1] - direction[1] * v[0] != 0:
-            coplanar = False
-            break
-    if coplanar:
-        def along(p):
-            return direction[0] * (p[0] - p0[0]) + direction[1] * (p[1] - p0[1])
-
-        lo = min(uniq, key=along)
-        hi = max(uniq, key=along)
-        return ([lo] if lo == hi else [lo, hi]), ("Point" if lo == hi else "Segment")
-    pts = list(points)
-    area2 = sum(pts[i][0] * pts[(i + 1) % len(pts)][1] - pts[(i + 1) % len(pts)][0] * pts[i][1] for i in range(len(pts)))
-    if area2 < 0:
-        pts.reverse()
-    changed = True
-    while changed and len(pts) > 2:
-        changed = False
-        for i in range(len(pts)):
-            o, p, q = pts[i - 1], pts[i], pts[(i + 1) % len(pts)]
-            if p == o or _cross(o, p, q) == 0:
-                pts.pop(i)
-                changed = True
-                break
-    return pts, "Polygon"
-
-
-def _intersect_halfplanes(halfplanes: Sequence[HalfPlane], bound: Scalar):
-    box: List[Point2] = [(-bound, -bound), (bound, -bound), (bound, bound), (-bound, bound)]
-    poly = box
+    Each normal must be one of ``_FACET_DIRECTIONS`` up to a positive
+    factor; each direction keeps its tightest offset.  With the offsets over
+    their common denominator every pair of lines is a 2x2 integer system,
+    and a solution (x/det, y/det) is kept when it satisfies every line,
+    tested in integers multiplied through by det^2.  The kept points are
+    ordered by the monotone chain at tolerance 0.  Raises
+    :class:`AllWeightsDegenerate` for another normal, an unbounded
+    intersection (some line direction recedes inside every half-plane) or
+    fewer than three vertices.
+    """
+    tightest: Dict[Tuple[int, int], Fraction] = {}
     for hp in halfplanes:
-        poly = _clip(poly, hp.functional_2d())
-        if not poly:
-            raise AllWeightsDegenerate("half-plane intersection is empty")
-    pts, kind = _extreme_cycle(poly)
-    for (x, y) in pts:
-        if abs(x) >= bound or abs(y) >= bound:
-            raise AllWeightsDegenerate("half-plane intersection is unbounded")
-    return pts, kind
+        a, b, c = (Fraction(x) for x in hp.functional_2d())
+        den = math.lcm(a.denominator, b.denominator)
+        ia, ib = int(a * den), int(b * den)
+        g = math.gcd(ia, ib) or 1
+        key = (ia // g, ib // g)
+        if key not in _FACET_DIRECTIONS:
+            raise AllWeightsDegenerate(f"normal {hp.normal} of {hp.provenance!r} is no facet direction")
+        c = c * den / g
+        tightest[key] = max(c, tightest.get(key, c))
+    den = math.lcm(*(c.denominator for c in tightest.values()))
+    lines = [(a, b, int(c * den)) for (a, b), c in tightest.items()]
+    rays = [d for a, b, _ in lines for d in ((-b, a), (b, -a))]
+    if any(all(a * dx + b * dy >= 0 for a, b, _ in lines) for dx, dy in rays):
+        raise AllWeightsDegenerate("half-plane intersection is unbounded")
+    solutions = []
+    for i, (a1, b1, c1) in enumerate(lines):
+        for a2, b2, c2 in lines[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            x, y = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
+            if det and all((a * x + b * y) * det >= c * det * det for a, b, c in lines):
+                solutions.append((x, y, det))
+    # the chain runs on integer points over the common denominator m * den
+    m = math.lcm(*(det for _, _, det in solutions))
+    hull = _chain(sorted({(x * m // det, y * m // det) for x, y, det in solutions}), 0)
+    if len(hull) < 3:
+        raise AllWeightsDegenerate(f"half-plane intersection has {len(hull)} vertices")
+    return [(Fraction(x, m * den), Fraction(y, m * den)) for x, y in hull]
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +215,11 @@ class ChamberPolytope:
             "label": self.label,
             "starred": self.starred,
             "kind": self.kind,
-            "vertices": [[_num_out(x) for x in v] for v in self.vertices],
+            "vertices": [[num_out(x) for x in v] for v in self.vertices],
             "halfplanes": [
                 {
-                    "normal": [_num_out(x) for x in hp.normal],
-                    "offset": _num_out(hp.offset),
+                    "normal": [num_out(x) for x in hp.normal],
+                    "offset": num_out(hp.offset),
                     "provenance": hp.provenance,
                 }
                 for hp in self.halfplanes
@@ -269,13 +234,6 @@ class ChamberPolytope:
             for h in d["halfplanes"]
         )
         return cls(hps, verts, d["kind"], d.get("label"), bool(d.get("starred", False)))
-
-
-def _num_out(x):
-    if is_exact(x):
-        f = Fraction(x)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    return float(x)
 
 
 def _num_in(x):
@@ -319,7 +277,7 @@ def cone_halfplanes(cone: ConeSpec, tag: str) -> List[HalfPlane]:
     lines = [g for g in cone.generators if g.is_line]
 
     def hp_from_2d(a: Scalar, b: Scalar, suffix: str) -> HalfPlane:
-        normal = _lift_2d(a, b)
+        normal = lift_2d(a, b)
         offset = normal[0] * apex[0] + normal[1] * apex[1] + normal[2] * apex[2]
         return HalfPlane(normal, offset, f"{tag}:{suffix}")
 
@@ -411,18 +369,12 @@ def build_polytope_n3(w, tol: float = 1e-9) -> ChamberPolytope:
     for name, cone in polytope_cones(cg, tol).items():
         if cone is not None:
             halfplanes.extend(cone_halfplanes(cone, name))
+    vertices = tuple(_spectrum_from_xy(p) for p in _polygon_vertices(halfplanes))
 
-    bound = 4 * sum(abs(x) for x in cgx) + 4
-    pts, kind = _intersect_halfplanes(halfplanes, bound)
-    if kind not in ("Polygon", "Segment", "Point"):
-        raise AllWeightsDegenerate(f"unexpected intersection kind {kind}")
-    vertices = tuple(_spectrum_from_xy(p) for p in pts)
-
-    a_raw = raw_fixed_point_diagonals(cgx)["a"]
-    a_vertex = to_positive_chamber(a_raw)[0]
+    a_vertex = to_positive_chamber(raw_fixed_point_diagonals(cgx)["a"])[0]
     vertices = _rotate_to_start(vertices, a_vertex)
 
-    poly = ChamberPolytope(tuple(halfplanes), vertices, kind, label.value, False)
+    poly = ChamberPolytope(tuple(halfplanes), vertices, "Polygon", label.value, False)
     if can.starred:
         poly = poly.star()
     return poly
@@ -484,12 +436,8 @@ def build_polytope(w, tol: float = 1e-9) -> ChamberPolytope:
     pair, a point for a single weight or none).
     """
     gs = as_gammas(w)
-    scale = max((abs(float(x)) for x in gs), default=0.0)
-
-    def iszero(x):
-        return x == 0 if is_exact(x) else abs(x) <= tol * max(scale, 1.0)
-
-    nz = tuple(x for x in gs if not iszero(x))
+    scale = max(abs(x) for x in gs)
+    nz = tuple(x for x in gs if snap_sign(x, scale, tol) != 0)
     if len(gs) == 3 and len(nz) == 3:
         return build_polytope_n3(gs, tol)
     if len(nz) == 2:
@@ -540,32 +488,38 @@ def _extreme_point_filter(pts, eps_abs: float):
     return pts[~inside]
 
 
-def _hull_vertices(arr, eps_abs: float) -> List[Tuple[float, float]]:
-    """Counterclockwise hull vertices of a non-empty (n, 2) float array.
+def _chain(pts: Sequence[Point2], eps_abs) -> List[Point2]:
+    """Counterclockwise hull of distinct, lexicographically sorted points.
 
-    Monotone chain on the distinct points, lexicographically sorted; a turn
-    counts as convex only when its cross product exceeds ``eps_abs``, so
-    near-collinear points are dropped.
+    Andrew's monotone chain: a turn counts as convex only when its cross
+    product exceeds ``eps_abs``, so collinear points (and near-collinear
+    ones when ``eps_abs > 0``) are dropped.  Exact points with ``eps_abs``
+    0 give the exact hull.
     """
-    import numpy as np
 
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    pts = arr[order]
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.any(np.diff(pts, axis=0) != 0, axis=1)
-
-    def chain(seq):
-        h: List[Tuple[float, float]] = []
+    def half(seq):
+        h: List[Point2] = []
         for x, y in seq:
             while len(h) >= 2 and ((h[-1][0] - h[-2][0]) * (y - h[-2][1]) - (h[-1][1] - h[-2][1]) * (x - h[-2][0])) <= eps_abs:
                 h.pop()
             h.append((x, y))
         return h
 
-    seq = pts[keep].tolist()
-    lower = chain(seq)
-    upper = chain(seq[::-1])
+    lower = half(pts)
+    upper = half(pts[::-1])
     return lower[:-1] + upper[:-1] if len(lower) > 1 else lower
+
+
+def _hull_vertices(arr, eps_abs: float) -> List[Tuple[float, float]]:
+    """Counterclockwise hull vertices of a non-empty (n, 2) float array:
+    :func:`_chain` on its distinct points, sorted lexicographically."""
+    import numpy as np
+
+    order = np.lexsort((arr[:, 1], arr[:, 0]))
+    pts = arr[order]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.any(np.diff(pts, axis=0) != 0, axis=1)
+    return _chain(pts[keep].tolist(), eps_abs)
 
 
 def hull2d(points, eps: float = 1e-9) -> ChamberPolytope:

@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, float]
 
@@ -47,6 +46,27 @@ def sgn(x) -> int:
     if x < 0:
         return -1
     return 0
+
+
+def snap_sign(x: Scalar, scale: Scalar, tol: float) -> int:
+    """Sign of ``x``, where a float within ``tol * scale`` of zero counts as 0.
+
+    This is the library's one tolerance rule for weights.  ``scale`` is the
+    largest absolute weight, so the rule is relative to scale only and has
+    no absolute floor.  Exact scalars are compared exactly and never
+    converted to float.
+    """
+    if is_exact(x):
+        return sgn(x)
+    return 0 if abs(x) <= tol * scale else sgn(x)
+
+
+def num_out(x) -> Union[str, float]:
+    """JSON form of a scalar: exact values as "n" or "n/d" strings."""
+    if is_exact(x):
+        f = Fraction(x)
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return float(x)
 
 
 def exact_div(a: Scalar, b: Scalar) -> Scalar:
@@ -150,13 +170,20 @@ def to_positive_chamber(raw: Sequence[Scalar], tol: float = SUM_TOL):
             raise SumNotZero(f"sum is {total}")
     elif abs(total) > tol * max(float(scale), 1.0):
         raise SumNotZero(f"sum is {total}")
-    best: Optional[Tuple[int, int, int]] = None
-    for perm in permutations(range(3)):
-        a, b, c = (raw[perm[0]], raw[perm[1]], raw[perm[2]])
-        if a >= b >= c and (best is None or perm < best):
-            best = perm
-    assert best is not None
-    return Spectrum(raw[best[0]], raw[best[1]], raw[best[2]]), best
+    entries, perm = sort_descending(raw)
+    return Spectrum(*entries), perm
+
+
+def sort_descending(v: Sequence[Scalar]) -> Tuple[tuple, Tuple[int, ...]]:
+    """Entries of ``v`` in descending order and the permutation used.
+
+    Returns ``(out, perm)`` with ``out[k] == v[perm[k]]``.  The sort is
+    stable, so tied entries keep their index order: ``perm`` is the
+    lexicographically smallest permutation achieving the order, which is
+    also the one-sided limit from strictly decreasing entries.
+    """
+    perm = tuple(sorted(range(len(v)), key=v.__getitem__, reverse=True))
+    return apply_perm(v, perm), perm
 
 
 def star_involution(s: Spectrum) -> Spectrum:
@@ -170,6 +197,12 @@ def star_involution(s: Spectrum) -> Spectrum:
 def star_vector(v: Sequence[Scalar]) -> Tuple[Scalar, Scalar, Scalar]:
     """The star involution as a linear map on sum-zero triples."""
     return (-v[2], -v[1], -v[0])
+
+
+def lift_2d(a: Scalar, b: Scalar) -> Tuple[Scalar, Scalar, Scalar]:
+    """Sum-zero normal matching the functional a*l1 + b*l2 on sum-zero triples."""
+    m = exact_div(a + b, 3)
+    return (a - m, b - m, -m)
 
 
 # ---------------------------------------------------------------------------

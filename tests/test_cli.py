@@ -1,6 +1,10 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
+import pytest
+
+from conftest import N2_FIXTURES, POLYTOPE_FIXTURES
 from su3poly.cli import main, parse_number, parse_vector
 from su3poly.polytope import ChamberPolytope, build_polytope_n3
 
@@ -61,6 +65,27 @@ class TestPolytope:
         _, out1 = run_cli(capsys, "polytope", "--gamma", "4,2,-1")
         _, out2 = run_cli(capsys, "polytope", "--gamma", "4,2,-1")
         assert out1 == out2
+
+
+DATA = Path(__file__).parent / "data"
+# one weight per three-factor label, the first in sorted fixture order
+N3_GOLDEN = {}
+for _g in sorted(POLYTOPE_FIXTURES):
+    N3_GOLDEN.setdefault(POLYTOPE_FIXTURES[_g][0], _g)
+
+
+class TestGoldenOutput:
+    """Byte-for-byte output of ``polytope`` against files in tests/data."""
+
+    @pytest.mark.parametrize("label,gammas", sorted(N3_GOLDEN.items()))
+    def test_polytope_with_cones(self, capsys, label, gammas):
+        _, out = run_cli(capsys, "polytope", "--gamma=" + ",".join(map(str, gammas)), "--emit-cones")
+        assert out == (DATA / f"polytope_cones_{label}.json").read_text()
+
+    @pytest.mark.parametrize("gammas,label", [(f[0], f[1]) for f in N2_FIXTURES])
+    def test_polytope_two_factors(self, capsys, gammas, label):
+        _, out = run_cli(capsys, "polytope", "--gamma=" + ",".join(map(str, gammas)))
+        assert out == (DATA / f"polytope_{label}.json").read_text()
 
 
 class TestSampleAndVerify:

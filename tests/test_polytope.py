@@ -11,10 +11,15 @@ from hypothesis import strategies as st
 
 from conftest import N2_FIXTURES, POLYTOPE_FIXTURES, random_rational_gammas
 from su3poly import polytope
+from su3poly.classifier import GENERIC_N3, classify_n3
 from su3poly.moment_map import fixed_point_spectra
 from su3poly.polytope import (
+    WALL_12,
+    WALL_23,
+    AllWeightsDegenerate,
     ChamberPolytope,
     DegenerateWeight,
+    HalfPlane,
     build_polytope,
     build_polytope_n2,
     build_polytope_n3,
@@ -22,11 +27,15 @@ from su3poly.polytope import (
     hull2d,
     point_polytope,
 )
-from su3poly.su3 import Root, Spectrum, chamber_to_spectrum_floats, star_involution, to_chamber
+from su3poly.su3 import Root, Spectrum, chamber_to_spectrum_floats, lift_2d, star_involution, to_chamber
 
 
 def vertex_set(poly):
     return {tuple(F(x) for x in v) for v in poly.vertices}
+
+
+_rnd = random.Random(29)
+RANDOM_RATIONALS = [random_rational_gammas(_rnd) for _ in range(40)]
 
 
 class TestFixtureTable:
@@ -52,7 +61,7 @@ class TestFixtureTable:
             assert poly.contains(spec, 0), (gammas, name)
             assert min(hp.value(spec.astuple()) for hp in poly.halfplanes) == 0, (gammas, name)
 
-    @pytest.mark.parametrize("gammas", sorted(POLYTOPE_FIXTURES))
+    @pytest.mark.parametrize("gammas", sorted(POLYTOPE_FIXTURES) + RANDOM_RATIONALS)
     def test_vertices_consistent_with_halfplanes(self, gammas):
         poly = build_polytope_n3(gammas)
         for v in poly.vertices:
@@ -60,7 +69,7 @@ class TestFixtureTable:
             assert all(x >= 0 for x in vals)
             assert sum(1 for x in vals if x == 0) >= 2
 
-    @pytest.mark.parametrize("gammas", sorted(POLYTOPE_FIXTURES))
+    @pytest.mark.parametrize("gammas", sorted(POLYTOPE_FIXTURES) + RANDOM_RATIONALS)
     def test_ordering_ccw_from_a(self, gammas):
         poly = build_polytope_n3(gammas)
         assert poly.vertices[0] == fixed_point_spectra(gammas).a
@@ -161,6 +170,42 @@ class TestDelegation:
         with pytest.raises(DegenerateWeight):
             build_polytope_n3((1, 0, 2))
 
+    def test_tiny_float_weights_are_not_zero(self):
+        # no absolute floor: classification and construction both see C
+        g = (4e-9, 2e-9, -1e-9)
+        assert classify_n3(g)[0].value == "C"
+        poly = build_polytope(g)
+        assert (poly.label, poly.kind) == ("C", "Polygon")
+
+    def test_huge_exact_weight_stays_exact(self):
+        poly = build_polytope((10**400, 1, 1))
+        assert poly.label == "BB"
+        assert poly.vertices[0].astuple() == (F(2 * 10**400 + 4, 3), F(-(10**400) - 2, 3), F(-(10**400) - 2, 3))
+
+
+class TestPolygonVertices:
+    def test_rejects_normal_outside_the_facet_directions(self):
+        # (1, 0, -1) is the functional 2*l1 + l2: no wall, vanishing on no root
+        with pytest.raises(AllWeightsDegenerate):
+            polytope._polygon_vertices([WALL_12, WALL_23, HalfPlane((1, 0, -1), 0, "odd")])
+
+    def test_rejects_empty_intersection(self):
+        # l1 <= -1 misses the chamber
+        with pytest.raises(AllWeightsDegenerate):
+            polytope._polygon_vertices([WALL_12, WALL_23, HalfPlane(lift_2d(-1, 0), 1)])
+
+    def test_rejects_unbounded_intersection(self):
+        # the chamber cut by l1 >= 1 and l1 + l2 >= 1: three vertices, open
+        cuts = [HalfPlane(lift_2d(1, 0), 1), HalfPlane(lift_2d(1, 1), 1)]
+        with pytest.raises(AllWeightsDegenerate, match="unbounded"):
+            polytope._polygon_vertices([WALL_12, WALL_23, *cuts])
+
+    def test_keeps_tightest_offset_per_direction(self):
+        # the chamber cut by l1 <= 2, also given as the slack 2*l1 <= 10
+        caps = [HalfPlane(lift_2d(-2, 0), -10), HalfPlane(lift_2d(-1, 0), -2)]
+        got = polytope._polygon_vertices([WALL_12, WALL_23, *caps])
+        assert got == [(0, 0), (2, -1), (2, 2)]
+
 
 class TestHull2d:
     def test_square(self):
@@ -255,6 +300,39 @@ class TestHullPrefilter:
         if len(got) > 2:  # strictly convex, counterclockwise
             for o, p, q in zip(got, got[1:] + got[:1], got[2:] + got[:2]):
                 assert (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0]) > 0
+
+
+GENERIC_LABELS = {t.value for t in GENERIC_N3} | {"GenA", "GenB", "GenC", "GenD"}
+# every nonzero integer weight in [-4, 4]^3: all 27 nonzero labels, every
+# transition and the two-factor shapes of weights with a zero entry
+TRANSITION_GRID = [g for g in itertools.product(range(-4, 5), repeat=3) if any(g)]
+rational = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+weights = st.one_of(st.sampled_from(TRANSITION_GRID), st.tuples(rational, rational, rational).filter(any))
+
+
+class TestScaling:
+    """P(t*gamma) = t*P(gamma) for t > 0, exactly and in floating point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights, st.integers(-12, 12))
+    def test_float_label_and_vertices_at_every_scale(self, g, k):
+        t = F(10) ** k
+        ref = build_polytope(g)
+        poly = build_polytope(tuple(float(t * x) for x in g))
+        assert (poly.label, poly.starred) == (ref.label, ref.starred)
+        if ref.label in GENERIC_LABELS:
+            bound = 1e-12 * float(t * max(abs(x) for x in g))
+            assert len(poly.vertices) == len(ref.vertices)
+            for u, v in zip(poly.vertices, ref.vertices):
+                assert all(abs(float(a) - float(t * b)) <= bound for a, b in zip(u, v))
+
+    @settings(max_examples=150, deadline=None)
+    @given(weights, st.fractions(min_value=F(1, 1000), max_value=1000).filter(lambda t: t > 0))
+    def test_exact_scaling(self, g, t):
+        ref = build_polytope(g)
+        poly = build_polytope(tuple(t * x for x in g))
+        assert poly.label == ref.label
+        assert [v.astuple() for v in poly.vertices] == [tuple(t * x for x in v) for v in ref.vertices]
 
 
 class TestHausdorff:

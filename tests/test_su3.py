@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -16,6 +17,8 @@ from su3poly.su3 import (
     Spectrum,
     SumNotZero,
     pairing,
+    snap_sign,
+    sort_descending,
     spectrum,
     star_involution,
     to_chamber,
@@ -153,9 +156,29 @@ class TestPositiveChamber:
         with pytest.raises(SumNotZero):
             to_positive_chamber((1.0, 1.0, 1.0))
 
+    @given(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+    def test_sort_is_lexicographically_smallest(self, v):
+        # ties are frequent on this range
+        out, perm = sort_descending(v)
+        descending = [p for p in itertools.permutations(range(3)) if all(v[p[i]] >= v[p[i + 1]] for i in range(2))]
+        assert perm == min(descending)
+        assert out == tuple(v[i] for i in perm)
+
     def test_root_sum_vanishes(self):
         total = tuple(sum(r.vector[k] for r in Root) for k in range(3))
         assert total == (0, 0, 0)
+
+
+class TestSnapSign:
+    def test_exact_values_compare_exactly(self):
+        assert snap_sign(F(1, 10**30), 1, 1e-9) == 1
+        assert snap_sign(1, 10**400, 1e-9) == 1  # never converted to float
+        assert snap_sign(0, 0, 1e-9) == 0
+
+    def test_float_tolerance_is_relative_without_floor(self):
+        assert snap_sign(1e-18, 4e-9, 1e-9) == 0
+        assert snap_sign(-1e-17, 4e-9, 1e-9) == -1
+        assert snap_sign(-1e-9, 1.0, 1e-9) == 0
 
 
 class TestStar:
