@@ -20,7 +20,7 @@ from functools import partial
 from typing import Tuple
 
 from .moment_map import as_gammas
-from .su3 import Scalar, snap_sign, sort_descending
+from .su3 import Scalar, all_exact, integer_scaled, snap_sign, sort_descending
 
 
 class N3Type(Enum):
@@ -126,6 +126,9 @@ class SignProfile:
 
 def sign_profile(canonical_gammas, tol: float = 1e-9) -> SignProfile:
     g1, g2, g3 = canonical_gammas
+    if all_exact(canonical_gammas):
+        # exact signs are scale-free: take them on integers, not fractions
+        g1, g2, g3 = integer_scaled(canonical_gammas)[0]
     snap = partial(snap_sign, scale=max(abs(g1), abs(g2), abs(g3)), tol=tol)
     return SignProfile(
         zero_weight=any(snap(x) == 0 for x in (g1, g2, g3)),

@@ -8,16 +8,26 @@ doubled points ``c_j``, and a root line or a root wedge at the diagonal point
 folded back by the sorting permutation (a Weyl reflection), applied to the
 generators as well.
 
-All coefficient arithmetic stays exact for rational weights.
+The cones are built on one integer scale (:class:`AnchorKernel`).  The
+weights are multiplied by t / 3, where t is 3 times the lcm of their
+denominators (a float enters through its exact binary value), so the
+weights and the five anchor points scaled by t are integer triples.  Every
+cone decision is the sign of an integer polynomial: the coefficient the
+paper writes down, multiplied by a positive square.  A ``Fraction`` is made
+only for the output, each apex entry over t.  The public coefficient
+functions below (:func:`b_slice_coefficients`, :func:`c_alpha3_form`, ...)
+keep the paper's rational forms; the tests check the kernel's signs against
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, Optional, Sequence, Tuple
 
-from .moment_map import as_gammas, fixed_point_spectra, raw_fixed_point_diagonals
+from .moment_map import as_gammas, tripled_fixed_point_diagonals
 from .su3 import (
     Root,
     Scalar,
@@ -25,6 +35,7 @@ from .su3 import (
     apply_perm,
     exact_div,
     identify_signed_root,
+    integer_scaled,
     lift_2d,
     num_out,
     sgn,
@@ -119,12 +130,18 @@ class ConeSpec:
     ``side_normal``, when present, records the chamber-side of a single-line
     cone as a sum-zero functional pointing into the cone (the cone is then
     the half-plane ``side_normal . (s - apex) >= 0`` bounded by the line).
+
+    ``kernel`` is the :class:`AnchorKernel` the cone was built on and
+    ``scaled_apex`` the apex times ``kernel.scale``, an integer triple; the
+    exact polytope builder works on these.
     """
 
     apex: Spectrum
     generators: Tuple[Generator, ...]
     weyl_folded: bool = False
     side_normal: Optional[Tuple[Scalar, Scalar, Scalar]] = None
+    scaled_apex: Optional[Tuple[int, int, int]] = field(default=None, compare=False, repr=False)
+    kernel: Optional["AnchorKernel"] = field(default=None, compare=False, repr=False)
 
     def asdict(self) -> dict:
         d = {
@@ -141,22 +158,135 @@ def _ray(sign: int, root: Root) -> Generator:
     return Generator(root, RAY_POS if sign > 0 else RAY_NEG)
 
 
-def _fold(raw_point: Sequence[Scalar], raw_gens: Sequence[Generator]):
-    """Sort a raw fixed-point value into the chamber, folding the generators.
+def _fold_generator(g: Generator, order: Tuple[int, ...]) -> Generator:
+    sr = identify_signed_root(apply_perm(g.vector, order))
+    return Generator(sr.root, LINE if g.is_line else (RAY_POS if sr.sign > 0 else RAY_NEG))
 
-    The stable sort breaks ties the way a perturbation towards strictly
-    decreasing entries would, which is the one-sided limit used at weight
-    coincidences.
+
+class AnchorKernel:
+    """Weights and anchor points on one integer scale.
+
+    ``scale`` is t = 3 * lcm of the weights' denominators, ``gammas`` is the
+    integer triple t * gamma / 3, and ``anchors[k]`` is t times the raw
+    diagonal of anchor point k, sorted into the chamber once: the pair
+    ``(entries, perm)`` of :func:`su3.sort_descending`.  The stable sort
+    breaks ties the way a perturbation towards strictly decreasing entries
+    would, which is the one-sided limit used at weight coincidences.
+
+    Every sign below is that of an integer polynomial in ``gammas``, equal to
+    the sign of the rational coefficient it stands for (the polynomial is the
+    coefficient times a positive square, and P(t gamma) = t P(gamma)).
+
+    A plain class rather than a dataclass: a dataclass costs about a
+    millisecond at import, which every command-line call would pay.
     """
-    entries, order = sort_descending(tuple(raw_point))
-    apex = Spectrum(*entries)
-    folded = []
-    for g in raw_gens:
-        v = apply_perm(g.vector, order)
-        sr = identify_signed_root(v)
-        kind = LINE if g.is_line else (RAY_POS if sr.sign > 0 else RAY_NEG)
-        folded.append(Generator(sr.root, kind))
-    return apex, tuple(folded), order != (0, 1, 2), order
+
+    __slots__ = ("scale", "gammas", "anchors")
+
+    def __init__(self, scale: int, gammas: Tuple[int, int, int], anchors: Dict[str, Tuple[tuple, Tuple[int, ...]]]):
+        self.scale = scale
+        self.gammas = gammas
+        self.anchors = anchors
+
+    @classmethod
+    def of(cls, w) -> "AnchorKernel":
+        """Kernel of three nonzero weights; floats enter exactly."""
+        gammas, lcm = integer_scaled(as_gammas(w, n=3, allow_zero=False))
+        return cls._scaled(gammas, 3 * lcm)
+
+    @classmethod
+    def _scaled(cls, gammas: Tuple[int, int, int], scale: int) -> "AnchorKernel":
+        raw = tripled_fixed_point_diagonals(gammas)
+        return cls(scale, gammas, {k: sort_descending(v) for k, v in raw.items()})
+
+    # -- signs ---------------------------------------------------------------
+
+    def b_ray_signs(self) -> Tuple[int, int, int]:
+        """Signs of :func:`b_slice_coefficients`, each times a square.
+
+        Where a difference g_i - g_j vanishes the one-sided limit from
+        g_i > g_j (i < j) is taken.
+        """
+        g1, g2, g3 = self.gammas
+        d23, d13, d12 = sgn(g2 - g3) or 1, sgn(g1 - g3) or 1, sgn(g1 - g2) or 1
+        return d23 * sgn(g2 * g3), -d13 * sgn(g1 * g3), d12 * sgn(g1 * g2)
+
+    def c_signs(self, j: int) -> Tuple[int, QuadraticForm2]:
+        """Sign of :func:`c_alpha1_coefficient` and :func:`c_alpha3_form`.
+
+        With (x, y, z) the weights rotated to start at g_j, the coefficient
+        is -(y / z)(y + z) and the form ((x / y)(x - y), xz / y, (z / y)(z + y));
+        returned are the sign of the first times z^2 and the second times y^2.
+        """
+        if j not in (1, 2, 3):
+            raise ValueError("j must be 1, 2 or 3")
+        g = self.gammas
+        x, y, z = g[j - 1], g[j % 3], g[(j + 1) % 3]
+        yz = y * z * (y + z)
+        return -sgn(yz), QuadraticForm2(x * y * (x - y), x * y * z, yz)
+
+    def a_form(self) -> QuadraticForm2:
+        """:func:`a_slice_form` times g3^2.  Its discriminant is
+        :func:`a_discriminant` times g3^4, so it is indefinite exactly when
+        that is negative."""
+        g1, g2, g3 = self.gammas
+        return QuadraticForm2(g1 * g3 * (g1 + g3), g1 * g2 * g3, g2 * g3 * (g2 + g3))
+
+    # -- cones ---------------------------------------------------------------
+
+    def cone_b(self) -> ConeSpec:
+        """Three signed root rays; coincident weights give the one-sided limit."""
+        s1, s2, s3 = self.b_ray_signs()
+        return self._folded("b", (_ray(s1, Root.ALPHA1), _ray(s2, Root.ALPHA2), _ray(s3, Root.ALPHA3)))
+
+    def cone_c(self, j: int) -> ConeSpec:
+        """An alpha1-family ray plus an alpha3-family ray (definite form) or
+        line (indefinite form); :class:`OnWall` when c_j sits on a wall."""
+        a1_sign, form = self.c_signs(j)
+        defin = definiteness(form)
+        # a vanishing coefficient or a degenerate form is a wall transition
+        if a1_sign == 0 or defin is Definiteness.DEGENERATE:
+            raise OnWall(f"c{j} lies on a chamber wall for integer weights {self.gammas}")
+        if defin is Definiteness.INDEFINITE:
+            second = Generator(Root.ALPHA3, LINE)
+        else:
+            second = _ray(1 if defin is Definiteness.POSITIVE_DEFINITE else -1, Root.ALPHA3)
+        return self._folded(f"c{j}", (_ray(a1_sign, Root.ALPHA1), second))
+
+    def cone_a(self) -> ConeSpec:
+        """The cone at a; a negative sum goes through the star involution."""
+        g1, g2, g3 = self.gammas
+        s = g1 + g2 + g3
+        if s == 0:
+            raise ZeroSum(f"integer weights {self.gammas} sum to zero")
+        if s < 0:
+            return _star_cone(AnchorKernel._scaled((-g1, -g2, -g3), self.scale).cone_a(), self)
+        apex = self.anchors["a"][0]
+        defin = definiteness(self.a_form())
+        if defin is Definiteness.INDEFINITE:
+            return self._cone(apex, (Generator(Root.ALPHA2, RAY_NEG), Generator(Root.ALPHA3, RAY_NEG)))
+        line_root = Root.ALPHA3 if defin is Definiteness.POSITIVE_DEFINITE else Root.ALPHA2
+        # The side towards the centroid of the other four anchors, in
+        # integers: 3 * lift_2d(a, b) dotted with 4 * (centroid - apex).
+        d = line_root.vector
+        a, b = -d[1], d[0]
+        normal3 = (2 * a - b, 2 * b - a, -a - b)
+        others = [self.anchors[k][0] for k in ("b", "c1", "c2", "c3")]
+        side = sgn(sum(n * (sum(p[i] for p in others) - 4 * apex[i]) for i, n in enumerate(normal3)))
+        if side == 0:
+            raise ValueError("ambiguous side for the half-plane cone at a")
+        return self._cone(apex, (Generator(line_root, LINE),), side_normal=lift_2d(side * a, side * b))
+
+    def _folded(self, name: str, raw_gens: Sequence[Generator]) -> ConeSpec:
+        entries, order = self.anchors[name]
+        folded = order != (0, 1, 2)
+        gens = tuple(_fold_generator(g, order) for g in raw_gens) if folded else tuple(raw_gens)
+        return self._cone(entries, gens, folded)
+
+    def _cone(self, scaled_apex, gens, weyl_folded: bool = False, side_normal=None) -> ConeSpec:
+        t = self.scale
+        apex = Spectrum(*(Fraction(x, t) for x in scaled_apex))
+        return ConeSpec(apex, gens, weyl_folded, side_normal, tuple(scaled_apex), self)
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +316,13 @@ def slice_cone_b(w, tol: float = 1e-9, allow_coincident: bool = False) -> ConeSp
     weights.  With ``allow_coincident`` the one-sided limit is taken at weight
     coincidences (sign of a vanishing difference g_i - g_j taken positive for
     i < j), which is the continuity limit used at transition values.
+    Coincidence is decided by :func:`su3.snap_sign` on the given weights.
     """
     g = as_gammas(w, n=3, allow_zero=False)
     scale = max(abs(x) for x in g)
-    diff_signs = [snap_sign(g[i] - g[j], scale, tol) for i, j in ((1, 2), (0, 2), (0, 1))]
-    if 0 in diff_signs and not allow_coincident:
+    if not allow_coincident and any(snap_sign(g[i] - g[j], scale, tol) == 0 for i, j in ((1, 2), (0, 2), (0, 1))):
         raise CoincidentWeights(f"weights {g} are not pairwise distinct")
-    # one-sided limit from g_i > g_j (i < j) where a difference vanishes
-    d23, d13, d12 = (d or 1 for d in diff_signs)
-
-    s1 = d23 * sgn(g[2]) * sgn(g[1])  # sign of (g3/g2)(g2-g3)
-    s2 = -d13 * sgn(g[0]) * sgn(g[2])  # sign of (g1/g3)(g3-g1)
-    s3 = d12 * sgn(g[1]) * sgn(g[0])  # sign of (g2/g1)(g1-g2)
-
-    raw_gens = (_ray(s1, Root.ALPHA1), _ray(s2, Root.ALPHA2), _ray(s3, Root.ALPHA3))
-    raw_point = raw_fixed_point_diagonals(g)["b"]
-    apex, gens, folded, _ = _fold(raw_point, raw_gens)
-    return ConeSpec(apex, gens, folded)
+    return AnchorKernel.of(g).cone_b()
 
 
 _C_WALL_QUANTITIES = {
@@ -255,28 +375,15 @@ def slice_cone_c(j: int, w, tol: float = 1e-9) -> ConeSpec:
     alpha3-family ray (definite form) or full line (indefinite form).
 
     Raises :class:`OnWall` when c_j sits on a chamber wall, which happens
-    exactly when one of the transition quantities for index j vanishes.
+    exactly when one of the transition quantities for index j vanishes
+    (decided by :func:`su3.snap_sign` on the given weights).
     """
     g = as_gammas(w, n=3, allow_zero=False)
     scale = max(abs(x) for x in g)
     u, v = _C_WALL_QUANTITIES[j](g)
     if snap_sign(u, scale, tol) == 0 or snap_sign(v, scale, tol) == 0:
         raise OnWall(f"c{j} lies on a chamber wall for weights {g}")
-
-    a1_sign = sgn(c_alpha1_coefficient(j, g))
-    form = c_alpha3_form(j, g)
-    defin = definiteness(form)
-    assert defin is not Definiteness.DEGENERATE  # excluded by the wall check
-
-    gens = [_ray(a1_sign, Root.ALPHA1)]
-    if defin is Definiteness.INDEFINITE:
-        gens.append(Generator(Root.ALPHA3, LINE))
-    else:
-        gens.append(_ray(1 if defin is Definiteness.POSITIVE_DEFINITE else -1, Root.ALPHA3))
-
-    raw_point = raw_fixed_point_diagonals(g)[f"c{j}"]
-    apex, folded_gens, folded, _ = _fold(raw_point, gens)
-    return ConeSpec(apex, folded_gens, folded)
+    return AnchorKernel.of(g).cone_c(j)
 
 
 def a_discriminant(w) -> Scalar:
@@ -293,18 +400,6 @@ def a_slice_form(w) -> QuadraticForm2:
     )
 
 
-def _line_cone_with_side(apex: Spectrum, line_root: Root, centroid) -> ConeSpec:
-    """Half-plane cone bounded by a root line, on the side of the centroid."""
-    d = line_root.vector
-    # Sum-zero functional vanishing on the line (2D cross product with d).
-    n = lift_2d(-d[1], d[0])
-    side = sgn(sum(nc * (c - a) for nc, c, a in zip(n, centroid, apex)))
-    if side == 0:
-        raise ValueError("ambiguous side for the half-plane cone at a")
-    normal = tuple(side * nc for nc in n)
-    return ConeSpec(apex, (Generator(line_root, LINE),), False, normal)
-
-
 def slice_cone_a(w, tol: float = 1e-9) -> ConeSpec:
     """Local cone at the diagonal point a (on the chamber wall).
 
@@ -312,35 +407,19 @@ def slice_cone_a(w, tol: float = 1e-9) -> ConeSpec:
     the alpha3 line through a, negative-definite the alpha2 line (side chosen
     towards the centroid of the other fixed points); indefinite forms give
     the wedge spanned by -alpha2 and -alpha3.  Negative sums are handled via
-    the star involution; a zero sum raises :class:`ZeroSum`.
+    the star involution; a zero sum (by :func:`su3.snap_sign`) raises
+    :class:`ZeroSum`.
     """
     g = as_gammas(w, n=3, allow_zero=False)
-    s = g[0] + g[1] + g[2]
-    if snap_sign(s, max(abs(x) for x in g), tol) == 0:
+    if snap_sign(g[0] + g[1] + g[2], max(abs(x) for x in g), tol) == 0:
         raise ZeroSum(f"weights {g} sum to zero")
-    if s < 0:
-        return _star_cone(slice_cone_a(tuple(-x for x in g), tol))
-
-    disc = a_discriminant(g)
-    apex = Spectrum(*(exact_div(2 * s, 3), exact_div(-s, 3), exact_div(-s, 3)))
-    if disc < 0:
-        gens = (Generator(Root.ALPHA2, RAY_NEG), Generator(Root.ALPHA3, RAY_NEG))
-        return ConeSpec(apex, gens, False)
-    form = a_slice_form(g)
-    defin = definiteness(form)
-    assert defin in (Definiteness.POSITIVE_DEFINITE, Definiteness.NEGATIVE_DEFINITE)
-    fps = fixed_point_spectra(g)
-    centroid = tuple(
-        exact_div(fps.b.astuple()[k] + fps.c1.astuple()[k] + fps.c2.astuple()[k] + fps.c3.astuple()[k], 4)
-        for k in range(3)
-    )
-    line_root = Root.ALPHA3 if defin is Definiteness.POSITIVE_DEFINITE else Root.ALPHA2
-    return _line_cone_with_side(apex, line_root, centroid)
+    return AnchorKernel.of(g).cone_a()
 
 
-def _star_cone(cone: ConeSpec) -> ConeSpec:
-    """Image of a cone under the star involution (reflection across l2 = 0)."""
-    apex = Spectrum(*star_vector(cone.apex.astuple()))
+def _star_cone(cone: ConeSpec, kernel: AnchorKernel) -> ConeSpec:
+    """Image of a cone under the star involution (reflection across l2 = 0),
+    as a cone on ``kernel``."""
+    x, y, z = cone.scaled_apex
     gens = []
     for gsp in cone.generators:
         v = star_vector(gsp.vector if not gsp.is_line else gsp.root.vector)
@@ -348,4 +427,4 @@ def _star_cone(cone: ConeSpec) -> ConeSpec:
         kind = LINE if gsp.is_line else (RAY_POS if sr.sign > 0 else RAY_NEG)
         gens.append(Generator(sr.root, kind))
     side = None if cone.side_normal is None else star_vector(cone.side_normal)
-    return ConeSpec(apex, tuple(gens), cone.weyl_folded, side)
+    return kernel._cone((-z, -y, -x), tuple(gens), cone.weyl_folded, side)

@@ -218,29 +218,36 @@ FIXED_CONFIGURATIONS_N2 = {
 }
 
 
-def raw_fixed_point_diagonals(w) -> Dict[str, Tuple[Scalar, Scalar, Scalar]]:
-    """Unsorted diagonal momentum values at the representative fixed points.
+def tripled_fixed_point_diagonals(gammas: Sequence[Scalar]) -> Dict[str, Tuple[Scalar, Scalar, Scalar]]:
+    """Three times the raw diagonals at the representative fixed points.
 
-    Closed forms; exact for rational weights.  For N=3 the keys are
-    a, b, c1, c2, c3; for N=2 they are a, c.
+    The closed forms of the anchor points, in one place: integer linear forms
+    in the weights, so integer weights give integer triples.  For N=3 the
+    keys are a, b, c1, c2, c3; for N=2 they are a, c.
     """
-    gammas = as_gammas(w)
     if len(gammas) == 2:
         g1, g2 = gammas
         s = g1 + g2
-        return {
-            "a": (third(2 * s), third(-s), third(-s)),
-            "c": (third(2 * g1 - g2), third(2 * g2 - g1), third(-s)),
-        }
+        return {"a": (2 * s, -s, -s), "c": (2 * g1 - g2, 2 * g2 - g1, -s)}
     g1, g2, g3 = gammas
     s = g1 + g2 + g3
     return {
-        "a": (third(2 * s), third(-s), third(-s)),
-        "b": (third(2 * g1 - g2 - g3), third(-g1 + 2 * g2 - g3), third(-g1 - g2 + 2 * g3)),
-        "c1": (third(2 * g1 - g2 - g3), third(-g1 + 2 * g2 + 2 * g3), third(-s)),
-        "c2": (third(-g1 + 2 * g2 - g3), third(2 * g1 - g2 + 2 * g3), third(-s)),
-        "c3": (third(-g1 - g2 + 2 * g3), third(2 * g1 + 2 * g2 - g3), third(-s)),
+        "a": (2 * s, -s, -s),
+        "b": (2 * g1 - g2 - g3, -g1 + 2 * g2 - g3, -g1 - g2 + 2 * g3),
+        "c1": (2 * g1 - g2 - g3, -g1 + 2 * g2 + 2 * g3, -s),
+        "c2": (-g1 + 2 * g2 - g3, 2 * g1 - g2 + 2 * g3, -s),
+        "c3": (-g1 - g2 + 2 * g3, 2 * g1 + 2 * g2 - g3, -s),
     }
+
+
+def raw_fixed_point_diagonals(w) -> Dict[str, Tuple[Scalar, Scalar, Scalar]]:
+    """Unsorted diagonal momentum values at the representative fixed points.
+
+    A third of :func:`tripled_fixed_point_diagonals`; exact for rational
+    weights.  For N=3 the keys are a, b, c1, c2, c3; for N=2 they are a, c.
+    """
+    tripled = tripled_fixed_point_diagonals(as_gammas(w))
+    return {k: (third(x), third(y), third(z)) for k, (x, y, z) in tripled.items()}
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,9 @@ def _sample_vectors(seed: int, count: int, n_factors: int) -> np.ndarray:
     while pos < count:
         size = min(BLOCK, count - pos)
         rng = _rng_for_block(seed, block)
-        z = rng.standard_normal((BLOCK, n_factors, 3, 2))[:size]
+        # standard_normal fills its output in order, so a partial block is
+        # the prefix of the full one
+        z = rng.standard_normal((size, n_factors, 3, 2))
         vec = z[..., 0] + 1j * z[..., 1]
         out[pos : pos + size] = vec
         pos += size
@@ -217,9 +219,11 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
         raise PredictionUnavailable(str(exc)) from exc
 
     batch = sample_batch(w, count, seed)
-    spectra = batch.spectra
+    spectra, pq = batch.spectra, batch.chamber_points
     if targeted > 0:
-        spectra = np.concatenate([spectra, _targeted_spectra(w, targeted, seed)], axis=0)
+        extra = _targeted_spectra(w, targeted, seed)
+        spectra = np.concatenate([spectra, extra], axis=0)
+        pq = np.concatenate([pq, chamber_points_of_spectra(extra)], axis=0)
 
     diam = predicted.diameter()
     slack = max(tol * diam, 1e-12)
@@ -227,7 +231,6 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     n_viol = int(np.count_nonzero(excess > slack))
     max_viol = float(excess.max()) if len(excess) else 0.0
 
-    pq = chamber_points_of_spectra(spectra)
     hull = hull2d(pq)
     deficit = max(distance_to_polytope_pq((c.p, c.q), hull) for c in predicted.pq_vertices())
 

@@ -12,8 +12,11 @@ of eight fixed directions: the two walls and the six directions
 perpendicular to a root.  The vertices are therefore solved directly: the
 tightest offset per direction, a 2x2 integer solve for each pair of
 directions, and the solutions that satisfy every half-plane, ordered by the
-monotone chain.  Everything runs in exact rational arithmetic (floating
-weights are promoted to exact binary fractions), so vertices of
+monotone chain.  The three-factor build runs in integers: the cones come
+on one integer scale t (:class:`cones.AnchorKernel`; floating weights enter
+through their exact binary values), their facet offsets are integers over t,
+and the vertices are integers over m * t.  A ``Fraction`` is made only for
+the output (each offset, apex and vertex entry), so vertices of
 rational-weight polytopes are exact.  Normals are stored as sum-zero
 functionals on spectra; signed distances divide by the Euclidean norm of the
 functional, which is the gradient norm in the isometric chamber embedding.
@@ -27,8 +30,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classifier import N3Type, classify_n2, classify_n3, sign_profile
-from .cones import ConeSpec, slice_cone_a, slice_cone_b, slice_cone_c
-from .moment_map import as_gammas, fixed_point_spectra, raw_fixed_point_diagonals
+from .cones import AnchorKernel, ConeSpec
+from .moment_map import as_gammas, fixed_point_spectra
 from .su3 import (
     ChamberPoint,
     Scalar,
@@ -104,36 +107,51 @@ Point2 = Tuple[Scalar, Scalar]
 
 #: Primitive integer functionals (a, b), read as a*l1 + b*l2, of the eight
 #: possible facet directions: the walls l1 >= l2 and l2 >= l3, and the two
-#: directions perpendicular to each root.
-_FACET_DIRECTIONS = frozenset({(1, -1), (1, 2), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)})
+#: directions perpendicular to each root; each with its sum-zero normal.
+_FACET_NORMALS = {d: lift_2d(*d) for d in ((1, -1), (1, 2), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))}
+_DIRECTION_OF_NORMAL = {n: d for d, n in _FACET_NORMALS.items()}
 
 
 def _polygon_vertices(halfplanes: Sequence[HalfPlane]) -> List[Point2]:
     """Exact counterclockwise vertices of an intersection of half-planes.
 
-    Each normal must be one of ``_FACET_DIRECTIONS`` up to a positive
-    factor; each direction keeps its tightest offset.  With the offsets over
-    their common denominator every pair of lines is a 2x2 integer system,
-    and a solution (x/det, y/det) is kept when it satisfies every line,
-    tested in integers multiplied through by det^2.  The kept points are
-    ordered by the monotone chain at tolerance 0.  Raises
-    :class:`AllWeightsDegenerate` for another normal, an unbounded
-    intersection (some line direction recedes inside every half-plane) or
-    fewer than three vertices.
+    Each functional must be a positive multiple of a facet direction (a
+    key of ``_FACET_NORMALS``).  The functionals are reduced to those
+    directions and put over their common denominator, then solved by
+    :func:`_integer_vertices`.
     """
-    tightest: Dict[Tuple[int, int], Fraction] = {}
+    reduced = []
     for hp in halfplanes:
         a, b, c = (Fraction(x) for x in hp.functional_2d())
         den = math.lcm(a.denominator, b.denominator)
         ia, ib = int(a * den), int(b * den)
         g = math.gcd(ia, ib) or 1
-        key = (ia // g, ib // g)
-        if key not in _FACET_DIRECTIONS:
-            raise AllWeightsDegenerate(f"normal {hp.normal} of {hp.provenance!r} is no facet direction")
-        c = c * den / g
-        tightest[key] = max(c, tightest.get(key, c))
-    den = math.lcm(*(c.denominator for c in tightest.values()))
-    lines = [(a, b, int(c * den)) for (a, b), c in tightest.items()]
+        reduced.append((ia // g, ib // g, c * den / g))
+    den = math.lcm(*(c.denominator for _, _, c in reduced))
+    hull, m = _integer_vertices([(a, b, int(c * den)) for a, b, c in reduced])
+    return [(Fraction(x, m * den), Fraction(y, m * den)) for x, y in hull]
+
+
+def _integer_vertices(lines: Sequence[Tuple[int, int, int]]) -> Tuple[List[Tuple[int, int]], int]:
+    """Vertices of the polygon {a*l1 + b*l2 >= c for each line (a, b, c)}.
+
+    ``(a, b)`` must be a facet direction (a key of ``_FACET_NORMALS``) and
+    every ``c`` an integer over one common denominator; each direction
+    keeps its tightest offset.  Every pair of lines is a 2x2 integer
+    system, and a solution (x/det, y/det) is kept when it satisfies every
+    line, tested in integers multiplied through by det^2.  Returns the kept
+    points as integers over m = lcm of the determinants, counterclockwise
+    by the monotone chain at tolerance 0, and m.  Raises
+    :class:`AllWeightsDegenerate` for another direction, an unbounded
+    intersection (some line direction recedes inside every half-plane) or
+    fewer than three vertices.
+    """
+    tightest: Dict[Tuple[int, int], int] = {}
+    for a, b, c in lines:
+        if (a, b) not in _FACET_NORMALS:
+            raise AllWeightsDegenerate(f"functional {a}*l1 + {b}*l2 is no facet direction")
+        tightest[a, b] = max(c, tightest.get((a, b), c))
+    lines = [(a, b, c) for (a, b), c in tightest.items()]
     rays = [d for a, b, _ in lines for d in ((-b, a), (b, -a))]
     if any(all(a * dx + b * dy >= 0 for a, b, _ in lines) for dx, dy in rays):
         raise AllWeightsDegenerate("half-plane intersection is unbounded")
@@ -144,12 +162,12 @@ def _polygon_vertices(halfplanes: Sequence[HalfPlane]) -> List[Point2]:
             x, y = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
             if det and all((a * x + b * y) * det >= c * det * det for a, b, c in lines):
                 solutions.append((x, y, det))
-    # the chain runs on integer points over the common denominator m * den
+    # the chain runs on integer points over the common denominator m
     m = math.lcm(*(det for _, _, det in solutions))
     hull = _chain(sorted({(x * m // det, y * m // det) for x, y, det in solutions}), 0)
     if len(hull) < 3:
         raise AllWeightsDegenerate(f"half-plane intersection has {len(hull)} vertices")
-    return [(Fraction(x, m * den), Fraction(y, m * den)) for x, y in hull]
+    return hull, m
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +203,17 @@ class ChamberPolytope:
         return max(p.distance(q) for i, p in enumerate(pts) for q in pts[i + 1:])
 
     def contains(self, s, tol: float = 1e-9) -> bool:
-        """Membership within ``tol`` scaled by the polytope diameter.
+        """Membership within ``tol`` scaled by the polytope diameter (for a
+        point, by its largest absolute entry), with no absolute floor, so
+        ``contains(t P, t s) == contains(P, s)`` for every t > 0.
 
         Exact when the polytope, the point and ``tol == 0`` are all exact.
         """
         triple = s.astuple() if isinstance(s, Spectrum) else tuple(s)
         if tol == 0 and self.is_exact and all_exact(triple):
             return all(hp.value(triple) >= 0 for hp in self.halfplanes)
-        slack = max(tol * self.diameter(), 1e-12)
+        scale = self.diameter() or max(abs(float(x)) for v in self.vertices for x in v)
+        slack = tol * scale
         return all(hp.signed_distance(triple) >= -slack for hp in self.halfplanes)
 
     def star(self) -> "ChamberPolytope":
@@ -249,14 +270,6 @@ def contains(P: ChamberPolytope, s, tol: float = 1e-9) -> bool:
     return P.contains(s, tol)
 
 
-def _rotate_to_start(vertices: Tuple[Spectrum, ...], start: Spectrum) -> Tuple[Spectrum, ...]:
-    try:
-        i = vertices.index(start)
-    except ValueError:
-        return vertices
-    return vertices[i:] + vertices[:i]
-
-
 # ---------------------------------------------------------------------------
 # Cone -> half-planes
 # ---------------------------------------------------------------------------
@@ -270,34 +283,35 @@ def _cross2(u: Point2, v: Point2) -> Scalar:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def cone_halfplanes(cone: ConeSpec, tag: str) -> List[HalfPlane]:
-    """Half-plane description of a local cone anchored at its apex."""
-    apex = cone.apex.astuple()
+def _cone_lines(cone: ConeSpec, tag: str) -> List[Tuple[int, int, int, str]]:
+    """Lines (a, b, c, provenance) of a local cone: a*l1 + b*l2 >= c / t.
+
+    ``(a, b)`` is one of the facet directions and c an integer on the scale
+    t of the cone's kernel, from the integer apex.  Since the apex sums to
+    zero, c / t is also the offset ``lift_2d(a, b) . apex`` of the cone's
+    half-plane.
+    """
+    x, y, _ = cone.scaled_apex
     rays = [g for g in cone.generators if not g.is_line]
     lines = [g for g in cone.generators if g.is_line]
 
-    def hp_from_2d(a: Scalar, b: Scalar, suffix: str) -> HalfPlane:
-        normal = lift_2d(a, b)
-        offset = normal[0] * apex[0] + normal[1] * apex[1] + normal[2] * apex[2]
-        return HalfPlane(normal, offset, f"{tag}:{suffix}")
+    def line(a: int, b: int, suffix: str) -> Tuple[int, int, int, str]:
+        return (a, b, a * x + b * y, f"{tag}:{suffix}")
 
     if cone.side_normal is not None:
-        n = cone.side_normal
-        offset = n[0] * apex[0] + n[1] * apex[1] + n[2] * apex[2]
-        d = lines[0]
-        return [HalfPlane(tuple(n), offset, f"{tag}:{d.root.label}-halfplane")]
+        return [line(*_DIRECTION_OF_NORMAL[tuple(cone.side_normal)], f"{lines[0].root.label}-halfplane")]
 
     if lines:
-        assert len(lines) == 1 and rays
+        if len(lines) != 1 or not rays:
+            raise AllWeightsDegenerate(f"cone at {tag} has {len(lines)} lines and {len(rays)} rays")
         d = _vec2(lines[0].vector)
         a, b = -d[1], d[0]
         side = _cross2(d, _vec2(rays[0].vector))
-        assert side != 0
+        if side == 0 or any(_cross2(d, _vec2(r.vector)) * side <= 0 for r in rays):
+            raise AllWeightsDegenerate(f"cone at {tag} has a ray along its line")
         if side < 0:
             a, b = -a, -b
-        for r in rays[1:]:
-            assert _cross2(d, _vec2(r.vector)) * side > 0
-        return [hp_from_2d(a, b, f"{lines[0].root.label}-halfplane")]
+        return [line(a, b, f"{lines[0].root.label}-halfplane")]
 
     vecs = []
     for g in rays:
@@ -312,12 +326,18 @@ def cone_halfplanes(cone: ConeSpec, tag: str) -> List[HalfPlane]:
                 continue
             if all(_cross2(u, w) >= 0 and _cross2(w, v) >= 0 for w in vecs):
                 # u and v are the extreme rays, counterclockwise from u to v
-                hps = [
-                    hp_from_2d(-u[1], u[0], "edge"),
-                    hp_from_2d(v[1], -v[0], "edge"),
-                ]
-                return hps
+                return [line(-u[1], u[0], "edge"), line(v[1], -v[0], "edge")]
     raise AllWeightsDegenerate(f"cone at {tag} is not salient")
+
+
+def _halfplane(a: int, b: int, c: int, t: int, provenance: str) -> HalfPlane:
+    return HalfPlane(_FACET_NORMALS[a, b], Fraction(c, t), provenance)
+
+
+def cone_halfplanes(cone: ConeSpec, tag: str) -> List[HalfPlane]:
+    """Half-plane description of a local cone anchored at its apex."""
+    t = cone.kernel.scale
+    return [_halfplane(a, b, c, t, provenance) for a, b, c, provenance in _cone_lines(cone, tag)]
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +350,17 @@ def _exactify(gs) -> tuple:
 
 
 def polytope_cones(w, tol: float = 1e-9) -> Dict[str, Optional[ConeSpec]]:
-    """The five local cones for canonical weights; None where degenerate."""
+    """The five local cones for canonical weights; None where degenerate.
+
+    Which cones degenerate is read from the snapped signs of the given
+    weights; the cones themselves are built on one :class:`AnchorKernel`.
+    """
     g = as_gammas(w, n=3, allow_zero=False)
     profile = sign_profile(g, tol)
-    gx = _exactify(g)
+    kernel = AnchorKernel.of(g)
     out: Dict[str, Optional[ConeSpec]] = {}
-    out["a"] = None if profile.sum == 0 else slice_cone_a(gx)
-    out["b"] = slice_cone_b(gx, allow_coincident=True)
+    out["a"] = None if profile.sum == 0 else kernel.cone_a()
+    out["b"] = kernel.cone_b()
     for j, (u_is_zero, v_is_zero) in (
         (1, (profile.t1, profile.z23)),
         (2, (profile.t2, profile.z13)),
@@ -345,7 +369,7 @@ def polytope_cones(w, tol: float = 1e-9) -> Dict[str, Optional[ConeSpec]]:
         if u_is_zero or v_is_zero:
             out[f"c{j}"] = None
         else:
-            out[f"c{j}"] = slice_cone_c(j, gx)
+            out[f"c{j}"] = kernel.cone_c(j)
     return out
 
 
@@ -354,7 +378,9 @@ def build_polytope_n3(w, tol: float = 1e-9) -> ChamberPolytope:
 
     Canonicalizes the weights (sort, sign-flip), intersects the wall and cone
     half-planes exactly, and star-reflects the result when the sign was
-    flipped.  The returned label is the taxonomy type of the input.
+    flipped.  The returned label is the taxonomy type of the input.  The
+    vertices are solved in integers on the cones' kernel scale; fractions
+    are made only for the output.
     """
     g = as_gammas(w, n=3)
     if any(x == 0 for x in g):
@@ -362,26 +388,33 @@ def build_polytope_n3(w, tol: float = 1e-9) -> ChamberPolytope:
     label, can = classify_n3(g, tol)
     if label is N3Type.DEGENERATE_ZERO_WEIGHT:
         raise DegenerateWeight("weight vanishes within tolerance")
-    cg = can.sorted_gammas
-    cgx = _exactify(cg)
 
-    halfplanes: List[HalfPlane] = [WALL_12, WALL_23]
-    for name, cone in polytope_cones(cg, tol).items():
+    cones = polytope_cones(can.sorted_gammas, tol)
+    kernel = cones["b"].kernel  # shared by every cone of the call; b is never None
+    lines = [(1, -1, 0, WALL_12.provenance), (1, 2, 0, WALL_23.provenance)]
+    for name, cone in cones.items():
         if cone is not None:
-            halfplanes.extend(cone_halfplanes(cone, name))
-    vertices = tuple(_spectrum_from_xy(p) for p in _polygon_vertices(halfplanes))
+            lines.extend(_cone_lines(cone, name))
+    hull, m = _integer_vertices([line[:3] for line in lines])
 
-    a_vertex = to_positive_chamber(raw_fixed_point_diagonals(cgx)["a"])[0]
-    vertices = _rotate_to_start(vertices, a_vertex)
-
-    poly = ChamberPolytope(tuple(halfplanes), vertices, "Polygon", label.value, False)
+    # start from the a anchor when it is a vertex
+    ax, ay, _ = kernel.anchors["a"][0]
+    if (ax * m, ay * m) in hull:
+        i = hull.index((ax * m, ay * m))
+        hull = hull[i:] + hull[:i]
     if can.starred:
-        poly = poly.star()
-    return poly
+        # The star involution (l1, l2, l3) -> (-l3, -l2, -l1) maps the
+        # functional a*l1 + b*l2 to a*l1 + (a - b)*l2 and the point (x, y)
+        # to (x + y, -y); reversing all but the leading vertex keeps the
+        # order counterclockwise from the anchor (ChamberPolytope.star).
+        lines = [(a, a - b, c, provenance) for a, b, c, provenance in lines]
+        hull = [(x + y, -y) for x, y in hull[:1] + hull[:0:-1]]
 
-
-def _spectrum_from_xy(p: Point2) -> Spectrum:
-    return Spectrum(p[0], p[1], -p[0] - p[1])
+    t = kernel.scale
+    den = m * t
+    halfplanes = tuple(_halfplane(a, b, c, t, provenance) for a, b, c, provenance in lines)
+    vertices = tuple(Spectrum(Fraction(x, den), Fraction(y, den), Fraction(-x - y, den)) for x, y in hull)
+    return ChamberPolytope(halfplanes, vertices, "Polygon", label.value, can.starred)
 
 
 def _segment_halfplanes(a: Spectrum, c: Spectrum, tag: str) -> List[HalfPlane]:
@@ -437,6 +470,11 @@ def build_polytope(w, tol: float = 1e-9) -> ChamberPolytope:
     """
     gs = as_gammas(w)
     scale = max(abs(x) for x in gs)
+    if is_exact(scale):
+        # snap_sign compares every weight of this vector exactly; the floats
+        # enter through their exact binary values, so no arithmetic mixes
+        # an exact weight too large for a float with a float
+        gs = _exactify(gs)
     nz = tuple(x for x in gs if snap_sign(x, scale, tol) != 0)
     if len(gs) == 3 and len(nz) == 3:
         return build_polytope_n3(gs, tol)
@@ -510,6 +548,36 @@ def _chain(pts: Sequence[Point2], eps_abs) -> List[Point2]:
     return lower[:-1] + upper[:-1] if len(lower) > 1 else lower
 
 
+def _sliver_hull(arr, eps_abs: float) -> Optional[List[Tuple[float, float]]]:
+    """The chain's hull of a cloud too thin for it to keep a turn, or None.
+
+    Take u along the line through the lexicographic extremes p0 != p1 of a
+    non-empty (n, 2) float array and v across it.  Each cross product the
+    chain forms is a difference of u times a difference of v minus the
+    same the other way round, so it is at most 4 * max|v| * (range of u) in
+    size.  When that bound is below ``eps_abs / 2`` (half, to leave room for
+    rounding in the chain's own arithmetic) the chain drops every turn and
+    returns [p0, p1]; so does this function, without walking the points.
+    Two-factor clouds lie on a segment and always take this path.
+    """
+    import numpy as np
+
+    x, y = arr[:, 0], arr[:, 1]
+    lo, hi = x == x.min(), x == x.max()
+    p0 = (float(x[lo][0]), float(y[lo].min()))
+    p1 = (float(x[hi][0]), float(y[hi].max()))
+    d = np.subtract(p1, p0)
+    length = math.hypot(*d)
+    if length == 0.0:
+        return None
+    rel = arr - p0
+    u = rel @ d / length
+    v = (rel[:, 1] * d[0] - rel[:, 0] * d[1]) / length
+    if 4.0 * float(np.abs(v).max()) * float(u.max() - u.min()) < 0.5 * eps_abs:
+        return [p0, p1]
+    return None
+
+
 def _hull_vertices(arr, eps_abs: float) -> List[Tuple[float, float]]:
     """Counterclockwise hull vertices of a non-empty (n, 2) float array:
     :func:`_chain` on its distinct points, sorted lexicographically."""
@@ -531,7 +599,9 @@ def hull2d(points, eps: float = 1e-9) -> ChamberPolytope:
     tolerance: a turn counts as convex when its cross product exceeds
     ``eps`` times the squared scale.  The points first pass an
     Akl-Toussaint prefilter, so the Python chain sees a few thousand of 1e6
-    samples.  The filter drops only points strictly inside the exact hull,
+    samples, and a cloud too thin for the chain to keep any turn (every
+    two-factor cloud) skips the chain (:func:`_sliver_hull`), with the same
+    result.  The filter drops only points strictly inside the exact hull,
     but the chain's tolerance is an area, so within a cluster of points
     finer than about ``sqrt(eps)`` of the scale it may treat a real corner
     as collinear, and which corner it drops depends on the other points
@@ -548,7 +618,8 @@ def hull2d(points, eps: float = 1e-9) -> ChamberPolytope:
         raise ValueError("need at least one point")
     scale = max(float(np.abs(arr).max()), 1.0)
     eps_abs = eps * scale * scale
-    hull = _hull_vertices(_extreme_point_filter(arr, eps_abs), eps_abs)
+    kept = _extreme_point_filter(arr, eps_abs)
+    hull = _sliver_hull(kept, eps_abs) or _hull_vertices(kept, eps_abs)
 
     if len(hull) == 1:
         s = Spectrum(*chamber_to_spectrum_floats(*hull[0]))

@@ -33,7 +33,8 @@ class SumNotZero(ValueError):
 
 def is_exact(x) -> bool:
     """True for int/Fraction scalars (bool excluded)."""
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    # the exact type test first: the exact builder calls this often
+    return type(x) in (int, Fraction) or (isinstance(x, (int, Fraction)) and not isinstance(x, bool))
 
 
 def all_exact(xs) -> bool:
@@ -54,9 +55,11 @@ def snap_sign(x: Scalar, scale: Scalar, tol: float) -> int:
     This is the library's one tolerance rule for weights.  ``scale`` is the
     largest absolute weight, so the rule is relative to scale only and has
     no absolute floor.  Exact scalars are compared exactly and never
-    converted to float.
+    converted to float.  So is a float beside an exact largest weight: that
+    weight carries no rounding to allow for, and ``tol * scale`` need not
+    fit a float.
     """
-    if is_exact(x):
+    if is_exact(x) or is_exact(scale):
         return sgn(x)
     return 0 if abs(x) <= tol * scale else sgn(x)
 
@@ -80,6 +83,25 @@ def third(x: Scalar) -> Scalar:
     return exact_div(x, 3)
 
 
+def integer_scaled(xs: Sequence[Scalar]) -> Tuple[Tuple[int, ...], int]:
+    """``xs`` times the lcm of their denominators, as integers, and the lcm.
+
+    A float enters through its exact binary value.  The factor is positive,
+    so every sign of a homogeneous polynomial in ``xs`` is kept.
+    """
+    ratios = [_ratio(x) for x in xs]
+    lcm = math.lcm(*(d for _, d in ratios))
+    return tuple(n * (lcm // d) for n, d in ratios), lcm
+
+
+def _ratio(x: Scalar) -> Tuple[int, int]:
+    if type(x) is int:
+        return x, 1
+    if type(x) is Fraction:
+        return x.numerator, x.denominator
+    return Fraction(x).as_integer_ratio()
+
+
 # ---------------------------------------------------------------------------
 # Spectra and the chamber embedding
 # ---------------------------------------------------------------------------
@@ -94,12 +116,19 @@ class Spectrum:
     l3: Scalar
 
     def __post_init__(self):
-        scale = max(abs(self.l1), abs(self.l2), abs(self.l3), 1)
-        slack = 0 if self.is_exact else SUM_TOL * scale
-        if not (self.l1 >= self.l2 - slack and self.l2 >= self.l3 - slack):
-            raise ValueError(f"spectrum not sorted: {(self.l1, self.l2, self.l3)}")
-        if abs(self.l1 + self.l2 + self.l3) > slack:
-            raise SumNotZero(f"spectrum does not sum to zero: {(self.l1, self.l2, self.l3)}")
+        l1, l2, l3 = self.l1, self.l2, self.l3
+        if self.is_exact:
+            # exact entries need no slack, and no scale to compute it from
+            if not l1 >= l2 >= l3:
+                raise ValueError(f"spectrum not sorted: {(l1, l2, l3)}")
+            if l1 + l2 + l3 != 0:
+                raise SumNotZero(f"spectrum does not sum to zero: {(l1, l2, l3)}")
+            return
+        slack = SUM_TOL * max(abs(l1), abs(l2), abs(l3), 1)
+        if not (l1 >= l2 - slack and l2 >= l3 - slack):
+            raise ValueError(f"spectrum not sorted: {(l1, l2, l3)}")
+        if abs(l1 + l2 + l3) > slack:
+            raise SumNotZero(f"spectrum does not sum to zero: {(l1, l2, l3)}")
 
     @property
     def is_exact(self) -> bool:
@@ -383,15 +412,15 @@ class SignedRoot:
         return ("" if self.sign > 0 else "-") + self.root.label
 
 
+_SIGNED_ROOTS = {sr.vector: sr for root in Root for sr in (SignedRoot(1, root), SignedRoot(-1, root))}
+
+
 def identify_signed_root(v: Sequence[Scalar]) -> SignedRoot:
     """Match a vector that is exactly a root against the six roots."""
-    t = tuple(v)
-    for root in Root:
-        if t == root.vector:
-            return SignedRoot(1, root)
-        if t == tuple(-c for c in root.vector):
-            return SignedRoot(-1, root)
-    raise ValueError(f"{v!r} is not a root")
+    try:
+        return _SIGNED_ROOTS[tuple(v)]
+    except (KeyError, TypeError):
+        raise ValueError(f"{v!r} is not a root") from None
 
 
 def apply_perm(v: Sequence, perm: Sequence[int]) -> tuple:

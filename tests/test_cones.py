@@ -3,11 +3,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GENERIC_FIXTURES, POLYTOPE_FIXTURES, random_rational_gammas
 from su3poly.classifier import classify_n3
 from su3poly.cones import (
     LINE,
+    AnchorKernel,
     RAY_NEG,
     RAY_POS,
     CoincidentWeights,
@@ -16,7 +19,10 @@ from su3poly.cones import (
     QuadraticForm2,
     ZeroSum,
     a_discriminant,
+    a_slice_form,
     b_slice_coefficients,
+    c_alpha1_coefficient,
+    c_alpha3_form,
     c_vertex_criterion,
     definiteness,
     slice_cone_a,
@@ -24,7 +30,8 @@ from su3poly.cones import (
     slice_cone_c,
 )
 from su3poly.polytope import build_polytope_n3, cone_halfplanes, polytope_cones
-from su3poly.su3 import SQRT2, SQRT6, Root
+from su3poly.moment_map import raw_fixed_point_diagonals
+from su3poly.su3 import SQRT2, SQRT6, Root, sgn
 
 
 def embed(v):
@@ -211,3 +218,38 @@ class TestConesBoundPolytope:
             for j in (1, 2, 3):
                 crit = c_vertex_criterion(j, gammas)
                 assert (crit > 0) == (f"c{j}" in extreme_cs), (gammas, j)
+
+
+nonzero_rational = st.fractions(min_value=-12, max_value=12, max_denominator=6).filter(bool)
+integer_grid = st.tuples(*[st.integers(-4, 4).filter(bool)] * 3)
+
+
+class TestAnchorKernel:
+    """The kernel's integer signs stand for the paper's rational quantities."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(integer_grid, st.tuples(nonzero_rational, nonzero_rational, nonzero_rational)))
+    def test_signs_match_public_quantities(self, g):
+        kernel = AnchorKernel.of(g)
+        if len(set(g)) == 3:
+            assert kernel.b_ray_signs() == tuple(sgn(c) for c in b_slice_coefficients(g))
+        for j in (1, 2, 3):
+            a1_sign, form = kernel.c_signs(j)
+            assert a1_sign == sgn(c_alpha1_coefficient(j, g))
+            assert definiteness(form) is definiteness(c_alpha3_form(j, g))
+        assert sgn(kernel.a_form().discriminant) == sgn(a_discriminant(g))
+        assert definiteness(kernel.a_form()) is definiteness(a_slice_form(g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(nonzero_rational, nonzero_rational, nonzero_rational))
+    def test_anchors_are_the_closed_forms_on_the_integer_scale(self, g):
+        kernel = AnchorKernel.of(g)
+        assert kernel.gammas == tuple(kernel.scale * x / 3 for x in g)
+        for name, raw in raw_fixed_point_diagonals(g).items():
+            entries, perm = kernel.anchors[name]
+            assert entries == tuple(sorted((kernel.scale * x for x in raw), reverse=True))
+            assert entries == tuple(kernel.scale * raw[k] for k in perm)
+
+    def test_float_weights_enter_exactly(self):
+        kernel = AnchorKernel.of((0.1, 2.0, -1.0))
+        assert kernel.gammas == tuple(kernel.scale * F(x) / 3 for x in (0.1, 2.0, -1.0))

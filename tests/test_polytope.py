@@ -13,6 +13,7 @@ from conftest import N2_FIXTURES, POLYTOPE_FIXTURES, random_rational_gammas
 from su3poly import polytope
 from su3poly.classifier import GENERIC_N3, classify_n3
 from su3poly.moment_map import fixed_point_spectra
+from su3poly.oracle import sample_batch
 from su3poly.polytope import (
     WALL_12,
     WALL_23,
@@ -106,6 +107,31 @@ class TestSymmetries:
         assert vertex_set(poly) == {(1, 1, -2), (0, 0, 0), (1, F(-1, 2), F(-1, 2))}
 
 
+nonzero_rational = st.fractions(min_value=-12, max_value=12, max_denominator=6).filter(bool)
+nonzero_float = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False).filter(lambda x: abs(x) >= 1e-3)
+nonzero_weights = st.one_of(st.tuples(*[nonzero_rational] * 3), st.tuples(*[nonzero_float] * 3))
+
+
+class TestSymmetryProperties:
+    """The paper's symmetries of P(gamma), over rational and float weights."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(nonzero_weights)
+    def test_permutation_invariance(self, g):
+        poly = build_polytope(g)
+        for perm in itertools.permutations(g):
+            other = build_polytope(perm)
+            assert (other.label, vertex_set(other)) == (poly.label, vertex_set(poly))
+
+    @settings(max_examples=150, deadline=None)
+    @given(nonzero_weights)
+    def test_star_involution(self, g):
+        poly = build_polytope(g)
+        mirrored = build_polytope(tuple(-x for x in g))
+        assert vertex_set(mirrored) == {tuple(F(x) for x in star_involution(v)) for v in poly.vertices}
+        assert mirrored.label == poly.label or {mirrored.label, poly.label} in ({"D0", "G0"}, {"DD0", "GG0"})
+
+
 class TestContains:
     def test_aaa_examples(self):
         poly = build_polytope_n3((1, 1, 1))
@@ -120,6 +146,38 @@ class TestContains:
         assert poly.contains(Spectrum(1, 0, -1), 0)
         just_out = Spectrum(1 + 1e-12, 0, -1 - 1e-12)
         assert poly.contains(just_out, 1e-9)
+
+
+    def test_no_absolute_floor(self):
+        # diameter 3.7e-12: points 1.2 times as far from the centroid as a
+        # vertex lie 2.4e-13 outside, far beyond 1e-9 of the diameter
+        poly = build_polytope((4e-12, 2e-12, -1e-12))
+        verts = [np.array(v.as_floats()) for v in poly.vertices]
+        centroid = sum(verts) / len(verts)
+        for v in verts:
+            assert not poly.contains(tuple(centroid + F(6, 5) * (v - centroid)))
+            assert poly.contains(tuple(centroid + F(9, 10) * (v - centroid)))
+
+    @pytest.mark.parametrize("gammas", [(4, 2, -1), (1, 1, 1), (2, 1), (3, 0, 0)])
+    @pytest.mark.parametrize("k", range(-12, 13, 3))
+    def test_scale_invariance(self, gammas, k):
+        # contains(tP, tx) == contains(P, x) for t = 10^k, on points inside,
+        # on and outside the boundary by 1e-6 and 1e-12 of the scale
+        t = F(10) ** k
+        poly = build_polytope(gammas)
+        scaled = build_polytope(tuple(t * g for g in gammas))
+        n = len(poly.vertices)
+        centroid = [sum(v.astuple()[i] for v in poly.vertices) / n for i in range(3)]
+        scale = max(abs(x) for v in poly.vertices for x in v.astuple()) or 1
+        probes = [v.astuple() for v in poly.vertices]
+        for v in poly.vertices:
+            for push in (F(-1, 10**6), F(-1, 10**12), F(1, 10**12), F(1, 10**6)):
+                away = [x - c for x, c in zip(v.astuple(), centroid)]
+                if not any(away):  # a point polytope: move off it along a root
+                    away = [1, -1, 0]
+                probes.append(tuple(x + push * scale * a for x, a in zip(v.astuple(), away)))
+        for s in probes:
+            assert scaled.contains(tuple(t * x for x in s)) == poly.contains(s), (gammas, k, s)
 
 
 class TestN2:
@@ -183,6 +241,14 @@ class TestDelegation:
         assert poly.vertices[0].astuple() == (F(2 * 10**400 + 4, 3), F(-(10**400) - 2, 3), F(-(10**400) - 2, 3))
 
 
+    def test_huge_exact_weight_beside_floats(self):
+        # the exact largest weight makes every comparison exact, as for
+        # (10**400, 1, 1), instead of overflowing in tol * scale
+        poly = build_polytope((10**400, 1.0, 1.0))
+        exact = build_polytope((10**400, 1, 1))
+        assert (poly.label, poly.vertices) == ("BB", exact.vertices)
+
+
 class TestPolygonVertices:
     def test_rejects_normal_outside_the_facet_directions(self):
         # (1, 0, -1) is the functional 2*l1 + l2: no wall, vanishing on no root
@@ -244,6 +310,24 @@ class TestHull2d:
         assert polytope._hull_vertices(kept, eps_abs) == polytope._hull_vertices(pts, eps_abs)
 
 
+    @pytest.mark.parametrize("gammas", [x[0] for x in N2_FIXTURES])
+    def test_sliver_shortcut_is_the_chain_on_two_factor_clouds(self, gammas):
+        pts = sample_batch(gammas, 20000, 4).chamber_points
+        eps_abs = 1e-9 * max(float(np.abs(pts).max()), 1.0) ** 2
+        got = polytope._sliver_hull(pts, eps_abs)
+        assert got is not None
+        assert got == polytope._hull_vertices(pts, eps_abs)
+
+    def test_cloud_past_the_sliver_bound_goes_through_the_chain(self):
+        # u spans 1, so the bound on the chain's cross products is 4 * h
+        eps_abs = 1e-9
+        for h, shortcut in ((eps_abs / 8 * (1 - 1e-6), True), (eps_abs / 8 * (1 + 1e-6), False)):
+            pts = np.array([(0.0, 1.0), (0.25, 1.0 - h), (0.5, 1.0 + h), (1.0, 1.0)])
+            got = polytope._sliver_hull(pts, eps_abs)
+            assert (got is not None) == shortcut
+            assert hull2d(pts).kind == "Segment"
+
+
 def exact_hull_vertices(points):
     """Brute-force hull vertices of integer points.
 
@@ -300,6 +384,23 @@ class TestHullPrefilter:
         if len(got) > 2:  # strictly convex, counterclockwise
             for o, p, q in zip(got, got[1:] + got[:1], got[2:] + got[:2]):
                 assert (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0]) > 0
+
+
+thin_clouds = st.builds(
+    lambda angle, pts: [(1 + u * math.cos(angle) - v * math.sin(angle), 1 + u * math.sin(angle) + v * math.cos(angle)) for u, v in pts],
+    st.floats(0, 2 * math.pi),
+    st.lists(st.tuples(st.floats(0, 4), st.floats(-1e-10, 1e-10)), min_size=2, max_size=40),
+)
+
+
+class TestSliverHull:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(thin_clouds, random_clouds.map(lambda pts: [(x / 8, y / 8) for x, y in pts])))
+    def test_shortcut_is_the_chain_whenever_taken(self, points):
+        arr = np.array(points, dtype=float)
+        eps_abs = 1e-9 * max(float(np.abs(arr).max()), 1.0) ** 2
+        got = polytope._sliver_hull(arr, eps_abs)
+        assert got is None or got == polytope._hull_vertices(arr, eps_abs)
 
 
 GENERIC_LABELS = {t.value for t in GENERIC_N3} | {"GenA", "GenB", "GenC", "GenD"}

@@ -180,6 +180,11 @@ class TestSnapSign:
         assert snap_sign(-1e-17, 4e-9, 1e-9) == -1
         assert snap_sign(-1e-9, 1.0, 1e-9) == 0
 
+    def test_float_beside_exact_scale_compares_exactly(self):
+        assert snap_sign(1.0, 10**400, 1e-9) == 1  # tol * scale would overflow
+        assert snap_sign(-1e-18, 4, 1e-9) == -1
+        assert snap_sign(0.0, 4, 1e-9) == 0
+
 
 class TestStar:
     def test_examples(self):
