@@ -133,7 +133,8 @@ class ConeSpec:
 
     ``kernel`` is the :class:`AnchorKernel` the cone was built on and
     ``scaled_apex`` the apex times ``kernel.scale``, an integer triple; the
-    exact polytope builder works on these.
+    exact polytope builder works on these.  Both are None for a cone made
+    with this constructor.
     """
 
     apex: Spectrum
@@ -316,12 +317,18 @@ def slice_cone_b(w, tol: float = 1e-9, allow_coincident: bool = False) -> ConeSp
     weights.  With ``allow_coincident`` the one-sided limit is taken at weight
     coincidences (sign of a vanishing difference g_i - g_j taken positive for
     i < j), which is the continuity limit used at transition values.
-    Coincidence is decided by :func:`su3.snap_sign` on the given weights.
+    Coincidence is decided by :func:`su3.snap_sign` on the given weights,
+    and the cone is built on the weights with each coincident pair made
+    equal (g_j set to g_i), so that the rays and the fold of the apex take
+    the same limit.
     """
-    g = as_gammas(w, n=3, allow_zero=False)
+    g = list(as_gammas(w, n=3, allow_zero=False))
     scale = max(abs(x) for x in g)
-    if not allow_coincident and any(snap_sign(g[i] - g[j], scale, tol) == 0 for i, j in ((1, 2), (0, 2), (0, 1))):
-        raise CoincidentWeights(f"weights {g} are not pairwise distinct")
+    coincident = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if snap_sign(g[i] - g[j], scale, tol) == 0]
+    if coincident and not allow_coincident:
+        raise CoincidentWeights(f"weights {tuple(g)} are not pairwise distinct")
+    for i, j in coincident:
+        g[j] = g[i]
     return AnchorKernel.of(g).cone_b()
 
 

@@ -25,6 +25,7 @@ functional, which is the gradient norm in the isometric chamber embedding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,6 +40,7 @@ from .su3 import (
     all_exact,
     chamber_to_spectrum_floats,
     exact_div,
+    integer_scaled,
     is_exact,
     lift_2d,
     num_out,
@@ -283,15 +285,15 @@ def _cross2(u: Point2, v: Point2) -> Scalar:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _cone_lines(cone: ConeSpec, tag: str) -> List[Tuple[int, int, int, str]]:
+def _cone_lines(cone: ConeSpec, tag: str, scaled_apex: Sequence[int]) -> List[Tuple[int, int, int, str]]:
     """Lines (a, b, c, provenance) of a local cone: a*l1 + b*l2 >= c / t.
 
-    ``(a, b)`` is one of the facet directions and c an integer on the scale
-    t of the cone's kernel, from the integer apex.  Since the apex sums to
-    zero, c / t is also the offset ``lift_2d(a, b) . apex`` of the cone's
-    half-plane.
+    ``(a, b)`` is one of the facet directions and c an integer, from
+    ``scaled_apex``, the cone's apex times t as integers.  Since the apex
+    sums to zero, c / t is also the offset ``lift_2d(a, b) . apex`` of the
+    cone's half-plane.
     """
-    x, y, _ = cone.scaled_apex
+    x, y, _ = scaled_apex
     rays = [g for g in cone.generators if not g.is_line]
     lines = [g for g in cone.generators if g.is_line]
 
@@ -299,7 +301,10 @@ def _cone_lines(cone: ConeSpec, tag: str) -> List[Tuple[int, int, int, str]]:
         return (a, b, a * x + b * y, f"{tag}:{suffix}")
 
     if cone.side_normal is not None:
-        return [line(*_DIRECTION_OF_NORMAL[tuple(cone.side_normal)], f"{lines[0].root.label}-halfplane")]
+        direction = _DIRECTION_OF_NORMAL.get(tuple(cone.side_normal))
+        if direction is None or len(lines) != 1:
+            raise AllWeightsDegenerate(f"cone at {tag} has side normal {cone.side_normal} and {len(lines)} lines")
+        return [line(*direction, f"{lines[0].root.label}-halfplane")]
 
     if lines:
         if len(lines) != 1 or not rays:
@@ -335,9 +340,17 @@ def _halfplane(a: int, b: int, c: int, t: int, provenance: str) -> HalfPlane:
 
 
 def cone_halfplanes(cone: ConeSpec, tag: str) -> List[HalfPlane]:
-    """Half-plane description of a local cone anchored at its apex."""
-    t = cone.kernel.scale
-    return [_halfplane(a, b, c, t, provenance) for a, b, c, provenance in _cone_lines(cone, tag)]
+    """Half-plane description of a local cone anchored at its apex.
+
+    A cone without a kernel (made with the ``ConeSpec`` constructor) has
+    its apex put on an integer scale here; a float apex entry enters
+    through its exact binary value.
+    """
+    if cone.kernel is not None:
+        scaled_apex, t = cone.scaled_apex, cone.kernel.scale
+    else:
+        scaled_apex, t = integer_scaled(cone.apex.astuple())
+    return [_halfplane(a, b, c, t, provenance) for a, b, c, provenance in _cone_lines(cone, tag, scaled_apex)]
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +407,7 @@ def build_polytope_n3(w, tol: float = 1e-9) -> ChamberPolytope:
     lines = [(1, -1, 0, WALL_12.provenance), (1, 2, 0, WALL_23.provenance)]
     for name, cone in cones.items():
         if cone is not None:
-            lines.extend(_cone_lines(cone, name))
+            lines.extend(_cone_lines(cone, name, cone.scaled_apex))
     hull, m = _integer_vertices([line[:3] for line in lines])
 
     # start from the a anchor when it is a vertex
@@ -469,12 +482,11 @@ def build_polytope(w, tol: float = 1e-9) -> ChamberPolytope:
     pair, a point for a single weight or none).
     """
     gs = as_gammas(w)
-    scale = max(abs(x) for x in gs)
-    if is_exact(scale):
-        # snap_sign compares every weight of this vector exactly; the floats
-        # enter through their exact binary values, so no arithmetic mixes
-        # an exact weight too large for a float with a float
+    if not all_exact(gs) and any(is_exact(x) and abs(x) > sys.float_info.max for x in gs):
+        # an exact weight beyond float range overflows any sum with a
+        # float, so the floats enter through their exact binary values
         gs = _exactify(gs)
+    scale = max(abs(x) for x in gs)
     nz = tuple(x for x in gs if snap_sign(x, scale, tol) != 0)
     if len(gs) == 3 and len(nz) == 3:
         return build_polytope_n3(gs, tol)

@@ -55,13 +55,14 @@ def snap_sign(x: Scalar, scale: Scalar, tol: float) -> int:
     This is the library's one tolerance rule for weights.  ``scale`` is the
     largest absolute weight, so the rule is relative to scale only and has
     no absolute floor.  Exact scalars are compared exactly and never
-    converted to float.  So is a float beside an exact largest weight: that
-    weight carries no rounding to allow for, and ``tol * scale`` need not
-    fit a float.
+    converted to float.  A float beside an exact largest weight is snapped
+    all the same, against the exact bound ``Fraction(tol) * scale``, which
+    cannot overflow however large the weight.
     """
-    if is_exact(x) or is_exact(scale):
+    if is_exact(x):
         return sgn(x)
-    return 0 if abs(x) <= tol * scale else sgn(x)
+    bound = Fraction(tol) * scale if is_exact(scale) else tol * scale
+    return 0 if abs(x) <= bound else sgn(x)
 
 
 def num_out(x) -> Union[str, float]:

@@ -14,6 +14,7 @@ from su3poly.cones import (
     RAY_NEG,
     RAY_POS,
     CoincidentWeights,
+    ConeSpec,
     Definiteness,
     OnWall,
     QuadraticForm2,
@@ -81,6 +82,24 @@ class TestSliceConeB:
     def test_coincident_weights_raise(self):
         with pytest.raises(CoincidentWeights):
             slice_cone_b((1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "near,exact",
+        [
+            ((3.0, 1.0, 1.0000000000000002), (3, 1, 1)),
+            ((3.0, 1.0000000000000002, 1.0), (3, 1, 1)),
+            ((1.0, 1.0000000000000002, -3.0), (1, 1, -3)),
+            ((2.0, 2.0000000000000004, 1.0), (2, 2, 1)),
+            ((1.0, 1.0 + 1e-12, 1.0 - 1e-12), (1, 1, 1)),
+        ],
+    )
+    def test_snapped_coincidence_takes_the_exact_limit(self, near, exact):
+        # floats that snap as coincident give the cone of the coincident
+        # weights: the same rays and the same fold, whatever their binary order
+        cone = slice_cone_b(near, allow_coincident=True)
+        limit = slice_cone_b(exact, allow_coincident=True)
+        assert (cone.generators, cone.weyl_folded) == (limit.generators, limit.weyl_folded)
+        assert max(abs(x - y) for x, y in zip(cone.apex, limit.apex)) < 1e-9
 
     def test_unsorted_weights_fold(self):
         cone = slice_cone_b((2, 4, -1))
@@ -212,6 +231,16 @@ class TestConesBoundPolytope:
                 for hp in cone_halfplanes(cone, name):
                     for v in poly.vertices:
                         assert hp.value(v.astuple()) >= 0, (gammas, name, v)
+
+    @pytest.mark.parametrize("gammas", POLYTOPE_FIXTURES)
+    def test_halfplanes_of_a_cone_made_by_hand(self, gammas):
+        # a ConeSpec from its public constructor has no kernel; its
+        # half-planes are the same as those of the cone it copies
+        for name, cone in polytope_cones(gammas).items():
+            if cone is None:
+                continue
+            copy = ConeSpec(cone.apex, cone.generators, cone.weyl_folded, cone.side_normal)
+            assert cone_halfplanes(copy, name) == cone_halfplanes(cone, name)
 
     def test_extreme_c_matches_definiteness(self):
         for gammas, (label, vertices, extreme_cs, _, _) in GENERIC_FIXTURES.items():

@@ -27,6 +27,7 @@ from su3poly.polytope import (
     hausdorff,
     hull2d,
     point_polytope,
+    polytope_cones,
 )
 from su3poly.su3 import Root, Spectrum, chamber_to_spectrum_floats, lift_2d, star_involution, to_chamber
 
@@ -242,11 +243,28 @@ class TestDelegation:
 
 
     def test_huge_exact_weight_beside_floats(self):
-        # the exact largest weight makes every comparison exact, as for
-        # (10**400, 1, 1), instead of overflowing in tol * scale
+        # a weight beyond float range takes the floats beside it exactly,
+        # as for (10**400, 1, 1), instead of overflowing in a sum
         poly = build_polytope((10**400, 1.0, 1.0))
         exact = build_polytope((10**400, 1, 1))
         assert (poly.label, poly.vertices) == ("BB", exact.vertices)
+
+    @pytest.mark.parametrize(
+        "gammas", [(2, -0.3, -1.7), (-2, 1.1, 0.9), (3, 1.0, 1.0000000000000002), (4, 2.0, -1.0), (1, 0.1, 0.2)]
+    )
+    def test_mixed_weights_build_as_classified(self, gammas):
+        # an exact largest weight beside floats: (2 + -0.3) + -1.7 == 0.0,
+        # though the binary values sum to 5.6e-17, so the label is D0; the
+        # build agrees with the classifier and with the cones it is given
+        label, can = classify_n3(gammas)
+        poly = build_polytope(gammas)
+        assert poly.label == label.value
+        cones = polytope_cones(can.sorted_gammas)
+        tags = {hp.provenance.split(":")[0] for hp in poly.halfplanes}
+        assert tags == {"wall"} | {name for name, cone in cones.items() if cone is not None}
+
+    def test_near_zero_float_beside_exact_weights_snaps(self):
+        assert build_polytope((2, 1e-12, -1)).vertices == build_polytope((2, -1)).vertices
 
 
 class TestPolygonVertices:

@@ -180,10 +180,15 @@ class TestSnapSign:
         assert snap_sign(-1e-17, 4e-9, 1e-9) == -1
         assert snap_sign(-1e-9, 1.0, 1e-9) == 0
 
-    def test_float_beside_exact_scale_compares_exactly(self):
-        assert snap_sign(1.0, 10**400, 1e-9) == 1  # tol * scale would overflow
-        assert snap_sign(-1e-18, 4, 1e-9) == -1
+    def test_float_beside_exact_scale_snaps_without_overflow(self):
+        # tol * scale would overflow a float
+        assert snap_sign(1.0, 10**400, 1e-9) == 0
+        assert snap_sign(-1e300, 10**300, 1e-9) == -1
+        assert snap_sign(-1e-18, 4, 1e-9) == 0
         assert snap_sign(0.0, 4, 1e-9) == 0
+        assert snap_sign(-4.001e-9, 4, 1e-9) == -1
+        assert snap_sign(1e-300, 10**400, 1e-9) == 0
+        assert snap_sign(F(1, 10**20), 4, 1e-9) == 1  # an exact x stays exact
 
 
 class TestStar:
