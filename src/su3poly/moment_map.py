@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -135,14 +136,18 @@ def as_gammas(w, n: Optional[int] = None, allow_zero: bool = True) -> Tuple[Scal
     """Normalise a Weights instance or plain sequence to a tuple of scalars.
 
     Raises :class:`InvalidWeight`, naming the entry, for a bool, a
-    non-number, NaN or an infinity.
+    non-number, NaN or an infinity.  Beside an exact weight beyond float
+    range the floats are returned as their exact binary values, since any
+    sum of that weight with a float overflows.
     """
     gs = tuple(w.gammas) if isinstance(w, Weights) else tuple(w)
+    n_exact = 0
     for k, g in enumerate(gs):
         # Exact type tests first: the exact builder calls this often, and
         # the numbers.Real check is an order of magnitude slower.
         kind = type(g)
         if kind is int or kind is Fraction:
+            n_exact += 1
             continue
         if kind is not float and (kind is bool or not isinstance(g, numbers.Real)):
             raise InvalidWeight(f"weight {k} is {g!r}, not a real number")
@@ -154,6 +159,8 @@ def as_gammas(w, n: Optional[int] = None, allow_zero: bool = True) -> Tuple[Scal
         raise ValueError("expected 2 or 3 weights")
     if not allow_zero and any(g == 0 for g in gs):
         raise ValueError("weights must be nonzero here")
+    if 0 < n_exact < len(gs) and any(type(g) in (int, Fraction) and abs(g) > sys.float_info.max for g in gs):
+        gs = tuple(g if type(g) in (int, Fraction) else Fraction(g) for g in gs)
     return gs
 
 

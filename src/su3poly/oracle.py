@@ -1,23 +1,28 @@
 """Monte Carlo ground truth for the predicted polytopes.
 
-Configurations are drawn Fubini-Study-uniformly (normalised complex
-Gaussians, whose distribution is unitarily invariant), pushed through the
-weighted momentum map and the eigenvalue map, and compared with the exact
-half-plane prediction: containment violations, the inner Hausdorff deficit
-of the empirical hull, and per-vertex coverage.
+Configurations are drawn Fubini-Study-uniformly (complex Gaussian vectors,
+whose distribution is unitarily invariant, read as points of CP^2), pushed
+through the weighted momentum map and the eigenvalue map, and compared with
+the exact half-plane prediction: containment violations, the inner Hausdorff
+deficit of the empirical hull, and per-vertex coverage.
 
 Sampling is block-seeded: sample ``i`` lives in block ``i // BLOCK`` with its
 own generator derived from ``(seed, block)``, so batches are bitwise
 reproducible and independent of how work is partitioned.
 
-The two hot stages use the problem's structure instead of general tools.
-Spectra come from the six independent entries of each momentum-map matrix
-through the closed-form 3x3 eigenvalue kernel of :mod:`su3` (no LAPACK
-call), and :func:`polytope.hull2d` sends every cloud through an
-Akl-Toussaint prefilter, so its Python chain sees a few thousand points
-instead of every sample.  The filter drops only points strictly inside the
-hull, but the chain's area tolerance can still pick a different vertex
-inside clusters finer than about ``sqrt(eps)`` of the scale.
+Sampling and spectra are one pass over the blocks.  Each block's Gaussians
+are drawn into one reused float buffer and read through its complex view, so
+no array of unit vectors is ever built: the momentum map is projective
+(``z z^* / |z|^2`` does not change when ``z`` is rescaled), so
+:func:`spectra_of_configurations` weights each factor by ``g_j / |z_j|^2``
+instead of normalising it.  It sums the six independent entries of each
+momentum-map matrix in cache-sized chunks and hands them to the closed-form
+3x3 eigenvalue kernel of :mod:`su3` (no LAPACK call), writing each block's
+rows straight into the batch.  :func:`polytope.hull2d` sends every cloud
+through an Akl-Toussaint prefilter, so its Python chain sees a few thousand
+points instead of every sample.  The filter drops only points strictly
+inside the hull, but the chain's area tolerance can still pick a different
+vertex inside clusters finer than about ``sqrt(eps)`` of the scale.
 """
 
 from __future__ import annotations
@@ -51,46 +56,47 @@ def sample_cp2(rng: np.random.Generator) -> CPPoint:
     return CPPoint.of(*vec)
 
 
-def _sample_vectors(seed: int, count: int, n_factors: int) -> np.ndarray:
-    """(count, n_factors, 3) unit complex vectors, block-reproducible."""
-    out = np.empty((count, n_factors, 3), dtype=complex)
-    pos = 0
-    block = 0
-    while pos < count:
-        size = min(BLOCK, count - pos)
-        rng = _rng_for_block(seed, block)
-        # standard_normal fills its output in order, so a partial block is
-        # the prefix of the full one
-        z = rng.standard_normal((size, n_factors, 3, 2))
-        vec = z[..., 0] + 1j * z[..., 1]
-        out[pos : pos + size] = vec
-        pos += size
-        block += 1
-    out /= np.linalg.norm(out, axis=-1, keepdims=True)
-    return out
+def _gaussian_blocks(seed: int, count: int, n_factors: int):
+    """Yield ``(start, z)`` for each block of the first ``count`` samples.
+
+    ``z`` is the block's (size, n_factors, 3) array of complex Gaussians, a
+    complex view of one float buffer that every block reuses, so it is valid
+    only until the next block is drawn.  ``standard_normal`` fills its output
+    in order, so a partial block is the prefix of the full one.
+    """
+    buf = np.empty((min(BLOCK, count), n_factors, 3, 2))
+    for block, start in enumerate(range(0, count, BLOCK)):
+        part = buf[: min(BLOCK, count - start)]
+        _rng_for_block(seed, block).standard_normal(out=part)
+        yield start, part.view(complex)[..., 0]
 
 
-def spectra_of_configurations(z: np.ndarray, gammas) -> np.ndarray:
+def spectra_of_configurations(z: np.ndarray, gammas, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Sorted momentum-map spectra of an array of configurations.
 
-    ``z`` has shape (n, N, 3); the result is (n, 3) with rows descending.
-    The six independent entries of ``sum_j gamma_j z_j z_j^*`` are summed
-    straight from ``z`` and handed to the closed-form eigenvalue kernel
-    :func:`su3.spectra_of_entries`; no (n, 3, 3) matrix is built.  Rows are
-    processed in chunks small enough for the temporaries to stay in cache,
-    which halves the time at 1e6 rows; each row's arithmetic is unchanged.
+    ``z`` has shape (n, N, 3), each factor a nonzero vector that need not be
+    a unit one; the result is (n, 3) with rows descending, written into
+    ``out`` when given.  The momentum map is projective, so factor j enters
+    as ``g_j z_j z_j^* / |z_j|^2``: the six independent entries of that sum
+    are formed from ``z`` with the weights ``g_j / |z_j|^2`` and handed to
+    the closed-form eigenvalue kernel :func:`su3.spectra_of_entries`; no unit
+    vector and no (n, 3, 3) matrix is built.  Rows are processed in chunks
+    small enough for the temporaries to stay in cache.
     """
-    gs = [float(g) for g in gammas]
-    out = np.empty((z.shape[0], 3))
+    gs = np.array([float(g) for g in gammas])
+    if out is None:
+        out = np.empty((z.shape[0], 3))
     for start in range(0, z.shape[0], _CHUNK):
         zc = z[start : start + _CHUNK]
-        diag = np.zeros((len(zc), 3))
-        off = np.zeros((len(zc), 3), dtype=complex)
-        for j, g in enumerate(gs):
-            zj = zc[:, j, :]
-            diag += g * (zj.real * zj.real + zj.imag * zj.imag)
-            off += g * zj[:, _ROW] * zj[:, _COL].conj()
-        out[start : start + _CHUNK] = spectra_of_entries(diag, off)
+        sq = zc.real * zc.real + zc.imag * zc.imag
+        w = gs / (sq[:, :, 0] + sq[:, :, 1] + sq[:, :, 2])  # g_j / |z_j|^2
+        diag = np.einsum("cj,cjk->ck", w, sq)
+        wzbar = zc.conj()
+        wzbar *= w[:, :, None]
+        off = np.empty((len(zc), 3), dtype=complex)
+        for k, (a, b) in enumerate(zip(_ROW, _COL)):
+            off[:, k] = np.einsum("cj,cj->c", zc[:, :, a], wzbar[:, :, b])
+        out[start : start + len(zc)] = spectra_of_entries(diag, off)
     return out
 
 
@@ -116,8 +122,9 @@ class SampleBatch:
 
 def sample_batch(w, count: int, seed: int) -> SampleBatch:
     gammas = as_gammas(w)
-    z = _sample_vectors(seed, count, len(gammas))
-    spectra = spectra_of_configurations(z, gammas)
+    spectra = np.empty((count, 3))
+    for start, z in _gaussian_blocks(seed, count, len(gammas)):
+        spectra_of_configurations(z, gammas, out=spectra[start : start + len(z)])
     return SampleBatch(seed, count, spectra, chamber_points_of_spectra(spectra))
 
 
@@ -143,17 +150,16 @@ def _targeted_spectra(w, per_config: int, seed: int) -> np.ndarray:
     gammas = as_gammas(w)
     configs = FIXED_CONFIGURATIONS if len(gammas) == 3 else FIXED_CONFIGURATIONS_N2
     scales = (0.5, 0.1, 0.02, 0.004)
-    chunks = []
+    out = np.empty((len(configs) * len(scales) * per_config, 3))
+    start = 0
     for idx, config in enumerate(sorted(configs)):
         base = np.array([list(p.coords) for p in configs[config]])  # (N, 3)
         for k, scale in enumerate(scales):
             rng = _rng_for_block(seed, 1_000_003 + idx * 31 + k)
-            z = rng.standard_normal((per_config, len(base), 3, 2))
-            noise = z[..., 0] + 1j * z[..., 1]
-            vec = base[None, :, :] + scale * noise
-            vec /= np.linalg.norm(vec, axis=-1, keepdims=True)
-            chunks.append(spectra_of_configurations(vec, gammas))
-    return np.concatenate(chunks, axis=0)
+            noise = rng.standard_normal((per_config, len(base), 3, 2)).view(complex)[..., 0]
+            spectra_of_configurations(base + scale * noise, gammas, out=out[start : start + per_config])
+            start += per_config
+    return out
 
 
 @dataclass(frozen=True)
@@ -201,12 +207,13 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     """Sample, then report violations, hull deficit and vertex coverage.
 
     A sample counts as a violation when it falls outside the predicted
-    polytope by more than ``tol`` times the polytope diameter (with a 1e-12
-    absolute floor).  The computed spectra lie within
-    ``su3.SPECTRA_ERROR * max|gamma|`` = 1e-13 max|gamma| of the true ones,
-    below that slack whenever the diameter exceeds ``1e-13 / tol`` times
-    max|gamma| (1e-7 at the default ``tol``; every fixture of the test suite
-    has a diameter of at least 0.7 max|gamma|), so there a violation is
+    polytope by more than ``tol`` times the polytope diameter, or ``tol``
+    times max|gamma| when the prediction is a point; the slack has no
+    absolute floor, so it scales with the weights.  The computed spectra lie
+    within ``su3.SPECTRA_ERROR * max|gamma|`` = 1e-13 max|gamma| of the true
+    ones, below that slack whenever the diameter exceeds ``1e-13 / tol``
+    times max|gamma| (1e-7 at the default ``tol``; every fixture of the test
+    suite has a diameter of at least 0.7 max|gamma|), so there a violation is
     never an artefact of the eigenvalue computation.  ``targeted`` adds draws
     concentrated near each torus-fixed configuration, which drive the
     per-vertex coverage distances to zero much faster than uniform sampling.
@@ -226,7 +233,7 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
         pq = np.concatenate([pq, chamber_points_of_spectra(extra)], axis=0)
 
     diam = predicted.diameter()
-    slack = max(tol * diam, 1e-12)
+    slack = tol * (diam if diam > 0 else max(abs(float(g)) for g in as_gammas(w)))
     excess = violation_distances(predicted, spectra)
     n_viol = int(np.count_nonzero(excess > slack))
     max_viol = float(excess.max()) if len(excess) else 0.0

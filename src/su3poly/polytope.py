@@ -25,7 +25,6 @@ functional, which is the gradient norm in the isometric chamber embedding.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -91,11 +90,6 @@ class HalfPlane:
     def star(self) -> "HalfPlane":
         return HalfPlane(star_vector(self.normal), self.offset, self.provenance)
 
-    def functional_2d(self) -> Tuple[Scalar, Scalar, Scalar]:
-        """Coefficients (a, b, c) with a*l1 + b*l2 >= c on the sum-zero plane."""
-        n = self.normal
-        return (n[0] - n[2], n[1] - n[2], self.offset)
-
 
 WALL_12 = HalfPlane((1, -1, 0), 0, "wall:l1=l2")
 WALL_23 = HalfPlane((0, 1, -1), 0, "wall:l2=l3")
@@ -112,26 +106,6 @@ Point2 = Tuple[Scalar, Scalar]
 #: directions perpendicular to each root; each with its sum-zero normal.
 _FACET_NORMALS = {d: lift_2d(*d) for d in ((1, -1), (1, 2), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))}
 _DIRECTION_OF_NORMAL = {n: d for d, n in _FACET_NORMALS.items()}
-
-
-def _polygon_vertices(halfplanes: Sequence[HalfPlane]) -> List[Point2]:
-    """Exact counterclockwise vertices of an intersection of half-planes.
-
-    Each functional must be a positive multiple of a facet direction (a
-    key of ``_FACET_NORMALS``).  The functionals are reduced to those
-    directions and put over their common denominator, then solved by
-    :func:`_integer_vertices`.
-    """
-    reduced = []
-    for hp in halfplanes:
-        a, b, c = (Fraction(x) for x in hp.functional_2d())
-        den = math.lcm(a.denominator, b.denominator)
-        ia, ib = int(a * den), int(b * den)
-        g = math.gcd(ia, ib) or 1
-        reduced.append((ia // g, ib // g, c * den / g))
-    den = math.lcm(*(c.denominator for _, _, c in reduced))
-    hull, m = _integer_vertices([(a, b, int(c * den)) for a, b, c in reduced])
-    return [(Fraction(x, m * den), Fraction(y, m * den)) for x, y in hull]
 
 
 def _integer_vertices(lines: Sequence[Tuple[int, int, int]]) -> Tuple[List[Tuple[int, int]], int]:
@@ -482,10 +456,6 @@ def build_polytope(w, tol: float = 1e-9) -> ChamberPolytope:
     pair, a point for a single weight or none).
     """
     gs = as_gammas(w)
-    if not all_exact(gs) and any(is_exact(x) and abs(x) > sys.float_info.max for x in gs):
-        # an exact weight beyond float range overflows any sum with a
-        # float, so the floats enter through their exact binary values
-        gs = _exactify(gs)
     scale = max(abs(x) for x in gs)
     nz = tuple(x for x in gs if snap_sign(x, scale, tol) != 0)
     if len(gs) == 3 and len(nz) == 3:
@@ -609,15 +579,16 @@ def hull2d(points, eps: float = 1e-9) -> ChamberPolytope:
     pairs, all inside the closed chamber.  Collinear inputs collapse to a
     Segment, coincident ones to a Point; ``eps`` is the relative orientation
     tolerance: a turn counts as convex when its cross product exceeds
-    ``eps`` times the squared scale.  The points first pass an
-    Akl-Toussaint prefilter, so the Python chain sees a few thousand of 1e6
-    samples, and a cloud too thin for the chain to keep any turn (every
-    two-factor cloud) skips the chain (:func:`_sliver_hull`), with the same
-    result.  The filter drops only points strictly inside the exact hull,
-    but the chain's tolerance is an area, so within a cluster of points
-    finer than about ``sqrt(eps)`` of the scale it may treat a real corner
-    as collinear, and which corner it drops depends on the other points
-    present.  There the vertex list can differ from the chain's on all
+    ``eps`` times the squared scale, the cloud's largest absolute entry (no
+    absolute floor, so ``hull2d(t * points)`` is ``t`` times the hull).  The
+    points first pass an Akl-Toussaint prefilter, so the Python chain sees a
+    few thousand of 1e6 samples, and a cloud too thin for the chain to keep
+    any turn (every two-factor cloud) skips the chain (:func:`_sliver_hull`),
+    with the same result.  The filter drops only points strictly inside the
+    exact hull, but the chain's tolerance is an area, so within a cluster of
+    points finer than about ``sqrt(eps)`` of the scale it may treat a real
+    corner as collinear, and which corner it drops depends on the other
+    points present.  There the vertex list can differ from the chain's on all
     points; a tolerance on distance rather than area would remove this.
     """
     import numpy as np
@@ -628,7 +599,7 @@ def hull2d(points, eps: float = 1e-9) -> ChamberPolytope:
         arr = np.array([(p.p, p.q) if isinstance(p, ChamberPoint) else (p[0], p[1]) for p in points], dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one point")
-    scale = max(float(np.abs(arr).max()), 1.0)
+    scale = float(np.abs(arr).max())
     eps_abs = eps * scale * scale
     kept = _extreme_point_filter(arr, eps_abs)
     hull = _sliver_hull(kept, eps_abs) or _hull_vertices(kept, eps_abs)

@@ -485,7 +485,7 @@ def spectra_of_entries(diag, off):
     """
     import numpy as np
 
-    d = diag - diag.mean(axis=1, keepdims=True)
+    d = diag - ((diag[:, 0] + diag[:, 1] + diag[:, 2]) / 3.0)[:, None]
     a = off.real * off.real + off.imag * off.imag
     d1, d2, d3 = d[:, 0], d[:, 1], d[:, 2]
     a12, a13, a23 = a[:, 0], a[:, 1], a[:, 2]

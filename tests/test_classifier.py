@@ -126,6 +126,11 @@ class TestClassifyN3:
         label, _ = classify_n3((3.0 + 1e-6, 2.0, 1.0))
         assert label is N3Type.B
 
+    def test_float_beside_exact_weight_beyond_float_range(self):
+        # the floats enter through their exact binary values instead of
+        # overflowing in a sum with the huge weight
+        assert classify_n3((10**400, 1.0, 1.0))[0] is classify_n3((10**400, 1, 1))[0] is N3Type.BB
+
 
 class TestClassifyN2:
     @pytest.mark.parametrize(
@@ -144,3 +149,6 @@ class TestClassifyN2:
     )
     def test_examples(self, gammas, label):
         assert classify_n2(gammas) is label
+
+    def test_float_beside_exact_weight_beyond_float_range(self):
+        assert classify_n2((10**400, 1.0)) is classify_n2((10**400, 1)) is N2Type.GEN_A

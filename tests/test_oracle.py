@@ -1,13 +1,16 @@
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from conftest import N2_FIXTURES, POLYTOPE_FIXTURES
+from su3poly import oracle
 from su3poly.moment_map import FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2
 from su3poly.oracle import (
+    BLOCK,
+    _gaussian_blocks,
     _rng_for_block,
-    _sample_vectors,
     empirical_polytope,
     sample_batch,
     sample_cp2,
@@ -15,8 +18,19 @@ from su3poly.oracle import (
     verify,
     violation_distances,
 )
-from su3poly.polytope import build_polytope, build_polytope_n2, build_polytope_n3
+from su3poly.polytope import HalfPlane, build_polytope, build_polytope_n2, build_polytope_n3
 from su3poly.su3 import SPECTRA_ERROR
+
+
+def _gaussians(seed, count, n_factors):
+    """(count, n_factors, 3) complex Gaussians: the sampling stream."""
+    return np.concatenate([z.copy() for _, z in _gaussian_blocks(seed, count, n_factors)])
+
+
+def _sample_vectors(seed, count, n_factors):
+    """The sampling stream as unit vectors."""
+    z = _gaussians(seed, count, n_factors)
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
 class TestSampling:
@@ -59,10 +73,50 @@ class TestSampling:
         batch = sample_batch((4, 2, -1), 2000, 1)
         assert np.abs(batch.spectra.sum(axis=1)).max() < 1e-10
 
+    @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_prefix_across_block_boundaries(self, count):
+        # a partial last block draws the prefix of the full one
+        long = sample_batch((4, 2, -1), 3 * BLOCK + 5, 9)
+        assert np.array_equal(sample_batch((4, 2, -1), count, 9).spectra, long.spectra[:count])
+
     def test_mean_moment_vanishes(self):
         z = _sample_vectors(0, 200_000, 1)
         mean = np.einsum("ni,nj->ij", z[:, 0, :], z[:, 0, :].conj()) / len(z) - np.eye(3) / 3
         assert np.abs(mean).max() < 5e-3
+
+
+class TestVerifySlack:
+    """The violation slack is relative to the polytope, with no absolute floor."""
+
+    def test_tiny_weights_verify(self):
+        report = verify((4e-9, 2e-9, -1e-9), 20000, seed=2, tol=1e-6)
+        assert report.label == "C"
+        assert report.n_violations == 0
+        assert report.hausdorff_inner < 0.05 * report.diameter
+
+    def test_point_prediction_slack_scales_with_weight(self):
+        for g in (1.0, 1e-9):
+            report = verify((g, 0, 0), 2000, seed=2, tol=1e-6)
+            assert report.diameter == 0 and report.n_violations == 0
+
+    @pytest.mark.parametrize("t", [1.0, 1e-9])
+    def test_segment_shifted_by_twice_the_slack_is_caught(self, monkeypatch, t):
+        # every sample lies on the segment, so moving the half-planes of the
+        # prediction off its line by 2 * slack makes every sample a
+        # violation, at any scale (the vertices, and so the slack, stay)
+        w = (2 * t, 1 * t)
+        predicted = build_polytope(w)
+        normal = np.array(predicted.halfplanes[0].normal, dtype=float)
+        shift = 2e-6 * predicted.diameter() * normal / np.linalg.norm(normal)
+        moved = tuple(
+            HalfPlane(hp.normal, float(hp.offset) + float(np.array(hp.normal, dtype=float) @ shift), hp.provenance)
+            for hp in predicted.halfplanes
+        )
+        shifted = dataclasses.replace(predicted, halfplanes=moved)
+        assert verify(w, 2000, seed=4, tol=1e-6).n_violations == 0
+        monkeypatch.setattr(oracle, "build_polytope", lambda _: shifted)
+        report = verify(w, 2000, seed=4, tol=1e-6)
+        assert report.n_violations == report.n_samples
 
 
 class TestEmpiricalPolytope:
@@ -155,6 +209,13 @@ def near_fixed_configurations(gammas, per_scale, seed):
     return np.concatenate(chunks, axis=0)
 
 
+def random_factor_scalars(shape, seed):
+    """Nonzero complex scalars, one per row and factor, of size 1e-4 .. 1e4."""
+    rng = np.random.default_rng(seed)
+    size = 10.0 ** rng.uniform(-4, 4, shape)
+    return (size * np.exp(2j * np.pi * rng.uniform(size=shape)))[..., None]
+
+
 FIXTURE_WEIGHTS = list(POLYTOPE_FIXTURES) + [f[0] for f in N2_FIXTURES]
 SPECTRA_WEIGHTS = FIXTURE_WEIGHTS + [(4, 2, -1), (2, 1, 0), (1, F(1, 1000))]
 
@@ -178,6 +239,39 @@ class TestBatchedSpectra:
         for gammas in FIXTURE_WEIGHTS:
             scale = max(abs(float(g)) for g in gammas)
             assert SPECTRA_ERROR * scale < 1e-6 * build_polytope(gammas).diameter()
+
+    @pytest.mark.parametrize("gammas", SPECTRA_WEIGHTS, ids=str)
+    @pytest.mark.parametrize("draws", ["uniform", "near-fixed"])
+    def test_invariant_under_rescaling_each_factor(self, gammas, draws):
+        if draws == "uniform":
+            z = _sample_vectors(13, 5000, len(gammas))
+        else:
+            z = near_fixed_configurations(gammas, 100, 13)
+        scale = max(abs(float(g)) for g in gammas)
+        got = spectra_of_configurations(z * random_factor_scalars(z.shape[:2], 14), gammas)
+        assert np.abs(got - spectra_of_configurations(z, gammas)).max() <= SPECTRA_ERROR * scale
+
+    @pytest.mark.parametrize("gammas", SPECTRA_WEIGHTS, ids=str)
+    @pytest.mark.parametrize("draws", ["uniform", "near-fixed"])
+    def test_unnormalised_input_matches_lapack(self, gammas, draws):
+        if draws == "uniform":
+            z = _gaussians(15, 5000, len(gammas))
+        else:
+            z = near_fixed_configurations(gammas, 100, 15)
+            z = z * random_factor_scalars(z.shape[:2], 16)
+        scale = max(abs(float(g)) for g in gammas)
+        unit = z / np.linalg.norm(z, axis=-1, keepdims=True)
+        got = spectra_of_configurations(z, gammas)
+        assert np.abs(got - reference_spectra(unit, gammas)).max() <= SPECTRA_ERROR * scale
+
+    def test_out_is_written_in_place(self):
+        z = _sample_vectors(3, 5000, 3)
+        expected = spectra_of_configurations(z, (4, 2, -1))
+        block = np.full((6000, 3), np.nan)
+        out = block[1000:]
+        assert spectra_of_configurations(z, (4, 2, -1), out=out) is out
+        assert np.array_equal(block[1000:], expected)
+        assert np.isnan(block[:1000]).all()
 
     def test_zero_weights_give_zero_spectra(self):
         z = _sample_vectors(1, 100, 3)

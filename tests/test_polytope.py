@@ -15,12 +15,9 @@ from su3poly.classifier import GENERIC_N3, classify_n3
 from su3poly.moment_map import fixed_point_spectra
 from su3poly.oracle import sample_batch
 from su3poly.polytope import (
-    WALL_12,
-    WALL_23,
     AllWeightsDegenerate,
     ChamberPolytope,
     DegenerateWeight,
-    HalfPlane,
     build_polytope,
     build_polytope_n2,
     build_polytope_n3,
@@ -29,7 +26,7 @@ from su3poly.polytope import (
     point_polytope,
     polytope_cones,
 )
-from su3poly.su3 import Root, Spectrum, chamber_to_spectrum_floats, lift_2d, star_involution, to_chamber
+from su3poly.su3 import Root, Spectrum, chamber_to_spectrum_floats, star_involution, to_chamber
 
 
 def vertex_set(poly):
@@ -268,27 +265,29 @@ class TestDelegation:
 
 
 class TestPolygonVertices:
+    """The vertex solve on integer lines (a, b, c): a*l1 + b*l2 >= c."""
+
+    WALLS = [(1, -1, 0), (1, 2, 0)]  # l1 >= l2 and l2 >= l3
+
     def test_rejects_normal_outside_the_facet_directions(self):
-        # (1, 0, -1) is the functional 2*l1 + l2: no wall, vanishing on no root
+        # 2*l1 + l2 is no wall and vanishes on no root
         with pytest.raises(AllWeightsDegenerate):
-            polytope._polygon_vertices([WALL_12, WALL_23, HalfPlane((1, 0, -1), 0, "odd")])
+            polytope._integer_vertices([*self.WALLS, (2, 1, 0)])
 
     def test_rejects_empty_intersection(self):
         # l1 <= -1 misses the chamber
         with pytest.raises(AllWeightsDegenerate):
-            polytope._polygon_vertices([WALL_12, WALL_23, HalfPlane(lift_2d(-1, 0), 1)])
+            polytope._integer_vertices([*self.WALLS, (-1, 0, 1)])
 
     def test_rejects_unbounded_intersection(self):
         # the chamber cut by l1 >= 1 and l1 + l2 >= 1: three vertices, open
-        cuts = [HalfPlane(lift_2d(1, 0), 1), HalfPlane(lift_2d(1, 1), 1)]
         with pytest.raises(AllWeightsDegenerate, match="unbounded"):
-            polytope._polygon_vertices([WALL_12, WALL_23, *cuts])
+            polytope._integer_vertices([*self.WALLS, (1, 0, 1), (1, 1, 1)])
 
     def test_keeps_tightest_offset_per_direction(self):
-        # the chamber cut by l1 <= 2, also given as the slack 2*l1 <= 10
-        caps = [HalfPlane(lift_2d(-2, 0), -10), HalfPlane(lift_2d(-1, 0), -2)]
-        got = polytope._polygon_vertices([WALL_12, WALL_23, *caps])
-        assert got == [(0, 0), (2, -1), (2, 2)]
+        # the chamber cut by l1 <= 2, also given as the slack l1 <= 5
+        hull, m = polytope._integer_vertices([*self.WALLS, (-1, 0, -5), (-1, 0, -2)])
+        assert [(F(x, m), F(y, m)) for x, y in hull] == [(0, 0), (2, -1), (2, 2)]
 
 
 class TestHull2d:
@@ -409,6 +408,23 @@ thin_clouds = st.builds(
     st.floats(0, 2 * math.pi),
     st.lists(st.tuples(st.floats(0, 4), st.floats(-1e-10, 1e-10)), min_size=2, max_size=40),
 )
+
+
+class TestHullScaling:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(4, 2, -1), (1, 1, 1), (2, 1, -4), (2, 1)]), st.integers(0, 10**6), st.integers(-12, 12))
+    def test_hull_of_scaled_cloud_is_scaled_hull(self, gammas, seed, k):
+        # hull2d's tolerance is relative to the cloud's own scale, with no
+        # absolute floor, so hull2d(t * cloud) = t * hull2d(cloud)
+        cloud = sample_batch(gammas, 2000, seed).chamber_points
+        t = 10.0**k
+        ref = hull2d(cloud)
+        got = hull2d(t * cloud)
+        assert got.kind == ref.kind
+        assert len(got.vertices) == len(ref.vertices)
+        bound = 1e-12 * t * float(np.abs(cloud).max())
+        for u, v in zip(got.pq_vertices(), ref.pq_vertices()):
+            assert abs(u.p - t * v.p) <= bound and abs(u.q - t * v.q) <= bound
 
 
 class TestSliverHull:
