@@ -20,7 +20,7 @@ from functools import partial
 from typing import Tuple
 
 from .moment_map import as_gammas
-from .su3 import Scalar, all_exact, integer_scaled, snap_sign, sort_descending
+from .su3 import Scalar, all_exact, integer_scaled, sgn, snap_sign, sort_descending
 
 
 class N3Type(Enum):
@@ -98,7 +98,11 @@ def canonicalize(w, tol: float = 1e-9) -> Canonicalization:
     the descending order.  A sum within ``tol`` of zero (relative scale, for
     floating input) is treated as zero and not flipped.
     """
-    g = as_gammas(w, n=3)
+    return _canonical(as_gammas(w, n=3), tol)
+
+
+def _canonical(g: Tuple[Scalar, Scalar, Scalar], tol: float) -> Canonicalization:
+    """:func:`canonicalize` of weights already through ``as_gammas``."""
     starred = snap_sign(g[0] + g[1] + g[2], max(abs(x) for x in g), tol) < 0
     flipped = tuple(-x for x in g) if starred else g
     return Canonicalization(*sort_descending(flipped), starred)
@@ -125,26 +129,36 @@ class SignProfile:
 
 
 def sign_profile(canonical_gammas, tol: float = 1e-9) -> SignProfile:
+    """Signs of the ten transition forms, each form evaluated once.
+
+    Exact weights take plain signs, on integers rather than fractions (the
+    signs are scale-free); any float weight makes every form go through
+    :func:`su3.snap_sign`.
+    """
     g1, g2, g3 = canonical_gammas
     if all_exact(canonical_gammas):
-        # exact signs are scale-free: take them on integers, not fractions
         g1, g2, g3 = integer_scaled(canonical_gammas)[0]
-    snap = partial(snap_sign, scale=max(abs(g1), abs(g2), abs(g3)), tol=tol)
+        sign = sgn
+    else:
+        sign = partial(snap_sign, scale=max(abs(g1), abs(g2), abs(g3)), tol=tol)
+    s_g2, s_g3 = sign(g2), sign(g3)
+    s_z23, s_z13 = sign(g2 + g3), sign(g1 + g3)
+    s_t1, s_t2 = sign(g1 - g2 - g3), sign(g2 - g1 - g3)
     return SignProfile(
-        zero_weight=any(snap(x) == 0 for x in (g1, g2, g3)),
-        sum=snap(g1 + g2 + g3),
-        e12=snap(g1 - g2) == 0,
-        e23=snap(g2 - g3) == 0,
-        t1=snap(g1 - g2 - g3) == 0,
-        t2=snap(g2 - g1 - g3) == 0,
-        z23=snap(g2 + g3) == 0,
-        z13=snap(g1 + g3) == 0,
-        sign_g2=snap(g2),
-        sign_g3=snap(g3),
-        sign_z23=snap(g2 + g3),
-        sign_t1=snap(g1 - g2 - g3),
-        sign_t2=snap(g2 - g1 - g3),
-        sign_z13=snap(g1 + g3),
+        zero_weight=sign(g1) == 0 or s_g2 == 0 or s_g3 == 0,
+        sum=sign(g1 + g2 + g3),
+        e12=sign(g1 - g2) == 0,
+        e23=sign(g2 - g3) == 0,
+        t1=s_t1 == 0,
+        t2=s_t2 == 0,
+        z23=s_z23 == 0,
+        z13=s_z13 == 0,
+        sign_g2=s_g2,
+        sign_g3=s_g3,
+        sign_z23=s_z23,
+        sign_t1=s_t1,
+        sign_t2=s_t2,
+        sign_z13=s_z13,
     )
 
 

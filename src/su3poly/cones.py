@@ -13,8 +13,13 @@ weights are multiplied by t / 3, where t is 3 times the lcm of their
 denominators (a float enters through its exact binary value), so the
 weights and the five anchor points scaled by t are integer triples.  Every
 cone decision is the sign of an integer polynomial: the coefficient the
-paper writes down, multiplied by a positive square.  A ``Fraction`` is made
-only for the output, each apex entry over t.  The public coefficient
+paper writes down, multiplied by a positive square.  The kernel gives each
+cone as a :class:`Germ`, all integers: the scaled apex, the folded root
+rays, the line root if any and the side of the half-plane cone at ``a``,
+with the star involution of a negative sum applied in integers.  The exact
+builder runs on germs.  A :class:`ConeSpec`, with ``Fraction`` apex entries
+over t and :class:`Generator` objects, is a view of a germ, made for
+output and for the ``slice_cone_*`` functions.  The public coefficient
 functions below (:func:`b_slice_coefficients`, :func:`c_alpha3_form`, ...)
 keep the paper's rational forms; the tests check the kernel's signs against
 them.
@@ -22,7 +27,7 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
@@ -34,7 +39,6 @@ from .su3 import (
     Spectrum,
     apply_perm,
     exact_div,
-    identify_signed_root,
     integer_scaled,
     lift_2d,
     num_out,
@@ -131,18 +135,14 @@ class ConeSpec:
     cone as a sum-zero functional pointing into the cone (the cone is then
     the half-plane ``side_normal . (s - apex) >= 0`` bounded by the line).
 
-    ``kernel`` is the :class:`AnchorKernel` the cone was built on and
-    ``scaled_apex`` the apex times ``kernel.scale``, an integer triple; the
-    exact polytope builder works on these.  Both are None for a cone made
-    with this constructor.
+    A view for output and for the slice-cone functions: the exact builder
+    works on :class:`Germ` and makes none of these.
     """
 
     apex: Spectrum
     generators: Tuple[Generator, ...]
     weyl_folded: bool = False
     side_normal: Optional[Tuple[Scalar, Scalar, Scalar]] = None
-    scaled_apex: Optional[Tuple[int, int, int]] = field(default=None, compare=False, repr=False)
-    kernel: Optional["AnchorKernel"] = field(default=None, compare=False, repr=False)
 
     def asdict(self) -> dict:
         d = {
@@ -155,13 +155,52 @@ class ConeSpec:
         return d
 
 
-def _ray(sign: int, root: Root) -> Generator:
-    return Generator(root, RAY_POS if sign > 0 else RAY_NEG)
+#: The generator of each signed root vector as a ray, and of each root
+#: vector (the positive one) as a line; ``_LINE_VECTOR`` sends either sign
+#: of a root to its line.
+_RAY_GENERATORS = {
+    tuple(sign * x for x in root.vector): Generator(root, RAY_POS if sign > 0 else RAY_NEG)
+    for root in Root
+    for sign in (1, -1)
+}
+_LINE_GENERATORS = {root.vector: Generator(root, LINE) for root in Root}
+_LINE_VECTOR = {v: g.root.vector for v, g in _RAY_GENERATORS.items()}
+
+_ALPHA2, _ALPHA3 = Root.ALPHA2.vector, Root.ALPHA3.vector
 
 
-def _fold_generator(g: Generator, order: Tuple[int, ...]) -> Generator:
-    sr = identify_signed_root(apply_perm(g.vector, order))
-    return Generator(sr.root, LINE if g.is_line else (RAY_POS if sr.sign > 0 else RAY_NEG))
+def _signed(sign: int, v: Tuple[int, int, int]) -> Tuple[int, int, int]:
+    return (sign * v[0], sign * v[1], sign * v[2])
+
+
+class Germ:
+    """A local cone on its kernel's integer scale.
+
+    ``apex`` is the apex times the kernel's scale, an integer triple;
+    ``rays`` are signed root vectors; ``line`` is the vector of a root whose
+    full line the cone contains, or None; ``side`` is, for the half-plane
+    cone at ``a``, the facet direction (a, b) of the functional a*l1 + b*l2
+    that is nonnegative on the cone side of ``line``; ``folded`` says whether
+    the raw fixed point was sorted into the chamber.  Everything is already
+    Weyl-folded and, at a negative sum, star-reflected.
+    """
+
+    __slots__ = ("apex", "rays", "line", "side", "folded")
+
+    def __init__(self, apex, rays, line=None, side=None, folded: bool = False):
+        self.apex = apex
+        self.rays = rays
+        self.line = line
+        self.side = side
+        self.folded = folded
+
+    def star(self) -> "Germ":
+        """Image under the star involution (reflection across l2 = 0); it
+        maps the functional a*l1 + b*l2 to a*l1 + (a - b)*l2."""
+        x, y, z = self.apex
+        line = None if self.line is None else _LINE_VECTOR[star_vector(self.line)]
+        side = None if self.side is None else (self.side[0], self.side[0] - self.side[1])
+        return Germ((-z, -y, -x), tuple(star_vector(v) for v in self.rays), line, side, self.folded)
 
 
 class AnchorKernel:
@@ -176,7 +215,9 @@ class AnchorKernel:
 
     Every sign below is that of an integer polynomial in ``gammas``, equal to
     the sign of the rational coefficient it stands for (the polynomial is the
-    coefficient times a positive square, and P(t gamma) = t P(gamma)).
+    coefficient times a positive square, and P(t gamma) = t P(gamma)).  The
+    ``germ_*`` methods give each cone as a :class:`Germ`; the ``cone_*``
+    methods wrap those in a :class:`ConeSpec` (:meth:`view`).
 
     A plain class rather than a dataclass: a dataclass costs about a
     millisecond at import, which every command-line call would pay.
@@ -193,10 +234,11 @@ class AnchorKernel:
     def of(cls, w) -> "AnchorKernel":
         """Kernel of three nonzero weights; floats enter exactly."""
         gammas, lcm = integer_scaled(as_gammas(w, n=3, allow_zero=False))
-        return cls._scaled(gammas, 3 * lcm)
+        return cls.scaled(gammas, 3 * lcm)
 
     @classmethod
-    def _scaled(cls, gammas: Tuple[int, int, int], scale: int) -> "AnchorKernel":
+    def scaled(cls, gammas: Tuple[int, int, int], scale: int) -> "AnchorKernel":
+        """Kernel of the integer triple ``gammas`` = t * gamma / 3, t = ``scale``."""
         raw = tripled_fixed_point_diagonals(gammas)
         return cls(scale, gammas, {k: sort_descending(v) for k, v in raw.items()})
 
@@ -233,14 +275,14 @@ class AnchorKernel:
         g1, g2, g3 = self.gammas
         return QuadraticForm2(g1 * g3 * (g1 + g3), g1 * g2 * g3, g2 * g3 * (g2 + g3))
 
-    # -- cones ---------------------------------------------------------------
+    # -- germs ---------------------------------------------------------------
 
-    def cone_b(self) -> ConeSpec:
+    def germ_b(self) -> Germ:
         """Three signed root rays; coincident weights give the one-sided limit."""
         s1, s2, s3 = self.b_ray_signs()
-        return self._folded("b", (_ray(s1, Root.ALPHA1), _ray(s2, Root.ALPHA2), _ray(s3, Root.ALPHA3)))
+        return self._folded("b", ((0, s1, -s1), (-s2, 0, s2), (s3, -s3, 0)))
 
-    def cone_c(self, j: int) -> ConeSpec:
+    def germ_c(self, j: int) -> Germ:
         """An alpha1-family ray plus an alpha3-family ray (definite form) or
         line (indefinite form); :class:`OnWall` when c_j sits on a wall."""
         a1_sign, form = self.c_signs(j)
@@ -248,46 +290,77 @@ class AnchorKernel:
         # a vanishing coefficient or a degenerate form is a wall transition
         if a1_sign == 0 or defin is Definiteness.DEGENERATE:
             raise OnWall(f"c{j} lies on a chamber wall for integer weights {self.gammas}")
+        a1_ray = (0, a1_sign, -a1_sign)
         if defin is Definiteness.INDEFINITE:
-            second = Generator(Root.ALPHA3, LINE)
-        else:
-            second = _ray(1 if defin is Definiteness.POSITIVE_DEFINITE else -1, Root.ALPHA3)
-        return self._folded(f"c{j}", (_ray(a1_sign, Root.ALPHA1), second))
+            return self._folded(f"c{j}", (a1_ray,), _ALPHA3)
+        return self._folded(f"c{j}", (a1_ray, _signed(1 if defin is Definiteness.POSITIVE_DEFINITE else -1, _ALPHA3)))
 
-    def cone_a(self) -> ConeSpec:
-        """The cone at a; a negative sum goes through the star involution."""
+    def germ_a(self) -> Germ:
+        """The cone at a; a negative sum is the star image of the cone of
+        -gamma, whose anchors are the star images of these and whose slice
+        form is this one negated."""
         g1, g2, g3 = self.gammas
         s = g1 + g2 + g3
         if s == 0:
             raise ZeroSum(f"integer weights {self.gammas} sum to zero")
-        if s < 0:
-            return _star_cone(AnchorKernel._scaled((-g1, -g2, -g3), self.scale).cone_a(), self)
-        apex = self.anchors["a"][0]
+        starred = s < 0
         defin = definiteness(self.a_form())
+        if starred:
+            anchors = {k: star_vector(self.anchors[k][0]) for k in ("a", "b", "c1", "c2", "c3")}
+            defin = _NEGATED.get(defin, defin)
+        else:
+            anchors = {k: v[0] for k, v in self.anchors.items()}
+        apex = anchors["a"]
         if defin is Definiteness.INDEFINITE:
-            return self._cone(apex, (Generator(Root.ALPHA2, RAY_NEG), Generator(Root.ALPHA3, RAY_NEG)))
-        line_root = Root.ALPHA3 if defin is Definiteness.POSITIVE_DEFINITE else Root.ALPHA2
-        # The side towards the centroid of the other four anchors, in
-        # integers: 3 * lift_2d(a, b) dotted with 4 * (centroid - apex).
-        d = line_root.vector
-        a, b = -d[1], d[0]
-        normal3 = (2 * a - b, 2 * b - a, -a - b)
-        others = [self.anchors[k][0] for k in ("b", "c1", "c2", "c3")]
-        side = sgn(sum(n * (sum(p[i] for p in others) - 4 * apex[i]) for i, n in enumerate(normal3)))
-        if side == 0:
-            raise ValueError("ambiguous side for the half-plane cone at a")
-        return self._cone(apex, (Generator(line_root, LINE),), side_normal=lift_2d(side * a, side * b))
+            germ = Germ(apex, (_signed(-1, _ALPHA2), _signed(-1, _ALPHA3)))
+        else:
+            line = _ALPHA3 if defin is Definiteness.POSITIVE_DEFINITE else _ALPHA2
+            # The side towards the centroid of the other four anchors, in
+            # integers: 3 * lift_2d(a, b) dotted with 4 * (centroid - apex).
+            a, b = -line[1], line[0]
+            normal3 = (2 * a - b, 2 * b - a, -a - b)
+            others = [anchors[k] for k in ("b", "c1", "c2", "c3")]
+            side = sgn(sum(n * (sum(p[i] for p in others) - 4 * apex[i]) for i, n in enumerate(normal3)))
+            if side == 0:
+                raise ValueError("ambiguous side for the half-plane cone at a")
+            germ = Germ(apex, (), line, (side * a, side * b))
+        return germ.star() if starred else germ
 
-    def _folded(self, name: str, raw_gens: Sequence[Generator]) -> ConeSpec:
+    def _folded(self, name: str, rays, line=None) -> Germ:
         entries, order = self.anchors[name]
-        folded = order != (0, 1, 2)
-        gens = tuple(_fold_generator(g, order) for g in raw_gens) if folded else tuple(raw_gens)
-        return self._cone(entries, gens, folded)
+        if order == (0, 1, 2):
+            return Germ(entries, rays, line)
+        rays = tuple(apply_perm(v, order) for v in rays)
+        line = None if line is None else _LINE_VECTOR[apply_perm(line, order)]
+        return Germ(entries, rays, line, None, True)
 
-    def _cone(self, scaled_apex, gens, weyl_folded: bool = False, side_normal=None) -> ConeSpec:
+    # -- views ---------------------------------------------------------------
+
+    def view(self, germ: Germ) -> ConeSpec:
+        """``germ`` as a :class:`ConeSpec`: the apex over the scale, the
+        rays then the line as generators, the side as a sum-zero normal."""
         t = self.scale
-        apex = Spectrum(*(Fraction(x, t) for x in scaled_apex))
-        return ConeSpec(apex, gens, weyl_folded, side_normal, tuple(scaled_apex), self)
+        apex = Spectrum._trusted(*(Fraction(x, t) for x in germ.apex))
+        gens = tuple(_RAY_GENERATORS[v] for v in germ.rays)
+        if germ.line is not None:
+            gens += (_LINE_GENERATORS[germ.line],)
+        side = None if germ.side is None else lift_2d(*germ.side)
+        return ConeSpec(apex, gens, germ.folded, side)
+
+    def cone_b(self) -> ConeSpec:
+        return self.view(self.germ_b())
+
+    def cone_c(self, j: int) -> ConeSpec:
+        return self.view(self.germ_c(j))
+
+    def cone_a(self) -> ConeSpec:
+        return self.view(self.germ_a())
+
+
+_NEGATED = {
+    Definiteness.POSITIVE_DEFINITE: Definiteness.NEGATIVE_DEFINITE,
+    Definiteness.NEGATIVE_DEFINITE: Definiteness.POSITIVE_DEFINITE,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -421,17 +494,3 @@ def slice_cone_a(w, tol: float = 1e-9) -> ConeSpec:
     if snap_sign(g[0] + g[1] + g[2], max(abs(x) for x in g), tol) == 0:
         raise ZeroSum(f"weights {g} sum to zero")
     return AnchorKernel.of(g).cone_a()
-
-
-def _star_cone(cone: ConeSpec, kernel: AnchorKernel) -> ConeSpec:
-    """Image of a cone under the star involution (reflection across l2 = 0),
-    as a cone on ``kernel``."""
-    x, y, z = cone.scaled_apex
-    gens = []
-    for gsp in cone.generators:
-        v = star_vector(gsp.vector if not gsp.is_line else gsp.root.vector)
-        sr = identify_signed_root(v)
-        kind = LINE if gsp.is_line else (RAY_POS if sr.sign > 0 else RAY_NEG)
-        gens.append(Generator(sr.root, kind))
-    side = None if cone.side_normal is None else star_vector(cone.side_normal)
-    return kernel._cone((-z, -y, -x), tuple(gens), cone.weyl_folded, side)

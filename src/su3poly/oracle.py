@@ -27,12 +27,14 @@ vertex inside clusters finer than about ``sqrt(eps)`` of the scale.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .moment_map import CPPoint, FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, as_gammas
+from .moment_map import CPPoint, FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight, as_gammas
 from .polytope import ChamberPolytope, build_polytope, distance_to_polytope_pq, hull2d
 from .su3 import SQRT2, SQRT6, spectra_of_entries
 
@@ -83,7 +85,12 @@ def spectra_of_configurations(z: np.ndarray, gammas, out: Optional[np.ndarray] =
     vector and no (n, 3, 3) matrix is built.  Rows are processed in chunks
     small enough for the temporaries to stay in cache.
     """
-    gs = np.array([float(g) for g in gammas])
+    floats = _float_gammas(gammas)
+    # Spectra are homogeneous of degree 1 in the weights, and the kernel forms
+    # cubic terms: it runs on the weights over the power of two nearest
+    # max |gamma| (an exact division), and the rows are multiplied back.
+    power = math.ldexp(1.0, math.frexp(max(abs(g) for g in floats))[1])
+    gs = np.array(floats) / power
     if out is None:
         out = np.empty((z.shape[0], 3))
     for start in range(0, z.shape[0], _CHUNK):
@@ -97,7 +104,27 @@ def spectra_of_configurations(z: np.ndarray, gammas, out: Optional[np.ndarray] =
         for k, (a, b) in enumerate(zip(_ROW, _COL)):
             off[:, k] = np.einsum("cj,cj->c", zc[:, :, a], wzbar[:, :, b])
         out[start : start + len(zc)] = spectra_of_entries(diag, off)
+    if power != 1.0:
+        out *= power
     return out
+
+
+def _float_gammas(w) -> Tuple[float, ...]:
+    """The weights as floats, checked for sampling.
+
+    Every spectrum entry is at most (2/3) sum |gamma_j| in size and every
+    chamber coordinate at most 2 sum |gamma_j|, so that bound must be a
+    finite float; otherwise :class:`moment_map.InvalidWeight` names the
+    weight, where the sampler would give an ``OverflowError`` or NaN rows.
+    """
+    gammas = as_gammas(w)
+    for k, g in enumerate(gammas):
+        if abs(g) > sys.float_info.max:
+            raise InvalidWeight(f"weight {k} is beyond float range; its spectra cannot be sampled")
+    floats = tuple(float(g) for g in gammas)
+    if not math.isfinite(2.0 * sum(abs(g) for g in floats)):
+        raise InvalidWeight(f"weights {floats} give spectra beyond float range")
+    return floats
 
 
 def chamber_points_of_spectra(spectra: np.ndarray) -> np.ndarray:
@@ -121,7 +148,12 @@ class SampleBatch:
 
 
 def sample_batch(w, count: int, seed: int) -> SampleBatch:
-    gammas = as_gammas(w)
+    """``count`` uniform samples of the weights' momentum-map spectra.
+
+    Raises :class:`moment_map.InvalidWeight` before drawing anything when
+    the spectra would leave float range.
+    """
+    gammas = _float_gammas(w)
     spectra = np.empty((count, 3))
     for start, z in _gaussian_blocks(seed, count, len(gammas)):
         spectra_of_configurations(z, gammas, out=spectra[start : start + len(z)])
@@ -147,7 +179,7 @@ def _targeted_spectra(w, per_config: int, seed: int) -> np.ndarray:
     are genuine momentum-map images, so they may be pooled with the uniform
     batch.
     """
-    gammas = as_gammas(w)
+    gammas = _float_gammas(w)
     configs = FIXED_CONFIGURATIONS if len(gammas) == 3 else FIXED_CONFIGURATIONS_N2
     scales = (0.5, 0.1, 0.02, 0.004)
     out = np.empty((len(configs) * len(scales) * per_config, 3))

@@ -12,14 +12,22 @@ of eight fixed directions: the two walls and the six directions
 perpendicular to a root.  The vertices are therefore solved directly: the
 tightest offset per direction, a 2x2 integer solve for each pair of
 directions, and the solutions that satisfy every half-plane, ordered by the
-monotone chain.  The three-factor build runs in integers: the cones come
-on one integer scale t (:class:`cones.AnchorKernel`; floating weights enter
-through their exact binary values), their facet offsets are integers over t,
-and the vertices are integers over m * t.  A ``Fraction`` is made only for
-the output (each offset, apex and vertex entry), so vertices of
-rational-weight polytopes are exact.  Normals are stored as sum-zero
-functionals on spectra; signed distances divide by the Euclidean norm of the
-functional, which is the gradient norm in the isometric chamber embedding.
+monotone chain.
+
+The three-factor build is one straight line in integers: the weights are
+canonicalized once and give one sign profile, which yields the label and
+says which cones degenerate; one :class:`cones.AnchorKernel` puts the
+weights on an integer scale t (floating weights enter through their exact
+binary values) and gives each cone as a :class:`cones.Germ`; one
+line-maker turns each germ into lines a*l1 + b*l2 >= c / t with integer c;
+and the vertices come out as integers over m * t.  A ``Fraction`` is made
+only for the output (each offset and vertex entry), so vertices of
+rational-weight polytopes are exact.  :class:`cones.ConeSpec` objects are
+views, made only by :func:`polytope_cones`; :func:`cone_halfplanes` reads
+one back into a germ for the same line-maker.  Normals are stored as
+sum-zero functionals on spectra; signed distances divide by the Euclidean
+norm of the functional, which is the gradient norm in the isometric chamber
+embedding.
 """
 
 from __future__ import annotations
@@ -29,11 +37,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .classifier import N3Type, classify_n2, classify_n3, sign_profile
-from .cones import AnchorKernel, ConeSpec
+from .classifier import N3Type, SignProfile, _canonical, _classify_canonical, classify_n2, sign_profile
+from .classifier import classify_n3  # noqa: F401  (re-exported for callers that import it from here)
+from .cones import AnchorKernel, ConeSpec, Germ
 from .moment_map import as_gammas, fixed_point_spectra
 from .su3 import (
     ChamberPoint,
+    Root,
     Scalar,
     Spectrum,
     all_exact,
@@ -251,52 +261,36 @@ def contains(P: ChamberPolytope, s, tol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _vec2(v) -> Point2:
-    return (v[0], v[1])
+def _germ_lines(germ: Germ, tag: str) -> List[Tuple[int, int, int, str]]:
+    """Lines (a, b, c, provenance) of a local cone germ: a*l1 + b*l2 >= c / t.
 
-
-def _cross2(u: Point2, v: Point2) -> Scalar:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _cone_lines(cone: ConeSpec, tag: str, scaled_apex: Sequence[int]) -> List[Tuple[int, int, int, str]]:
-    """Lines (a, b, c, provenance) of a local cone: a*l1 + b*l2 >= c / t.
-
-    ``(a, b)`` is one of the facet directions and c an integer, from
-    ``scaled_apex``, the cone's apex times t as integers.  Since the apex
-    sums to zero, c / t is also the offset ``lift_2d(a, b) . apex`` of the
-    cone's half-plane.
+    ``(a, b)`` is one of the facet directions and c an integer, from the
+    germ's apex on the integer scale t.  Since the apex sums to zero, c / t
+    is also the offset ``lift_2d(a, b) . apex`` of the cone's half-plane.
     """
-    x, y, _ = scaled_apex
-    rays = [g for g in cone.generators if not g.is_line]
-    lines = [g for g in cone.generators if g.is_line]
+    x, y, _ = germ.apex
 
     def line(a: int, b: int, suffix: str) -> Tuple[int, int, int, str]:
         return (a, b, a * x + b * y, f"{tag}:{suffix}")
 
-    if cone.side_normal is not None:
-        direction = _DIRECTION_OF_NORMAL.get(tuple(cone.side_normal))
-        if direction is None or len(lines) != 1:
-            raise AllWeightsDegenerate(f"cone at {tag} has side normal {cone.side_normal} and {len(lines)} lines")
-        return [line(*direction, f"{lines[0].root.label}-halfplane")]
+    rays = [(v[0], v[1]) for v in germ.rays]
+    if germ.line is not None:
+        d = germ.line
+        if germ.side is not None:
+            a, b = germ.side
+        else:
+            if not rays:
+                raise AllWeightsDegenerate(f"cone at {tag} has 1 lines and 0 rays")
+            # a*r0 + b*r1 is the cross product of the line with the ray r
+            a, b = -d[1], d[0]
+            side = a * rays[0][0] + b * rays[0][1]
+            if side == 0 or any((a * r0 + b * r1) * side <= 0 for r0, r1 in rays):
+                raise AllWeightsDegenerate(f"cone at {tag} has a ray along its line")
+            if side < 0:
+                a, b = -a, -b
+        return [line(a, b, f"{_ROOT_LABELS[d]}-halfplane")]
 
-    if lines:
-        if len(lines) != 1 or not rays:
-            raise AllWeightsDegenerate(f"cone at {tag} has {len(lines)} lines and {len(rays)} rays")
-        d = _vec2(lines[0].vector)
-        a, b = -d[1], d[0]
-        side = _cross2(d, _vec2(rays[0].vector))
-        if side == 0 or any(_cross2(d, _vec2(r.vector)) * side <= 0 for r in rays):
-            raise AllWeightsDegenerate(f"cone at {tag} has a ray along its line")
-        if side < 0:
-            a, b = -a, -b
-        return [line(a, b, f"{lines[0].root.label}-halfplane")]
-
-    vecs = []
-    for g in rays:
-        v = _vec2(g.vector)
-        if v not in vecs:
-            vecs.append(v)
+    vecs = list(dict.fromkeys(rays))
     if len(vecs) == 1:
         raise AllWeightsDegenerate(f"single-ray cone at {tag}")
     for u in vecs:
@@ -309,6 +303,13 @@ def _cone_lines(cone: ConeSpec, tag: str, scaled_apex: Sequence[int]) -> List[Tu
     raise AllWeightsDegenerate(f"cone at {tag} is not salient")
 
 
+def _cross2(u: Point2, v: Point2) -> Scalar:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+_ROOT_LABELS = {root.vector: root.label for root in Root}
+
+
 def _halfplane(a: int, b: int, c: int, t: int, provenance: str) -> HalfPlane:
     return HalfPlane(_FACET_NORMALS[a, b], Fraction(c, t), provenance)
 
@@ -316,15 +317,22 @@ def _halfplane(a: int, b: int, c: int, t: int, provenance: str) -> HalfPlane:
 def cone_halfplanes(cone: ConeSpec, tag: str) -> List[HalfPlane]:
     """Half-plane description of a local cone anchored at its apex.
 
-    A cone without a kernel (made with the ``ConeSpec`` constructor) has
-    its apex put on an integer scale here; a float apex entry enters
-    through its exact binary value.
+    The cone is read into a :class:`cones.Germ` on the integer scale of its
+    apex (a float apex entry enters through its exact binary value) and
+    goes through the builder's own line-maker.
     """
-    if cone.kernel is not None:
-        scaled_apex, t = cone.scaled_apex, cone.kernel.scale
-    else:
-        scaled_apex, t = integer_scaled(cone.apex.astuple())
-    return [_halfplane(a, b, c, t, provenance) for a, b, c, provenance in _cone_lines(cone, tag, scaled_apex)]
+    scaled_apex, t = integer_scaled(cone.apex.astuple())
+    rays = tuple(g.vector for g in cone.generators if not g.is_line)
+    lines = [g.root.vector for g in cone.generators if g.is_line]
+    side = None
+    if cone.side_normal is not None:
+        side = _DIRECTION_OF_NORMAL.get(tuple(cone.side_normal))
+        if side is None or len(lines) != 1:
+            raise AllWeightsDegenerate(f"cone at {tag} has side normal {cone.side_normal} and {len(lines)} lines")
+    elif len(lines) > 1:
+        raise AllWeightsDegenerate(f"cone at {tag} has {len(lines)} lines and {len(rays)} rays")
+    germ = Germ(scaled_apex, rays, lines[0] if lines else None, side, cone.weyl_folded)
+    return [_halfplane(a, b, c, t, provenance) for a, b, c, provenance in _germ_lines(germ, tag)]
 
 
 # ---------------------------------------------------------------------------
@@ -336,28 +344,29 @@ def _exactify(gs) -> tuple:
     return tuple(g if is_exact(g) else Fraction(g) for g in gs)
 
 
+def _germs(kernel: AnchorKernel, profile: SignProfile) -> Dict[str, Optional[Germ]]:
+    """The five local cone germs of canonical weights; None where the cone
+    degenerates, as read from the weights' sign profile."""
+    return {
+        "a": None if profile.sum == 0 else kernel.germ_a(),
+        "b": kernel.germ_b(),
+        "c1": None if profile.t1 or profile.z23 else kernel.germ_c(1),
+        "c2": None if profile.t2 or profile.z13 else kernel.germ_c(2),
+        "c3": kernel.germ_c(3),  # c3 cannot hit a wall in the canonical sector
+    }
+
+
 def polytope_cones(w, tol: float = 1e-9) -> Dict[str, Optional[ConeSpec]]:
     """The five local cones for canonical weights; None where degenerate.
 
-    Which cones degenerate is read from the snapped signs of the given
-    weights; the cones themselves are built on one :class:`AnchorKernel`.
+    The builder's germs, each wrapped in a :class:`ConeSpec`: which cones
+    degenerate is read from the snapped signs of the given weights, and the
+    cones themselves are built on one :class:`AnchorKernel`.
     """
     g = as_gammas(w, n=3, allow_zero=False)
-    profile = sign_profile(g, tol)
     kernel = AnchorKernel.of(g)
-    out: Dict[str, Optional[ConeSpec]] = {}
-    out["a"] = None if profile.sum == 0 else kernel.cone_a()
-    out["b"] = kernel.cone_b()
-    for j, (u_is_zero, v_is_zero) in (
-        (1, (profile.t1, profile.z23)),
-        (2, (profile.t2, profile.z13)),
-        (3, (False, False)),  # c3 cannot hit a wall in the canonical sector
-    ):
-        if u_is_zero or v_is_zero:
-            out[f"c{j}"] = None
-        else:
-            out[f"c{j}"] = kernel.cone_c(j)
-    return out
+    germs = _germs(kernel, sign_profile(g, tol))
+    return {name: None if germ is None else kernel.view(germ) for name, germ in germs.items()}
 
 
 def build_polytope_n3(w, tol: float = 1e-9) -> ChamberPolytope:
@@ -365,23 +374,35 @@ def build_polytope_n3(w, tol: float = 1e-9) -> ChamberPolytope:
 
     Canonicalizes the weights (sort, sign-flip), intersects the wall and cone
     half-planes exactly, and star-reflects the result when the sign was
-    flipped.  The returned label is the taxonomy type of the input.  The
-    vertices are solved in integers on the cones' kernel scale; fractions
-    are made only for the output.
+    flipped.  The returned label is the taxonomy type of the input.
     """
     g = as_gammas(w, n=3)
     if any(x == 0 for x in g):
         raise DegenerateWeight("zero weight: use build_polytope for the delegated shape")
-    label, can = classify_n3(g, tol)
+    return _build_n3(g, tol)
+
+
+def _build_n3(g, tol: float) -> ChamberPolytope:
+    """:func:`build_polytope_n3` of weights already through ``as_gammas``.
+
+    One canonicalization and one sign profile give the label and say which
+    cones degenerate; one kernel gives the cone germs, the germs give
+    integer lines, and the vertices are solved in integers on the kernel's
+    scale.  Fractions are made only for the output.
+    """
+    can = _canonical(g, tol)
+    gs = can.sorted_gammas
+    ints, lcm = integer_scaled(gs)
+    profile = sign_profile(ints if all_exact(gs) else gs, tol)
+    label = _classify_canonical(profile)
     if label is N3Type.DEGENERATE_ZERO_WEIGHT:
         raise DegenerateWeight("weight vanishes within tolerance")
 
-    cones = polytope_cones(can.sorted_gammas, tol)
-    kernel = cones["b"].kernel  # shared by every cone of the call; b is never None
+    kernel = AnchorKernel.scaled(ints, 3 * lcm)
     lines = [(1, -1, 0, WALL_12.provenance), (1, 2, 0, WALL_23.provenance)]
-    for name, cone in cones.items():
-        if cone is not None:
-            lines.extend(_cone_lines(cone, name, cone.scaled_apex))
+    for name, germ in _germs(kernel, profile).items():
+        if germ is not None:
+            lines.extend(_germ_lines(germ, name))
     hull, m = _integer_vertices([line[:3] for line in lines])
 
     # start from the a anchor when it is a vertex
@@ -400,7 +421,8 @@ def build_polytope_n3(w, tol: float = 1e-9) -> ChamberPolytope:
     t = kernel.scale
     den = m * t
     halfplanes = tuple(_halfplane(a, b, c, t, provenance) for a, b, c, provenance in lines)
-    vertices = tuple(Spectrum(Fraction(x, den), Fraction(y, den), Fraction(-x - y, den)) for x, y in hull)
+    # the vertices satisfy both walls and sum to zero by construction
+    vertices = tuple(Spectrum._trusted(Fraction(x, den), Fraction(y, den), Fraction(-x - y, den)) for x, y in hull)
     return ChamberPolytope(halfplanes, vertices, "Polygon", label.value, can.starred)
 
 
@@ -459,7 +481,7 @@ def build_polytope(w, tol: float = 1e-9) -> ChamberPolytope:
     scale = max(abs(x) for x in gs)
     nz = tuple(x for x in gs if snap_sign(x, scale, tol) != 0)
     if len(gs) == 3 and len(nz) == 3:
-        return build_polytope_n3(gs, tol)
+        return _build_n3(gs, tol)
     if len(nz) == 2:
         return build_polytope_n2(nz, tol)
     if len(nz) == 1:

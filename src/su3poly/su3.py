@@ -33,8 +33,11 @@ class SumNotZero(ValueError):
 
 def is_exact(x) -> bool:
     """True for int/Fraction scalars (bool excluded)."""
-    # the exact type test first: the exact builder calls this often
-    return type(x) in (int, Fraction) or (isinstance(x, (int, Fraction)) and not isinstance(x, bool))
+    # plain type tests first: the builders call this often
+    kind = type(x)
+    if kind is float:
+        return False
+    return kind in (int, Fraction) or (isinstance(x, (int, Fraction)) and not isinstance(x, bool))
 
 
 def all_exact(xs) -> bool:
@@ -100,6 +103,8 @@ def _ratio(x: Scalar) -> Tuple[int, int]:
         return x, 1
     if type(x) is Fraction:
         return x.numerator, x.denominator
+    if type(x) is float:
+        return x.as_integer_ratio()
     return Fraction(x).as_integer_ratio()
 
 
@@ -116,6 +121,14 @@ class Spectrum:
     l2: Scalar
     l3: Scalar
 
+    @classmethod
+    def _trusted(cls, l1: Scalar, l2: Scalar, l3: Scalar) -> "Spectrum":
+        """A spectrum whose entries are sorted and sum to zero by
+        construction, made without :meth:`__post_init__`'s checks."""
+        s = object.__new__(cls)
+        s.__dict__.update(l1=l1, l2=l2, l3=l3)
+        return s
+
     def __post_init__(self):
         l1, l2, l3 = self.l1, self.l2, self.l3
         if self.is_exact:
@@ -125,7 +138,7 @@ class Spectrum:
             if l1 + l2 + l3 != 0:
                 raise SumNotZero(f"spectrum does not sum to zero: {(l1, l2, l3)}")
             return
-        slack = SUM_TOL * max(abs(l1), abs(l2), abs(l3), 1)
+        slack = SUM_TOL * max(abs(l1), abs(l2), abs(l3))
         if not (l1 >= l2 - slack and l2 >= l3 - slack):
             raise ValueError(f"spectrum not sorted: {(l1, l2, l3)}")
         if abs(l1 + l2 + l3) > slack:
@@ -426,7 +439,7 @@ def identify_signed_root(v: Sequence[Scalar]) -> SignedRoot:
 
 def apply_perm(v: Sequence, perm: Sequence[int]) -> tuple:
     """Coordinate permutation ``out[k] = v[perm[k]]``."""
-    return tuple(v[perm[k]] for k in range(len(perm)))
+    return tuple(map(v.__getitem__, perm))
 
 
 # ---------------------------------------------------------------------------

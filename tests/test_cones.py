@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GENERIC_FIXTURES, POLYTOPE_FIXTURES, random_rational_gammas
-from su3poly.classifier import classify_n3
+from su3poly.classifier import canonicalize, classify_n3
 from su3poly.cones import (
     LINE,
     AnchorKernel,
+    Generator,
     RAY_NEG,
     RAY_POS,
     CoincidentWeights,
@@ -30,9 +31,9 @@ from su3poly.cones import (
     slice_cone_b,
     slice_cone_c,
 )
-from su3poly.polytope import build_polytope_n3, cone_halfplanes, polytope_cones
+from su3poly.polytope import WALL_12, WALL_23, AllWeightsDegenerate, build_polytope_n3, cone_halfplanes, polytope_cones
 from su3poly.moment_map import raw_fixed_point_diagonals
-from su3poly.su3 import SQRT2, SQRT6, Root, sgn
+from su3poly.su3 import SQRT2, SQRT6, Root, Spectrum, sgn
 
 
 def embed(v):
@@ -221,6 +222,16 @@ class TestSliceConeA:
             assert (disc > 0) == (label.value in ("A", "B", "D")), (g, label)
 
 
+def _one_float_weight_per_label():
+    by_label = {}
+    for gammas in sorted(POLYTOPE_FIXTURES):
+        by_label.setdefault(POLYTOPE_FIXTURES[gammas][0], tuple(float(g) for g in gammas))
+    return list(by_label.values())
+
+
+ONE_FLOAT_WEIGHT_PER_LABEL = _one_float_weight_per_label()
+
+
 class TestConesBoundPolytope:
     def test_polytope_inside_every_cone(self):
         for gammas in POLYTOPE_FIXTURES:
@@ -241,6 +252,33 @@ class TestConesBoundPolytope:
                 continue
             copy = ConeSpec(cone.apex, cone.generators, cone.weyl_folded, cone.side_normal)
             assert cone_halfplanes(copy, name) == cone_halfplanes(cone, name)
+
+    @pytest.mark.parametrize("gammas", sorted(POLYTOPE_FIXTURES) + ONE_FLOAT_WEIGHT_PER_LABEL)
+    def test_builder_halfplanes_are_the_walls_and_the_cone_halfplanes(self, gammas):
+        # the builder runs on germs, the views on ConeSpecs: both must give
+        # the same lines, in the same order
+        g = canonicalize(gammas).sorted_gammas
+        expected = [WALL_12, WALL_23]
+        for name, cone in polytope_cones(g).items():
+            if cone is not None:
+                expected += cone_halfplanes(cone, name)
+        assert build_polytope_n3(g).halfplanes == tuple(expected)
+
+    @pytest.mark.parametrize(
+        "generators, side_normal, match",
+        [
+            ((Generator(Root.ALPHA1, LINE), Generator(Root.ALPHA2, LINE)), None, "2 lines"),
+            ((Generator(Root.ALPHA3, LINE),), (1, 0, -1), "side normal"),
+            ((Generator(Root.ALPHA3, LINE),), None, "0 rays"),
+            ((Generator(Root.ALPHA3, LINE), Generator(Root.ALPHA3, RAY_POS)), None, "ray along its line"),
+            ((Generator(Root.ALPHA1, RAY_POS), Generator(Root.ALPHA1, RAY_POS)), None, "single-ray"),
+            ((Generator(Root.ALPHA1, RAY_POS), Generator(Root.ALPHA1, RAY_NEG)), None, "not salient"),
+        ],
+    )
+    def test_hand_made_cone_without_a_polygon_side_is_refused(self, generators, side_normal, match):
+        cone = ConeSpec(Spectrum(1, 0, -1), generators, False, side_normal)
+        with pytest.raises(AllWeightsDegenerate, match=match):
+            cone_halfplanes(cone, "x")
 
     def test_extreme_c_matches_definiteness(self):
         for gammas, (label, vertices, extreme_cs, _, _) in GENERIC_FIXTURES.items():

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import N2_FIXTURES, POLYTOPE_FIXTURES
 from su3poly import oracle
-from su3poly.moment_map import FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2
+from su3poly.moment_map import FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight
 from su3poly.oracle import (
     BLOCK,
     _gaussian_blocks,
@@ -117,6 +117,34 @@ class TestVerifySlack:
         monkeypatch.setattr(oracle, "build_polytope", lambda _: shifted)
         report = verify(w, 2000, seed=4, tol=1e-6)
         assert report.n_violations == report.n_samples
+
+
+class TestFloatRange:
+    """Sampling works at any scale whose spectra are floats, and says so
+    with a typed error beyond it."""
+
+    @pytest.mark.parametrize("k", [-150, -110, 110, 150, 300])
+    def test_spectra_scale_with_the_weights(self, k):
+        t = 10.0**k
+        gammas = (4, 2, -1)
+        base = sample_batch(gammas, 2000, 5).spectra
+        scaled = sample_batch(tuple(t * g for g in gammas), 2000, 5).spectra
+        assert np.abs(scaled - t * base).max() <= SPECTRA_ERROR * t * 4
+
+    @pytest.mark.parametrize("k", [-110, 110])
+    def test_verify_far_from_unit_scale(self, k):
+        report = verify(tuple(10.0**k * g for g in (4, 2, -1)), 20000, 1)
+        assert report.label == "C"
+        assert report.n_violations == 0
+
+    def test_exact_weight_beyond_float_range(self):
+        with pytest.raises(InvalidWeight, match="weight 0 is beyond float range"):
+            verify((10**400, 1, 1), 100, 1)
+
+    @pytest.mark.parametrize("run", [sample_batch, verify])
+    def test_spectra_beyond_float_range(self, run):
+        with pytest.raises(InvalidWeight, match="beyond float range"):
+            run((1e308, 1e308, 1e308), 100, 1)
 
 
 class TestEmpiricalPolytope:

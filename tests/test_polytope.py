@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 import json
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import N2_FIXTURES, POLYTOPE_FIXTURES, random_rational_gammas
-from su3poly import polytope
+from su3poly import classifier, moment_map, polytope
 from su3poly.classifier import GENERIC_N3, classify_n3
+from su3poly.cones import ConeSpec
 from su3poly.moment_map import fixed_point_spectra
 from su3poly.oracle import sample_batch
 from su3poly.polytope import (
@@ -508,3 +512,55 @@ class TestSerialization:
         a = json.dumps(build_polytope_n3((4, 2, -1)).to_json_dict(), sort_keys=True)
         b = json.dumps(build_polytope_n3((4, 2, -1)).to_json_dict(), sort_keys=True)
         assert a == b
+
+
+#: sha256 of the JSON form of the exact polytope of every weight of
+#: ``_digest_weights``, pinned on the builder that went through ConeSpec
+#: objects; the germ builder must reproduce every output byte for byte.
+EXACT_DIGEST = "a5426cced6f8d23a0fccb607af93b5d12fdef3f4cda559e486cc1f3f20ee48ba"
+
+
+def _digest_weights():
+    rnd = random.Random(20261018)
+    weights = [g for g in itertools.product(range(-5, 6), repeat=3) if all(g)]
+    return weights + [random_rational_gammas(rnd) for _ in range(500)]
+
+
+class TestExactBuilder:
+    def test_outputs_match_the_pinned_digest(self):
+        h = hashlib.sha256()
+        for gammas in _digest_weights():
+            try:
+                out = build_polytope(gammas).to_json_dict()
+            except ValueError as exc:
+                out = {"error": type(exc).__name__}
+            h.update(json.dumps(out, sort_keys=True).encode())
+        assert h.hexdigest() == EXACT_DIGEST
+
+    def test_one_straight_line_per_build(self, monkeypatch):
+        # one weight check and one sign profile per exact build, and no
+        # re-validated spectrum or ConeSpec on the way
+        counts = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            for module in [m for key, m in sys.modules.items() if key.startswith("su3poly") and m is not None]:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+            if isinstance(owner, type):
+                monkeypatch.setattr(owner, name, counted)
+
+        count(moment_map, "as_gammas")
+        count(classifier, "sign_profile")
+        count(Spectrum, "__post_init__")
+        count(ConeSpec, "__init__")
+        weights = sorted(POLYTOPE_FIXTURES) + RANDOM_RATIONALS
+        for gammas in weights:
+            build_polytope(gammas)
+        assert counts == {"as_gammas": len(weights), "sign_profile": len(weights)}

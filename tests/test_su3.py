@@ -94,6 +94,13 @@ class TestSpectrum:
             conj = Hermitian3.from_numpy(u @ m @ u.conj().T)
             assert np.allclose(spectrum(conj).as_floats(), ref, atol=1e-10)
 
+    def test_float_checks_are_relative_to_scale_without_floor(self):
+        with pytest.raises(ValueError, match="not sorted"):
+            Spectrum(1e-12, 2e-12, -3e-12)
+        with pytest.raises(SumNotZero):
+            Spectrum(2e-12, 1e-12, -2.9e-12)
+        assert Spectrum(2e-12, 1e-12, -3e-12).astuple() == (2e-12, 1e-12, -3e-12)
+
     def test_near_degenerate_is_stable(self):
         h = Hermitian3(1.0, 1.0 - 1e-14, off12=1e-15)
         s = spectrum(h)
