@@ -169,10 +169,6 @@ _LINE_VECTOR = {v: g.root.vector for v, g in _RAY_GENERATORS.items()}
 _ALPHA2, _ALPHA3 = Root.ALPHA2.vector, Root.ALPHA3.vector
 
 
-def _signed(sign: int, v: Tuple[int, int, int]) -> Tuple[int, int, int]:
-    return (sign * v[0], sign * v[1], sign * v[2])
-
-
 class Germ:
     """A local cone on its kernel's integer scale.
 
@@ -293,7 +289,8 @@ class AnchorKernel:
         a1_ray = (0, a1_sign, -a1_sign)
         if defin is Definiteness.INDEFINITE:
             return self._folded(f"c{j}", (a1_ray,), _ALPHA3)
-        return self._folded(f"c{j}", (a1_ray, _signed(1 if defin is Definiteness.POSITIVE_DEFINITE else -1, _ALPHA3)))
+        s = 1 if defin is Definiteness.POSITIVE_DEFINITE else -1
+        return self._folded(f"c{j}", (a1_ray, (s, -s, 0)))
 
     def germ_a(self) -> Germ:
         """The cone at a; a negative sum is the star image of the cone of
@@ -304,15 +301,14 @@ class AnchorKernel:
         if s == 0:
             raise ZeroSum(f"integer weights {self.gammas} sum to zero")
         starred = s < 0
-        defin = definiteness(self.a_form())
+        form = self.a_form()
         if starred:
-            anchors = {k: star_vector(self.anchors[k][0]) for k in ("a", "b", "c1", "c2", "c3")}
-            defin = _NEGATED.get(defin, defin)
-        else:
-            anchors = {k: v[0] for k, v in self.anchors.items()}
+            form = QuadraticForm2(-form.A, -form.B, -form.C)
+        defin = definiteness(form)
+        anchors = {k: star_vector(entries) if starred else entries for k, (entries, _) in self.anchors.items()}
         apex = anchors["a"]
         if defin is Definiteness.INDEFINITE:
-            germ = Germ(apex, (_signed(-1, _ALPHA2), _signed(-1, _ALPHA3)))
+            germ = Germ(apex, ((1, 0, -1), (-1, 1, 0)))  # -alpha2, -alpha3
         else:
             line = _ALPHA3 if defin is Definiteness.POSITIVE_DEFINITE else _ALPHA2
             # The side towards the centroid of the other four anchors, in
@@ -356,11 +352,6 @@ class AnchorKernel:
     def cone_a(self) -> ConeSpec:
         return self.view(self.germ_a())
 
-
-_NEGATED = {
-    Definiteness.POSITIVE_DEFINITE: Definiteness.NEGATIVE_DEFINITE,
-    Definiteness.NEGATIVE_DEFINITE: Definiteness.POSITIVE_DEFINITE,
-}
 
 
 # ---------------------------------------------------------------------------
