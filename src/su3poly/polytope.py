@@ -393,6 +393,7 @@ def _build_n3(g, tol: float) -> ChamberPolytope:
     can = _canonical(g, tol)
     gs = can.sorted_gammas
     ints, lcm = integer_scaled(gs)
+    # exact weights give their signs straight from the integer triple
     profile = sign_profile(ints if all_exact(gs) else gs, tol)
     label = _classify_canonical(profile)
     if label is N3Type.DEGENERATE_ZERO_WEIGHT:
