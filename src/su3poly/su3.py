@@ -426,17 +426,6 @@ class SignedRoot:
         return ("" if self.sign > 0 else "-") + self.root.label
 
 
-_SIGNED_ROOTS = {sr.vector: sr for root in Root for sr in (SignedRoot(1, root), SignedRoot(-1, root))}
-
-
-def identify_signed_root(v: Sequence[Scalar]) -> SignedRoot:
-    """Match a vector that is exactly a root against the six roots."""
-    try:
-        return _SIGNED_ROOTS[tuple(v)]
-    except (KeyError, TypeError):
-        raise ValueError(f"{v!r} is not a root") from None
-
-
 def apply_perm(v: Sequence, perm: Sequence[int]) -> tuple:
     """Coordinate permutation ``out[k] = v[perm[k]]``."""
     return tuple(map(v.__getitem__, perm))
