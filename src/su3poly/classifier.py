@@ -14,7 +14,7 @@ transition when within ``tol`` times the largest weight (``su3.snap_sign``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Tuple
@@ -77,11 +77,15 @@ class Canonicalization:
     """Sorted, sign-normalised weights plus the bookkeeping to undo it.
 
     ``sorted_gammas[i] == (-1 if starred else 1) * original[permutation[i]]``.
+    ``profile`` holds the signs of the transition forms of ``sorted_gammas``,
+    snapped at the tolerance that decided the sign flip; it takes no part in
+    comparisons.
     """
 
     sorted_gammas: Tuple[Scalar, ...]
     permutation: Tuple[int, ...]
     starred: bool
+    profile: SignProfile = field(compare=False, repr=False)
 
     def restore(self) -> Tuple[Scalar, ...]:
         sign = -1 if self.starred else 1
@@ -96,16 +100,14 @@ def canonicalize(w, tol: float = 1e-9) -> Canonicalization:
 
     The recorded permutation is the lexicographically smallest one realising
     the descending order.  A sum within ``tol`` of zero (relative scale, for
-    floating input) is treated as zero and not flipped.
+    floating input) is treated as zero and not flipped.  The sign profile of
+    the canonical weights is read at the same ``tol``.
     """
-    return _canonical(as_gammas(w, n=3), tol)
-
-
-def _canonical(g: Tuple[Scalar, Scalar, Scalar], tol: float) -> Canonicalization:
-    """:func:`canonicalize` of weights already through ``as_gammas``."""
+    g = as_gammas(w, n=3)
     starred = snap_sign(g[0] + g[1] + g[2], max(abs(x) for x in g), tol) < 0
     flipped = tuple(-x for x in g) if starred else g
-    return Canonicalization(*sort_descending(flipped), starred)
+    sorted_gammas, permutation = sort_descending(flipped)
+    return Canonicalization(sorted_gammas, permutation, starred, sign_profile(sorted_gammas, tol))
 
 
 @dataclass(frozen=True)
@@ -212,7 +214,7 @@ def _classify_canonical(p: SignProfile) -> N3Type:
 def classify_n3(w, tol: float = 1e-9) -> Tuple[N3Type, Canonicalization]:
     """Polytope type of a weight triple plus its canonicalization."""
     can = canonicalize(w, tol)
-    return _classify_canonical(sign_profile(can.sorted_gammas, tol)), can
+    return _classify_canonical(can.profile), can
 
 
 def classify_n2(w, tol: float = 1e-9) -> N2Type:

@@ -132,6 +132,11 @@ class Weights:
         return all_exact(self.gammas)
 
 
+def weight_entries(w) -> tuple:
+    """The entries of a Weights instance or plain sequence, unchecked."""
+    return tuple(w.gammas) if isinstance(w, Weights) else tuple(w)
+
+
 def as_gammas(w, n: Optional[int] = None, allow_zero: bool = True) -> Tuple[Scalar, ...]:
     """Normalise a Weights instance or plain sequence to a tuple of scalars.
 
@@ -140,7 +145,7 @@ def as_gammas(w, n: Optional[int] = None, allow_zero: bool = True) -> Tuple[Scal
     range the floats are returned as their exact binary values, since any
     sum of that weight with a float overflows.
     """
-    gs = tuple(w.gammas) if isinstance(w, Weights) else tuple(w)
+    gs = weight_entries(w)
     n_exact = 0
     for k, g in enumerate(gs):
         # Exact type tests first: the exact builder calls this often, and

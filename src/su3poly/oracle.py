@@ -30,13 +30,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .moment_map import CPPoint, FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight, as_gammas
 from .polytope import ChamberPolytope, build_polytope, distance_to_polytope_pq, hull2d
-from .su3 import SQRT2, SQRT6, spectra_of_entries
+from .su3 import SQRT2, SQRT6, is_exact, spectra_of_entries
 
 BLOCK = 1 << 14
 _ROW, _COL = [0, 0, 1], [1, 2, 2]  # upper entries 12, 13, 23
@@ -73,6 +74,37 @@ def _gaussian_blocks(seed: int, count: int, n_factors: int):
         yield start, part.view(complex)[..., 0]
 
 
+@dataclass(frozen=True)
+class _SamplingWeights:
+    """Weights checked for sampling, and the power of two they are run at.
+
+    Spectra are homogeneous of degree 1 in the weights, and the eigenvalue
+    kernel forms cubic terms: it runs on ``floats / power``, with ``power``
+    the power of two nearest max |gamma| (an exact division), and its rows
+    are multiplied back.  :func:`verify` compares the samples with the
+    prediction at the same scale.
+    """
+
+    floats: Tuple[float, ...]
+    power: float
+
+    @classmethod
+    def of(cls, w) -> "_SamplingWeights":
+        """Check the weights: every spectrum entry is at most (2/3) sum |gamma_j|
+        in size and every chamber coordinate at most 2 sum |gamma_j|, so that
+        bound must be a finite float; otherwise :class:`moment_map.InvalidWeight`
+        names the weight, where the sampler would give an ``OverflowError`` or
+        NaN rows."""
+        gammas = as_gammas(w)
+        for k, g in enumerate(gammas):
+            if abs(g) > sys.float_info.max:
+                raise InvalidWeight(f"weight {k} is beyond float range; its spectra cannot be sampled")
+        floats = tuple(float(g) for g in gammas)
+        if not math.isfinite(2.0 * sum(abs(g) for g in floats)):
+            raise InvalidWeight(f"weights {floats} give spectra beyond float range")
+        return cls(floats, math.ldexp(1.0, math.frexp(max(abs(g) for g in floats))[1]))
+
+
 def spectra_of_configurations(z: np.ndarray, gammas, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Sorted momentum-map spectra of an array of configurations.
 
@@ -83,14 +115,12 @@ def spectra_of_configurations(z: np.ndarray, gammas, out: Optional[np.ndarray] =
     are formed from ``z`` with the weights ``g_j / |z_j|^2`` and handed to
     the closed-form eigenvalue kernel :func:`su3.spectra_of_entries`; no unit
     vector and no (n, 3, 3) matrix is built.  Rows are processed in chunks
-    small enough for the temporaries to stay in cache.
+    small enough for the temporaries to stay in cache.  The samplers pass
+    their weights already checked, so the check runs once per batch.
     """
-    floats = _float_gammas(gammas)
-    # Spectra are homogeneous of degree 1 in the weights, and the kernel forms
-    # cubic terms: it runs on the weights over the power of two nearest
-    # max |gamma| (an exact division), and the rows are multiplied back.
-    power = math.ldexp(1.0, math.frexp(max(abs(g) for g in floats))[1])
-    gs = np.array(floats) / power
+    checked = gammas if isinstance(gammas, _SamplingWeights) else _SamplingWeights.of(gammas)
+    power = checked.power
+    gs = np.array(checked.floats) / power
     if out is None:
         out = np.empty((z.shape[0], 3))
     for start in range(0, z.shape[0], _CHUNK):
@@ -107,24 +137,6 @@ def spectra_of_configurations(z: np.ndarray, gammas, out: Optional[np.ndarray] =
     if power != 1.0:
         out *= power
     return out
-
-
-def _float_gammas(w) -> Tuple[float, ...]:
-    """The weights as floats, checked for sampling.
-
-    Every spectrum entry is at most (2/3) sum |gamma_j| in size and every
-    chamber coordinate at most 2 sum |gamma_j|, so that bound must be a
-    finite float; otherwise :class:`moment_map.InvalidWeight` names the
-    weight, where the sampler would give an ``OverflowError`` or NaN rows.
-    """
-    gammas = as_gammas(w)
-    for k, g in enumerate(gammas):
-        if abs(g) > sys.float_info.max:
-            raise InvalidWeight(f"weight {k} is beyond float range; its spectra cannot be sampled")
-    floats = tuple(float(g) for g in gammas)
-    if not math.isfinite(2.0 * sum(abs(g) for g in floats)):
-        raise InvalidWeight(f"weights {floats} give spectra beyond float range")
-    return floats
 
 
 def chamber_points_of_spectra(spectra: np.ndarray) -> np.ndarray:
@@ -153,10 +165,10 @@ def sample_batch(w, count: int, seed: int) -> SampleBatch:
     Raises :class:`moment_map.InvalidWeight` before drawing anything when
     the spectra would leave float range.
     """
-    gammas = _float_gammas(w)
+    checked = _SamplingWeights.of(w)
     spectra = np.empty((count, 3))
-    for start, z in _gaussian_blocks(seed, count, len(gammas)):
-        spectra_of_configurations(z, gammas, out=spectra[start : start + len(z)])
+    for start, z in _gaussian_blocks(seed, count, len(checked.floats)):
+        spectra_of_configurations(z, checked, out=spectra[start : start + len(z)])
     return SampleBatch(seed, count, spectra, chamber_points_of_spectra(spectra))
 
 
@@ -179,8 +191,8 @@ def _targeted_spectra(w, per_config: int, seed: int) -> np.ndarray:
     are genuine momentum-map images, so they may be pooled with the uniform
     batch.
     """
-    gammas = _float_gammas(w)
-    configs = FIXED_CONFIGURATIONS if len(gammas) == 3 else FIXED_CONFIGURATIONS_N2
+    checked = _SamplingWeights.of(w)
+    configs = FIXED_CONFIGURATIONS if len(checked.floats) == 3 else FIXED_CONFIGURATIONS_N2
     scales = (0.5, 0.1, 0.02, 0.004)
     out = np.empty((len(configs) * len(scales) * per_config, 3))
     start = 0
@@ -189,7 +201,7 @@ def _targeted_spectra(w, per_config: int, seed: int) -> np.ndarray:
         for k, scale in enumerate(scales):
             rng = _rng_for_block(seed, 1_000_003 + idx * 31 + k)
             noise = rng.standard_normal((per_config, len(base), 3, 2)).view(complex)[..., 0]
-            spectra_of_configurations(base + scale * noise, gammas, out=out[start : start + per_config])
+            spectra_of_configurations(base + scale * noise, checked, out=out[start : start + per_config])
             start += per_config
     return out
 
@@ -253,7 +265,17 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     if count < 1:
         raise ValueError("count must be positive")
     try:
-        predicted = build_polytope(w)
+        gammas = as_gammas(w)
+    except ValueError as exc:
+        raise PredictionUnavailable(str(exc)) from exc
+    checked = _SamplingWeights.of(gammas)
+    # The comparison runs at the weights over the sampler's power of two: a
+    # segment's end half-planes have offsets quadratic in the weights, and
+    # the hull's orientation test and the distances square coordinates.  The
+    # scaling is exact, and every reported length is scaled back.
+    power = checked.power
+    try:
+        predicted = build_polytope(tuple(g / power if not is_exact(g) else Fraction(g) / Fraction(power) for g in gammas))
     except ValueError as exc:
         raise PredictionUnavailable(str(exc)) from exc
 
@@ -263,12 +285,14 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
         extra = _targeted_spectra(w, targeted, seed)
         spectra = np.concatenate([spectra, extra], axis=0)
         pq = np.concatenate([pq, chamber_points_of_spectra(extra)], axis=0)
+    spectra = spectra / power
+    pq = pq / power
 
     diam = predicted.diameter()
-    slack = tol * (diam if diam > 0 else max(abs(float(g)) for g in as_gammas(w)))
+    slack = tol * (diam if diam > 0 else max(abs(g) for g in checked.floats) / power)
     excess = violation_distances(predicted, spectra)
     n_viol = int(np.count_nonzero(excess > slack))
-    max_viol = float(excess.max()) if len(excess) else 0.0
+    max_viol = power * float(excess.max()) if len(excess) else 0.0
 
     hull = hull2d(pq)
     deficit = max(distance_to_polytope_pq((c.p, c.q), hull) for c in predicted.pq_vertices())
@@ -276,7 +300,7 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     coverage = []
     for v in predicted.pq_vertices():
         d = np.hypot(pq[:, 0] - v.p, pq[:, 1] - v.q)
-        coverage.append(float(d.min()))
+        coverage.append(power * float(d.min()))
 
     return VerificationReport(
         label=predicted.label,
@@ -284,8 +308,8 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
         n_samples=int(spectra.shape[0]),
         n_violations=n_viol,
         max_violation=max_viol,
-        hausdorff_inner=float(deficit),
+        hausdorff_inner=power * float(deficit),
         vertex_coverage=tuple(coverage),
-        diameter=diam,
+        diameter=power * diam,
         tolerance=tol,
     )

@@ -14,9 +14,10 @@ tightest offset per direction, a 2x2 integer solve for each pair of
 directions, and the solutions that satisfy every half-plane, ordered by the
 monotone chain.
 
-The three-factor build is one straight line in integers: the weights are
-canonicalized once and give one sign profile, which yields the label and
-says which cones degenerate; one :class:`cones.AnchorKernel` puts the
+The three-factor build is one straight line in integers: one
+:func:`classifier.classify_n3` checks the weights, canonicalizes them once
+and reads one sign profile, which yields the label and says which cones
+degenerate; one :class:`cones.AnchorKernel` puts the
 weights on an integer scale t (floating weights enter through their exact
 binary values) and gives each cone as a :class:`cones.Germ`; one
 line-maker turns each germ into lines a*l1 + b*l2 >= c / t with integer c;
@@ -37,10 +38,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .classifier import N3Type, SignProfile, _canonical, _classify_canonical, classify_n2, sign_profile
-from .classifier import classify_n3  # noqa: F401  (re-exported for callers that import it from here)
+from .classifier import Canonicalization, N3Type, SignProfile, classify_n2, classify_n3, sign_profile
 from .cones import AnchorKernel, ConeSpec, Germ
-from .moment_map import as_gammas, fixed_point_spectra
+from .moment_map import as_gammas, fixed_point_spectra, weight_entries
 from .su3 import (
     ChamberPoint,
     Root,
@@ -376,32 +376,26 @@ def build_polytope_n3(w, tol: float = 1e-9) -> ChamberPolytope:
     half-planes exactly, and star-reflects the result when the sign was
     flipped.  The returned label is the taxonomy type of the input.
     """
-    g = as_gammas(w, n=3)
-    if any(x == 0 for x in g):
+    label, can = classify_n3(w, tol)
+    if any(x == 0 for x in can.sorted_gammas):
         raise DegenerateWeight("zero weight: use build_polytope for the delegated shape")
-    return _build_n3(g, tol)
+    return _build_n3(label, can)
 
 
-def _build_n3(g, tol: float) -> ChamberPolytope:
-    """:func:`build_polytope_n3` of weights already through ``as_gammas``.
+def _build_n3(label: N3Type, can: Canonicalization) -> ChamberPolytope:
+    """:func:`build_polytope_n3` of weights through :func:`classify_n3`.
 
-    One canonicalization and one sign profile give the label and say which
-    cones degenerate; one kernel gives the cone germs, the germs give
-    integer lines, and the vertices are solved in integers on the kernel's
-    scale.  Fractions are made only for the output.
+    The classification's one canonicalization and sign profile give the
+    label and say which cones degenerate; one kernel gives the cone germs,
+    the germs give integer lines, and the vertices are solved in integers on
+    the kernel's scale.  Fractions are made only for the output.
     """
-    can = _canonical(g, tol)
-    gs = can.sorted_gammas
-    ints, lcm = integer_scaled(gs)
-    # exact weights give their signs straight from the integer triple
-    profile = sign_profile(ints if all_exact(gs) else gs, tol)
-    label = _classify_canonical(profile)
     if label is N3Type.DEGENERATE_ZERO_WEIGHT:
         raise DegenerateWeight("weight vanishes within tolerance")
-
+    ints, lcm = integer_scaled(can.sorted_gammas)
     kernel = AnchorKernel.scaled(ints, 3 * lcm)
     lines = [(1, -1, 0, WALL_12.provenance), (1, 2, 0, WALL_23.provenance)]
-    for name, germ in _germs(kernel, profile).items():
+    for name, germ in _germs(kernel, can.profile).items():
         if germ is not None:
             lines.extend(_germ_lines(germ, name))
     hull, m = _integer_vertices([line[:3] for line in lines])
@@ -478,11 +472,18 @@ def build_polytope(w, tol: float = 1e-9) -> ChamberPolytope:
     equals the one for the remaining weights (a segment for one surviving
     pair, a point for a single weight or none).
     """
-    gs = as_gammas(w)
+    entries = weight_entries(w)
+    if len(entries) == 3:
+        # classify_n3 is the one check of three weights; the checked weights
+        # are its canonical ones, restored to the input order
+        classified = classify_n3(entries, tol)
+        gs = classified[1].restore()
+    else:
+        gs = as_gammas(entries)
     scale = max(abs(x) for x in gs)
     nz = tuple(x for x in gs if snap_sign(x, scale, tol) != 0)
-    if len(gs) == 3 and len(nz) == 3:
-        return _build_n3(gs, tol)
+    if len(nz) == 3:
+        return _build_n3(*classified)
     if len(nz) == 2:
         return build_polytope_n2(nz, tol)
     if len(nz) == 1:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from su3poly.classifier import (
     canonicalize,
     classify_n2,
     classify_n3,
+    sign_profile,
 )
 
 
@@ -37,6 +39,20 @@ class TestCanonicalize:
         for _ in range(200):
             g = random_rational_gammas(rnd)
             assert canonicalize(g).restore() == g
+
+    def test_restore_keeps_types_and_signed_zeros(self):
+        # build_polytope takes its checked weights from restore()
+        for g in [(0.0, -0.0, 1.5), (-0.0, 2, -3.0), (1, F(1, 2), -2.5), (-1.0, -0.0, -2)]:
+            back = canonicalize(g).restore()
+            assert [(type(x), math.copysign(1, x)) for x in back] == [(type(x), math.copysign(1, x)) for x in g]
+            assert back == g
+
+    def test_profile_is_the_sign_profile_of_the_sorted_weights(self):
+        rnd = random.Random(4)
+        for g in [random_rational_gammas(rnd) for _ in range(50)] + [(3.0, 1.0, 1.0000000000000002), (-2, 1.1, 0.9)]:
+            can = canonicalize(g)
+            assert can.profile == sign_profile(can.sorted_gammas)
+            assert classify_n3(g)[1] == can
 
     def test_zero_sum_not_flipped(self):
         assert not canonicalize((3, -1, -2)).starred

@@ -137,6 +137,29 @@ class TestFloatRange:
         assert report.label == "C"
         assert report.n_violations == 0
 
+    @pytest.mark.parametrize("k", [-200, -160, 160, 200])
+    @pytest.mark.parametrize("gammas", [(4, 2, -1), (2, 1)])
+    def test_verify_lengths_scale_with_the_weights(self, gammas, k):
+        # beyond about 1e+-154 the hull's orientation test, the distances and
+        # a segment's end offsets would square coordinates out of float range
+        base = verify(gammas, 4000, 1)
+        report = verify(tuple(10.0**k * g for g in gammas), 4000, 1)
+        assert report.n_violations == 0
+        assert report.diameter == pytest.approx(10.0**k * base.diameter, rel=1e-12)
+        assert report.hausdorff_inner / report.diameter == pytest.approx(base.hausdorff_inner / base.diameter, rel=1e-8)
+        assert report.max_violation <= 1e-12 * report.diameter
+
+    def test_weights_checked_once_per_batch(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "as_gammas", lambda w: calls.append(w) or tuple(w))
+        sample_batch((4, 2, -1), 2 * BLOCK + 1, 1)
+        assert len(calls) == 1
+
+    def test_direct_spectra_call_checks_the_weights(self):
+        z = _gaussians(1, 10, 3)
+        with pytest.raises(InvalidWeight, match="beyond float range"):
+            spectra_of_configurations(z, (1e308, 1e308, 1e308))
+
     def test_exact_weight_beyond_float_range(self):
         with pytest.raises(InvalidWeight, match="weight 0 is beyond float range"):
             verify((10**400, 1, 1), 100, 1)

@@ -538,8 +538,8 @@ class TestExactBuilder:
         assert h.hexdigest() == EXACT_DIGEST
 
     def test_one_straight_line_per_build(self, monkeypatch):
-        # one weight check and one sign profile per exact build, and no
-        # re-validated spectrum or ConeSpec on the way
+        # one weight check, one classification and one sign profile per
+        # exact build, and no re-validated spectrum or ConeSpec on the way
         counts = Counter()
 
         def count(owner, name):
@@ -557,10 +557,11 @@ class TestExactBuilder:
                 monkeypatch.setattr(owner, name, counted)
 
         count(moment_map, "as_gammas")
+        count(classifier, "classify_n3")
         count(classifier, "sign_profile")
         count(Spectrum, "__post_init__")
         count(ConeSpec, "__init__")
         weights = sorted(POLYTOPE_FIXTURES) + RANDOM_RATIONALS
         for gammas in weights:
             build_polytope(gammas)
-        assert counts == {"as_gammas": len(weights), "sign_profile": len(weights)}
+        assert counts == {"as_gammas": len(weights), "classify_n3": len(weights), "sign_profile": len(weights)}
