@@ -285,8 +285,9 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
         extra = _targeted_spectra(w, targeted, seed)
         spectra = np.concatenate([spectra, extra], axis=0)
         pq = np.concatenate([pq, chamber_points_of_spectra(extra)], axis=0)
-    spectra = spectra / power
-    pq = pq / power
+    # in place: neither the batch nor the pooled arrays leave this function
+    spectra /= power
+    pq /= power
 
     diam = predicted.diameter()
     slack = tol * (diam if diam > 0 else max(abs(g) for g in checked.floats) / power)
