@@ -43,6 +43,7 @@ from .eigen_bounds import (
 )
 from .moment_map import (
     CPPoint,
+    DegenerateWeight,
     InvalidWeight,
     LengthMismatch,
     NotNormalized,
@@ -55,6 +56,7 @@ from .moment_map import (
     weighted_moment,
 )
 from .oracle import (
+    InvalidCount,
     PredictionUnavailable,
     SampleBatch,
     VerificationReport,
@@ -76,6 +78,7 @@ from .polytope import (
 from .su3 import (
     ChamberPoint,
     Hermitian3,
+    InvalidTolerance,
     Root,
     SignedRoot,
     SkewHermitian3,

@@ -8,19 +8,19 @@ that carry their own labels.  Canonicalization records the sorting
 permutation and whether a global sign flip was applied; flipped inputs
 produce the star-reflected polytope.
 
-Rational weights are classified exactly; floating weights snap to a
-transition when within ``tol`` times the largest weight (``su3.snap_sign``).
+Weights pass :func:`su3.snap_weights` once, which snaps floats to the
+transitions they lie on within ``tol`` times the largest weight and returns
+integers; every decision after it is the sign of an integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Tuple
 
 from .moment_map import as_gammas
-from .su3 import Scalar, all_exact, integer_scaled, sgn, snap_sign, sort_descending
+from .su3 import Scalar, apply_perm, integer_scaled, sgn, snap_weights, sort_descending
 
 
 class N3Type(Enum):
@@ -77,15 +77,16 @@ class Canonicalization:
     """Sorted, sign-normalised weights plus the bookkeeping to undo it.
 
     ``sorted_gammas[i] == (-1 if starred else 1) * original[permutation[i]]``.
-    ``profile`` holds the signs of the transition forms of ``sorted_gammas``,
-    snapped at the tolerance that decided the sign flip; it takes no part in
-    comparisons.
+    ``snapped`` is ``(ints, den)`` from :func:`su3.snap_weights`, ordered and
+    signed as ``sorted_gammas``; ``profile`` holds their transition signs.
+    Neither takes part in comparisons.
     """
 
     sorted_gammas: Tuple[Scalar, ...]
     permutation: Tuple[int, ...]
     starred: bool
     profile: SignProfile = field(compare=False, repr=False)
+    snapped: Tuple[Tuple[int, ...], int] = field(compare=False, repr=False)
 
     def restore(self) -> Tuple[Scalar, ...]:
         sign = -1 if self.starred else 1
@@ -98,16 +99,18 @@ class Canonicalization:
 def canonicalize(w, tol: float = 1e-9) -> Canonicalization:
     """Flip all signs when the sum is negative, then sort descending.
 
-    The recorded permutation is the lexicographically smallest one realising
-    the descending order.  A sum within ``tol`` of zero (relative scale, for
-    floating input) is treated as zero and not flipped.  The sign profile of
-    the canonical weights is read at the same ``tol``.
+    Both are read from the weights snapped at ``tol``, so a sum that snaps
+    to zero is not flipped and weights that snap together are ties.  The
+    recorded permutation is the lexicographically smallest one realising
+    the descending order.
     """
     g = as_gammas(w, n=3)
-    starred = snap_sign(g[0] + g[1] + g[2], max(abs(x) for x in g), tol) < 0
-    flipped = tuple(-x for x in g) if starred else g
-    sorted_gammas, permutation = sort_descending(flipped)
-    return Canonicalization(sorted_gammas, permutation, starred, sign_profile(sorted_gammas, tol))
+    ints, den = snap_weights(g, tol)
+    starred = ints[0] + ints[1] + ints[2] < 0
+    if starred:
+        g, ints = tuple(-x for x in g), tuple(-n for n in ints)
+    ints, permutation = sort_descending(ints)
+    return Canonicalization(apply_perm(g, permutation), permutation, starred, sign_profile(ints), (ints, den))
 
 
 @dataclass(frozen=True)
@@ -130,27 +133,21 @@ class SignProfile:
     sign_z13: int  # sign of g1 + g3
 
 
-def sign_profile(canonical_gammas, tol: float = 1e-9) -> SignProfile:
-    """Signs of the ten transition forms, each form evaluated once.
+def sign_profile(canonical_gammas) -> SignProfile:
+    """Exact signs of the ten transition forms, each form evaluated once.
 
-    Exact weights take plain signs, on integers rather than fractions (the
-    signs are scale-free); any float weight makes every form go through
-    :func:`su3.snap_sign`.
+    The signs are taken on integers (a float at its binary value), so they
+    are scale-free; snap float weights first with :func:`su3.snap_weights`.
     """
-    g1, g2, g3 = canonical_gammas
-    if all_exact(canonical_gammas):
-        g1, g2, g3 = integer_scaled(canonical_gammas)[0]
-        sign = sgn
-    else:
-        sign = partial(snap_sign, scale=max(abs(g1), abs(g2), abs(g3)), tol=tol)
-    s_g2, s_g3 = sign(g2), sign(g3)
-    s_z23, s_z13 = sign(g2 + g3), sign(g1 + g3)
-    s_t1, s_t2 = sign(g1 - g2 - g3), sign(g2 - g1 - g3)
+    g1, g2, g3 = integer_scaled(canonical_gammas)[0]
+    s_g2, s_g3 = sgn(g2), sgn(g3)
+    s_z23, s_z13 = sgn(g2 + g3), sgn(g1 + g3)
+    s_t1, s_t2 = sgn(g1 - g2 - g3), sgn(g2 - g1 - g3)
     return SignProfile(
-        zero_weight=sign(g1) == 0 or s_g2 == 0 or s_g3 == 0,
-        sum=sign(g1 + g2 + g3),
-        e12=sign(g1 - g2) == 0,
-        e23=sign(g2 - g3) == 0,
+        zero_weight=sgn(g1) == 0 or s_g2 == 0 or s_g3 == 0,
+        sum=sgn(g1 + g2 + g3),
+        e12=sgn(g1 - g2) == 0,
+        e23=sgn(g2 - g3) == 0,
         t1=s_t1 == 0,
         t2=s_t2 == 0,
         z23=s_z23 == 0,
@@ -219,17 +216,15 @@ def classify_n3(w, tol: float = 1e-9) -> Tuple[N3Type, Canonicalization]:
 
 def classify_n2(w, tol: float = 1e-9) -> N2Type:
     """Segment taxonomy for two weighted planes (after sorting g1 >= g2)."""
-    g = as_gammas(w, n=2)
-    snap = partial(snap_sign, scale=max(abs(g[0]), abs(g[1])), tol=tol)
-    g1, g2 = sorted(g, reverse=True)
-    if snap(g1) == 0 or snap(g2) == 0:
+    g1, g2 = sorted(snap_weights(as_gammas(w, n=2), tol)[0], reverse=True)
+    if g1 == 0 or g2 == 0:
         return N2Type.DEGENERATE_ZERO_WEIGHT
-    if snap(g1 - g2) == 0:
-        return N2Type.TRANS_E if snap(g1) > 0 else N2Type.TRANS_G
-    if snap(g1 + g2) == 0:
+    if g1 == g2:
+        return N2Type.TRANS_E if g1 > 0 else N2Type.TRANS_G
+    if g1 + g2 == 0:
         return N2Type.TRANS_F
-    if snap(g2) > 0:
+    if g2 > 0:
         return N2Type.GEN_A
-    if snap(g1) < 0:
+    if g1 < 0:
         return N2Type.GEN_D
-    return N2Type.GEN_B if snap(g1 + g2) > 0 else N2Type.GEN_C
+    return N2Type.GEN_B if g1 + g2 > 0 else N2Type.GEN_C

@@ -77,7 +77,7 @@ def cmd_polytope(args) -> int:
         _write(render_svg(poly, weights=gammas if len(gammas) in (2, 3) else None), args.output)
         return 0
     out = poly.to_json_dict()
-    if args.emit_cones and len(gammas) == 3 and all(g != 0 for g in gammas):
+    if args.emit_cones and len(gammas) == 3 and poly.kind == "Polygon":
         _, can = classify_n3(gammas, args.tolerance)
         cones = polytope_cones(can.sorted_gammas, args.tolerance)
         out["cones"] = {name: (cone.asdict() if cone else None) for name, cone in cones.items()}

@@ -9,9 +9,9 @@ folded back by the sorting permutation (a Weyl reflection), applied to the
 generators as well.
 
 The cones are built on one integer scale (:class:`AnchorKernel`).  The
-weights are multiplied by t / 3, where t is 3 times the lcm of their
-denominators (a float enters through its exact binary value), so the
-weights and the five anchor points scaled by t are integer triples.  Every
+weights, as :func:`su3.snap_weights` gives them (integers over a
+denominator d), are multiplied by t / 3 with t = 3 d, so the weights and
+the five anchor points scaled by t are integer triples.  Every
 cone decision is the sign of an integer polynomial: the coefficient the
 paper writes down, multiplied by a positive square.  The kernel gives each
 cone as a :class:`Germ`, all integers: the scaled apex, the folded root
@@ -32,18 +32,17 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .moment_map import as_gammas, tripled_fixed_point_diagonals
+from .moment_map import DegenerateWeight, as_gammas, tripled_fixed_point_diagonals
 from .su3 import (
     Root,
     Scalar,
     Spectrum,
     apply_perm,
     exact_div,
-    integer_scaled,
     lift_2d,
     num_out,
     sgn,
-    snap_sign,
+    snap_weights,
     sort_descending,
     star_vector,
 )
@@ -202,8 +201,8 @@ class Germ:
 class AnchorKernel:
     """Weights and anchor points on one integer scale.
 
-    ``scale`` is t = 3 * lcm of the weights' denominators, ``gammas`` is the
-    integer triple t * gamma / 3, and ``anchors[k]`` is t times the raw
+    ``scale`` is t = 3 times a common denominator of the weights, ``gammas``
+    is the integer triple t * gamma / 3, and ``anchors[k]`` is t times the raw
     diagonal of anchor point k, sorted into the chamber once: the pair
     ``(entries, perm)`` of :func:`su3.sort_descending`.  The stable sort
     breaks ties the way a perturbation towards strictly decreasing entries
@@ -212,8 +211,8 @@ class AnchorKernel:
     Every sign below is that of an integer polynomial in ``gammas``, equal to
     the sign of the rational coefficient it stands for (the polynomial is the
     coefficient times a positive square, and P(t gamma) = t P(gamma)).  The
-    ``germ_*`` methods give each cone as a :class:`Germ`; the ``cone_*``
-    methods wrap those in a :class:`ConeSpec` (:meth:`view`).
+    ``germ_*`` methods give each cone as a :class:`Germ`, which :meth:`view`
+    wraps in a :class:`ConeSpec`.
 
     A plain class rather than a dataclass: a dataclass costs about a
     millisecond at import, which every command-line call would pay.
@@ -225,12 +224,6 @@ class AnchorKernel:
         self.scale = scale
         self.gammas = gammas
         self.anchors = anchors
-
-    @classmethod
-    def of(cls, w) -> "AnchorKernel":
-        """Kernel of three nonzero weights; floats enter exactly."""
-        gammas, lcm = integer_scaled(as_gammas(w, n=3, allow_zero=False))
-        return cls.scaled(gammas, 3 * lcm)
 
     @classmethod
     def scaled(cls, gammas: Tuple[int, int, int], scale: int) -> "AnchorKernel":
@@ -343,15 +336,14 @@ class AnchorKernel:
         side = None if germ.side is None else lift_2d(*germ.side)
         return ConeSpec(apex, gens, germ.folded, side)
 
-    def cone_b(self) -> ConeSpec:
-        return self.view(self.germ_b())
 
-    def cone_c(self, j: int) -> ConeSpec:
-        return self.view(self.germ_c(j))
-
-    def cone_a(self) -> ConeSpec:
-        return self.view(self.germ_a())
-
+def _snapped_kernel(w, tol: float) -> AnchorKernel:
+    """Kernel of three nonzero weights snapped by :func:`su3.snap_weights`;
+    a weight that snaps to zero is refused as an exact zero is."""
+    ints, den = snap_weights(as_gammas(w, n=3, allow_zero=False), tol)
+    if 0 in ints:
+        raise DegenerateWeight(f"weights {as_gammas(w)} have a zero within tolerance")
+    return AnchorKernel.scaled(ints, 3 * den)
 
 
 # ---------------------------------------------------------------------------
@@ -381,27 +373,15 @@ def slice_cone_b(w, tol: float = 1e-9, allow_coincident: bool = False) -> ConeSp
     weights.  With ``allow_coincident`` the one-sided limit is taken at weight
     coincidences (sign of a vanishing difference g_i - g_j taken positive for
     i < j), which is the continuity limit used at transition values.
-    Coincidence is decided by :func:`su3.snap_sign` on the given weights,
-    and the cone is built on the weights with each coincident pair made
-    equal (g_j set to g_i), so that the rays and the fold of the apex take
+    Coincidence is read from the weights snapped by :func:`su3.snap_weights`,
+    on which the cone is built, so the rays and the fold of the apex take
     the same limit.
     """
-    g = list(as_gammas(w, n=3, allow_zero=False))
-    scale = max(abs(x) for x in g)
-    coincident = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if snap_sign(g[i] - g[j], scale, tol) == 0]
-    if coincident and not allow_coincident:
-        raise CoincidentWeights(f"weights {tuple(g)} are not pairwise distinct")
-    for i, j in coincident:
-        g[j] = g[i]
-    return AnchorKernel.of(g).cone_b()
-
-
-_C_WALL_QUANTITIES = {
-    # j -> (u, v): raw point gaps x1-x2 = u and x2-x3 = v
-    1: lambda g: (g[0] - g[1] - g[2], g[1] + g[2]),
-    2: lambda g: (g[1] - g[0] - g[2], g[0] + g[2]),
-    3: lambda g: (g[2] - g[0] - g[1], g[0] + g[1]),
-}
+    kernel = _snapped_kernel(w, tol)
+    g1, g2, g3 = kernel.gammas
+    if not allow_coincident and (g1 == g2 or g1 == g3 or g2 == g3):
+        raise CoincidentWeights(f"weights {as_gammas(w)} are not pairwise distinct")
+    return kernel.view(kernel.germ_b())
 
 
 def c_alpha1_coefficient(j: int, w) -> Scalar:
@@ -437,8 +417,9 @@ def c_alpha3_form(j: int, w) -> QuadraticForm2:
 def c_vertex_criterion(j: int, w) -> Scalar:
     """g1 g2 g3 (g_j - sum of the others); positive iff the c_j form is definite."""
     g = as_gammas(w, n=3, allow_zero=False)
-    u = _C_WALL_QUANTITIES[j](g)[0]
-    return g[0] * g[1] * g[2] * u
+    if j not in (1, 2, 3):
+        raise ValueError("j must be 1, 2 or 3")
+    return g[0] * g[1] * g[2] * (2 * g[j - 1] - g[0] - g[1] - g[2])
 
 
 def slice_cone_c(j: int, w, tol: float = 1e-9) -> ConeSpec:
@@ -446,15 +427,11 @@ def slice_cone_c(j: int, w, tol: float = 1e-9) -> ConeSpec:
     alpha3-family ray (definite form) or full line (indefinite form).
 
     Raises :class:`OnWall` when c_j sits on a chamber wall, which happens
-    exactly when one of the transition quantities for index j vanishes
-    (decided by :func:`su3.snap_sign` on the given weights).
+    exactly when one of the transition quantities for index j vanishes on
+    the weights snapped by :func:`su3.snap_weights`.
     """
-    g = as_gammas(w, n=3, allow_zero=False)
-    scale = max(abs(x) for x in g)
-    u, v = _C_WALL_QUANTITIES[j](g)
-    if snap_sign(u, scale, tol) == 0 or snap_sign(v, scale, tol) == 0:
-        raise OnWall(f"c{j} lies on a chamber wall for weights {g}")
-    return AnchorKernel.of(g).cone_c(j)
+    kernel = _snapped_kernel(w, tol)
+    return kernel.view(kernel.germ_c(j))
 
 
 def a_discriminant(w) -> Scalar:
@@ -478,10 +455,8 @@ def slice_cone_a(w, tol: float = 1e-9) -> ConeSpec:
     the alpha3 line through a, negative-definite the alpha2 line (side chosen
     towards the centroid of the other fixed points); indefinite forms give
     the wedge spanned by -alpha2 and -alpha3.  Negative sums are handled via
-    the star involution; a zero sum (by :func:`su3.snap_sign`) raises
-    :class:`ZeroSum`.
+    the star involution; a zero sum of the weights snapped by
+    :func:`su3.snap_weights` raises :class:`ZeroSum`.
     """
-    g = as_gammas(w, n=3, allow_zero=False)
-    if snap_sign(g[0] + g[1] + g[2], max(abs(x) for x in g), tol) == 0:
-        raise ZeroSum(f"weights {g} sum to zero")
-    return AnchorKernel.of(g).cone_a()
+    kernel = _snapped_kernel(w, tol)
+    return kernel.view(kernel.germ_a())

@@ -43,6 +43,10 @@ class InvalidWeight(ValueError):
     """A weight that is not a finite real number (NaN, infinite or bool)."""
 
 
+class DegenerateWeight(ValueError):
+    """A zero weight was passed where a nonzero one is required."""
+
+
 NORM_TOL = 1e-12
 
 
@@ -119,9 +123,9 @@ class Weights:
 
     def __post_init__(self):
         if len(self.gammas) not in (2, 3):
-            raise ValueError("expected 2 or 3 weights")
+            raise LengthMismatch(f"expected 2 or 3 weights, got {len(self.gammas)}")
         if not self.allow_zero and any(g == 0 for g in self.gammas):
-            raise ValueError("zero weight; pass allow_zero=True to permit a degenerate factor")
+            raise DegenerateWeight("zero weight; pass allow_zero=True to permit a degenerate factor")
 
     @property
     def n(self) -> int:
@@ -141,9 +145,11 @@ def as_gammas(w, n: Optional[int] = None, allow_zero: bool = True) -> Tuple[Scal
     """Normalise a Weights instance or plain sequence to a tuple of scalars.
 
     Raises :class:`InvalidWeight`, naming the entry, for a bool, a
-    non-number, NaN or an infinity.  Beside an exact weight beyond float
-    range the floats are returned as their exact binary values, since any
-    sum of that weight with a float overflows.
+    non-number, NaN or an infinity, :class:`LengthMismatch` for a length
+    other than ``n`` (by default, other than 2 or 3) and, unless
+    ``allow_zero``, :class:`DegenerateWeight` for a zero.  Beside an exact
+    weight beyond float range the floats are returned as their exact binary
+    values, since any sum of that weight with a float overflows.
     """
     gs = weight_entries(w)
     n_exact = 0
@@ -161,9 +167,9 @@ def as_gammas(w, n: Optional[int] = None, allow_zero: bool = True) -> Tuple[Scal
     if n is not None and len(gs) != n:
         raise LengthMismatch(f"expected {n} weights, got {len(gs)}")
     if len(gs) not in (2, 3):
-        raise ValueError("expected 2 or 3 weights")
+        raise LengthMismatch(f"expected 2 or 3 weights, got {len(gs)}")
     if not allow_zero and any(g == 0 for g in gs):
-        raise ValueError("weights must be nonzero here")
+        raise DegenerateWeight("weights must be nonzero here")
     if 0 < n_exact < len(gs) and any(type(g) in (int, Fraction) and abs(g) > sys.float_info.max for g in gs):
         gs = tuple(g if type(g) in (int, Fraction) else Fraction(g) for g in gs)
     return gs

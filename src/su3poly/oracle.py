@@ -28,6 +28,7 @@ vertex inside clusters finer than about ``sqrt(eps)`` of the scale.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +47,16 @@ _CHUNK = 2048  # rows per spectra chunk
 
 class PredictionUnavailable(ValueError):
     """No predicted polytope exists for the requested weights."""
+
+
+class InvalidCount(ValueError):
+    """A sample count that is not an integer of at least the required size."""
+
+
+def _checked_count(count, least: int) -> int:
+    if type(count) is bool or not isinstance(count, numbers.Integral) or count < least:
+        raise InvalidCount(f"count {count!r} is not an integer >= {least}")
+    return int(count)
 
 
 def _rng_for_block(seed: int, block: int) -> np.random.Generator:
@@ -163,8 +174,10 @@ def sample_batch(w, count: int, seed: int) -> SampleBatch:
     """``count`` uniform samples of the weights' momentum-map spectra.
 
     Raises :class:`moment_map.InvalidWeight` before drawing anything when
-    the spectra would leave float range.
+    the spectra would leave float range, and :class:`InvalidCount` for a
+    count that is not an integer >= 0.
     """
+    count = _checked_count(count, 0)
     checked = _SamplingWeights.of(w)
     spectra = np.empty((count, 3))
     for start, z in _gaussian_blocks(seed, count, len(checked.floats)):
@@ -177,9 +190,7 @@ def empirical_polytope(w, count: int, seed: int) -> Tuple[SampleBatch, ChamberPo
 
     The hull is an inner approximation of the true momentum polytope.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
-    batch = sample_batch(w, count, seed)
+    batch = sample_batch(w, _checked_count(count, 1), seed)
     return batch, hull2d(batch.chamber_points)
 
 
@@ -261,9 +272,9 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     never an artefact of the eigenvalue computation.  ``targeted`` adds draws
     concentrated near each torus-fixed configuration, which drive the
     per-vertex coverage distances to zero much faster than uniform sampling.
+    A count that is not a positive integer raises :class:`InvalidCount`.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    count = _checked_count(count, 1)
     try:
         gammas = as_gammas(w)
     except ValueError as exc:
@@ -281,7 +292,7 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
 
     batch = sample_batch(w, count, seed)
     spectra, pq = batch.spectra, batch.chamber_points
-    if targeted > 0:
+    if _checked_count(targeted, 0):
         extra = _targeted_spectra(w, targeted, seed)
         spectra = np.concatenate([spectra, extra], axis=0)
         pq = np.concatenate([pq, chamber_points_of_spectra(extra)], axis=0)

@@ -15,11 +15,11 @@ directions, and the solutions that satisfy every half-plane, ordered by the
 monotone chain.
 
 The three-factor build is one straight line in integers: one
-:func:`classifier.classify_n3` checks the weights, canonicalizes them once
-and reads one sign profile, which yields the label and says which cones
-degenerate; one :class:`cones.AnchorKernel` puts the
-weights on an integer scale t (floating weights enter through their exact
-binary values) and gives each cone as a :class:`cones.Germ`; one
+:func:`classifier.classify_n3` checks the weights, snaps them once to
+integers (:func:`su3.snap_weights`), canonicalizes them and reads one sign
+profile, which yields the label and says which cones degenerate; one
+:class:`cones.AnchorKernel` takes the snapped weights on an integer scale t
+and gives each cone as a :class:`cones.Germ`; one
 line-maker turns each germ into lines a*l1 + b*l2 >= c / t with integer c;
 and the vertices come out as integers over m * t.  A ``Fraction`` is made
 only for the output (each offset and vertex entry), so vertices of
@@ -39,8 +39,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classifier import Canonicalization, N3Type, SignProfile, classify_n2, classify_n3, sign_profile
-from .cones import AnchorKernel, ConeSpec, Germ
-from .moment_map import as_gammas, fixed_point_spectra, weight_entries
+from .cones import AnchorKernel, ConeSpec, Germ, _snapped_kernel
+from .moment_map import DegenerateWeight, as_gammas, fixed_point_spectra, weight_entries
 from .su3 import (
     ChamberPoint,
     Root,
@@ -50,10 +50,9 @@ from .su3 import (
     chamber_to_spectrum_floats,
     exact_div,
     integer_scaled,
-    is_exact,
     lift_2d,
     num_out,
-    snap_sign,
+    snap_weights,
     star_vector,
     to_chamber,
     to_positive_chamber,
@@ -62,10 +61,6 @@ from .su3 import (
 
 class AllWeightsDegenerate(ValueError):
     """The half-plane intersection collapsed or failed to close up."""
-
-
-class DegenerateWeight(ValueError):
-    """A zero weight was passed where a nonzero one is required."""
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +335,6 @@ def cone_halfplanes(cone: ConeSpec, tag: str) -> List[HalfPlane]:
 # ---------------------------------------------------------------------------
 
 
-def _exactify(gs) -> tuple:
-    return tuple(g if is_exact(g) else Fraction(g) for g in gs)
-
-
 def _germs(kernel: AnchorKernel, profile: SignProfile) -> Dict[str, Optional[Germ]]:
     """The five local cone germs of canonical weights; None where the cone
     degenerates, as read from the weights' sign profile."""
@@ -359,13 +350,12 @@ def _germs(kernel: AnchorKernel, profile: SignProfile) -> Dict[str, Optional[Ger
 def polytope_cones(w, tol: float = 1e-9) -> Dict[str, Optional[ConeSpec]]:
     """The five local cones for canonical weights; None where degenerate.
 
-    The builder's germs, each wrapped in a :class:`ConeSpec`: which cones
-    degenerate is read from the snapped signs of the given weights, and the
-    cones themselves are built on one :class:`AnchorKernel`.
+    The builder's germs, each wrapped in a :class:`ConeSpec`, on one
+    :class:`AnchorKernel` of the weights snapped by :func:`su3.snap_weights`,
+    whose signs also say which cones degenerate.
     """
-    g = as_gammas(w, n=3, allow_zero=False)
-    kernel = AnchorKernel.of(g)
-    germs = _germs(kernel, sign_profile(g, tol))
+    kernel = _snapped_kernel(w, tol)
+    germs = _germs(kernel, sign_profile(kernel.gammas))
     return {name: None if germ is None else kernel.view(germ) for name, germ in germs.items()}
 
 
@@ -392,8 +382,8 @@ def _build_n3(label: N3Type, can: Canonicalization) -> ChamberPolytope:
     """
     if label is N3Type.DEGENERATE_ZERO_WEIGHT:
         raise DegenerateWeight("weight vanishes within tolerance")
-    ints, lcm = integer_scaled(can.sorted_gammas)
-    kernel = AnchorKernel.scaled(ints, 3 * lcm)
+    ints, den = can.snapped
+    kernel = AnchorKernel.scaled(ints, 3 * den)
     lines = [(1, -1, 0, WALL_12.provenance), (1, 2, 0, WALL_23.provenance)]
     for name, germ in _germs(kernel, can.profile).items():
         if germ is not None:
@@ -450,14 +440,14 @@ def build_polytope_n2(w, tol: float = 1e-9) -> ChamberPolytope:
     """Momentum segment of two weighted planes with nonzero weights.
 
     Endpoints are the sorted spectra of the doubled and the orthogonal
-    configurations; the segment is parallel to a root.
+    configurations of the snapped weights; the segment is parallel to a root.
     """
     g = as_gammas(w, n=2)
     if any(x == 0 for x in g):
         raise DegenerateWeight("zero weight: use build_polytope for the delegated shape")
-    label = classify_n2(g, tol)
-    gx = _exactify(g)
-    fps = fixed_point_spectra(gx)
+    ints, den = snap_weights(g, tol)
+    label = classify_n2(ints)
+    fps = fixed_point_spectra(tuple(Fraction(n, den) for n in ints))
     a, c = fps.a, fps.c
     if a == c:
         return point_polytope(a, label.value)
@@ -470,25 +460,25 @@ def build_polytope(w, tol: float = 1e-9) -> ChamberPolytope:
 
     A factor with zero weight is invisible to the momentum map, so the shape
     equals the one for the remaining weights (a segment for one surviving
-    pair, a point for a single weight or none).
+    pair, a point for a single weight or none) of the snapped weights.
     """
     entries = weight_entries(w)
     if len(entries) == 3:
-        # classify_n3 is the one check of three weights; the checked weights
-        # are its canonical ones, restored to the input order
-        classified = classify_n3(entries, tol)
-        gs = classified[1].restore()
+        # classify_n3 is the one check and the one snap of three weights;
+        # its snapped weights are canonical, so undo the sign flip
+        label, can = classify_n3(entries, tol)
+        ints, den = can.snapped
+        ints = tuple(-n if can.starred else n for n in ints)
     else:
-        gs = as_gammas(entries)
-    scale = max(abs(x) for x in gs)
-    nz = tuple(x for x in gs if snap_sign(x, scale, tol) != 0)
+        ints, den = snap_weights(as_gammas(entries), tol)
+    nz = tuple(n for n in ints if n)
     if len(nz) == 3:
-        return _build_n3(*classified)
+        return _build_n3(label, can)
     if len(nz) == 2:
-        return build_polytope_n2(nz, tol)
+        return build_polytope_n2(tuple(Fraction(n, den) for n in nz))
     if len(nz) == 1:
-        gx = _exactify(nz)[0]
-        raw = (exact_div(2 * gx, 3), exact_div(-gx, 3), exact_div(-gx, 3))
+        gx = Fraction(nz[0], den)
+        raw = (2 * gx / 3, -gx / 3, -gx / 3)
         return point_polytope(to_positive_chamber(raw)[0], "DegenerateZeroWeight")
     return point_polytope(Spectrum(0, 0, 0), "DegenerateZeroWeight")
 

@@ -52,20 +52,79 @@ def sgn(x) -> int:
     return 0
 
 
-def snap_sign(x: Scalar, scale: Scalar, tol: float) -> int:
-    """Sign of ``x``, where a float within ``tol * scale`` of zero counts as 0.
+class InvalidTolerance(ValueError):
+    """A tolerance that is not a finite nonnegative real number."""
 
-    This is the library's one tolerance rule for weights.  ``scale`` is the
-    largest absolute weight, so the rule is relative to scale only and has
-    no absolute floor.  Exact scalars are compared exactly and never
-    converted to float.  A float beside an exact largest weight is snapped
-    all the same, against the exact bound ``Fraction(tol) * scale``, which
-    cannot overflow however large the weight.
+
+def _form_values(x: Sequence[int]) -> tuple:
+    """The transition forms: each weight, then (for three weights) each sum
+    and difference of two, each weight minus the others, and the total."""
+    if len(x) == 2:
+        a, b = x
+        return (a, b, a + b, a - b)
+    a, b, c = x
+    return (a, b, c, b + c, a + c, a + b, a - b, a - c, b - c, a - b - c, b - a - c, c - a - b, a + b + c)
+
+
+#: Coefficients of each form, for two and three weights: the forms of the unit vectors, transposed.
+_FORMS = {n: tuple(zip(*(_form_values([int(i == j) for j in range(n)]) for i in range(n)))) for n in (2, 3)}
+
+
+def snap_weights(gs: Sequence[Scalar], tol: float) -> Tuple[Tuple[int, ...], int]:
+    """Two or three weights snapped to the transitions they lie on within
+    ``tol``, as integers over one positive denominator: the library's one
+    tolerance rule for weights.
+
+    A form of :func:`_form_values` that involves a float snaps when it is
+    within ``tol`` times the largest absolute weight, compared in integers
+    on the exact binary values.  The weights are projected orthogonally onto
+    the null space of the snapped forms; a form whose sign that moves snaps
+    too.  Exact weights keep their values.  A NaN, infinite, negative or
+    bool ``tol`` raises :class:`InvalidTolerance`.
     """
-    if is_exact(x):
-        return sgn(x)
-    bound = Fraction(tol) * scale if is_exact(scale) else tol * scale
-    return 0 if abs(x) <= bound else sgn(x)
+    if type(tol) is bool or not 0 <= tol < math.inf:
+        raise InvalidTolerance(f"tolerance {tol!r} is not a finite nonnegative number")
+    ints, den = integer_scaled(gs)
+    exact = [is_exact(g) for g in gs]
+    if all(exact):
+        return ints, den
+    values = _form_values(ints)
+    p, q = tol.as_integer_ratio()
+    bound = p * max(map(abs, ints)) // q  # |v| <= tol * max|x| for an integer v
+    if min(map(abs, values)) > bound:
+        return ints, den
+    forms = _FORMS[len(ints)]
+    snapped = {k for k, v in enumerate(values) if abs(v) <= bound and not all(e for e, c in zip(exact, forms[k]) if c)}
+    x, f = ints, 1
+    while snapped:
+        x, f = _null_projection(ints, [forms[k] for k in sorted(snapped)])
+        moved = {k for k, (u, v) in enumerate(zip(values, _form_values(x))) if v and u * v <= 0}
+        if not moved:
+            break
+        snapped |= moved
+    g = math.gcd(*x, den * f)
+    return tuple(n // g for n in x), den * f // g
+
+
+def _null_projection(x: Sequence[int], rows) -> Tuple[tuple, int]:
+    """``x`` projected orthogonally onto the common null space of the
+    integer vectors ``rows``, times a positive integer, and that integer.
+
+    Gram-Schmidt in integers: each step replaces v by |b|^2 v - (v.b) b."""
+    basis = []
+    for r in rows:
+        for b, bb in basis:
+            r = tuple(bb * ri - _dot(r, b) * bi for ri, bi in zip(r, b))
+        if any(r):
+            basis.append((r, _dot(r, r)))
+    f = 1
+    for b, bb in basis:
+        x, f = tuple(bb * xi - _dot(x, b) * bi for xi, bi in zip(x, b)), f * bb
+    return x, f
+
+
+def _dot(u, v) -> int:
+    return sum(ui * vi for ui, vi in zip(u, v))
 
 
 def num_out(x) -> Union[str, float]:
@@ -201,17 +260,13 @@ def to_positive_chamber(raw: Sequence[Scalar], tol: float = SUM_TOL):
     permutations achieving the descending order (ties) the lexicographically
     smallest index tuple is reported.  Raises :class:`SumNotZero` when the
     input does not sum to zero (exactly for exact input, within ``tol``
-    relative to scale otherwise).
+    relative to scale only otherwise).
     """
     raw = tuple(raw)
     if len(raw) != 3:
         raise ValueError("expected a triple")
-    scale = max((abs(x) for x in raw), default=0)
     total = raw[0] + raw[1] + raw[2]
-    if all_exact(raw):
-        if total != 0:
-            raise SumNotZero(f"sum is {total}")
-    elif abs(total) > tol * max(float(scale), 1.0):
+    if abs(total) > (0 if all_exact(raw) else tol * max(abs(x) for x in raw)):
         raise SumNotZero(f"sum is {total}")
     entries, perm = sort_descending(raw)
     return Spectrum(*entries), perm
@@ -278,9 +333,7 @@ class Hermitian3:
 
     @classmethod
     def diag(cls, a: Scalar, b: Scalar, c: Scalar) -> "Hermitian3":
-        scale = max(abs(a), abs(b), abs(c), 1)
-        tol = 0 if all_exact((a, b, c)) else SUM_TOL * scale
-        if abs(a + b + c) > tol:
+        if abs(a + b + c) > (0 if all_exact((a, b, c)) else SUM_TOL * max(abs(a), abs(b), abs(c))):
             raise SumNotZero(f"diagonal sums to {a + b + c}")
         return cls(a, b)
 

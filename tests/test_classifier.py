@@ -14,6 +14,7 @@ from su3poly.classifier import (
     classify_n3,
     sign_profile,
 )
+from su3poly.su3 import snap_weights
 
 
 class TestCanonicalize:
@@ -48,10 +49,14 @@ class TestCanonicalize:
             assert back == g
 
     def test_profile_is_the_sign_profile_of_the_sorted_weights(self):
+        # of the sorted weights as snapped: sign_profile itself takes exact signs
         rnd = random.Random(4)
         for g in [random_rational_gammas(rnd) for _ in range(50)] + [(3.0, 1.0, 1.0000000000000002), (-2, 1.1, 0.9)]:
             can = canonicalize(g)
-            assert can.profile == sign_profile(can.sorted_gammas)
+            ints, den = can.snapped
+            assert (ints, den) == snap_weights(can.sorted_gammas, 1e-9)
+            assert list(ints) == sorted(ints, reverse=True)
+            assert can.profile == sign_profile(ints)
             assert classify_n3(g)[1] == can
 
     def test_zero_sum_not_flipped(self):

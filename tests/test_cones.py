@@ -33,7 +33,7 @@ from su3poly.cones import (
 )
 from su3poly.polytope import WALL_12, WALL_23, AllWeightsDegenerate, build_polytope_n3, cone_halfplanes, polytope_cones
 from su3poly.moment_map import raw_fixed_point_diagonals
-from su3poly.su3 import SQRT2, SQRT6, Root, Spectrum, sgn
+from su3poly.su3 import SQRT2, SQRT6, Root, Spectrum, integer_scaled, sgn
 
 
 def embed(v):
@@ -291,13 +291,19 @@ nonzero_rational = st.fractions(min_value=-12, max_value=12, max_denominator=6).
 integer_grid = st.tuples(*[st.integers(-4, 4).filter(bool)] * 3)
 
 
+def kernel_of(g):
+    """The kernel of weights taken exactly (floats at their binary values)."""
+    ints, den = integer_scaled(g)
+    return AnchorKernel.scaled(ints, 3 * den)
+
+
 class TestAnchorKernel:
     """The kernel's integer signs stand for the paper's rational quantities."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(integer_grid, st.tuples(nonzero_rational, nonzero_rational, nonzero_rational)))
     def test_signs_match_public_quantities(self, g):
-        kernel = AnchorKernel.of(g)
+        kernel = kernel_of(g)
         if len(set(g)) == 3:
             assert kernel.b_ray_signs() == tuple(sgn(c) for c in b_slice_coefficients(g))
         for j in (1, 2, 3):
@@ -310,7 +316,7 @@ class TestAnchorKernel:
     @settings(max_examples=100, deadline=None)
     @given(st.tuples(nonzero_rational, nonzero_rational, nonzero_rational))
     def test_anchors_are_the_closed_forms_on_the_integer_scale(self, g):
-        kernel = AnchorKernel.of(g)
+        kernel = kernel_of(g)
         assert kernel.gammas == tuple(kernel.scale * x / 3 for x in g)
         for name, raw in raw_fixed_point_diagonals(g).items():
             entries, perm = kernel.anchors[name]
@@ -318,5 +324,5 @@ class TestAnchorKernel:
             assert entries == tuple(kernel.scale * raw[k] for k in perm)
 
     def test_float_weights_enter_exactly(self):
-        kernel = AnchorKernel.of((0.1, 2.0, -1.0))
+        kernel = kernel_of((0.1, 2.0, -1.0))
         assert kernel.gammas == tuple(kernel.scale * F(x) / 3 for x in (0.1, 2.0, -1.0))

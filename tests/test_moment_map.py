@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -23,10 +24,11 @@ from su3poly.moment_map import (
     tangent_weights,
     weighted_moment,
 )
-from su3poly.classifier import classify_n3
-from su3poly.oracle import sample_batch
-from su3poly.polytope import build_polytope
-from su3poly.su3 import Root, spectrum
+from su3poly.classifier import classify_n2, classify_n3
+from su3poly.cones import slice_cone_a, slice_cone_b, slice_cone_c
+from su3poly.oracle import InvalidCount, empirical_polytope, sample_batch, verify
+from su3poly.polytope import build_polytope, build_polytope_n2, build_polytope_n3, polytope_cones
+from su3poly.su3 import InvalidTolerance, Root, spectrum
 
 
 class TestCPPoint:
@@ -247,3 +249,45 @@ class TestInvalidWeight:
 
     def test_valid_scalar_types_accepted(self):
         assert build_polytope((np.float64(4.0), np.int64(2), F(-1))).label == "C"
+
+
+class TestBadArguments:
+    """Bad lengths, counts and tolerances raise typed errors that name them."""
+
+    @pytest.mark.parametrize("w", [(1,), (1, 2, 3, 4), ()])
+    def test_weight_count(self, w):
+        for call in (lambda: Weights(w), lambda: build_polytope(w), lambda: sample_batch(w, 10, 0)):
+            with pytest.raises(LengthMismatch, match=f"got {len(w)}"):
+                call()
+
+    @pytest.mark.parametrize("count", [-5, True, 2.5, "10"])
+    def test_sample_count(self, count):
+        for call in (sample_batch, empirical_polytope, verify):
+            with pytest.raises(InvalidCount, match=re.escape(f"count {count!r} ")):
+                call((4, 2, -1), count, 0)
+
+    def test_zero_count(self):
+        assert sample_batch((4, 2, -1), 0, 0).spectra.shape == (0, 3)
+        for call in (empirical_polytope, verify):
+            with pytest.raises(InvalidCount, match="count 0 "):
+                call((4, 2, -1), 0, 0)
+
+    ENTRY_POINTS = (
+        lambda w, tol: build_polytope(w, tol),
+        lambda w, tol: build_polytope_n3(w, tol),
+        lambda w, tol: classify_n3(w, tol),
+        lambda w, tol: polytope_cones(w, tol),
+        lambda w, tol: slice_cone_a(w, tol),
+        lambda w, tol: slice_cone_b(w, tol, allow_coincident=True),
+        lambda w, tol: slice_cone_c(1, w, tol),
+        lambda w, tol: classify_n2(w[:2], tol),
+        lambda w, tol: build_polytope_n2(w[:2], tol),
+    )
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1, True])
+    def test_tolerance(self, tol):
+        # a NaN or negative tolerance would snap nothing, and (3, 2, 1 + 1e-13) would build A, not AB
+        for call in self.ENTRY_POINTS:
+            with pytest.raises(InvalidTolerance, match=re.escape(repr(tol))):
+                call((3.0, 2.0, 1.0 + 1e-13), tol)
+        assert build_polytope((3.0, 2.0, 1.0 + 1e-13)).label == "AB"

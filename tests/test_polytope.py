@@ -442,6 +442,12 @@ class TestSliverHull:
 
 
 GENERIC_LABELS = {t.value for t in GENERIC_N3} | {"GenA", "GenB", "GenC", "GenD"}
+#: every canonical weight of the grid below (sorted, sum >= 0) on a transition
+CANONICAL_TRANSITIONS = [
+    g
+    for g in itertools.product(range(-4, 5), repeat=3)
+    if any(g) and g[0] >= g[1] >= g[2] and sum(g) >= 0 and build_polytope(g).label not in GENERIC_LABELS
+]
 # every nonzero integer weight in [-4, 4]^3: all 27 nonzero labels, every
 # transition and the two-factor shapes of weights with a zero entry
 TRANSITION_GRID = [g for g in itertools.product(range(-4, 5), repeat=3) if any(g)]
@@ -452,18 +458,36 @@ weights = st.one_of(st.sampled_from(TRANSITION_GRID), st.tuples(rational, ration
 class TestScaling:
     """P(t*gamma) = t*P(gamma) for t > 0, exactly and in floating point."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(weights, st.integers(-12, 12))
-    def test_float_label_and_vertices_at_every_scale(self, g, k):
+    @staticmethod
+    def assert_float_build_is_scaled(g, k):
         t = F(10) ** k
         ref = build_polytope(g)
         poly = build_polytope(tuple(float(t * x) for x in g))
         assert (poly.label, poly.starred) == (ref.label, ref.starred)
-        if ref.label in GENERIC_LABELS:
-            bound = 1e-12 * float(t * max(abs(x) for x in g))
-            assert len(poly.vertices) == len(ref.vertices)
-            for u, v in zip(poly.vertices, ref.vertices):
-                assert all(abs(float(a) - float(t * b)) <= bound for a, b in zip(u, v))
+        bound = 1e-12 * float(t * max(abs(x) for x in g))
+        assert len(poly.vertices) == len(ref.vertices)
+        for u, v in zip(poly.vertices, ref.vertices):
+            assert all(abs(float(a) - float(t * b)) <= bound for a, b in zip(u, v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights, st.integers(-12, 12))
+    def test_float_label_and_vertices_at_every_scale(self, g, k):
+        self.assert_float_build_is_scaled(g, k)
+
+    def test_every_canonical_transition_at_every_scale(self):
+        # float weights on a transition snap onto it and build the transition's
+        # own polygon, with no vertex too many or too few at any scale
+        assert len(CANONICAL_TRANSITIONS) == 68
+        for g in CANONICAL_TRANSITIONS:
+            for k in range(-12, 13):
+                self.assert_float_build_is_scaled(g, k)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("g", list(itertools.permutations((-4, -3, -1))))
+    def test_ef_example_in_every_order(self, g, sign):
+        # (-4, -3, -1) is EF, whose polygon has 4 vertices; its float copies
+        # at 1e-12 once built 5
+        self.assert_float_build_is_scaled(tuple(sign * x for x in g), -12)
 
     @settings(max_examples=150, deadline=None)
     @given(weights, st.fractions(min_value=F(1, 1000), max_value=1000).filter(lambda t: t > 0))

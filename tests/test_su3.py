@@ -1,10 +1,11 @@
 import itertools
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su3poly.su3 import (
@@ -13,11 +14,13 @@ from su3poly.su3 import (
     XI1,
     XI2,
     Hermitian3,
+    InvalidTolerance,
     Root,
     Spectrum,
     SumNotZero,
     pairing,
-    snap_sign,
+    sgn,
+    snap_weights,
     sort_descending,
     spectrum,
     star_involution,
@@ -101,6 +104,14 @@ class TestSpectrum:
             Spectrum(2e-12, 1e-12, -2.9e-12)
         assert Spectrum(2e-12, 1e-12, -3e-12).astuple() == (2e-12, 1e-12, -3e-12)
 
+    def test_diagonal_sum_check_has_no_floor(self):
+        # the diagonal sums to its whole scale; an absolute floor of 1 let it through
+        with pytest.raises(SumNotZero):
+            Hermitian3.diag(1e-12, 1e-12, -1e-12)
+        with pytest.raises(SumNotZero):
+            to_positive_chamber((1e-12, 1e-12, -1e-12))
+        assert Hermitian3.diag(2e-12, -1e-12, -1e-12).d1 == 2e-12
+
     def test_near_degenerate_is_stable(self):
         h = Hermitian3(1.0, 1.0 - 1e-14, off12=1e-15)
         s = spectrum(h)
@@ -176,26 +187,114 @@ class TestPositiveChamber:
         assert total == (0, 0, 0)
 
 
-class TestSnapSign:
-    def test_exact_values_compare_exactly(self):
-        assert snap_sign(F(1, 10**30), 1, 1e-9) == 1
-        assert snap_sign(1, 10**400, 1e-9) == 1  # never converted to float
-        assert snap_sign(0, 0, 1e-9) == 0
+def snapped(gs, tol=1e-9):
+    ints, den = snap_weights(gs, tol)
+    return tuple(F(n, den) for n in ints)
+
+
+def form_values(gs):
+    """Every transition form of exact or float weights, exactly."""
+    g = [F(x) for x in gs]
+    if len(g) == 2:
+        return (g[0], g[1], g[0] + g[1], g[0] - g[1])
+    a, b, c = g
+    return (a, b, c, b + c, a + c, a + b, a - b, a - c, b - c, a - b - c, b - a - c, c - a - b, a + b + c)
+
+
+def form_signs(gs):
+    return tuple(map(sgn, form_values(gs)))
+
+
+#: integer weights, a power of ten and a perturbation of each entry far
+#: below the default tolerance: the snapped weights must be on exactly the
+#: transitions of the integer weights
+near_transitions = st.tuples(
+    st.one_of(st.tuples(*[st.integers(-4, 4)] * 3), st.tuples(*[st.integers(-4, 4)] * 2)).filter(any),
+    st.integers(-12, 12),
+    st.lists(st.integers(-100, 100), min_size=3, max_size=3),
+)
+
+
+def perturbed(g, k, noise):
+    t = 10.0**k
+    return tuple(float(x) * t + e * 1e-13 * t for x, e in zip(g, noise))
+
+
+class TestSnapWeights:
+    """The one tolerance rule for weights (the cases of the former per-form rule)."""
+
+    def test_exact_values_are_untouched(self):
+        assert snapped((1, F(1, 10**30), -1)) == (1, F(1, 10**30), -1)
+        assert snapped((10**400, 1, 1)) == (10**400, 1, 1)  # never converted to float
+        assert snap_weights((0, 0, 0), 1e-9) == ((0, 0, 0), 1)
+        assert snap_weights((0.0, -0.0), 1e-9) == ((0, 0), 1)
 
     def test_float_tolerance_is_relative_without_floor(self):
-        assert snap_sign(1e-18, 4e-9, 1e-9) == 0
-        assert snap_sign(-1e-17, 4e-9, 1e-9) == -1
-        assert snap_sign(-1e-9, 1.0, 1e-9) == 0
+        # largest weight 4e-9: the bound is 4e-18
+        assert snapped((4e-9, 1e-18, -2e-9))[1] == 0
+        assert snapped((4e-9, -1e-17, -2e-9))[1] == F(-1e-17)
+        assert snapped((1.0, -1e-9, 0.5))[1] == 0
 
-    def test_float_beside_exact_scale_snaps_without_overflow(self):
-        # tol * scale would overflow a float
-        assert snap_sign(1.0, 10**400, 1e-9) == 0
-        assert snap_sign(-1e300, 10**300, 1e-9) == -1
-        assert snap_sign(-1e-18, 4, 1e-9) == 0
-        assert snap_sign(0.0, 4, 1e-9) == 0
-        assert snap_sign(-4.001e-9, 4, 1e-9) == -1
-        assert snap_sign(1e-300, 10**400, 1e-9) == 0
-        assert snap_sign(F(1, 10**20), 4, 1e-9) == 1  # an exact x stays exact
+    def test_floats_beside_a_huge_or_exact_weight_do_not_overflow(self):
+        # tol * 10**400 is no float, but the comparison is in integers
+        assert snapped((10**400, 1.0, 1.0)) == (10**400, 0, 0)
+        # g2 + g3 and g3 - g2 involve the float and lie within the bound too,
+        # so they snap, and the projection moves the exact g3 to 0 with g2
+        assert snapped((10**400, 1e-300, 1)) == (10**400, 0, 0)
+        # 10**300 - 1e300 is within tol * 10**300 and snaps; the weights keep their signs
+        g1, g2, g3 = snapped((10**300, -1e300, 2e299))
+        assert g1 + g2 == 0 and g1 > 0 > g2 and g3 == F(2e299)
+        assert snapped((4, -1e-18, 1)) == (4, 0, 1)
+        assert snapped((4, 0.0, 1)) == (4, 0, 1)
+        assert snapped((4, -4.001e-9, 1)) == (4, F(-4.001e-9), 1)
+
+    def test_a_form_over_exact_weights_alone_compares_exactly(self):
+        # g2 is within tol * 4 of zero, but no float enters the form g2
+        assert snapped((4, F(1, 10**20), 1.0)) == (4, F(1, 10**20), 1)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1, -1e-9, True, False])
+    def test_bad_tolerance_is_named(self, tol):
+        for gs in [(3.0, 2.0, 1.0 + 1e-13), (3, 2, 1)]:
+            with pytest.raises(InvalidTolerance, match=re.escape(repr(tol))):
+                snap_weights(gs, tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_transitions)
+    def test_snaps_onto_exactly_the_transitions_nearby(self, case):
+        g, k, noise = case
+        gs = perturbed(g, k, noise)
+        out = snapped(gs)
+        assert form_signs(out) == form_signs(g)
+        scale = max(abs(x) for x in gs)
+        assert all(abs(x - F(y)) <= F(2e-11) * F(scale) for x, y in zip(out, gs))
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_transitions, st.floats(0, 1e-6))
+    def test_snapped_forms_vanish_and_other_signs_stay(self, case, tol):
+        gs = perturbed(*case)
+        ints, den = snap_weights(gs, tol)
+        before, after = form_signs(gs), form_signs(ints)
+        bound = F(tol) * max(abs(F(x)) for x in gs)
+        near = [abs(v) <= bound for v in form_values(gs)]
+        for was, now, snaps in zip(before, after, near):
+            assert now == 0 if snaps else now in (was, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_transitions)
+    def test_idempotent(self, case):
+        ints, den = snap_weights(perturbed(*case), 1e-9)
+        assert snap_weights(tuple(F(n, den) for n in ints), 1e-9) == (ints, den)
+        again = snap_weights(tuple(float(F(n, den)) for n in ints), 1e-9)
+        assert form_signs(again[0]) == form_signs(ints)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_transitions, st.data())
+    def test_commutes_with_permutation_and_negation(self, case, data):
+        gs = perturbed(*case)
+        perm = data.draw(st.permutations(range(len(gs))))
+        out = snapped(gs)
+        assert snapped(tuple(gs[i] for i in perm)) == tuple(out[i] for i in perm)
+        assert snapped(tuple(-x for x in gs)) == tuple(-x for x in out)
 
 
 class TestStar:
