@@ -79,6 +79,7 @@ from .su3 import (
     ChamberPoint,
     Hermitian3,
     InvalidTolerance,
+    NotHermitian,
     Root,
     SignedRoot,
     SkewHermitian3,

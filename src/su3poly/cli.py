@@ -10,23 +10,31 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .classifier import classify_n2, classify_n3
 from .eigen_bounds import DoubleEigMatrixSpec, check_spectrum, sum_bounds_three, sum_bounds_two
-from .oracle import sample_batch, verify
+from .moment_map import InvalidWeight, LengthMismatch
+from .oracle import InvalidCount, sample_batch, verify
 from .polytope import build_polytope, hausdorff, polytope_cones
 from .render import render_svg
 from .su3 import to_positive_chamber
 
 
 def parse_number(text: str):
+    """An int, a Fraction "p/q", or with a "." or an exponent a finite float;
+    anything else raises :class:`moment_map.InvalidWeight` naming the text."""
     text = text.strip()
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
-    return Fraction(text) if "/" in text else int(text)
+    try:
+        x = float(text) if "." in text or "e" in text or "E" in text else Fraction(text) if "/" in text else int(text)
+    except (ValueError, ZeroDivisionError):
+        x = math.nan
+    if isinstance(x, float) and not math.isfinite(x):
+        raise InvalidWeight(f"{text!r} is not an integer, a fraction p/q or a finite decimal number")
+    return x
 
 
 def parse_vector(text: str):
@@ -115,17 +123,17 @@ def cmd_bounds(args) -> int:
             out["target"] = [_num_json(x) for x in target]
             out["target_inside"] = check_spectrum(*specs, target, args.tolerance)
     else:
-        raise SystemExit("expected 2 or 3 lambdas")
+        raise LengthMismatch(f"expected 2 or 3 lambdas, got {len(lams)}")
     _write(_dump_json(out), args.output)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    start = parse_vector(args.start)
-    end = parse_vector(args.end)
+    start, end, steps = parse_vector(args.start), parse_vector(args.end), args.steps
     if len(start) != len(end):
-        raise SystemExit("start and end must have the same length")
-    steps = args.steps
+        raise LengthMismatch(f"start has {len(start)} weights and end {len(end)}")
+    if steps < 1:
+        raise InvalidCount(f"steps {steps} is not an integer >= 1")
     lines, prev = [], None
     for i in range(steps + 1):
         t = Fraction(i, steps)
@@ -203,8 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; bad input (a ``ValueError``) prints one line to stderr and exits 2, as argparse does."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"su3poly: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

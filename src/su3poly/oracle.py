@@ -18,11 +18,10 @@ no array of unit vectors is ever built: the momentum map is projective
 instead of normalising it.  It sums the six independent entries of each
 momentum-map matrix in cache-sized chunks and hands them to the closed-form
 3x3 eigenvalue kernel of :mod:`su3` (no LAPACK call), writing each block's
-rows straight into the batch.  :func:`polytope.hull2d` sends every cloud
-through an Akl-Toussaint prefilter, so its Python chain sees a few thousand
-points instead of every sample.  The filter drops only points strictly
-inside the hull, but the chain's area tolerance can still pick a different
-vertex inside clusters finer than about ``sqrt(eps)`` of the scale.
+rows straight into the batch.  Containment forms one (half-planes, n) array,
+coverage one (vertices, n) array, and the hull deficit is one vectorised
+point-to-polygon distance to :func:`polytope.hull2d`'s distance-tolerance
+quickhull, whose vertices do not depend on the points inside the hull.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .moment_map import CPPoint, FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight, as_gammas
-from .polytope import ChamberPolytope, build_polytope, distance_to_polytope_pq, hull2d
+from .polytope import ChamberPolytope, _distances, _pq_array, build_polytope, hull2d
 from .su3 import SQRT2, SQRT6, is_exact, spectra_of_entries
 
 BLOCK = 1 << 14
@@ -250,12 +249,14 @@ class VerificationReport:
 
 
 def violation_distances(P: ChamberPolytope, spectra: np.ndarray) -> np.ndarray:
-    """Per-sample distance outside the polytope (0 inside), vectorised."""
+    """Per-sample distance outside the polytope (0 inside), from one (half-planes, n) array."""
     normals = np.array([[float(c) for c in hp.normal] for hp in P.halfplanes])
     offsets = np.array([float(hp.offset) for hp in P.halfplanes])
     units = np.linalg.norm(normals, axis=1)
-    signed = (spectra @ normals.T - offsets) / units
-    return np.maximum(0.0, -signed.min(axis=1))
+    signed = normals @ spectra.T
+    signed -= offsets[:, None]
+    signed /= units[:, None]
+    return np.maximum(0.0, -signed.min(axis=0))
 
 
 def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> VerificationReport:
@@ -282,7 +283,7 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     checked = _SamplingWeights.of(gammas)
     # The comparison runs at the weights over the sampler's power of two: a
     # segment's end half-planes have offsets quadratic in the weights, and
-    # the hull's orientation test and the distances square coordinates.  The
+    # the hull's prefilter and the distances square coordinates.  The
     # scaling is exact, and every reported length is scaled back.
     power = checked.power
     try:
@@ -303,25 +304,22 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     diam = predicted.diameter()
     slack = tol * (diam if diam > 0 else max(abs(g) for g in checked.floats) / power)
     excess = violation_distances(predicted, spectra)
-    n_viol = int(np.count_nonzero(excess > slack))
-    max_viol = power * float(excess.max()) if len(excess) else 0.0
 
-    hull = hull2d(pq)
-    deficit = max(distance_to_polytope_pq((c.p, c.q), hull) for c in predicted.pq_vertices())
+    corners = _pq_array(predicted)
+    deficit = _distances(corners, _pq_array(hull2d(pq))).max()
 
-    coverage = []
-    for v in predicted.pq_vertices():
-        d = np.hypot(pq[:, 0] - v.p, pq[:, 1] - v.q)
-        coverage.append(power * float(d.min()))
+    # each vertex's nearest sample, picked on (vertices, n) squared distances
+    nearest = pq[((pq[:, 0] - corners[:, :1]) ** 2 + (pq[:, 1] - corners[:, 1:]) ** 2).argmin(axis=1)]
+    coverage = np.hypot(nearest[:, 0] - corners[:, 0], nearest[:, 1] - corners[:, 1])
 
     return VerificationReport(
         label=predicted.label,
         seed=seed,
         n_samples=int(spectra.shape[0]),
-        n_violations=n_viol,
-        max_violation=max_viol,
+        n_violations=int(np.count_nonzero(excess > slack)),
+        max_violation=power * float(excess.max()),
         hausdorff_inner=power * float(deficit),
-        vertex_coverage=tuple(coverage),
+        vertex_coverage=tuple(power * float(d) for d in coverage),
         diameter=power * diam,
         tolerance=tol,
     )

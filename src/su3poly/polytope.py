@@ -145,7 +145,7 @@ def _integer_vertices(lines: Sequence[Tuple[int, int, int]]) -> Tuple[List[Tuple
                 solutions.append((x, y, det))
     # the chain runs on integer points over the common denominator m
     m = math.lcm(*(det for _, _, det in solutions))
-    hull = _chain(sorted({(x * m // det, y * m // det) for x, y, det in solutions}), 0)
+    hull = _chain(sorted({(x * m // det, y * m // det) for x, y, det in solutions}))
     if len(hull) < 3:
         raise AllWeightsDegenerate(f"half-plane intersection has {len(hull)} vertices")
     return hull, m
@@ -495,46 +495,37 @@ PREFILTER_DIRECTIONS = 8
 
 
 def _extreme_point_filter(pts, eps_abs: float):
-    """Akl-Toussaint prefilter: drop points deep inside a known hull polygon.
-
-    The extreme points of ``pts`` in fixed directions are hull vertices, and
-    in angular order they span a convex polygon inside the hull.  A point
-    whose cross product with every edge of that polygon exceeds ``eps_abs``
-    (the monotone chain's own orientation threshold) lies strictly inside
-    the hull, so it is no vertex of the exact hull and is dropped.  Polygon
-    vertices and points on or near an edge survive.  Returns ``pts`` itself
-    when the polygon has fewer than three corners.  Akl and Toussaint, Inf.
-    Proc. Lett. 7(5), 1978.
-    """
+    """Akl-Toussaint prefilter (Inf. Proc. Lett. 7(5), 1978): the extreme
+    points in fixed directions span, in angular order, a convex polygon inside
+    the hull; a point whose cross product with every edge of it exceeds
+    ``eps_abs`` lies strictly inside the hull and is dropped.  Projections are
+    (directions, n) and (edges, n) arrays reduced over axis 0.  Returns
+    ``pts`` itself when the polygon has fewer than three corners."""
     import numpy as np
 
     angles = 2.0 * np.pi * np.arange(PREFILTER_DIRECTIONS) / PREFILTER_DIRECTIONS
-    idx = np.argmax(pts @ np.stack([np.cos(angles), np.sin(angles)]), axis=0)
+    idx = np.argmax(np.stack([np.cos(angles), np.sin(angles)], axis=1) @ pts.T, axis=1)
     ring = [int(i) for k, i in enumerate(idx) if i != idx[k - 1]]
     if len(ring) < 3:
         return pts
     corners = pts[ring]
     edges = np.roll(corners, -1, axis=0) - corners
     # cross(edge, x - corner) = x . (-ey, ex) - corner . (-ey, ex)
-    normals = np.stack([-edges[:, 1], edges[:, 0]])
-    offsets = np.einsum("ij,ji->i", corners, normals)
-    inside = np.all(pts @ normals - offsets > eps_abs, axis=1)
-    return pts[~inside]
+    normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1)
+    offsets = np.einsum("ij,ij->i", corners, normals)
+    cross = normals @ pts.T
+    cross -= offsets[:, None]
+    return pts[~np.all(cross > eps_abs, axis=0)]
 
 
-def _chain(pts: Sequence[Point2], eps_abs) -> List[Point2]:
-    """Counterclockwise hull of distinct, lexicographically sorted points.
-
-    Andrew's monotone chain: a turn counts as convex only when its cross
-    product exceeds ``eps_abs``, so collinear points (and near-collinear
-    ones when ``eps_abs > 0``) are dropped.  Exact points with ``eps_abs``
-    0 give the exact hull.
-    """
+def _chain(pts: Sequence[Point2]) -> List[Point2]:
+    """Counterclockwise hull of distinct, lexicographically sorted exact
+    points by Andrew's monotone chain; collinear points are dropped."""
 
     def half(seq):
         h: List[Point2] = []
         for x, y in seq:
-            while len(h) >= 2 and ((h[-1][0] - h[-2][0]) * (y - h[-2][1]) - (h[-1][1] - h[-2][1]) * (x - h[-2][0])) <= eps_abs:
+            while len(h) >= 2 and ((h[-1][0] - h[-2][0]) * (y - h[-2][1]) - (h[-1][1] - h[-2][1]) * (x - h[-2][0])) <= 0:
                 h.pop()
             h.append((x, y))
         return h
@@ -544,98 +535,79 @@ def _chain(pts: Sequence[Point2], eps_abs) -> List[Point2]:
     return lower[:-1] + upper[:-1] if len(lower) > 1 else lower
 
 
-def _sliver_hull(arr, eps_abs: float) -> Optional[List[Tuple[float, float]]]:
-    """The chain's hull of a cloud too thin for it to keep a turn, or None.
+def _quickhull(arr, tol: float):
+    """Counterclockwise hull vertices of a non-empty (n, 2) float array, as a
+    (k, 2) array from the lexicographic minimum p0 (Barber, Dobkin and
+    Huhdanpaa, ACM TOMS 22(4), 1996).
 
-    Take u along the line through the lexicographic extremes p0 != p1 of a
-    non-empty (n, 2) float array and v across it.  Each cross product the
-    chain forms is a difference of u times a difference of v minus the
-    same the other way round, so it is at most 4 * max|v| * (range of u) in
-    size.  When that bound is below ``eps_abs / 2`` (half, to leave room for
-    rounding in the chain's own arithmetic) the chain drops every turn and
-    returns [p0, p1]; so does this function, without walking the points.
-    Two-factor clouds lie on a segment and always take this path.
+    The chord from p0 to the lexicographic maximum p1 splits the cloud, and
+    each chord's outside set holds the points more than ``tol`` to its
+    right.  The outside point farthest from a chord (on a tie, the farthest
+    along it) is a vertex, an extreme point of the cloud, and the outside set
+    is split between the two child chords; so points strictly inside the
+    hull, by more than rounding, never change the result.  Chords wait on an
+    explicit stack, left child on top, so vertices come out in order with no
+    recursion.  A cloud within ``tol`` of the chord p0 p1, such as every
+    two-factor cloud, gives [p0, p1].
     """
     import numpy as np
 
     x, y = arr[:, 0], arr[:, 1]
-    lo, hi = x == x.min(), x == x.max()
-    p0 = (float(x[lo][0]), float(y[lo].min()))
-    p1 = (float(x[hi][0]), float(y[hi].max()))
-    d = np.subtract(p1, p0)
-    length = math.hypot(*d)
-    if length == 0.0:
-        return None
-    rel = arr - p0
-    u = rel @ d / length
-    v = (rel[:, 1] * d[0] - rel[:, 0] * d[1]) / length
-    if 4.0 * float(np.abs(v).max()) * float(u.max() - u.min()) < 0.5 * eps_abs:
-        return [p0, p1]
-    return None
+    xmin, xmax = x.min(), x.max()
+    p0 = np.array([xmin, y[x == xmin].min()])
+    p1 = np.array([xmax, y[x == xmax].max()])
+    if np.array_equal(p0, p1):
+        return p0[None, :]
 
+    def chord(a, b, pts):  # cross products are exactly 0 at copies of a and b
+        dx, dy = b - a
+        cross = dy * (pts[:, 0] - a[0]) - dx * (pts[:, 1] - a[1])
+        out = cross > tol * math.hypot(dx, dy)
+        return a, b, pts[out], cross[out]
 
-def _hull_vertices(arr, eps_abs: float) -> List[Tuple[float, float]]:
-    """Counterclockwise hull vertices of a non-empty (n, 2) float array:
-    :func:`_chain` on its distinct points, sorted lexicographically."""
-    import numpy as np
-
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    pts = arr[order]
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.any(np.diff(pts, axis=0) != 0, axis=1)
-    return _chain(pts[keep].tolist(), eps_abs)
+    hull = [p0]
+    stack = [chord(p1, p0, arr), chord(p0, p1, arr)]
+    while stack:
+        a, b, pts, cross = stack.pop()
+        if len(pts) == 0:
+            hull.append(b)
+            continue
+        far = pts[cross == cross.max()]
+        c = far[np.argmax((far - a) @ (b - a))]
+        stack += [chord(c, b, pts), chord(a, c, pts)]
+    return np.array(hull[:-1])
 
 
 def hull2d(points, eps: float = 1e-9) -> ChamberPolytope:
-    """Convex hull of chamber points via the monotone chain.
+    """Convex hull of chamber points: the Akl-Toussaint prefilter, then
+    :func:`_quickhull`.
 
     ``points`` may be an (n, 2) array, a sequence of ChamberPoint, or (p, q)
     pairs, all inside the closed chamber.  Collinear inputs collapse to a
-    Segment, coincident ones to a Point; ``eps`` is the relative orientation
-    tolerance: a turn counts as convex when its cross product exceeds
-    ``eps`` times the squared scale, the cloud's largest absolute entry (no
-    absolute floor, so ``hull2d(t * points)`` is ``t`` times the hull).  The
-    points first pass an Akl-Toussaint prefilter, so the Python chain sees a
-    few thousand of 1e6 samples, and a cloud too thin for the chain to keep
-    any turn (every two-factor cloud) skips the chain (:func:`_sliver_hull`),
-    with the same result.  The filter drops only points strictly inside the
-    exact hull, but the chain's tolerance is an area, so within a cluster of
-    points finer than about ``sqrt(eps)`` of the scale it may treat a real
-    corner as collinear, and which corner it drops depends on the other
-    points present.  There the vertex list can differ from the chain's on all
-    points; a tolerance on distance rather than area would remove this.
+    Segment, coincident ones to a Point.  ``eps`` is a relative distance
+    tolerance: a point becomes a vertex only when it lies more than ``eps``
+    times the cloud's largest absolute entry outside the chord it is tested
+    against (no absolute floor, so ``hull2d(t * points)`` is ``t`` times the
+    hull).  The filter drops only points strictly inside the hull, which
+    never change the quickhull's vertices, so they are the same without it.
     """
     import numpy as np
 
-    if isinstance(points, np.ndarray):
-        arr = points
-    else:
-        arr = np.array([(p.p, p.q) if isinstance(p, ChamberPoint) else (p[0], p[1]) for p in points], dtype=float)
+    arr = points if isinstance(points, np.ndarray) else np.array([(p.p, p.q) if isinstance(p, ChamberPoint) else (p[0], p[1]) for p in points], dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one point")
     scale = float(np.abs(arr).max())
-    eps_abs = eps * scale * scale
-    kept = _extreme_point_filter(arr, eps_abs)
-    hull = _sliver_hull(kept, eps_abs) or _hull_vertices(kept, eps_abs)
+    hull = _quickhull(_extreme_point_filter(arr, eps * scale * scale), eps * scale).tolist()
 
-    if len(hull) == 1:
-        s = Spectrum(*chamber_to_spectrum_floats(*hull[0]))
-        return point_polytope(s, None)
-    if len(hull) == 2:
-        a = Spectrum(*chamber_to_spectrum_floats(*hull[0]))
-        c = Spectrum(*chamber_to_spectrum_floats(*hull[1]))
-        hps = _segment_halfplanes(a, c, "hull")
-        return ChamberPolytope(tuple(hps), (a, c), "Segment", None, False)
-
-    hps = []
-    for i in range(len(hull)):
-        (px, py), (qx, qy) = hull[i], hull[(i + 1) % len(hull)]
-        npq = (-(qy - py), qx - px)  # inward normal for CCW order
-        normal = _lift_pq(npq[0], npq[1])
-        s = chamber_to_spectrum_floats(px, py)
-        off = normal[0] * s[0] + normal[1] * s[1] + normal[2] * s[2]
-        hps.append(HalfPlane(normal, off, f"hull:edge{i}"))
     verts = tuple(Spectrum(*chamber_to_spectrum_floats(x, y)) for x, y in hull)
+    if len(verts) == 1:
+        return point_polytope(verts[0], None)
+    if len(verts) == 2:
+        return ChamberPolytope(tuple(_segment_halfplanes(*verts, "hull")), verts, "Segment", None, False)
+    hps = []
+    for i, ((px, py), (qx, qy), s) in enumerate(zip(hull, hull[1:] + hull[:1], verts)):
+        n = _lift_pq(py - qy, qx - px)  # inward normal for CCW order
+        hps.append(HalfPlane(n, n[0] * s.l1 + n[1] * s.l2 + n[2] * s.l3, f"hull:edge{i}"))
     return ChamberPolytope(tuple(hps), verts, "Polygon", None, False)
 
 
@@ -651,34 +623,42 @@ def _pq_array(P: ChamberPolytope):
     return np.array([(c.p, c.q) for c in P.pq_vertices()], dtype=float)
 
 
-def distance_to_polytope_pq(point, P: ChamberPolytope) -> float:
-    """Euclidean distance from an embedding point to a convex polytope."""
-    px, py = float(point[0]), float(point[1])
-    verts = _pq_array(P)
-    n = len(verts)
-    if n == 1:
-        return math.hypot(px - verts[0][0], py - verts[0][1])
-    inside = n > 2
-    best = math.inf
-    for i in range(n if n > 2 else n - 1):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % n]
-        if inside and ((bx - ax) * (py - ay) - (by - ay) * (px - ax)) < 0:
-            inside = False
-        dx, dy = bx - ax, by - ay
-        denom = dx * dx + dy * dy
-        t = 0.0 if denom == 0.0 else max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
-        best = min(best, math.hypot(px - (ax + t * dx), py - (ay + t * dy)))
-    if inside:
-        return 0.0
+def _distances(points, verts):
+    """Euclidean distances, as (k,), from (k, 2) points to the convex polytope
+    with (n, 2) vertex array ``verts``: a point, the two ends of a segment, or
+    a counterclockwise polygon, whose inside is at distance 0.  Each is the
+    least distance to an edge, laid out as (k, edges) arrays."""
+    import numpy as np
+
+    def hypot(x, y):
+        # math.hypot is correctly rounded, np.hypot differs in the last bit on
+        # about 0.6% of random pairs; k * edges is small for every caller
+        return np.fromiter(map(math.hypot, x.ravel().tolist(), y.ravel().tolist()), float, x.size).reshape(x.shape)
+
+    # a polygon has an edge per vertex, a segment or a point one edge; a
+    # point's edge has zero length and numerator, so t is 0 there
+    points = np.asarray(points, dtype=float)
+    a = verts if len(verts) > 2 else verts[:1]
+    b = np.roll(verts, -1, axis=0)[: len(a)]
+    ax, ay = a[:, 0], a[:, 1]
+    dx, dy = b[:, 0] - ax, b[:, 1] - ay
+    px, py = points[:, :1], points[:, 1:]
+    rx, ry = px - ax, py - ay
+    denom = dx * dx + dy * dy
+    t = np.clip((rx * dx + ry * dy) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
+    best = hypot(px - (ax + t * dx), py - (ay + t * dy)).min(axis=1)
+    if len(verts) > 2:
+        best[np.all(dx * ry - dy * rx >= 0, axis=1)] = 0.0
     return best
 
 
-def hausdorff(P: ChamberPolytope, Q: ChamberPolytope) -> float:
-    """Symmetric Hausdorff distance in the chamber-embedding metric.
+def distance_to_polytope_pq(point, P: ChamberPolytope) -> float:
+    """Euclidean distance from an embedding point to a convex polytope."""
+    return float(_distances([(float(point[0]), float(point[1]))], _pq_array(P))[0])
 
-    Both sets are convex, so each one-sided supremum is attained at a vertex.
-    """
-    d_pq = max(distance_to_polytope_pq((c.p, c.q), Q) for c in P.pq_vertices())
-    d_qp = max(distance_to_polytope_pq((c.p, c.q), P) for c in Q.pq_vertices())
-    return max(d_pq, d_qp)
+
+def hausdorff(P: ChamberPolytope, Q: ChamberPolytope) -> float:
+    """Symmetric Hausdorff distance in the chamber-embedding metric; both sets
+    are convex, so each one-sided supremum is attained at a vertex."""
+    p, q = _pq_array(P), _pq_array(Q)
+    return max(float(_distances(p, q).max()), float(_distances(q, p).max()))

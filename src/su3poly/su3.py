@@ -31,6 +31,11 @@ class SumNotZero(ValueError):
     """A would-be spectrum whose entries do not sum to zero."""
 
 
+class NotHermitian(ValueError):
+    """A matrix with a NaN or infinite entry, or that differs from its
+    conjugate transpose beyond tolerance."""
+
+
 def is_exact(x) -> bool:
     """True for int/Fraction scalars (bool excluded)."""
     # plain type tests first: the builders call this often
@@ -339,12 +344,15 @@ class Hermitian3:
 
     @classmethod
     def from_numpy(cls, m, tol: float = 1e-9) -> "Hermitian3":
+        """The trace-zero Hermitian matrix of a 3x3 array, checked to ``tol`` times its largest entry."""
         import numpy as np
 
         m = np.asarray(m, dtype=complex)
-        scale = max(float(np.abs(m).max()), 1.0)
+        if not np.isfinite(m).all():
+            raise NotHermitian(f"matrix has a NaN or infinite entry: {m.tolist()}")
+        scale = float(np.abs(m).max())
         if np.abs(m - m.conj().T).max() > tol * scale:
-            raise ValueError("matrix is not Hermitian")
+            raise NotHermitian("matrix is not Hermitian")
         if abs(m.trace()) > tol * scale:
             raise SumNotZero(f"trace is {m.trace()}")
         return cls(m[0, 0].real, m[1, 1].real, m[0, 1], m[0, 2], m[1, 2])

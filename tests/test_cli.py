@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -6,6 +10,7 @@ import pytest
 
 from conftest import N2_FIXTURES, POLYTOPE_FIXTURES
 from su3poly.cli import main, parse_number, parse_vector
+from su3poly.moment_map import InvalidWeight
 from su3poly.polytope import ChamberPolytope, build_polytope_n3
 
 
@@ -23,6 +28,46 @@ class TestParsing:
 
     def test_vector(self):
         assert parse_vector("4,2,-1") == (4, 2, -1)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "x", "4/", "1/0", "1e400", "-inf.0", ""])
+    def test_bad_number_names_the_text(self, text):
+        with pytest.raises(InvalidWeight, match=re.escape(repr(text))):
+            parse_number(text)
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["classify", "--gamma", "4,nan,-1"], "InvalidWeight"),
+            (["classify", "--gamma", "4,2,-1", "--tolerance", "nan"], "InvalidTolerance"),
+            (["polytope", "--gamma", "4,2,-1,3"], "LengthMismatch"),
+            (["verify", "--gamma", "4,2,-1", "--count", "0"], "InvalidCount"),
+            (["sample", "--gamma", "4,2,-1", "--count", "-1"], "InvalidCount"),
+            (["sweep", "--start", "1,1,1", "--end", "2,1,1", "--steps", "0"], "InvalidCount"),
+            (["sweep", "--start", "1,1,1", "--end", "2,1"], "LengthMismatch"),
+            (["bounds", "--lambdas", "1,1,1,1"], "LengthMismatch"),
+        ],
+    )
+    def test_bad_input_is_one_line_and_exit_2(self, capsys, argv, kind):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"su3poly: error: {kind}: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    def test_console_exit_status_without_traceback(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "su3poly.cli", "classify", "--gamma", "4,nan,-1"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == ["su3poly: error: InvalidWeight: 'nan' is not an integer, a fraction p/q or a finite decimal number"]
 
 
 class TestClassify:

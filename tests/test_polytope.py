@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import N2_FIXTURES, POLYTOPE_FIXTURES, random_rational_gammas
-from su3poly import classifier, moment_map, polytope
+from su3poly import classifier, moment_map, oracle, polytope
 from su3poly.classifier import GENERIC_N3, classify_n3
 from su3poly.cones import ConeSpec
 from su3poly.moment_map import fixed_point_spectra
@@ -320,33 +320,66 @@ class TestHull2d:
             assert hull.contains(chamber_to_spectrum_floats(p, q))
 
     def test_prefilter_keeps_large_cloud_hull(self):
-        # the chain on the filtered points gives the vertices of the chain
-        # on every point
+        # the quickhull on the filtered points gives the vertices of the
+        # quickhull on every point
         rng = np.random.default_rng(4)
         pts = np.abs(rng.standard_normal((20000, 2))) + (0.0, 1.0)
         pts = np.concatenate([pts, np.round(pts[:500] * 64) / 64])
-        eps_abs = 1e-9 * float(np.abs(pts).max()) ** 2
-        kept = polytope._extreme_point_filter(pts, eps_abs)
+        scale = float(np.abs(pts).max())
+        kept = polytope._extreme_point_filter(pts, 1e-9 * scale**2)
         assert len(kept) < 1000
-        assert polytope._hull_vertices(kept, eps_abs) == polytope._hull_vertices(pts, eps_abs)
+        assert np.array_equal(polytope._quickhull(kept, 1e-9 * scale), polytope._quickhull(pts, 1e-9 * scale))
 
+    def test_pooled_verify_cloud_has_one_hull(self):
+        # the pooled uniform and targeted cloud of verify((4, 2, -1), 1e5,
+        # seed 7), at verify's power of two: an area tolerance gave 10
+        # vertices with the filter and 10 others without it
+        w, seed = (4, 2, -1), 7
+        spectra = np.concatenate([sample_batch(w, 100_000, seed).spectra, oracle._targeted_spectra(w, 500, seed)])
+        pq = oracle.chamber_points_of_spectra(spectra) / 8
+        scale = float(np.abs(pq).max())
+        kept = polytope._extreme_point_filter(pq, 1e-9 * scale**2)
+        assert len(kept) < 0.02 * len(pq)
+        got = polytope._quickhull(kept, 1e-9 * scale)
+        assert np.array_equal(got, polytope._quickhull(pq, 1e-9 * scale))
+        assert len(got) == 23
+        assert [v.astuple() for v in hull2d(pq).vertices] == [chamber_to_spectrum_floats(*v) for v in got.tolist()]
+        rows = {tuple(r) for r in pq.tolist()}
+        assert all(tuple(v) in rows for v in got.tolist())
+
+    def test_ten_thousand_points_on_a_circle(self):
+        # every point is a vertex; the chords wait on a stack, not in recursion
+        angles = 2.0 * np.pi * np.arange(10_000) / 10_000
+        pts = np.stack([2.0 + np.cos(angles), 4.0 + np.sin(angles)], axis=1)
+        got = polytope._quickhull(pts, 1e-9 * 5.0)
+        assert len(got) == 10_000
+        assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, pts.tolist()))
+        assert np.array_equal(polytope._quickhull(pts[::-1], 1e-9 * 5.0), got)
 
     @pytest.mark.parametrize("gammas", [x[0] for x in N2_FIXTURES])
-    def test_sliver_shortcut_is_the_chain_on_two_factor_clouds(self, gammas):
+    def test_two_factor_clouds_give_the_lexicographic_extremes(self, gammas):
+        # a two-factor cloud lies on a segment about 1e-15 wide, inside the
+        # distance tolerance: the hull is [p0, p1], filtered or not
         pts = sample_batch(gammas, 20000, 4).chamber_points
-        eps_abs = 1e-9 * max(float(np.abs(pts).max()), 1.0) ** 2
-        got = polytope._sliver_hull(pts, eps_abs)
-        assert got is not None
-        assert got == polytope._hull_vertices(pts, eps_abs)
+        scale = float(np.abs(pts).max())
+        ends = [min(map(tuple, pts.tolist())), max(map(tuple, pts.tolist()))]
+        assert polytope._quickhull(pts, 1e-9 * scale).tolist() == [list(p) for p in ends]
+        kept = polytope._extreme_point_filter(pts, 1e-9 * scale**2)
+        assert polytope._quickhull(kept, 1e-9 * scale).tolist() == [list(p) for p in ends]
+        hull = hull2d(pts)
+        assert hull.kind == "Segment"
+        assert [v.astuple() for v in hull.vertices] == [chamber_to_spectrum_floats(*p) for p in ends]
 
-    def test_cloud_past_the_sliver_bound_goes_through_the_chain(self):
-        # u spans 1, so the bound on the chain's cross products is 4 * h
-        eps_abs = 1e-9
-        for h, shortcut in ((eps_abs / 8 * (1 - 1e-6), True), (eps_abs / 8 * (1 + 1e-6), False)):
+    def test_distance_tolerance_bound(self):
+        # the chord from (0, 0) to (1, 0) has length 1 and the scale is 1, so
+        # a point is a vertex exactly when it lies more than 1e-9 off it
+        tol = 1e-9
+        for h, polygon in ((tol * (1 - 1e-6), False), (tol * (1 + 1e-6), True)):
+            pts = np.array([(0.0, 0.0), (0.25, -h), (0.5, h), (1.0, 0.0)])
+            got = polytope._quickhull(pts, tol).tolist()
+            assert got == ([[0.0, 0.0], [0.25, -h], [1.0, 0.0], [0.5, h]] if polygon else [[0.0, 0.0], [1.0, 0.0]])
             pts = np.array([(0.0, 1.0), (0.25, 1.0 - h), (0.5, 1.0 + h), (1.0, 1.0)])
-            got = polytope._sliver_hull(pts, eps_abs)
-            assert (got is not None) == shortcut
-            assert hull2d(pts).kind == "Segment"
+            assert hull2d(pts).kind == ("Polygon" if polygon else "Segment")
 
 
 def exact_hull_vertices(points):
@@ -395,11 +428,13 @@ class TestHullPrefilter:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(random_clouds, with_duplicates, collinear, single_point, fewer_than_directions, on_wall))
     def test_matches_brute_force(self, points):
-        # coordinates k/8 keep every product exact, so the chain's tolerance
-        # cannot decide a turn and the exact hull is the reference; the grid
-        # is not inside the chamber, so hull2d's two stages are called directly
+        # coordinates k/8 put every point off a chord more than 1/500 away
+        # or exactly on it, so the tolerance cannot decide a vertex and the
+        # exact hull is the reference; the grid is not inside the chamber,
+        # so hull2d's two stages are called directly
         arr = np.array(points, dtype=float) / 8
-        got = polytope._hull_vertices(polytope._extreme_point_filter(arr, 1e-9), 1e-9)
+        got = [tuple(v) for v in polytope._quickhull(polytope._extreme_point_filter(arr, 1e-9), 1e-9).tolist()]
+        assert got == [tuple(v) for v in polytope._quickhull(arr, 1e-9).tolist()]
         assert {(round(x * 8), round(y * 8)) for x, y in got} == exact_hull_vertices(points)
         assert len(got) == len(set(got))
         if len(got) > 2:  # strictly convex, counterclockwise
@@ -431,14 +466,94 @@ class TestHullScaling:
             assert abs(u.p - t * v.p) <= bound and abs(u.q - t * v.q) <= bound
 
 
-class TestSliverHull:
+class TestQuickhull:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(thin_clouds, random_clouds.map(lambda pts: [(x / 8, y / 8) for x, y in pts])))
-    def test_shortcut_is_the_chain_whenever_taken(self, points):
+    def test_clouds_within_the_tolerance_of_a_chord_give_its_ends(self, points):
+        # the hull is [p0, p1], the lexicographic extremes, exactly when every
+        # point lies within the tolerance of the chord p0 p1 (decided here in
+        # rationals); its vertices are always points of the cloud
         arr = np.array(points, dtype=float)
-        eps_abs = 1e-9 * max(float(np.abs(arr).max()), 1.0) ** 2
-        got = polytope._sliver_hull(arr, eps_abs)
-        assert got is None or got == polytope._hull_vertices(arr, eps_abs)
+        tol = 1e-9 * float(np.abs(arr).max())
+        got = [tuple(v) for v in polytope._quickhull(arr, tol).tolist()]
+        p0, p1 = min(points), max(points)
+        if p0 == p1:
+            assert got == [p0]
+            return
+        assert got[0] == p0 and p1 in got and set(got) <= set(points)
+        (ax, ay), (bx, by) = (tuple(map(F, p)) for p in (p0, p1))
+        crosses = ((bx - ax) * (F(y) - ay) - (by - ay) * (F(x) - ax) for x, y in points)
+        worst = max(c * c for c in crosses) / ((bx - ax) ** 2 + (by - ay) ** 2)
+        if worst < F(tol) ** 2 * (1 - F(1, 10**6)):
+            assert got == [p0, p1]
+        elif worst > F(tol) ** 2 * (1 + F(1, 10**6)):
+            assert len(got) > 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_clouds, with_duplicates, on_wall), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_interior_points_leave_the_vertices_unchanged(self, points, count, seed):
+        arr = np.array(points, dtype=float) / 8
+        ref = polytope._quickhull(arr, 1e-9 * float(np.abs(arr).max()))
+        if len(ref) < 3:
+            return
+        # convex combinations of the vertices with every weight bounded away
+        # from 0 lie strictly inside; they go in at random places
+        rng = np.random.default_rng(seed)
+        w = rng.random((count, len(ref))) + 0.05
+        inner = (w / w.sum(axis=1, keepdims=True)) @ ref
+        cloud = np.insert(arr, np.sort(rng.integers(0, len(arr) + 1, count)), inner, axis=0)
+        assert np.array_equal(polytope._quickhull(cloud, 1e-9 * float(np.abs(cloud).max())), ref)
+
+
+def _distance_loop(point, verts):
+    """The point-to-polytope distance of one point, one edge at a time: the
+    scalar reference for :func:`polytope._distances`."""
+    px, py = float(point[0]), float(point[1])
+    n = len(verts)
+    if n == 1:
+        return math.hypot(px - verts[0][0], py - verts[0][1])
+    inside = n > 2
+    best = math.inf
+    for i in range(n if n > 2 else n - 1):
+        ax, ay = verts[i]
+        bx, by = verts[(i + 1) % n]
+        if inside and ((bx - ax) * (py - ay) - (by - ay) * (px - ax)) < 0:
+            inside = False
+        dx, dy = bx - ax, by - ay
+        denom = dx * dx + dy * dy
+        t = 0.0 if denom == 0.0 else max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
+        best = min(best, math.hypot(px - (ax + t * dx), py - (ay + t * dy)))
+    return 0.0 if inside else best
+
+
+class TestDistances:
+    SHAPES = [(4, 2, -1), (1, 1, 1), (-5, 20, 10), (3, -1, -2), (2, 1), (1, -1), (1, 1), (4, 0, 0), (0, 0, 0)]
+
+    @pytest.mark.parametrize("gammas", SHAPES)
+    def test_vectorised_distance_is_the_loop(self, gammas):
+        # points inside, on every edge, at every vertex and outside the
+        # polygons, segments and points
+        P = build_polytope(gammas)
+        verts = polytope._pq_array(P)
+        rng = np.random.default_rng(17)
+        lo, hi = verts.min(axis=0) - 1.0, verts.max(axis=0) + 1.0
+        ends = np.roll(verts, -1, axis=0)
+        t = rng.random((len(verts), 4))[:, :, None]
+        on_edges = (verts[:, None, :] + t * (ends - verts)[:, None, :]).reshape(-1, 2)
+        points = np.concatenate([verts, verts.mean(axis=0, keepdims=True), on_edges, lo + (hi - lo) * rng.random((200, 2))])
+        got = polytope._distances(points, verts)
+        want = [_distance_loop(p, verts.tolist()) for p in points.tolist()]
+        assert got.tolist() == want
+        assert [polytope.distance_to_polytope_pq(p, P) for p in points.tolist()] == want
+        if P.kind == "Polygon":
+            assert got[len(verts)] == 0.0
+            assert np.count_nonzero(got[: len(verts)]) == 0
+
+    def test_hausdorff_is_the_loop_over_vertices(self):
+        P, Q = build_polytope((4, 2, -1)), build_polytope((3, -1, -2))
+        p, q = polytope._pq_array(P).tolist(), polytope._pq_array(Q).tolist()
+        want = max(max(_distance_loop(v, q) for v in p), max(_distance_loop(v, p) for v in q))
+        assert hausdorff(P, Q) == want
 
 
 GENERIC_LABELS = {t.value for t in GENERIC_N3} | {"GenA", "GenB", "GenC", "GenD"}

@@ -15,6 +15,7 @@ from su3poly.su3 import (
     XI2,
     Hermitian3,
     InvalidTolerance,
+    NotHermitian,
     Root,
     Spectrum,
     SumNotZero,
@@ -103,6 +104,25 @@ class TestSpectrum:
         with pytest.raises(SumNotZero):
             Spectrum(2e-12, 1e-12, -2.9e-12)
         assert Spectrum(2e-12, 1e-12, -3e-12).astuple() == (2e-12, 1e-12, -3e-12)
+
+    def test_from_numpy_checks_have_no_floor(self):
+        # the trace is the whole scale; an absolute floor of 1 let it through
+        with pytest.raises(SumNotZero):
+            Hermitian3.from_numpy(1e-12 * np.eye(3))
+        with pytest.raises(NotHermitian):
+            Hermitian3.from_numpy(1e-12 * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+        small = Hermitian3.from_numpy(1e-12 * Hermitian3(0.7, -0.2, 0.3 + 0.4j).as_numpy())
+        assert math.isclose(small.d3, -0.5e-12, rel_tol=1e-12)
+        assert Hermitian3.from_numpy(np.zeros((3, 3))).frobenius() == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_from_numpy_rejects_non_finite_entries(self, bad):
+        m = np.zeros((3, 3), dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(NotHermitian, match="NaN or infinite"):
+            Hermitian3.from_numpy(m)
+        with pytest.raises(NotHermitian, match="NaN or infinite"):
+            Hermitian3.from_numpy(np.full((3, 3), bad))
 
     def test_diagonal_sum_check_has_no_floor(self):
         # the diagonal sums to its whole scale; an absolute floor of 1 let it through
