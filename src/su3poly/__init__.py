@@ -68,6 +68,7 @@ from .oracle import (
 from .polytope import (
     ChamberPolytope,
     HalfPlane,
+    InvalidHullPoints,
     build_polytope,
     build_polytope_n2,
     build_polytope_n3,

@@ -5,6 +5,9 @@ written ``lam (I - 3 Z (x) conj(Z))`` for a line Z, which equals the weighted
 momentum map value with weight ``-3 lam``.  Sums of two or three such
 matrices therefore have spectra confined to the momentum segment or polytope
 at weights ``gamma_j = -3 lam_j``, and every point of that set is attained.
+
+The bounds are exact and load no numpy; the realization search imports it
+when it runs.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-import numpy as np
 
 from .polytope import ChamberPolytope, build_polytope
 from .su3 import Hermitian3, Scalar, Spectrum, to_positive_chamber
@@ -27,6 +28,8 @@ class DoubleEigMatrixSpec:
 
     def realize(self, line: np.ndarray) -> Hermitian3:
         """The matrix lam (I - 3 Z conj(Z)^T) with simple eigenvector line Z."""
+        import numpy as np
+
         z = np.asarray(line, dtype=complex)
         z = z / np.linalg.norm(z)
         m = float(self.lam) * (np.eye(3) - 3.0 * np.outer(z, z.conj()))
@@ -102,6 +105,8 @@ _BASIS_STARTS = (
 
 
 def _spectrum_and_frame(z: np.ndarray, gammas: np.ndarray):
+    import numpy as np
+
     m = np.zeros((3, 3), dtype=complex)
     for j in range(len(gammas)):
         m += gammas[j] * np.outer(z[j], z[j].conj())
@@ -118,6 +123,8 @@ def _descend(z0: np.ndarray, target: np.ndarray, gammas: np.ndarray, iters: int 
     gamma_j W Z_j with W = sum_i 2 (lam_i − t_i) v_i v_i^dagger, projected to
     the unit-sphere tangent space.  Step size adapts by doubling/halving.
     """
+    import numpy as np
+
     z = z0.copy()
     vals, vecs = _spectrum_and_frame(z, gammas)
     f = float(np.sum((vals - target) ** 2))
@@ -154,6 +161,8 @@ def realize(a, b, c, target, budget: int = 200, seed: int = 0, success: float = 
     guaranteed for targets inside the predicted polytope, so a miss within
     ``budget`` restarts is a search failure, not a disproof.
     """
+    import numpy as np
+
     specs = [_as_spec(x) for x in (a, b, c)]
     gammas = np.array([float(gamma_of_lambda(s)) for s in specs])
     s = target if isinstance(target, Spectrum) else to_positive_chamber(tuple(target))[0]

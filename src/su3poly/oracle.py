@@ -19,9 +19,14 @@ instead of normalising it.  It sums the six independent entries of each
 momentum-map matrix in cache-sized chunks and hands them to the closed-form
 3x3 eigenvalue kernel of :mod:`su3` (no LAPACK call), writing each block's
 rows straight into the batch.  Containment forms one (half-planes, n) array,
-coverage one (vertices, n) array, and the hull deficit is one vectorised
-point-to-polygon distance to :func:`polytope.hull2d`'s distance-tolerance
-quickhull, whose vertices do not depend on the points inside the hull.
+coverage one (vertices, n) array, and the hull deficit is the scalar
+point-to-polygon distance of :mod:`polytope` from the predicted vertices to
+:func:`polytope.hull2d`'s distance-tolerance quickhull, whose vertices do not
+depend on the points inside the hull.
+
+Numpy is imported inside the functions that batch floats, not with the
+module, so importing the package and running the exact pipeline never load
+it.
 """
 
 from __future__ import annotations
@@ -32,8 +37,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
-
-import numpy as np
 
 from .moment_map import CPPoint, FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight, as_gammas
 from .polytope import ChamberPolytope, _distances, _pq_array, build_polytope, hull2d
@@ -59,6 +62,8 @@ def _checked_count(count, least: int) -> int:
 
 
 def _rng_for_block(seed: int, block: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.default_rng([int(seed), int(block)])
 
 
@@ -77,6 +82,8 @@ def _gaussian_blocks(seed: int, count: int, n_factors: int):
     only until the next block is drawn.  ``standard_normal`` fills its output
     in order, so a partial block is the prefix of the full one.
     """
+    import numpy as np
+
     buf = np.empty((min(BLOCK, count), n_factors, 3, 2))
     for block, start in enumerate(range(0, count, BLOCK)):
         part = buf[: min(BLOCK, count - start)]
@@ -128,6 +135,8 @@ def spectra_of_configurations(z: np.ndarray, gammas, out: Optional[np.ndarray] =
     small enough for the temporaries to stay in cache.  The samplers pass
     their weights already checked, so the check runs once per batch.
     """
+    import numpy as np
+
     checked = gammas if isinstance(gammas, _SamplingWeights) else _SamplingWeights.of(gammas)
     power = checked.power
     gs = np.array(checked.floats) / power
@@ -151,6 +160,8 @@ def spectra_of_configurations(z: np.ndarray, gammas, out: Optional[np.ndarray] =
 
 def chamber_points_of_spectra(spectra: np.ndarray) -> np.ndarray:
     """(n, 2) isometric chamber coordinates of sorted spectra rows."""
+    import numpy as np
+
     l1, l2, l3 = spectra[:, 0], spectra[:, 1], spectra[:, 2]
     return np.stack([(l1 - l2) / SQRT2, (l1 + l2 - 2 * l3) / SQRT6], axis=1)
 
@@ -176,6 +187,8 @@ def sample_batch(w, count: int, seed: int) -> SampleBatch:
     the spectra would leave float range, and :class:`InvalidCount` for a
     count that is not an integer >= 0.
     """
+    import numpy as np
+
     count = _checked_count(count, 0)
     checked = _SamplingWeights.of(w)
     spectra = np.empty((count, 3))
@@ -201,6 +214,8 @@ def _targeted_spectra(w, per_config: int, seed: int) -> np.ndarray:
     are genuine momentum-map images, so they may be pooled with the uniform
     batch.
     """
+    import numpy as np
+
     checked = _SamplingWeights.of(w)
     configs = FIXED_CONFIGURATIONS if len(checked.floats) == 3 else FIXED_CONFIGURATIONS_N2
     scales = (0.5, 0.1, 0.02, 0.004)
@@ -250,6 +265,8 @@ class VerificationReport:
 
 def violation_distances(P: ChamberPolytope, spectra: np.ndarray) -> np.ndarray:
     """Per-sample distance outside the polytope (0 inside), from one (half-planes, n) array."""
+    import numpy as np
+
     normals = np.array([[float(c) for c in hp.normal] for hp in P.halfplanes])
     offsets = np.array([float(hp.offset) for hp in P.halfplanes])
     units = np.linalg.norm(normals, axis=1)
@@ -275,6 +292,8 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     per-vertex coverage distances to zero much faster than uniform sampling.
     A count that is not a positive integer raises :class:`InvalidCount`.
     """
+    import numpy as np
+
     count = _checked_count(count, 1)
     try:
         gammas = as_gammas(w)
@@ -306,9 +325,10 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     excess = violation_distances(predicted, spectra)
 
     corners = _pq_array(predicted)
-    deficit = _distances(corners, _pq_array(hull2d(pq))).max()
+    deficit = max(_distances(corners, _pq_array(hull2d(pq))))
 
     # each vertex's nearest sample, picked on (vertices, n) squared distances
+    corners = np.array(corners)
     nearest = pq[((pq[:, 0] - corners[:, :1]) ** 2 + (pq[:, 1] - corners[:, 1:]) ** 2).argmin(axis=1)]
     coverage = np.hypot(nearest[:, 0] - corners[:, 0], nearest[:, 1] - corners[:, 1])
 
@@ -318,7 +338,7 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
         n_samples=int(spectra.shape[0]),
         n_violations=int(np.count_nonzero(excess > slack)),
         max_violation=power * float(excess.max()),
-        hausdorff_inner=power * float(deficit),
+        hausdorff_inner=power * deficit,
         vertex_coverage=tuple(power * float(d) for d in coverage),
         diameter=power * diam,
         tolerance=tol,

@@ -29,6 +29,12 @@ one back into a germ for the same line-maker.  Normals are stored as
 sum-zero functionals on spectra; signed distances divide by the Euclidean
 norm of the functional, which is the gradient norm in the isometric chamber
 embedding.
+
+Everything here but the hull is plain Python: the builder, containment, and
+the one point-to-polygon distance behind :func:`distance_to_polytope_pq`,
+:func:`hausdorff` and the hull deficit of :func:`oracle.verify`, a scalar
+loop over a few dozen vertices at most.  Only :func:`hull2d`, which batches
+sampled points, imports numpy, and only when it is called.
 """
 
 from __future__ import annotations
@@ -61,6 +67,11 @@ from .su3 import (
 
 class AllWeightsDegenerate(ValueError):
     """The half-plane intersection collapsed or failed to close up."""
+
+
+class InvalidHullPoints(ValueError):
+    """Points no chamber hull can be made of: none at all, or a hull vertex
+    outside the positive chamber."""
 
 
 # ---------------------------------------------------------------------------
@@ -590,16 +601,25 @@ def hull2d(points, eps: float = 1e-9) -> ChamberPolytope:
     against (no absolute floor, so ``hull2d(t * points)`` is ``t`` times the
     hull).  The filter drops only points strictly inside the hull, which
     never change the quickhull's vertices, so they are the same without it.
+    No points, or a hull vertex outside the chamber (beyond the slack that
+    :class:`su3.Spectrum` allows), raise :class:`InvalidHullPoints`.
     """
     import numpy as np
 
     arr = points if isinstance(points, np.ndarray) else np.array([(p.p, p.q) if isinstance(p, ChamberPoint) else (p[0], p[1]) for p in points], dtype=float)
     if arr.size == 0:
-        raise ValueError("need at least one point")
+        raise InvalidHullPoints("hull2d needs at least one point")
     scale = float(np.abs(arr).max())
     hull = _quickhull(_extreme_point_filter(arr, eps * scale * scale), eps * scale).tolist()
 
-    verts = tuple(Spectrum(*chamber_to_spectrum_floats(x, y)) for x, y in hull)
+    # the chamber is convex, so the cloud lies in it iff every hull vertex does
+    verts = []
+    for x, y in hull:
+        try:
+            verts.append(Spectrum(*chamber_to_spectrum_floats(x, y)))
+        except ValueError:
+            raise InvalidHullPoints(f"point (p, q) = ({x!r}, {y!r}) lies outside the chamber p >= 0, q >= p / sqrt(3)") from None
+    verts = tuple(verts)
     if len(verts) == 1:
         return point_polytope(verts[0], None)
     if len(verts) == 2:
@@ -617,48 +637,41 @@ def _lift_pq(np_: float, nq: float) -> Tuple[float, float, float]:
     return (np_ / s2 + nq / s6, -np_ / s2 + nq / s6, -2 * nq / s6)
 
 
-def _pq_array(P: ChamberPolytope):
-    import numpy as np
-
-    return np.array([(c.p, c.q) for c in P.pq_vertices()], dtype=float)
+def _pq_array(P: ChamberPolytope) -> List[Tuple[float, float]]:
+    return [(c.p, c.q) for c in P.pq_vertices()]
 
 
-def _distances(points, verts):
-    """Euclidean distances, as (k,), from (k, 2) points to the convex polytope
-    with (n, 2) vertex array ``verts``: a point, the two ends of a segment, or
-    a counterclockwise polygon, whose inside is at distance 0.  Each is the
-    least distance to an edge, laid out as (k, edges) arrays."""
-    import numpy as np
-
-    def hypot(x, y):
-        # math.hypot is correctly rounded, np.hypot differs in the last bit on
-        # about 0.6% of random pairs; k * edges is small for every caller
-        return np.fromiter(map(math.hypot, x.ravel().tolist(), y.ravel().tolist()), float, x.size).reshape(x.shape)
-
-    # a polygon has an edge per vertex, a segment or a point one edge; a
-    # point's edge has zero length and numerator, so t is 0 there
-    points = np.asarray(points, dtype=float)
-    a = verts if len(verts) > 2 else verts[:1]
-    b = np.roll(verts, -1, axis=0)[: len(a)]
-    ax, ay = a[:, 0], a[:, 1]
-    dx, dy = b[:, 0] - ax, b[:, 1] - ay
-    px, py = points[:, :1], points[:, 1:]
-    rx, ry = px - ax, py - ay
-    denom = dx * dx + dy * dy
-    t = np.clip((rx * dx + ry * dy) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
-    best = hypot(px - (ax + t * dx), py - (ay + t * dy)).min(axis=1)
-    if len(verts) > 2:
-        best[np.all(dx * ry - dy * rx >= 0, axis=1)] = 0.0
-    return best
+def _distances(points, verts) -> List[float]:
+    """Euclidean distances from (p, q) points to the convex polytope with
+    vertex list ``verts``: a point, the two ends of a segment, or a
+    counterclockwise polygon, whose inside is at distance 0.  Each is the
+    least distance to an edge, one edge at a time; every caller has a few
+    dozen vertices at most."""
+    n = len(verts)
+    edges = [(verts[i], verts[(i + 1) % n]) for i in range(n if n > 2 else 1)]
+    out = []
+    for px, py in points:
+        inside = n > 2
+        best = math.inf
+        for (ax, ay), (bx, by) in edges:
+            dx, dy = bx - ax, by - ay
+            if inside and dx * (py - ay) - dy * (px - ax) < 0:
+                inside = False
+            # a point's one edge has zero length, so t is 0 there
+            denom = dx * dx + dy * dy
+            t = 0.0 if denom == 0.0 else max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
+            best = min(best, math.hypot(px - (ax + t * dx), py - (ay + t * dy)))
+        out.append(0.0 if inside else best)
+    return out
 
 
 def distance_to_polytope_pq(point, P: ChamberPolytope) -> float:
     """Euclidean distance from an embedding point to a convex polytope."""
-    return float(_distances([(float(point[0]), float(point[1]))], _pq_array(P))[0])
+    return _distances([(float(point[0]), float(point[1]))], _pq_array(P))[0]
 
 
 def hausdorff(P: ChamberPolytope, Q: ChamberPolytope) -> float:
     """Symmetric Hausdorff distance in the chamber-embedding metric; both sets
     are convex, so each one-sided supremum is attained at a vertex."""
     p, q = _pq_array(P), _pq_array(Q)
-    return max(float(_distances(p, q).max()), float(_distances(q, p).max()))
+    return max(max(_distances(p, q)), max(_distances(q, p)))

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction as F
@@ -22,6 +23,7 @@ from su3poly.polytope import (
     AllWeightsDegenerate,
     ChamberPolytope,
     DegenerateWeight,
+    InvalidHullPoints,
     build_polytope,
     build_polytope_n2,
     build_polytope_n3,
@@ -311,6 +313,22 @@ class TestHull2d:
         hull = hull2d([(0.5, 1.0)])
         assert hull.kind == "Point"
 
+    def test_no_points_is_a_typed_error(self):
+        for empty in ([], np.empty((0, 2))):
+            with pytest.raises(InvalidHullPoints, match="at least one point"):
+                hull2d(empty)
+
+    def test_point_outside_the_chamber_is_named(self):
+        # p < 0 breaks l1 >= l2, q < p / sqrt(3) breaks l2 >= l3
+        for outside in ((-0.5, 2.0), (2.0, 0.5)):
+            with pytest.raises(InvalidHullPoints, match=re.escape(f"({outside[0]!r}, {outside[1]!r})")):
+                hull2d([(0.5, 1.0), (1.0, 3.0), outside, (0.25, 1.5)])
+
+    def test_chamber_slack_is_the_spectrum_slack(self):
+        # a wall point off by rounding is in the chamber, as for Spectrum
+        hull = hull2d([(-1e-12, 1.0), (0.5, 1.0), (0.5, 2.0)])
+        assert hull.kind == "Polygon"
+
     def test_collinear_off_root_contains_inputs(self):
         # direction (1, 2) in the embedding is parallel to no root
         pts = [(0.25 + t, 1.0 + 2 * t) for t in (0.0, 0.5, 1.25, 2.0)]
@@ -530,28 +548,30 @@ class TestDistances:
     SHAPES = [(4, 2, -1), (1, 1, 1), (-5, 20, 10), (3, -1, -2), (2, 1), (1, -1), (1, 1), (4, 0, 0), (0, 0, 0)]
 
     @pytest.mark.parametrize("gammas", SHAPES)
-    def test_vectorised_distance_is_the_loop(self, gammas):
+    def test_distance_is_the_loop(self, gammas):
         # points inside, on every edge, at every vertex and outside the
         # polygons, segments and points
         P = build_polytope(gammas)
-        verts = polytope._pq_array(P)
+        corners = polytope._pq_array(P)
+        verts = np.array(corners)
         rng = np.random.default_rng(17)
         lo, hi = verts.min(axis=0) - 1.0, verts.max(axis=0) + 1.0
         ends = np.roll(verts, -1, axis=0)
         t = rng.random((len(verts), 4))[:, :, None]
         on_edges = (verts[:, None, :] + t * (ends - verts)[:, None, :]).reshape(-1, 2)
-        points = np.concatenate([verts, verts.mean(axis=0, keepdims=True), on_edges, lo + (hi - lo) * rng.random((200, 2))])
-        got = polytope._distances(points, verts)
-        want = [_distance_loop(p, verts.tolist()) for p in points.tolist()]
-        assert got.tolist() == want
-        assert [polytope.distance_to_polytope_pq(p, P) for p in points.tolist()] == want
+        points = np.concatenate([verts, verts.mean(axis=0, keepdims=True), on_edges, lo + (hi - lo) * rng.random((200, 2))]).tolist()
+        got = polytope._distances(points, corners)
+        want = [_distance_loop(p, corners) for p in points]
+        assert all(type(d) is float for d in got)
+        assert got == want
+        assert [polytope.distance_to_polytope_pq(p, P) for p in points] == want
         if P.kind == "Polygon":
             assert got[len(verts)] == 0.0
-            assert np.count_nonzero(got[: len(verts)]) == 0
+            assert not any(got[: len(verts)])
 
     def test_hausdorff_is_the_loop_over_vertices(self):
         P, Q = build_polytope((4, 2, -1)), build_polytope((3, -1, -2))
-        p, q = polytope._pq_array(P).tolist(), polytope._pq_array(Q).tolist()
+        p, q = polytope._pq_array(P), polytope._pq_array(Q)
         want = max(max(_distance_loop(v, q) for v in p), max(_distance_loop(v, p) for v in q))
         assert hausdorff(P, Q) == want
 
