@@ -45,7 +45,6 @@ from .moment_map import (
     CPPoint,
     DegenerateWeight,
     InvalidWeight,
-    LengthMismatch,
     NotNormalized,
     StabilizerClass,
     Weights,
@@ -80,7 +79,9 @@ from .su3 import (
     ChamberPoint,
     Hermitian3,
     InvalidTolerance,
+    LengthMismatch,
     NotHermitian,
+    NotSorted,
     Root,
     SignedRoot,
     SkewHermitian3,

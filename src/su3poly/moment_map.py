@@ -20,6 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .su3 import (
     Hermitian3,
+    LengthMismatch,
     Root,
     Scalar,
     SignedRoot,
@@ -33,10 +34,6 @@ from .su3 import (
 
 class NotNormalized(ValueError):
     """A homogeneous coordinate vector that is not on the unit sphere."""
-
-
-class LengthMismatch(ValueError):
-    """Configuration length does not match the number of weights."""
 
 
 class InvalidWeight(ValueError):
@@ -341,7 +338,7 @@ def configuration_stabilizer(config: Sequence[CPPoint], tol: float = 1e-9) -> St
     """
     n = len(config)
     if n not in (2, 3):
-        raise ValueError("expected 2 or 3 points")
+        raise LengthMismatch(f"expected 2 or 3 points, got {n}")
     absinner = {}
     for i in range(n):
         for j in range(i + 1, n):

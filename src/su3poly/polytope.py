@@ -9,10 +9,11 @@ limit at weight coincidences, which reproduces the transition shapes.
 
 Every cone edge is a root ray or a root line, so every facet normal is one
 of eight fixed directions: the two walls and the six directions
-perpendicular to a root.  The vertices are therefore solved directly: the
-tightest offset per direction, a 2x2 integer solve for each pair of
-directions, and the solutions that satisfy every half-plane, ordered by the
-monotone chain.
+perpendicular to a root, and the directions meet in a fixed cyclic order.
+The vertices are therefore one walk round that order: the tightest offset
+per direction, one 2x2 integer solve of each line with the next, and
+redundant lines dropped until every edge has positive length.  The exact
+path runs no hull algorithm.
 
 The three-factor build is one straight line in integers: one
 :func:`classifier.classify_n3` checks the weights, snaps them once to
@@ -115,12 +116,11 @@ WALL_23 = HalfPlane((0, 1, -1), 0, "wall:l2=l3")
 # Exact vertices from the fixed facet directions (coordinates are (l1, l2))
 # ---------------------------------------------------------------------------
 
-Point2 = Tuple[Scalar, Scalar]
-
 #: Primitive integer functionals (a, b), read as a*l1 + b*l2, of the eight
-#: possible facet directions: the walls l1 >= l2 and l2 >= l3, and the two
+#: possible facet directions, counterclockwise by angle in the (l1, l2)
+#: plane: the walls l2 >= l3 (1, 2) and l1 >= l2 (1, -1), and the two
 #: directions perpendicular to each root; each with its sum-zero normal.
-_FACET_NORMALS = {d: lift_2d(*d) for d in ((1, -1), (1, 2), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))}
+_FACET_NORMALS = {d: lift_2d(*d) for d in ((1, 0), (1, 1), (1, 2), (0, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))}
 _DIRECTION_OF_NORMAL = {n: d for d, n in _FACET_NORMALS.items()}
 
 
@@ -129,37 +129,46 @@ def _integer_vertices(lines: Sequence[Tuple[int, int, int]]) -> Tuple[List[Tuple
 
     ``(a, b)`` must be a facet direction (a key of ``_FACET_NORMALS``) and
     every ``c`` an integer over one common denominator; each direction
-    keeps its tightest offset.  Every pair of lines is a 2x2 integer
-    system, and a solution (x/det, y/det) is kept when it satisfies every
-    line, tested in integers multiplied through by det^2.  Returns the kept
-    points as integers over m = lcm of the determinants, counterclockwise
-    by the monotone chain at tolerance 0, and m.  Raises
-    :class:`AllWeightsDegenerate` for another direction, an unbounded
-    intersection (some line direction recedes inside every half-plane) or
-    fewer than three vertices.
+    keeps its tightest offset.  The lines are walked in the fixed
+    counterclockwise order of their directions.  The intersection is
+    unbounded exactly when two neighbours are half a turn or more apart;
+    otherwise each line meets the next in one 2x2 integer solve with a
+    positive determinant, and its edge runs along (b, -a) from the vertex
+    with its predecessor to the vertex with its successor.  A line whose
+    edge has signed length <= 0 is redundant or the polygon is empty or
+    flat; it is dropped until every edge is positive.  Returns the vertices
+    as integers over m = lcm of the determinants, counterclockwise from the
+    lexicographic minimum, and m.  Raises :class:`AllWeightsDegenerate` for
+    another direction, an unbounded intersection, or one that is empty, a
+    point or a segment (a determinant <= 0 after a drop).
     """
     tightest: Dict[Tuple[int, int], int] = {}
     for a, b, c in lines:
         if (a, b) not in _FACET_NORMALS:
             raise AllWeightsDegenerate(f"functional {a}*l1 + {b}*l2 is no facet direction")
         tightest[a, b] = max(c, tightest.get((a, b), c))
-    lines = [(a, b, c) for (a, b), c in tightest.items()]
-    rays = [d for a, b, _ in lines for d in ((-b, a), (b, -a))]
-    if any(all(a * dx + b * dy >= 0 for a, b, _ in lines) for dx, dy in rays):
+    ring = [(a, b, tightest[a, b]) for a, b in _FACET_NORMALS if (a, b) in tightest]
+    if len(ring) < 3 or any(a1 * b2 - a2 * b1 <= 0 for (a1, b1, _), (a2, b2, _) in zip(ring, ring[1:] + ring[:1])):
         raise AllWeightsDegenerate("half-plane intersection is unbounded")
-    solutions = []
-    for i, (a1, b1, c1) in enumerate(lines):
-        for a2, b2, c2 in lines[i + 1:]:
+    while True:
+        # corner i is where line i - 1 meets line i, as (x, y, det) for (x/det, y/det)
+        corners = []
+        for (a1, b1, c1), (a2, b2, c2) in zip(ring[-1:] + ring[:-1], ring):
             det = a1 * b2 - a2 * b1
-            x, y = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
-            if det and all((a * x + b * y) * det >= c * det * det for a, b, c in lines):
-                solutions.append((x, y, det))
-    # the chain runs on integer points over the common denominator m
-    m = math.lcm(*(det for _, _, det in solutions))
-    hull = _chain(sorted({(x * m // det, y * m // det) for x, y, det in solutions}))
-    if len(hull) < 3:
-        raise AllWeightsDegenerate(f"half-plane intersection has {len(hull)} vertices")
-    return hull, m
+            if det <= 0:
+                raise AllWeightsDegenerate("half-plane intersection has no interior")
+            corners.append((c1 * b2 - c2 * b1, a1 * c2 - a2 * c1, det))
+        # the edge of line i runs from corner i to corner i + 1 along (b, -a)
+        for i, ((a, b, _), (x0, y0, d0), (x1, y1, d1)) in enumerate(zip(ring, corners, corners[1:] + corners[:1])):
+            if b * (x1 * d0 - x0 * d1) - a * (y1 * d0 - y0 * d1) <= 0:
+                del ring[i]
+                break
+        else:
+            break
+    m = math.lcm(*(det for _, _, det in corners))
+    hull = [(x * m // det, y * m // det) for x, y, det in corners]
+    i = hull.index(min(hull))
+    return hull[i:] + hull[:i], m
 
 
 # ---------------------------------------------------------------------------
@@ -296,23 +305,19 @@ def _germ_lines(germ: Germ, tag: str) -> List[Tuple[int, int, int, str]]:
                 a, b = -a, -b
         return [line(a, b, f"{_ROOT_LABELS[d]}-halfplane")]
 
-    vecs = list(dict.fromkeys(rays))
-    if len(vecs) == 1:
+    ring = [r for r in _ROOT_RAYS if r in rays]
+    if len(ring) == 1:
         raise AllWeightsDegenerate(f"single-ray cone at {tag}")
-    for u in vecs:
-        for v in vecs:
-            if u is v or _cross2(u, v) <= 0:
-                continue
-            if all(_cross2(u, w) >= 0 and _cross2(w, v) >= 0 for w in vecs):
-                # u and v are the extreme rays, counterclockwise from u to v
-                return [line(-u[1], u[0], "edge"), line(v[1], -v[0], "edge")]
+    for v, u in zip(ring, ring[1:] + ring[:1]):
+        if v[0] * u[1] - v[1] * u[0] < 0:
+            # the gap from v to u is wider than half a turn, so u and v are
+            # the extreme rays, counterclockwise from u to v
+            return [line(-u[1], u[0], "edge"), line(v[1], -v[0], "edge")]
     raise AllWeightsDegenerate(f"cone at {tag} is not salient")
 
 
-def _cross2(u: Point2, v: Point2) -> Scalar:
-    return u[0] * v[1] - u[1] * v[0]
-
-
+#: The six signed roots in (l1, l2) coordinates, counterclockwise by angle.
+_ROOT_RAYS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 _ROOT_LABELS = {root.vector: root.label for root in Root}
 
 
@@ -527,23 +532,6 @@ def _extreme_point_filter(pts, eps_abs: float):
     cross = normals @ pts.T
     cross -= offsets[:, None]
     return pts[~np.all(cross > eps_abs, axis=0)]
-
-
-def _chain(pts: Sequence[Point2]) -> List[Point2]:
-    """Counterclockwise hull of distinct, lexicographically sorted exact
-    points by Andrew's monotone chain; collinear points are dropped."""
-
-    def half(seq):
-        h: List[Point2] = []
-        for x, y in seq:
-            while len(h) >= 2 and ((h[-1][0] - h[-2][0]) * (y - h[-2][1]) - (h[-1][1] - h[-2][1]) * (x - h[-2][0])) <= 0:
-                h.pop()
-            h.append((x, y))
-        return h
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return lower[:-1] + upper[:-1] if len(lower) > 1 else lower
 
 
 def _quickhull(arr, tol: float):

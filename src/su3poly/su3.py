@@ -31,6 +31,15 @@ class SumNotZero(ValueError):
     """A would-be spectrum whose entries do not sum to zero."""
 
 
+class NotSorted(ValueError):
+    """A would-be spectrum whose entries are not in descending order."""
+
+
+class LengthMismatch(ValueError):
+    """A sequence of the wrong length: a spectrum that is no triple, or a
+    configuration or weight vector of the wrong size."""
+
+
 class NotHermitian(ValueError):
     """A matrix with a NaN or infinite entry, or that differs from its
     conjugate transpose beyond tolerance."""
@@ -198,13 +207,13 @@ class Spectrum:
         if self.is_exact:
             # exact entries need no slack, and no scale to compute it from
             if not l1 >= l2 >= l3:
-                raise ValueError(f"spectrum not sorted: {(l1, l2, l3)}")
+                raise NotSorted(f"spectrum not sorted: {(l1, l2, l3)}")
             if l1 + l2 + l3 != 0:
                 raise SumNotZero(f"spectrum does not sum to zero: {(l1, l2, l3)}")
             return
         slack = SUM_TOL * max(abs(l1), abs(l2), abs(l3))
         if not (l1 >= l2 - slack and l2 >= l3 - slack):
-            raise ValueError(f"spectrum not sorted: {(l1, l2, l3)}")
+            raise NotSorted(f"spectrum not sorted: {(l1, l2, l3)}")
         if abs(l1 + l2 + l3) > slack:
             raise SumNotZero(f"spectrum does not sum to zero: {(l1, l2, l3)}")
 
@@ -223,9 +232,6 @@ class Spectrum:
 
     def scale(self) -> Scalar:
         return max(abs(self.l1), abs(self.l2), abs(self.l3))
-
-    def has_repeated_eigenvalue(self, tol: float = 0.0) -> bool:
-        return self.l1 - self.l2 <= tol or self.l2 - self.l3 <= tol
 
 
 @dataclass(frozen=True)
@@ -265,11 +271,12 @@ def to_positive_chamber(raw: Sequence[Scalar], tol: float = SUM_TOL):
     permutations achieving the descending order (ties) the lexicographically
     smallest index tuple is reported.  Raises :class:`SumNotZero` when the
     input does not sum to zero (exactly for exact input, within ``tol``
-    relative to scale only otherwise).
+    relative to scale only otherwise), and :class:`LengthMismatch` when it
+    is no triple.
     """
     raw = tuple(raw)
     if len(raw) != 3:
-        raise ValueError("expected a triple")
+        raise LengthMismatch(f"expected a triple, got {len(raw)} entries")
     total = raw[0] + raw[1] + raw[2]
     if abs(total) > (0 if all_exact(raw) else tol * max(abs(x) for x in raw)):
         raise SumNotZero(f"sum is {total}")

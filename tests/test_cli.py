@@ -47,6 +47,7 @@ class TestErrors:
             (["sweep", "--start", "1,1,1", "--end", "2,1,1", "--steps", "0"], "InvalidCount"),
             (["sweep", "--start", "1,1,1", "--end", "2,1"], "LengthMismatch"),
             (["bounds", "--lambdas", "1,1,1,1"], "LengthMismatch"),
+            (["bounds", "--lambdas", "1,1,1", "--target", "1,2"], "LengthMismatch"),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, capsys, argv, kind):

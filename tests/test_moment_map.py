@@ -24,6 +24,7 @@ from su3poly.moment_map import (
     tangent_weights,
     weighted_moment,
 )
+from su3poly import su3
 from su3poly.classifier import classify_n2, classify_n3
 from su3poly.cones import slice_cone_a, slice_cone_b, slice_cone_c
 from su3poly.oracle import InvalidCount, empirical_polytope, sample_batch, verify
@@ -185,6 +186,11 @@ class TestStabilizer:
         assert configuration_stabilizer((E1, E2, u)) is StabilizerClass.U1  # coplanar
         assert configuration_stabilizer((E1, E2, w)) is StabilizerClass.TRIVIAL
 
+    @pytest.mark.parametrize("config", [(E1,), (E1, E2, E3, E1)])
+    def test_configuration_of_wrong_length(self, config):
+        with pytest.raises(LengthMismatch, match=f"got {len(config)}"):
+            configuration_stabilizer(config)
+
     def test_tolerance_is_configurable(self):
         # a coordinate perturbation eps moves |<u, v>| only by ~eps^2/2
         nearly_e1 = CPPoint.of(1, 1e-3, 0)
@@ -253,6 +259,9 @@ class TestInvalidWeight:
 
 class TestBadArguments:
     """Bad lengths, counts and tolerances raise typed errors that name them."""
+
+    def test_length_mismatch_is_the_one_class_of_su3(self):
+        assert LengthMismatch is su3.LengthMismatch
 
     @pytest.mark.parametrize("w", [(1,), (1, 2, 3, 4), ()])
     def test_weight_count(self, w):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import N2_FIXTURES, POLYTOPE_FIXTURES, random_rational_gammas
 from su3poly import classifier, moment_map, oracle, polytope
 from su3poly.classifier import GENERIC_N3, classify_n3
-from su3poly.cones import ConeSpec
+from su3poly.cones import ConeSpec, Germ
 from su3poly.moment_map import fixed_point_spectra
 from su3poly.oracle import sample_batch
 from su3poly.polytope import (
@@ -294,6 +294,157 @@ class TestPolygonVertices:
         # the chamber cut by l1 <= 2, also given as the slack l1 <= 5
         hull, m = polytope._integer_vertices([*self.WALLS, (-1, 0, -5), (-1, 0, -2)])
         assert [(F(x, m), F(y, m)) for x, y in hull] == [(0, 0), (2, -1), (2, 2)]
+
+
+def _pairwise_vertices(lines):
+    """The vertex solve of every pair of lines, kept when it satisfies every
+    line and ordered by Andrew's monotone chain: the reference for
+    :func:`polytope._integer_vertices`, which walks the fixed order."""
+    tightest = {}
+    for a, b, c in lines:
+        if (a, b) not in polytope._FACET_NORMALS:
+            raise AllWeightsDegenerate(f"functional {a}*l1 + {b}*l2 is no facet direction")
+        tightest[a, b] = max(c, tightest.get((a, b), c))
+    lines = [(a, b, c) for (a, b), c in tightest.items()]
+    rays = [d for a, b, _ in lines for d in ((-b, a), (b, -a))]
+    if any(all(a * dx + b * dy >= 0 for a, b, _ in lines) for dx, dy in rays):
+        raise AllWeightsDegenerate("half-plane intersection is unbounded")
+    points = set()
+    for i, (a1, b1, c1) in enumerate(lines):
+        for a2, b2, c2 in lines[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            x, y = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
+            if det and all((a * x + b * y) * det >= c * det * det for a, b, c in lines):
+                points.add((F(x, det), F(y, det)))
+
+    def half(seq):
+        h = []
+        for x, y in seq:
+            while len(h) >= 2 and ((h[-1][0] - h[-2][0]) * (y - h[-2][1]) - (h[-1][1] - h[-2][1]) * (x - h[-2][0])) <= 0:
+                h.pop()
+            h.append((x, y))
+        return h
+
+    pts = sorted(points)
+    lower, upper = half(pts), half(pts[::-1])
+    hull = lower[:-1] + upper[:-1] if len(lower) > 1 else lower
+    if len(hull) < 3:
+        raise AllWeightsDegenerate(f"half-plane intersection has {len(hull)} vertices")
+    return hull
+
+
+def _walked_vertices(lines):
+    hull, m = polytope._integer_vertices(lines)
+    return [(F(x, m), F(y, m)) for x, y in hull]
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except AllWeightsDegenerate as exc:
+        return type(exc)
+
+
+DIRECTIONS = list(polytope._FACET_NORMALS)
+
+
+def facet_lines(offsets):
+    return st.lists(st.tuples(st.sampled_from(DIRECTIONS), offsets).map(lambda d: (*d[0], d[1])), max_size=12)
+
+
+# every direction at least once is bounded, and offsets <= 0 keep the
+# origin inside, so these are mostly polygons
+closed_facet_lines = st.builds(
+    lambda offsets, extra: [(*d, c) for d, c in zip(DIRECTIONS, offsets)] + extra,
+    st.lists(st.integers(-6, 0), min_size=8, max_size=8),
+    facet_lines(st.integers(-6, 1)),
+)
+
+
+class TestWalkAgainstPairwise:
+    """The walk round the fixed facet directions against the all-pairs solve
+    and monotone chain it replaced."""
+
+    WALLS = TestPolygonVertices.WALLS
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(facet_lines(st.integers(-4, 4)), closed_facet_lines), st.randoms(use_true_random=False))
+    def test_matches_the_pairwise_solve(self, lines, rnd):
+        rnd.shuffle(lines)
+        assert _outcome(_walked_vertices, lines) == _outcome(_pairwise_vertices, lines)
+
+    @pytest.mark.parametrize(
+        "extra, vertices",
+        [
+            # l1 <= 2 given three times: the tightest offset wins
+            ([(-1, 0, -5), (-1, 0, -2), (-1, 0, -3)], [(0, 0), (2, -1), (2, 2)]),
+            # l1 + l2 <= 4 touches the triangle l1 <= 2 only at (2, 2): three lines through one vertex
+            ([(-1, 0, -2), (-1, -1, -4)], [(0, 0), (2, -1), (2, 2)]),
+            # l2 <= 1 and l1 + l2 <= 2 both pass through (1, 1), cutting the same corner
+            ([(-1, 0, -2), (0, -1, -1), (-1, -1, -2)], [(0, 0), (2, -1), (2, 0), (1, 1)]),
+            # every direction, five of them redundant
+            ([(1, 0, -9), (1, 1, -9), (0, 1, -9), (-1, 0, -3), (-1, -1, -9), (0, -1, -9)], [(0, 0), (3, F(-3, 2)), (3, 3)]),
+        ],
+    )
+    def test_polygons(self, extra, vertices):
+        lines = [*self.WALLS, *extra]
+        assert _walked_vertices(lines) == _pairwise_vertices(lines) == vertices
+
+    @pytest.mark.parametrize(
+        "lines, match",
+        [
+            ([*WALLS, (-1, 0, 1)], "no interior"),  # l1 <= -1: empty
+            ([*WALLS, (-1, 0, 0)], "no interior"),  # l1 <= 0: the point (0, 0)
+            ([*WALLS, (0, 1, 0), (0, -1, 0), (-1, 0, -3)], "no interior"),  # l2 = 0, l1 <= 3: a segment
+            ([*WALLS, (0, 1, 1), (0, -1, 0)], "unbounded"),  # 0 >= l2 >= 1: an empty strip
+            ([*WALLS, (1, 0, 1), (1, 1, 1)], "unbounded"),
+            (WALLS, "unbounded"),
+            ([(1, 0, 0), (-1, 0, -1)], "unbounded"),
+            ([(1, 0, 0)], "unbounded"),
+            ([], "unbounded"),
+        ],
+    )
+    def test_degenerate_intersections(self, lines, match):
+        with pytest.raises(AllWeightsDegenerate, match=match):
+            polytope._integer_vertices(lines)
+        with pytest.raises(AllWeightsDegenerate):
+            _pairwise_vertices(lines)
+
+
+def _pairwise_extreme_rays(germ, tag):
+    """The O(r^3) search for the two extreme rays of an edge cone: the
+    reference for the fixed-order ray walk of :func:`polytope._germ_lines`."""
+    x, y, _ = germ.apex
+    vecs = list(dict.fromkeys((v[0], v[1]) for v in germ.rays))
+    if len(vecs) == 1:
+        raise AllWeightsDegenerate(f"single-ray cone at {tag}")
+
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    for u in vecs:
+        for v in vecs:
+            if u is v or cross(u, v) <= 0:
+                continue
+            if all(cross(u, w) >= 0 and cross(w, v) >= 0 for w in vecs):
+                return [(-u[1], u[0], -u[1] * x + u[0] * y, f"{tag}:edge"), (v[1], -v[0], v[1] * x - v[0] * y, f"{tag}:edge")]
+    raise AllWeightsDegenerate(f"cone at {tag} is not salient")
+
+
+SIGNED_ROOTS = [tuple(sign * x for x in root.vector) for root in Root for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("rays", [rays for k in range(1, 7) for rays in itertools.combinations(SIGNED_ROOTS, k)])
+def test_edge_cone_lines_match_the_pairwise_search(rays):
+    for order in (rays, rays[::-1], rays + rays[:1]):
+        germ = Germ((5, 1, -6), order)
+        try:
+            want = _pairwise_extreme_rays(germ, "x")
+        except AllWeightsDegenerate as exc:
+            with pytest.raises(AllWeightsDegenerate, match=f"^{re.escape(str(exc))}$"):
+                polytope._germ_lines(germ, "x")
+        else:
+            assert polytope._germ_lines(germ, "x") == want
 
 
 class TestHull2d:

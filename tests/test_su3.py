@@ -15,7 +15,9 @@ from su3poly.su3 import (
     XI2,
     Hermitian3,
     InvalidTolerance,
+    LengthMismatch,
     NotHermitian,
+    NotSorted,
     Root,
     Spectrum,
     SumNotZero,
@@ -98,8 +100,13 @@ class TestSpectrum:
             conj = Hermitian3.from_numpy(u @ m @ u.conj().T)
             assert np.allclose(spectrum(conj).as_floats(), ref, atol=1e-10)
 
+    @pytest.mark.parametrize("entries", [(1, 2, -3), (F(1, 3), F(2, 3), -1), (1.0, 2.0, -3.0)])
+    def test_unsorted_spectrum_is_named(self, entries):
+        with pytest.raises(NotSorted, match=re.escape(f"spectrum not sorted: {entries}")):
+            Spectrum(*entries)
+
     def test_float_checks_are_relative_to_scale_without_floor(self):
-        with pytest.raises(ValueError, match="not sorted"):
+        with pytest.raises(NotSorted, match="not sorted"):
             Spectrum(1e-12, 2e-12, -3e-12)
         with pytest.raises(SumNotZero):
             Spectrum(2e-12, 1e-12, -2.9e-12)
@@ -193,6 +200,11 @@ class TestPositiveChamber:
     def test_sum_not_zero(self):
         with pytest.raises(SumNotZero):
             to_positive_chamber((1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("raw", [(), (1, -1), (1, 0, 0, -1)])
+    def test_no_triple_is_a_length_mismatch(self, raw):
+        with pytest.raises(LengthMismatch, match=f"got {len(raw)} entries"):
+            to_positive_chamber(raw)
 
     @given(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
     def test_sort_is_lexicographically_smallest(self, v):
