@@ -67,6 +67,7 @@ from .oracle import (
 from .polytope import (
     ChamberPolytope,
     HalfPlane,
+    InvalidHalfPlane,
     InvalidHullPoints,
     build_polytope,
     build_polytope_n2,
@@ -78,6 +79,7 @@ from .polytope import (
 from .su3 import (
     ChamberPoint,
     Hermitian3,
+    InvalidIndex,
     InvalidTolerance,
     LengthMismatch,
     NotHermitian,

@@ -86,8 +86,7 @@ def cmd_polytope(args) -> int:
         return 0
     out = poly.to_json_dict()
     if args.emit_cones and len(gammas) == 3 and poly.kind == "Polygon":
-        _, can = classify_n3(gammas, args.tolerance)
-        cones = polytope_cones(can.sorted_gammas, args.tolerance)
+        cones = polytope_cones(gammas, args.tolerance)
         out["cones"] = {name: (cone.asdict() if cone else None) for name, cone in cones.items()}
     _write(_dump_json(out), args.output)
     return 0

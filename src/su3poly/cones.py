@@ -38,6 +38,7 @@ from .su3 import (
     Scalar,
     Spectrum,
     apply_perm,
+    check_index,
     exact_div,
     lift_2d,
     num_out,
@@ -250,8 +251,7 @@ class AnchorKernel:
         is -(y / z)(y + z) and the form ((x / y)(x - y), xz / y, (z / y)(z + y));
         returned are the sign of the first times z^2 and the second times y^2.
         """
-        if j not in (1, 2, 3):
-            raise ValueError("j must be 1, 2 or 3")
+        check_index(j)
         g = self.gammas
         x, y, z = g[j - 1], g[j % 3], g[(j + 1) % 3]
         yz = y * z * (y + z)
@@ -386,18 +386,18 @@ def slice_cone_b(w, tol: float = 1e-9, allow_coincident: bool = False) -> ConeSp
 
 def c_alpha1_coefficient(j: int, w) -> Scalar:
     """Coefficient of the alpha1-family ray in the slice map at c_j."""
+    check_index(j)
     g1, g2, g3 = as_gammas(w, n=3, allow_zero=False)
     if j == 1:
         return -exact_div(g2, g3) * (g2 + g3)
     if j == 2:
         return -exact_div(g3, g1) * (g1 + g3)
-    if j == 3:
-        return -exact_div(g1, g2) * (g1 + g2)
-    raise ValueError("j must be 1, 2 or 3")
+    return -exact_div(g1, g2) * (g1 + g2)
 
 
 def c_alpha3_form(j: int, w) -> QuadraticForm2:
     """Quadratic form multiplying the alpha3-family direction at c_j."""
+    check_index(j)
     g1, g2, g3 = as_gammas(w, n=3, allow_zero=False)
     if j == 1:
         return QuadraticForm2(
@@ -407,18 +407,15 @@ def c_alpha3_form(j: int, w) -> QuadraticForm2:
         return QuadraticForm2(
             exact_div(g2, g3) * (g2 - g3), exact_div(g1 * g2, g3), exact_div(g1, g3) * (g1 + g3)
         )
-    if j == 3:
-        return QuadraticForm2(
-            exact_div(g3, g1) * (g3 - g1), exact_div(g2 * g3, g1), exact_div(g2, g1) * (g1 + g2)
-        )
-    raise ValueError("j must be 1, 2 or 3")
+    return QuadraticForm2(
+        exact_div(g3, g1) * (g3 - g1), exact_div(g2 * g3, g1), exact_div(g2, g1) * (g1 + g2)
+    )
 
 
 def c_vertex_criterion(j: int, w) -> Scalar:
     """g1 g2 g3 (g_j - sum of the others); positive iff the c_j form is definite."""
+    check_index(j)
     g = as_gammas(w, n=3, allow_zero=False)
-    if j not in (1, 2, 3):
-        raise ValueError("j must be 1, 2 or 3")
     return g[0] * g[1] * g[2] * (2 * g[j - 1] - g[0] - g[1] - g[2])
 
 

@@ -26,6 +26,7 @@ from .su3 import (
     SignedRoot,
     Spectrum,
     all_exact,
+    check_index,
     is_exact,
     third,
     to_positive_chamber,
@@ -388,6 +389,4 @@ _TANGENT_WEIGHTS = {
 
 def tangent_weights(basis_index: int) -> Tuple[SignedRoot, SignedRoot]:
     """Torus weights of the tangent plane to CP^2 at a basis line."""
-    if basis_index not in (1, 2, 3):
-        raise ValueError("basis index must be 1, 2 or 3")
-    return _TANGENT_WEIGHTS[basis_index]
+    return _TANGENT_WEIGHTS[check_index(basis_index)]

@@ -20,15 +20,15 @@ The three-factor build is one straight line in integers: one
 integers (:func:`su3.snap_weights`), canonicalizes them and reads one sign
 profile, which yields the label and says which cones degenerate; one
 :class:`cones.AnchorKernel` takes the snapped weights on an integer scale t
-and gives each cone as a :class:`cones.Germ`; one
-line-maker turns each germ into lines a*l1 + b*l2 >= c / t with integer c;
-and the vertices come out as integers over m * t.  A ``Fraction`` is made
-only for the output (each offset and vertex entry), so vertices of
-rational-weight polytopes are exact.  :class:`cones.ConeSpec` objects are
-views, made only by :func:`polytope_cones`; :func:`cone_halfplanes` reads
-one back into a germ for the same line-maker.  Normals are stored as
-sum-zero functionals on spectra; signed distances divide by the Euclidean
-norm of the functional, which is the gradient norm in the isometric chamber
+and gives each cone as a :class:`cones.Germ`; one line-maker turns each
+germ into lines a*l1 + b*l2 >= c / t with integer c; and the vertices come
+out as integers over m * t.  A :class:`ChamberPolytope` stores these lines
+and vertices over one denominator and nothing else (segments, points and
+float hulls over 1); its :class:`HalfPlane` and :class:`su3.Spectrum`
+views, and the :class:`cones.ConeSpec` views of the germs
+(:func:`polytope_cones`), are made only when read.  Normals are sum-zero
+functionals on spectra; signed distances divide by the Euclidean norm of
+the functional, which is the gradient norm in the isometric chamber
 embedding.
 
 Everything here but the hull is plain Python: the builder, containment, and
@@ -43,24 +43,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .classifier import Canonicalization, N3Type, SignProfile, classify_n2, classify_n3, sign_profile
-from .cones import AnchorKernel, ConeSpec, Germ, _snapped_kernel
+from .classifier import Canonicalization, N3Type, classify_n2, classify_n3
+from .cones import AnchorKernel, ConeSpec, Germ
 from .moment_map import DegenerateWeight, as_gammas, fixed_point_spectra, weight_entries
 from .su3 import (
+    SQRT2,
+    SQRT6,
     ChamberPoint,
     Root,
     Scalar,
     Spectrum,
     all_exact,
     chamber_to_spectrum_floats,
-    exact_div,
-    integer_scaled,
     lift_2d,
     num_out,
     snap_weights,
-    star_vector,
     to_chamber,
     to_positive_chamber,
 )
@@ -75,6 +75,10 @@ class InvalidHullPoints(ValueError):
     outside the positive chamber."""
 
 
+class InvalidHalfPlane(ValueError):
+    """A normal (n0, n1, n2) with n0 = n1 = n2: it vanishes on the sum-zero plane."""
+
+
 # ---------------------------------------------------------------------------
 # Half-planes
 # ---------------------------------------------------------------------------
@@ -82,15 +86,17 @@ class InvalidHullPoints(ValueError):
 
 @dataclass(frozen=True)
 class HalfPlane:
-    """Closed half-plane {s : normal . s >= offset} in the sum-zero plane."""
+    """Closed half-plane {s : normal . s >= offset} in the sum-zero plane:
+    a view of one line of a :class:`ChamberPolytope`."""
 
     normal: Tuple[Scalar, Scalar, Scalar]
     offset: Scalar
     provenance: str = ""
 
     def __post_init__(self):
-        if all(c == 0 for c in self.normal):
-            raise ValueError("zero normal")
+        n = self.normal
+        if n[0] == n[1] == n[2]:
+            raise InvalidHalfPlane(f"normal {n} vanishes on the sum-zero plane")
 
     def value(self, s) -> Scalar:
         n = self.normal
@@ -104,12 +110,9 @@ class HalfPlane:
     def signed_distance(self, s) -> float:
         return float(self.value(s)) / self.unit()
 
-    def star(self) -> "HalfPlane":
-        return HalfPlane(star_vector(self.normal), self.offset, self.provenance)
 
-
-WALL_12 = HalfPlane((1, -1, 0), 0, "wall:l1=l2")
-WALL_23 = HalfPlane((0, 1, -1), 0, "wall:l2=l3")
+#: The chamber walls l1 >= l2 and l2 >= l3 as lines (a, b, c, provenance).
+_WALLS = ((1, -1, 0, "wall:l1=l2"), (1, 2, 0, "wall:l2=l3"))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +124,6 @@ WALL_23 = HalfPlane((0, 1, -1), 0, "wall:l2=l3")
 #: plane: the walls l2 >= l3 (1, 2) and l1 >= l2 (1, -1), and the two
 #: directions perpendicular to each root; each with its sum-zero normal.
 _FACET_NORMALS = {d: lift_2d(*d) for d in ((1, 0), (1, 1), (1, 2), (0, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))}
-_DIRECTION_OF_NORMAL = {n: d for d, n in _FACET_NORMALS.items()}
 
 
 def _integer_vertices(lines: Sequence[Tuple[int, int, int]]) -> Tuple[List[Tuple[int, int]], int]:
@@ -178,21 +180,44 @@ def _integer_vertices(lines: Sequence[Tuple[int, int, int]]) -> Tuple[List[Tuple
 
 @dataclass(frozen=True)
 class ChamberPolytope:
-    """Convex polygon, segment or point in the positive chamber.
+    """Convex polygon, segment or point in the positive chamber, stored as
+    the builder makes it, over one positive integer denominator ``den``.
 
-    ``vertices`` are the extreme points, counterclockwise in the chamber
-    embedding starting from the diagonal anchor point when one exists.
+    ``lines`` are (a, b, c, provenance), each the half-plane
+    a*l1 + b*l2 >= c / den, redundant lines included; ``corners`` are
+    (x, y, z), each the vertex (x, y, z) / den, counterclockwise in the
+    chamber embedding from the diagonal anchor point when one exists.
+    Entries are ints or Fractions, or floats over ``den`` 1 for a sampled
+    hull.  :attr:`halfplanes` and :attr:`vertices` are views made when
+    first read; over ``den`` 1 they keep the entries as stored.
     """
 
-    halfplanes: Tuple[HalfPlane, ...]
-    vertices: Tuple[Spectrum, ...]
+    lines: Tuple[Tuple[Scalar, Scalar, Scalar, str], ...]
+    corners: Tuple[Tuple[Scalar, Scalar, Scalar], ...]
+    den: int
     kind: str  # Polygon | Segment | Point
     label: Optional[str] = None
     starred: bool = False
 
+    @cached_property
+    def halfplanes(self) -> Tuple[HalfPlane, ...]:
+        """The lines as half-planes: the normal of a facet direction from the
+        fixed table, any other by :func:`su3.lift_2d`, the offset over ``den``."""
+        den = self.den
+        return tuple(
+            HalfPlane(_FACET_NORMALS.get((a, b)) or lift_2d(a, b), c if den == 1 else Fraction(c, den), p)
+            for a, b, c, p in self.lines
+        )
+
+    @cached_property
+    def vertices(self) -> Tuple[Spectrum, ...]:
+        """The corners over ``den``; every maker keeps them sorted and summing to zero."""
+        den = self.den
+        return tuple(Spectrum._trusted(*(v if den == 1 else [Fraction(x, den) for x in v])) for v in self.corners)
+
     @property
     def is_exact(self) -> bool:
-        return all(v.is_exact for v in self.vertices)
+        return all(all_exact(v) for v in self.corners)
 
     def pq_vertices(self) -> List[ChamberPoint]:
         return [to_chamber(v) for v in self.vertices]
@@ -218,17 +243,13 @@ class ChamberPolytope:
         return all(hp.signed_distance(triple) >= -slack for hp in self.halfplanes)
 
     def star(self) -> "ChamberPolytope":
-        starred = [Spectrum(*star_vector(v.astuple())) for v in self.vertices]
-        # Reverse to keep the counterclockwise orientation, holding the
-        # leading (anchor) vertex in place.
-        verts = tuple(starred[:1] + starred[:0:-1])
-        return ChamberPolytope(
-            tuple(hp.star() for hp in self.halfplanes),
-            verts,
-            self.kind,
-            self.label,
-            not self.starred,
-        )
+        """Image under the star involution (l1, l2, l3) -> (-l3, -l2, -l1),
+        the reflection across l2 = 0: the functional a*l1 + b*l2 becomes
+        a*l1 + (a - b)*l2.  All vertices but the leading (anchor) one are
+        reversed, which keeps the order counterclockwise."""
+        lines = tuple((a, a - b, c, p) for a, b, c, p in self.lines)
+        corners = [(-z, -y, -x) for x, y, z in self.corners]
+        return ChamberPolytope(lines, tuple(corners[:1] + corners[:0:-1]), self.den, self.kind, self.label, not self.starred)
 
     # -- serialization ------------------------------------------------------
 
@@ -250,12 +271,16 @@ class ChamberPolytope:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ChamberPolytope":
-        verts = tuple(Spectrum(*[_num_in(x) for x in v]) for v in d["vertices"])
-        hps = tuple(
-            HalfPlane(tuple(_num_in(x) for x in h["normal"]), _num_in(h["offset"]), h.get("provenance", ""))
-            for h in d["halfplanes"]
-        )
-        return cls(hps, verts, d["kind"], d.get("label"), bool(d.get("starred", False)))
+        """:meth:`to_json_dict` read back over ``den`` 1, each vertex checked
+        as a spectrum and each normal n as a :class:`HalfPlane`, then read as
+        (n0 - n2, n1 - n2), which is exact for an exact sum-zero normal."""
+        corners = tuple(Spectrum(*[_num_in(x) for x in v]).astuple() for v in d["vertices"])
+        lines = []
+        for h in d["halfplanes"]:
+            hp = HalfPlane(tuple(_num_in(x) for x in h["normal"]), _num_in(h["offset"]), h.get("provenance", ""))
+            n = hp.normal
+            lines.append((n[0] - n[2], n[1] - n[2], hp.offset, hp.provenance))
+        return cls(tuple(lines), corners, 1, d["kind"], d.get("label"), bool(d.get("starred", False)))
 
 
 def _num_in(x):
@@ -272,7 +297,7 @@ def contains(P: ChamberPolytope, s, tol: float = 1e-9) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Cone -> half-planes
+# Cone germs -> lines
 # ---------------------------------------------------------------------------
 
 
@@ -321,40 +346,18 @@ _ROOT_RAYS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 _ROOT_LABELS = {root.vector: root.label for root in Root}
 
 
-def _halfplane(a: int, b: int, c: int, t: int, provenance: str) -> HalfPlane:
-    return HalfPlane(_FACET_NORMALS[a, b], Fraction(c, t), provenance)
-
-
-def cone_halfplanes(cone: ConeSpec, tag: str) -> List[HalfPlane]:
-    """Half-plane description of a local cone anchored at its apex.
-
-    The cone is read into a :class:`cones.Germ` on the integer scale of its
-    apex (a float apex entry enters through its exact binary value) and
-    goes through the builder's own line-maker.
-    """
-    scaled_apex, t = integer_scaled(cone.apex.astuple())
-    rays = tuple(g.vector for g in cone.generators if not g.is_line)
-    lines = [g.root.vector for g in cone.generators if g.is_line]
-    side = None
-    if cone.side_normal is not None:
-        side = _DIRECTION_OF_NORMAL.get(tuple(cone.side_normal))
-        if side is None or len(lines) != 1:
-            raise AllWeightsDegenerate(f"cone at {tag} has side normal {cone.side_normal} and {len(lines)} lines")
-    elif len(lines) > 1:
-        raise AllWeightsDegenerate(f"cone at {tag} has {len(lines)} lines and {len(rays)} rays")
-    germ = Germ(scaled_apex, rays, lines[0] if lines else None, side, cone.weyl_folded)
-    return [_halfplane(a, b, c, t, provenance) for a, b, c, provenance in _germ_lines(germ, tag)]
-
-
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
 
 
-def _germs(kernel: AnchorKernel, profile: SignProfile) -> Dict[str, Optional[Germ]]:
-    """The five local cone germs of canonical weights; None where the cone
-    degenerates, as read from the weights' sign profile."""
-    return {
+def _germs(can: Canonicalization) -> Tuple[AnchorKernel, Dict[str, Optional[Germ]]]:
+    """The kernel of the snapped canonical weights and its five local cone
+    germs; None where the cone degenerates, as read from the sign profile."""
+    ints, den = can.snapped
+    kernel = AnchorKernel.scaled(ints, 3 * den)
+    profile = can.profile
+    return kernel, {
         "a": None if profile.sum == 0 else kernel.germ_a(),
         "b": kernel.germ_b(),
         "c1": None if profile.t1 or profile.z23 else kernel.germ_c(1),
@@ -364,15 +367,16 @@ def _germs(kernel: AnchorKernel, profile: SignProfile) -> Dict[str, Optional[Ger
 
 
 def polytope_cones(w, tol: float = 1e-9) -> Dict[str, Optional[ConeSpec]]:
-    """The five local cones for canonical weights; None where degenerate.
-
-    The builder's germs, each wrapped in a :class:`ConeSpec`, on one
-    :class:`AnchorKernel` of the weights snapped by :func:`su3.snap_weights`,
-    whose signs also say which cones degenerate.
+    """The five local cones of the polytope of three nonzero weights, as
+    :class:`ConeSpec` views of the builder's germs; None where degenerate.
+    Starred weights get the star images, as their polytope does, so every
+    apex is an anchor spectrum of ``w`` itself.
     """
-    kernel = _snapped_kernel(w, tol)
-    germs = _germs(kernel, sign_profile(kernel.gammas))
-    return {name: None if germ is None else kernel.view(germ) for name, germ in germs.items()}
+    label, can = classify_n3(w, tol)
+    if label is N3Type.DEGENERATE_ZERO_WEIGHT:
+        raise DegenerateWeight(f"weights {can.restore()} have a zero within tolerance")
+    kernel, germs = _germs(can)
+    return {name: None if g is None else kernel.view(g.star() if can.starred else g) for name, g in germs.items()}
 
 
 def build_polytope_n3(w, tol: float = 1e-9) -> ChamberPolytope:
@@ -394,14 +398,14 @@ def _build_n3(label: N3Type, can: Canonicalization) -> ChamberPolytope:
     The classification's one canonicalization and sign profile give the
     label and say which cones degenerate; one kernel gives the cone germs,
     the germs give integer lines, and the vertices are solved in integers on
-    the kernel's scale.  Fractions are made only for the output.
+    the kernel's scale.  The polytope stores the lines and vertices over
+    one denominator; starred weights get its star image.
     """
     if label is N3Type.DEGENERATE_ZERO_WEIGHT:
         raise DegenerateWeight("weight vanishes within tolerance")
-    ints, den = can.snapped
-    kernel = AnchorKernel.scaled(ints, 3 * den)
-    lines = [(1, -1, 0, WALL_12.provenance), (1, 2, 0, WALL_23.provenance)]
-    for name, germ in _germs(kernel, can.profile).items():
+    kernel, germs = _germs(can)
+    lines = list(_WALLS)
+    for name, germ in germs.items():
         if germ is not None:
             lines.extend(_germ_lines(germ, name))
     hull, m = _integer_vertices([line[:3] for line in lines])
@@ -411,45 +415,37 @@ def _build_n3(label: N3Type, can: Canonicalization) -> ChamberPolytope:
     if (ax * m, ay * m) in hull:
         i = hull.index((ax * m, ay * m))
         hull = hull[i:] + hull[:i]
-    if can.starred:
-        # The star involution (l1, l2, l3) -> (-l3, -l2, -l1) maps the
-        # functional a*l1 + b*l2 to a*l1 + (a - b)*l2 and the point (x, y)
-        # to (x + y, -y); reversing all but the leading vertex keeps the
-        # order counterclockwise from the anchor (ChamberPolytope.star).
-        lines = [(a, a - b, c, provenance) for a, b, c, provenance in lines]
-        hull = [(x + y, -y) for x, y in hull[:1] + hull[:0:-1]]
-
-    t = kernel.scale
-    den = m * t
-    halfplanes = tuple(_halfplane(a, b, c, t, provenance) for a, b, c, provenance in lines)
+    lines = tuple((a, b, c * m, provenance) for a, b, c, provenance in lines)
     # the vertices satisfy both walls and sum to zero by construction
-    vertices = tuple(Spectrum._trusted(Fraction(x, den), Fraction(y, den), Fraction(-x - y, den)) for x, y in hull)
-    return ChamberPolytope(halfplanes, vertices, "Polygon", label.value, can.starred)
+    polytope = ChamberPolytope(lines, tuple((x, y, -x - y) for x, y in hull), m * kernel.scale, "Polygon", label.value)
+    return polytope.star() if can.starred else polytope
 
 
-def _segment_halfplanes(a: Spectrum, c: Spectrum, tag: str) -> List[HalfPlane]:
-    d = tuple(cc - aa for cc, aa in zip(c.astuple(), a.astuple()))
-    n_perp = (exact_div(d[2] - d[1], 3), exact_div(d[0] - d[2], 3), exact_div(d[1] - d[0], 3))
-    n_dir = d
+def _segment(a: Sequence[Scalar], c: Sequence[Scalar], tag: str, label: Optional[str] = None) -> ChamberPolytope:
+    """The segment from the sum-zero triple ``a`` to ``c`` over ``den`` 1.
 
-    def dot(n, s):
-        return n[0] * s.l1 + n[1] * s.l2 + n[2] * s.l3
-
-    return [
-        HalfPlane(n_perp, dot(n_perp, a), f"{tag}:line"),
-        HalfPlane(tuple(-x for x in n_perp), -dot(n_perp, a), f"{tag}:line"),
-        HalfPlane(n_dir, dot(n_dir, a), f"{tag}:end-a"),
-        HalfPlane(tuple(-x for x in n_dir), -dot(n_dir, c), f"{tag}:end-c"),
-    ]
+    With d = c - a, the lines (-d1, d0) and (d1, -d0) hold the segment's
+    line and the lines +-(d0 - d2, d1 - d2) its ends.
+    """
+    d0, d1, d2 = (cc - aa for cc, aa in zip(c, a))
+    e0, e1 = d0 - d2, d1 - d2
+    on_line = -d1 * a[0] + d0 * a[1]
+    lines = (
+        (-d1, d0, on_line, f"{tag}:line"),
+        (d1, -d0, -on_line, f"{tag}:line"),
+        (e0, e1, e0 * a[0] + e1 * a[1], f"{tag}:end-a"),
+        (-e0, -e1, -(e0 * c[0] + e1 * c[1]), f"{tag}:end-c"),
+    )
+    return ChamberPolytope(lines, (tuple(a), tuple(c)), 1, "Segment", label)
 
 
 def point_polytope(s: Spectrum, label: Optional[str] = None) -> ChamberPolytope:
-    hps = []
-    for n in ((1, -1, 0), (0, 1, -1)):
-        off = n[0] * s.l1 + n[1] * s.l2 + n[2] * s.l3
-        hps.append(HalfPlane(n, off, "point"))
-        hps.append(HalfPlane(tuple(-x for x in n), -off, "point"))
-    return ChamberPolytope(tuple(hps), (s,), "Point", label, False)
+    """The point ``s`` over ``den`` 1, held by both walls' directions from either side."""
+    l1, l2, _ = s
+    lines = []
+    for a, b in ((1, -1), (1, 2)):
+        lines += [(a, b, a * l1 + b * l2, "point"), (-a, -b, -(a * l1 + b * l2), "point")]
+    return ChamberPolytope(tuple(lines), (s.astuple(),), 1, "Point", label)
 
 
 def build_polytope_n2(w, tol: float = 1e-9) -> ChamberPolytope:
@@ -467,8 +463,7 @@ def build_polytope_n2(w, tol: float = 1e-9) -> ChamberPolytope:
     a, c = fps.a, fps.c
     if a == c:
         return point_polytope(a, label.value)
-    hps = _segment_halfplanes(a, c, "segment")
-    return ChamberPolytope(tuple(hps), (a, c), "Segment", label.value, False)
+    return _segment(a.astuple(), c.astuple(), "segment", label.value)
 
 
 def build_polytope(w, tol: float = 1e-9) -> ChamberPolytope:
@@ -607,22 +602,18 @@ def hull2d(points, eps: float = 1e-9) -> ChamberPolytope:
             verts.append(Spectrum(*chamber_to_spectrum_floats(x, y)))
         except ValueError:
             raise InvalidHullPoints(f"point (p, q) = ({x!r}, {y!r}) lies outside the chamber p >= 0, q >= p / sqrt(3)") from None
-    verts = tuple(verts)
     if len(verts) == 1:
         return point_polytope(verts[0], None)
-    if len(verts) == 2:
-        return ChamberPolytope(tuple(_segment_halfplanes(*verts, "hull")), verts, "Segment", None, False)
-    hps = []
-    for i, ((px, py), (qx, qy), s) in enumerate(zip(hull, hull[1:] + hull[:1], verts)):
-        n = _lift_pq(py - qy, qx - px)  # inward normal for CCW order
-        hps.append(HalfPlane(n, n[0] * s.l1 + n[1] * s.l2 + n[2] * s.l3, f"hull:edge{i}"))
-    return ChamberPolytope(tuple(hps), verts, "Polygon", None, False)
-
-
-def _lift_pq(np_: float, nq: float) -> Tuple[float, float, float]:
-    """Sum-zero normal matching the functional np*p + nq*q of the embedding."""
-    s2, s6 = math.sqrt(2.0), math.sqrt(6.0)
-    return (np_ / s2 + nq / s6, -np_ / s2 + nq / s6, -2 * nq / s6)
+    corners = tuple(v.astuple() for v in verts)
+    if len(corners) == 2:
+        return _segment(*corners, "hull")
+    lines = []
+    for i, ((px, py), (qx, qy), (l1, l2, _)) in enumerate(zip(hull, hull[1:] + hull[:1], corners)):
+        # the inward normal (n_p, n_q) of the edge, for CCW order, as a*l1 + b*l2
+        n_p, n_q = py - qy, qx - px
+        a, b = n_p / SQRT2 + 3 * n_q / SQRT6, -n_p / SQRT2 + 3 * n_q / SQRT6
+        lines.append((a, b, a * l1 + b * l2, f"hull:edge{i}"))
+    return ChamberPolytope(tuple(lines), corners, 1, "Polygon")
 
 
 def _pq_array(P: ChamberPolytope) -> List[Tuple[float, float]]:

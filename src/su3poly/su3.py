@@ -5,6 +5,12 @@ with skew-Hermitian generators through Im(tr(mu.xi)).  A coadjoint orbit is
 identified with its sorted spectrum, a point of the closed positive Weyl
 chamber ``l1 >= l2 >= l3`` inside the sum-zero plane.
 
+:class:`SkewHermitian3` (the Lie algebra su(3)), :func:`pairing` (the
+paper's duality pairing Im(tr(mu.xi))) and :data:`XI1`, :data:`XI2` (its
+Cartan basis of diagonal generators) are the paper's definitions as
+written.  The rest of the library works on spectra and calls none of them;
+``tests/test_su3.py`` checks the root pairing table and bilinearity on them.
+
 Scalars may be int, Fraction or float.  Operations keep exact inputs exact
 wherever the mathematics allows it: diagonal spectra, root arithmetic, the
 star involution and chamber sorting never leave the rationals.
@@ -68,6 +74,18 @@ def sgn(x) -> int:
 
 class InvalidTolerance(ValueError):
     """A tolerance that is not a finite nonnegative real number."""
+
+
+class InvalidIndex(ValueError):
+    """An anchor or basis index that is not the int 1, 2 or 3."""
+
+
+def check_index(j) -> int:
+    """``j`` when it is the int 1, 2 or 3 (not a bool); anything else
+    raises :class:`InvalidIndex`, naming it."""
+    if type(j) is bool or not isinstance(j, int) or j not in (1, 2, 3):
+        raise InvalidIndex(f"index {j!r} is not 1, 2 or 3")
+    return j
 
 
 def _form_values(x: Sequence[int]) -> tuple:

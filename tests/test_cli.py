@@ -128,6 +128,14 @@ class TestGoldenOutput:
         _, out = run_cli(capsys, "polytope", "--gamma=" + ",".join(map(str, gammas)), "--emit-cones")
         assert out == (DATA / f"polytope_cones_{label}.json").read_text()
 
+    def test_cones_of_starred_weights_are_those_of_the_printed_polytope(self, capsys):
+        # (-4, -2, 1) is starred: its polygon is the star image of that of
+        # (4, 2, -1), and so are its cones; both start from the anchor a
+        _, out = run_cli(capsys, "polytope", "--gamma=-4,-2,1", "--emit-cones")
+        data = json.loads(out)
+        assert data["starred"]
+        assert data["cones"]["a"]["apex"] == data["vertices"][0] == ["5/3", "5/3", "-10/3"]
+
     @pytest.mark.parametrize("gammas,label", [(f[0], f[1]) for f in N2_FIXTURES])
     def test_polytope_two_factors(self, capsys, gammas, label):
         _, out = run_cli(capsys, "polytope", "--gamma=" + ",".join(map(str, gammas)))

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -11,12 +13,11 @@ from su3poly.classifier import canonicalize, classify_n3
 from su3poly.cones import (
     LINE,
     AnchorKernel,
-    Generator,
     RAY_NEG,
     RAY_POS,
     CoincidentWeights,
-    ConeSpec,
     Definiteness,
+    Germ,
     OnWall,
     QuadraticForm2,
     ZeroSum,
@@ -31,9 +32,10 @@ from su3poly.cones import (
     slice_cone_b,
     slice_cone_c,
 )
-from su3poly.polytope import WALL_12, WALL_23, AllWeightsDegenerate, build_polytope_n3, cone_halfplanes, polytope_cones
-from su3poly.moment_map import raw_fixed_point_diagonals
-from su3poly.su3 import SQRT2, SQRT6, Root, Spectrum, integer_scaled, sgn
+from su3poly import polytope
+from su3poly.polytope import AllWeightsDegenerate, HalfPlane, build_polytope_n3, polytope_cones
+from su3poly.moment_map import raw_fixed_point_diagonals, tangent_weights
+from su3poly.su3 import SQRT2, SQRT6, InvalidIndex, Root, integer_scaled, lift_2d, sgn
 
 
 def embed(v):
@@ -232,53 +234,92 @@ def _one_float_weight_per_label():
 ONE_FLOAT_WEIGHT_PER_LABEL = _one_float_weight_per_label()
 
 
+def in_cone(cone, s):
+    """Whether the triple ``s`` lies in the cone ``apex + cone(generators)``
+    of a ConeSpec, in (l1, l2) coordinates: a half-plane cone by its side
+    normal, any other by Caratheodory, as some two generators (a line counts
+    as both its rays) that hold ``s - apex`` with nonnegative coefficients."""
+    w = tuple(x - a for x, a in zip(s, cone.apex))
+    if cone.side_normal is not None:
+        return sum(n * x for n, x in zip(cone.side_normal, w)) >= 0
+    gens = []
+    for g in cone.generators:
+        v = g.vector[:2]
+        gens += [v, (-v[0], -v[1])] if g.is_line else [v]
+    for u, v in itertools.combinations(gens, 2):
+        det = u[0] * v[1] - u[1] * v[0]
+        if det and (w[0] * v[1] - w[1] * v[0]) / det >= 0 and (u[0] * w[1] - u[1] * w[0]) / det >= 0:
+            return True
+    return False
+
+
 class TestConesBoundPolytope:
-    def test_polytope_inside_every_cone(self):
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_polytope_inside_every_cone(self, sign):
+        # the cones of starred weights are the star images of the canonical
+        # cones, as the polytope is
         for gammas in POLYTOPE_FIXTURES:
-            poly = build_polytope_n3(gammas)
-            for name, cone in polytope_cones(gammas).items():
+            w = tuple(sign * g for g in gammas)
+            poly = build_polytope_n3(w)
+            for name, cone in polytope_cones(w).items():
                 if cone is None:
                     continue
-                for hp in cone_halfplanes(cone, name):
-                    for v in poly.vertices:
-                        assert hp.value(v.astuple()) >= 0, (gammas, name, v)
+                for v in poly.vertices:
+                    assert in_cone(cone, v.astuple()), (w, name, v)
 
-    @pytest.mark.parametrize("gammas", POLYTOPE_FIXTURES)
-    def test_halfplanes_of_a_cone_made_by_hand(self, gammas):
-        # a ConeSpec from its public constructor has no kernel; its
-        # half-planes are the same as those of the cone it copies
-        for name, cone in polytope_cones(gammas).items():
-            if cone is None:
-                continue
-            copy = ConeSpec(cone.apex, cone.generators, cone.weyl_folded, cone.side_normal)
-            assert cone_halfplanes(copy, name) == cone_halfplanes(cone, name)
+    def test_cone_test_rejects_points_outside(self):
+        cone = polytope_cones((4, 2, -1))["b"]
+        apex = cone.apex.astuple()
+        inside = [tuple(a + sum(g.vector[k] for g in cone.generators) for k, a in enumerate(apex))]
+        outside = [tuple(a - sum(g.vector[k] for g in cone.generators) for k, a in enumerate(apex))]
+        assert all(in_cone(cone, s) for s in inside) and not any(in_cone(cone, s) for s in outside)
 
     @pytest.mark.parametrize("gammas", sorted(POLYTOPE_FIXTURES) + ONE_FLOAT_WEIGHT_PER_LABEL)
-    def test_builder_halfplanes_are_the_walls_and_the_cone_halfplanes(self, gammas):
-        # the builder runs on germs, the views on ConeSpecs: both must give
-        # the same lines, in the same order
-        g = canonicalize(gammas).sorted_gammas
-        expected = [WALL_12, WALL_23]
-        for name, cone in polytope_cones(g).items():
-            if cone is not None:
-                expected += cone_halfplanes(cone, name)
-        assert build_polytope_n3(g).halfplanes == tuple(expected)
+    def test_each_cone_is_its_germs_view(self, gammas):
+        # apex over the kernel's scale, the rays then the line as
+        # generators, the side as its sum-zero normal
+        kernel, germs = polytope._germs(canonicalize(gammas))
+        cones = polytope_cones(gammas)
+        assert list(cones) == list(germs)
+        for name, germ in germs.items():
+            cone = cones[name]
+            if germ is None:
+                assert cone is None, name
+                continue
+            assert cone.apex.astuple() == tuple(F(x, kernel.scale) for x in germ.apex)
+            lines = [] if germ.line is None else [germ.line]
+            assert [g.vector for g in cone.generators] == list(germ.rays) + lines
+            assert [g.is_line for g in cone.generators] == [False] * len(germ.rays) + [True] * len(lines)
+            assert cone.side_normal == (None if germ.side is None else lift_2d(*germ.side))
+            assert cone.weyl_folded == germ.folded
+
+    @pytest.mark.parametrize("gammas", sorted(POLYTOPE_FIXTURES) + ONE_FLOAT_WEIGHT_PER_LABEL)
+    def test_builder_lines_are_the_walls_and_the_germ_lines(self, gammas):
+        # in the same order, over one denominator, and read as half-planes
+        # with the offsets c / t of the kernel's scale t
+        kernel, germs = polytope._germs(canonicalize(gammas))
+        expected = [(1, -1, 0, "wall:l1=l2"), (1, 2, 0, "wall:l2=l3")]
+        for name, germ in germs.items():
+            if germ is not None:
+                expected += polytope._germ_lines(germ, name)
+        poly = build_polytope_n3(canonicalize(gammas).sorted_gammas)
+        m, rest = divmod(poly.den, kernel.scale)
+        assert rest == 0
+        assert poly.lines == tuple((a, b, c * m, p) for a, b, c, p in expected)
+        assert poly.halfplanes == tuple(HalfPlane(lift_2d(a, b), F(c, kernel.scale), p) for a, b, c, p in expected)
 
     @pytest.mark.parametrize(
-        "generators, side_normal, match",
+        "germ, match",
         [
-            ((Generator(Root.ALPHA1, LINE), Generator(Root.ALPHA2, LINE)), None, "2 lines"),
-            ((Generator(Root.ALPHA3, LINE),), (1, 0, -1), "side normal"),
-            ((Generator(Root.ALPHA3, LINE),), None, "0 rays"),
-            ((Generator(Root.ALPHA3, LINE), Generator(Root.ALPHA3, RAY_POS)), None, "ray along its line"),
-            ((Generator(Root.ALPHA1, RAY_POS), Generator(Root.ALPHA1, RAY_POS)), None, "single-ray"),
-            ((Generator(Root.ALPHA1, RAY_POS), Generator(Root.ALPHA1, RAY_NEG)), None, "not salient"),
+            (Germ((1, 0, -1), (), Root.ALPHA3.vector), "0 rays"),
+            (Germ((1, 0, -1), (Root.ALPHA3.vector,), Root.ALPHA3.vector), "ray along its line"),
+            (Germ((1, 0, -1), (Root.ALPHA1.vector, Root.ALPHA1.vector)), "single-ray"),
+            (Germ((1, 0, -1), (Root.ALPHA1.vector, tuple(-x for x in Root.ALPHA1.vector))), "not salient"),
         ],
     )
-    def test_hand_made_cone_without_a_polygon_side_is_refused(self, generators, side_normal, match):
-        cone = ConeSpec(Spectrum(1, 0, -1), generators, False, side_normal)
+    def test_hand_made_germ_without_a_polygon_side_is_refused(self, germ, match):
         with pytest.raises(AllWeightsDegenerate, match=match):
-            cone_halfplanes(cone, "x")
+            polytope._germ_lines(germ, "x")
 
     def test_extreme_c_matches_definiteness(self):
         for gammas, (label, vertices, extreme_cs, _, _) in GENERIC_FIXTURES.items():
@@ -326,3 +367,21 @@ class TestAnchorKernel:
     def test_float_weights_enter_exactly(self):
         kernel = kernel_of((0.1, 2.0, -1.0))
         assert kernel.gammas == tuple(kernel.scale * F(x) / 3 for x in (0.1, 2.0, -1.0))
+
+
+INDEXED = {
+    "slice_cone_c": lambda j: slice_cone_c(j, (4, 2, -1)),
+    "c_vertex_criterion": lambda j: c_vertex_criterion(j, (4, 2, -1)),
+    "c_alpha1_coefficient": lambda j: c_alpha1_coefficient(j, (4, 2, -1)),
+    "c_alpha3_form": lambda j: c_alpha3_form(j, (4, 2, -1)),
+    "tangent_weights": tangent_weights,
+    "AnchorKernel.c_signs": lambda j: kernel_of((4, 2, -1)).c_signs(j),
+}
+
+
+@pytest.mark.parametrize("j", [0, 4, True, 1.0], ids=repr)
+@pytest.mark.parametrize("name", INDEXED)
+def test_index_other_than_the_int_1_2_or_3_is_refused(name, j):
+    with pytest.raises(InvalidIndex, match=f"^index {re.escape(repr(j))} is not 1, 2 or 3$"):
+        INDEXED[name](j)
+    INDEXED[name](2)

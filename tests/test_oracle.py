@@ -18,7 +18,7 @@ from su3poly.oracle import (
     verify,
     violation_distances,
 )
-from su3poly.polytope import HalfPlane, build_polytope, build_polytope_n2, build_polytope_n3
+from su3poly.polytope import build_polytope, build_polytope_n2, build_polytope_n3
 from su3poly.su3 import SPECTRA_ERROR
 
 
@@ -109,10 +109,10 @@ class TestVerifySlack:
         normal = np.array(predicted.halfplanes[0].normal, dtype=float)
         shift = 2e-6 * predicted.diameter() * normal / np.linalg.norm(normal)
         moved = tuple(
-            HalfPlane(hp.normal, float(hp.offset) + float(np.array(hp.normal, dtype=float) @ shift), hp.provenance)
-            for hp in predicted.halfplanes
+            (a, b, float(hp.offset) + float(np.array(hp.normal, dtype=float) @ shift), hp.provenance)
+            for (a, b, _, _), hp in zip(predicted.lines, predicted.halfplanes)
         )
-        shifted = dataclasses.replace(predicted, halfplanes=moved)
+        shifted = dataclasses.replace(predicted, lines=moved, den=1)
         assert verify(w, 2000, seed=4, tol=1e-6).n_violations == 0
         monkeypatch.setattr(oracle, "build_polytope", lambda _: shifted)
         report = verify(w, 2000, seed=4, tol=1e-6)

@@ -15,8 +15,11 @@ def test_all_names_are_public_objects_not_modules():
 
 
 def test_all_covers_the_error_types():
-    assert {"InvalidWeight", "LengthMismatch", "NotSorted", "PredictionUnavailable", "SumNotZero", "InvalidHullPoints"} <= set(su3poly.__all__)
+    errors = {"InvalidWeight", "LengthMismatch", "NotSorted", "PredictionUnavailable", "SumNotZero", "InvalidHullPoints", "InvalidHalfPlane", "InvalidIndex"}
+    assert errors <= set(su3poly.__all__)
     assert issubclass(su3poly.InvalidHullPoints, ValueError)
+    assert issubclass(su3poly.InvalidHalfPlane, ValueError)
+    assert issubclass(su3poly.InvalidIndex, ValueError)
     assert issubclass(su3poly.NotSorted, ValueError)
 
 

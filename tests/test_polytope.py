@@ -23,6 +23,8 @@ from su3poly.polytope import (
     AllWeightsDegenerate,
     ChamberPolytope,
     DegenerateWeight,
+    HalfPlane,
+    InvalidHalfPlane,
     InvalidHullPoints,
     build_polytope,
     build_polytope_n2,
@@ -818,6 +820,32 @@ class TestSerialization:
         for u, v in zip(back.vertices, poly.vertices):
             assert max(abs(float(a) - float(b)) for a, b in zip(u, v)) < 1e-12
 
+    @pytest.mark.parametrize("normal", [(0, 0, 0), (1, 1, 1), ("-2/3", "-2/3", "-2/3")])
+    def test_normal_that_vanishes_on_the_plane_is_refused_when_read(self, normal):
+        with pytest.raises(InvalidHalfPlane, match="vanishes on the sum-zero plane"):
+            HalfPlane(tuple(F(x) for x in normal), 0)
+        data = build_polytope_n3((4, 2, -1)).to_json_dict()
+        data["halfplanes"][3]["normal"] = list(normal)
+        with pytest.raises(InvalidHalfPlane, match=re.escape(str(tuple(F(x) if isinstance(x, str) else x for x in normal)))):
+            ChamberPolytope.from_json_dict(data)
+
+    def test_views_are_the_stored_form_over_its_denominator(self):
+        poly = build_polytope_n3((4, 2, -1))
+        assert poly.vertices == tuple(Spectrum(*(F(x, poly.den) for x in v)) for v in poly.corners)
+        for (a, b, c, p), hp in zip(poly.lines, poly.halfplanes):
+            assert (hp.normal[0] - hp.normal[2], hp.normal[1] - hp.normal[2], hp.offset, hp.provenance) == (a, b, F(c, poly.den), p)
+            assert sum(hp.normal) == 0
+        assert poly.halfplanes is poly.halfplanes and poly.vertices is poly.vertices
+
+    def test_star_of_the_stored_form(self):
+        poly = build_polytope_n3((4, 2, -1))
+        starred = poly.star()
+        assert starred.starred and starred.label == poly.label and starred.den == poly.den
+        assert starred.lines == tuple((a, a - b, c, p) for a, b, c, p in poly.lines)
+        assert [v.astuple() for v in starred.vertices] == [tuple(star_involution(v)) for v in poly.vertices[:1] + poly.vertices[:0:-1]]
+        assert starred.star() == poly
+        assert build_polytope_n3((-4, -2, 1)) == starred
+
     def test_deterministic_serialization(self):
         a = json.dumps(build_polytope_n3((4, 2, -1)).to_json_dict(), sort_keys=True)
         b = json.dumps(build_polytope_n3((4, 2, -1)).to_json_dict(), sort_keys=True)
@@ -847,9 +875,27 @@ class TestExactBuilder:
             h.update(json.dumps(out, sort_keys=True).encode())
         assert h.hexdigest() == EXACT_DIGEST
 
+    def test_emitted_cone_apexes_are_anchor_spectra_of_the_weights(self):
+        # starred weights included: their cones are star-reflected with
+        # their polytope, so no apex is an anchor of the canonical weights only
+        n_starred = 0
+        for gammas in _digest_weights():
+            try:
+                poly = build_polytope(gammas)
+            except ValueError:
+                continue
+            if poly.kind != "Polygon":
+                continue
+            n_starred += poly.starred
+            anchors = set(fixed_point_spectra(gammas).asdict().values())
+            for name, cone in polytope_cones(gammas).items():
+                assert cone is None or cone.apex in anchors, (gammas, name)
+        assert n_starred > 400
+
     def test_one_straight_line_per_build(self, monkeypatch):
         # one weight check, one classification and one sign profile per
-        # exact build, and no re-validated spectrum or ConeSpec on the way
+        # exact build, and no re-validated spectrum, half-plane or ConeSpec
+        # on the way: the half-planes and vertices are views, made when read
         counts = Counter()
 
         def count(owner, name):
@@ -870,6 +916,7 @@ class TestExactBuilder:
         count(classifier, "classify_n3")
         count(classifier, "sign_profile")
         count(Spectrum, "__post_init__")
+        count(HalfPlane, "__post_init__")
         count(ConeSpec, "__init__")
         weights = sorted(POLYTOPE_FIXTURES) + RANDOM_RATIONALS
         for gammas in weights:
