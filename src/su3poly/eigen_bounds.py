@@ -6,18 +6,21 @@ momentum map value with weight ``-3 lam``.  Sums of two or three such
 matrices therefore have spectra confined to the momentum segment or polytope
 at weights ``gamma_j = -3 lam_j``, and every point of that set is attained.
 
-The bounds are exact and load no numpy; the realization search imports it
-when it runs.
+:func:`realize` builds the matrices: with D = diag(s) + (sum gamma / 3) I,
+det and e2 of R = D - gamma_3 u3 u3* are linear in x_k = |u3_k|^2 (the
+matrix determinant lemma), so an exact linear program on the simplex decides
+whether s is attained; R then splits in closed form, the one numpy step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from fractions import Fraction
+from typing import Optional, Sequence, Tuple
 
 from .polytope import ChamberPolytope, build_polytope
-from .su3 import Hermitian3, Scalar, Spectrum, to_positive_chamber
+from .su3 import Hermitian3, Scalar, Spectrum, check_real, snap_weights, to_positive_chamber
 
 
 @dataclass(frozen=True)
@@ -26,12 +29,14 @@ class DoubleEigMatrixSpec:
 
     lam: Scalar
 
+    def __post_init__(self):
+        check_real(self.lam, "lambda")
+
     def realize(self, line: np.ndarray) -> Hermitian3:
         """The matrix lam (I - 3 Z conj(Z)^T) with simple eigenvector line Z."""
         import numpy as np
 
-        z = np.asarray(line, dtype=complex)
-        z = z / np.linalg.norm(z)
+        z = np.asarray(line, dtype=complex) / np.linalg.norm(line)
         m = float(self.lam) * (np.eye(3) - 3.0 * np.outer(z, z.conj()))
         return Hermitian3.from_numpy(m)
 
@@ -53,9 +58,8 @@ def sum_bounds_two(a, b) -> Tuple[Scalar, Tuple[Scalar, Scalar]]:
     the third is determined by the zero trace.
     """
     la, lb = _as_spec(a).lam, _as_spec(b).lam
-    lam1 = la + lb
     ends = (la - 2 * lb, la + lb)
-    return lam1, (min(ends), max(ends))
+    return la + lb, (min(ends), max(ends))
 
 
 def sum_bounds_three(a, b, c) -> ChamberPolytope:
@@ -63,9 +67,7 @@ def sum_bounds_three(a, b, c) -> ChamberPolytope:
 
     Zero classes delegate to fewer summands (a segment or a point).
     """
-    specs = [_as_spec(x) for x in (a, b, c)]
-    gammas = tuple(gamma_of_lambda(s) for s in specs)
-    return build_polytope(gammas)
+    return build_polytope(tuple(gamma_of_lambda(_as_spec(x)) for x in (a, b, c)))
 
 
 def check_spectrum(a, b, c, target, tol: float = 1e-9) -> bool:
@@ -75,17 +77,14 @@ def check_spectrum(a, b, c, target, tol: float = 1e-9) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Realization search
+# Realization
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RealizeResult:
-    """Outcome of the stochastic realization search.
-
-    ``found`` means the best distance is below the success threshold; a
-    negative outcome only reports search failure, never impossibility.
-    """
+    """Outcome of :func:`realize`; ``lines`` are the unit vectors u_j with
+    A_j = lam_j (I - 3 u_j u_j^T)."""
 
     found: bool
     distance: float
@@ -95,103 +94,104 @@ class RealizeResult:
     reason: str = ""
 
 
-_BASIS_STARTS = (
-    (0, 0, 0),
-    (0, 1, 2),
-    (1, 0, 0),
-    (0, 1, 0),
-    (0, 0, 1),
-)
+def _nearest_point(polytope: ChamberPolytope, s: Spectrum) -> Tuple[Fraction, ...]:
+    """The point of an exact polytope nearest to ``s``, in Fractions: ``s`` if
+    inside, else the nearest corner or in-polytope projection onto a line that
+    ``s`` violates, the only lines whose edges can hold that point."""
+    p = [Fraction(x) for x in s]
+    mean = sum(p) / 3  # a float's exact value may miss the sum-zero plane
+    p = tuple(x - mean for x in p)
+    if polytope.contains(p, 0):
+        return p
+    points = [v.astuple() for v in polytope.vertices]
+    for hp in polytope.halfplanes:
+        k = Fraction(hp.value(p)) / sum(n * n for n in hp.normal)
+        q = tuple(x - k * n for x, n in zip(p, hp.normal))
+        if k < 0 and polytope.contains(q, 0):
+            points.append(q)
+    return min(points, key=lambda q: sum((x - y) ** 2 for x, y in zip(p, q)))
 
 
-def _spectrum_and_frame(z: np.ndarray, gammas: np.ndarray):
-    import numpy as np
-
-    m = np.zeros((3, 3), dtype=complex)
-    for j in range(len(gammas)):
-        m += gammas[j] * np.outer(z[j], z[j].conj())
-    m -= (gammas.sum() / 3.0) * np.eye(3)
-    vals, vecs = np.linalg.eigh(m)
-    return vals[::-1], vecs[:, ::-1]
-
-
-def _descend(z0: np.ndarray, target: np.ndarray, gammas: np.ndarray, iters: int = 400) -> Tuple[float, np.ndarray]:
-    """Projected gradient descent on the spectral misfit over (CP^2)^3.
-
-    The gradient of an eigenvalue with respect to the matrix is the projector
-    onto its eigenvector, so the misfit gradient in each line Z_j is
-    gamma_j W Z_j with W = sum_i 2 (lam_i − t_i) v_i v_i^dagger, projected to
-    the unit-sphere tangent space.  Step size adapts by doubling/halving.
+def _peel(g3: Fraction, product: Fraction, d: Sequence[Fraction]):
+    """The linear program: ``(x, phi)`` with x on the simplex, det R = 0 and
+    e2(R) = phi between 0 and ``product``, or None.  At the vertex e_k they
+    are the f_k and g_k below, and both are linear in x, so det R = 0 on the
+    hull of the vertices with f_k = 0 and the edge points where f changes sign.
     """
+    det, e2, tr = d[0] * d[1] * d[2], d[0] * d[1] + d[0] * d[2] + d[1] * d[2], sum(d)
+    f = [det - g3 * d[k - 1] * d[k - 2] for k in range(3)]
+    g = [e2 - g3 * (tr - d[k]) for k in range(3)]
+    unit = [tuple(int(i == k) for i in range(3)) for k in range(3)]
+    points = [(g[k], unit[k]) for k in range(3) if f[k] == 0]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if f[i] * f[j] < 0:
+            w = f[j] / (f[j] - f[i])  # the weight on e_i
+            points.append((w * g[i] + (1 - w) * g[j], tuple(w * a + (1 - w) * b for a, b in zip(unit[i], unit[j]))))
+    lo, hi = sorted((0, product))
+    if not points or min(points)[0] > hi or max(points)[0] < lo:
+        return None
+    (pa, xa), (pb, xb) = min(points), max(points)
+    phi = Fraction(max(pa, lo) + min(pb, hi)) / 2
+    w = 0 if pa == pb else (phi - pa) / (pb - pa)
+    return tuple(a + w * (b - a) for a, b in zip(xa, xb)), phi
+
+
+def _split(g1: Fraction, g2: Fraction, g3: Fraction, d: Sequence[Fraction], x, phi: Fraction):
+    """Unit vectors (u1, u2, u3) with g1 u1 u1^T + g2 u2 u2^T + g3 u3 u3^T = diag(d)."""
     import numpy as np
 
-    z = z0.copy()
-    vals, vecs = _spectrum_and_frame(z, gammas)
-    f = float(np.sum((vals - target) ** 2))
-    eta = 0.05 / max(1.0, float(np.abs(gammas).max()) ** 2)
-    for _ in range(iters):
-        w = (vecs * (2.0 * (vals - target))) @ vecs.conj().T
-        g = gammas[:, None] * (z @ w.T)
-        # Tangent projection on each unit sphere.
-        inner = np.sum(z.conj() * g, axis=1, keepdims=True)
-        g = g - inner.real * z
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < 1e-14 or f < 1e-30:
-            break
-        step = z - eta * g
-        step /= np.linalg.norm(step, axis=1, keepdims=True)
-        nvals, nvecs = _spectrum_and_frame(step, gammas)
-        nf = float(np.sum((nvals - target) ** 2))
-        if nf < f:
-            z, vals, vecs, f = step, nvals, nvecs, nf
-            eta *= 1.5
-        else:
-            eta *= 0.5
-            if eta < 1e-12:
-                break
-    return math.sqrt(f), z
+    u3 = np.sqrt([float(v) for v in x])
+    r = np.array([[float(d[i] - g3 * x[i]) if i == j else -float(g3) * math.sqrt(x[i] * x[j]) for j in range(3)] for i in range(3)])
+    # R has eigenvalues 0 and r+ >= r-, and eigh lists them ascending
+    w, vecs = np.linalg.eigh(r)
+    zero = int(np.argmin(np.abs(w)))
+    vm, vp = (vecs[:, i] for i in range(3) if i != zero)
+    sigma = g1 + g2
+    delta = sigma * sigma - 4 * phi  # (r+ - r-)^2
+    if delta == 0:
+        # R = r I on its range: u1 = u2 when phi = 0, else u1 is orthogonal to u2
+        return vp, vm if phi else vp, u3
+    lines = []
+    for g, sign in ((g1, 1), (g2, -1 if g1 * g2 > 0 else 1)):
+        # cos^2 = 1/2 + p/sqrt(delta) on v+ with p = sigma/2 - phi/g (any line for g = 0);
+        # of cos^2 and sin^2, the one that would cancel comes from the exact (delta/4 - p^2) / delta
+        p = sigma / 2 - phi / g if g else 0
+        big = 0.5 + math.sqrt(p * p / delta)
+        small = float((delta / 4 - p * p) / delta) / big
+        cos2, sin2 = (big, small) if p >= 0 else (small, big)
+        lines.append(math.sqrt(cos2) * vp + sign * math.sqrt(sin2) * vm)
+    return lines[0], lines[1], u3
 
 
-def realize(a, b, c, target, budget: int = 200, seed: int = 0, success: float = 1e-6) -> RealizeResult:
-    """Search for matrices A, B, C realizing a target spectrum of the sum.
+def realize(a, b, c, target, budget: int = 200, seed: int = 0) -> RealizeResult:
+    """Matrices A, B, C of spectra (lam, lam, -2 lam) with A + B + C = diag(target).
 
-    Restarts begin at the five torus-fixed configurations (which realize the
-    polytope anchor spectra exactly) and continue from seeded random
-    configurations, each refined by projected gradient descent.  Existence is
-    guaranteed for targets inside the predicted polytope, so a miss within
-    ``budget`` restarts is a search failure, not a disproof.
+    A target that ``contains(s, 1e-9)`` rejects is outside (0 restarts); any
+    other is built (1) at the nearest point of the exact polytope, on the
+    weights ``snap_weights(gammas, 1e-9)`` that built it, with the lambdas as
+    given.  ``distance`` = |A + B + C - diag(target)|_F bounds every
+    eigenvalue gap (Weyl).  ``budget`` and ``seed`` have no effect.
     """
     import numpy as np
 
     specs = [_as_spec(x) for x in (a, b, c)]
-    gammas = np.array([float(gamma_of_lambda(s)) for s in specs])
-    s = target if isinstance(target, Spectrum) else to_positive_chamber(tuple(target))[0]
-    tgt = np.array(s.as_floats())
-
+    raw = target.astuple() if isinstance(target, Spectrum) else tuple(target)
+    s, perm = to_positive_chamber(raw)
     polytope = sum_bounds_three(*specs)
     if not polytope.contains(s, 1e-9):
         return RealizeResult(False, math.inf, None, None, 0, "target outside the predicted polytope")
-
-    eye = np.eye(3, dtype=complex)
-    best = (math.inf, None)
-    used = 0
-    for r in range(max(1, budget)):
-        used = r + 1
-        if r < len(_BASIS_STARTS):
-            z0 = np.array([eye[k] for k in _BASIS_STARTS[r]])
-        else:
-            rng = np.random.default_rng([int(seed), r])
-            zr = rng.standard_normal((3, 3, 2))
-            z0 = zr[..., 0] + 1j * zr[..., 1]
-            z0 /= np.linalg.norm(z0, axis=1, keepdims=True)
-        dist, z = _descend(z0, tgt, gammas)
-        if dist < best[0]:
-            best = (dist, z)
-        if best[0] < success:
-            break
-
-    dist, z = best
-    if z is None or dist >= success:
-        return RealizeResult(False, dist, None, None, used, "budget exhausted")
-    matrices = tuple(spec.realize(z[j]) for j, spec in enumerate(specs))
-    return RealizeResult(True, dist, matrices, tuple(z), used)
+    ints, den = snap_weights([gamma_of_lambda(spec) for spec in specs], 1e-9)
+    gammas = [Fraction(n, den) for n in ints]
+    nearest = _nearest_point(polytope, s)
+    d = [nearest[perm.index(k)] + sum(gammas) / 3 for k in range(3)]
+    order = sorted(range(3), key=lambda k: abs(gammas[k]))  # peel the largest, zero only when all are
+    g1, g2, g3 = (gammas[k] for k in order)
+    peeled = _peel(g3, g1 * g2, d)
+    if peeled is None:
+        return RealizeResult(False, math.inf, None, None, 1, "linear program infeasible inside the polytope")
+    u = _split(g1, g2, g3, d, *peeled)
+    lines = tuple(u[order.index(k)] for k in range(3))
+    matrices = tuple(spec.realize(z) for spec, z in zip(specs, lines))
+    total = sum(m.as_numpy() for m in matrices)
+    distance = float(np.linalg.norm(total - np.diag([float(x) for x in raw])))
+    return RealizeResult(True, distance, matrices, lines, 1)

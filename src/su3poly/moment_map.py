@@ -11,7 +11,6 @@ closed form, exactly for rational weights.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +19,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .su3 import (
     Hermitian3,
+    InvalidWeight,  # the one class of su3, raised by check_real and read from here too
     LengthMismatch,
     Root,
     Scalar,
@@ -27,7 +27,7 @@ from .su3 import (
     Spectrum,
     all_exact,
     check_index,
-    is_exact,
+    check_real,
     third,
     to_positive_chamber,
 )
@@ -35,10 +35,6 @@ from .su3 import (
 
 class NotNormalized(ValueError):
     """A homogeneous coordinate vector that is not on the unit sphere."""
-
-
-class InvalidWeight(ValueError):
-    """A weight that is not a finite real number (NaN, infinite or bool)."""
 
 
 class DegenerateWeight(ValueError):
@@ -157,11 +153,8 @@ def as_gammas(w, n: Optional[int] = None, allow_zero: bool = True) -> Tuple[Scal
         kind = type(g)
         if kind is int or kind is Fraction:
             n_exact += 1
-            continue
-        if kind is not float and (kind is bool or not isinstance(g, numbers.Real)):
-            raise InvalidWeight(f"weight {k} is {g!r}, not a real number")
-        if not is_exact(g) and not math.isfinite(g):
-            raise InvalidWeight(f"weight {k} is {g!r}, not finite")
+        else:
+            check_real(g, f"weight {k}")
     if n is not None and len(gs) != n:
         raise LengthMismatch(f"expected {n} weights, got {len(gs)}")
     if len(gs) not in (2, 3):

@@ -219,8 +219,13 @@ class ChamberPolytope:
     def is_exact(self) -> bool:
         return all(all_exact(v) for v in self.corners)
 
-    def pq_vertices(self) -> List[ChamberPoint]:
-        return [to_chamber(v) for v in self.vertices]
+    @cached_property
+    def _chamber_points(self) -> Tuple[ChamberPoint, ...]:
+        return tuple(to_chamber(v) for v in self.vertices)
+
+    def pq_vertices(self) -> Tuple[ChamberPoint, ...]:
+        """The vertices in the chamber embedding, converted once per polytope."""
+        return self._chamber_points
 
     def diameter(self) -> float:
         pts = self.pq_vertices()

@@ -19,6 +19,7 @@ star involution and chamber sorting never leave the rationals.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -44,6 +45,21 @@ class NotSorted(ValueError):
 class LengthMismatch(ValueError):
     """A sequence of the wrong length: a spectrum that is no triple, or a
     configuration or weight vector of the wrong size."""
+
+
+class InvalidWeight(ValueError):
+    """A weight, eigenvalue or spectrum entry that is not a finite real
+    number: NaN, an infinity, a bool or no number at all."""
+
+
+def check_real(x, name: str) -> None:
+    """Raise :class:`InvalidWeight`, naming ``name`` and ``x``, unless ``x``
+    is a finite real number other than a bool."""
+    kind = type(x)
+    if kind is not float and (kind is bool or not isinstance(x, numbers.Real)):
+        raise InvalidWeight(f"{name} is {x!r}, not a real number")
+    if not is_exact(x) and not math.isfinite(x):
+        raise InvalidWeight(f"{name} is {x!r}, not finite")
 
 
 class NotHermitian(ValueError):
@@ -162,8 +178,8 @@ def _dot(u, v) -> int:
 def num_out(x) -> Union[str, float]:
     """JSON form of a scalar: exact values as "n" or "n/d" strings."""
     if is_exact(x):
-        f = Fraction(x)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        n, d = x.numerator, x.denominator
+        return str(n) if d == 1 else f"{n}/{d}"
     return float(x)
 
 
@@ -196,7 +212,11 @@ def _ratio(x: Scalar) -> Tuple[int, int]:
         return x.numerator, x.denominator
     if type(x) is float:
         return x.as_integer_ratio()
-    return Fraction(x).as_integer_ratio()
+    # other reals, numpy's among them, as Python ints, which snap_weights needs:
+    # its integer products overflow in numpy integers
+    if isinstance(x, numbers.Rational):
+        return int(x.numerator), int(x.denominator)
+    return float(x).as_integer_ratio()
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +309,17 @@ def to_positive_chamber(raw: Sequence[Scalar], tol: float = SUM_TOL):
     permutations achieving the descending order (ties) the lexicographically
     smallest index tuple is reported.  Raises :class:`SumNotZero` when the
     input does not sum to zero (exactly for exact input, within ``tol``
-    relative to scale only otherwise), and :class:`LengthMismatch` when it
-    is no triple.
+    relative to scale only otherwise), :class:`LengthMismatch` when it is
+    no triple, and :class:`InvalidWeight`, naming the entry, for a NaN, an
+    infinity, a bool or a non-number.
     """
     raw = tuple(raw)
     if len(raw) != 3:
         raise LengthMismatch(f"expected a triple, got {len(raw)} entries")
+    for k, x in enumerate(raw):
+        # the exact types need no check, and fixed_point_spectra sorts them often
+        if type(x) is not int and type(x) is not Fraction:
+            check_real(x, f"spectrum entry {k}")
     total = raw[0] + raw[1] + raw[2]
     if abs(total) > (0 if all_exact(raw) else tol * max(abs(x) for x in raw)):
         raise SumNotZero(f"sum is {total}")

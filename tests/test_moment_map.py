@@ -255,6 +255,12 @@ class TestInvalidWeight:
 
     def test_valid_scalar_types_accepted(self):
         assert build_polytope((np.float64(4.0), np.int64(2), F(-1))).label == "C"
+        # numpy integers alone, and numpy floats that are no Python float subclass
+        assert build_polytope((np.int64(4), np.int64(2), np.int64(-1))).label == "C"
+        assert build_polytope((np.float32(4.0), np.int32(2), np.float32(-1.0))).label == "C"
+
+    def test_invalid_weight_is_the_one_class_of_su3(self):
+        assert InvalidWeight is su3.InvalidWeight
 
 
 class TestBadArguments:

@@ -803,6 +803,13 @@ class TestHausdorff:
         expected = max(to_chamber(Spectrum(1, 0, -1)).distance(c) for c in poly.pq_vertices())
         assert math.isclose(d, expected, rel_tol=1e-12)
 
+    def test_chamber_points_are_converted_once_per_polytope(self):
+        poly = build_polytope_n3((4, 2, -1))
+        pts = poly.pq_vertices()
+        assert pts is poly.pq_vertices() and isinstance(pts, tuple)
+        assert pts == tuple(to_chamber(v) for v in poly.vertices)
+        assert poly.star().pq_vertices() == tuple(to_chamber(v) for v in poly.star().vertices)
+
 
 class TestSerialization:
     def test_exact_roundtrip(self):

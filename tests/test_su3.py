@@ -15,12 +15,14 @@ from su3poly.su3 import (
     XI2,
     Hermitian3,
     InvalidTolerance,
+    InvalidWeight,
     LengthMismatch,
     NotHermitian,
     NotSorted,
     Root,
     Spectrum,
     SumNotZero,
+    num_out,
     pairing,
     sgn,
     snap_weights,
@@ -206,6 +208,19 @@ class TestPositiveChamber:
         with pytest.raises(LengthMismatch, match=f"got {len(raw)} entries"):
             to_positive_chamber(raw)
 
+    @pytest.mark.parametrize(
+        "raw,entry,problem",
+        [((math.inf, 0, -math.inf), 0, "not finite"), ((1, 0, -math.inf), 2, "not finite"), ((float("nan"), 0, 0), 0, "not finite"),
+         ((True, False, -1), 0, "not a real number"), ((1, np.bool_(False), -1), 1, "not a real number"), ((1, None, -1), 1, "not a real number")],
+    )
+    def test_non_finite_or_bool_entries_are_named(self, raw, entry, problem):
+        with pytest.raises(InvalidWeight, match=re.escape(f"spectrum entry {entry} is {raw[entry]!r}, {problem}")):
+            to_positive_chamber(raw)
+
+    def test_numpy_reals_are_entries(self):
+        s, perm = to_positive_chamber((np.float64(-1.0), np.int64(0), np.float32(1.0)))
+        assert s.as_floats() == (1.0, 0.0, -1.0) and perm == (2, 1, 0)
+
     @given(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
     def test_sort_is_lexicographically_smallest(self, v):
         # ties are frequent on this range
@@ -339,3 +354,10 @@ class TestStar:
         s, _ = to_positive_chamber((x, y, -x - y))
         assert star_involution(star_involution(s)) == s
         assert sorted(star_involution(s).as_floats(), reverse=True) == list(star_involution(s).as_floats())
+
+
+class TestNumOut:
+    @pytest.mark.parametrize("x,out", [(3, "3"), (-7, "-7"), (F(-2, 6), "-1/3"), (F(4, 2), "2"), (10**30, str(10**30)), (0.25, 0.25), (True, 1.0)])
+    def test_exact_as_strings_floats_as_floats(self, x, out):
+        got = num_out(x)
+        assert got == out and type(got) is type(out)
