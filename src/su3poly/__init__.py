@@ -66,7 +66,6 @@ from .oracle import (
 )
 from .polytope import (
     ChamberPolytope,
-    HalfPlane,
     InvalidHalfPlane,
     InvalidHullPoints,
     build_polytope,

@@ -17,10 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .polytope import ChamberPolytope, build_polytope
 from .su3 import Hermitian3, Scalar, Spectrum, check_real, snap_weights, to_positive_chamber
+
+if TYPE_CHECKING:  # annotations only: importing the package loads no numpy
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -104,9 +107,10 @@ def _nearest_point(polytope: ChamberPolytope, s: Spectrum) -> Tuple[Fraction, ..
     if polytope.contains(p, 0):
         return p
     points = [v.astuple() for v in polytope.vertices]
-    for hp in polytope.halfplanes:
-        k = Fraction(hp.value(p)) / sum(n * n for n in hp.normal)
-        q = tuple(x - k * n for x, n in zip(p, hp.normal))
+    for a, b, c, _ in polytope.lines:
+        n = (2 * a - b, 2 * b - a, -a - b)  # three times the sum-zero normal of a*l1 + b*l2
+        k = (sum(x * y for x, y in zip(n, p)) - 3 * Fraction(c, polytope.den)) / sum(y * y for y in n)
+        q = tuple(x - k * y for x, y in zip(p, n))
         if k < 0 and polytope.contains(q, 0):
             points.append(q)
     return min(points, key=lambda q: sum((x - y) ** 2 for x, y in zip(p, q)))

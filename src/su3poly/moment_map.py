@@ -34,7 +34,8 @@ from .su3 import (
 
 
 class NotNormalized(ValueError):
-    """A homogeneous coordinate vector that is not on the unit sphere."""
+    """A homogeneous coordinate vector that is zero, has a NaN or infinite
+    coordinate, or is not on the unit sphere."""
 
 
 class DegenerateWeight(ValueError):
@@ -62,6 +63,8 @@ class CPPoint:
         norm = math.sqrt(sum(abs(c) ** 2 for c in z))
         if norm == 0.0:
             raise NotNormalized("zero vector")
+        if not math.isfinite(norm):
+            raise NotNormalized(f"coordinates {z1!r}, {z2!r}, {z3!r} are not all finite")
         if normalize:
             z = [c / norm for c in z]
         elif abs(norm - 1.0) > NORM_TOL:
@@ -105,7 +108,6 @@ class CPPoint:
 E1 = CPPoint.of(1, 0, 0)
 E2 = CPPoint.of(0, 1, 0)
 E3 = CPPoint.of(0, 0, 1)
-BASIS = (E1, E2, E3)
 
 
 @dataclass(frozen=True)

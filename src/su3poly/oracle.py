@@ -36,11 +36,14 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .moment_map import CPPoint, FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight, as_gammas
-from .polytope import ChamberPolytope, _distances, _pq_array, build_polytope, hull2d
-from .su3 import SQRT2, SQRT6, is_exact, spectra_of_entries
+from .polytope import ChamberPolytope, _distances, _float_lines, _pq_array, build_polytope, hull2d
+from .su3 import SQRT2, SQRT6, check_tolerance, is_exact, spectra_of_entries
+
+if TYPE_CHECKING:  # annotations only: importing the package loads no numpy
+    import numpy as np
 
 BLOCK = 1 << 14
 _ROW, _COL = [0, 0, 1], [1, 2, 2]  # upper entries 12, 13, 23
@@ -264,11 +267,12 @@ class VerificationReport:
 
 
 def violation_distances(P: ChamberPolytope, spectra: np.ndarray) -> np.ndarray:
-    """Per-sample distance outside the polytope (0 inside), from one (half-planes, n) array."""
+    """Per-sample distance outside the polytope (0 inside), from one (lines, n) array."""
     import numpy as np
 
-    normals = np.array([[float(c) for c in hp.normal] for hp in P.halfplanes])
-    offsets = np.array([float(hp.offset) for hp in P.halfplanes])
+    rows = _float_lines(P)
+    normals = np.array([normal for normal, _ in rows])
+    offsets = np.array([offset for _, offset in rows])
     units = np.linalg.norm(normals, axis=1)
     signed = normals @ spectra.T
     signed -= offsets[:, None]
@@ -290,11 +294,13 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     never an artefact of the eigenvalue computation.  ``targeted`` adds draws
     concentrated near each torus-fixed configuration, which drive the
     per-vertex coverage distances to zero much faster than uniform sampling.
-    A count that is not a positive integer raises :class:`InvalidCount`.
+    A count that is not a positive integer raises :class:`InvalidCount`, and
+    a ``tol`` that :func:`su3.check_tolerance` refuses raises its error.
     """
     import numpy as np
 
     count = _checked_count(count, 1)
+    check_tolerance(tol)
     try:
         gammas = as_gammas(w)
     except ValueError as exc:

@@ -24,12 +24,12 @@ and gives each cone as a :class:`cones.Germ`; one line-maker turns each
 germ into lines a*l1 + b*l2 >= c / t with integer c; and the vertices come
 out as integers over m * t.  A :class:`ChamberPolytope` stores these lines
 and vertices over one denominator and nothing else (segments, points and
-float hulls over 1); its :class:`HalfPlane` and :class:`su3.Spectrum`
-views, and the :class:`cones.ConeSpec` views of the germs
-(:func:`polytope_cones`), are made only when read.  Normals are sum-zero
-functionals on spectra; signed distances divide by the Euclidean norm of
-the functional, which is the gradient norm in the isometric chamber
-embedding.
+float hulls over 1); its :class:`su3.Spectrum` vertices and the
+:class:`cones.ConeSpec` views of the germs (:func:`polytope_cones`) are
+made only when read.  Every reader takes the lines as stored: three times
+the sum-zero normal of a*l1 + b*l2 is the integer triple
+(2a - b, 2b - a, -a - b), and signed distances divide by the normal's
+norm, the gradient norm in the isometric chamber embedding.
 
 Everything here but the hull is plain Python: the builder, containment, and
 the one point-to-polygon distance behind :func:`distance_to_polytope_pq`,
@@ -58,6 +58,8 @@ from .su3 import (
     Spectrum,
     all_exact,
     chamber_to_spectrum_floats,
+    check_tolerance,
+    integer_scaled,
     lift_2d,
     num_out,
     snap_weights,
@@ -79,38 +81,6 @@ class InvalidHalfPlane(ValueError):
     """A normal (n0, n1, n2) with n0 = n1 = n2: it vanishes on the sum-zero plane."""
 
 
-# ---------------------------------------------------------------------------
-# Half-planes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HalfPlane:
-    """Closed half-plane {s : normal . s >= offset} in the sum-zero plane:
-    a view of one line of a :class:`ChamberPolytope`."""
-
-    normal: Tuple[Scalar, Scalar, Scalar]
-    offset: Scalar
-    provenance: str = ""
-
-    def __post_init__(self):
-        n = self.normal
-        if n[0] == n[1] == n[2]:
-            raise InvalidHalfPlane(f"normal {n} vanishes on the sum-zero plane")
-
-    def value(self, s) -> Scalar:
-        n = self.normal
-        return n[0] * s[0] + n[1] * s[1] + n[2] * s[2] - self.offset
-
-    def unit(self) -> float:
-        """Gradient norm of the functional in the chamber embedding."""
-        n = self.normal
-        return math.sqrt(float(n[0]) ** 2 + float(n[1]) ** 2 + float(n[2]) ** 2)
-
-    def signed_distance(self, s) -> float:
-        return float(self.value(s)) / self.unit()
-
-
 #: The chamber walls l1 >= l2 and l2 >= l3 as lines (a, b, c, provenance).
 _WALLS = ((1, -1, 0, "wall:l1=l2"), (1, 2, 0, "wall:l2=l3"))
 
@@ -122,8 +92,9 @@ _WALLS = ((1, -1, 0, "wall:l1=l2"), (1, 2, 0, "wall:l2=l3"))
 #: Primitive integer functionals (a, b), read as a*l1 + b*l2, of the eight
 #: possible facet directions, counterclockwise by angle in the (l1, l2)
 #: plane: the walls l2 >= l3 (1, 2) and l1 >= l2 (1, -1), and the two
-#: directions perpendicular to each root; each with its sum-zero normal.
-_FACET_NORMALS = {d: lift_2d(*d) for d in ((1, 0), (1, 1), (1, 2), (0, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))}
+#: directions perpendicular to each root; each with its sum-zero normal in
+#: floats, every entry rounded once from the exact one.
+_FACET_NORMALS = {d: tuple(map(float, lift_2d(*d))) for d in ((1, 0), (1, 1), (1, 2), (0, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))}
 
 
 def _integer_vertices(lines: Sequence[Tuple[int, int, int]]) -> Tuple[List[Tuple[int, int]], int]:
@@ -188,8 +159,8 @@ class ChamberPolytope:
     (x, y, z), each the vertex (x, y, z) / den, counterclockwise in the
     chamber embedding from the diagonal anchor point when one exists.
     Entries are ints or Fractions, or floats over ``den`` 1 for a sampled
-    hull.  :attr:`halfplanes` and :attr:`vertices` are views made when
-    first read; over ``den`` 1 they keep the entries as stored.
+    hull.  :attr:`vertices` is a view made when first read; over ``den`` 1
+    it keeps the entries as stored.
     """
 
     lines: Tuple[Tuple[Scalar, Scalar, Scalar, str], ...]
@@ -198,16 +169,6 @@ class ChamberPolytope:
     kind: str  # Polygon | Segment | Point
     label: Optional[str] = None
     starred: bool = False
-
-    @cached_property
-    def halfplanes(self) -> Tuple[HalfPlane, ...]:
-        """The lines as half-planes: the normal of a facet direction from the
-        fixed table, any other by :func:`su3.lift_2d`, the offset over ``den``."""
-        den = self.den
-        return tuple(
-            HalfPlane(_FACET_NORMALS.get((a, b)) or lift_2d(a, b), c if den == 1 else Fraction(c, den), p)
-            for a, b, c, p in self.lines
-        )
 
     @cached_property
     def vertices(self) -> Tuple[Spectrum, ...]:
@@ -238,14 +199,29 @@ class ChamberPolytope:
         point, by its largest absolute entry), with no absolute floor, so
         ``contains(t P, t s) == contains(P, s)`` for every t > 0.
 
-        Exact when the polytope, the point and ``tol == 0`` are all exact.
+        Exact when the polytope, the point and ``tol == 0`` are all exact:
+        one integer sign test per line.  Otherwise the signed distances are
+        floats, each rounded once from its exact value on exact input.
         """
+        check_tolerance(tol)
         triple = s.astuple() if isinstance(s, Spectrum) else tuple(s)
-        if tol == 0 and self.is_exact and all_exact(triple):
-            return all(hp.value(triple) >= 0 for hp in self.halfplanes)
-        scale = self.diameter() or max(abs(float(x)) for v in self.vertices for x in v)
-        slack = tol * scale
-        return all(hp.signed_distance(triple) >= -slack for hp in self.halfplanes)
+        exact = self.is_exact and all_exact(triple)
+        if exact:
+            # 3 * d * den * (n . s - c / den) for s = (x, y, z) / d, an integer on integer lines
+            (x, y, z), d = integer_scaled(triple)
+            den = self.den
+            gaps = [den * ((2 * a - b) * x + (2 * b - a) * y - (a + b) * z) - 3 * c * d for a, b, c, _ in self.lines]
+            inside = min(gaps) >= 0
+            if inside or tol == 0:
+                return inside
+        rows = _float_lines(self)
+        if exact:
+            values = [g / (3 * d * den) for g in gaps]  # int / int is correctly rounded
+        else:
+            x, y, z = map(float, triple)
+            values = [n0 * x + n1 * y + n2 * z - offset for (n0, n1, n2), offset in rows]
+        slack = tol * (self.diameter() or max(abs(float(x)) for v in self.vertices for x in v))
+        return all(float(v) / math.sqrt(n0**2 + n1**2 + n2**2) >= -slack for v, ((n0, n1, n2), _) in zip(values, rows))
 
     def star(self) -> "ChamberPolytope":
         """Image under the star involution (l1, l2, l3) -> (-l3, -l2, -l1),
@@ -266,26 +242,35 @@ class ChamberPolytope:
             "vertices": [[num_out(x) for x in v] for v in self.vertices],
             "halfplanes": [
                 {
-                    "normal": [num_out(x) for x in hp.normal],
-                    "offset": num_out(hp.offset),
-                    "provenance": hp.provenance,
+                    "normal": [num_out(x) for x in lift_2d(a, b)],
+                    "offset": num_out(c if self.den == 1 else Fraction(c, self.den)),
+                    "provenance": p,
                 }
-                for hp in self.halfplanes
+                for a, b, c, p in self.lines
             ],
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ChamberPolytope":
         """:meth:`to_json_dict` read back over ``den`` 1, each vertex checked
-        as a spectrum and each normal n as a :class:`HalfPlane`, then read as
-        (n0 - n2, n1 - n2), which is exact for an exact sum-zero normal."""
+        as a spectrum and each normal n read as the line
+        (n0 - n2, n1 - n2), which is exact for an exact sum-zero normal; a
+        normal with n0 = n1 = n2 raises :class:`InvalidHalfPlane`."""
         corners = tuple(Spectrum(*[_num_in(x) for x in v]).astuple() for v in d["vertices"])
         lines = []
         for h in d["halfplanes"]:
-            hp = HalfPlane(tuple(_num_in(x) for x in h["normal"]), _num_in(h["offset"]), h.get("provenance", ""))
-            n = hp.normal
-            lines.append((n[0] - n[2], n[1] - n[2], hp.offset, hp.provenance))
+            n = tuple(_num_in(x) for x in h["normal"])
+            if n[0] == n[1] == n[2]:
+                raise InvalidHalfPlane(f"normal {n} vanishes on the sum-zero plane")
+            lines.append((n[0] - n[2], n[1] - n[2], _num_in(h["offset"]), h.get("provenance", "")))
         return cls(tuple(lines), corners, 1, d["kind"], d.get("label"), bool(d.get("starred", False)))
+
+
+def _float_lines(P: ChamberPolytope) -> List[Tuple[Tuple[float, float, float], float]]:
+    """Each line of ``P`` as its sum-zero normal and its offset c / den in
+    floats, every entry rounded once from its exact value: the normal of a
+    facet direction from the fixed table, any other by :func:`su3.lift_2d`."""
+    return [(_FACET_NORMALS.get((a, b)) or tuple(map(float, lift_2d(a, b))), float(c / P.den)) for a, b, c, _ in P.lines]
 
 
 def _num_in(x):
@@ -590,9 +575,12 @@ def hull2d(points, eps: float = 1e-9) -> ChamberPolytope:
     hull).  The filter drops only points strictly inside the hull, which
     never change the quickhull's vertices, so they are the same without it.
     No points, or a hull vertex outside the chamber (beyond the slack that
-    :class:`su3.Spectrum` allows), raise :class:`InvalidHullPoints`.
+    :class:`su3.Spectrum` allows), raise :class:`InvalidHullPoints`, and an
+    ``eps`` that :func:`su3.check_tolerance` refuses raises its error.
     """
     import numpy as np
+
+    check_tolerance(eps)
 
     arr = points if isinstance(points, np.ndarray) else np.array([(p.p, p.q) if isinstance(p, ChamberPoint) else (p[0], p[1]) for p in points], dtype=float)
     if arr.size == 0:

@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .moment_map import fixed_point_spectra
 from .polytope import ChamberPolytope
-from .su3 import Root, to_chamber
+from .su3 import SQRT2, SQRT6, Root, to_chamber
 
 _WALL_DIRS = ((0.0, 1.0), (math.cos(math.pi / 6), math.sin(math.pi / 6)))
 
@@ -62,10 +62,13 @@ def render_svg(
     height: int = 480,
     max_samples: int = 2000,
 ) -> str:
-    """Render a chamber polytope (plus optional sample cloud) as SVG text."""
+    """Render a chamber polytope (plus optional sample cloud) as SVG text.
+
+    ``weights``, when given, label the anchor points; weights that
+    :func:`moment_map.fixed_point_spectra` refuses raise its error."""
     pts = [(c.p, c.q) for c in polytope.pq_vertices()]
-    anchors = _anchor_points(polytope, weights)
-    frame = pts + [(0.0, 0.0)] + [pq for pq, _ in anchors.values()]
+    anchors = _anchor_points(weights)
+    frame = pts + [(0.0, 0.0)] + list(anchors.values())
     reach = max(max(abs(x) for x, _ in frame), max(abs(y) for _, y in frame), 1.0)
     frame += [(d[0] * reach * 1.25, d[1] * reach * 1.25) for d in _WALL_DIRS]
     tr, scale = _transform(frame, width, height, margin=42.0)
@@ -98,7 +101,7 @@ def render_svg(
         x, y = tr(pts[0])
         cv.add(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="crimson"/>')
 
-    for name, (pq, _) in anchors.items():
+    for name, pq in anchors.items():
         x, y = tr(pq)
         cv.add(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.4" fill="black"/>')
         cv.add(f'<text x="{_fmt(x + 6)}" y="{_fmt(y - 5)}">{name}</text>')
@@ -110,19 +113,15 @@ def render_svg(
     return cv.finish()
 
 
-def _anchor_points(polytope: ChamberPolytope, weights) -> Dict[str, Tuple[Tuple[float, float], str]]:
+def _anchor_points(weights) -> Dict[str, Tuple[float, float]]:
+    """Each anchor point of the weights by its label, coincident anchors under one merged label."""
     if weights is None:
         return {}
-    try:
-        fps = fixed_point_spectra(weights).asdict()
-    except Exception:
-        return {}
     grouped: Dict[Tuple[float, float], List[str]] = {}
-    for name, spec in fps.items():
+    for name, spec in fixed_point_spectra(weights).asdict().items():
         c = to_chamber(spec)
-        key = (round(c.p, 9), round(c.q, 9))
-        grouped.setdefault(key, []).append(name)
-    return {"=".join(sorted(names)): (key, "") for key, names in grouped.items()}
+        grouped.setdefault((round(c.p, 9), round(c.q, 9)), []).append(name)
+    return {"=".join(sorted(names)): key for key, names in grouped.items()}
 
 
 def _root_legend(cv: _Canvas, width: int, height: int, scale: float):
@@ -140,6 +139,4 @@ def _root_legend(cv: _Canvas, width: int, height: int, scale: float):
 
 def to_chamber_root(root: Root) -> Tuple[float, float]:
     v = root.vector
-    from .su3 import SQRT2, SQRT6
-
     return ((v[0] - v[1]) / SQRT2, (v[0] + v[1] - 2 * v[2]) / SQRT6)

@@ -92,6 +92,13 @@ class InvalidTolerance(ValueError):
     """A tolerance that is not a finite nonnegative real number."""
 
 
+def check_tolerance(tol) -> None:
+    """Raise :class:`InvalidTolerance`, naming ``tol``, unless it is a finite
+    nonnegative real number other than a bool: the library's one check."""
+    if type(tol) is bool or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
+        raise InvalidTolerance(f"tolerance {tol!r} is not a finite nonnegative number")
+
+
 class InvalidIndex(ValueError):
     """An anchor or basis index that is not the int 1, 2 or 3."""
 
@@ -127,11 +134,10 @@ def snap_weights(gs: Sequence[Scalar], tol: float) -> Tuple[Tuple[int, ...], int
     within ``tol`` times the largest absolute weight, compared in integers
     on the exact binary values.  The weights are projected orthogonally onto
     the null space of the snapped forms; a form whose sign that moves snaps
-    too.  Exact weights keep their values.  A NaN, infinite, negative or
-    bool ``tol`` raises :class:`InvalidTolerance`.
+    too.  Exact weights keep their values.  A ``tol`` that
+    :func:`check_tolerance` refuses raises :class:`InvalidTolerance`.
     """
-    if type(tol) is bool or not 0 <= tol < math.inf:
-        raise InvalidTolerance(f"tolerance {tol!r} is not a finite nonnegative number")
+    check_tolerance(tol)
     ints, den = integer_scaled(gs)
     exact = [is_exact(g) for g in gs]
     if all(exact):
@@ -440,9 +446,6 @@ class Hermitian3:
     def frobenius(self) -> float:
         off = abs(complex(self.off12)) ** 2 + abs(complex(self.off13)) ** 2 + abs(complex(self.off23)) ** 2
         return math.sqrt(float(self.d1) ** 2 + float(self.d2) ** 2 + float(self.d3) ** 2 + 2 * off)
-
-
-ZERO_HERMITIAN = Hermitian3(0, 0)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,10 @@ class TestErrors:
             (["classify", "--gamma", "4,2,-1", "--tolerance", "nan"], "InvalidTolerance"),
             (["polytope", "--gamma", "4,2,-1,3"], "LengthMismatch"),
             (["verify", "--gamma", "4,2,-1", "--count", "0"], "InvalidCount"),
+            (["verify", "--gamma", "4,2,-1", "--count", "1000", "--tolerance", "nan"], "InvalidTolerance"),
+            (["verify", "--gamma", "4,2,-1", "--count", "1000", "--tolerance", "-1"], "InvalidTolerance"),
+            (["bounds", "--lambdas", "1,1,1", "--target", "2,0,-2", "--tolerance", "nan"], "InvalidTolerance"),
+            (["bounds", "--lambdas", "1,1,1", "--target", "2,0,-2", "--tolerance", "-1"], "InvalidTolerance"),
             (["sample", "--gamma", "4,2,-1", "--count", "-1"], "InvalidCount"),
             (["sweep", "--start", "1,1,1", "--end", "2,1,1", "--steps", "0"], "InvalidCount"),
             (["sweep", "--start", "1,1,1", "--end", "2,1"], "LengthMismatch"),

@@ -33,7 +33,7 @@ from su3poly.cones import (
     slice_cone_c,
 )
 from su3poly import polytope
-from su3poly.polytope import AllWeightsDegenerate, HalfPlane, build_polytope_n3, polytope_cones
+from su3poly.polytope import AllWeightsDegenerate, build_polytope_n3, polytope_cones
 from su3poly.moment_map import raw_fixed_point_diagonals, tangent_weights
 from su3poly.su3 import SQRT2, SQRT6, InvalidIndex, Root, integer_scaled, lift_2d, sgn
 
@@ -306,7 +306,7 @@ class TestConesBoundPolytope:
         m, rest = divmod(poly.den, kernel.scale)
         assert rest == 0
         assert poly.lines == tuple((a, b, c * m, p) for a, b, c, p in expected)
-        assert poly.halfplanes == tuple(HalfPlane(lift_2d(a, b), F(c, kernel.scale), p) for a, b, c, p in expected)
+        assert [(a, b, F(c, poly.den), p) for a, b, c, p in poly.lines] == [(a, b, F(c, kernel.scale), p) for a, b, c, p in expected]
 
     @pytest.mark.parametrize(
         "germ, match",

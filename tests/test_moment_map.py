@@ -42,6 +42,12 @@ class TestCPPoint:
         with pytest.raises(NotNormalized):
             CPPoint.of(1, 1, 0, normalize=False)
 
+    @pytest.mark.parametrize("coords", [(float("nan"), 0, 0), (float("inf"), 0, 0), (1, 0, complex(0, float("-inf")))])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_non_finite_coordinates_are_named(self, coords, normalize):
+        with pytest.raises(NotNormalized, match=re.escape(", ".join(map(repr, coords)))):
+            CPPoint.of(*coords, normalize=normalize)
+
     def test_projective_equality(self):
         a = CPPoint.of(1, 1j, 0.5)
         b = CPPoint.of(-2, -2j, -1)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,7 +20,7 @@ from su3poly.oracle import (
     violation_distances,
 )
 from su3poly.polytope import build_polytope, build_polytope_n2, build_polytope_n3
-from su3poly.su3 import SPECTRA_ERROR
+from su3poly.su3 import SPECTRA_ERROR, InvalidTolerance, lift_2d
 
 
 def _gaussians(seed, count, n_factors):
@@ -94,6 +95,13 @@ class TestVerifySlack:
         assert report.n_violations == 0
         assert report.hausdorff_inner < 0.05 * report.diameter
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1, -1e-9, True, "1e-6"])
+    def test_bad_tolerance_is_named(self, monkeypatch, tol):
+        # refused before anything is sampled: a NaN slack would count no violation
+        monkeypatch.setattr(oracle, "sample_batch", None)
+        with pytest.raises(InvalidTolerance, match=re.escape(repr(tol))):
+            verify((4, 2, -1), 1000, seed=1, tol=tol)
+
     def test_point_prediction_slack_scales_with_weight(self):
         for g in (1.0, 1e-9):
             report = verify((g, 0, 0), 2000, seed=2, tol=1e-6)
@@ -106,11 +114,11 @@ class TestVerifySlack:
         # violation, at any scale (the vertices, and so the slack, stay)
         w = (2 * t, 1 * t)
         predicted = build_polytope(w)
-        normal = np.array(predicted.halfplanes[0].normal, dtype=float)
-        shift = 2e-6 * predicted.diameter() * normal / np.linalg.norm(normal)
+        normals = [np.array(lift_2d(a, b), dtype=float) for a, b, _, _ in predicted.lines]
+        shift = 2e-6 * predicted.diameter() * normals[0] / np.linalg.norm(normals[0])
         moved = tuple(
-            (a, b, float(hp.offset) + float(np.array(hp.normal, dtype=float) @ shift), hp.provenance)
-            for (a, b, _, _), hp in zip(predicted.lines, predicted.halfplanes)
+            (a, b, float(F(c, predicted.den)) + float(normal @ shift), p)
+            for (a, b, c, p), normal in zip(predicted.lines, normals)
         )
         shifted = dataclasses.replace(predicted, lines=moved, den=1)
         assert verify(w, 2000, seed=4, tol=1e-6).n_violations == 0

@@ -1,10 +1,15 @@
+import inspect
 import os
 import subprocess
 import sys
 import textwrap
 import types
+import typing
+
+import pytest
 
 import su3poly
+from su3poly import eigen_bounds, oracle
 
 
 def test_all_names_are_public_objects_not_modules():
@@ -21,6 +26,21 @@ def test_all_covers_the_error_types():
     assert issubclass(su3poly.InvalidHalfPlane, ValueError)
     assert issubclass(su3poly.InvalidIndex, ValueError)
     assert issubclass(su3poly.NotSorted, ValueError)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [eigen_bounds.RealizeResult, eigen_bounds.DoubleEigMatrixSpec.realize, oracle.SampleBatch, oracle.spectra_of_configurations, oracle.sample_cp2],
+)
+def test_annotations_resolve_where_a_type_checker_reads_them(obj, monkeypatch):
+    # numpy is bound for type checkers only, so the module is run again
+    # with TYPE_CHECKING true and the annotations resolved in that namespace
+    module = sys.modules[obj.__module__]
+    monkeypatch.setattr(typing, "TYPE_CHECKING", True)
+    namespace = {"__name__": module.__name__, "__package__": module.__package__}
+    exec(compile(inspect.getsource(module), module.__file__, "exec"), namespace)
+    hints = typing.get_type_hints(obj, namespace)
+    assert "numpy" in str(hints)
 
 
 #: Runs with numpy blocked: any ``import numpy`` raises ImportError.

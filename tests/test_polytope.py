@@ -6,6 +6,7 @@ import random
 import re
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import numpy as np
@@ -23,7 +24,6 @@ from su3poly.polytope import (
     AllWeightsDegenerate,
     ChamberPolytope,
     DegenerateWeight,
-    HalfPlane,
     InvalidHalfPlane,
     InvalidHullPoints,
     build_polytope,
@@ -34,11 +34,16 @@ from su3poly.polytope import (
     point_polytope,
     polytope_cones,
 )
-from su3poly.su3 import Root, Spectrum, chamber_to_spectrum_floats, star_involution, to_chamber
+from su3poly.su3 import InvalidTolerance, Root, Spectrum, chamber_to_spectrum_floats, lift_2d, star_involution, to_chamber
 
 
 def vertex_set(poly):
     return {tuple(F(x) for x in v) for v in poly.vertices}
+
+
+def line_values(poly, s):
+    """a*l1 + b*l2 - c / den for each stored line at the sum-zero triple ``s``."""
+    return [a * s[0] + b * s[1] - F(c, poly.den) for a, b, c, _ in poly.lines]
 
 
 _rnd = random.Random(29)
@@ -66,13 +71,13 @@ class TestFixtureTable:
         poly = build_polytope_n3(gammas)
         for name, spec in fixed_point_spectra(gammas).asdict().items():
             assert poly.contains(spec, 0), (gammas, name)
-            assert min(hp.value(spec.astuple()) for hp in poly.halfplanes) == 0, (gammas, name)
+            assert min(line_values(poly, spec.astuple())) == 0, (gammas, name)
 
     @pytest.mark.parametrize("gammas", sorted(POLYTOPE_FIXTURES) + RANDOM_RATIONALS)
     def test_vertices_consistent_with_halfplanes(self, gammas):
         poly = build_polytope_n3(gammas)
         for v in poly.vertices:
-            vals = [hp.value(v.astuple()) for hp in poly.halfplanes]
+            vals = line_values(poly, v.astuple())
             assert all(x >= 0 for x in vals)
             assert sum(1 for x in vals if x == 0) >= 2
 
@@ -138,7 +143,97 @@ class TestSymmetryProperties:
         assert mirrored.label == poly.label or {mirrored.label, poly.label} in ({"D0", "G0"}, {"DD0", "GG0"})
 
 
+@dataclass(frozen=True)
+class HalfPlane:
+    """The half-plane view of one stored line that containment once read,
+    {s : normal . s >= offset} with Fraction normals: the reference for
+    :meth:`ChamberPolytope.contains`, which reads the lines as stored."""
+
+    normal: tuple
+    offset: object
+
+    def value(self, s):
+        n = self.normal
+        return n[0] * s[0] + n[1] * s[1] + n[2] * s[2] - self.offset
+
+    def unit(self):
+        n = self.normal
+        return math.sqrt(float(n[0]) ** 2 + float(n[1]) ** 2 + float(n[2]) ** 2)
+
+    def signed_distance(self, s):
+        return float(self.value(s)) / self.unit()
+
+
+def reference_contains(poly, s, tol):
+    """Containment through :class:`HalfPlane` views, as it was computed before
+    the lines were read directly."""
+    den = poly.den
+    halfplanes = [HalfPlane(lift_2d(a, b), c if den == 1 else F(c, den)) for a, b, c, _ in poly.lines]
+    if tol == 0 and poly.is_exact and all(type(x) in (int, F) for x in s):
+        return all(hp.value(s) >= 0 for hp in halfplanes)
+    scale = poly.diameter() or max(abs(float(x)) for v in poly.vertices for x in v)
+    return all(hp.signed_distance(s) >= -tol * scale for hp in halfplanes)
+
+
+#: Every fixture polygon, its star image and every two-factor segment.
+CONTAINMENT_POLYTOPES = [
+    *(build_polytope_n3(g) for g in sorted(POLYTOPE_FIXTURES)),
+    *(build_polytope_n3(g).star() for g in sorted(POLYTOPE_FIXTURES)),
+    *(build_polytope_n2(row[0]) for row in N2_FIXTURES),
+]
+
+
+@st.composite
+def points_near_the_lines(draw):
+    """A polytope and, for each of its lines, a point on that line moved off
+    it along its normal by 0, a few ulps, or up to 1e-6 of the polytope's
+    scale; each point exact and as floats."""
+    poly = draw(st.sampled_from(CONTAINMENT_POLYTOPES))
+    corners = [v.astuple() for v in poly.vertices]
+    weights = draw(st.lists(st.fractions(-1, 2, max_denominator=16), min_size=len(corners), max_size=len(corners)))
+    p = [sum((w * v[i] for w, v in zip(weights, corners)), F(0)) for i in range(3)]
+    p = [x - sum(p) / 3 for x in p]
+    scale = max(abs(x) for v in corners for x in v) or 1
+    push = draw(st.sampled_from([0, 1e-17, 1e-16, 1e-15, 1e-13, 1e-10, 0.9e-9, 1e-9, 1.1e-9, 1e-6])) * draw(st.sampled_from([1, -1]))
+    points = []
+    for a, b, c, _ in poly.lines:
+        n = (2 * a - b, 2 * b - a, -a - b)
+        k = (sum(x * y for x, y in zip(n, p)) - 3 * F(c, poly.den)) / sum(y * y for y in n)
+        s = tuple(x - (k - F(push) * scale / 3) * y for x, y in zip(p, n))
+        points += [s, tuple(map(float, s))]
+    return poly, points
+
+
 class TestContains:
+    @settings(max_examples=200, deadline=None)
+    @given(points_near_the_lines())
+    def test_matches_the_halfplane_reference(self, case):
+        poly, points = case
+        for s in points:
+            for tol in (0, 0.0, 1e-9):
+                assert poly.contains(s, tol) == reference_contains(poly, s, tol), (s, tol)
+
+    def test_exact_containment_makes_no_fraction(self, monkeypatch):
+        poly = build_polytope_n3((4, 2, -1))
+        probes = [v.astuple() for v in poly.vertices] + [(0, 0, 0), (3, -1, -2)]
+        made = []
+        new = F.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counted)
+        assert [poly.contains(s, 0) for s in probes] == [True] * 4 + [False, True]
+        assert made == []
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1, -1e-300, True, False, "0", None, 1j])
+    def test_tolerance_is_checked(self, tol):
+        poly = build_polytope_n3((4, 2, -1))
+        with pytest.raises(InvalidTolerance, match=re.escape(repr(tol))):
+            poly.contains((0, 0, 0), tol)
+        assert poly.contains(poly.vertices[0], 0) and poly.contains(poly.vertices[0], F(0))
+
     def test_aaa_examples(self):
         poly = build_polytope_n3((1, 1, 1))
         assert poly.contains(Spectrum(0, 0, 0), 1e-9)
@@ -265,7 +360,7 @@ class TestDelegation:
         poly = build_polytope(gammas)
         assert poly.label == label.value
         cones = polytope_cones(can.sorted_gammas)
-        tags = {hp.provenance.split(":")[0] for hp in poly.halfplanes}
+        tags = {p.split(":")[0] for *_, p in poly.lines}
         assert tags == {"wall"} | {name for name, cone in cones.items() if cone is not None}
 
     def test_near_zero_float_beside_exact_weights_snaps(self):
@@ -470,6 +565,12 @@ class TestHull2d:
         for empty in ([], np.empty((0, 2))):
             with pytest.raises(InvalidHullPoints, match="at least one point"):
                 hull2d(empty)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1, True, "1e-9"])
+    def test_bad_tolerance_is_named(self, eps):
+        # a NaN eps once made three corners a Segment, and -1 raised from numpy
+        with pytest.raises(InvalidTolerance, match=re.escape(repr(eps))):
+            hull2d([(0.5, 1.0), (1.0, 3.0), (0.25, 1.5)], eps)
 
     def test_point_outside_the_chamber_is_named(self):
         # p < 0 breaks l1 >= l2, q < p / sqrt(3) breaks l2 >= l3
@@ -818,8 +919,7 @@ class TestSerialization:
         back = ChamberPolytope.from_json_dict(data)
         assert back.vertices == poly.vertices
         assert back.label == poly.label and back.starred == poly.starred
-        assert [hp.normal for hp in back.halfplanes] == [hp.normal for hp in poly.halfplanes]
-        assert [hp.offset for hp in back.halfplanes] == [hp.offset for hp in poly.halfplanes]
+        assert [(a, b, F(c, back.den), p) for a, b, c, p in back.lines] == [(a, b, F(c, poly.den), p) for a, b, c, p in poly.lines]
 
     def test_float_roundtrip_tolerance(self):
         poly = build_polytope_n3((1.5, 1.0, -0.25))
@@ -829,20 +929,20 @@ class TestSerialization:
 
     @pytest.mark.parametrize("normal", [(0, 0, 0), (1, 1, 1), ("-2/3", "-2/3", "-2/3")])
     def test_normal_that_vanishes_on_the_plane_is_refused_when_read(self, normal):
-        with pytest.raises(InvalidHalfPlane, match="vanishes on the sum-zero plane"):
-            HalfPlane(tuple(F(x) for x in normal), 0)
         data = build_polytope_n3((4, 2, -1)).to_json_dict()
         data["halfplanes"][3]["normal"] = list(normal)
-        with pytest.raises(InvalidHalfPlane, match=re.escape(str(tuple(F(x) if isinstance(x, str) else x for x in normal)))):
+        read = tuple(F(x) if isinstance(x, str) else x for x in normal)
+        with pytest.raises(InvalidHalfPlane, match=re.escape(f"normal {read} vanishes on the sum-zero plane")):
             ChamberPolytope.from_json_dict(data)
 
     def test_views_are_the_stored_form_over_its_denominator(self):
         poly = build_polytope_n3((4, 2, -1))
         assert poly.vertices == tuple(Spectrum(*(F(x, poly.den) for x in v)) for v in poly.corners)
-        for (a, b, c, p), hp in zip(poly.lines, poly.halfplanes):
-            assert (hp.normal[0] - hp.normal[2], hp.normal[1] - hp.normal[2], hp.offset, hp.provenance) == (a, b, F(c, poly.den), p)
-            assert sum(hp.normal) == 0
-        assert poly.halfplanes is poly.halfplanes and poly.vertices is poly.vertices
+        for (a, b, c, p), h in zip(poly.lines, poly.to_json_dict()["halfplanes"], strict=True):
+            n = [F(x) for x in h["normal"]]
+            assert (n[0] - n[2], n[1] - n[2], F(h["offset"]), h["provenance"]) == (a, b, F(c, poly.den), p)
+            assert sum(n) == 0
+        assert poly.vertices is poly.vertices
 
     def test_star_of_the_stored_form(self):
         poly = build_polytope_n3((4, 2, -1))
@@ -901,8 +1001,8 @@ class TestExactBuilder:
 
     def test_one_straight_line_per_build(self, monkeypatch):
         # one weight check, one classification and one sign profile per
-        # exact build, and no re-validated spectrum, half-plane or ConeSpec
-        # on the way: the half-planes and vertices are views, made when read
+        # exact build, and no re-validated spectrum, sum-zero normal or
+        # ConeSpec on the way: the vertices are a view, made when read
         counts = Counter()
 
         def count(owner, name):
@@ -923,7 +1023,7 @@ class TestExactBuilder:
         count(classifier, "classify_n3")
         count(classifier, "sign_profile")
         count(Spectrum, "__post_init__")
-        count(HalfPlane, "__post_init__")
+        count(polytope, "lift_2d")
         count(ConeSpec, "__init__")
         weights = sorted(POLYTOPE_FIXTURES) + RANDOM_RATIONALS
         for gammas in weights:

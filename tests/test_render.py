@@ -1,3 +1,6 @@
+import pytest
+
+from su3poly.moment_map import InvalidWeight, LengthMismatch
 from su3poly.oracle import sample_batch
 from su3poly.polytope import build_polytope_n2, build_polytope_n3, point_polytope
 from su3poly.render import render_svg
@@ -23,6 +26,11 @@ class TestRenderSvg:
         assert 'stroke="crimson"' in seg
         pt = render_svg(point_polytope(Spectrum(2, -1, -1)))
         assert "circle" in pt
+
+    @pytest.mark.parametrize("weights, error", [((float("nan"), 1, 2), InvalidWeight), ((True, 1, 2), InvalidWeight), ((4, 2, -1, 1), LengthMismatch)])
+    def test_bad_weights_are_refused_not_dropped(self, weights, error):
+        with pytest.raises(error, match="weight 0 " if error is InvalidWeight else "got 4"):
+            render_svg(build_polytope_n3((4, 2, -1)), weights=weights)
 
     def test_deterministic(self):
         a = render_svg(build_polytope_n3((4, 2, -1)), weights=(4, 2, -1))

@@ -299,7 +299,7 @@ class TestSnapWeights:
         # g2 is within tol * 4 of zero, but no float enters the form g2
         assert snapped((4, F(1, 10**20), 1.0)) == (4, F(1, 10**20), 1)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1, -1e-9, True, False])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1, -1e-9, True, False, "1e-9", None, 1j])
     def test_bad_tolerance_is_named(self, tol):
         for gs in [(3.0, 2.0, 1.0 + 1e-13), (3, 2, 1)]:
             with pytest.raises(InvalidTolerance, match=re.escape(repr(tol))):
