@@ -21,7 +21,7 @@ from .moment_map import InvalidWeight, LengthMismatch
 from .oracle import InvalidCount, sample_batch, verify
 from .polytope import build_polytope, hausdorff, polytope_cones
 from .render import render_svg
-from .su3 import to_positive_chamber
+from .su3 import check_tolerance, to_positive_chamber
 
 
 def parse_number(text: str):
@@ -210,9 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand; bad input (a ``ValueError``) prints one line to stderr and exits 2, as argparse does."""
+    """Run one subcommand; bad input (a ``ValueError``) prints one line to stderr and exits 2, as argparse does.
+
+    ``--tolerance`` is checked here for every subcommand, including those
+    (``sample``, ``bounds`` without ``--target``) that do not read it."""
     args = build_parser().parse_args(argv)
     try:
+        check_tolerance(args.tolerance)
         return args.func(args)
     except ValueError as exc:
         print(f"su3poly: error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -10,8 +10,12 @@ Sampling is block-seeded: sample ``i`` lives in block ``i // BLOCK`` with its
 own generator derived from ``(seed, block)``, so batches are bitwise
 reproducible and independent of how work is partitioned.
 
-Sampling and spectra are one pass over the blocks.  Each block's Gaussians
-are drawn into one reused float buffer and read through its complex view, so
+Sampling and spectra are one pass over the blocks, run by :func:`_run_blocks`
+on every CPU the process may use (``os.sched_getaffinity``): the calling
+thread and one helper thread per further CPU pull block indices from one
+shared iterator, and each block writes only its own rows, so the batch is
+bitwise the same at any worker count.  Each worker draws its blocks'
+Gaussians into one reused float buffer, read through its complex view, so
 no array of unit vectors is ever built: the momentum map is projective
 (``z z^* / |z|^2`` does not change when ``z`` is rescaled), so
 :func:`spectra_of_configurations` weights each factor by ``g_j / |z_j|^2``
@@ -33,10 +37,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .moment_map import CPPoint, FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight, as_gammas
 from .polytope import ChamberPolytope, _distances, _float_lines, _pq_array, build_polytope, hull2d
@@ -77,21 +83,56 @@ def sample_cp2(rng: np.random.Generator) -> CPPoint:
     return CPPoint.of(*vec)
 
 
-def _gaussian_blocks(seed: int, count: int, n_factors: int):
-    """Yield ``(start, z)`` for each block of the first ``count`` samples.
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
-    ``z`` is the block's (size, n_factors, 3) array of complex Gaussians, a
-    complex view of one float buffer that every block reuses, so it is valid
-    only until the next block is drawn.  ``standard_normal`` fills its output
-    in order, so a partial block is the prefix of the full one.
+
+def _run_blocks(n_blocks: int, buffer_shape, work: Callable) -> None:
+    """Run ``work(block, buf)`` for every block in ``range(n_blocks)``.
+
+    The workers are the calling thread and up to W - 1 helper threads, W
+    being :func:`_worker_count` capped at ``n_blocks``.  Each worker owns one
+    float buffer of ``buffer_shape``, reused for every block it runs, and
+    takes the next block index from one shared iterator.  ``work`` must
+    depend only on the block (its own seeded generator) and write only that
+    block's rows, so the result is bitwise the same at every W.  The first
+    error stops the blocks not yet started; every helper is joined before
+    it is raised again here.  Helpers run only private functions, none of
+    the public ones a tracer may wrap.
     """
     import numpy as np
 
-    buf = np.empty((min(BLOCK, count), n_factors, 3, 2))
-    for block, start in enumerate(range(0, count, BLOCK)):
-        part = buf[: min(BLOCK, count - start)]
-        _rng_for_block(seed, block).standard_normal(out=part)
-        yield start, part.view(complex)[..., 0]
+    blocks = iter(range(n_blocks))
+    lock = threading.Lock()
+    errors = []
+
+    def drain():
+        try:
+            buf = np.empty(buffer_shape)
+            while not errors:
+                with lock:
+                    block = next(blocks, None)
+                if block is None:
+                    return
+                work(block, buf)
+        except BaseException as exc:  # raised again in the caller, after every join
+            errors.append(exc)
+
+    helpers = []
+    for _ in range(min(_worker_count(), n_blocks) - 1):
+        helper = threading.Thread(target=drain, daemon=True)
+        try:
+            helper.start()
+        except RuntimeError:  # no thread to spare: fewer workers give the same rows
+            break
+        helpers.append(helper)
+    drain()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -109,13 +150,12 @@ class _SamplingWeights:
     power: float
 
     @classmethod
-    def of(cls, w) -> "_SamplingWeights":
-        """Check the weights: every spectrum entry is at most (2/3) sum |gamma_j|
-        in size and every chamber coordinate at most 2 sum |gamma_j|, so that
-        bound must be a finite float; otherwise :class:`moment_map.InvalidWeight`
-        names the weight, where the sampler would give an ``OverflowError`` or
-        NaN rows."""
-        gammas = as_gammas(w)
+    def of(cls, gammas) -> "_SamplingWeights":
+        """Check weights that :func:`moment_map.as_gammas` has read: every
+        spectrum entry is at most (2/3) sum |gamma_j| in size and every
+        chamber coordinate at most 2 sum |gamma_j|, so that bound must be a
+        finite float; otherwise :class:`moment_map.InvalidWeight` names the
+        weight, where the sampler would give an ``OverflowError`` or NaN rows."""
         for k, g in enumerate(gammas):
             if abs(g) > sys.float_info.max:
                 raise InvalidWeight(f"weight {k} is beyond float range; its spectra cannot be sampled")
@@ -123,6 +163,11 @@ class _SamplingWeights:
         if not math.isfinite(2.0 * sum(abs(g) for g in floats)):
             raise InvalidWeight(f"weights {floats} give spectra beyond float range")
         return cls(floats, math.ldexp(1.0, math.frexp(max(abs(g) for g in floats))[1]))
+
+
+def _sampling_weights(w) -> _SamplingWeights:
+    """``w`` checked for sampling, unless a caller passes it checked already."""
+    return w if isinstance(w, _SamplingWeights) else _SamplingWeights.of(as_gammas(w))
 
 
 def spectra_of_configurations(z: np.ndarray, gammas, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -135,16 +180,20 @@ def spectra_of_configurations(z: np.ndarray, gammas, out: Optional[np.ndarray] =
     are formed from ``z`` with the weights ``g_j / |z_j|^2`` and handed to
     the closed-form eigenvalue kernel :func:`su3.spectra_of_entries`; no unit
     vector and no (n, 3, 3) matrix is built.  Rows are processed in chunks
-    small enough for the temporaries to stay in cache.  The samplers pass
-    their weights already checked, so the check runs once per batch.
+    small enough for the temporaries to stay in cache.
     """
     import numpy as np
 
-    checked = gammas if isinstance(gammas, _SamplingWeights) else _SamplingWeights.of(gammas)
+    return _spectra_rows(z, _sampling_weights(gammas), np.empty((z.shape[0], 3)) if out is None else out)
+
+
+def _spectra_rows(z: np.ndarray, checked: _SamplingWeights, out: np.ndarray) -> np.ndarray:
+    """The kernel of :func:`spectra_of_configurations` on checked weights;
+    the samplers' workers call it directly."""
+    import numpy as np
+
     power = checked.power
     gs = np.array(checked.floats) / power
-    if out is None:
-        out = np.empty((z.shape[0], 3))
     for start in range(0, z.shape[0], _CHUNK):
         zc = z[start : start + _CHUNK]
         sq = zc.real * zc.real + zc.imag * zc.imag
@@ -188,15 +237,25 @@ def sample_batch(w, count: int, seed: int) -> SampleBatch:
 
     Raises :class:`moment_map.InvalidWeight` before drawing anything when
     the spectra would leave float range, and :class:`InvalidCount` for a
-    count that is not an integer >= 0.
+    count that is not an integer >= 0.  The blocks are drawn and
+    diagonalised by :func:`_run_blocks`, each worker filling its own buffer
+    with the block's Gaussians (a partial last block is the prefix of the
+    full one, as ``standard_normal`` fills in order) and writing the block's
+    spectra into the block's rows.
     """
     import numpy as np
 
     count = _checked_count(count, 0)
-    checked = _SamplingWeights.of(w)
+    checked = _sampling_weights(w)
     spectra = np.empty((count, 3))
-    for start, z in _gaussian_blocks(seed, count, len(checked.floats)):
-        spectra_of_configurations(z, checked, out=spectra[start : start + len(z)])
+
+    def draw(block, buf):
+        start = block * BLOCK
+        part = buf[: min(BLOCK, count - start)]
+        _rng_for_block(seed, block).standard_normal(out=part)
+        _spectra_rows(part.view(complex)[..., 0], checked, spectra[start : start + len(part)])
+
+    _run_blocks(-(-count // BLOCK), (min(BLOCK, count), len(checked.floats), 3, 2), draw)
     return SampleBatch(seed, count, spectra, chamber_points_of_spectra(spectra))
 
 
@@ -209,28 +268,34 @@ def empirical_polytope(w, count: int, seed: int) -> Tuple[SampleBatch, ChamberPo
     return batch, hull2d(batch.chamber_points)
 
 
+_TARGET_SCALES = (0.5, 0.1, 0.02, 0.004)
+
+
 def _targeted_spectra(w, per_config: int, seed: int) -> np.ndarray:
     """Extra samples concentrated near the torus-fixed configurations.
 
     Uniform draws reach polytope vertices slowly; perturbing the fixed
     configurations at a few shrinking scales covers them quickly.  All draws
     are genuine momentum-map images, so they may be pooled with the uniform
-    batch.
+    batch.  Each (configuration, scale) pair is one block of
+    :func:`_run_blocks`, with its own generator.
     """
     import numpy as np
 
-    checked = _SamplingWeights.of(w)
+    checked = _sampling_weights(w)
     configs = FIXED_CONFIGURATIONS if len(checked.floats) == 3 else FIXED_CONFIGURATIONS_N2
-    scales = (0.5, 0.1, 0.02, 0.004)
-    out = np.empty((len(configs) * len(scales) * per_config, 3))
-    start = 0
-    for idx, config in enumerate(sorted(configs)):
-        base = np.array([list(p.coords) for p in configs[config]])  # (N, 3)
-        for k, scale in enumerate(scales):
-            rng = _rng_for_block(seed, 1_000_003 + idx * 31 + k)
-            noise = rng.standard_normal((per_config, len(base), 3, 2)).view(complex)[..., 0]
-            spectra_of_configurations(base + scale * noise, checked, out=out[start : start + per_config])
-            start += per_config
+    bases = [np.array([list(p.coords) for p in configs[config]]) for config in sorted(configs)]  # each (N, 3)
+    out = np.empty((len(bases) * len(_TARGET_SCALES) * per_config, 3))
+
+    def draw(block, buf):
+        idx, k = divmod(block, len(_TARGET_SCALES))
+        _rng_for_block(seed, 1_000_003 + idx * 31 + k).standard_normal(out=buf)
+        z = buf.view(complex)[..., 0]
+        z *= _TARGET_SCALES[k]
+        z += bases[idx]
+        _spectra_rows(z, checked, out[block * per_config : (block + 1) * per_config])
+
+    _run_blocks(len(bases) * len(_TARGET_SCALES), (per_config, len(checked.floats), 3, 2), draw)
     return out
 
 
@@ -294,13 +359,17 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     never an artefact of the eigenvalue computation.  ``targeted`` adds draws
     concentrated near each torus-fixed configuration, which drive the
     per-vertex coverage distances to zero much faster than uniform sampling.
-    A count that is not a positive integer raises :class:`InvalidCount`, and
-    a ``tol`` that :func:`su3.check_tolerance` refuses raises its error.
+    Every argument is checked before anything is drawn: a count that is not
+    a positive integer, or a ``targeted`` that is not an integer >= 0,
+    raises :class:`InvalidCount`, and a ``tol`` that
+    :func:`su3.check_tolerance` refuses raises its error.  The weights are
+    checked for sampling once and passed down checked.
     """
     import numpy as np
 
     count = _checked_count(count, 1)
     check_tolerance(tol)
+    targeted = _checked_count(targeted, 0)
     try:
         gammas = as_gammas(w)
     except ValueError as exc:
@@ -316,10 +385,10 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     except ValueError as exc:
         raise PredictionUnavailable(str(exc)) from exc
 
-    batch = sample_batch(w, count, seed)
+    batch = sample_batch(checked, count, seed)
     spectra, pq = batch.spectra, batch.chamber_points
-    if _checked_count(targeted, 0):
-        extra = _targeted_spectra(w, targeted, seed)
+    if targeted:
+        extra = _targeted_spectra(checked, targeted, seed)
         spectra = np.concatenate([spectra, extra], axis=0)
         pq = np.concatenate([pq, chamber_points_of_spectra(extra)], axis=0)
     # in place: neither the batch nor the pooled arrays leave this function

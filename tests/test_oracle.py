@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import re
+import sys
+import threading
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,8 +13,9 @@ from su3poly import oracle
 from su3poly.moment_map import FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight
 from su3poly.oracle import (
     BLOCK,
-    _gaussian_blocks,
+    InvalidCount,
     _rng_for_block,
+    _targeted_spectra,
     empirical_polytope,
     sample_batch,
     sample_cp2,
@@ -21,6 +25,41 @@ from su3poly.oracle import (
 )
 from su3poly.polytope import build_polytope, build_polytope_n2, build_polytope_n3
 from su3poly.su3 import SPECTRA_ERROR, InvalidTolerance, lift_2d
+
+
+def _gaussian_blocks(seed, count, n_factors):
+    """Yield ``(start, z)`` for each block of the first ``count`` samples, one
+    block after another: the serial reference of the sampler's block runner.
+
+    ``z`` is the block's (size, n_factors, 3) array of complex Gaussians, a
+    complex view of one float buffer that every block reuses, so it is valid
+    only until the next block is drawn.
+    """
+    buf = np.empty((min(BLOCK, count), n_factors, 3, 2))
+    for block, start in enumerate(range(0, count, BLOCK)):
+        part = buf[: min(BLOCK, count - start)]
+        _rng_for_block(seed, block).standard_normal(out=part)
+        yield start, part.view(complex)[..., 0]
+
+
+def serial_spectra(gammas, count, seed):
+    """``sample_batch(gammas, count, seed).spectra``, one block after another."""
+    spectra = np.empty((count, 3))
+    for start, z in _gaussian_blocks(seed, count, len(gammas)):
+        spectra_of_configurations(z, gammas, out=spectra[start : start + len(z)])
+    return spectra
+
+
+def serial_targeted_spectra(gammas, per_config, seed):
+    """``_targeted_spectra``, one configuration and scale after another."""
+    configs = FIXED_CONFIGURATIONS if len(gammas) == 3 else FIXED_CONFIGURATIONS_N2
+    chunks = []
+    for idx, config in enumerate(sorted(configs)):
+        base = np.array([list(p.coords) for p in configs[config]])
+        for k, scale in enumerate((0.5, 0.1, 0.02, 0.004)):
+            noise = _rng_for_block(seed, 1_000_003 + idx * 31 + k).standard_normal((per_config, len(base), 3, 2))
+            chunks.append(spectra_of_configurations(base + scale * noise.view(complex)[..., 0], gammas))
+    return np.concatenate(chunks)
 
 
 def _gaussians(seed, count, n_factors):
@@ -86,6 +125,72 @@ class TestSampling:
         assert np.abs(mean).max() < 5e-3
 
 
+class BlockFailure(RuntimeError):
+    pass
+
+
+class TestBlockRunner:
+    """The blocks run on several threads and give the serial rows bit for bit."""
+
+    @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 200_000])
+    @pytest.mark.parametrize("gammas", [(2, 1), (4, 2, -1)], ids=str)
+    def test_equal_to_the_serial_loop_at_every_worker_count(self, monkeypatch, gammas, count):
+        expected = serial_spectra(gammas, count, 8)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+            batch = sample_batch(gammas, count, 8)
+            assert np.array_equal(batch.spectra, expected), workers
+            assert np.array_equal(batch.chamber_points, oracle.chamber_points_of_spectra(expected)), workers
+
+    @pytest.mark.parametrize("gammas", [(2, 1), (4, 2, -1)], ids=str)
+    def test_targeted_draws_equal_to_the_serial_loop(self, monkeypatch, gammas):
+        expected = serial_targeted_spectra(gammas, 300, 5)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+            assert np.array_equal(_targeted_spectra(gammas, 300, 5), expected), workers
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_failing_block_raises_its_own_error_and_every_helper_is_joined(self, monkeypatch, workers):
+        def failing(seed, block):
+            if block == 2:
+                raise BlockFailure(f"block {block}")
+            return _rng_for_block(seed, block)
+
+        before = threading.active_count()
+        monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+        monkeypatch.setattr(oracle, "_rng_for_block", failing)
+        with pytest.raises(BlockFailure, match="block 2"):
+            sample_batch((4, 2, -1), 6 * BLOCK, 1)
+        assert threading.active_count() == before
+
+    def test_every_block_runs_once_with_more_workers_than_cores(self, monkeypatch):
+        # a lost update on the shared block iterator would run a block twice
+        # or skip one, leaving its rows unwritten
+        drawn = []
+
+        def recording(seed, block):
+            drawn.append(block)
+            return _rng_for_block(seed, block)
+
+        count = 10 * BLOCK + 7
+        expected = serial_spectra((2, 1), count, 4)
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 8)
+        monkeypatch.setattr(oracle, "_rng_for_block", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batch = sample_batch((2, 1), count, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(drawn) == list(range(11))
+        assert np.array_equal(batch.spectra, expected)
+
+    def test_worker_count_is_the_cpus_the_process_may_use(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert oracle._worker_count() == len(os.sched_getaffinity(0))
+        assert oracle._worker_count() >= 1
+
+
 class TestVerifySlack:
     """The violation slack is relative to the polytope, with no absolute floor."""
 
@@ -101,6 +206,12 @@ class TestVerifySlack:
         monkeypatch.setattr(oracle, "sample_batch", None)
         with pytest.raises(InvalidTolerance, match=re.escape(repr(tol))):
             verify((4, 2, -1), 1000, seed=1, tol=tol)
+
+    @pytest.mark.parametrize("targeted", [-1, True, 1.5, "500"])
+    def test_bad_targeted_count_is_refused_before_drawing(self, monkeypatch, targeted):
+        monkeypatch.setattr(oracle, "sample_batch", None)
+        with pytest.raises(InvalidCount, match=re.escape(repr(targeted))):
+            verify((4, 2, -1), 10**6, seed=1, targeted=targeted)
 
     def test_point_prediction_slack_scales_with_weight(self):
         for g in (1.0, 1e-9):
@@ -157,11 +268,14 @@ class TestFloatRange:
         assert report.hausdorff_inner / report.diameter == pytest.approx(base.hausdorff_inner / base.diameter, rel=1e-8)
         assert report.max_violation <= 1e-12 * report.diameter
 
-    def test_weights_checked_once_per_batch(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("run", [sample_batch, verify])
+    def test_weights_checked_once_per_batch(self, monkeypatch, run):
+        calls, checks = [], []
+        check = oracle._SamplingWeights.of
         monkeypatch.setattr(oracle, "as_gammas", lambda w: calls.append(w) or tuple(w))
-        sample_batch((4, 2, -1), 2 * BLOCK + 1, 1)
-        assert len(calls) == 1
+        monkeypatch.setattr(oracle._SamplingWeights, "of", classmethod(lambda cls, g: checks.append(g) or check(g)))
+        run((4, 2, -1), 2 * BLOCK + 1, 1)
+        assert len(calls) == 1 and len(checks) == 1
 
     def test_direct_spectra_call_checks_the_weights(self):
         z = _gaussians(1, 10, 3)
