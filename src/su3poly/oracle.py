@@ -268,9 +268,6 @@ def empirical_polytope(w, count: int, seed: int) -> Tuple[SampleBatch, ChamberPo
     return batch, hull2d(batch.chamber_points)
 
 
-_TARGET_SCALES = (0.5, 0.1, 0.02, 0.004)
-
-
 def _targeted_spectra(w, per_config: int, seed: int) -> np.ndarray:
     """Extra samples concentrated near the torus-fixed configurations.
 
@@ -285,17 +282,18 @@ def _targeted_spectra(w, per_config: int, seed: int) -> np.ndarray:
     checked = _sampling_weights(w)
     configs = FIXED_CONFIGURATIONS if len(checked.floats) == 3 else FIXED_CONFIGURATIONS_N2
     bases = [np.array([list(p.coords) for p in configs[config]]) for config in sorted(configs)]  # each (N, 3)
-    out = np.empty((len(bases) * len(_TARGET_SCALES) * per_config, 3))
+    scales = (0.5, 0.1, 0.02, 0.004)
+    out = np.empty((len(bases) * len(scales) * per_config, 3))
 
     def draw(block, buf):
-        idx, k = divmod(block, len(_TARGET_SCALES))
+        idx, k = divmod(block, len(scales))
         _rng_for_block(seed, 1_000_003 + idx * 31 + k).standard_normal(out=buf)
         z = buf.view(complex)[..., 0]
-        z *= _TARGET_SCALES[k]
+        z *= scales[k]
         z += bases[idx]
         _spectra_rows(z, checked, out[block * per_config : (block + 1) * per_config])
 
-    _run_blocks(len(bases) * len(_TARGET_SCALES), (per_config, len(checked.floats), 3, 2), draw)
+    _run_blocks(len(bases) * len(scales), (per_config, len(checked.floats), 3, 2), draw)
     return out
 
 
