@@ -48,13 +48,13 @@ class TestErrors:
             (["bounds", "--lambdas", "1,1,1", "--target", "2,0,-2", "--tolerance", "nan"], "InvalidTolerance"),
             (["bounds", "--lambdas", "1,1,1", "--target", "2,0,-2", "--tolerance", "-1"], "InvalidTolerance"),
             (["sample", "--gamma", "4,2,-1", "--count", "-1"], "InvalidCount"),
-            (["sample", "--gamma", "4,2,-1", "--count", "3", "--tolerance", "nan"], "InvalidTolerance"),
-            (["bounds", "--lambdas", "1,1,1", "--tolerance", "nan"], "InvalidTolerance"),
-            (["bounds", "--lambdas", "1,1", "--tolerance", "-1"], "InvalidTolerance"),
             (["sweep", "--start", "1,1,1", "--end", "2,1,1", "--steps", "0"], "InvalidCount"),
             (["sweep", "--start", "1,1,1", "--end", "2,1"], "LengthMismatch"),
             (["bounds", "--lambdas", "1,1,1,1"], "LengthMismatch"),
             (["bounds", "--lambdas", "1,1,1", "--target", "1,2"], "LengthMismatch"),
+            (["sample", "--gamma", "4,2,-1", "--count", "3", "--tolerance", "nan"], "InvalidTolerance"),
+            (["bounds", "--lambdas", "1,1,1", "--tolerance", "nan"], "InvalidTolerance"),
+            (["bounds", "--lambdas", "1,1", "--tolerance", "-1"], "InvalidTolerance"),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, capsys, argv, kind):

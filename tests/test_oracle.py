@@ -268,14 +268,14 @@ class TestFloatRange:
         assert report.hausdorff_inner / report.diameter == pytest.approx(base.hausdorff_inner / base.diameter, rel=1e-8)
         assert report.max_violation <= 1e-12 * report.diameter
 
-    @pytest.mark.parametrize("run", [sample_batch, verify])
-    def test_weights_checked_once_per_batch(self, monkeypatch, run):
-        calls, checks = [], []
+    def test_weights_checked_once_per_batch(self, monkeypatch):
         check = oracle._SamplingWeights.of
-        monkeypatch.setattr(oracle, "as_gammas", lambda w: calls.append(w) or tuple(w))
-        monkeypatch.setattr(oracle._SamplingWeights, "of", classmethod(lambda cls, g: checks.append(g) or check(g)))
-        run((4, 2, -1), 2 * BLOCK + 1, 1)
-        assert len(calls) == 1 and len(checks) == 1
+        for run in (sample_batch, verify):
+            calls, checks = [], []
+            monkeypatch.setattr(oracle, "as_gammas", lambda w: calls.append(w) or tuple(w))
+            monkeypatch.setattr(oracle._SamplingWeights, "of", classmethod(lambda cls, g: checks.append(g) or check(g)))
+            run((4, 2, -1), 2 * BLOCK + 1, 1)
+            assert len(calls) == 1 and len(checks) == 1, run.__name__
 
     def test_direct_spectra_call_checks_the_weights(self):
         z = _gaussians(1, 10, 3)
