@@ -21,6 +21,7 @@ from .cones import (
     CoincidentWeights,
     ConeSpec,
     Definiteness,
+    InvalidGeneratorKind,
     OnWall,
     QuadraticForm2,
     ZeroSum,

@@ -15,12 +15,11 @@ integers; every decision after it is the sign of an integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Tuple
 
 from .moment_map import as_gammas
-from .su3 import Scalar, apply_perm, integer_scaled, sgn, snap_weights, sort_descending
+from .su3 import Frozen, Scalar, _set, apply_perm, integer_scaled, sgn, snap_weights, sort_descending
 
 
 class N3Type(Enum):
@@ -72,21 +71,33 @@ class N2Type(Enum):
     DEGENERATE_ZERO_WEIGHT = "DegenerateZeroWeight"
 
 
-@dataclass(frozen=True)
-class Canonicalization:
+class Canonicalization(Frozen):
     """Sorted, sign-normalised weights plus the bookkeeping to undo it.
 
     ``sorted_gammas[i] == (-1 if starred else 1) * original[permutation[i]]``.
     ``snapped`` is ``(ints, den)`` from :func:`su3.snap_weights`, ordered and
     signed as ``sorted_gammas``; ``profile`` holds their transition signs.
-    Neither takes part in comparisons.
+    Neither takes part in comparisons or in the repr.
     """
 
+    __slots__ = ("sorted_gammas", "permutation", "starred", "profile", "snapped")
+    _fields = __slots__[:3]
     sorted_gammas: Tuple[Scalar, ...]
     permutation: Tuple[int, ...]
     starred: bool
-    profile: SignProfile = field(compare=False, repr=False)
-    snapped: Tuple[Tuple[int, ...], int] = field(compare=False, repr=False)
+    profile: SignProfile
+    snapped: Tuple[Tuple[int, ...], int]
+
+    def __init__(self, sorted_gammas: Tuple[Scalar, ...], permutation: Tuple[int, ...], starred: bool, profile: SignProfile, snapped: Tuple[Tuple[int, ...], int]):
+        _set(self, "sorted_gammas", sorted_gammas)
+        _set(self, "permutation", permutation)
+        _set(self, "starred", starred)
+        _set(self, "profile", profile)
+        _set(self, "snapped", snapped)
+
+    def __reduce__(self):
+        # the constructor takes the uncompared fields too
+        return (Canonicalization, tuple(getattr(self, name) for name in self.__slots__))
 
     def restore(self) -> Tuple[Scalar, ...]:
         sign = -1 if self.starred else 1
@@ -113,10 +124,10 @@ def canonicalize(w, tol: float = 1e-9) -> Canonicalization:
     return Canonicalization(apply_perm(g, permutation), permutation, starred, sign_profile(ints), (ints, den))
 
 
-@dataclass(frozen=True)
-class SignProfile:
+class SignProfile(Frozen):
     """Snapped signs of the transition quantities for canonical weights."""
 
+    __slots__ = _fields = ("zero_weight", "sum", "e12", "e23", "t1", "t2", "z23", "z13", "sign_g2", "sign_g3", "sign_z23", "sign_t1", "sign_t2", "sign_z13")
     zero_weight: bool
     sum: int  # sign of g1+g2+g3
     e12: bool  # g1 == g2
@@ -131,6 +142,22 @@ class SignProfile:
     sign_t1: int  # sign of g1 - g2 - g3
     sign_t2: int  # sign of g2 - g1 - g3
     sign_z13: int  # sign of g1 + g3
+
+    def __init__(self, zero_weight: bool, sum: int, e12: bool, e23: bool, t1: bool, t2: bool, z23: bool, z13: bool, sign_g2: int, sign_g3: int, sign_z23: int, sign_t1: int, sign_t2: int, sign_z13: int):
+        _set(self, "zero_weight", zero_weight)
+        _set(self, "sum", sum)
+        _set(self, "e12", e12)
+        _set(self, "e23", e23)
+        _set(self, "t1", t1)
+        _set(self, "t2", t2)
+        _set(self, "z23", z23)
+        _set(self, "z13", z13)
+        _set(self, "sign_g2", sign_g2)
+        _set(self, "sign_g3", sign_g3)
+        _set(self, "sign_z23", sign_z23)
+        _set(self, "sign_t1", sign_t1)
+        _set(self, "sign_t2", sign_t2)
+        _set(self, "sign_z13", sign_z13)
 
 
 def sign_profile(canonical_gammas) -> SignProfile:

@@ -27,16 +27,17 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .moment_map import DegenerateWeight, as_gammas, tripled_fixed_point_diagonals
 from .su3 import (
+    Frozen,
     Root,
     Scalar,
     Spectrum,
+    _set,
     apply_perm,
     check_index,
     exact_div,
@@ -61,6 +62,10 @@ class ZeroSum(ValueError):
     """The weights sum to zero, collapsing the diagonal point to the origin."""
 
 
+class InvalidGeneratorKind(ValueError):
+    """A cone generator kind other than ``ray+``, ``ray-`` or ``line``."""
+
+
 class Definiteness(Enum):
     POSITIVE_DEFINITE = "PositiveDefinite"
     NEGATIVE_DEFINITE = "NegativeDefinite"
@@ -68,13 +73,18 @@ class Definiteness(Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True)
-class QuadraticForm2:
+class QuadraticForm2(Frozen):
     """Real form A|u|^2 + B(u conj(v) + conj(u) v) + C|v|^2 on C^2."""
 
+    __slots__ = _fields = ("A", "B", "C")
     A: Scalar
     B: Scalar
     C: Scalar
+
+    def __init__(self, A: Scalar, B: Scalar, C: Scalar):
+        _set(self, "A", A)
+        _set(self, "B", B)
+        _set(self, "C", C)
 
     @property
     def discriminant(self) -> Scalar:
@@ -101,16 +111,18 @@ RAY_NEG = "ray-"
 LINE = "line"
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Frozen):
     """One generator of a local cone: a signed root ray or a full root line."""
 
+    __slots__ = _fields = ("root", "kind")
     root: Root
     kind: str  # ray+, ray-, line
 
-    def __post_init__(self):
-        if self.kind not in (RAY_POS, RAY_NEG, LINE):
-            raise ValueError(f"bad generator kind {self.kind!r}")
+    def __init__(self, root: Root, kind: str):
+        if kind not in (RAY_POS, RAY_NEG, LINE):
+            raise InvalidGeneratorKind(f"generator kind {kind!r} is not {RAY_POS!r}, {RAY_NEG!r} or {LINE!r}")
+        _set(self, "root", root)
+        _set(self, "kind", kind)
 
     @property
     def vector(self) -> Tuple[int, int, int]:
@@ -127,8 +139,7 @@ class Generator:
         return {"root": self.root.label, "kind": self.kind}
 
 
-@dataclass(frozen=True)
-class ConeSpec:
+class ConeSpec(Frozen):
     """Apex plus generators of a local momentum cone.
 
     ``side_normal``, when present, records the chamber-side of a single-line
@@ -139,10 +150,17 @@ class ConeSpec:
     works on :class:`Germ` and makes none of these.
     """
 
+    __slots__ = _fields = ("apex", "generators", "weyl_folded", "side_normal")
     apex: Spectrum
     generators: Tuple[Generator, ...]
-    weyl_folded: bool = False
-    side_normal: Optional[Tuple[Scalar, Scalar, Scalar]] = None
+    weyl_folded: bool
+    side_normal: Optional[Tuple[Scalar, Scalar, Scalar]]
+
+    def __init__(self, apex: Spectrum, generators: Tuple[Generator, ...], weyl_folded: bool = False, side_normal: Optional[Tuple[Scalar, Scalar, Scalar]] = None):
+        _set(self, "apex", apex)
+        _set(self, "generators", generators)
+        _set(self, "weyl_folded", weyl_folded)
+        _set(self, "side_normal", side_normal)
 
     def asdict(self) -> dict:
         d = {
@@ -214,9 +232,6 @@ class AnchorKernel:
     coefficient times a positive square, and P(t gamma) = t P(gamma)).  The
     ``germ_*`` methods give each cone as a :class:`Germ`, which :meth:`view`
     wraps in a :class:`ConeSpec`.
-
-    A plain class rather than a dataclass: a dataclass costs about a
-    millisecond at import, which every command-line call would pay.
     """
 
     __slots__ = ("scale", "gammas", "anchors")

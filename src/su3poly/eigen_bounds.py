@@ -15,25 +15,25 @@ whether s is attained; R then splits in closed form, the one numpy step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .polytope import ChamberPolytope, build_polytope
-from .su3 import Hermitian3, Scalar, Spectrum, check_real, snap_weights, to_positive_chamber
+from .su3 import Frozen, Hermitian3, Scalar, Spectrum, _set, check_real, snap_weights, to_positive_chamber
 
 if TYPE_CHECKING:  # annotations only: importing the package loads no numpy
     import numpy as np
 
 
-@dataclass(frozen=True)
-class DoubleEigMatrixSpec:
+class DoubleEigMatrixSpec(Frozen):
     """A trace-zero Hermitian matrix class with spectrum (lam, lam, -2 lam)."""
 
+    __slots__ = _fields = ("lam",)
     lam: Scalar
 
-    def __post_init__(self):
-        check_real(self.lam, "lambda")
+    def __init__(self, lam: Scalar):
+        check_real(lam, "lambda")
+        _set(self, "lam", lam)
 
     def realize(self, line: np.ndarray) -> Hermitian3:
         """The matrix lam (I - 3 Z conj(Z)^T) with simple eigenvector line Z."""
@@ -84,17 +84,25 @@ def check_spectrum(a, b, c, target, tol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RealizeResult:
+class RealizeResult(Frozen):
     """Outcome of :func:`realize`; ``lines`` are the unit vectors u_j with
     A_j = lam_j (I - 3 u_j u_j^T)."""
 
+    __slots__ = _fields = ("found", "distance", "matrices", "lines", "restarts_used", "reason")
     found: bool
     distance: float
     matrices: Optional[Tuple[Hermitian3, Hermitian3, Hermitian3]]
     lines: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
     restarts_used: int
-    reason: str = ""
+    reason: str
+
+    def __init__(self, found: bool, distance: float, matrices: Optional[Tuple[Hermitian3, Hermitian3, Hermitian3]], lines: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]], restarts_used: int, reason: str = ""):
+        _set(self, "found", found)
+        _set(self, "distance", distance)
+        _set(self, "matrices", matrices)
+        _set(self, "lines", lines)
+        _set(self, "restarts_used", restarts_used)
+        _set(self, "reason", reason)
 
 
 def _nearest_point(polytope: ChamberPolytope, s: Spectrum) -> Tuple[Fraction, ...]:

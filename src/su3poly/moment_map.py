@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .su3 import (
+    Frozen,
     Hermitian3,
     InvalidWeight,  # the one class of su3, raised by check_real and read from here too
     LengthMismatch,
@@ -25,6 +25,7 @@ from .su3 import (
     Scalar,
     SignedRoot,
     Spectrum,
+    _set,
     all_exact,
     check_index,
     check_real,
@@ -45,17 +46,22 @@ class DegenerateWeight(ValueError):
 NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CPPoint:
+class CPPoint(Frozen):
     """Point of CP^2 stored as a unit vector with a canonical phase.
 
     The phase is fixed by making the first nonzero coordinate real and
     positive, so projectively equal points compare equal.
     """
 
+    __slots__ = _fields = ("z1", "z2", "z3")
     z1: complex
     z2: complex
     z3: complex
+
+    def __init__(self, z1: complex, z2: complex, z3: complex):
+        _set(self, "z1", z1)
+        _set(self, "z2", z2)
+        _set(self, "z3", z3)
 
     @classmethod
     def of(cls, z1, z2, z3, normalize: bool = True) -> "CPPoint":
@@ -110,18 +116,20 @@ E2 = CPPoint.of(0, 1, 0)
 E3 = CPPoint.of(0, 0, 1)
 
 
-@dataclass(frozen=True)
-class Weights:
+class Weights(Frozen):
     """Symplectic weight vector for a product of 2 or 3 projective planes."""
 
+    __slots__ = _fields = ("gammas", "allow_zero")
     gammas: Tuple[Scalar, ...]
-    allow_zero: bool = False
+    allow_zero: bool
 
-    def __post_init__(self):
-        if len(self.gammas) not in (2, 3):
-            raise LengthMismatch(f"expected 2 or 3 weights, got {len(self.gammas)}")
-        if not self.allow_zero and any(g == 0 for g in self.gammas):
+    def __init__(self, gammas: Tuple[Scalar, ...], allow_zero: bool = False):
+        if len(gammas) not in (2, 3):
+            raise LengthMismatch(f"expected 2 or 3 weights, got {len(gammas)}")
+        if not allow_zero and any(g == 0 for g in gammas):
             raise DegenerateWeight("zero weight; pass allow_zero=True to permit a degenerate factor")
+        _set(self, "gammas", gammas)
+        _set(self, "allow_zero", allow_zero)
 
     @property
     def n(self) -> int:
@@ -261,26 +269,37 @@ def raw_fixed_point_diagonals(w) -> Dict[str, Tuple[Scalar, Scalar, Scalar]]:
     return {k: (third(x), third(y), third(z)) for k, (x, y, z) in tripled.items()}
 
 
-@dataclass(frozen=True)
-class N3FixedPoints:
+class N3FixedPoints(Frozen):
     """Sorted spectra of the five anchor fixed points (N=3)."""
 
+    __slots__ = _fields = ("a", "b", "c1", "c2", "c3")
     a: Spectrum
     b: Spectrum
     c1: Spectrum
     c2: Spectrum
     c3: Spectrum
 
+    def __init__(self, a: Spectrum, b: Spectrum, c1: Spectrum, c2: Spectrum, c3: Spectrum):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c1", c1)
+        _set(self, "c2", c2)
+        _set(self, "c3", c3)
+
     def asdict(self) -> Dict[str, Spectrum]:
         return {"a": self.a, "b": self.b, "c1": self.c1, "c2": self.c2, "c3": self.c3}
 
 
-@dataclass(frozen=True)
-class N2FixedPoints:
+class N2FixedPoints(Frozen):
     """Sorted spectra of the two segment endpoints (N=2)."""
 
+    __slots__ = _fields = ("a", "c")
     a: Spectrum
     c: Spectrum
+
+    def __init__(self, a: Spectrum, c: Spectrum):
+        _set(self, "a", a)
+        _set(self, "c", c)
 
     def asdict(self) -> Dict[str, Spectrum]:
         return {"a": self.a, "c": self.c}

@@ -40,13 +40,12 @@ import numbers
 import os
 import sys
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .moment_map import CPPoint, FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight, as_gammas
 from .polytope import ChamberPolytope, _distances, _float_lines, _pq_array, build_polytope, hull2d
-from .su3 import SQRT2, SQRT6, check_tolerance, is_exact, spectra_of_entries
+from .su3 import SQRT2, SQRT6, Frozen, _set, check_tolerance, is_exact, spectra_of_entries
 
 if TYPE_CHECKING:  # annotations only: importing the package loads no numpy
     import numpy as np
@@ -135,8 +134,7 @@ def _run_blocks(n_blocks: int, buffer_shape, work: Callable) -> None:
         raise errors[0]
 
 
-@dataclass(frozen=True)
-class _SamplingWeights:
+class _SamplingWeights(Frozen):
     """Weights checked for sampling, and the power of two they are run at.
 
     Spectra are homogeneous of degree 1 in the weights, and the eigenvalue
@@ -146,8 +144,13 @@ class _SamplingWeights:
     prediction at the same scale.
     """
 
+    __slots__ = _fields = ("floats", "power")
     floats: Tuple[float, ...]
     power: float
+
+    def __init__(self, floats: Tuple[float, ...], power: float):
+        _set(self, "floats", floats)
+        _set(self, "power", power)
 
     @classmethod
     def of(cls, gammas) -> "_SamplingWeights":
@@ -218,14 +221,20 @@ def chamber_points_of_spectra(spectra: np.ndarray) -> np.ndarray:
     return np.stack([(l1 - l2) / SQRT2, (l1 + l2 - 2 * l3) / SQRT6], axis=1)
 
 
-@dataclass(frozen=True)
-class SampleBatch:
+class SampleBatch(Frozen):
     """Reproducible batch of momentum-map spectra."""
 
+    __slots__ = _fields = ("seed", "count", "spectra", "chamber_points")
     seed: int
     count: int
     spectra: np.ndarray  # (count, 3), rows sorted descending, sum ~ 0
     chamber_points: np.ndarray  # (count, 2)
+
+    def __init__(self, seed: int, count: int, spectra: np.ndarray, chamber_points: np.ndarray):
+        _set(self, "seed", seed)
+        _set(self, "count", count)
+        _set(self, "spectra", spectra)
+        _set(self, "chamber_points", chamber_points)
 
     def csv_rows(self):
         for lam, pq in zip(self.spectra, self.chamber_points):
@@ -297,10 +306,10 @@ def _targeted_spectra(w, per_config: int, seed: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     """Outcome of checking samples against the predicted polytope."""
 
+    __slots__ = _fields = ("label", "seed", "n_samples", "n_violations", "max_violation", "hausdorff_inner", "vertex_coverage", "diameter", "tolerance")
     label: Optional[str]
     seed: int
     n_samples: int
@@ -310,6 +319,17 @@ class VerificationReport:
     vertex_coverage: Tuple[float, ...]
     diameter: float
     tolerance: float
+
+    def __init__(self, label: Optional[str], seed: int, n_samples: int, n_violations: int, max_violation: float, hausdorff_inner: float, vertex_coverage: Tuple[float, ...], diameter: float, tolerance: float):
+        _set(self, "label", label)
+        _set(self, "seed", seed)
+        _set(self, "n_samples", n_samples)
+        _set(self, "n_violations", n_violations)
+        _set(self, "max_violation", max_violation)
+        _set(self, "hausdorff_inner", hausdorff_inner)
+        _set(self, "vertex_coverage", vertex_coverage)
+        _set(self, "diameter", diameter)
+        _set(self, "tolerance", tolerance)
 
     @property
     def ok(self) -> bool:

@@ -41,7 +41,7 @@ sampled points, imports numpy, and only when it is called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -53,13 +53,18 @@ from .su3 import (
     SQRT2,
     SQRT6,
     ChamberPoint,
+    Frozen,
+    InvalidWeight,
+    LengthMismatch,
     Root,
     Scalar,
     Spectrum,
+    _set,
     all_exact,
     chamber_to_spectrum_floats,
     check_tolerance,
     integer_scaled,
+    is_exact,
     lift_2d,
     num_out,
     snap_weights,
@@ -78,7 +83,9 @@ class InvalidHullPoints(ValueError):
 
 
 class InvalidHalfPlane(ValueError):
-    """A normal (n0, n1, n2) with n0 = n1 = n2: it vanishes on the sum-zero plane."""
+    """A half-plane read back that is none: a normal (n0, n1, n2) with
+    n0 = n1 = n2, which vanishes on the sum-zero plane, or a normal or
+    offset entry that is not a finite number."""
 
 
 #: The chamber walls l1 >= l2 and l2 >= l3 as lines (a, b, c, provenance).
@@ -149,8 +156,7 @@ def _integer_vertices(lines: Sequence[Tuple[int, int, int]]) -> Tuple[List[Tuple
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChamberPolytope:
+class ChamberPolytope(Frozen):
     """Convex polygon, segment or point in the positive chamber, stored as
     the builder makes it, over one positive integer denominator ``den``.
 
@@ -160,15 +166,25 @@ class ChamberPolytope:
     chamber embedding from the diagonal anchor point when one exists.
     Entries are ints or Fractions, or floats over ``den`` 1 for a sampled
     hull.  :attr:`vertices` is a view made when first read; over ``den`` 1
-    it keeps the entries as stored.
+    it keeps the entries as stored.  No ``__slots__``: the cached views
+    live in the instance ``__dict__``.
     """
 
+    _fields = ("lines", "corners", "den", "kind", "label", "starred")
     lines: Tuple[Tuple[Scalar, Scalar, Scalar, str], ...]
     corners: Tuple[Tuple[Scalar, Scalar, Scalar], ...]
     den: int
     kind: str  # Polygon | Segment | Point
-    label: Optional[str] = None
-    starred: bool = False
+    label: Optional[str]
+    starred: bool
+
+    def __init__(self, lines: Tuple[Tuple[Scalar, Scalar, Scalar, str], ...], corners: Tuple[Tuple[Scalar, Scalar, Scalar], ...], den: int, kind: str, label: Optional[str] = None, starred: bool = False):
+        _set(self, "lines", lines)
+        _set(self, "corners", corners)
+        _set(self, "den", den)
+        _set(self, "kind", kind)
+        _set(self, "label", label)
+        _set(self, "starred", starred)
 
     @cached_property
     def vertices(self) -> Tuple[Spectrum, ...]:
@@ -254,16 +270,28 @@ class ChamberPolytope:
     def from_json_dict(cls, d: dict) -> "ChamberPolytope":
         """:meth:`to_json_dict` read back over ``den`` 1, each vertex checked
         as a spectrum and each normal n read as the line
-        (n0 - n2, n1 - n2), which is exact for an exact sum-zero normal; a
-        normal with n0 = n1 = n2 raises :class:`InvalidHalfPlane`."""
-        corners = tuple(Spectrum(*[_num_in(x) for x in v]).astuple() for v in d["vertices"])
+        (n0 - n2, n1 - n2), which is exact for an exact sum-zero normal.
+        Every entry passes :func:`_num_in`: a vertex entry that is no finite
+        number raises :class:`su3.InvalidWeight` and a vertex that is no
+        triple :class:`su3.LengthMismatch`; a normal or offset entry that is
+        no finite number, a normal that is no triple and a normal with
+        n0 = n1 = n2 raise :class:`InvalidHalfPlane`."""
+        corners = []
+        for i, v in enumerate(d["vertices"]):
+            entries = [_num_in(x, f"vertex {i} entry {k}", InvalidWeight) for k, x in enumerate(v)]
+            if len(entries) != 3:
+                raise LengthMismatch(f"vertex {i} has {len(entries)} entries, not 3")
+            corners.append(Spectrum(*entries).astuple())
         lines = []
-        for h in d["halfplanes"]:
-            n = tuple(_num_in(x) for x in h["normal"])
+        for i, h in enumerate(d["halfplanes"]):
+            n = tuple(_num_in(x, f"half-plane {i} normal entry {k}", InvalidHalfPlane) for k, x in enumerate(h["normal"]))
+            if len(n) != 3:
+                raise InvalidHalfPlane(f"half-plane {i} normal has {len(n)} entries, not 3")
             if n[0] == n[1] == n[2]:
                 raise InvalidHalfPlane(f"normal {n} vanishes on the sum-zero plane")
-            lines.append((n[0] - n[2], n[1] - n[2], _num_in(h["offset"]), h.get("provenance", "")))
-        return cls(tuple(lines), corners, 1, d["kind"], d.get("label"), bool(d.get("starred", False)))
+            offset = _num_in(h["offset"], f"half-plane {i} offset", InvalidHalfPlane)
+            lines.append((n[0] - n[2], n[1] - n[2], offset, h.get("provenance", "")))
+        return cls(tuple(lines), tuple(corners), 1, d["kind"], d.get("label"), bool(d.get("starred", False)))
 
 
 def _float_lines(P: ChamberPolytope) -> List[Tuple[Tuple[float, float, float], float]]:
@@ -273,12 +301,19 @@ def _float_lines(P: ChamberPolytope) -> List[Tuple[Tuple[float, float, float], f
     return [(_FACET_NORMALS.get((a, b)) or tuple(map(float, lift_2d(a, b))), float(c / P.den)) for a, b, c, _ in P.lines]
 
 
-def _num_in(x):
+def _num_in(x, name: str, error: type) -> Scalar:
+    """A JSON entry as a scalar: an "n" or "n/d" string as a Fraction, an
+    exact number as itself and any other finite real as a float.  Anything
+    else, a bool, NaN or an infinity among it, raises ``error``, naming
+    ``name`` and ``x``."""
     if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return x
-    return float(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise error(f"{name} is {x!r}, not a decimal or a fraction n/d with d nonzero") from None
+    if type(x) is bool or not isinstance(x, numbers.Real) or not (is_exact(x) or math.isfinite(x)):
+        raise error(f"{name} is {x!r}, not a finite real number")
+    return x if is_exact(x) else float(x)
 
 
 def contains(P: ChamberPolytope, s, tol: float = 1e-9) -> bool:

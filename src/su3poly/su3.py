@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence, Tuple, Union
@@ -226,14 +225,69 @@ def _ratio(x: Scalar) -> Tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# Immutable values
+# ---------------------------------------------------------------------------
+
+
+class Frozen:
+    """Base of the library's immutable value classes.
+
+    A subclass names its compared fields in ``_fields``, in constructor
+    order, and sets them in an explicit ``__init__`` through :func:`_set`
+    (``object.__setattr__``); it declares ``__slots__`` unless a
+    ``cached_property`` needs an instance ``__dict__``.  The base gives it
+    equality and a hash over those fields, a repr ``Name(field=value, ...)``
+    and an ``AttributeError`` on assignment or deletion; pickle and copy
+    rebuild through the constructor.
+
+    Plain classes rather than dataclasses: the ``dataclasses`` module, with
+    the ``inspect`` and ``ast`` it loads, and the methods it generates with
+    ``exec`` cost about 30 ms at import, which every command-line call would
+    pay; an explicit ``__init__`` also costs less per instance than the
+    generated one.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+
+#: Sets a field of a :class:`Frozen` instance past its ``__setattr__``.
+_set = object.__setattr__
+
+
+# ---------------------------------------------------------------------------
 # Spectra and the chamber embedding
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Frozen):
     """Sorted trace-zero eigenvalue triple ``l1 >= l2 >= l3``."""
 
+    __slots__ = _fields = ("l1", "l2", "l3")
     l1: Scalar
     l2: Scalar
     l3: Scalar
@@ -241,14 +295,18 @@ class Spectrum:
     @classmethod
     def _trusted(cls, l1: Scalar, l2: Scalar, l3: Scalar) -> "Spectrum":
         """A spectrum whose entries are sorted and sum to zero by
-        construction, made without :meth:`__post_init__`'s checks."""
+        construction, made without the constructor's checks."""
         s = object.__new__(cls)
-        s.__dict__.update(l1=l1, l2=l2, l3=l3)
+        _set(s, "l1", l1)
+        _set(s, "l2", l2)
+        _set(s, "l3", l3)
         return s
 
-    def __post_init__(self):
-        l1, l2, l3 = self.l1, self.l2, self.l3
-        if self.is_exact:
+    def __init__(self, l1: Scalar, l2: Scalar, l3: Scalar):
+        _set(self, "l1", l1)
+        _set(self, "l2", l2)
+        _set(self, "l3", l3)
+        if all_exact((l1, l2, l3)):
             # exact entries need no slack, and no scale to compute it from
             if not l1 >= l2 >= l3:
                 raise NotSorted(f"spectrum not sorted: {(l1, l2, l3)}")
@@ -278,12 +336,16 @@ class Spectrum:
         return max(abs(self.l1), abs(self.l2), abs(self.l3))
 
 
-@dataclass(frozen=True)
-class ChamberPoint:
+class ChamberPoint(Frozen):
     """Image of a spectrum under the fixed isometric plane embedding."""
 
+    __slots__ = _fields = ("p", "q")
     p: float
     q: float
+
+    def __init__(self, p: float, q: float):
+        _set(self, "p", p)
+        _set(self, "q", q)
 
     def distance(self, other: "ChamberPoint") -> float:
         return math.hypot(self.p - other.p, self.q - other.q)
@@ -373,8 +435,7 @@ def _is_zero(z) -> bool:
     return z == 0
 
 
-@dataclass(frozen=True)
-class Hermitian3:
+class Hermitian3(Frozen):
     """Trace-zero 3x3 Hermitian matrix.
 
     Stores the two free diagonal entries (``d3 = -d1-d2``) and the three
@@ -382,11 +443,19 @@ class Hermitian3:
     the trace is zero by construction.
     """
 
+    __slots__ = _fields = ("d1", "d2", "off12", "off13", "off23")
     d1: Scalar
     d2: Scalar
-    off12: complex = 0
-    off13: complex = 0
-    off23: complex = 0
+    off12: complex
+    off13: complex
+    off23: complex
+
+    def __init__(self, d1: Scalar, d2: Scalar, off12: complex = 0, off13: complex = 0, off23: complex = 0):
+        _set(self, "d1", d1)
+        _set(self, "d2", d2)
+        _set(self, "off12", off12)
+        _set(self, "off13", off13)
+        _set(self, "off23", off23)
 
     @property
     def d3(self) -> Scalar:
@@ -448,15 +517,22 @@ class Hermitian3:
         return math.sqrt(float(self.d1) ** 2 + float(self.d2) ** 2 + float(self.d3) ** 2 + 2 * off)
 
 
-@dataclass(frozen=True)
-class SkewHermitian3:
+class SkewHermitian3(Frozen):
     """Trace-zero 3x3 skew-Hermitian matrix, diag = (i t1, i t2, -i(t1+t2))."""
 
+    __slots__ = _fields = ("t1", "t2", "off12", "off13", "off23")
     t1: Scalar
     t2: Scalar
-    off12: complex = 0
-    off13: complex = 0
-    off23: complex = 0
+    off12: complex
+    off13: complex
+    off23: complex
+
+    def __init__(self, t1: Scalar, t2: Scalar, off12: complex = 0, off13: complex = 0, off23: complex = 0):
+        _set(self, "t1", t1)
+        _set(self, "t2", t2)
+        _set(self, "off12", off12)
+        _set(self, "off13", off13)
+        _set(self, "off23", off23)
 
     @property
     def t3(self) -> Scalar:
@@ -523,12 +599,16 @@ class Root(Enum):
         return {"ALPHA1": "alpha1", "ALPHA2": "alpha2", "ALPHA3": "alpha3"}[self.name]
 
 
-@dataclass(frozen=True)
-class SignedRoot:
+class SignedRoot(Frozen):
     """A root axis together with a sign, i.e. one of the six roots."""
 
+    __slots__ = _fields = ("sign", "root")
     sign: int
     root: Root
+
+    def __init__(self, sign: int, root: Root):
+        _set(self, "sign", sign)
+        _set(self, "root", root)
 
     @property
     def vector(self) -> Tuple[int, int, int]:

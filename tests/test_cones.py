@@ -17,7 +17,9 @@ from su3poly.cones import (
     RAY_POS,
     CoincidentWeights,
     Definiteness,
+    Generator,
     Germ,
+    InvalidGeneratorKind,
     OnWall,
     QuadraticForm2,
     ZeroSum,
@@ -385,3 +387,10 @@ def test_index_other_than_the_int_1_2_or_3_is_refused(name, j):
     with pytest.raises(InvalidIndex, match=f"^index {re.escape(repr(j))} is not 1, 2 or 3$"):
         INDEXED[name](j)
     INDEXED[name](2)
+
+
+@pytest.mark.parametrize("kind", ["ray", "Line", "", None, 1], ids=repr)
+def test_generator_kind_other_than_ray_or_line_is_refused(kind):
+    with pytest.raises(InvalidGeneratorKind, match=f"^generator kind {re.escape(repr(kind))} is not 'ray\\+', 'ray-' or 'line'$"):
+        Generator(Root.ALPHA1, kind)
+    assert [Generator(Root.ALPHA1, k).vector for k in (RAY_POS, RAY_NEG, LINE)] == [(0, 1, -1), (0, -1, 1), (0, 1, -1)]

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import re
 import sys
@@ -23,7 +22,7 @@ from su3poly.oracle import (
     verify,
     violation_distances,
 )
-from su3poly.polytope import build_polytope, build_polytope_n2, build_polytope_n3
+from su3poly.polytope import ChamberPolytope, build_polytope, build_polytope_n2, build_polytope_n3
 from su3poly.su3 import SPECTRA_ERROR, InvalidTolerance, lift_2d
 
 
@@ -231,7 +230,7 @@ class TestVerifySlack:
             (a, b, float(F(c, predicted.den)) + float(normal @ shift), p)
             for (a, b, c, p), normal in zip(predicted.lines, normals)
         )
-        shifted = dataclasses.replace(predicted, lines=moved, den=1)
+        shifted = ChamberPolytope(moved, predicted.corners, 1, predicted.kind, predicted.label, predicted.starred)
         assert verify(w, 2000, seed=4, tol=1e-6).n_violations == 0
         monkeypatch.setattr(oracle, "build_polytope", lambda _: shifted)
         report = verify(w, 2000, seed=4, tol=1e-6)

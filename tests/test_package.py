@@ -1,5 +1,7 @@
+import copy
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -9,7 +11,7 @@ import typing
 import pytest
 
 import su3poly
-from su3poly import eigen_bounds, oracle
+from su3poly import classifier, cones, eigen_bounds, moment_map, oracle, polytope, su3
 
 
 def test_all_names_are_public_objects_not_modules():
@@ -20,11 +22,12 @@ def test_all_names_are_public_objects_not_modules():
 
 
 def test_all_covers_the_error_types():
-    errors = {"InvalidWeight", "LengthMismatch", "NotSorted", "PredictionUnavailable", "SumNotZero", "InvalidHullPoints", "InvalidHalfPlane", "InvalidIndex"}
+    errors = {"InvalidWeight", "LengthMismatch", "NotSorted", "PredictionUnavailable", "SumNotZero", "InvalidHullPoints", "InvalidHalfPlane", "InvalidIndex", "InvalidGeneratorKind"}
     assert errors <= set(su3poly.__all__)
     assert issubclass(su3poly.InvalidHullPoints, ValueError)
     assert issubclass(su3poly.InvalidHalfPlane, ValueError)
     assert issubclass(su3poly.InvalidIndex, ValueError)
+    assert issubclass(su3poly.InvalidGeneratorKind, ValueError)
     assert issubclass(su3poly.NotSorted, ValueError)
 
 
@@ -43,7 +46,68 @@ def test_annotations_resolve_where_a_type_checker_reads_them(obj, monkeypatch):
     assert "numpy" in str(hints)
 
 
-#: Runs with numpy blocked: any ``import numpy`` raises ImportError.
+_S = su3.Spectrum(2, -1, -1)
+_T = su3.Spectrum(1, 0, -1)
+_SIGNS = dict(zero_weight=False, sum=1, e12=False, e23=False, t1=False, t2=False, z23=False, z13=False, sign_g2=1, sign_g3=-1, sign_z23=1, sign_t1=1, sign_t2=-1, sign_z13=1)
+_RAY = cones.Generator(su3.Root.ALPHA1, cones.RAY_POS)
+
+#: Every immutable value class of the package: (class, its fields in
+#: constructor order, the values of one instance, the values of another that
+#: differs in one field).
+VALUE_CLASSES = [
+    (su3.Spectrum, "l1 l2 l3", (2, -1, -1), (2, -0.5, -1.5)),
+    (su3.ChamberPoint, "p q", (1.0, 2.0), (1.0, 2.5)),
+    (su3.Hermitian3, "d1 d2 off12 off13 off23", (1, 2, 0, 1j, 0), (1, 2, 0, 1j, 2j)),
+    (su3.SkewHermitian3, "t1 t2 off12 off13 off23", (0, 1, 0, 0, 0), (-1, 1, 0, 0, 0)),
+    (su3.SignedRoot, "sign root", (1, su3.Root.ALPHA2), (-1, su3.Root.ALPHA2)),
+    (moment_map.CPPoint, "z1 z2 z3", (1 + 0j, 0j, 0j), (1 + 0j, 0j, 1j)),
+    (moment_map.Weights, "gammas allow_zero", ((4, 2, -1), False), ((4, 2, -1), True)),
+    (moment_map.N3FixedPoints, "a b c1 c2 c3", (_S, _T, _S, _T, _S), (_S, _T, _S, _T, _T)),
+    (moment_map.N2FixedPoints, "a c", (_S, _T), (_T, _T)),
+    (classifier.SignProfile, " ".join(_SIGNS), tuple(_SIGNS.values()), (*_SIGNS.values(),)[:-1] + (-1,)),
+    (cones.QuadraticForm2, "A B C", (1, 2, 3), (1, 2, 4)),
+    (cones.Generator, "root kind", (su3.Root.ALPHA1, cones.RAY_POS), (su3.Root.ALPHA1, cones.LINE)),
+    (cones.ConeSpec, "apex generators weyl_folded side_normal", (_S, (_RAY,), False, None), (_S, (_RAY,), True, None)),
+    (polytope.ChamberPolytope, "lines corners den kind label starred", ((), ((2, -1, -1),), 1, "Point", None, False), ((), ((2, -1, -1),), 1, "Point", None, True)),
+    (eigen_bounds.DoubleEigMatrixSpec, "lam", (1,), (2,)),
+    (eigen_bounds.RealizeResult, "found distance matrices lines restarts_used reason", (True, 0.0, None, None, 0, ""), (False, 0.0, None, None, 0, "")),
+    (oracle._SamplingWeights, "floats power", ((4.0, 2.0, -1.0), 4.0), ((4.0, 2.0, -1.0), 8.0)),
+    (oracle.SampleBatch, "seed count spectra chamber_points", (1, 1, ((2.0, -1.0, -1.0),), ((2.0, 1.0),)), (2, 1, ((2.0, -1.0, -1.0),), ((2.0, 1.0),))),
+    (oracle.VerificationReport, "label seed n_samples n_violations max_violation hausdorff_inner vertex_coverage diameter tolerance", ("C", 1, 10, 0, 0.0, 0.5, (0.1,), 3.0, 1e-9), ("C", 1, 10, 1, 0.0, 0.5, (0.1,), 3.0, 1e-9)),
+]
+
+
+@pytest.mark.parametrize("cls, names, values, other", VALUE_CLASSES, ids=[case[0].__name__ for case in VALUE_CLASSES])
+def test_value_classes_compare_hash_show_and_refuse_assignment_by_field(cls, names, values, other):
+    names = names.split()
+    a, b, c = cls(*values), cls(*values), cls(*other)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != c and not a == c
+    assert a != values and a != object()
+    assert repr(a) == f"{cls.__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values, strict=True))})"
+    assert tuple(getattr(a, n) for n in names) == values
+    with pytest.raises(AttributeError):
+        setattr(a, names[0], values[0])
+    with pytest.raises(AttributeError):
+        delattr(a, names[-1])
+    assert tuple(getattr(a, n) for n in names) == values
+    assert copy.copy(a) == a and copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+def test_canonicalization_compares_and_shows_neither_profile_nor_snapped():
+    can = classifier.canonicalize((4, 2, -1))
+    other = classifier.Canonicalization(can.sorted_gammas, can.permutation, can.starred, classifier.sign_profile((1, 1, 1)), ((8, 4, -2), 2))
+    assert other == can and hash(other) == hash(can)
+    assert repr(other) == "Canonicalization(sorted_gammas=(4, 2, -1), permutation=(0, 1, 2), starred=False)"
+    assert other != classifier.Canonicalization(can.sorted_gammas, can.permutation, True, can.profile, can.snapped)
+    back = pickle.loads(pickle.dumps(other))
+    assert (back.profile, back.snapped) == (other.profile, other.snapped)
+    with pytest.raises(AttributeError):
+        other.profile = can.profile
+
+
+#: Runs with numpy blocked: any ``import numpy`` raises ImportError.  The
+#: package and the commands load no ``dataclasses`` either.
 WITHOUT_NUMPY = textwrap.dedent(
     """
     import contextlib, io, sys
@@ -51,6 +115,7 @@ WITHOUT_NUMPY = textwrap.dedent(
 
     import su3poly as sp
     from su3poly import cli, polytope, render
+    assert "dataclasses" not in sys.modules
 
     for argv in (
         ["classify", "--gamma", "4,2,-1"],
@@ -77,6 +142,7 @@ WITHOUT_NUMPY = textwrap.dedent(
     assert polytope.distance_to_polytope_pq((0.0, 0.0), P) > 0
     assert render.render_svg(P, weights=(4, 2, -1)).startswith("<svg")
     assert "numpy" not in {name.split(".")[0] for name, module in sys.modules.items() if module is not None}
+    assert "dataclasses" not in sys.modules
     print("ok")
     """
 )

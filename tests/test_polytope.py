@@ -34,7 +34,7 @@ from su3poly.polytope import (
     point_polytope,
     polytope_cones,
 )
-from su3poly.su3 import InvalidTolerance, Root, Spectrum, chamber_to_spectrum_floats, lift_2d, star_involution, to_chamber
+from su3poly.su3 import InvalidTolerance, InvalidWeight, LengthMismatch, Root, Spectrum, chamber_to_spectrum_floats, lift_2d, star_involution, to_chamber
 
 
 def vertex_set(poly):
@@ -935,6 +935,35 @@ class TestSerialization:
         with pytest.raises(InvalidHalfPlane, match=re.escape(f"normal {read} vanishes on the sum-zero plane")):
             ChamberPolytope.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "path, value, error, message",
+        [
+            (("vertices", 1, 0), True, InvalidWeight, "vertex 1 entry 0 is True"),
+            (("vertices", 0, 2), "1/0", InvalidWeight, "vertex 0 entry 2 is '1/0'"),
+            (("vertices", 2, 1), math.nan, InvalidWeight, "vertex 2 entry 1 is nan"),
+            (("vertices", 2), [1, -1], LengthMismatch, "vertex 2 has 2 entries, not 3"),
+            (("halfplanes", 3, "normal", 1), False, InvalidHalfPlane, "half-plane 3 normal entry 1 is False"),
+            (("halfplanes", 3, "normal", 0), "abc", InvalidHalfPlane, "half-plane 3 normal entry 0 is 'abc'"),
+            (("halfplanes", 3, "normal", 2), -math.inf, InvalidHalfPlane, "half-plane 3 normal entry 2 is -inf"),
+            (("halfplanes", 3, "normal"), [1, -1], InvalidHalfPlane, "half-plane 3 normal has 2 entries, not 3"),
+            (("halfplanes", 2, "offset"), True, InvalidHalfPlane, "half-plane 2 offset is True"),
+            (("halfplanes", 2, "offset"), math.nan, InvalidHalfPlane, "half-plane 2 offset is nan"),
+            (("halfplanes", 2, "offset"), math.inf, InvalidHalfPlane, "half-plane 2 offset is inf"),
+            (("halfplanes", 2, "offset"), "1/0", InvalidHalfPlane, "half-plane 2 offset is '1/0'"),
+            (("halfplanes", 2, "offset"), "abc", InvalidHalfPlane, "half-plane 2 offset is 'abc'"),
+            (("halfplanes", 2, "offset"), None, InvalidHalfPlane, "half-plane 2 offset is None"),
+        ],
+    )
+    def test_entry_that_is_no_finite_number_is_refused_naming_its_field(self, path, value, error, message):
+        # read through json, which writes and reads NaN and the infinities
+        data = json.loads(json.dumps(build_polytope_n3((4, 2, -1)).to_json_dict()))
+        entry = data
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            ChamberPolytope.from_json_dict(json.loads(json.dumps(data)))
+
     def test_views_are_the_stored_form_over_its_denominator(self):
         poly = build_polytope_n3((4, 2, -1))
         assert poly.vertices == tuple(Spectrum(*(F(x, poly.den) for x in v)) for v in poly.corners)
@@ -1022,7 +1051,7 @@ class TestExactBuilder:
         count(moment_map, "as_gammas")
         count(classifier, "classify_n3")
         count(classifier, "sign_profile")
-        count(Spectrum, "__post_init__")
+        count(Spectrum, "__init__")
         count(polytope, "lift_2d")
         count(ConeSpec, "__init__")
         weights = sorted(POLYTOPE_FIXTURES) + RANDOM_RATIONALS
