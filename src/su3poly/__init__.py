@@ -69,6 +69,7 @@ from .polytope import (
     ChamberPolytope,
     InvalidHalfPlane,
     InvalidHullPoints,
+    InvalidPolytopeDocument,
     build_polytope,
     build_polytope_n2,
     build_polytope_n3,

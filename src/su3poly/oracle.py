@@ -10,14 +10,16 @@ Sampling is block-seeded: sample ``i`` lives in block ``i // BLOCK`` with its
 own generator derived from ``(seed, block)``, so batches are bitwise
 reproducible and independent of how work is partitioned.
 
-Sampling and spectra are one pass over the blocks, run by :func:`_run_blocks`
-on every CPU the process may use (``os.sched_getaffinity``): the calling
-thread and one helper thread per further CPU pull block indices from one
-shared iterator, and each block writes only its own rows, so the batch is
-bitwise the same at any worker count.  Each worker draws its blocks'
-Gaussians into one reused float buffer, read through its complex view, so
-no array of unit vectors is ever built: the momentum map is projective
-(``z z^* / |z|^2`` does not change when ``z`` is rescaled), so
+Sampling and spectra are one pass, :func:`_draw_spectra`: one
+:func:`_run_blocks` call over the uniform blocks and, for :func:`verify`, one
+more block per (torus-fixed configuration, scale) pair, on every CPU the
+process may use (``os.sched_getaffinity``): the calling thread and one helper
+thread per further CPU pull block indices from one shared iterator, and each
+block writes only its own rows, so the rows are bitwise the same at any
+worker count.  Each worker draws its blocks' Gaussians into one reused float
+buffer, read through its complex view, so no array of unit vectors is ever
+built: the momentum map is projective (``z z^* / |z|^2`` does not change when
+``z`` is rescaled), so
 :func:`spectra_of_configurations` weights each factor by ``g_j / |z_j|^2``
 instead of normalising it.  It sums the six independent entries of each
 momentum-map matrix in cache-sized chunks and hands them to the closed-form
@@ -134,43 +136,23 @@ def _run_blocks(n_blocks: int, buffer_shape, work: Callable) -> None:
         raise errors[0]
 
 
-class _SamplingWeights(Frozen):
-    """Weights checked for sampling, and the power of two they are run at.
-
-    Spectra are homogeneous of degree 1 in the weights, and the eigenvalue
-    kernel forms cubic terms: it runs on ``floats / power``, with ``power``
-    the power of two nearest max |gamma| (an exact division), and its rows
-    are multiplied back.  :func:`verify` compares the samples with the
-    prediction at the same scale.
+def _float_weights(gammas) -> Tuple[Tuple[float, ...], float]:
+    """Weights that :func:`moment_map.as_gammas` has read, as floats, and
+    ``power``, the power of two nearest max |gamma|: spectra are homogeneous
+    of degree 1 in the weights and the eigenvalue kernel forms cubic terms,
+    so it runs on ``floats / power`` (an exact division) and its rows are
+    multiplied back.  Every spectrum entry is at most (2/3) sum |gamma_j| in
+    size and every chamber coordinate at most 2 sum |gamma_j|, so that bound
+    must be a finite float; otherwise :class:`moment_map.InvalidWeight` names
+    the weight, where the sampler would give an ``OverflowError`` or NaN rows.
     """
-
-    __slots__ = _fields = ("floats", "power")
-    floats: Tuple[float, ...]
-    power: float
-
-    def __init__(self, floats: Tuple[float, ...], power: float):
-        _set(self, "floats", floats)
-        _set(self, "power", power)
-
-    @classmethod
-    def of(cls, gammas) -> "_SamplingWeights":
-        """Check weights that :func:`moment_map.as_gammas` has read: every
-        spectrum entry is at most (2/3) sum |gamma_j| in size and every
-        chamber coordinate at most 2 sum |gamma_j|, so that bound must be a
-        finite float; otherwise :class:`moment_map.InvalidWeight` names the
-        weight, where the sampler would give an ``OverflowError`` or NaN rows."""
-        for k, g in enumerate(gammas):
-            if abs(g) > sys.float_info.max:
-                raise InvalidWeight(f"weight {k} is beyond float range; its spectra cannot be sampled")
-        floats = tuple(float(g) for g in gammas)
-        if not math.isfinite(2.0 * sum(abs(g) for g in floats)):
-            raise InvalidWeight(f"weights {floats} give spectra beyond float range")
-        return cls(floats, math.ldexp(1.0, math.frexp(max(abs(g) for g in floats))[1]))
-
-
-def _sampling_weights(w) -> _SamplingWeights:
-    """``w`` checked for sampling, unless a caller passes it checked already."""
-    return w if isinstance(w, _SamplingWeights) else _SamplingWeights.of(as_gammas(w))
+    for k, g in enumerate(gammas):
+        if abs(g) > sys.float_info.max:
+            raise InvalidWeight(f"weight {k} is beyond float range; its spectra cannot be sampled")
+    floats = tuple(float(g) for g in gammas)
+    if not math.isfinite(2.0 * sum(abs(g) for g in floats)):
+        raise InvalidWeight(f"weights {floats} give spectra beyond float range")
+    return floats, math.ldexp(1.0, math.frexp(max(abs(g) for g in floats))[1])
 
 
 def spectra_of_configurations(z: np.ndarray, gammas, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -187,16 +169,15 @@ def spectra_of_configurations(z: np.ndarray, gammas, out: Optional[np.ndarray] =
     """
     import numpy as np
 
-    return _spectra_rows(z, _sampling_weights(gammas), np.empty((z.shape[0], 3)) if out is None else out)
+    return _spectra_rows(z, *_float_weights(as_gammas(gammas)), np.empty((z.shape[0], 3)) if out is None else out)
 
 
-def _spectra_rows(z: np.ndarray, checked: _SamplingWeights, out: np.ndarray) -> np.ndarray:
-    """The kernel of :func:`spectra_of_configurations` on checked weights;
-    the samplers' workers call it directly."""
+def _spectra_rows(z: np.ndarray, floats: Tuple[float, ...], power: float, out: np.ndarray) -> np.ndarray:
+    """The kernel of :func:`spectra_of_configurations` on the weights and
+    power of :func:`_float_weights`; the sampler's workers call it directly."""
     import numpy as np
 
-    power = checked.power
-    gs = np.array(checked.floats) / power
+    gs = np.array(floats) / power
     for start in range(0, z.shape[0], _CHUNK):
         zc = z[start : start + _CHUNK]
         sq = zc.real * zc.real + zc.imag * zc.imag
@@ -241,30 +222,54 @@ class SampleBatch(Frozen):
             yield (lam[0], lam[1], lam[2], pq[0], pq[1])
 
 
+def _draw_spectra(floats: Tuple[float, ...], power: float, count: int, seed: int, targeted: int = 0) -> np.ndarray:
+    """Spectra of ``count`` uniform draws, then of ``targeted`` draws per
+    (torus-fixed configuration, scale) pair, in one :func:`_run_blocks` call.
+
+    Block ``b < ceil(count / BLOCK)`` is uniform, from generator ``(seed, b)``;
+    a partial last block is the prefix of the full one, as ``standard_normal``
+    fills in order.  Each later block perturbs fixed configuration ``idx`` by
+    Gaussians of ``scales[k]`` from generator ``(seed, 1_000_003 + 31 idx + k)``:
+    uniform draws reach the polytope vertices slowly, these cover them quickly,
+    and all are genuine momentum-map images, so they may be pooled.
+    """
+    import numpy as np
+
+    scales = (0.5, 0.1, 0.02, 0.004)
+    configs = FIXED_CONFIGURATIONS if len(floats) == 3 else FIXED_CONFIGURATIONS_N2
+    bases = [np.array([list(p.coords) for p in configs[config]]) for config in sorted(configs)] if targeted else []  # each (N, 3)
+    uniform = -(-count // BLOCK)
+    out = np.empty((count + len(bases) * len(scales) * targeted, 3))
+
+    def draw(block, buf):
+        near = block - uniform  # the (configuration, scale) pair of a targeted block
+        if near < 0:
+            start, rows, stream = block * BLOCK, min(BLOCK, count - block * BLOCK), block
+        else:
+            idx, k = divmod(near, len(scales))
+            start, rows, stream = count + near * targeted, targeted, 1_000_003 + idx * 31 + k
+        part = buf[:rows]
+        _rng_for_block(seed, stream).standard_normal(out=part)
+        z = part.view(complex)[..., 0]
+        if near >= 0:
+            z *= scales[k]
+            z += bases[idx]
+        _spectra_rows(z, floats, power, out[start : start + rows])
+
+    _run_blocks(uniform + len(bases) * len(scales), (max(min(BLOCK, count), targeted), len(floats), 3, 2), draw)
+    return out
+
+
 def sample_batch(w, count: int, seed: int) -> SampleBatch:
     """``count`` uniform samples of the weights' momentum-map spectra.
 
     Raises :class:`moment_map.InvalidWeight` before drawing anything when
     the spectra would leave float range, and :class:`InvalidCount` for a
-    count that is not an integer >= 0.  The blocks are drawn and
-    diagonalised by :func:`_run_blocks`, each worker filling its own buffer
-    with the block's Gaussians (a partial last block is the prefix of the
-    full one, as ``standard_normal`` fills in order) and writing the block's
-    spectra into the block's rows.
+    count that is not an integer >= 0.  The rows are those of
+    :func:`_draw_spectra` with no targeted draws.
     """
-    import numpy as np
-
     count = _checked_count(count, 0)
-    checked = _sampling_weights(w)
-    spectra = np.empty((count, 3))
-
-    def draw(block, buf):
-        start = block * BLOCK
-        part = buf[: min(BLOCK, count - start)]
-        _rng_for_block(seed, block).standard_normal(out=part)
-        _spectra_rows(part.view(complex)[..., 0], checked, spectra[start : start + len(part)])
-
-    _run_blocks(-(-count // BLOCK), (min(BLOCK, count), len(checked.floats), 3, 2), draw)
+    spectra = _draw_spectra(*_float_weights(as_gammas(w)), count, seed)
     return SampleBatch(seed, count, spectra, chamber_points_of_spectra(spectra))
 
 
@@ -277,37 +282,9 @@ def empirical_polytope(w, count: int, seed: int) -> Tuple[SampleBatch, ChamberPo
     return batch, hull2d(batch.chamber_points)
 
 
-def _targeted_spectra(w, per_config: int, seed: int) -> np.ndarray:
-    """Extra samples concentrated near the torus-fixed configurations.
-
-    Uniform draws reach polytope vertices slowly; perturbing the fixed
-    configurations at a few shrinking scales covers them quickly.  All draws
-    are genuine momentum-map images, so they may be pooled with the uniform
-    batch.  Each (configuration, scale) pair is one block of
-    :func:`_run_blocks`, with its own generator.
-    """
-    import numpy as np
-
-    checked = _sampling_weights(w)
-    configs = FIXED_CONFIGURATIONS if len(checked.floats) == 3 else FIXED_CONFIGURATIONS_N2
-    bases = [np.array([list(p.coords) for p in configs[config]]) for config in sorted(configs)]  # each (N, 3)
-    scales = (0.5, 0.1, 0.02, 0.004)
-    out = np.empty((len(bases) * len(scales) * per_config, 3))
-
-    def draw(block, buf):
-        idx, k = divmod(block, len(scales))
-        _rng_for_block(seed, 1_000_003 + idx * 31 + k).standard_normal(out=buf)
-        z = buf.view(complex)[..., 0]
-        z *= scales[k]
-        z += bases[idx]
-        _spectra_rows(z, checked, out[block * per_config : (block + 1) * per_config])
-
-    _run_blocks(len(bases) * len(scales), (per_config, len(checked.floats), 3, 2), draw)
-    return out
-
-
 class VerificationReport(Frozen):
-    """Outcome of checking samples against the predicted polytope."""
+    """Outcome of checking samples against the predicted polytope;
+    ``n_samples`` counts the uniform draws plus the targeted ones."""
 
     __slots__ = _fields = ("label", "seed", "n_samples", "n_violations", "max_violation", "hausdorff_inner", "vertex_coverage", "diameter", "tolerance")
     label: Optional[str]
@@ -374,14 +351,15 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     ones, below that slack whenever the diameter exceeds ``1e-13 / tol``
     times max|gamma| (1e-7 at the default ``tol``; every fixture of the test
     suite has a diameter of at least 0.7 max|gamma|), so there a violation is
-    never an artefact of the eigenvalue computation.  ``targeted`` adds draws
-    concentrated near each torus-fixed configuration, which drive the
-    per-vertex coverage distances to zero much faster than uniform sampling.
+    never an artefact of the eigenvalue computation.  ``targeted`` adds that
+    many draws per (torus-fixed configuration, scale) pair, which drive the
+    per-vertex coverage distances to zero much faster than uniform sampling;
+    :func:`_draw_spectra` makes both kinds of row in one pass.
     Every argument is checked before anything is drawn: a count that is not
     a positive integer, or a ``targeted`` that is not an integer >= 0,
     raises :class:`InvalidCount`, and a ``tol`` that
     :func:`su3.check_tolerance` refuses raises its error.  The weights are
-    checked for sampling once and passed down checked.
+    checked for sampling once.
     """
     import numpy as np
 
@@ -392,29 +370,22 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
         gammas = as_gammas(w)
     except ValueError as exc:
         raise PredictionUnavailable(str(exc)) from exc
-    checked = _SamplingWeights.of(gammas)
+    floats, power = _float_weights(gammas)
     # The comparison runs at the weights over the sampler's power of two: a
     # segment's end half-planes have offsets quadratic in the weights, and
     # the hull's prefilter and the distances square coordinates.  The
     # scaling is exact, and every reported length is scaled back.
-    power = checked.power
     try:
         predicted = build_polytope(tuple(g / power if not is_exact(g) else Fraction(g) / Fraction(power) for g in gammas))
     except ValueError as exc:
         raise PredictionUnavailable(str(exc)) from exc
 
-    batch = sample_batch(checked, count, seed)
-    spectra, pq = batch.spectra, batch.chamber_points
-    if targeted:
-        extra = _targeted_spectra(checked, targeted, seed)
-        spectra = np.concatenate([spectra, extra], axis=0)
-        pq = np.concatenate([pq, chamber_points_of_spectra(extra)], axis=0)
-    # in place: neither the batch nor the pooled arrays leave this function
-    spectra /= power
-    pq /= power
+    spectra = _draw_spectra(floats, power, count, seed, targeted)
+    spectra /= power  # in place: the rows do not leave this function
+    pq = chamber_points_of_spectra(spectra)
 
     diam = predicted.diameter()
-    slack = tol * (diam if diam > 0 else max(abs(g) for g in checked.floats) / power)
+    slack = tol * (diam if diam > 0 else max(abs(g) for g in floats) / power)
     excess = violation_distances(predicted, spectra)
 
     corners = _pq_array(predicted)

@@ -83,9 +83,15 @@ class InvalidHullPoints(ValueError):
 
 
 class InvalidHalfPlane(ValueError):
-    """A half-plane read back that is none: a normal (n0, n1, n2) with
-    n0 = n1 = n2, which vanishes on the sum-zero plane, or a normal or
-    offset entry that is not a finite number."""
+    """A half-plane read back that is none: no object, a normal that is no
+    list or has n0 = n1 = n2 (it vanishes on the sum-zero plane), or a
+    normal or offset entry that is not a finite number."""
+
+
+class InvalidPolytopeDocument(ValueError):
+    """A polytope read back from a document of the wrong shape: no object,
+    ``vertices``, ``halfplanes`` or a vertex that is no list, or a ``kind``
+    that is none of Point, Segment and Polygon."""
 
 
 #: The chamber walls l1 >= l2 and l2 >= l3 as lines (a, b, c, provenance).
@@ -273,25 +279,35 @@ class ChamberPolytope(Frozen):
         (n0 - n2, n1 - n2), which is exact for an exact sum-zero normal.
         Every entry passes :func:`_num_in`: a vertex entry that is no finite
         number raises :class:`su3.InvalidWeight` and a vertex that is no
-        triple :class:`su3.LengthMismatch`; a normal or offset entry that is
-        no finite number, a normal that is no triple and a normal with
-        n0 = n1 = n2 raise :class:`InvalidHalfPlane`."""
+        triple :class:`su3.LengthMismatch`; a half-plane that is no object,
+        a normal or offset entry that is no finite number, a normal that is
+        no triple and a normal with n0 = n1 = n2 raise
+        :class:`InvalidHalfPlane`; a document of any other wrong shape
+        raises :class:`InvalidPolytopeDocument`.  Each error names its
+        field, a missing one reading as None."""
+        doc, lists = InvalidPolytopeDocument, (list, tuple)
+        _json_in(d, dict, "polytope", doc)
         corners = []
-        for i, v in enumerate(d["vertices"]):
-            entries = [_num_in(x, f"vertex {i} entry {k}", InvalidWeight) for k, x in enumerate(v)]
+        for i, v in enumerate(_json_in(d.get("vertices"), lists, "vertices", doc)):
+            entries = [_num_in(x, f"vertex {i} entry {k}", InvalidWeight) for k, x in enumerate(_json_in(v, lists, f"vertex {i}", doc))]
             if len(entries) != 3:
                 raise LengthMismatch(f"vertex {i} has {len(entries)} entries, not 3")
             corners.append(Spectrum(*entries).astuple())
         lines = []
-        for i, h in enumerate(d["halfplanes"]):
-            n = tuple(_num_in(x, f"half-plane {i} normal entry {k}", InvalidHalfPlane) for k, x in enumerate(h["normal"]))
+        for i, h in enumerate(_json_in(d.get("halfplanes"), lists, "halfplanes", doc)):
+            h = _json_in(h, dict, f"half-plane {i}", InvalidHalfPlane)
+            normal = _json_in(h.get("normal"), lists, f"half-plane {i} normal", InvalidHalfPlane)
+            n = tuple(_num_in(x, f"half-plane {i} normal entry {k}", InvalidHalfPlane) for k, x in enumerate(normal))
             if len(n) != 3:
                 raise InvalidHalfPlane(f"half-plane {i} normal has {len(n)} entries, not 3")
             if n[0] == n[1] == n[2]:
                 raise InvalidHalfPlane(f"normal {n} vanishes on the sum-zero plane")
-            offset = _num_in(h["offset"], f"half-plane {i} offset", InvalidHalfPlane)
+            offset = _num_in(h.get("offset"), f"half-plane {i} offset", InvalidHalfPlane)
             lines.append((n[0] - n[2], n[1] - n[2], offset, h.get("provenance", "")))
-        return cls(tuple(lines), tuple(corners), 1, d["kind"], d.get("label"), bool(d.get("starred", False)))
+        kind = d.get("kind")
+        if kind not in ("Point", "Segment", "Polygon"):
+            raise doc(f"kind is {kind!r}, not Point, Segment or Polygon")
+        return cls(tuple(lines), tuple(corners), 1, kind, d.get("label"), bool(d.get("starred", False)))
 
 
 def _float_lines(P: ChamberPolytope) -> List[Tuple[Tuple[float, float, float], float]]:
@@ -299,6 +315,14 @@ def _float_lines(P: ChamberPolytope) -> List[Tuple[Tuple[float, float, float], f
     floats, every entry rounded once from its exact value: the normal of a
     facet direction from the fixed table, any other by :func:`su3.lift_2d`."""
     return [(_FACET_NORMALS.get((a, b)) or tuple(map(float, lift_2d(a, b))), float(c / P.den)) for a, b, c, _ in P.lines]
+
+
+def _json_in(x, kinds, name: str, error: type):
+    """``x`` if it is a JSON object (``kinds`` dict) or list; otherwise
+    ``error`` names ``name``."""
+    if not isinstance(x, kinds):
+        raise error(f"{name} is {x!r}, not {'an object' if kinds is dict else 'a list'}")
+    return x
 
 
 def _num_in(x, name: str, error: type) -> Scalar:

@@ -13,8 +13,9 @@ from su3poly.moment_map import FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, In
 from su3poly.oracle import (
     BLOCK,
     InvalidCount,
+    _draw_spectra,
+    _float_weights,
     _rng_for_block,
-    _targeted_spectra,
     empirical_polytope,
     sample_batch,
     sample_cp2,
@@ -50,7 +51,8 @@ def serial_spectra(gammas, count, seed):
 
 
 def serial_targeted_spectra(gammas, per_config, seed):
-    """``_targeted_spectra``, one configuration and scale after another."""
+    """The targeted rows of ``_draw_spectra``, one configuration and scale
+    after another."""
     configs = FIXED_CONFIGURATIONS if len(gammas) == 3 else FIXED_CONFIGURATIONS_N2
     chunks = []
     for idx, config in enumerate(sorted(configs)):
@@ -146,7 +148,27 @@ class TestBlockRunner:
         expected = serial_targeted_spectra(gammas, 300, 5)
         for workers in (1, 2, 3):
             monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
-            assert np.array_equal(_targeted_spectra(gammas, 300, 5), expected), workers
+            assert np.array_equal(_draw_spectra(*_float_weights(gammas), 0, 5, 300), expected), workers
+
+    @pytest.mark.parametrize(
+        "gammas, count, targeted",
+        [
+            ((4, 2, -1), 2 * BLOCK, 0),
+            ((4, 2, -1), 1000, BLOCK + 3),  # the targeted rows set the buffer's size
+            ((4, 2, -1), BLOCK + 1, 300),  # a partial uniform block before the targeted ones
+            ((2, 1), 3 * BLOCK + 7, 500),  # two factors: 8 targeted blocks
+        ],
+        ids=str,
+    )
+    def test_verify_equal_to_the_serial_streams_at_every_worker_count(self, monkeypatch, gammas, count, targeted):
+        # the report verify makes from the serial uniform and targeted rows
+        rows = np.concatenate([serial_spectra(gammas, count, 6), serial_targeted_spectra(gammas, targeted, 6)])
+        with monkeypatch.context() as patched:
+            patched.setattr(oracle, "_draw_spectra", lambda *args: rows.copy())
+            expected = verify(gammas, count, 6, targeted=targeted).to_json_dict()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+            assert verify(gammas, count, 6, targeted=targeted).to_json_dict() == expected, workers
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_a_failing_block_raises_its_own_error_and_every_helper_is_joined(self, monkeypatch, workers):
@@ -202,13 +224,13 @@ class TestVerifySlack:
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1, -1e-9, True, "1e-6"])
     def test_bad_tolerance_is_named(self, monkeypatch, tol):
         # refused before anything is sampled: a NaN slack would count no violation
-        monkeypatch.setattr(oracle, "sample_batch", None)
+        monkeypatch.setattr(oracle, "_draw_spectra", None)
         with pytest.raises(InvalidTolerance, match=re.escape(repr(tol))):
             verify((4, 2, -1), 1000, seed=1, tol=tol)
 
     @pytest.mark.parametrize("targeted", [-1, True, 1.5, "500"])
     def test_bad_targeted_count_is_refused_before_drawing(self, monkeypatch, targeted):
-        monkeypatch.setattr(oracle, "sample_batch", None)
+        monkeypatch.setattr(oracle, "_draw_spectra", None)
         with pytest.raises(InvalidCount, match=re.escape(repr(targeted))):
             verify((4, 2, -1), 10**6, seed=1, targeted=targeted)
 
@@ -268,11 +290,10 @@ class TestFloatRange:
         assert report.max_violation <= 1e-12 * report.diameter
 
     def test_weights_checked_once_per_batch(self, monkeypatch):
-        check = oracle._SamplingWeights.of
         for run in (sample_batch, verify):
             calls, checks = [], []
             monkeypatch.setattr(oracle, "as_gammas", lambda w: calls.append(w) or tuple(w))
-            monkeypatch.setattr(oracle._SamplingWeights, "of", classmethod(lambda cls, g: checks.append(g) or check(g)))
+            monkeypatch.setattr(oracle, "_float_weights", lambda g: checks.append(g) or _float_weights(g))
             run((4, 2, -1), 2 * BLOCK + 1, 1)
             assert len(calls) == 1 and len(checks) == 1, run.__name__
 

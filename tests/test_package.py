@@ -22,10 +22,11 @@ def test_all_names_are_public_objects_not_modules():
 
 
 def test_all_covers_the_error_types():
-    errors = {"InvalidWeight", "LengthMismatch", "NotSorted", "PredictionUnavailable", "SumNotZero", "InvalidHullPoints", "InvalidHalfPlane", "InvalidIndex", "InvalidGeneratorKind"}
+    errors = {"InvalidWeight", "LengthMismatch", "NotSorted", "PredictionUnavailable", "SumNotZero", "InvalidHullPoints", "InvalidHalfPlane", "InvalidPolytopeDocument", "InvalidIndex", "InvalidGeneratorKind"}
     assert errors <= set(su3poly.__all__)
     assert issubclass(su3poly.InvalidHullPoints, ValueError)
     assert issubclass(su3poly.InvalidHalfPlane, ValueError)
+    assert issubclass(su3poly.InvalidPolytopeDocument, ValueError)
     assert issubclass(su3poly.InvalidIndex, ValueError)
     assert issubclass(su3poly.InvalidGeneratorKind, ValueError)
     assert issubclass(su3poly.NotSorted, ValueError)
@@ -71,7 +72,6 @@ VALUE_CLASSES = [
     (polytope.ChamberPolytope, "lines corners den kind label starred", ((), ((2, -1, -1),), 1, "Point", None, False), ((), ((2, -1, -1),), 1, "Point", None, True)),
     (eigen_bounds.DoubleEigMatrixSpec, "lam", (1,), (2,)),
     (eigen_bounds.RealizeResult, "found distance matrices lines restarts_used reason", (True, 0.0, None, None, 0, ""), (False, 0.0, None, None, 0, "")),
-    (oracle._SamplingWeights, "floats power", ((4.0, 2.0, -1.0), 4.0), ((4.0, 2.0, -1.0), 8.0)),
     (oracle.SampleBatch, "seed count spectra chamber_points", (1, 1, ((2.0, -1.0, -1.0),), ((2.0, 1.0),)), (2, 1, ((2.0, -1.0, -1.0),), ((2.0, 1.0),))),
     (oracle.VerificationReport, "label seed n_samples n_violations max_violation hausdorff_inner vertex_coverage diameter tolerance", ("C", 1, 10, 0, 0.0, 0.5, (0.1,), 3.0, 1e-9), ("C", 1, 10, 1, 0.0, 0.5, (0.1,), 3.0, 1e-9)),
 ]

@@ -26,6 +26,7 @@ from su3poly.polytope import (
     DegenerateWeight,
     InvalidHalfPlane,
     InvalidHullPoints,
+    InvalidPolytopeDocument,
     build_polytope,
     build_polytope_n2,
     build_polytope_n3,
@@ -607,8 +608,7 @@ class TestHull2d:
         # seed 7), at verify's power of two: an area tolerance gave 10
         # vertices with the filter and 10 others without it
         w, seed = (4, 2, -1), 7
-        spectra = np.concatenate([sample_batch(w, 100_000, seed).spectra, oracle._targeted_spectra(w, 500, seed)])
-        pq = oracle.chamber_points_of_spectra(spectra) / 8
+        pq = oracle.chamber_points_of_spectra(oracle._draw_spectra(*oracle._float_weights(w), 100_000, seed, 500) / 8)
         scale = float(np.abs(pq).max())
         kept = polytope._extreme_point_filter(pq, 1e-9 * scale**2)
         assert len(kept) < 0.02 * len(pq)
@@ -963,6 +963,32 @@ class TestSerialization:
         entry[path[-1]] = value
         with pytest.raises(error, match=f"^{re.escape(message)}"):
             ChamberPolytope.from_json_dict(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            (lambda d: d.pop("halfplanes"), InvalidPolytopeDocument, "halfplanes is None, not a list"),
+            (lambda d: d.pop("vertices"), InvalidPolytopeDocument, "vertices is None, not a list"),
+            (lambda d: d.update(vertices=5), InvalidPolytopeDocument, "vertices is 5, not a list"),
+            (lambda d: d["vertices"].__setitem__(1, 5), InvalidPolytopeDocument, "vertex 1 is 5, not a list"),
+            (lambda d: d.update(halfplanes=[1]), InvalidHalfPlane, "half-plane 0 is 1, not an object"),
+            (lambda d: d["halfplanes"][2].pop("offset"), InvalidHalfPlane, "half-plane 2 offset is None"),
+            (lambda d: d["halfplanes"][2].pop("normal"), InvalidHalfPlane, "half-plane 2 normal is None, not a list"),
+            (lambda d: d["halfplanes"][2].update(normal=4), InvalidHalfPlane, "half-plane 2 normal is 4, not a list"),
+            (lambda d: d.update(kind="Blob"), InvalidPolytopeDocument, "kind is 'Blob', not Point, Segment or Polygon"),
+            (lambda d: d.pop("kind"), InvalidPolytopeDocument, "kind is None, not Point, Segment or Polygon"),
+        ],
+        ids=["no halfplanes", "no vertices", "vertices 5", "vertex 5", "halfplane 1", "no offset", "no normal", "normal 4", "kind Blob", "no kind"],
+    )
+    def test_document_of_the_wrong_shape_is_refused_naming_its_field(self, change, error, message):
+        data = json.loads(json.dumps(build_polytope_n3((4, 2, -1)).to_json_dict()))
+        change(data)
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            ChamberPolytope.from_json_dict(data)
+
+    def test_document_that_is_no_object_is_refused(self):
+        with pytest.raises(InvalidPolytopeDocument, match=re.escape("polytope is [1], not an object")):
+            ChamberPolytope.from_json_dict([1])
 
     def test_views_are_the_stored_form_over_its_denominator(self):
         poly = build_polytope_n3((4, 2, -1))
