@@ -231,7 +231,8 @@ class AnchorKernel:
     the sign of the rational coefficient it stands for (the polynomial is the
     coefficient times a positive square, and P(t gamma) = t P(gamma)).  The
     ``germ_*`` methods give each cone as a :class:`Germ`, which :meth:`view`
-    wraps in a :class:`ConeSpec`.
+    wraps in a :class:`ConeSpec`, or None where the cone degenerates (c_j
+    on a wall, a zero sum at a): the one place where that is decided.
     """
 
     __slots__ = ("scale", "gammas", "anchors")
@@ -286,28 +287,27 @@ class AnchorKernel:
         s1, s2, s3 = self.b_ray_signs()
         return self._folded("b", ((0, s1, -s1), (-s2, 0, s2), (s3, -s3, 0)))
 
-    def germ_c(self, j: int) -> Germ:
+    def germ_c(self, j: int) -> Optional[Germ]:
         """An alpha1-family ray plus an alpha3-family ray (definite form) or
-        line (indefinite form); :class:`OnWall` when c_j sits on a wall."""
+        line (indefinite form); None when c_j sits on a wall."""
         a1_sign, form = self.c_signs(j)
         defin = definiteness(form)
         # a vanishing coefficient or a degenerate form is a wall transition
         if a1_sign == 0 or defin is Definiteness.DEGENERATE:
-            raise OnWall(f"c{j} lies on a chamber wall for integer weights {self.gammas}")
+            return None
         a1_ray = (0, a1_sign, -a1_sign)
         if defin is Definiteness.INDEFINITE:
             return self._folded(f"c{j}", (a1_ray,), _ALPHA3)
         s = 1 if defin is Definiteness.POSITIVE_DEFINITE else -1
         return self._folded(f"c{j}", (a1_ray, (s, -s, 0)))
 
-    def germ_a(self) -> Germ:
-        """The cone at a; a negative sum is the star image of the cone of
-        -gamma, whose anchors are the star images of these and whose slice
-        form is this one negated."""
-        g1, g2, g3 = self.gammas
-        s = g1 + g2 + g3
+    def germ_a(self) -> Optional[Germ]:
+        """The cone at a, None at a zero sum; a negative sum is the star
+        image of the cone of -gamma, whose anchors are the star images of
+        these and whose slice form is this one negated."""
+        s = sum(self.gammas)
         if s == 0:
-            raise ZeroSum(f"integer weights {self.gammas} sum to zero")
+            return None
         starred = s < 0
         form = self.a_form()
         if starred:
@@ -393,8 +393,7 @@ def slice_cone_b(w, tol: float = 1e-9, allow_coincident: bool = False) -> ConeSp
     the same limit.
     """
     kernel = _snapped_kernel(w, tol)
-    g1, g2, g3 = kernel.gammas
-    if not allow_coincident and (g1 == g2 or g1 == g3 or g2 == g3):
+    if not allow_coincident and len(set(kernel.gammas)) < 3:
         raise CoincidentWeights(f"weights {as_gammas(w)} are not pairwise distinct")
     return kernel.view(kernel.germ_b())
 
@@ -443,7 +442,10 @@ def slice_cone_c(j: int, w, tol: float = 1e-9) -> ConeSpec:
     the weights snapped by :func:`su3.snap_weights`.
     """
     kernel = _snapped_kernel(w, tol)
-    return kernel.view(kernel.germ_c(j))
+    germ = kernel.germ_c(j)
+    if germ is None:
+        raise OnWall(f"c{j} lies on a chamber wall for integer weights {kernel.gammas}")
+    return kernel.view(germ)
 
 
 def a_discriminant(w) -> Scalar:
@@ -471,4 +473,7 @@ def slice_cone_a(w, tol: float = 1e-9) -> ConeSpec:
     :func:`su3.snap_weights` raises :class:`ZeroSum`.
     """
     kernel = _snapped_kernel(w, tol)
-    return kernel.view(kernel.germ_a())
+    germ = kernel.germ_a()
+    if germ is None:
+        raise ZeroSum(f"integer weights {kernel.gammas} sum to zero")
+    return kernel.view(germ)

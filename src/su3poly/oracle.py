@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .moment_map import CPPoint, FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight, as_gammas
 from .polytope import ChamberPolytope, _distances, _float_lines, _pq_array, build_polytope, hull2d
-from .su3 import SQRT2, SQRT6, Frozen, _set, check_tolerance, is_exact, spectra_of_entries
+from .su3 import Frozen, _set, chamber_coordinates, check_tolerance, is_exact, spectra_of_entries
 
 if TYPE_CHECKING:  # annotations only: importing the package loads no numpy
     import numpy as np
@@ -198,8 +198,7 @@ def chamber_points_of_spectra(spectra: np.ndarray) -> np.ndarray:
     """(n, 2) isometric chamber coordinates of sorted spectra rows."""
     import numpy as np
 
-    l1, l2, l3 = spectra[:, 0], spectra[:, 1], spectra[:, 2]
-    return np.stack([(l1 - l2) / SQRT2, (l1 + l2 - 2 * l3) / SQRT6], axis=1)
+    return np.stack(chamber_coordinates(spectra[:, 0], spectra[:, 1], spectra[:, 2]), axis=1)
 
 
 class SampleBatch(Frozen):

@@ -17,19 +17,21 @@ path runs no hull algorithm.
 
 The three-factor build is one straight line in integers: one
 :func:`classifier.classify_n3` checks the weights, snaps them once to
-integers (:func:`su3.snap_weights`), canonicalizes them and reads one sign
-profile, which yields the label and says which cones degenerate; one
-:class:`cones.AnchorKernel` takes the snapped weights on an integer scale t
-and gives each cone as a :class:`cones.Germ`; one line-maker turns each
-germ into lines a*l1 + b*l2 >= c / t with integer c; and the vertices come
-out as integers over m * t.  A :class:`ChamberPolytope` stores these lines
-and vertices over one denominator and nothing else (segments, points and
-float hulls over 1); its :class:`su3.Spectrum` vertices and the
-:class:`cones.ConeSpec` views of the germs (:func:`polytope_cones`) are
-made only when read.  Every reader takes the lines as stored: three times
-the sum-zero normal of a*l1 + b*l2 is the integer triple
-(2a - b, 2b - a, -a - b), and signed distances divide by the normal's
-norm, the gradient norm in the isometric chamber embedding.
+integers (:func:`su3.snap_weights`), canonicalizes them and reads the label
+from the signs of their transition forms; one :class:`cones.AnchorKernel`
+takes the snapped weights on an integer scale t and gives each cone as a
+:class:`cones.Germ`, or None where the cone degenerates; one line-maker
+turns each germ into lines a*l1 + b*l2 >= c / t with integer c; and the
+vertices come out as integers over m * t.  The two-factor build snaps once
+too and takes its two anchors from the same integers.  A
+:class:`ChamberPolytope` stores these lines and vertices over one
+denominator and nothing else (segments, points and float hulls over 1);
+its :class:`su3.Spectrum` vertices and the :class:`cones.ConeSpec` views
+of the germs (:func:`polytope_cones`) are made only when read.  Every
+reader takes the lines as stored: three times the sum-zero normal of
+a*l1 + b*l2 is the integer triple (2a - b, 2b - a, -a - b), and signed
+distances divide by the normal's norm, the gradient norm in the isometric
+chamber embedding.
 
 Everything here but the hull is plain Python: the builder, containment, and
 the one point-to-polygon distance behind :func:`distance_to_polytope_pq`,
@@ -46,9 +48,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .classifier import Canonicalization, N3Type, classify_n2, classify_n3
+from .classifier import Canonicalization, N3Type, _classify_n2, classify_n3
 from .cones import AnchorKernel, ConeSpec, Germ
-from .moment_map import DegenerateWeight, as_gammas, fixed_point_spectra, weight_entries
+from .moment_map import DegenerateWeight, as_gammas, tripled_fixed_point_diagonals, weight_entries
 from .su3 import (
     SQRT2,
     SQRT6,
@@ -68,8 +70,8 @@ from .su3 import (
     lift_2d,
     num_out,
     snap_weights,
+    sort_descending,
     to_chamber,
-    to_positive_chamber,
 )
 
 
@@ -84,14 +86,17 @@ class InvalidHullPoints(ValueError):
 
 class InvalidHalfPlane(ValueError):
     """A half-plane read back that is none: no object, a normal that is no
-    list or has n0 = n1 = n2 (it vanishes on the sum-zero plane), or a
-    normal or offset entry that is not a finite number."""
+    list or has n0 = n1 = n2 (it vanishes on the sum-zero plane), a normal
+    or offset entry that is not a finite number, or a provenance that is no
+    string."""
 
 
 class InvalidPolytopeDocument(ValueError):
     """A polytope read back from a document of the wrong shape: no object,
-    ``vertices``, ``halfplanes`` or a vertex that is no list, or a ``kind``
-    that is none of Point, Segment and Polygon."""
+    ``vertices``, ``halfplanes`` or a vertex that is no list, a ``kind``
+    that is none of Point, Segment and Polygon or does not match the vertex
+    count, a ``label`` that is no string or null, or a ``starred`` that is
+    no bool."""
 
 
 #: The chamber walls l1 >= l2 and l2 >= l3 as lines (a, b, c, provenance).
@@ -277,14 +282,13 @@ class ChamberPolytope(Frozen):
         """:meth:`to_json_dict` read back over ``den`` 1, each vertex checked
         as a spectrum and each normal n read as the line
         (n0 - n2, n1 - n2), which is exact for an exact sum-zero normal.
-        Every entry passes :func:`_num_in`: a vertex entry that is no finite
-        number raises :class:`su3.InvalidWeight` and a vertex that is no
-        triple :class:`su3.LengthMismatch`; a half-plane that is no object,
-        a normal or offset entry that is no finite number, a normal that is
-        no triple and a normal with n0 = n1 = n2 raise
-        :class:`InvalidHalfPlane`; a document of any other wrong shape
-        raises :class:`InvalidPolytopeDocument`.  Each error names its
-        field, a missing one reading as None."""
+        A vertex entry that is no finite number raises
+        :class:`su3.InvalidWeight` and a vertex that is no triple
+        :class:`su3.LengthMismatch`; a bad half-plane raises
+        :class:`InvalidHalfPlane` and a document of any other wrong shape
+        :class:`InvalidPolytopeDocument`, each listing its cases.  Each
+        error names its field, a missing one reading as None; a missing
+        ``provenance`` reads as "" and a missing ``starred`` as False."""
         doc, lists = InvalidPolytopeDocument, (list, tuple)
         _json_in(d, dict, "polytope", doc)
         corners = []
@@ -303,11 +307,15 @@ class ChamberPolytope(Frozen):
             if n[0] == n[1] == n[2]:
                 raise InvalidHalfPlane(f"normal {n} vanishes on the sum-zero plane")
             offset = _num_in(h.get("offset"), f"half-plane {i} offset", InvalidHalfPlane)
-            lines.append((n[0] - n[2], n[1] - n[2], offset, h.get("provenance", "")))
-        kind = d.get("kind")
+            provenance = _json_in(h.get("provenance", ""), str, f"half-plane {i} provenance", InvalidHalfPlane)
+            lines.append((n[0] - n[2], n[1] - n[2], offset, provenance))
+        kind, n = d.get("kind"), len(corners)
         if kind not in ("Point", "Segment", "Polygon"):
             raise doc(f"kind is {kind!r}, not Point, Segment or Polygon")
-        return cls(tuple(lines), tuple(corners), 1, kind, d.get("label"), bool(d.get("starred", False)))
+        if n == 0 or kind != ("Point" if n == 1 else "Segment" if n == 2 else "Polygon"):
+            raise doc(f"kind is {kind!r}, which does not hold {n} vertices")
+        label = _json_in(d.get("label"), (str, type(None)), "label", doc)
+        return cls(tuple(lines), tuple(corners), 1, kind, label, _json_in(d.get("starred", False), bool, "starred", doc))
 
 
 def _float_lines(P: ChamberPolytope) -> List[Tuple[Tuple[float, float, float], float]]:
@@ -317,11 +325,15 @@ def _float_lines(P: ChamberPolytope) -> List[Tuple[Tuple[float, float, float], f
     return [(_FACET_NORMALS.get((a, b)) or tuple(map(float, lift_2d(a, b))), float(c / P.den)) for a, b, c, _ in P.lines]
 
 
+#: What each type check of :func:`_json_in` asks for, as its errors say it.
+_JSON_KINDS = {dict: "an object", (list, tuple): "a list", str: "a string", (str, type(None)): "a string or null", bool: "a bool"}
+
+
 def _json_in(x, kinds, name: str, error: type):
-    """``x`` if it is a JSON object (``kinds`` dict) or list; otherwise
-    ``error`` names ``name``."""
+    """``x`` if it is an instance of ``kinds``, a key of ``_JSON_KINDS``;
+    otherwise ``error`` names ``name``."""
     if not isinstance(x, kinds):
-        raise error(f"{name} is {x!r}, not {'an object' if kinds is dict else 'a list'}")
+        raise error(f"{name} is {x!r}, not {_JSON_KINDS[kinds]}")
     return x
 
 
@@ -402,17 +414,10 @@ _ROOT_LABELS = {root.vector: root.label for root in Root}
 
 def _germs(can: Canonicalization) -> Tuple[AnchorKernel, Dict[str, Optional[Germ]]]:
     """The kernel of the snapped canonical weights and its five local cone
-    germs; None where the cone degenerates, as read from the sign profile."""
+    germs, as the kernel gives them: None where the cone degenerates."""
     ints, den = can.snapped
     kernel = AnchorKernel.scaled(ints, 3 * den)
-    profile = can.profile
-    return kernel, {
-        "a": None if profile.sum == 0 else kernel.germ_a(),
-        "b": kernel.germ_b(),
-        "c1": None if profile.t1 or profile.z23 else kernel.germ_c(1),
-        "c2": None if profile.t2 or profile.z13 else kernel.germ_c(2),
-        "c3": kernel.germ_c(3),  # c3 cannot hit a wall in the canonical sector
-    }
+    return kernel, {"a": kernel.germ_a(), "b": kernel.germ_b(), "c1": kernel.germ_c(1), "c2": kernel.germ_c(2), "c3": kernel.germ_c(3)}
 
 
 def polytope_cones(w, tol: float = 1e-9) -> Dict[str, Optional[ConeSpec]]:
@@ -444,11 +449,11 @@ def build_polytope_n3(w, tol: float = 1e-9) -> ChamberPolytope:
 def _build_n3(label: N3Type, can: Canonicalization) -> ChamberPolytope:
     """:func:`build_polytope_n3` of weights through :func:`classify_n3`.
 
-    The classification's one canonicalization and sign profile give the
-    label and say which cones degenerate; one kernel gives the cone germs,
-    the germs give integer lines, and the vertices are solved in integers on
-    the kernel's scale.  The polytope stores the lines and vertices over
-    one denominator; starred weights get its star image.
+    The classification's one canonicalization gives the label and the
+    snapped weights; one kernel gives the cone germs, None where a cone
+    degenerates, the germs give integer lines, and the vertices are solved
+    in integers on the kernel's scale.  The polytope stores the lines and
+    vertices over one denominator; starred weights get its star image.
     """
     if label is N3Type.DEGENERATE_ZERO_WEIGHT:
         raise DegenerateWeight("weight vanishes within tolerance")
@@ -506,13 +511,18 @@ def build_polytope_n2(w, tol: float = 1e-9) -> ChamberPolytope:
     g = as_gammas(w, n=2)
     if any(x == 0 for x in g):
         raise DegenerateWeight("zero weight: use build_polytope for the delegated shape")
-    ints, den = snap_weights(g, tol)
-    label = classify_n2(ints)
-    fps = fixed_point_spectra(tuple(Fraction(n, den) for n in ints))
-    a, c = fps.a, fps.c
+    return _build_n2(*snap_weights(g, tol))
+
+
+def _build_n2(ints: Tuple[int, int], den: int) -> ChamberPolytope:
+    """:func:`build_polytope_n2` of the snapped weights ``ints`` / ``den``:
+    the label from the signs of their transition forms, the anchors from
+    their tripled diagonals, sorted, over 3 * den."""
+    label = _classify_n2(ints).value
+    a, c = (tuple(Fraction(x, 3 * den) for x in sort_descending(v)[0]) for v in tripled_fixed_point_diagonals(ints).values())
     if a == c:
-        return point_polytope(a, label.value)
-    return _segment(a.astuple(), c.astuple(), "segment", label.value)
+        return point_polytope(Spectrum._trusted(*a), label)
+    return _segment(a, c, "segment", label)
 
 
 def build_polytope(w, tol: float = 1e-9) -> ChamberPolytope:
@@ -534,13 +544,9 @@ def build_polytope(w, tol: float = 1e-9) -> ChamberPolytope:
     nz = tuple(n for n in ints if n)
     if len(nz) == 3:
         return _build_n3(label, can)
-    if len(nz) == 2:
-        return build_polytope_n2(tuple(Fraction(n, den) for n in nz))
-    if len(nz) == 1:
-        gx = Fraction(nz[0], den)
-        raw = (2 * gx / 3, -gx / 3, -gx / 3)
-        return point_polytope(to_positive_chamber(raw)[0], "DegenerateZeroWeight")
-    return point_polytope(Spectrum(0, 0, 0), "DegenerateZeroWeight")
+    # padded with zero weights, one weight or none makes the point of its
+    # two anchors, which coincide, labelled DegenerateZeroWeight
+    return _build_n2((nz + (0, 0))[:2], den)
 
 
 # ---------------------------------------------------------------------------

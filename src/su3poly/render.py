@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .moment_map import fixed_point_spectra
 from .polytope import ChamberPolytope
-from .su3 import SQRT2, SQRT6, Root, to_chamber
+from .su3 import Root, chamber_coordinates, to_chamber
 
 _WALL_DIRS = ((0.0, 1.0), (math.cos(math.pi / 6), math.sin(math.pi / 6)))
 
@@ -127,7 +127,7 @@ def _anchor_points(weights) -> Dict[str, Tuple[float, float]]:
 def _root_legend(cv: _Canvas, width: int, height: int, scale: float):
     cx, cy, r = width - 58.0, height - 52.0, 26.0
     for root in Root:
-        c = to_chamber_root(root)
+        c = chamber_coordinates(*root.vector)
         norm = math.hypot(c[0], c[1])
         ex, ey = cx + r * c[0] / norm, cy - r * c[1] / norm
         cv.add(
@@ -135,8 +135,3 @@ def _root_legend(cv: _Canvas, width: int, height: int, scale: float):
             f'stroke="steelblue" stroke-width="1" stroke-dasharray="3 2"/>'
         )
         cv.add(f'<text x="{_fmt(ex + 2)}" y="{_fmt(ey)}" font-size="10">{root.label}</text>')
-
-
-def to_chamber_root(root: Root) -> Tuple[float, float]:
-    v = root.vector
-    return ((v[0] - v[1]) / SQRT2, (v[0] + v[1] - 2 * v[2]) / SQRT6)

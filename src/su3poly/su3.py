@@ -351,15 +351,20 @@ class ChamberPoint(Frozen):
         return math.hypot(self.p - other.p, self.q - other.q)
 
 
-def to_chamber(s: Spectrum) -> ChamberPoint:
-    """Isometric coordinates of a spectrum in the sum-zero plane.
+def chamber_coordinates(l1, l2, l3):
+    """Isometric coordinates (p, q) of the sum-zero triple (l1, l2, l3):
+    floats, or numpy columns of spectra.
 
     Uses the orthonormal basis f1 = (1,-1,0)/sqrt2, f2 = (1,1,-2)/sqrt6, so
     Euclidean distances and angles between spectra are preserved; adjacent
     roots come out at 120 degrees.
     """
-    l1, l2, l3 = s.as_floats()
-    return ChamberPoint((l1 - l2) / SQRT2, (l1 + l2 - 2 * l3) / SQRT6)
+    return (l1 - l2) / SQRT2, (l1 + l2 - 2 * l3) / SQRT6
+
+
+def to_chamber(s: Spectrum) -> ChamberPoint:
+    """Isometric coordinates of a spectrum (:func:`chamber_coordinates`)."""
+    return ChamberPoint(*chamber_coordinates(*s.as_floats()))
 
 
 def chamber_to_spectrum_floats(p: float, q: float) -> Tuple[float, float, float]:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import POLYTOPE_FIXTURES, random_rational_gammas
 from su3poly.classifier import (
@@ -12,9 +14,19 @@ from su3poly.classifier import (
     canonicalize,
     classify_n2,
     classify_n3,
-    sign_profile,
 )
 from su3poly.su3 import snap_weights
+
+#: Coefficients of the transition hyperplanes in (g1, g2, g3): a weight is
+#: zero, two are equal, a pair sums to zero, one is the sum of the others,
+#: or the total is zero.
+_TRANSITIONS = [
+    (1, 0, 0), (0, 1, 0), (0, 0, 1),
+    (1, -1, 0), (1, 0, -1), (0, 1, -1),
+    (0, 1, 1), (1, 0, 1), (1, 1, 0),
+    (1, -1, -1), (-1, 1, -1), (-1, -1, 1),
+    (1, 1, 1),
+]
 
 
 class TestCanonicalize:
@@ -48,15 +60,13 @@ class TestCanonicalize:
             assert [(type(x), math.copysign(1, x)) for x in back] == [(type(x), math.copysign(1, x)) for x in g]
             assert back == g
 
-    def test_profile_is_the_sign_profile_of_the_sorted_weights(self):
-        # of the sorted weights as snapped: sign_profile itself takes exact signs
+    def test_snapped_are_the_sorted_weights_as_snapped(self):
         rnd = random.Random(4)
         for g in [random_rational_gammas(rnd) for _ in range(50)] + [(3.0, 1.0, 1.0000000000000002), (-2, 1.1, 0.9)]:
             can = canonicalize(g)
             ints, den = can.snapped
             assert (ints, den) == snap_weights(can.sorted_gammas, 1e-9)
             assert list(ints) == sorted(ints, reverse=True)
-            assert can.profile == sign_profile(ints)
             assert classify_n3(g)[1] == can
 
     def test_zero_sum_not_flipped(self):
@@ -151,6 +161,24 @@ class TestClassifyN3:
         # the floats enter through their exact binary values instead of
         # overflowing in a sum with the huge weight
         assert classify_n3((10**400, 1.0, 1.0))[0] is classify_n3((10**400, 1, 1))[0] is N3Type.BB
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-100, 100, allow_subnormal=False), min_size=3, max_size=3),
+        st.sampled_from(_TRANSITIONS),
+        st.integers(0, 2),
+        st.floats(-1e-12, 1e-12),
+    )
+    def test_float_weights_near_a_transition_classify_as_their_snapped_fractions(self, g, form, k, rel):
+        # put a weight i that the form involves on the hyperplane
+        # form . g = 0, then move it by up to 1e-12 of itself
+        i = [j for j in range(3) if form[j]][k % sum(map(abs, form))]
+        g[i] = -form[i] * sum(form[j] * g[j] for j in range(3) if j != i)
+        g[i] *= 1 + rel
+        ints, den = snap_weights(g, 1e-9)
+        label, can = classify_n3(g)
+        exact_label, exact = classify_n3(tuple(F(n, den) for n in ints))
+        assert (label, can.permutation, can.starred) == (exact_label, exact.permutation, exact.starred)
 
 
 class TestClassifyN2:

@@ -49,7 +49,6 @@ def test_annotations_resolve_where_a_type_checker_reads_them(obj, monkeypatch):
 
 _S = su3.Spectrum(2, -1, -1)
 _T = su3.Spectrum(1, 0, -1)
-_SIGNS = dict(zero_weight=False, sum=1, e12=False, e23=False, t1=False, t2=False, z23=False, z13=False, sign_g2=1, sign_g3=-1, sign_z23=1, sign_t1=1, sign_t2=-1, sign_z13=1)
 _RAY = cones.Generator(su3.Root.ALPHA1, cones.RAY_POS)
 
 #: Every immutable value class of the package: (class, its fields in
@@ -65,7 +64,6 @@ VALUE_CLASSES = [
     (moment_map.Weights, "gammas allow_zero", ((4, 2, -1), False), ((4, 2, -1), True)),
     (moment_map.N3FixedPoints, "a b c1 c2 c3", (_S, _T, _S, _T, _S), (_S, _T, _S, _T, _T)),
     (moment_map.N2FixedPoints, "a c", (_S, _T), (_T, _T)),
-    (classifier.SignProfile, " ".join(_SIGNS), tuple(_SIGNS.values()), (*_SIGNS.values(),)[:-1] + (-1,)),
     (cones.QuadraticForm2, "A B C", (1, 2, 3), (1, 2, 4)),
     (cones.Generator, "root kind", (su3.Root.ALPHA1, cones.RAY_POS), (su3.Root.ALPHA1, cones.LINE)),
     (cones.ConeSpec, "apex generators weyl_folded side_normal", (_S, (_RAY,), False, None), (_S, (_RAY,), True, None)),
@@ -94,16 +92,17 @@ def test_value_classes_compare_hash_show_and_refuse_assignment_by_field(cls, nam
     assert copy.copy(a) == a and copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
 
 
-def test_canonicalization_compares_and_shows_neither_profile_nor_snapped():
+def test_canonicalization_compares_and_shows_no_snapped():
     can = classifier.canonicalize((4, 2, -1))
-    other = classifier.Canonicalization(can.sorted_gammas, can.permutation, can.starred, classifier.sign_profile((1, 1, 1)), ((8, 4, -2), 2))
+    other = classifier.Canonicalization(can.sorted_gammas, can.permutation, can.starred, ((8, 4, -2), 2))
+    assert not hasattr(other, "profile")
     assert other == can and hash(other) == hash(can)
     assert repr(other) == "Canonicalization(sorted_gammas=(4, 2, -1), permutation=(0, 1, 2), starred=False)"
-    assert other != classifier.Canonicalization(can.sorted_gammas, can.permutation, True, can.profile, can.snapped)
+    assert other != classifier.Canonicalization(can.sorted_gammas, can.permutation, True, can.snapped)
     back = pickle.loads(pickle.dumps(other))
-    assert (back.profile, back.snapped) == (other.profile, other.snapped)
+    assert back.snapped == other.snapped
     with pytest.raises(AttributeError):
-        other.profile = can.profile
+        other.snapped = can.snapped
 
 
 #: Runs with numpy blocked: any ``import numpy`` raises ImportError.  The

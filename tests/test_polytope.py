@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import N2_FIXTURES, POLYTOPE_FIXTURES, random_rational_gammas
 from su3poly import classifier, moment_map, oracle, polytope
 from su3poly.classifier import GENERIC_N3, classify_n3
-from su3poly.cones import ConeSpec, Germ
+from su3poly.cones import AnchorKernel, ConeSpec, Germ
 from su3poly.moment_map import fixed_point_spectra
 from su3poly.oracle import sample_batch
 from su3poly.polytope import (
@@ -977,14 +977,32 @@ class TestSerialization:
             (lambda d: d["halfplanes"][2].update(normal=4), InvalidHalfPlane, "half-plane 2 normal is 4, not a list"),
             (lambda d: d.update(kind="Blob"), InvalidPolytopeDocument, "kind is 'Blob', not Point, Segment or Polygon"),
             (lambda d: d.pop("kind"), InvalidPolytopeDocument, "kind is None, not Point, Segment or Polygon"),
+            (lambda d: d.update(kind="Point"), InvalidPolytopeDocument, "kind is 'Point', which does not hold 4 vertices"),
+            (lambda d: d.update(kind="Segment"), InvalidPolytopeDocument, "kind is 'Segment', which does not hold 4 vertices"),
+            (lambda d: d.update(vertices=[]), InvalidPolytopeDocument, "kind is 'Polygon', which does not hold 0 vertices"),
+            (lambda d: d.update(starred="false"), InvalidPolytopeDocument, "starred is 'false', not a bool"),
+            (lambda d: d.update(starred=0), InvalidPolytopeDocument, "starred is 0, not a bool"),
+            (lambda d: d.update(label=7), InvalidPolytopeDocument, "label is 7, not a string or null"),
+            (lambda d: d["halfplanes"][2].update(provenance=None), InvalidHalfPlane, "half-plane 2 provenance is None, not a string"),
+            (lambda d: d["halfplanes"][2].update(provenance=3), InvalidHalfPlane, "half-plane 2 provenance is 3, not a string"),
         ],
-        ids=["no halfplanes", "no vertices", "vertices 5", "vertex 5", "halfplane 1", "no offset", "no normal", "normal 4", "kind Blob", "no kind"],
+        ids=["no halfplanes", "no vertices", "vertices 5", "vertex 5", "halfplane 1", "no offset", "no normal", "normal 4", "kind Blob", "no kind", "Point of 4", "Segment of 4", "Polygon of 0", "starred string", "starred 0", "label 7", "provenance None", "provenance 3"],
     )
     def test_document_of_the_wrong_shape_is_refused_naming_its_field(self, change, error, message):
         data = json.loads(json.dumps(build_polytope_n3((4, 2, -1)).to_json_dict()))
         change(data)
         with pytest.raises(error, match=f"^{re.escape(message)}"):
             ChamberPolytope.from_json_dict(data)
+
+    def test_missing_provenance_label_and_starred_read_as_their_defaults(self):
+        data = json.loads(json.dumps(build_polytope_n2((4, -1)).to_json_dict()))
+        for key in ("label", "starred"):
+            data.pop(key)
+        for h in data["halfplanes"]:
+            h.pop("provenance")
+        back = ChamberPolytope.from_json_dict(data)
+        assert (back.label, back.starred, back.kind) == (None, False, "Segment")
+        assert {p for *_, p in back.lines} == {""}
 
     def test_document_that_is_no_object_is_refused(self):
         with pytest.raises(InvalidPolytopeDocument, match=re.escape("polytope is [1], not an object")):
@@ -1037,6 +1055,27 @@ class TestExactBuilder:
             h.update(json.dumps(out, sort_keys=True).encode())
         assert h.hexdigest() == EXACT_DIGEST
 
+    def test_kernel_germs_are_none_exactly_where_their_forms_vanish(self):
+        # on the snapped canonical weights: c1 on t1 or z23, c2 on t2 or
+        # z13, c3 never, a on a zero total
+        n_none = Counter()
+        for gammas in _digest_weights() + sorted(POLYTOPE_FIXTURES):
+            label, can = classify_n3(gammas)
+            if label is classifier.N3Type.DEGENERATE_ZERO_WEIGHT:
+                continue
+            (g1, g2, g3), den = can.snapped
+            kernel = AnchorKernel.scaled((g1, g2, g3), 3 * den)
+            expected = {
+                "c1": g1 - g2 - g3 == 0 or g2 + g3 == 0,
+                "c2": g2 - g1 - g3 == 0 or g1 + g3 == 0,
+                "c3": False,
+                "a": g1 + g2 + g3 == 0,
+            }
+            got = {"c1": kernel.germ_c(1), "c2": kernel.germ_c(2), "c3": kernel.germ_c(3), "a": kernel.germ_a()}
+            assert {name: germ is None for name, germ in got.items()} == expected, gammas
+            n_none.update(name for name, vanishes in expected.items() if vanishes)
+        assert min(n_none[name] for name in ("c1", "c2", "a")) > 20
+
     def test_emitted_cone_apexes_are_anchor_spectra_of_the_weights(self):
         # starred weights included: their cones are star-reflected with
         # their polytope, so no apex is an anchor of the canonical weights only
@@ -1055,9 +1094,9 @@ class TestExactBuilder:
         assert n_starred > 400
 
     def test_one_straight_line_per_build(self, monkeypatch):
-        # one weight check, one classification and one sign profile per
-        # exact build, and no re-validated spectrum, sum-zero normal or
-        # ConeSpec on the way: the vertices are a view, made when read
+        # one weight check and one classification per exact build, and no
+        # re-validated spectrum, sum-zero normal or ConeSpec on the way: the
+        # vertices are a view, made when read
         counts = Counter()
 
         def count(owner, name):
@@ -1076,11 +1115,10 @@ class TestExactBuilder:
 
         count(moment_map, "as_gammas")
         count(classifier, "classify_n3")
-        count(classifier, "sign_profile")
         count(Spectrum, "__init__")
         count(polytope, "lift_2d")
         count(ConeSpec, "__init__")
         weights = sorted(POLYTOPE_FIXTURES) + RANDOM_RATIONALS
         for gammas in weights:
             build_polytope(gammas)
-        assert counts == {"as_gammas": len(weights), "classify_n3": len(weights), "sign_profile": len(weights)}
+        assert counts == {"as_gammas": len(weights), "classify_n3": len(weights)}

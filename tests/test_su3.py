@@ -22,6 +22,7 @@ from su3poly.su3 import (
     Root,
     Spectrum,
     SumNotZero,
+    chamber_coordinates,
     num_out,
     pairing,
     sgn,
@@ -172,14 +173,17 @@ class TestChamberEmbedding:
             assert abs(d3 - d2) <= 1e-12 * (1 + d3)
 
     def test_roots_at_120_degrees(self):
-        vecs = []
-        for root in Root:
-            v = root.vector
-            vecs.append(((v[0] - v[1]) / SQRT2, (v[0] + v[1] - 2 * v[2]) / SQRT6))
+        vecs = [chamber_coordinates(*root.vector) for root in Root]
         for i in range(3):
             u, w = vecs[i], vecs[(i + 1) % 3]
             cosang = (u[0] * w[0] + u[1] * w[1]) / (math.hypot(*u) * math.hypot(*w))
             assert math.isclose(cosang, -0.5, abs_tol=1e-12)
+
+    def test_columns_and_floats_give_the_same_bits(self, rng_seeded):
+        rows = np.sort(rng_seeded.standard_normal((50, 3)), axis=1)[:, ::-1]
+        p, q = chamber_coordinates(rows[:, 0], rows[:, 1], rows[:, 2])
+        assert [(a, b) for a, b in zip(p.tolist(), q.tolist())] == [chamber_coordinates(*row) for row in rows.tolist()]
+        assert chamber_coordinates(2, -1, -1) == (3 / SQRT2, 3 / SQRT6)
 
 
 class TestPositiveChamber:
