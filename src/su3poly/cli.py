@@ -16,12 +16,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .classifier import classify_n2, classify_n3
-from .eigen_bounds import DoubleEigMatrixSpec, check_spectrum, sum_bounds_three, sum_bounds_two
+from .eigen_bounds import sum_bounds_three, sum_bounds_two
 from .moment_map import InvalidWeight, LengthMismatch
 from .oracle import InvalidCount, sample_batch, verify
 from .polytope import build_polytope, hausdorff, polytope_cones
 from .render import render_svg
-from .su3 import check_tolerance, to_positive_chamber
+from .su3 import check_tolerance, num_out, to_positive_chamber
 
 
 def parse_number(text: str):
@@ -42,9 +42,8 @@ def parse_vector(text: str):
 
 
 def _num_json(x):
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    return x
+    # a bare int stays a JSON number; the "n/d" rule is su3.num_out's
+    return x if type(x) is int else num_out(x)
 
 
 def _dump_json(obj) -> str:
@@ -82,7 +81,7 @@ def cmd_polytope(args) -> int:
     gammas = parse_vector(args.gamma)
     poly = build_polytope(gammas, args.tolerance)
     if args.format == "svg":
-        _write(render_svg(poly, weights=gammas if len(gammas) in (2, 3) else None), args.output)
+        _write(render_svg(poly, weights=gammas), args.output)
         return 0
     out = poly.to_json_dict()
     if args.emit_cones and len(gammas) == 3 and poly.kind == "Polygon":
@@ -118,9 +117,8 @@ def cmd_bounds(args) -> int:
         out = poly.to_json_dict()
         if args.target:
             target = to_positive_chamber(parse_vector(args.target))[0]
-            specs = [DoubleEigMatrixSpec(l) for l in lams]
             out["target"] = [_num_json(x) for x in target]
-            out["target_inside"] = check_spectrum(*specs, target, args.tolerance)
+            out["target_inside"] = poly.contains(target, args.tolerance)
     else:
         raise LengthMismatch(f"expected 2 or 3 lambdas, got {len(lams)}")
     _write(_dump_json(out), args.output)

@@ -45,7 +45,6 @@ from .su3 import (
     num_out,
     sgn,
     snap_weights,
-    sort_descending,
     star_vector,
 )
 
@@ -221,8 +220,9 @@ class AnchorKernel:
     """Weights and anchor points on one integer scale.
 
     ``scale`` is t = 3 times a common denominator of the weights, ``gammas``
-    is the integer triple t * gamma / 3, and ``anchors[k]`` is t times the raw
-    diagonal of anchor point k, sorted into the chamber once: the pair
+    is the integer triple t * gamma / 3, and ``anchors`` is their anchor table
+    (:func:`moment_map.tripled_fixed_point_diagonals`): t times the raw
+    diagonal of each anchor point, sorted into the chamber once, as the pair
     ``(entries, perm)`` of :func:`su3.sort_descending`.  The stable sort
     breaks ties the way a perturbation towards strictly decreasing entries
     would, which is the one-sided limit used at weight coincidences.
@@ -245,8 +245,7 @@ class AnchorKernel:
     @classmethod
     def scaled(cls, gammas: Tuple[int, int, int], scale: int) -> "AnchorKernel":
         """Kernel of the integer triple ``gammas`` = t * gamma / 3, t = ``scale``."""
-        raw = tripled_fixed_point_diagonals(gammas)
-        return cls(scale, gammas, {k: sort_descending(v) for k, v in raw.items()})
+        return cls(scale, gammas, tripled_fixed_point_diagonals(gammas))
 
     # -- signs ---------------------------------------------------------------
 
@@ -267,9 +266,7 @@ class AnchorKernel:
         is -(y / z)(y + z) and the form ((x / y)(x - y), xz / y, (z / y)(z + y));
         returned are the sign of the first times z^2 and the second times y^2.
         """
-        check_index(j)
-        g = self.gammas
-        x, y, z = g[j - 1], g[j % 3], g[(j + 1) % 3]
+        x, y, z = _rotated(check_index(j), self.gammas)
         yz = y * z * (y + z)
         return -sgn(yz), QuadraticForm2(x * y * (x - y), x * y * z, yz)
 
@@ -398,32 +395,24 @@ def slice_cone_b(w, tol: float = 1e-9, allow_coincident: bool = False) -> ConeSp
     return kernel.view(kernel.germ_b())
 
 
+def _rotated(j: int, g) -> Tuple[Scalar, Scalar, Scalar]:
+    """The three weights ``g`` rotated to start at g_j: (x, y, z)."""
+    return g[j - 1], g[j % 3], g[(j + 1) % 3]
+
+
 def c_alpha1_coefficient(j: int, w) -> Scalar:
-    """Coefficient of the alpha1-family ray in the slice map at c_j."""
-    check_index(j)
-    g1, g2, g3 = as_gammas(w, n=3, allow_zero=False)
-    if j == 1:
-        return -exact_div(g2, g3) * (g2 + g3)
-    if j == 2:
-        return -exact_div(g3, g1) * (g1 + g3)
-    return -exact_div(g1, g2) * (g1 + g2)
+    """Coefficient of the alpha1-family ray in the slice map at c_j:
+    -(y / z)(y + z) on the weights rotated to start at g_j."""
+    x, y, z = _rotated(check_index(j), as_gammas(w, n=3, allow_zero=False))
+    return -exact_div(y, z) * (y + z)
 
 
 def c_alpha3_form(j: int, w) -> QuadraticForm2:
-    """Quadratic form multiplying the alpha3-family direction at c_j."""
-    check_index(j)
-    g1, g2, g3 = as_gammas(w, n=3, allow_zero=False)
-    if j == 1:
-        return QuadraticForm2(
-            exact_div(g1, g2) * (g1 - g2), exact_div(g1 * g3, g2), exact_div(g3, g2) * (g3 + g2)
-        )
-    if j == 2:
-        return QuadraticForm2(
-            exact_div(g2, g3) * (g2 - g3), exact_div(g1 * g2, g3), exact_div(g1, g3) * (g1 + g3)
-        )
-    return QuadraticForm2(
-        exact_div(g3, g1) * (g3 - g1), exact_div(g2 * g3, g1), exact_div(g2, g1) * (g1 + g2)
-    )
+    """Quadratic form multiplying the alpha3-family direction at c_j:
+    ((x / y)(x - y), xz / y, (z / y)(z + y)) on the weights rotated to
+    start at g_j."""
+    x, y, z = _rotated(check_index(j), as_gammas(w, n=3, allow_zero=False))
+    return QuadraticForm2(exact_div(x, y) * (x - y), exact_div(x * z, y), exact_div(z, y) * (z + y))
 
 
 def c_vertex_criterion(j: int, w) -> Scalar:

@@ -14,7 +14,7 @@ import math
 import sys
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from .su3 import (
     Frozen,
@@ -29,6 +29,7 @@ from .su3 import (
     all_exact,
     check_index,
     check_real,
+    sort_descending,
     third,
     to_positive_chamber,
 )
@@ -117,18 +118,15 @@ E3 = CPPoint.of(0, 0, 1)
 
 
 class Weights(Frozen):
-    """Symplectic weight vector for a product of 2 or 3 projective planes."""
+    """Symplectic weight vector for a product of 2 or 3 projective planes,
+    checked and stored as a tuple by :func:`as_gammas`."""
 
     __slots__ = _fields = ("gammas", "allow_zero")
     gammas: Tuple[Scalar, ...]
     allow_zero: bool
 
-    def __init__(self, gammas: Tuple[Scalar, ...], allow_zero: bool = False):
-        if len(gammas) not in (2, 3):
-            raise LengthMismatch(f"expected 2 or 3 weights, got {len(gammas)}")
-        if not allow_zero and any(g == 0 for g in gammas):
-            raise DegenerateWeight("zero weight; pass allow_zero=True to permit a degenerate factor")
-        _set(self, "gammas", gammas)
+    def __init__(self, gammas: Sequence[Scalar], allow_zero: bool = False):
+        _set(self, "gammas", as_gammas(gammas, allow_zero=allow_zero))
         _set(self, "allow_zero", allow_zero)
 
     @property
@@ -142,7 +140,7 @@ class Weights(Frozen):
 
 def weight_entries(w) -> tuple:
     """The entries of a Weights instance or plain sequence, unchecked."""
-    return tuple(w.gammas) if isinstance(w, Weights) else tuple(w)
+    return w.gammas if isinstance(w, Weights) else tuple(w)
 
 
 def as_gammas(w, n: Optional[int] = None, allow_zero: bool = True) -> Tuple[Scalar, ...]:
@@ -237,8 +235,9 @@ FIXED_CONFIGURATIONS_N2 = {
 }
 
 
-def tripled_fixed_point_diagonals(gammas: Sequence[Scalar]) -> Dict[str, Tuple[Scalar, Scalar, Scalar]]:
-    """Three times the raw diagonals at the representative fixed points.
+def tripled_fixed_point_diagonals(gammas: Sequence[Scalar]) -> Dict[str, Tuple[tuple, Tuple[int, ...]]]:
+    """The anchor table: three times the raw diagonal at each representative
+    fixed point, as the ``(entries, perm)`` of :func:`su3.sort_descending`.
 
     The closed forms of the anchor points, in one place: integer linear forms
     in the weights, so integer weights give integer triples.  For N=3 the
@@ -247,75 +246,29 @@ def tripled_fixed_point_diagonals(gammas: Sequence[Scalar]) -> Dict[str, Tuple[S
     if len(gammas) == 2:
         g1, g2 = gammas
         s = g1 + g2
-        return {"a": (2 * s, -s, -s), "c": (2 * g1 - g2, 2 * g2 - g1, -s)}
-    g1, g2, g3 = gammas
-    s = g1 + g2 + g3
-    return {
-        "a": (2 * s, -s, -s),
-        "b": (2 * g1 - g2 - g3, -g1 + 2 * g2 - g3, -g1 - g2 + 2 * g3),
-        "c1": (2 * g1 - g2 - g3, -g1 + 2 * g2 + 2 * g3, -s),
-        "c2": (-g1 + 2 * g2 - g3, 2 * g1 - g2 + 2 * g3, -s),
-        "c3": (-g1 - g2 + 2 * g3, 2 * g1 + 2 * g2 - g3, -s),
-    }
+        raw = {"a": (2 * s, -s, -s), "c": (2 * g1 - g2, 2 * g2 - g1, -s)}
+    else:
+        g1, g2, g3 = gammas
+        s = g1 + g2 + g3
+        raw = {
+            "a": (2 * s, -s, -s),
+            "b": (2 * g1 - g2 - g3, -g1 + 2 * g2 - g3, -g1 - g2 + 2 * g3),
+            "c1": (2 * g1 - g2 - g3, -g1 + 2 * g2 + 2 * g3, -s),
+            "c2": (-g1 + 2 * g2 - g3, 2 * g1 - g2 + 2 * g3, -s),
+            "c3": (-g1 - g2 + 2 * g3, 2 * g1 + 2 * g2 - g3, -s),
+        }
+    return {k: sort_descending(v) for k, v in raw.items()}
 
 
-def raw_fixed_point_diagonals(w) -> Dict[str, Tuple[Scalar, Scalar, Scalar]]:
-    """Unsorted diagonal momentum values at the representative fixed points.
-
-    A third of :func:`tripled_fixed_point_diagonals`; exact for rational
-    weights.  For N=3 the keys are a, b, c1, c2, c3; for N=2 they are a, c.
+def fixed_point_spectra(w) -> Dict[str, Spectrum]:
+    """Closed-form sorted spectra of the torus-fixed configurations by
+    anchor name: a third of each entry of the anchor table, which keeps the
+    order.  Exact in rational arithmetic for rational weights; the ``a``
+    point always carries a repeated eigenvalue (it sits on a chamber wall).
+    :func:`su3.to_positive_chamber` refuses an entry that overflowed.
     """
-    tripled = tripled_fixed_point_diagonals(as_gammas(w))
-    return {k: (third(x), third(y), third(z)) for k, (x, y, z) in tripled.items()}
-
-
-class N3FixedPoints(Frozen):
-    """Sorted spectra of the five anchor fixed points (N=3)."""
-
-    __slots__ = _fields = ("a", "b", "c1", "c2", "c3")
-    a: Spectrum
-    b: Spectrum
-    c1: Spectrum
-    c2: Spectrum
-    c3: Spectrum
-
-    def __init__(self, a: Spectrum, b: Spectrum, c1: Spectrum, c2: Spectrum, c3: Spectrum):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c1", c1)
-        _set(self, "c2", c2)
-        _set(self, "c3", c3)
-
-    def asdict(self) -> Dict[str, Spectrum]:
-        return {"a": self.a, "b": self.b, "c1": self.c1, "c2": self.c2, "c3": self.c3}
-
-
-class N2FixedPoints(Frozen):
-    """Sorted spectra of the two segment endpoints (N=2)."""
-
-    __slots__ = _fields = ("a", "c")
-    a: Spectrum
-    c: Spectrum
-
-    def __init__(self, a: Spectrum, c: Spectrum):
-        _set(self, "a", a)
-        _set(self, "c", c)
-
-    def asdict(self) -> Dict[str, Spectrum]:
-        return {"a": self.a, "c": self.c}
-
-
-def fixed_point_spectra(w) -> Union[N2FixedPoints, N3FixedPoints]:
-    """Closed-form sorted spectra of the torus-fixed configurations.
-
-    Exact in rational arithmetic for rational weights; the ``a`` point always
-    carries a repeated eigenvalue (it sits on a chamber wall).
-    """
-    raw = raw_fixed_point_diagonals(w)
-    sorted_spectra = {k: to_positive_chamber(v)[0] for k, v in raw.items()}
-    if "b" in sorted_spectra:
-        return N3FixedPoints(**sorted_spectra)
-    return N2FixedPoints(**sorted_spectra)
+    table = tripled_fixed_point_diagonals(as_gammas(w))
+    return {k: to_positive_chamber(tuple(third(x) for x in entries))[0] for k, (entries, _) in table.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,6 @@ from .su3 import (
     lift_2d,
     num_out,
     snap_weights,
-    sort_descending,
     to_chamber,
 )
 
@@ -95,8 +94,8 @@ class InvalidPolytopeDocument(ValueError):
     """A polytope read back from a document of the wrong shape: no object,
     ``vertices``, ``halfplanes`` or a vertex that is no list, a ``kind``
     that is none of Point, Segment and Polygon or does not match the vertex
-    count, a ``label`` that is no string or null, or a ``starred`` that is
-    no bool."""
+    count, a ``label`` that is no string or null, a ``starred`` that is
+    no bool, or a vertex outside the document's own half-planes."""
 
 
 #: The chamber walls l1 >= l2 and l2 >= l3 as lines (a, b, c, provenance).
@@ -288,7 +287,10 @@ class ChamberPolytope(Frozen):
         :class:`InvalidHalfPlane` and a document of any other wrong shape
         :class:`InvalidPolytopeDocument`, each listing its cases.  Each
         error names its field, a missing one reading as None; a missing
-        ``provenance`` reads as "" and a missing ``starred`` as False."""
+        ``provenance`` reads as "" and a missing ``starred`` as False.
+        Every vertex must satisfy the half-planes: exactly for an exact
+        document, within the default tolerance of :meth:`contains`
+        otherwise."""
         doc, lists = InvalidPolytopeDocument, (list, tuple)
         _json_in(d, dict, "polytope", doc)
         corners = []
@@ -315,7 +317,11 @@ class ChamberPolytope(Frozen):
         if n == 0 or kind != ("Point" if n == 1 else "Segment" if n == 2 else "Polygon"):
             raise doc(f"kind is {kind!r}, which does not hold {n} vertices")
         label = _json_in(d.get("label"), (str, type(None)), "label", doc)
-        return cls(tuple(lines), tuple(corners), 1, kind, label, _json_in(d.get("starred", False), bool, "starred", doc))
+        poly = cls(tuple(lines), tuple(corners), 1, kind, label, _json_in(d.get("starred", False), bool, "starred", doc))
+        for i, v in enumerate(poly.vertices):
+            if not (poly.contains(v, 0) if poly.is_exact else poly.contains(v)):
+                raise doc(f"vertex {i} ({', '.join(map(str, v))}) is outside the document's half-planes")
+        return poly
 
 
 def _float_lines(P: ChamberPolytope) -> List[Tuple[Tuple[float, float, float], float]]:
@@ -517,9 +523,9 @@ def build_polytope_n2(w, tol: float = 1e-9) -> ChamberPolytope:
 def _build_n2(ints: Tuple[int, int], den: int) -> ChamberPolytope:
     """:func:`build_polytope_n2` of the snapped weights ``ints`` / ``den``:
     the label from the signs of their transition forms, the anchors from
-    their tripled diagonals, sorted, over 3 * den."""
+    their anchor table over 3 * den."""
     label = _classify_n2(ints).value
-    a, c = (tuple(Fraction(x, 3 * den) for x in sort_descending(v)[0]) for v in tripled_fixed_point_diagonals(ints).values())
+    a, c = (tuple(Fraction(x, 3 * den) for x in entries) for entries, _ in tripled_fixed_point_diagonals(ints).values())
     if a == c:
         return point_polytope(Spectrum._trusted(*a), label)
     return _segment(a, c, "segment", label)

@@ -118,7 +118,7 @@ def _anchor_points(weights) -> Dict[str, Tuple[float, float]]:
     if weights is None:
         return {}
     grouped: Dict[Tuple[float, float], List[str]] = {}
-    for name, spec in fixed_point_spectra(weights).asdict().items():
+    for name, spec in fixed_point_spectra(weights).items():
         c = to_chamber(spec)
         grouped.setdefault((round(c.p, 9), round(c.q, 9)), []).append(name)
     return {"=".join(sorted(names)): key for key, names in grouped.items()}

@@ -41,7 +41,7 @@ def test_criterion_01_fixed_point_spectra_exact():
     ok = True
     for _ in range(100):
         g = random_rational_gammas(rnd)
-        fps = fixed_point_spectra(g).asdict()
+        fps = fixed_point_spectra(g)
         for name, config in configs.items():
             if fps[name] != spectrum(weighted_moment(config, g)):
                 ok = False
@@ -83,7 +83,7 @@ def test_criterion_04_taxonomy_and_combinatorics():
         got_label, _ = classify_n3(gammas)
         poly = build_polytope_n3(gammas)
         verts = {tuple(F(x) for x in v) for v in poly.vertices}
-        fps = fixed_point_spectra(gammas).asdict()
+        fps = fixed_point_spectra(gammas)
         got_extreme = {n for n in ("c1", "c2", "c3") if fps[n] in poly.vertices}
         left = sum(1 for v in poly.vertices if v.l2 == v.l3)
         right = sum(1 for v in poly.vertices if v.l1 == v.l2)

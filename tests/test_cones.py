@@ -36,7 +36,7 @@ from su3poly.cones import (
 )
 from su3poly import polytope
 from su3poly.polytope import AllWeightsDegenerate, build_polytope_n3, polytope_cones
-from su3poly.moment_map import raw_fixed_point_diagonals, tangent_weights
+from su3poly.moment_map import FIXED_CONFIGURATIONS, tangent_weights, weighted_moment
 from su3poly.su3 import SQRT2, SQRT6, InvalidIndex, Root, integer_scaled, lift_2d, sgn
 
 
@@ -358,10 +358,12 @@ class TestAnchorKernel:
 
     @settings(max_examples=100, deadline=None)
     @given(st.tuples(nonzero_rational, nonzero_rational, nonzero_rational))
-    def test_anchors_are_the_closed_forms_on_the_integer_scale(self, g):
+    def test_anchors_are_the_fixed_point_diagonals_on_the_integer_scale(self, g):
         kernel = kernel_of(g)
         assert kernel.gammas == tuple(kernel.scale * x / 3 for x in g)
-        for name, raw in raw_fixed_point_diagonals(g).items():
+        for name, config in FIXED_CONFIGURATIONS.items():
+            m = weighted_moment(config, g)
+            raw = (m.d1, m.d2, m.d3)
             entries, perm = kernel.anchors[name]
             assert entries == tuple(sorted((kernel.scale * x for x in raw), reverse=True))
             assert entries == tuple(kernel.scale * raw[k] for k in perm)

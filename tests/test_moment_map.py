@@ -20,8 +20,8 @@ from su3poly.moment_map import (
     configuration_stabilizer,
     fixed_point_spectra,
     fubini_study_moment,
-    raw_fixed_point_diagonals,
     tangent_weights,
+    tripled_fixed_point_diagonals,
     weighted_moment,
 )
 from su3poly import su3
@@ -127,23 +127,23 @@ class TestWeightedMoment:
 class TestFixedPointSpectra:
     def test_symmetric_case(self):
         fps = fixed_point_spectra((1, 1, 1))
-        assert fps.a.astuple() == (2, -1, -1)
-        assert fps.b.astuple() == (0, 0, 0)
-        assert fps.c1 == fps.c2 == fps.c3
-        assert fps.c1.astuple() == (1, 0, -1)
+        assert fps["a"].astuple() == (2, -1, -1)
+        assert fps["b"].astuple() == (0, 0, 0)
+        assert fps["c1"] == fps["c2"] == fps["c3"]
+        assert fps["c1"].astuple() == (1, 0, -1)
 
     def test_mixed_sign_case(self):
         fps = fixed_point_spectra((4, 2, -1))
-        assert fps.a.astuple() == (F(10, 3), F(-5, 3), F(-5, 3))
-        assert fps.b.astuple() == (F(7, 3), F(1, 3), F(-8, 3))
-        assert fps.c1.astuple() == (F(7, 3), F(-2, 3), F(-5, 3))
-        assert fps.c2.astuple() == (F(4, 3), F(1, 3), F(-5, 3))
-        assert fps.c3.astuple() == (F(13, 3), F(-5, 3), F(-8, 3))
+        assert fps["a"].astuple() == (F(10, 3), F(-5, 3), F(-5, 3))
+        assert fps["b"].astuple() == (F(7, 3), F(1, 3), F(-8, 3))
+        assert fps["c1"].astuple() == (F(7, 3), F(-2, 3), F(-5, 3))
+        assert fps["c2"].astuple() == (F(4, 3), F(1, 3), F(-5, 3))
+        assert fps["c3"].astuple() == (F(13, 3), F(-5, 3), F(-8, 3))
 
     def test_two_factor_case(self):
         fps = fixed_point_spectra((2, 1))
-        assert fps.a.astuple() == (2, -1, -1)
-        assert fps.c.astuple() == (1, 0, -1)
+        assert fps["a"].astuple() == (2, -1, -1)
+        assert fps["c"].astuple() == (1, 0, -1)
 
     def test_matches_direct_momentum_evaluation(self):
         # Closed forms against independent evaluation through the momentum
@@ -158,7 +158,7 @@ class TestFixedPointSpectra:
         }
         for _ in range(100):
             g = random_rational_gammas(rnd)
-            fps = fixed_point_spectra(g).asdict()
+            fps = fixed_point_spectra(g)
             for name, config in configs.items():
                 direct = spectrum(weighted_moment(config, g))
                 assert fps[name] == direct, (g, name)
@@ -167,12 +167,12 @@ class TestFixedPointSpectra:
         rnd = random.Random(99)
         for _ in range(100):
             g = random_rational_gammas(rnd)
-            a = fixed_point_spectra(g).a
+            a = fixed_point_spectra(g)["a"]
             assert a.l1 == a.l2 or a.l2 == a.l3
 
-    def test_raw_diagonals_sum_to_zero(self):
-        for raw in raw_fixed_point_diagonals((4, 2, -1)).values():
-            assert sum(raw) == 0
+    def test_tripled_diagonals_sum_to_zero(self):
+        for entries, _ in tripled_fixed_point_diagonals((4, 2, -1)).values():
+            assert sum(entries) == 0
 
 
 class TestStabilizer:
@@ -231,6 +231,11 @@ class TestWeights:
         assert Weights((F(1, 3), 2, -1)).is_exact
         assert not Weights((0.5, 2, -1)).is_exact
 
+    def test_a_list_is_stored_as_a_tuple(self):
+        w = Weights([4, 2, -1])
+        assert w.gammas == (4, 2, -1)
+        assert hash(w) == hash(Weights((4, 2, -1)))
+
 
 class TestInvalidWeight:
     """Every entry point rejects a bad weight, naming its position."""
@@ -239,6 +244,7 @@ class TestInvalidWeight:
         lambda w: build_polytope(w),
         lambda w: classify_n3(w),
         lambda w: sample_batch(w, 10, 0),
+        lambda w: Weights(w),
     )
 
     def assert_rejected(self, w, position):

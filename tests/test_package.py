@@ -62,8 +62,6 @@ VALUE_CLASSES = [
     (su3.SignedRoot, "sign root", (1, su3.Root.ALPHA2), (-1, su3.Root.ALPHA2)),
     (moment_map.CPPoint, "z1 z2 z3", (1 + 0j, 0j, 0j), (1 + 0j, 0j, 1j)),
     (moment_map.Weights, "gammas allow_zero", ((4, 2, -1), False), ((4, 2, -1), True)),
-    (moment_map.N3FixedPoints, "a b c1 c2 c3", (_S, _T, _S, _T, _S), (_S, _T, _S, _T, _T)),
-    (moment_map.N2FixedPoints, "a c", (_S, _T), (_T, _T)),
     (cones.QuadraticForm2, "A B C", (1, 2, 3), (1, 2, 4)),
     (cones.Generator, "root kind", (su3.Root.ALPHA1, cones.RAY_POS), (su3.Root.ALPHA1, cones.LINE)),
     (cones.ConeSpec, "apex generators weyl_folded side_normal", (_S, (_RAY,), False, None), (_S, (_RAY,), True, None)),

@@ -59,7 +59,7 @@ class TestFixtureTable:
         assert poly.label == label
         assert poly.kind == "Polygon"
         assert vertex_set(poly) == {tuple(F(x) for x in v) for v in vertices}
-        fps = fixed_point_spectra(gammas).asdict()
+        fps = fixed_point_spectra(gammas)
         got_extreme = {name for name in ("c1", "c2", "c3") if fps[name] in poly.vertices}
         assert got_extreme == extreme_cs
         assert fps["a"] in poly.vertices and fps["b"] in poly.vertices
@@ -70,7 +70,7 @@ class TestFixtureTable:
     @pytest.mark.parametrize("gammas", sorted(POLYTOPE_FIXTURES))
     def test_anchors_on_boundary(self, gammas):
         poly = build_polytope_n3(gammas)
-        for name, spec in fixed_point_spectra(gammas).asdict().items():
+        for name, spec in fixed_point_spectra(gammas).items():
             assert poly.contains(spec, 0), (gammas, name)
             assert min(line_values(poly, spec.astuple())) == 0, (gammas, name)
 
@@ -85,7 +85,7 @@ class TestFixtureTable:
     @pytest.mark.parametrize("gammas", sorted(POLYTOPE_FIXTURES) + RANDOM_RATIONALS)
     def test_ordering_ccw_from_a(self, gammas):
         poly = build_polytope_n3(gammas)
-        assert poly.vertices[0] == fixed_point_spectra(gammas).a
+        assert poly.vertices[0] == fixed_point_spectra(gammas)["a"]
         pts = [(c.p, c.q) for c in poly.pq_vertices()]
         area2 = sum(
             pts[i][0] * pts[(i + 1) % len(pts)][1] - pts[(i + 1) % len(pts)][0] * pts[i][1]
@@ -985,8 +985,9 @@ class TestSerialization:
             (lambda d: d.update(label=7), InvalidPolytopeDocument, "label is 7, not a string or null"),
             (lambda d: d["halfplanes"][2].update(provenance=None), InvalidHalfPlane, "half-plane 2 provenance is None, not a string"),
             (lambda d: d["halfplanes"][2].update(provenance=3), InvalidHalfPlane, "half-plane 2 provenance is 3, not a string"),
+            (lambda d: d["vertices"].__setitem__(1, ["10", "-5", "-5"]), InvalidPolytopeDocument, "vertex 1 (10, -5, -5) is outside the document's half-planes"),
         ],
-        ids=["no halfplanes", "no vertices", "vertices 5", "vertex 5", "halfplane 1", "no offset", "no normal", "normal 4", "kind Blob", "no kind", "Point of 4", "Segment of 4", "Polygon of 0", "starred string", "starred 0", "label 7", "provenance None", "provenance 3"],
+        ids=["no halfplanes", "no vertices", "vertices 5", "vertex 5", "halfplane 1", "no offset", "no normal", "normal 4", "kind Blob", "no kind", "Point of 4", "Segment of 4", "Polygon of 0", "starred string", "starred 0", "label 7", "provenance None", "provenance 3", "vertex outside"],
     )
     def test_document_of_the_wrong_shape_is_refused_naming_its_field(self, change, error, message):
         data = json.loads(json.dumps(build_polytope_n3((4, 2, -1)).to_json_dict()))
@@ -1088,7 +1089,7 @@ class TestExactBuilder:
             if poly.kind != "Polygon":
                 continue
             n_starred += poly.starred
-            anchors = set(fixed_point_spectra(gammas).asdict().values())
+            anchors = set(fixed_point_spectra(gammas).values())
             for name, cone in polytope_cones(gammas).items():
                 assert cone is None or cone.apex in anchors, (gammas, name)
         assert n_starred > 400
