@@ -4,9 +4,9 @@ For three weighted planes the closed parameter sector ``g1 >= g2 >= g3`` with
 nonnegative sum splits into eight open regions A..H with a fixed polytope
 shape each, separated by transition hyperplanes (coincident weights, a pair
 summing to zero, one weight equalling the sum of the others, or a zero total)
-that carry their own labels.  Canonicalization records the sorting
-permutation and whether a global sign flip was applied; flipped inputs
-produce the star-reflected polytope.
+that carry their own labels.  Only the label is read from the canonical
+form, sorted and sign-flipped into that sector (:class:`Canonicalization`);
+the builders work on the weights in the caller's order and sign.
 
 Weights pass :func:`su3.snap_weights` once, which snaps floats to the
 transitions they lie on within ``tol`` times the largest weight and returns
@@ -76,9 +76,9 @@ class Canonicalization(Frozen):
     """Sorted, sign-normalised weights plus the bookkeeping to undo it.
 
     ``sorted_gammas[i] == (-1 if starred else 1) * original[permutation[i]]``.
-    ``snapped`` is ``(ints, den)`` from :func:`su3.snap_weights`, ordered and
-    signed as ``sorted_gammas``; it takes no part in comparisons or in the
-    repr.
+    ``snapped`` is ``(ints, den)`` from :func:`su3.snap_weights` in the
+    caller's order and sign, read through ``permutation`` and ``starred``
+    for the label; it takes no part in comparisons or in the repr.
     """
 
     __slots__ = ("sorted_gammas", "permutation", "starred", "snapped")
@@ -117,10 +117,9 @@ def canonicalize(w, tol: float = 1e-9) -> Canonicalization:
     g = as_gammas(w, n=3)
     ints, den = snap_weights(g, tol)
     starred = sum(ints) < 0
-    if starred:
-        g, ints = tuple(-x for x in g), tuple(-n for n in ints)
-    ints, permutation = sort_descending(ints)
-    return Canonicalization(apply_perm(g, permutation), permutation, starred, (ints, den))
+    _, permutation = sort_descending([-n for n in ints] if starred else ints)
+    g = apply_perm(g, permutation)
+    return Canonicalization(tuple(-x for x in g) if starred else g, permutation, starred, (ints, den))
 
 
 def _classify_canonical(ints) -> N3Type:
@@ -176,7 +175,8 @@ def _classify_canonical(ints) -> N3Type:
 def classify_n3(w, tol: float = 1e-9) -> Tuple[N3Type, Canonicalization]:
     """Polytope type of a weight triple plus its canonicalization."""
     can = canonicalize(w, tol)
-    return _classify_canonical(can.snapped[0]), can
+    ints = apply_perm(can.snapped[0], can.permutation)
+    return _classify_canonical([-n for n in ints] if can.starred else ints), can
 
 
 def classify_n2(w, tol: float = 1e-9) -> N2Type:

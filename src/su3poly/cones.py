@@ -10,16 +10,17 @@ generators as well.
 
 The cones are built on one integer scale (:class:`AnchorKernel`).  The
 weights, as :func:`su3.snap_weights` gives them (integers over a
-denominator d), are multiplied by t / 3 with t = 3 d, so the weights and
-the five anchor points scaled by t are integer triples.  Every
-cone decision is the sign of an integer polynomial: the coefficient the
-paper writes down, multiplied by a positive square.  The kernel gives each
-cone as a :class:`Germ`, all integers: the scaled apex, the folded root
-rays, the line root if any and the side of the half-plane cone at ``a``,
-with the star involution of a negative sum applied in integers.  The exact
-builder runs on germs.  A :class:`ConeSpec`, with ``Fraction`` apex entries
-over t and :class:`Generator` objects, is a view of a germ, made for
-output and for the ``slice_cone_*`` functions.  The public coefficient
+denominator d) in the caller's order and sign, are multiplied by t / 3 with
+t = 3 d, so the weights and the five anchor points scaled by t are integer
+triples.  Every cone decision is the sign of an integer polynomial: the
+coefficient the paper writes down, multiplied by a positive square.  The
+kernel gives each cone as a :class:`Germ`, all integers: the scaled apex,
+the folded root rays, the line root if any and the side of the half-plane
+cone at ``a``, with the star involution of a negative sum applied in
+integers; c_j is where factor j sits alone.  The exact builder runs on
+germs.  A :class:`ConeSpec`, with ``Fraction`` apex entries over t and
+:class:`Generator` objects, is a view of a germ, made for output and for
+the ``slice_cone_*`` functions.  The public coefficient
 functions below (:func:`b_slice_coefficients`, :func:`c_alpha3_form`, ...)
 keep the paper's rational forms; the tests check the kernel's signs against
 them.
@@ -334,6 +335,10 @@ class AnchorKernel:
         rays = tuple(apply_perm(v, order) for v in rays)
         line = None if line is None else _LINE_VECTOR[apply_perm(line, order)]
         return Germ(entries, rays, line, None, True)
+
+    def germs(self) -> Dict[str, Optional[Germ]]:
+        """The five germs by anchor name (a, b, c1, c2, c3), None where degenerate."""
+        return {"a": self.germ_a(), "b": self.germ_b(), "c1": self.germ_c(1), "c2": self.germ_c(2), "c3": self.germ_c(3)}
 
     # -- views ---------------------------------------------------------------
 

@@ -202,7 +202,8 @@ def chamber_points_of_spectra(spectra: np.ndarray) -> np.ndarray:
 
 
 class SampleBatch(Frozen):
-    """Reproducible batch of momentum-map spectra."""
+    """Reproducible batch of momentum-map spectra.  Batches compare and hash
+    by the seed, the count and each array's shape, dtype and bytes."""
 
     __slots__ = _fields = ("seed", "count", "spectra", "chamber_points")
     seed: int
@@ -215,6 +216,11 @@ class SampleBatch(Frozen):
         _set(self, "count", count)
         _set(self, "spectra", spectra)
         _set(self, "chamber_points", chamber_points)
+
+    def _values(self) -> tuple:
+        import numpy as np
+
+        return (self.seed, self.count) + tuple((a.shape, a.dtype.str, a.tobytes()) for a in map(np.asarray, (self.spectra, self.chamber_points)))
 
     def csv_rows(self):
         for lam, pq in zip(self.spectra, self.chamber_points):

@@ -17,13 +17,15 @@ path runs no hull algorithm.
 
 The three-factor build is one straight line in integers: one
 :func:`classifier.classify_n3` checks the weights, snaps them once to
-integers (:func:`su3.snap_weights`), canonicalizes them and reads the label
-from the signs of their transition forms; one :class:`cones.AnchorKernel`
-takes the snapped weights on an integer scale t and gives each cone as a
+integers (:func:`su3.snap_weights`) and reads the label from the signs of
+the transition forms of their canonical form; one
+:class:`cones.AnchorKernel` takes the snapped weights, in the caller's
+order and sign, on an integer scale t and gives each cone as a
 :class:`cones.Germ`, or None where the cone degenerates; one line-maker
 turns each germ into lines a*l1 + b*l2 >= c / t with integer c; and the
-vertices come out as integers over m * t.  The two-factor build snaps once
-too and takes its two anchors from the same integers.  A
+vertices come out as integers over m * t.  Each line's provenance names
+the anchor of the weights as given (c_j: factor j alone).  The two-factor
+build snaps once too and takes its two anchors from the same integers.  A
 :class:`ChamberPolytope` stores these lines and vertices over one
 denominator and nothing else (segments, points and float hulls over 1);
 its :class:`su3.Spectrum` vertices and the :class:`cones.ConeSpec` views
@@ -49,7 +51,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classifier import Canonicalization, N3Type, _classify_n2, classify_n3
-from .cones import AnchorKernel, ConeSpec, Germ
+from .cones import AnchorKernel, ConeSpec, Germ, _snapped_kernel
 from .moment_map import DegenerateWeight, as_gammas, tripled_fixed_point_diagonals, weight_entries
 from .su3 import (
     SQRT2,
@@ -64,6 +66,7 @@ from .su3 import (
     _set,
     all_exact,
     chamber_to_spectrum_floats,
+    check_real,
     check_tolerance,
     integer_scaled,
     is_exact,
@@ -79,8 +82,8 @@ class AllWeightsDegenerate(ValueError):
 
 
 class InvalidHullPoints(ValueError):
-    """Points no chamber hull can be made of: none at all, or a hull vertex
-    outside the positive chamber."""
+    """Points no chamber hull can be made of: none at all, a NaN or infinite
+    coordinate, or a hull vertex outside the positive chamber."""
 
 
 class InvalidHalfPlane(ValueError):
@@ -227,8 +230,8 @@ class ChamberPolytope(Frozen):
 
         Exact when the polytope, the point and ``tol == 0`` are all exact:
         one integer sign test per line.  Otherwise the signed distances are
-        floats, each rounded once from its exact value on exact input.
-        """
+        floats, each rounded once from its exact value on exact input (a
+        non-finite entry raises :class:`su3.InvalidWeight`)."""
         check_tolerance(tol)
         triple = s.astuple() if isinstance(s, Spectrum) else tuple(s)
         exact = self.is_exact and all_exact(triple)
@@ -244,6 +247,8 @@ class ChamberPolytope(Frozen):
         if exact:
             values = [g / (3 * d * den) for g in gaps]  # int / int is correctly rounded
         else:
+            for k, v in enumerate(triple):
+                check_real(v, f"point entry {k}")
             x, y, z = map(float, triple)
             values = [n0 * x + n1 * y + n2 * z - offset for (n0, n1, n2), offset in rows]
         slack = tol * (self.diameter() or max(abs(float(x)) for v in self.vertices for x in v))
@@ -418,54 +423,41 @@ _ROOT_LABELS = {root.vector: root.label for root in Root}
 # ---------------------------------------------------------------------------
 
 
-def _germs(can: Canonicalization) -> Tuple[AnchorKernel, Dict[str, Optional[Germ]]]:
-    """The kernel of the snapped canonical weights and its five local cone
-    germs, as the kernel gives them: None where the cone degenerates."""
-    ints, den = can.snapped
-    kernel = AnchorKernel.scaled(ints, 3 * den)
-    return kernel, {"a": kernel.germ_a(), "b": kernel.germ_b(), "c1": kernel.germ_c(1), "c2": kernel.germ_c(2), "c3": kernel.germ_c(3)}
-
-
 def polytope_cones(w, tol: float = 1e-9) -> Dict[str, Optional[ConeSpec]]:
     """The five local cones of the polytope of three nonzero weights, as
     :class:`ConeSpec` views of the builder's germs; None where degenerate.
-    Starred weights get the star images, as their polytope does, so every
-    apex is an anchor spectrum of ``w`` itself.
-    """
-    label, can = classify_n3(w, tol)
-    if label is N3Type.DEGENERATE_ZERO_WEIGHT:
-        raise DegenerateWeight(f"weights {can.restore()} have a zero within tolerance")
-    kernel, germs = _germs(can)
-    return {name: None if g is None else kernel.view(g.star() if can.starred else g) for name, g in germs.items()}
+    Each sits at the anchor of ``w`` as given that names it, as in
+    ``slice_cone_*`` and :func:`moment_map.fixed_point_spectra`."""
+    kernel = _snapped_kernel(w, tol)
+    return {name: None if g is None else kernel.view(g) for name, g in kernel.germs().items()}
 
 
 def build_polytope_n3(w, tol: float = 1e-9) -> ChamberPolytope:
     """Momentum polytope of three weighted planes with nonzero weights.
 
-    Canonicalizes the weights (sort, sign-flip), intersects the wall and cone
-    half-planes exactly, and star-reflects the result when the sign was
-    flipped.  The returned label is the taxonomy type of the input.
+    Intersects the wall and cone half-planes of the weights as given
+    exactly.  The returned label is the taxonomy type of the input, and
+    ``starred`` says whether its canonical form flipped the sign.
     """
     label, can = classify_n3(w, tol)
-    if any(x == 0 for x in can.sorted_gammas):
-        raise DegenerateWeight("zero weight: use build_polytope for the delegated shape")
+    if label is N3Type.DEGENERATE_ZERO_WEIGHT:
+        raise DegenerateWeight(f"weights {can.restore()} have a zero within tolerance: use build_polytope for the delegated shape")
     return _build_n3(label, can)
 
 
 def _build_n3(label: N3Type, can: Canonicalization) -> ChamberPolytope:
-    """:func:`build_polytope_n3` of weights through :func:`classify_n3`.
+    """:func:`build_polytope_n3` of weights through :func:`classify_n3`,
+    none of them snapped to zero.
 
-    The classification's one canonicalization gives the label and the
-    snapped weights; one kernel gives the cone germs, None where a cone
-    degenerates, the germs give integer lines, and the vertices are solved
-    in integers on the kernel's scale.  The polytope stores the lines and
-    vertices over one denominator; starred weights get its star image.
+    The classification gives the label and the snapped weights; one kernel
+    gives the cone germs, None where a cone degenerates, the germs give
+    integer lines, and the vertices are solved in integers on the kernel's
+    scale.  The polytope stores the lines and vertices over one denominator.
     """
-    if label is N3Type.DEGENERATE_ZERO_WEIGHT:
-        raise DegenerateWeight("weight vanishes within tolerance")
-    kernel, germs = _germs(can)
+    ints, den = can.snapped
+    kernel = AnchorKernel.scaled(ints, 3 * den)
     lines = list(_WALLS)
-    for name, germ in germs.items():
+    for name, germ in kernel.germs().items():
         if germ is not None:
             lines.extend(_germ_lines(germ, name))
     hull, m = _integer_vertices([line[:3] for line in lines])
@@ -477,8 +469,7 @@ def _build_n3(label: N3Type, can: Canonicalization) -> ChamberPolytope:
         hull = hull[i:] + hull[:i]
     lines = tuple((a, b, c * m, provenance) for a, b, c, provenance in lines)
     # the vertices satisfy both walls and sum to zero by construction
-    polytope = ChamberPolytope(lines, tuple((x, y, -x - y) for x, y in hull), m * kernel.scale, "Polygon", label.value)
-    return polytope.star() if can.starred else polytope
+    return ChamberPolytope(lines, tuple((x, y, -x - y) for x, y in hull), m * kernel.scale, "Polygon", label.value, can.starred)
 
 
 def _segment(a: Sequence[Scalar], c: Sequence[Scalar], tag: str, label: Optional[str] = None) -> ChamberPolytope:
@@ -540,11 +531,9 @@ def build_polytope(w, tol: float = 1e-9) -> ChamberPolytope:
     """
     entries = weight_entries(w)
     if len(entries) == 3:
-        # classify_n3 is the one check and the one snap of three weights;
-        # its snapped weights are canonical, so undo the sign flip
+        # classify_n3 is the one check and the one snap of three weights
         label, can = classify_n3(entries, tol)
         ints, den = can.snapped
-        ints = tuple(-n if can.starred else n for n in ints)
     else:
         ints, den = snap_weights(as_gammas(entries), tol)
     nz = tuple(n for n in ints if n)
@@ -645,8 +634,9 @@ def hull2d(points, eps: float = 1e-9) -> ChamberPolytope:
     against (no absolute floor, so ``hull2d(t * points)`` is ``t`` times the
     hull).  The filter drops only points strictly inside the hull, which
     never change the quickhull's vertices, so they are the same without it.
-    No points, or a hull vertex outside the chamber (beyond the slack that
-    :class:`su3.Spectrum` allows), raise :class:`InvalidHullPoints`, and an
+    No points, a non-finite point or a hull vertex outside the chamber
+    (beyond the slack that :class:`su3.Spectrum` allows), raise
+    :class:`InvalidHullPoints`, naming the point, and an
     ``eps`` that :func:`su3.check_tolerance` refuses raises its error.
     """
     import numpy as np
@@ -657,6 +647,9 @@ def hull2d(points, eps: float = 1e-9) -> ChamberPolytope:
     if arr.size == 0:
         raise InvalidHullPoints("hull2d needs at least one point")
     scale = float(np.abs(arr).max())
+    if not math.isfinite(scale):
+        i = int(np.argmin(np.isfinite(arr).all(axis=1)))
+        raise InvalidHullPoints(f"point {i} (p, q) = {tuple(arr[i].tolist())} is not finite")
     hull = _quickhull(_extreme_point_filter(arr, eps * scale * scale), eps * scale).tolist()
 
     # the chamber is convex, so the cloud lies in it iff every hull vertex does
@@ -710,6 +703,8 @@ def _distances(points, verts) -> List[float]:
 
 def distance_to_polytope_pq(point, P: ChamberPolytope) -> float:
     """Euclidean distance from an embedding point to a convex polytope."""
+    for k in (0, 1):
+        check_real(point[k], f"point coordinate {k}")  # raises InvalidWeight
     return _distances([(float(point[0]), float(point[1]))], _pq_array(P))[0]
 
 

@@ -33,6 +33,12 @@ SQRT6 = math.sqrt(6.0)
 SUM_TOL = 1e-9
 
 
+def _sum_slack(entries: Sequence[Scalar]) -> Scalar:
+    """The one sum-zero rule, of :class:`Spectrum` and :meth:`Hermitian3.diag`:
+    0 for exact entries, else ``SUM_TOL`` times the largest, with no floor."""
+    return 0 if all_exact(entries) else SUM_TOL * max(abs(x) for x in entries)
+
+
 class SumNotZero(ValueError):
     """A would-be spectrum whose entries do not sum to zero."""
 
@@ -236,9 +242,9 @@ class Frozen:
     order, and sets them in an explicit ``__init__`` through :func:`_set`
     (``object.__setattr__``); it declares ``__slots__`` unless a
     ``cached_property`` needs an instance ``__dict__``.  The base gives it
-    equality and a hash over those fields, a repr ``Name(field=value, ...)``
-    and an ``AttributeError`` on assignment or deletion; pickle and copy
-    rebuild through the constructor.
+    equality and a hash over ``_values()`` (those fields, unless overridden),
+    a repr ``Name(field=value, ...)`` and an ``AttributeError`` on
+    assignment or deletion; pickle and copy rebuild through the constructor.
 
     Plain classes rather than dataclasses: the ``dataclasses`` module, with
     the ``inspect`` and ``ast`` it loads, and the methods it generates with
@@ -272,7 +278,7 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return (self.__class__, self._values())
+        return (self.__class__, tuple([getattr(self, name) for name in self._fields]))
 
 
 #: Sets a field of a :class:`Frozen` instance past its ``__setattr__``.
@@ -306,15 +312,9 @@ class Spectrum(Frozen):
         _set(self, "l1", l1)
         _set(self, "l2", l2)
         _set(self, "l3", l3)
-        if all_exact((l1, l2, l3)):
-            # exact entries need no slack, and no scale to compute it from
-            if not l1 >= l2 >= l3:
-                raise NotSorted(f"spectrum not sorted: {(l1, l2, l3)}")
-            if l1 + l2 + l3 != 0:
-                raise SumNotZero(f"spectrum does not sum to zero: {(l1, l2, l3)}")
-            return
-        slack = SUM_TOL * max(abs(l1), abs(l2), abs(l3))
-        if not (l1 >= l2 - slack and l2 >= l3 - slack):
+        slack = _sum_slack((l1, l2, l3))
+        # sorted exactly, or (for floats) within the slack of the sum
+        if not (l1 >= l2 >= l3 or slack and l1 >= l2 - slack and l2 >= l3 - slack):
             raise NotSorted(f"spectrum not sorted: {(l1, l2, l3)}")
         if abs(l1 + l2 + l3) > slack:
             raise SumNotZero(f"spectrum does not sum to zero: {(l1, l2, l3)}")
@@ -375,16 +375,16 @@ def chamber_to_spectrum_floats(p: float, q: float) -> Tuple[float, float, float]
     return (l1, l2, l3)
 
 
-def to_positive_chamber(raw: Sequence[Scalar], tol: float = SUM_TOL):
+def to_positive_chamber(raw: Sequence[Scalar]):
     """Sort a sum-zero triple into the chamber, reporting the permutation.
 
     Returns ``(Spectrum, perm)`` where ``sorted[i] == raw[perm[i]]``.  Among
     permutations achieving the descending order (ties) the lexicographically
     smallest index tuple is reported.  Raises :class:`SumNotZero` when the
-    input does not sum to zero (exactly for exact input, within ``tol``
-    relative to scale only otherwise), :class:`LengthMismatch` when it is
-    no triple, and :class:`InvalidWeight`, naming the entry, for a NaN, an
-    infinity, a bool or a non-number.
+    input does not sum to zero (the :class:`Spectrum` test),
+    :class:`LengthMismatch` when it is no triple, and
+    :class:`InvalidWeight`, naming the entry, for a NaN, an infinity, a
+    bool or a non-number.
     """
     raw = tuple(raw)
     if len(raw) != 3:
@@ -393,9 +393,6 @@ def to_positive_chamber(raw: Sequence[Scalar], tol: float = SUM_TOL):
         # the exact types need no check, and fixed_point_spectra sorts them often
         if type(x) is not int and type(x) is not Fraction:
             check_real(x, f"spectrum entry {k}")
-    total = raw[0] + raw[1] + raw[2]
-    if abs(total) > (0 if all_exact(raw) else tol * max(abs(x) for x in raw)):
-        raise SumNotZero(f"sum is {total}")
     entries, perm = sort_descending(raw)
     return Spectrum(*entries), perm
 
@@ -436,10 +433,6 @@ def lift_2d(a: Scalar, b: Scalar) -> Tuple[Scalar, Scalar, Scalar]:
 # ---------------------------------------------------------------------------
 
 
-def _is_zero(z) -> bool:
-    return z == 0
-
-
 class Hermitian3(Frozen):
     """Trace-zero 3x3 Hermitian matrix.
 
@@ -468,7 +461,7 @@ class Hermitian3(Frozen):
 
     @classmethod
     def diag(cls, a: Scalar, b: Scalar, c: Scalar) -> "Hermitian3":
-        if abs(a + b + c) > (0 if all_exact((a, b, c)) else SUM_TOL * max(abs(a), abs(b), abs(c))):
+        if abs(a + b + c) > _sum_slack((a, b, c)):
             raise SumNotZero(f"diagonal sums to {a + b + c}")
         return cls(a, b)
 
@@ -500,7 +493,7 @@ class Hermitian3(Frozen):
 
     @property
     def is_diagonal(self) -> bool:
-        return _is_zero(self.off12) and _is_zero(self.off13) and _is_zero(self.off23)
+        return self.off12 == self.off13 == self.off23 == 0
 
     def __add__(self, other: "Hermitian3") -> "Hermitian3":
         return Hermitian3(
@@ -556,7 +549,7 @@ class SkewHermitian3(Frozen):
 
     @property
     def is_diagonal(self) -> bool:
-        return _is_zero(self.off12) and _is_zero(self.off13) and _is_zero(self.off23)
+        return self.off12 == self.off13 == self.off23 == 0
 
 
 #: Cartan basis of diagonal skew-Hermitian generators.

@@ -5,6 +5,7 @@ construction and cross-checked against the published transition figures; the
 Monte Carlo suite re-validates them statistically.
 """
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -110,6 +111,10 @@ POLYTOPE_FIXTURES = {
 }
 
 GENERIC_FIXTURES = {g: v for g, v in POLYTOPE_FIXTURES.items() if len(v[0]) == 1}
+
+#: Every order and sign of every ``POLYTOPE_FIXTURES`` weight, each once:
+#: the frames in which a cone or a line must name the caller's anchor.
+FIXTURE_ORDERS_AND_SIGNS = sorted({tuple(s * g for g in p) for gammas in POLYTOPE_FIXTURES for p in itertools.permutations(gammas) for s in (1, -1)})
 
 # (gammas, label, endpoint a, endpoint c, a on wall, c on wall)
 N2_FIXTURES = [

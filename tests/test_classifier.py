@@ -60,13 +60,18 @@ class TestCanonicalize:
             assert [(type(x), math.copysign(1, x)) for x in back] == [(type(x), math.copysign(1, x)) for x in g]
             assert back == g
 
-    def test_snapped_are_the_sorted_weights_as_snapped(self):
+    def test_snapped_are_the_weights_as_given_as_snapped(self):
+        # in the caller's order and sign; read through the permutation and
+        # the flip they are the sorted weights as snapped
         rnd = random.Random(4)
-        for g in [random_rational_gammas(rnd) for _ in range(50)] + [(3.0, 1.0, 1.0000000000000002), (-2, 1.1, 0.9)]:
+        for g in [random_rational_gammas(rnd) for _ in range(50)] + [(3.0, 1.0, 1.0000000000000002), (-2, 1.1, 0.9), (0.9, -2, 1.1)]:
             can = canonicalize(g)
             ints, den = can.snapped
-            assert (ints, den) == snap_weights(can.sorted_gammas, 1e-9)
-            assert list(ints) == sorted(ints, reverse=True)
+            assert (ints, den) == snap_weights(g, 1e-9)
+            sign = -1 if can.starred else 1
+            canonical = [sign * ints[k] for k in can.permutation]
+            assert (canonical, den) == (list(snap_weights(can.sorted_gammas, 1e-9)[0]), snap_weights(can.sorted_gammas, 1e-9)[1])
+            assert canonical == sorted(canonical, reverse=True)
             assert classify_n3(g)[1] == can
 
     def test_zero_sum_not_flipped(self):

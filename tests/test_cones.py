@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GENERIC_FIXTURES, POLYTOPE_FIXTURES, random_rational_gammas
-from su3poly.classifier import canonicalize, classify_n3
+from conftest import FIXTURE_ORDERS_AND_SIGNS, GENERIC_FIXTURES, POLYTOPE_FIXTURES, random_rational_gammas
+from su3poly.classifier import classify_n3
 from su3poly.cones import (
     LINE,
     AnchorKernel,
@@ -23,6 +23,7 @@ from su3poly.cones import (
     OnWall,
     QuadraticForm2,
     ZeroSum,
+    _snapped_kernel,
     a_discriminant,
     a_slice_form,
     b_slice_coefficients,
@@ -36,7 +37,7 @@ from su3poly.cones import (
 )
 from su3poly import polytope
 from su3poly.polytope import AllWeightsDegenerate, build_polytope_n3, polytope_cones
-from su3poly.moment_map import FIXED_CONFIGURATIONS, tangent_weights, weighted_moment
+from su3poly.moment_map import FIXED_CONFIGURATIONS, fixed_point_spectra, tangent_weights, weighted_moment
 from su3poly.su3 import SQRT2, SQRT6, InvalidIndex, Root, integer_scaled, lift_2d, sgn
 
 
@@ -235,6 +236,19 @@ def _one_float_weight_per_label():
 
 ONE_FLOAT_WEIGHT_PER_LABEL = _one_float_weight_per_label()
 
+#: Each fixture weight reversed and negated: unsorted, and starred unless its sum is zero.
+REVERSED_NEGATED_FIXTURES = [tuple(-g for g in reversed(gammas)) for gammas in sorted(POLYTOPE_FIXTURES)]
+
+#: Each anchor's slice cone as a function of the weights; b takes the
+#: one-sided limit at coincident weights, as the builder does.
+SLICE_CONES = {
+    "a": slice_cone_a,
+    "b": lambda w: slice_cone_b(w, allow_coincident=True),
+    "c1": lambda w: slice_cone_c(1, w),
+    "c2": lambda w: slice_cone_c(2, w),
+    "c3": lambda w: slice_cone_c(3, w),
+}
+
 
 def in_cone(cone, s):
     """Whether the triple ``s`` lies in the cone ``apex + cone(generators)``
@@ -258,8 +272,8 @@ def in_cone(cone, s):
 class TestConesBoundPolytope:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_polytope_inside_every_cone(self, sign):
-        # the cones of starred weights are the star images of the canonical
-        # cones, as the polytope is
+        # the cones of negative-sum weights are built on those weights, as
+        # their polytope is
         for gammas in POLYTOPE_FIXTURES:
             w = tuple(sign * g for g in gammas)
             poly = build_polytope_n3(w)
@@ -276,11 +290,13 @@ class TestConesBoundPolytope:
         outside = [tuple(a - sum(g.vector[k] for g in cone.generators) for k, a in enumerate(apex))]
         assert all(in_cone(cone, s) for s in inside) and not any(in_cone(cone, s) for s in outside)
 
-    @pytest.mark.parametrize("gammas", sorted(POLYTOPE_FIXTURES) + ONE_FLOAT_WEIGHT_PER_LABEL)
+    @pytest.mark.parametrize("gammas", sorted(POLYTOPE_FIXTURES) + ONE_FLOAT_WEIGHT_PER_LABEL + REVERSED_NEGATED_FIXTURES)
     def test_each_cone_is_its_germs_view(self, gammas):
         # apex over the kernel's scale, the rays then the line as
-        # generators, the side as its sum-zero normal
-        kernel, germs = polytope._germs(canonicalize(gammas))
+        # generators, the side as its sum-zero normal, on the kernel of the
+        # weights as given
+        kernel = _snapped_kernel(gammas, 1e-9)
+        germs = kernel.germs()
         cones = polytope_cones(gammas)
         assert list(cones) == list(germs)
         for name, germ in germs.items():
@@ -295,20 +311,38 @@ class TestConesBoundPolytope:
             assert cone.side_normal == (None if germ.side is None else lift_2d(*germ.side))
             assert cone.weyl_folded == germ.folded
 
-    @pytest.mark.parametrize("gammas", sorted(POLYTOPE_FIXTURES) + ONE_FLOAT_WEIGHT_PER_LABEL)
+    @pytest.mark.parametrize("gammas", sorted(POLYTOPE_FIXTURES) + ONE_FLOAT_WEIGHT_PER_LABEL + REVERSED_NEGATED_FIXTURES)
     def test_builder_lines_are_the_walls_and_the_germ_lines(self, gammas):
         # in the same order, over one denominator, and read as half-planes
-        # with the offsets c / t of the kernel's scale t
-        kernel, germs = polytope._germs(canonicalize(gammas))
+        # with the offsets c / t of the scale t of the kernel of the weights
+        # as given
+        kernel = _snapped_kernel(gammas, 1e-9)
         expected = [(1, -1, 0, "wall:l1=l2"), (1, 2, 0, "wall:l2=l3")]
-        for name, germ in germs.items():
+        for name, germ in kernel.germs().items():
             if germ is not None:
                 expected += polytope._germ_lines(germ, name)
-        poly = build_polytope_n3(canonicalize(gammas).sorted_gammas)
+        poly = build_polytope_n3(gammas)
         m, rest = divmod(poly.den, kernel.scale)
         assert rest == 0
         assert poly.lines == tuple((a, b, c * m, p) for a, b, c, p in expected)
         assert [(a, b, F(c, poly.den), p) for a, b, c, p in poly.lines] == [(a, b, F(c, kernel.scale), p) for a, b, c, p in expected]
+
+    def test_every_cone_sits_at_the_anchor_it_names(self):
+        # in every order and sign: c_j is the anchor where factor j sits alone
+        for w in FIXTURE_ORDERS_AND_SIGNS:
+            anchors = fixed_point_spectra(w)
+            for name, cone in polytope_cones(w).items():
+                assert cone is None or cone.apex == anchors[name], (w, name)
+
+    def test_cones_are_the_slice_cones_of_the_weights_as_given(self):
+        for w in FIXTURE_ORDERS_AND_SIGNS:
+            expected = {}
+            for name, slice_cone in SLICE_CONES.items():
+                try:
+                    expected[name] = slice_cone(w)
+                except (OnWall, ZeroSum):
+                    expected[name] = None
+            assert polytope_cones(w) == expected, w
 
     @pytest.mark.parametrize(
         "germ, match",

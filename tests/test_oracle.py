@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import re
 import sys
 import threading
@@ -94,6 +96,18 @@ class TestSampling:
         b2 = sample_batch((1, 1, 1), 3000, 7)
         assert np.array_equal(b1.spectra, b2.spectra)
         assert np.array_equal(b1.chamber_points, b2.chamber_points)
+
+    def test_batches_compare_and_hash_by_their_arrays(self):
+        # equality once asked numpy for the truth value of an array
+        a, b = sample_batch((4, 2, -1), 10, 0), sample_batch((4, 2, -1), 10, 0)
+        other_seed = sample_batch((4, 2, -1), 10, 1)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != other_seed and not a == other_seed
+        assert a != sample_batch((4, 2, -1), 11, 0)
+        assert len({a, b, other_seed}) == 2
+        for back in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert back == a and hash(back) == hash(a)
+            assert np.array_equal(back.spectra, a.spectra) and np.array_equal(back.chamber_points, a.chamber_points)
 
     def test_block_prefix_property(self):
         # results do not depend on how many samples were requested

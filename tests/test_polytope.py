@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import N2_FIXTURES, POLYTOPE_FIXTURES, random_rational_gammas
+from conftest import FIXTURE_ORDERS_AND_SIGNS, N2_FIXTURES, POLYTOPE_FIXTURES, random_rational_gammas
 from su3poly import classifier, moment_map, oracle, polytope
 from su3poly.classifier import GENERIC_N3, classify_n3
 from su3poly.cones import AnchorKernel, ConeSpec, Germ
@@ -227,6 +227,12 @@ class TestContains:
         monkeypatch.setattr(F, "__new__", counted)
         assert [poly.contains(s, 0) for s in probes] == [True] * 4 + [False, True]
         assert made == []
+
+    @pytest.mark.parametrize("point, k", [((math.nan, 0.0, 0.0), 0), ((1, 0.0, math.inf), 2), ((0.5, -math.inf, 0), 1)], ids=repr)
+    def test_non_finite_point_is_named(self, point, k):
+        # a NaN point was once reported outside: every comparison with NaN is False
+        with pytest.raises(InvalidWeight, match=re.escape(f"point entry {k} is {point[k]!r}, not finite")):
+            build_polytope_n3((4, 2, -1)).contains(point)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1, -1e-300, True, False, "0", None, 1j])
     def test_tolerance_is_checked(self, tol):
@@ -579,6 +585,20 @@ class TestHull2d:
             with pytest.raises(InvalidHullPoints, match=re.escape(f"({outside[0]!r}, {outside[1]!r})")):
                 hull2d([(0.5, 1.0), (1.0, 3.0), outside, (0.25, 1.5)])
 
+    def test_non_finite_point_in_a_list_is_named(self):
+        # numpy's reduction once raised a bare ValueError here
+        with pytest.raises(InvalidHullPoints, match=re.escape("point 1 (p, q) = (nan, 2.0) is not finite")):
+            hull2d([(0.1, 1.0), (math.nan, 2.0), (0.5, 3.0)])
+
+    def test_non_finite_row_of_an_array_is_named(self):
+        # a NaN row was once left out of the hull without a word
+        pts = np.array([(0.1, 1.0), (0.5, 3.0), (0.2, 2.0), (0.3, 2.0)])
+        for bad, name in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+            cloud = pts.copy()
+            cloud[2, 1] = bad
+            with pytest.raises(InvalidHullPoints, match=re.escape(f"point 2 (p, q) = (0.2, {name}) is not finite")):
+                hull2d(cloud)
+
     def test_chamber_slack_is_the_spectrum_slack(self):
         # a wall point off by rounding is in the chamber, as for Spectrum
         hull = hull2d([(-1e-12, 1.0), (0.5, 1.0), (0.5, 2.0)])
@@ -823,6 +843,12 @@ class TestDistances:
             assert got[len(verts)] == 0.0
             assert not any(got[: len(verts)])
 
+    @pytest.mark.parametrize("point, k", [((math.nan, 1.0), 0), ((1.0, math.inf), 1), ((True, 1.0), 0)], ids=repr)
+    def test_point_that_is_no_finite_real_is_named(self, point, k):
+        # a NaN point was once at distance 0.0
+        with pytest.raises(InvalidWeight, match=f"^point coordinate {k} is {re.escape(repr(point[k]))}, not"):
+            polytope.distance_to_polytope_pq(point, build_polytope((4, 2, -1)))
+
     def test_hausdorff_is_the_loop_over_vertices(self):
         P, Q = build_polytope((4, 2, -1)), build_polytope((3, -1, -2))
         p, q = polytope._pq_array(P), polytope._pq_array(Q)
@@ -1025,7 +1051,11 @@ class TestSerialization:
         assert starred.lines == tuple((a, a - b, c, p) for a, b, c, p in poly.lines)
         assert [v.astuple() for v in starred.vertices] == [tuple(star_involution(v)) for v in poly.vertices[:1] + poly.vertices[:0:-1]]
         assert starred.star() == poly
-        assert build_polytope_n3((-4, -2, 1)) == starred
+        # built on (-4, -2, 1) itself: the same polygon and half-planes, in
+        # another order and named by the anchors of (-4, -2, 1)
+        built = build_polytope_n3((-4, -2, 1))
+        assert (built.corners, built.den, built.label, built.starred) == (starred.corners, starred.den, starred.label, starred.starred)
+        assert sorted(line[:3] for line in built.lines) == sorted(line[:3] for line in starred.lines)
 
     def test_deterministic_serialization(self):
         a = json.dumps(build_polytope_n3((4, 2, -1)).to_json_dict(), sort_keys=True)
@@ -1034,9 +1064,15 @@ class TestSerialization:
 
 
 #: sha256 of the JSON form of the exact polytope of every weight of
-#: ``_digest_weights``, pinned on the builder that went through ConeSpec
-#: objects; the germ builder must reproduce every output byte for byte.
-EXACT_DIGEST = "a5426cced6f8d23a0fccb607af93b5d12fdef3f4cda559e486cc1f3f20ee48ba"
+#: ``_digest_weights``, half-planes in the builder's order with the
+#: provenance of the weights as given.
+EXACT_DIGEST = "7b04e1fd8e0b16c55dd9fee8cdb433bf867abf200731b111fd627dd22533b2bf"
+
+#: sha256 of what of each polytope of ``_digest_weights`` is the same in any
+#: frame of the weights: label, starred flag, kind, denominator, the vertices
+#: in order and the sorted (a, b, c) of the lines.  Pinned on the builder that
+#: built on the canonical weights and star-reflected the result.
+FRAME_FREE_DIGEST = "869292da5a9b0aa05aa8c6f11740bc7f08ec3a0987f4486cc4a5b01e04239945"
 
 
 def _digest_weights():
@@ -1056,30 +1092,57 @@ class TestExactBuilder:
             h.update(json.dumps(out, sort_keys=True).encode())
         assert h.hexdigest() == EXACT_DIGEST
 
+    def test_frame_free_outputs_match_the_pinned_digest(self):
+        h = hashlib.sha256()
+        for gammas in _digest_weights():
+            try:
+                poly = build_polytope(gammas)
+                out = {
+                    "label": poly.label,
+                    "starred": poly.starred,
+                    "kind": poly.kind,
+                    "den": poly.den,
+                    "corners": [[str(x) for x in v] for v in poly.corners],
+                    "lines": [[str(x) for x in line] for line in sorted(line[:3] for line in poly.lines)],
+                }
+            except ValueError as exc:
+                out = {"error": type(exc).__name__}
+            h.update(json.dumps(out, sort_keys=True).encode())
+        assert h.hexdigest() == FRAME_FREE_DIGEST
+
     def test_kernel_germs_are_none_exactly_where_their_forms_vanish(self):
-        # on the snapped canonical weights: c1 on t1 or z23, c2 on t2 or
-        # z13, c3 never, a on a zero total
+        # on the snapped weights as given, in any order and sign: c_j where
+        # g_j equals the sum of the others or they sum to zero, a on a zero
+        # total
         n_none = Counter()
-        for gammas in _digest_weights() + sorted(POLYTOPE_FIXTURES):
+        for gammas in _digest_weights() + FIXTURE_ORDERS_AND_SIGNS:
             label, can = classify_n3(gammas)
             if label is classifier.N3Type.DEGENERATE_ZERO_WEIGHT:
                 continue
-            (g1, g2, g3), den = can.snapped
-            kernel = AnchorKernel.scaled((g1, g2, g3), 3 * den)
-            expected = {
-                "c1": g1 - g2 - g3 == 0 or g2 + g3 == 0,
-                "c2": g2 - g1 - g3 == 0 or g1 + g3 == 0,
-                "c3": False,
-                "a": g1 + g2 + g3 == 0,
-            }
+            ints, den = can.snapped
+            kernel = AnchorKernel.scaled(ints, 3 * den)
+            total = sum(ints)
+            expected = {f"c{j}": 2 * g == total or g == total for j, g in enumerate(ints, 1)}
+            expected["a"] = total == 0
             got = {"c1": kernel.germ_c(1), "c2": kernel.germ_c(2), "c3": kernel.germ_c(3), "a": kernel.germ_a()}
             assert {name: germ is None for name, germ in got.items()} == expected, gammas
             n_none.update(name for name, vanishes in expected.items() if vanishes)
-        assert min(n_none[name] for name in ("c1", "c2", "a")) > 20
+        assert min(n_none.values()) > 20
+
+    def test_every_cone_line_passes_through_the_anchor_it_names(self):
+        # in every order and sign: the provenance "c2:edge" names c2 of the
+        # weights as given, where factor 2 sits alone
+        for w in FIXTURE_ORDERS_AND_SIGNS:
+            poly = build_polytope_n3(w)
+            anchors = fixed_point_spectra(w)
+            for a, b, c, provenance in poly.lines:
+                if not provenance.startswith("wall:"):
+                    s = anchors[provenance.split(":")[0]]
+                    assert a * s.l1 + b * s.l2 == F(c, poly.den), (w, provenance)
 
     def test_emitted_cone_apexes_are_anchor_spectra_of_the_weights(self):
-        # starred weights included: their cones are star-reflected with
-        # their polytope, so no apex is an anchor of the canonical weights only
+        # starred weights included: their cones are built on them, as their
+        # polytope is, so no apex is an anchor of the canonical weights only
         n_starred = 0
         for gammas in _digest_weights():
             try:

@@ -207,6 +207,18 @@ class TestPositiveChamber:
         with pytest.raises(SumNotZero):
             to_positive_chamber((1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("raw", [(1.0, 0.0, -1.0 + 1e-12), (1.0, 0.0, -1.0 + 1e-7), (0.0, 1.0, -1.0 - 1e-7), (F(1, 3), 0, F(-1, 3)), (0, 1, 0)])
+    def test_sum_test_is_the_spectrum_test(self, raw):
+        # one rule: the sorted triple is accepted exactly when Spectrum accepts it
+        entries = sorted(raw, reverse=True)
+        try:
+            expected = Spectrum(*entries)
+        except SumNotZero as exc:
+            with pytest.raises(SumNotZero, match=re.escape(str(exc))):
+                to_positive_chamber(raw)
+        else:
+            assert to_positive_chamber(raw)[0] == expected
+
     @pytest.mark.parametrize("raw", [(), (1, -1), (1, 0, 0, -1)])
     def test_no_triple_is_a_length_mismatch(self, raw):
         with pytest.raises(LengthMismatch, match=f"got {len(raw)} entries"):
