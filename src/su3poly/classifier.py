@@ -114,12 +114,17 @@ def canonicalize(w, tol: float = 1e-9) -> Canonicalization:
     recorded permutation is the lexicographically smallest one realising
     the descending order.
     """
+    return _canonicalize(w, tol)[0]
+
+
+def _canonicalize(w, tol: float) -> Tuple[Canonicalization, Tuple[int, ...]]:
+    """:func:`canonicalize` and the snapped integers in canonical form."""
     g = as_gammas(w, n=3)
     ints, den = snap_weights(g, tol)
     starred = sum(ints) < 0
-    _, permutation = sort_descending([-n for n in ints] if starred else ints)
+    canonical, permutation = sort_descending([-n for n in ints] if starred else ints)
     g = apply_perm(g, permutation)
-    return Canonicalization(tuple(-x for x in g) if starred else g, permutation, starred, (ints, den))
+    return Canonicalization(tuple(-x for x in g) if starred else g, permutation, starred, (ints, den)), canonical
 
 
 def _classify_canonical(ints) -> N3Type:
@@ -174,9 +179,8 @@ def _classify_canonical(ints) -> N3Type:
 
 def classify_n3(w, tol: float = 1e-9) -> Tuple[N3Type, Canonicalization]:
     """Polytope type of a weight triple plus its canonicalization."""
-    can = canonicalize(w, tol)
-    ints = apply_perm(can.snapped[0], can.permutation)
-    return _classify_canonical([-n for n in ints] if can.starred else ints), can
+    can, canonical = _canonicalize(w, tol)
+    return _classify_canonical(canonical), can
 
 
 def classify_n2(w, tol: float = 1e-9) -> N2Type:

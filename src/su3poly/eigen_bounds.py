@@ -86,7 +86,8 @@ def check_spectrum(a, b, c, target, tol: float = 1e-9) -> bool:
 
 class RealizeResult(Frozen):
     """Outcome of :func:`realize`; ``lines`` are the unit vectors u_j with
-    A_j = lam_j (I - 3 u_j u_j^T)."""
+    A_j = lam_j (I - 3 u_j u_j^T).  Results compare and hash by each line's
+    shape, dtype and bytes in place of the arrays."""
 
     __slots__ = _fields = ("found", "distance", "matrices", "lines", "restarts_used", "reason")
     found: bool
@@ -103,6 +104,15 @@ class RealizeResult(Frozen):
         _set(self, "lines", lines)
         _set(self, "restarts_used", restarts_used)
         _set(self, "reason", reason)
+
+    def _values(self) -> tuple:
+        values = super()._values()
+        if self.lines is None:
+            return values
+        import numpy as np
+
+        lines = tuple((a.shape, a.dtype.str, a.tobytes()) for a in map(np.asarray, self.lines))
+        return values[:3] + (lines,) + values[4:]
 
 
 def _nearest_point(polytope: ChamberPolytope, s: Spectrum) -> Tuple[Fraction, ...]:

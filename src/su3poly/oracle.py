@@ -1,32 +1,45 @@
 """Monte Carlo ground truth for the predicted polytopes.
 
-Configurations are drawn Fubini-Study-uniformly (complex Gaussian vectors,
-whose distribution is unitarily invariant, read as points of CP^2), pushed
-through the weighted momentum map and the eigenvalue map, and compared with
-the exact half-plane prediction: containment violations, the inner Hausdorff
-deficit of the empirical hull, and per-vertex coverage.
+Configurations are drawn Fubini-Study-uniformly, pushed through the weighted
+momentum map and the eigenvalue map, and compared with the exact half-plane
+prediction: containment violations, the inner Hausdorff deficit of the
+empirical hull, and per-vertex coverage.
+
+The spectra depend on a configuration only modulo U(3), so uniform draws are
+made in a reduced frame.  The first factor is fixed at e1.  The second is put
+in the (e1, e2) plane as (c, s, 0), c, s >= 0, where c^2 = |<e1, u2>|^2 of a
+uniform point of CP^2 is Beta(1, 2): s^2 = sqrt(U) for a uniform U.  By
+Duistermaat-Heckman (Invent. Math. 69, 1982) the moduli |z_k|^2 of a uniform
+point are uniform on the simplex, independent of its phases, which are
+uniform; the overall phase and the unitaries fixing e1 and u2 absorb the
+phases of z_1 and z_3, so the third factor is
+(sqrt t1, sqrt t2 e^{i alpha}, sqrt t3), with t cut from the simplex by the
+min and max of two uniforms and alpha = 2 pi U.  A sample costs 4 uniforms
+(1 with two factors) instead of 3 complex Gaussians per factor;
+:func:`_frame_spectra` forms the six entries of sum g_j u_j u_j^* in closed
+form and hands them to the closed-form 3x3 eigenvalue kernel
+:func:`su3.spectra_of_entries` (no LAPACK call).  The rows differ from those
+of earlier versions, which drew the Gaussians, at the same seed; their law
+is the same.
 
 Sampling is block-seeded: sample ``i`` lives in block ``i // BLOCK`` with its
-own generator derived from ``(seed, block)``, so batches are bitwise
-reproducible and independent of how work is partitioned.
+own generator derived from ``(seed, block)``, whose uniforms fill the block's
+rows in order, so batches are bitwise reproducible, independent of how work
+is partitioned, and a shorter batch is a prefix of a longer one.
 
 Sampling and spectra are one pass, :func:`_draw_spectra`: one
 :func:`_run_blocks` call over the uniform blocks and, for :func:`verify`, one
-more block per (torus-fixed configuration, scale) pair, on every CPU the
-process may use (``os.sched_getaffinity``): the calling thread and one helper
-thread per further CPU pull block indices from one shared iterator, and each
-block writes only its own rows, so the rows are bitwise the same at any
-worker count.  Each worker draws its blocks' Gaussians into one reused float
-buffer, read through its complex view, so no array of unit vectors is ever
-built: the momentum map is projective (``z z^* / |z|^2`` does not change when
-``z`` is rescaled), so
-:func:`spectra_of_configurations` weights each factor by ``g_j / |z_j|^2``
-instead of normalising it.  It sums the six independent entries of each
-momentum-map matrix in cache-sized chunks and hands them to the closed-form
-3x3 eigenvalue kernel of :mod:`su3` (no LAPACK call), writing each block's
-rows straight into the batch.  Containment forms one (half-planes, n) array,
-coverage one (vertices, n) array, and the hull deficit is the scalar
-point-to-polygon distance of :mod:`polytope` from the predicted vertices to
+more block per torus-fixed configuration, on every CPU the process may use
+(``os.sched_getaffinity``): the calling thread and one helper thread per
+further CPU pull block indices from one shared iterator, and each block
+writes only its own rows, so the rows are bitwise the same at any worker
+count.  A uniform block is one kernel call.  A targeted block perturbs its
+configuration by complex Gaussians at four scales, drawn into the worker's
+reused buffer, and :func:`spectra_of_configurations` weights each factor by
+``g_j / |z_j|^2`` instead of normalising it, since the momentum map is
+projective.  Containment forms one (half-planes, n) array, coverage one
+(vertices, n) array, and the hull deficit is the scalar point-to-polygon
+distance of :mod:`polytope` from the predicted vertices to
 :func:`polytope.hull2d`'s distance-tolerance quickhull, whose vertices do not
 depend on the points inside the hull.
 
@@ -54,7 +67,6 @@ if TYPE_CHECKING:  # annotations only: importing the package loads no numpy
 
 BLOCK = 1 << 14
 _ROW, _COL = [0, 0, 1], [1, 2, 2]  # upper entries 12, 13, 23
-_CHUNK = 2048  # rows per spectra chunk
 
 
 class PredictionUnavailable(ValueError):
@@ -90,12 +102,12 @@ def _worker_count() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _run_blocks(n_blocks: int, buffer_shape, work: Callable) -> None:
+def _run_blocks(n_blocks: int, buffer_size: int, work: Callable) -> None:
     """Run ``work(block, buf)`` for every block in ``range(n_blocks)``.
 
     The workers are the calling thread and up to W - 1 helper threads, W
     being :func:`_worker_count` capped at ``n_blocks``.  Each worker owns one
-    float buffer of ``buffer_shape``, reused for every block it runs, and
+    flat float buffer of ``buffer_size``, reused for every block it runs, and
     takes the next block index from one shared iterator.  ``work`` must
     depend only on the block (its own seeded generator) and write only that
     block's rows, so the result is bitwise the same at every W.  The first
@@ -111,7 +123,7 @@ def _run_blocks(n_blocks: int, buffer_shape, work: Callable) -> None:
 
     def drain():
         try:
-            buf = np.empty(buffer_shape)
+            buf = np.empty(buffer_size)
             while not errors:
                 with lock:
                     block = next(blocks, None)
@@ -164,22 +176,25 @@ def spectra_of_configurations(z: np.ndarray, gammas, out: Optional[np.ndarray] =
     as ``g_j z_j z_j^* / |z_j|^2``: the six independent entries of that sum
     are formed from ``z`` with the weights ``g_j / |z_j|^2`` and handed to
     the closed-form eigenvalue kernel :func:`su3.spectra_of_entries`; no unit
-    vector and no (n, 3, 3) matrix is built.  Rows are processed in chunks
-    small enough for the temporaries to stay in cache.
+    vector and no (n, 3, 3) matrix is built.
     """
     import numpy as np
 
-    return _spectra_rows(z, *_float_weights(as_gammas(gammas)), np.empty((z.shape[0], 3)) if out is None else out)
+    floats, power = _float_weights(as_gammas(gammas))
+    out = _spectra_rows(z, np.array(floats) / power, np.empty((z.shape[0], 3)) if out is None else out)
+    if power != 1.0:
+        out *= power
+    return out
 
 
-def _spectra_rows(z: np.ndarray, floats: Tuple[float, ...], power: float, out: np.ndarray) -> np.ndarray:
-    """The kernel of :func:`spectra_of_configurations` on the weights and
-    power of :func:`_float_weights`; the sampler's workers call it directly."""
+def _spectra_rows(z: np.ndarray, gs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The kernel of :func:`spectra_of_configurations` at the weights ``gs``
+    (the caller's floats over their power), in chunks of ``BLOCK`` rows so
+    that the temporaries stay small; the targeted draws call it directly."""
     import numpy as np
 
-    gs = np.array(floats) / power
-    for start in range(0, z.shape[0], _CHUNK):
-        zc = z[start : start + _CHUNK]
+    for start in range(0, z.shape[0], BLOCK):
+        zc = z[start : start + BLOCK]
         sq = zc.real * zc.real + zc.imag * zc.imag
         w = gs / (sq[:, :, 0] + sq[:, :, 1] + sq[:, :, 2])  # g_j / |z_j|^2
         diag = np.einsum("cj,cjk->ck", w, sq)
@@ -189,8 +204,52 @@ def _spectra_rows(z: np.ndarray, floats: Tuple[float, ...], power: float, out: n
         for k, (a, b) in enumerate(zip(_ROW, _COL)):
             off[:, k] = np.einsum("cj,cj->c", zc[:, :, a], wzbar[:, :, b])
         out[start : start + len(zc)] = spectra_of_entries(diag, off)
-    if power != 1.0:
-        out *= power
+    return out
+
+
+def _frame_spectra(u: np.ndarray, gs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Spectra at the weights ``gs`` of the reduced-frame configurations of
+    the uniforms ``u``, written into ``out``.
+
+    ``u`` is (n, 4) for three factors and (n, 1) for two.  Column 0 gives
+    s^2 = sqrt(U) and c^2 = 1 - s^2 of u2 = (c, s, 0); for three factors
+    columns 1 and 2 cut the simplex point t = (lo, hi - lo, 1 - hi) of
+    u3 = (sqrt t1, sqrt t2 e^{i alpha}, sqrt t3) and column 3 gives
+    alpha = 2 pi U; u1 = e1.  The entries of g1 e1 e1^* + g2 u2 u2^* +
+    g3 u3 u3^* are formed in closed form for one kernel call.
+    """
+    import numpy as np
+
+    s2 = np.sqrt(u[:, 0])
+    c2 = 1.0 - s2
+    diag = np.zeros((len(u), 3))
+    off = np.zeros((len(u), 3), dtype=complex)
+    real, imag = off.real, off.imag
+    np.multiply(np.sqrt(c2 * s2), gs[1], out=real[:, 0])
+    np.multiply(c2, gs[1], out=diag[:, 0])
+    diag[:, 0] += gs[0]
+    np.multiply(s2, gs[1], out=diag[:, 1])
+    if len(gs) == 3:
+        g3 = gs[2]
+        lo = np.minimum(u[:, 1], u[:, 2])
+        hi = np.maximum(u[:, 1], u[:, 2])
+        t2 = hi - lo
+        t3 = 1.0 - hi
+        alpha = u[:, 3] * (2.0 * math.pi)
+        cos, sin = np.cos(alpha), np.sin(alpha)
+        r12 = np.sqrt(lo * t2)
+        r12 *= g3
+        r23 = np.sqrt(t2 * t3)
+        r23 *= g3
+        diag[:, 0] += g3 * lo
+        diag[:, 1] += g3 * t2
+        np.multiply(t3, g3, out=diag[:, 2])
+        real[:, 0] += r12 * cos
+        np.multiply(r12, -sin, out=imag[:, 0])
+        np.multiply(np.sqrt(lo * t3), g3, out=real[:, 1])
+        np.multiply(r23, cos, out=real[:, 2])
+        np.multiply(r23, sin, out=imag[:, 2])
+    out[:] = spectra_of_entries(diag, off)
     return out
 
 
@@ -231,37 +290,52 @@ def _draw_spectra(floats: Tuple[float, ...], power: float, count: int, seed: int
     """Spectra of ``count`` uniform draws, then of ``targeted`` draws per
     (torus-fixed configuration, scale) pair, in one :func:`_run_blocks` call.
 
-    Block ``b < ceil(count / BLOCK)`` is uniform, from generator ``(seed, b)``;
-    a partial last block is the prefix of the full one, as ``standard_normal``
-    fills in order.  Each later block perturbs fixed configuration ``idx`` by
-    Gaussians of ``scales[k]`` from generator ``(seed, 1_000_003 + 31 idx + k)``:
-    uniform draws reach the polytope vertices slowly, these cover them quickly,
-    and all are genuine momentum-map images, so they may be pooled.
+    The kernels run at ``floats / power`` (an exact division) and the batch
+    is multiplied back by ``power`` once; :func:`verify` passes the divided
+    weights and power 1, so its rows stay at that scale.
+
+    Block ``b < ceil(count / BLOCK)`` is uniform: 4 uniforms per row (1 with
+    two factors) from generator ``(seed, b)``, read by :func:`_frame_spectra`;
+    a partial last block is the prefix of the full one, as ``random`` fills
+    in order.  Each later block is one fixed configuration ``idx``, perturbed
+    by complex Gaussians of ``scales[k]`` from generator
+    ``(seed, 1_000_003 + 31 idx + k)`` for each k, all drawn into one buffer
+    and diagonalised together: uniform draws reach the polytope vertices
+    slowly, these cover them quickly, and all are genuine momentum-map images,
+    so they may be pooled.
     """
     import numpy as np
 
     scales = (0.5, 0.1, 0.02, 0.004)
     configs = FIXED_CONFIGURATIONS if len(floats) == 3 else FIXED_CONFIGURATIONS_N2
     bases = [np.array([list(p.coords) for p in configs[config]]) for config in sorted(configs)] if targeted else []  # each (N, 3)
+    gs = np.array(floats) / power
+    width = 4 if len(floats) == 3 else 1  # uniforms per uniform row
+    near = len(scales) * targeted  # rows per configuration
     uniform = -(-count // BLOCK)
-    out = np.empty((count + len(bases) * len(scales) * targeted, 3))
+    out = np.empty((count + len(bases) * near, 3))
 
     def draw(block, buf):
-        near = block - uniform  # the (configuration, scale) pair of a targeted block
-        if near < 0:
-            start, rows, stream = block * BLOCK, min(BLOCK, count - block * BLOCK), block
-        else:
-            idx, k = divmod(near, len(scales))
-            start, rows, stream = count + near * targeted, targeted, 1_000_003 + idx * 31 + k
-        part = buf[:rows]
-        _rng_for_block(seed, stream).standard_normal(out=part)
+        if block < uniform:
+            start = block * BLOCK
+            rows = min(BLOCK, count - start)
+            u = buf[: rows * width].reshape(rows, width)
+            _rng_for_block(seed, block).random(out=u)
+            _frame_spectra(u, gs, out[start : start + rows])
+            return
+        idx = block - uniform
+        part = buf[: near * len(floats) * 6].reshape(len(scales), targeted, len(floats), 3, 2)
         z = part.view(complex)[..., 0]
-        if near >= 0:
-            z *= scales[k]
-            z += bases[idx]
-        _spectra_rows(z, floats, power, out[start : start + rows])
+        for k, scale in enumerate(scales):
+            _rng_for_block(seed, 1_000_003 + idx * 31 + k).standard_normal(out=part[k])
+            z[k] *= scale
+        z += bases[idx]
+        start = count + idx * near
+        _spectra_rows(z.reshape(near, len(floats), 3), gs, out[start : start + near])
 
-    _run_blocks(uniform + len(bases) * len(scales), (max(min(BLOCK, count), targeted), len(floats), 3, 2), draw)
+    _run_blocks(uniform + len(bases), max(min(BLOCK, count) * width, near * len(floats) * 6), draw)
+    if power != 1.0:
+        out *= power
     return out
 
 
@@ -271,7 +345,9 @@ def sample_batch(w, count: int, seed: int) -> SampleBatch:
     Raises :class:`moment_map.InvalidWeight` before drawing anything when
     the spectra would leave float range, and :class:`InvalidCount` for a
     count that is not an integer >= 0.  The rows are those of
-    :func:`_draw_spectra` with no targeted draws.
+    :func:`_draw_spectra` with no targeted draws: reduced-frame uniform
+    draws, which differ from the Gaussian draws of earlier versions at the
+    same seed.
     """
     count = _checked_count(count, 0)
     spectra = _draw_spectra(*_float_weights(as_gammas(w)), count, seed)
@@ -379,14 +455,14 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     # The comparison runs at the weights over the sampler's power of two: a
     # segment's end half-planes have offsets quadratic in the weights, and
     # the hull's prefilter and the distances square coordinates.  The
-    # scaling is exact, and every reported length is scaled back.
+    # scaling is exact, the draws run at the same weights, and every
+    # reported length is scaled back.
     try:
         predicted = build_polytope(tuple(g / power if not is_exact(g) else Fraction(g) / Fraction(power) for g in gammas))
     except ValueError as exc:
         raise PredictionUnavailable(str(exc)) from exc
 
-    spectra = _draw_spectra(floats, power, count, seed, targeted)
-    spectra /= power  # in place: the rows do not leave this function
+    spectra = _draw_spectra(tuple(g / power for g in floats), 1.0, count, seed, targeted)
     pq = chamber_points_of_spectra(spectra)
 
     diam = predicted.diameter()

@@ -104,6 +104,17 @@ class InvalidPolytopeDocument(ValueError):
 #: The chamber walls l1 >= l2 and l2 >= l3 as lines (a, b, c, provenance).
 _WALLS = ((1, -1, 0, "wall:l1=l2"), (1, 2, 0, "wall:l2=l3"))
 
+#: Provenance suffixes (after the anchor or ``wall``) under the star
+#: involution: the two walls trade places, and so do the root axes alpha1 =
+#: (0, 1, -1) and alpha3 = (1, -1, 0), while alpha2 = (-1, 0, 1) is its own
+#: image.  Anchor names stay: the anchors of -w carry the names of w's.
+_STAR_NAMES = {"l1=l2": "l2=l3", "l2=l3": "l1=l2", "alpha1-halfplane": "alpha3-halfplane", "alpha3-halfplane": "alpha1-halfplane"}
+
+
+def _star_name(provenance: str) -> str:
+    tag, colon, suffix = provenance.partition(":")
+    return f"{tag}{colon}{_STAR_NAMES.get(suffix, suffix)}"
+
 
 # ---------------------------------------------------------------------------
 # Exact vertices from the fixed facet directions (coordinates are (l1, l2))
@@ -257,9 +268,10 @@ class ChamberPolytope(Frozen):
     def star(self) -> "ChamberPolytope":
         """Image under the star involution (l1, l2, l3) -> (-l3, -l2, -l1),
         the reflection across l2 = 0: the functional a*l1 + b*l2 becomes
-        a*l1 + (a - b)*l2.  All vertices but the leading (anchor) one are
+        a*l1 + (a - b)*l2, and each provenance names the image line
+        (:data:`_STAR_NAMES`).  All vertices but the leading (anchor) one are
         reversed, which keeps the order counterclockwise."""
-        lines = tuple((a, a - b, c, p) for a, b, c, p in self.lines)
+        lines = tuple((a, a - b, c, _star_name(p)) for a, b, c, p in self.lines)
         corners = [(-z, -y, -x) for x, y, z in self.corners]
         return ChamberPolytope(lines, tuple(corners[:1] + corners[:0:-1]), self.den, self.kind, self.label, not self.starred)
 

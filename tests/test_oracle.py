@@ -1,4 +1,5 @@
 import copy
+import math
 import os
 import pickle
 import re
@@ -30,8 +31,9 @@ from su3poly.su3 import SPECTRA_ERROR, InvalidTolerance, lift_2d
 
 
 def _gaussian_blocks(seed, count, n_factors):
-    """Yield ``(start, z)`` for each block of the first ``count`` samples, one
-    block after another: the serial reference of the sampler's block runner.
+    """Yield ``(start, z)`` for each block of ``count`` Gaussian configurations,
+    one block after another: unitarily invariant draws, read as points of
+    CP^2, the reference law of the sampler's reduced-frame rows.
 
     ``z`` is the block's (size, n_factors, 3) array of complex Gaussians, a
     complex view of one float buffer that every block reuses, so it is valid
@@ -44,12 +46,38 @@ def _gaussian_blocks(seed, count, n_factors):
         yield start, part.view(complex)[..., 0]
 
 
+def _uniform_blocks(seed, count, n_factors):
+    """Yield ``(start, u)`` for each block of the first ``count`` samples, one
+    block after another: the uniforms of the sampler's reduced frame, (size,
+    4) per block, (size, 1) with two factors."""
+    for block, start in enumerate(range(0, count, BLOCK)):
+        yield start, _rng_for_block(seed, block).random((min(BLOCK, count - start), 4 if n_factors == 3 else 1))
+
+
+def frame_configurations(u):
+    """The (n, N, 3) configurations that the uniforms ``u`` stand for:
+    e1, (c, s, 0) with s^2 = sqrt(U), and, for three factors,
+    (sqrt t1, sqrt t2 e^{i alpha}, sqrt t3) with t = (lo, hi - lo, 1 - hi)
+    and alpha = 2 pi U."""
+    s2 = np.sqrt(u[:, 0])
+    z = np.zeros((len(u), 2 if u.shape[1] == 1 else 3, 3), dtype=complex)
+    z[:, 0, 0] = 1.0
+    z[:, 1, 0], z[:, 1, 1] = np.sqrt(1.0 - s2), np.sqrt(s2)
+    if u.shape[1] == 4:
+        lo, hi = np.minimum(u[:, 1], u[:, 2]), np.maximum(u[:, 1], u[:, 2])
+        z[:, 2, 0] = np.sqrt(lo)
+        z[:, 2, 1] = np.sqrt(hi - lo) * np.exp(2j * np.pi * u[:, 3])
+        z[:, 2, 2] = np.sqrt(1.0 - hi)
+    return z
+
+
 def serial_spectra(gammas, count, seed):
     """``sample_batch(gammas, count, seed).spectra``, one block after another."""
+    floats, power = _float_weights(gammas)
     spectra = np.empty((count, 3))
-    for start, z in _gaussian_blocks(seed, count, len(gammas)):
-        spectra_of_configurations(z, gammas, out=spectra[start : start + len(z)])
-    return spectra
+    for start, u in _uniform_blocks(seed, count, len(gammas)):
+        oracle._frame_spectra(u, np.array(floats) / power, spectra[start : start + len(u)])
+    return spectra * power
 
 
 def serial_targeted_spectra(gammas, per_config, seed):
@@ -66,12 +94,12 @@ def serial_targeted_spectra(gammas, per_config, seed):
 
 
 def _gaussians(seed, count, n_factors):
-    """(count, n_factors, 3) complex Gaussians: the sampling stream."""
+    """(count, n_factors, 3) complex Gaussians: the reference stream."""
     return np.concatenate([z.copy() for _, z in _gaussian_blocks(seed, count, n_factors)])
 
 
 def _sample_vectors(seed, count, n_factors):
-    """The sampling stream as unit vectors."""
+    """The reference stream as unit vectors."""
     z = _gaussians(seed, count, n_factors)
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
@@ -116,13 +144,12 @@ class TestSampling:
         assert np.array_equal(long.spectra[:20000], short.spectra)
 
     def test_pinned_spectra_row(self):
+        pinned = (0.6874273305594544, -0.12223071472141367, -0.5651966158380407)
         batch = sample_batch((1, 1, 1), 5, 123)
-        assert np.allclose(
-            batch.spectra[0],
-            (1.095375001597556, -0.28798965008807303, -0.8073853515094837),
-            rtol=0,
-            atol=1e-15,
-        )
+        assert np.allclose(batch.spectra[0], pinned, rtol=0, atol=1e-15)
+        # the configuration of the first four uniforms of generator (123, 0)
+        z = frame_configurations(_rng_for_block(123, 0).random((1, 4)))
+        assert np.abs(reference_spectra(z, (1, 1, 1))[0] - pinned).max() <= SPECTRA_ERROR
 
     def test_spectra_sum_to_zero(self):
         batch = sample_batch((4, 2, -1), 2000, 1)
@@ -176,7 +203,8 @@ class TestBlockRunner:
     )
     def test_verify_equal_to_the_serial_streams_at_every_worker_count(self, monkeypatch, gammas, count, targeted):
         # the report verify makes from the serial uniform and targeted rows
-        rows = np.concatenate([serial_spectra(gammas, count, 6), serial_targeted_spectra(gammas, targeted, 6)])
+        # verify's rows are at the weights over the sampler's power of two
+        rows = np.concatenate([serial_spectra(gammas, count, 6), serial_targeted_spectra(gammas, targeted, 6)]) / _float_weights(gammas)[1]
         with monkeypatch.context() as patched:
             patched.setattr(oracle, "_draw_spectra", lambda *args: rows.copy())
             expected = verify(gammas, count, 6, targeted=targeted).to_json_dict()
@@ -483,3 +511,71 @@ class TestBatchedSpectra:
     def test_zero_weights_give_zero_spectra(self):
         z = _sample_vectors(1, 100, 3)
         assert np.array_equal(spectra_of_configurations(z, (0, 0, 0)), np.zeros((100, 3)))
+
+
+def gaussian_spectra(gammas, count, seed):
+    """Spectra of ``count`` Gaussian configurations: the reference law."""
+    spectra = np.empty((count, 3))
+    for start, z in _gaussian_blocks(seed, count, len(gammas)):
+        spectra_of_configurations(z, gammas, out=spectra[start : start + len(z)])
+    return spectra
+
+
+def two_sample_chi2(a, b, gammas, bins=16):
+    """Two-sample chi^2 statistic and degrees of freedom of two equal-size
+    spectra samples, on a fixed bins x bins grid of (l1, l3) over the
+    bounding box of the predicted polytope; cells with fewer than 20 rows
+    in both samples together are pooled into one.  A coordinate that is
+    constant on the polytope (l3 = -1 for the weights (2, 1)) is left out,
+    and the other one gets bins^2 bins: its rounding would otherwise fall
+    on either side of an edge."""
+    corners = np.array([v.astuple() for v in build_polytope(gammas).vertices], dtype=float)
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    pad = 1e-9 * float((hi - lo).max())
+    live = [k for k in (0, 2) if hi[k] - lo[k] > pad]
+    edges = [np.linspace(lo[k] - pad, hi[k] + pad, (bins if len(live) == 2 else bins * bins) + 1) for k in live]
+    r, s = (np.histogramdd(x[:, live], bins=edges)[0].ravel() for x in (a, b))
+    small = r + s < 20
+    r, s = np.append(r[~small], r[small].sum()), np.append(s[~small], s[small].sum())
+    keep = r + s > 0
+    return float(((r - s)[keep] ** 2 / (r + s)[keep]).sum()), int(keep.sum()) - 1
+
+
+def chi2_upper(dof, z=4.265):
+    """Wilson-Hilferty upper quantile of chi^2 with ``dof`` degrees of
+    freedom at the standard normal quantile ``z`` (4.265: tail 1e-5)."""
+    return dof * (1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))) ** 3
+
+
+#: A generic weight (C), a transition weight (EF) and two factors.
+GATE_WEIGHTS = [(4, 2, -1), (3, 1, -2), (2, 1)]
+
+
+class TestReducedFrame:
+    """The uniform rows are spectra of their reduced-frame configurations,
+    with the law of unitarily invariant Gaussian configurations."""
+
+    @pytest.mark.parametrize("gammas", GATE_WEIGHTS, ids=str)
+    def test_rows_have_the_law_of_gaussian_configurations(self, gammas):
+        # Two-sample chi^2 against the Gaussian reference, 2e5 rows each, at a
+        # nominal false-alarm rate of 1e-5 (thresholds 1.42-1.72 times dof).
+        # Over seeds 0..39 of each weight (reference seed + 1000) it fired 0
+        # times in 120, median chi^2/dof 0.99, largest 1.32.  Sampler faults
+        # it rejects, by chi^2/dof: c^2 uniform instead of Beta(1, 2) (154-222),
+        # alpha = 0 (24-72; no alpha with two factors) and real Gaussian
+        # RP^2 draws (113-343).
+        stat, dof = two_sample_chi2(sample_batch(gammas, 200_000, 1).spectra, gaussian_spectra(gammas, 200_000, 1001), gammas)
+        assert dof >= 20
+        assert stat < chi2_upper(dof), stat / dof
+
+    @pytest.mark.parametrize("gammas", SPECTRA_WEIGHTS, ids=str)
+    def test_rows_are_the_spectra_of_their_configurations(self, gammas):
+        count = BLOCK + 100
+        z = np.concatenate([frame_configurations(u) for _, u in _uniform_blocks(17, count, len(gammas))])
+        scale = max(abs(float(g)) for g in gammas)
+        got = sample_batch(gammas, count, 17).spectra
+        assert np.abs(got - spectra_of_configurations(z, gammas)).max() <= SPECTRA_ERROR * scale
+
+    def test_frame_vectors_are_unit_vectors(self):
+        z = frame_configurations(_rng_for_block(3, 0).random((1000, 4)))
+        assert np.abs(np.linalg.norm(z, axis=-1) - 1.0).max() < 1e-15 * 4

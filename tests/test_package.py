@@ -8,6 +8,7 @@ import textwrap
 import types
 import typing
 
+import numpy as np
 import pytest
 
 import su3poly
@@ -50,6 +51,7 @@ def test_annotations_resolve_where_a_type_checker_reads_them(obj, monkeypatch):
 _S = su3.Spectrum(2, -1, -1)
 _T = su3.Spectrum(1, 0, -1)
 _RAY = cones.Generator(su3.Root.ALPHA1, cones.RAY_POS)
+_LINES = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), np.array([0.0, 0.0, 1.0]))
 
 #: Every immutable value class of the package: (class, its fields in
 #: constructor order, the values of one instance, the values of another that
@@ -68,12 +70,18 @@ VALUE_CLASSES = [
     (polytope.ChamberPolytope, "lines corners den kind label starred", ((), ((2, -1, -1),), 1, "Point", None, False), ((), ((2, -1, -1),), 1, "Point", None, True)),
     (eigen_bounds.DoubleEigMatrixSpec, "lam", (1,), (2,)),
     (eigen_bounds.RealizeResult, "found distance matrices lines restarts_used reason", (True, 0.0, None, None, 0, ""), (False, 0.0, None, None, 0, "")),
+    (eigen_bounds.RealizeResult, "found distance matrices lines restarts_used reason", (True, 0.0, None, _LINES, 0, ""), (True, 0.0, None, _LINES[::-1], 0, "")),
     (oracle.SampleBatch, "seed count spectra chamber_points", (1, 1, ((2.0, -1.0, -1.0),), ((2.0, 1.0),)), (2, 1, ((2.0, -1.0, -1.0),), ((2.0, 1.0),))),
     (oracle.VerificationReport, "label seed n_samples n_violations max_violation hausdorff_inner vertex_coverage diameter tolerance", ("C", 1, 10, 0, 0.0, 0.5, (0.1,), 3.0, 1e-9), ("C", 1, 10, 1, 0.0, 0.5, (0.1,), 3.0, 1e-9)),
 ]
 
 
-@pytest.mark.parametrize("cls, names, values, other", VALUE_CLASSES, ids=[case[0].__name__ for case in VALUE_CLASSES])
+def _case_id(case):
+    cls, _, values, _ = case
+    return cls.__name__ + ("-lines" if cls is eigen_bounds.RealizeResult and values[3] is not None else "")
+
+
+@pytest.mark.parametrize("cls, names, values, other", VALUE_CLASSES, ids=[_case_id(case) for case in VALUE_CLASSES])
 def test_value_classes_compare_hash_show_and_refuse_assignment_by_field(cls, names, values, other):
     names = names.split()
     a, b, c = cls(*values), cls(*values), cls(*other)

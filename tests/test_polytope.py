@@ -1048,14 +1048,21 @@ class TestSerialization:
         poly = build_polytope_n3((4, 2, -1))
         starred = poly.star()
         assert starred.starred and starred.label == poly.label and starred.den == poly.den
-        assert starred.lines == tuple((a, a - b, c, p) for a, b, c, p in poly.lines)
+        assert [line[:3] for line in starred.lines] == [(a, a - b, c) for a, b, c, _ in poly.lines]
         assert [v.astuple() for v in starred.vertices] == [tuple(star_involution(v)) for v in poly.vertices[:1] + poly.vertices[:0:-1]]
         assert starred.star() == poly
         # built on (-4, -2, 1) itself: the same polygon and half-planes, in
-        # another order and named by the anchors of (-4, -2, 1)
+        # another order, each under the name of its image
         built = build_polytope_n3((-4, -2, 1))
         assert (built.corners, built.den, built.label, built.starred) == (starred.corners, starred.den, starred.label, starred.starred)
-        assert sorted(line[:3] for line in built.lines) == sorted(line[:3] for line in starred.lines)
+        assert sorted(built.lines) == sorted(starred.lines)
+
+    @pytest.mark.parametrize("w", sorted(POLYTOPE_FIXTURES), ids=str)
+    def test_star_names_each_line_as_the_build_on_the_negated_weights(self, w):
+        # the walls l1 = l2 and l2 = l3 trade names, and so do alpha1 and alpha3
+        starred, built = build_polytope_n3(w).star(), build_polytope_n3(tuple(-g for g in w))
+        assert starred.den == built.den
+        assert set(starred.lines) == set(built.lines)
 
     def test_deterministic_serialization(self):
         a = json.dumps(build_polytope_n3((4, 2, -1)).to_json_dict(), sort_keys=True)
