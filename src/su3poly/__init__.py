@@ -57,6 +57,7 @@ from .moment_map import (
 )
 from .oracle import (
     InvalidCount,
+    InvalidSeed,
     PredictionUnavailable,
     SampleBatch,
     VerificationReport,

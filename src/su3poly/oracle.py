@@ -27,21 +27,32 @@ own generator derived from ``(seed, block)``, whose uniforms fill the block's
 rows in order, so batches are bitwise reproducible, independent of how work
 is partitioned, and a shorter batch is a prefix of a longer one.
 
-Sampling and spectra are one pass, :func:`_draw_spectra`: one
-:func:`_run_blocks` call over the uniform blocks and, for :func:`verify`, one
-more block per torus-fixed configuration, on every CPU the process may use
-(``os.sched_getaffinity``): the calling thread and one helper thread per
-further CPU pull block indices from one shared iterator, and each block
-writes only its own rows, so the rows are bitwise the same at any worker
-count.  A uniform block is one kernel call.  A targeted block perturbs its
-configuration by complex Gaussians at four scales, drawn into the worker's
-reused buffer, and :func:`spectra_of_configurations` weights each factor by
-``g_j / |z_j|^2`` instead of normalising it, since the momentum map is
-projective.  Containment forms one (half-planes, n) array, coverage one
-(vertices, n) array, and the hull deficit is the scalar point-to-polygon
-distance of :mod:`polytope` from the predicted vertices to
-:func:`polytope.hull2d`'s distance-tolerance quickhull, whose vertices do not
-depend on the points inside the hull.
+Sampling, spectra and their reductions are one pass, :func:`_draw_spectra`:
+one :func:`_run_blocks` call over the uniform blocks and, for :func:`verify`,
+one more block per torus-fixed configuration, on every CPU the process may
+use (``os.sched_getaffinity``): the calling thread and one helper thread per
+further CPU pull block indices from one shared iterator.  The worker that
+draws a block writes only the block's rows of spectra and chamber points,
+then reduces them while they are in its cache; the calling thread merges
+one small result per block, in block order, so every output is bitwise the
+same at any worker count.  A uniform block is one kernel call.  A targeted
+block perturbs its configuration by complex Gaussians at four scales, drawn
+into the worker's reused buffer, and :func:`spectra_of_configurations`
+weights each factor by ``g_j / |z_j|^2`` instead of normalising it, since
+the momentum map is projective.
+
+Each block keeps its hull candidates, the points that the prefilter of
+:func:`polytope.hull2d` keeps at the block's own scale.  They hold every
+vertex of the batch's hull and its largest entry, so one ``hull2d`` of the
+candidates is the hull of the batch: :func:`empirical_polytope` returns it,
+and :func:`verify` takes the scalar point-to-polygon distance of
+:mod:`polytope` from the predicted vertices to it.  For :func:`verify` a
+block also keeps its count of rows beyond the slack and its largest excess,
+from :func:`_excess`, the containment kernel of
+:func:`violation_distances`, and, per predicted vertex, its least squared
+distance and the row where it occurs, from one (vertices, rows) array.  The
+first block that reaches a vertex's least distance gives its nearest row,
+as one ``argmin`` over every row would.
 
 Numpy is imported inside the functions that batch floats, not with the
 module, so importing the package and running the exact pipeline never load
@@ -59,13 +70,14 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .moment_map import CPPoint, FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight, as_gammas
-from .polytope import ChamberPolytope, _distances, _float_lines, _pq_array, build_polytope, hull2d
+from .polytope import _HULL_EPS, ChamberPolytope, _distances, _float_lines, _hull_candidates, _pq_array, build_polytope, hull2d
 from .su3 import Frozen, _set, chamber_coordinates, check_tolerance, is_exact, spectra_of_entries
 
 if TYPE_CHECKING:  # annotations only: importing the package loads no numpy
     import numpy as np
 
 BLOCK = 1 << 14
+_LINE_CHUNK = 1 << 11
 _ROW, _COL = [0, 0, 1], [1, 2, 2]  # upper entries 12, 13, 23
 
 
@@ -77,10 +89,16 @@ class InvalidCount(ValueError):
     """A sample count that is not an integer of at least the required size."""
 
 
-def _checked_count(count, least: int) -> int:
-    if type(count) is bool or not isinstance(count, numbers.Integral) or count < least:
-        raise InvalidCount(f"count {count!r} is not an integer >= {least}")
-    return int(count)
+class InvalidSeed(ValueError):
+    """A seed that is not an integer >= 0."""
+
+
+def _checked_integer(value, least: int, error: type = InvalidCount, name: str = "count") -> int:
+    """``value`` as an int, or ``error`` naming it when it is a bool, no
+    ``numbers.Integral`` or below ``least``."""
+    if type(value) is bool or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} {value!r} is not an integer >= {least}")
+    return int(value)
 
 
 def _rng_for_block(seed: int, block: int) -> np.random.Generator:
@@ -110,10 +128,13 @@ def _run_blocks(n_blocks: int, buffer_size: int, work: Callable) -> None:
     flat float buffer of ``buffer_size``, reused for every block it runs, and
     takes the next block index from one shared iterator.  ``work`` must
     depend only on the block (its own seeded generator) and write only that
-    block's rows, so the result is bitwise the same at every W.  The first
-    error stops the blocks not yet started; every helper is joined before
-    it is raised again here.  Helpers run only private functions, none of
-    the public ones a tracer may wrap.
+    block's rows and its own result, so the result is bitwise the same at
+    every W.  The first error stops the blocks not yet started; every helper
+    is joined before it is raised again here.  Helpers run only private
+    functions and the :mod:`su3` kernels, none of the public oracle and
+    polytope functions a tracer may wrap: a block's reduction calls
+    :func:`_excess` and :func:`polytope._hull_candidates`, never
+    :func:`violation_distances` or :func:`polytope.hull2d`.
     """
     import numpy as np
 
@@ -286,13 +307,19 @@ class SampleBatch(Frozen):
             yield (lam[0], lam[1], lam[2], pq[0], pq[1])
 
 
-def _draw_spectra(floats: Tuple[float, ...], power: float, count: int, seed: int, targeted: int = 0) -> np.ndarray:
-    """Spectra of ``count`` uniform draws, then of ``targeted`` draws per
-    (torus-fixed configuration, scale) pair, in one :func:`_run_blocks` call.
+def _draw_spectra(floats: Tuple[float, ...], power: float, count: int, seed: int, targeted: int = 0, reduce: Optional[Callable] = None):
+    """``(spectra, points, reduced)``: the spectra and chamber points of
+    ``count`` uniform draws, then of ``targeted`` draws per (torus-fixed
+    configuration, scale) pair, and per block, in block order,
+    ``reduce(start, spectra, points)`` of the block's rows from row
+    ``start`` (None without ``reduce``), all in one :func:`_run_blocks` call.
 
-    The kernels run at ``floats / power`` (an exact division) and the batch
-    is multiplied back by ``power`` once; :func:`verify` passes the divided
-    weights and power 1, so its rows stay at that scale.
+    The kernels run at ``floats / power`` (an exact division) and each
+    block's rows are multiplied back by ``power``; :func:`verify` passes the
+    divided weights and power 1, so its rows stay at that scale.  The worker
+    that draws a block then writes its chamber points and runs ``reduce`` on
+    both, while the rows are in its cache; ``reduce`` must call only private
+    functions, as :func:`_run_blocks` requires.
 
     Block ``b < ceil(count / BLOCK)`` is uniform: 4 uniforms per row (1 with
     two factors) from generator ``(seed, b)``, read by :func:`_frame_spectra`;
@@ -313,54 +340,75 @@ def _draw_spectra(floats: Tuple[float, ...], power: float, count: int, seed: int
     width = 4 if len(floats) == 3 else 1  # uniforms per uniform row
     near = len(scales) * targeted  # rows per configuration
     uniform = -(-count // BLOCK)
-    out = np.empty((count + len(bases) * near, 3))
+    spectra = np.empty((count + len(bases) * near, 3))
+    points = np.empty((len(spectra), 2))
+    reduced = [None] * (uniform + len(bases))
 
     def draw(block, buf):
         if block < uniform:
             start = block * BLOCK
-            rows = min(BLOCK, count - start)
-            u = buf[: rows * width].reshape(rows, width)
+            stop = min(start + BLOCK, count)
+            u = buf[: (stop - start) * width].reshape(stop - start, width)
             _rng_for_block(seed, block).random(out=u)
-            _frame_spectra(u, gs, out[start : start + rows])
-            return
-        idx = block - uniform
-        part = buf[: near * len(floats) * 6].reshape(len(scales), targeted, len(floats), 3, 2)
-        z = part.view(complex)[..., 0]
-        for k, scale in enumerate(scales):
-            _rng_for_block(seed, 1_000_003 + idx * 31 + k).standard_normal(out=part[k])
-            z[k] *= scale
-        z += bases[idx]
-        start = count + idx * near
-        _spectra_rows(z.reshape(near, len(floats), 3), gs, out[start : start + near])
+            _frame_spectra(u, gs, spectra[start:stop])
+        else:
+            idx = block - uniform
+            part = buf[: near * len(floats) * 6].reshape(len(scales), targeted, len(floats), 3, 2)
+            z = part.view(complex)[..., 0]
+            for k, scale in enumerate(scales):
+                _rng_for_block(seed, 1_000_003 + idx * 31 + k).standard_normal(out=part[k])
+                z[k] *= scale
+            z += bases[idx]
+            start = count + idx * near
+            stop = start + near
+            _spectra_rows(z.reshape(near, len(floats), 3), gs, spectra[start:stop])
+        rows = spectra[start:stop]
+        if power != 1.0:
+            rows *= power
+        points[start:stop, 0], points[start:stop, 1] = chamber_coordinates(rows[:, 0], rows[:, 1], rows[:, 2])
+        if reduce is not None:
+            reduced[block] = reduce(start, rows, points[start:stop])
 
-    _run_blocks(uniform + len(bases), max(min(BLOCK, count) * width, near * len(floats) * 6), draw)
-    if power != 1.0:
-        out *= power
-    return out
+    _run_blocks(len(reduced), max(min(BLOCK, count) * width, near * len(floats) * 6), draw)
+    return spectra, points, reduced
 
 
 def sample_batch(w, count: int, seed: int) -> SampleBatch:
     """``count`` uniform samples of the weights' momentum-map spectra.
 
     Raises :class:`moment_map.InvalidWeight` before drawing anything when
-    the spectra would leave float range, and :class:`InvalidCount` for a
-    count that is not an integer >= 0.  The rows are those of
-    :func:`_draw_spectra` with no targeted draws: reduced-frame uniform
-    draws, which differ from the Gaussian draws of earlier versions at the
-    same seed.
+    the spectra would leave float range, :class:`InvalidCount` for a
+    count and :class:`InvalidSeed` for a seed that is not an integer >= 0
+    (a bool is none).  The rows are those of :func:`_draw_spectra` with no
+    targeted draws: reduced-frame uniform draws, which differ from the
+    Gaussian draws of earlier versions at the same seed.
     """
-    count = _checked_count(count, 0)
-    spectra = _draw_spectra(*_float_weights(as_gammas(w)), count, seed)
-    return SampleBatch(seed, count, spectra, chamber_points_of_spectra(spectra))
+    count = _checked_integer(count, 0)
+    seed = _checked_integer(seed, 0, InvalidSeed, "seed")
+    spectra, points, _ = _draw_spectra(*_float_weights(as_gammas(w)), count, seed)
+    return SampleBatch(seed, count, spectra, points)
+
+
+def _hull_block(start: int, spectra: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The points of one block that may be vertices of the batch's hull."""
+    return _hull_candidates(points, _HULL_EPS, start)[0]
 
 
 def empirical_polytope(w, count: int, seed: int) -> Tuple[SampleBatch, ChamberPolytope]:
     """Uniform batch plus the convex hull of its chamber image.
 
-    The hull is an inner approximation of the true momentum polytope.
+    The hull is an inner approximation of the true momentum polytope.  It
+    is :func:`polytope.hull2d` of the batch's chamber points, taken on the
+    points each block keeps as hull candidates.  The count, the seed and
+    the weights are checked as by :func:`sample_batch`, but the count must
+    be positive.
     """
-    batch = sample_batch(w, _checked_count(count, 1), seed)
-    return batch, hull2d(batch.chamber_points)
+    import numpy as np
+
+    count = _checked_integer(count, 1)
+    seed = _checked_integer(seed, 0, InvalidSeed, "seed")
+    spectra, points, kept = _draw_spectra(*_float_weights(as_gammas(w)), count, seed, reduce=_hull_block)
+    return SampleBatch(seed, count, spectra, points), hull2d(np.concatenate(kept))
 
 
 class VerificationReport(Frozen):
@@ -407,18 +455,42 @@ class VerificationReport(Frozen):
         }
 
 
-def violation_distances(P: ChamberPolytope, spectra: np.ndarray) -> np.ndarray:
-    """Per-sample distance outside the polytope (0 inside), from one (lines, n) array."""
+def _line_arrays(P: ChamberPolytope) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float normals of ``P``'s lines as a (lines, 3) array, and their
+    offsets and norms as (lines, 1) columns, for :func:`_excess`."""
     import numpy as np
 
     rows = _float_lines(P)
     normals = np.array([normal for normal, _ in rows])
-    offsets = np.array([offset for _, offset in rows])
-    units = np.linalg.norm(normals, axis=1)
-    signed = normals @ spectra.T
-    signed -= offsets[:, None]
-    signed /= units[:, None]
-    return np.maximum(0.0, -signed.min(axis=0))
+    offsets = np.array([[offset] for _, offset in rows])
+    return normals, offsets, np.linalg.norm(normals, axis=1)[:, None]
+
+
+def _excess(lines: Tuple[np.ndarray, np.ndarray, np.ndarray], spectra: np.ndarray) -> np.ndarray:
+    """Each row's distance outside the half-planes ``lines`` of
+    :func:`_line_arrays` (0 inside), from one (lines, rows) array per
+    ``_LINE_CHUNK`` rows.  Each entry has the same bits as in one product
+    over every row.  OpenBLAS runs a product of at most 65,536 x 4
+    multiply-adds on the calling thread by default, and a predicted
+    polytope has at most a dozen lines (2,048 x 3 x 12 = 73,728), so a
+    block worker of :func:`verify` wakes no BLAS threads, which would
+    compete with the other workers for the CPUs.
+    """
+    import numpy as np
+
+    normals, offsets, units = lines
+    least = np.empty(len(spectra))
+    for start in range(0, len(spectra), _LINE_CHUNK):
+        signed = normals @ spectra[start : start + _LINE_CHUNK].T
+        signed -= offsets
+        signed /= units
+        signed.min(axis=0, out=least[start : start + _LINE_CHUNK])
+    return np.maximum(0.0, -least)
+
+
+def violation_distances(P: ChamberPolytope, spectra: np.ndarray) -> np.ndarray:
+    """Per-sample distance outside the polytope (0 inside), from one (lines, n) array."""
+    return _excess(_line_arrays(P), spectra)
 
 
 def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> VerificationReport:
@@ -435,18 +507,24 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     never an artefact of the eigenvalue computation.  ``targeted`` adds that
     many draws per (torus-fixed configuration, scale) pair, which drive the
     per-vertex coverage distances to zero much faster than uniform sampling;
-    :func:`_draw_spectra` makes both kinds of row in one pass.
+    :func:`_draw_spectra` makes both kinds of row in one pass, and each
+    block's worker reduces its rows at once: its count of violations and
+    largest excess, its hull candidates, and each vertex's least squared
+    distance and the row where it occurs.  The caller merges those per-block
+    results; the first block that reaches a vertex's least distance gives
+    its nearest row, as one ``argmin`` over every row would.
     Every argument is checked before anything is drawn: a count that is not
     a positive integer, or a ``targeted`` that is not an integer >= 0,
-    raises :class:`InvalidCount`, and a ``tol`` that
-    :func:`su3.check_tolerance` refuses raises its error.  The weights are
-    checked for sampling once.
+    raises :class:`InvalidCount`, a seed that is not an integer >= 0
+    :class:`InvalidSeed`, and a ``tol`` that :func:`su3.check_tolerance`
+    refuses raises its error.  The weights are checked for sampling once.
     """
     import numpy as np
 
-    count = _checked_count(count, 1)
+    count = _checked_integer(count, 1)
+    seed = _checked_integer(seed, 0, InvalidSeed, "seed")
     check_tolerance(tol)
-    targeted = _checked_count(targeted, 0)
+    targeted = _checked_integer(targeted, 0)
     try:
         gammas = as_gammas(w)
     except ValueError as exc:
@@ -462,27 +540,31 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     except ValueError as exc:
         raise PredictionUnavailable(str(exc)) from exc
 
-    spectra = _draw_spectra(tuple(g / power for g in floats), 1.0, count, seed, targeted)
-    pq = chamber_points_of_spectra(spectra)
-
     diam = predicted.diameter()
     slack = tol * (diam if diam > 0 else max(abs(g) for g in floats) / power)
-    excess = violation_distances(predicted, spectra)
-
+    lines = _line_arrays(predicted)
     corners = _pq_array(predicted)
-    deficit = max(_distances(corners, _pq_array(hull2d(pq))))
+    vertices = np.array(corners)
 
-    # each vertex's nearest sample, picked on (vertices, n) squared distances
-    corners = np.array(corners)
-    nearest = pq[((pq[:, 0] - corners[:, :1]) ** 2 + (pq[:, 1] - corners[:, 1:]) ** 2).argmin(axis=1)]
-    coverage = np.hypot(nearest[:, 0] - corners[:, 0], nearest[:, 1] - corners[:, 1])
+    def check(start, spectra, points):
+        excess = _excess(lines, spectra)
+        # (vertices, rows) squared distances
+        d2 = (points[:, 0] - vertices[:, :1]) ** 2 + (points[:, 1] - vertices[:, 1:]) ** 2
+        return np.count_nonzero(excess > slack), excess.max(), _hull_block(start, spectra, points), d2.min(axis=1), start + d2.argmin(axis=1)
+
+    spectra, points, blocks = _draw_spectra(tuple(g / power for g in floats), 1.0, count, seed, targeted, check)
+    violations, worst, kept, least, rows = zip(*blocks)
+    deficit = max(_distances(corners, _pq_array(hull2d(np.concatenate(kept)))))
+    # each vertex's nearest row, from the first block with its least distance
+    nearest = points[np.array(rows)[np.argmin(least, axis=0), np.arange(len(corners))]]
+    coverage = np.hypot(nearest[:, 0] - vertices[:, 0], nearest[:, 1] - vertices[:, 1])
 
     return VerificationReport(
         label=predicted.label,
         seed=seed,
-        n_samples=int(spectra.shape[0]),
-        n_violations=int(np.count_nonzero(excess > slack)),
-        max_violation=power * float(excess.max()),
+        n_samples=len(spectra),
+        n_violations=int(sum(violations)),
+        max_violation=power * float(max(worst)),
         hausdorff_inner=power * deficit,
         vertex_coverage=tuple(power * float(d) for d in coverage),
         diameter=power * diam,

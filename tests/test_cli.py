@@ -48,6 +48,8 @@ class TestErrors:
             (["bounds", "--lambdas", "1,1,1", "--target", "2,0,-2", "--tolerance", "nan"], "InvalidTolerance"),
             (["bounds", "--lambdas", "1,1,1", "--target", "2,0,-2", "--tolerance", "-1"], "InvalidTolerance"),
             (["sample", "--gamma", "4,2,-1", "--count", "-1"], "InvalidCount"),
+            (["sample", "--gamma", "4,2,-1", "--count", "3", "--seed", "-1"], "InvalidSeed"),
+            (["verify", "--gamma", "4,2,-1", "--count", "1000", "--seed", "-1"], "InvalidSeed"),
             (["sweep", "--start", "1,1,1", "--end", "2,1,1", "--steps", "0"], "InvalidCount"),
             (["sweep", "--start", "1,1,1", "--end", "2,1"], "LengthMismatch"),
             (["bounds", "--lambdas", "1,1,1,1"], "LengthMismatch"),

@@ -16,6 +16,8 @@ from su3poly.moment_map import FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, In
 from su3poly.oracle import (
     BLOCK,
     InvalidCount,
+    InvalidSeed,
+    VerificationReport,
     _draw_spectra,
     _float_weights,
     _rng_for_block,
@@ -26,8 +28,8 @@ from su3poly.oracle import (
     verify,
     violation_distances,
 )
-from su3poly.polytope import ChamberPolytope, build_polytope, build_polytope_n2, build_polytope_n3
-from su3poly.su3 import SPECTRA_ERROR, InvalidTolerance, lift_2d
+from su3poly.polytope import ChamberPolytope, InvalidHullPoints, _distances, _pq_array, build_polytope, build_polytope_n2, build_polytope_n3, hull2d
+from su3poly.su3 import SPECTRA_ERROR, InvalidTolerance, is_exact, lift_2d
 
 
 def _gaussian_blocks(seed, count, n_factors):
@@ -91,6 +93,37 @@ def serial_targeted_spectra(gammas, per_config, seed):
             noise = _rng_for_block(seed, 1_000_003 + idx * 31 + k).standard_normal((per_config, len(base), 3, 2))
             chunks.append(spectra_of_configurations(base + scale * noise.view(complex)[..., 0], gammas))
     return np.concatenate(chunks)
+
+
+def reference_verify(gammas, count, seed, targeted, tol=1e-6):
+    """``verify(gammas, count, seed, tol, targeted).to_json_dict()`` from the
+    serial uniform and targeted rows, with the containment, the hull and the
+    coverage each taken over every row at once: one ``violation_distances``,
+    ``hull2d`` of every chamber point and one ``argmin`` per vertex."""
+    floats, power = _float_weights(gammas)
+    predicted = build_polytope(tuple(F(g) / F(power) if is_exact(g) else g / power for g in gammas))
+    # verify's rows are at the weights over the sampler's power of two
+    spectra = np.concatenate([serial_spectra(gammas, count, seed), serial_targeted_spectra(gammas, targeted, seed)]) / power
+    pq = oracle.chamber_points_of_spectra(spectra)
+    diam = predicted.diameter()
+    slack = tol * (diam if diam > 0 else max(abs(g) for g in floats) / power)
+    excess = violation_distances(predicted, spectra)
+    corners = _pq_array(predicted)
+    deficit = max(_distances(corners, _pq_array(hull2d(pq))))
+    corners = np.array(corners)
+    nearest = pq[((pq[:, 0] - corners[:, :1]) ** 2 + (pq[:, 1] - corners[:, 1:]) ** 2).argmin(axis=1)]
+    coverage = np.hypot(nearest[:, 0] - corners[:, 0], nearest[:, 1] - corners[:, 1])
+    return VerificationReport(
+        predicted.label,
+        seed,
+        len(spectra),
+        int(np.count_nonzero(excess > slack)),
+        power * float(excess.max()),
+        power * deficit,
+        tuple(power * float(d) for d in coverage),
+        power * diam,
+        tol,
+    ).to_json_dict()
 
 
 def _gaussians(seed, count, n_factors):
@@ -189,7 +222,10 @@ class TestBlockRunner:
         expected = serial_targeted_spectra(gammas, 300, 5)
         for workers in (1, 2, 3):
             monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
-            assert np.array_equal(_draw_spectra(*_float_weights(gammas), 0, 5, 300), expected), workers
+            spectra, points, reduced = _draw_spectra(*_float_weights(gammas), 0, 5, 300)
+            assert np.array_equal(spectra, expected), workers
+            assert np.array_equal(points, oracle.chamber_points_of_spectra(expected)), workers
+            assert reduced == [None] * len(reduced), workers
 
     @pytest.mark.parametrize(
         "gammas, count, targeted",
@@ -202,15 +238,44 @@ class TestBlockRunner:
         ids=str,
     )
     def test_verify_equal_to_the_serial_streams_at_every_worker_count(self, monkeypatch, gammas, count, targeted):
-        # the report verify makes from the serial uniform and targeted rows
-        # verify's rows are at the weights over the sampler's power of two
-        rows = np.concatenate([serial_spectra(gammas, count, 6), serial_targeted_spectra(gammas, targeted, 6)]) / _float_weights(gammas)[1]
-        with monkeypatch.context() as patched:
-            patched.setattr(oracle, "_draw_spectra", lambda *args: rows.copy())
-            expected = verify(gammas, count, 6, targeted=targeted).to_json_dict()
+        # each block's worker reduces its own rows; the merged report is the
+        # one the unfused tail makes from every serial row at once
+        expected = reference_verify(gammas, count, 6, targeted)
         for workers in (1, 2, 3):
             monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
             assert verify(gammas, count, 6, targeted=targeted).to_json_dict() == expected, workers
+
+    @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("gammas", [(4, 2, -1), (2, 1), (3, -1, -2)], ids=str)
+    def test_empirical_hull_is_the_hull_of_every_point_at_every_worker_count(self, monkeypatch, gammas, count):
+        # the hull of the blocks' hull candidates, each kept at its block's
+        # own scale, is the hull of the whole batch
+        batch = sample_batch(gammas, count, 6)
+        expected = hull2d(batch.chamber_points)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+            got, hull = empirical_polytope(gammas, count, 6)
+            assert got == batch, workers
+            assert hull == expected and hull.to_json_dict() == expected.to_json_dict(), workers
+
+    def test_a_nan_row_is_named_by_its_row_of_the_batch(self, monkeypatch):
+        # a block's kernel writes one NaN row; its block's hull candidates
+        # refuse it under the row's index in the whole batch
+        bad = 2 * BLOCK + 5
+        kernel = oracle._frame_spectra
+
+        def one_nan_row(u, gs, out):
+            kernel(u, gs, out)
+            start = (out.ctypes.data - out.base.ctypes.data) // out.strides[0]
+            if start <= bad < start + len(out):
+                out[bad - start] = np.nan
+            return out
+
+        monkeypatch.setattr(oracle, "_frame_spectra", one_nan_row)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+            with pytest.raises(InvalidHullPoints, match=re.escape(f"point {bad} (p, q) = (nan, nan) is not finite")):
+                empirical_polytope((4, 2, -1), 3 * BLOCK + 5, 2)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_a_failing_block_raises_its_own_error_and_every_helper_is_joined(self, monkeypatch, workers):
@@ -299,6 +364,23 @@ class TestVerifySlack:
         monkeypatch.setattr(oracle, "build_polytope", lambda _: shifted)
         report = verify(w, 2000, seed=4, tol=1e-6)
         assert report.n_violations == report.n_samples
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed", [1.5, True, "3", -1, float("nan"), None], ids=repr)
+    @pytest.mark.parametrize("run", [sample_batch, empirical_polytope, verify], ids=lambda run: run.__name__)
+    def test_bad_seed_is_named_before_drawing(self, monkeypatch, run, seed):
+        # 1.5 once drew the rows of seed 1, -1 and nan raised numpy's bare
+        # ValueError and None a TypeError
+        monkeypatch.setattr(oracle, "_draw_spectra", None)
+        with pytest.raises(InvalidSeed, match=re.escape(f"seed {seed!r} is not an integer >= 0")):
+            run((4, 2, -1), 1000, seed)
+
+    def test_an_integral_seed_is_stored_as_an_int(self):
+        batch = sample_batch((4, 2, -1), 10, np.int64(3))
+        assert type(batch.seed) is int and batch == sample_batch((4, 2, -1), 10, 3)
+        assert type(empirical_polytope((4, 2, -1), 10, np.uint8(3))[0].seed) is int
+        assert type(verify((4, 2, -1), 10, np.int32(3)).seed) is int
 
 
 class TestFloatRange:

@@ -628,7 +628,7 @@ class TestHull2d:
         # seed 7), at verify's power of two: an area tolerance gave 10
         # vertices with the filter and 10 others without it
         w, seed = (4, 2, -1), 7
-        pq = oracle.chamber_points_of_spectra(oracle._draw_spectra(*oracle._float_weights(w), 100_000, seed, 500) / 8)
+        pq = oracle.chamber_points_of_spectra(oracle._draw_spectra(*oracle._float_weights(w), 100_000, seed, 500)[0] / 8)
         scale = float(np.abs(pq).max())
         kept = polytope._extreme_point_filter(pq, 1e-9 * scale**2)
         assert len(kept) < 0.02 * len(pq)
