@@ -29,17 +29,16 @@ is partitioned, and a shorter batch is a prefix of a longer one.
 
 Sampling, spectra and their reductions are one pass, :func:`_draw_spectra`:
 one :func:`_run_blocks` call over the uniform blocks and, for :func:`verify`,
-one more block per torus-fixed configuration, on every CPU the process may
-use (``os.sched_getaffinity``): the calling thread and one helper thread per
+one more block per anchor, on every CPU the process may use
+(``os.sched_getaffinity``): the calling thread and one helper thread per
 further CPU pull block indices from one shared iterator.  The worker that
 draws a block writes only the block's rows of spectra and chamber points,
 then reduces them while they are in its cache; the calling thread merges
 one small result per block, in block order, so every output is bitwise the
-same at any worker count.  A uniform block is one kernel call.  A targeted
-block perturbs its configuration by complex Gaussians at four scales, drawn
-into the worker's reused buffer, and :func:`spectra_of_configurations`
-weights each factor by ``g_j / |z_j|^2`` instead of normalising it, since
-the momentum map is projective.
+same at any worker count.  Every block is one ``random`` draw into the
+worker's reused buffer and one kernel call.  The torus-fixed configurations
+are corners of the frame's cube of uniforms, so a targeted block pulls its
+uniforms toward its anchor's corner at four scales.
 
 Each block keeps its hull candidates, the points that the prefilter of
 :func:`polytope.hull2d` keeps at the block's own scale.  They hold every
@@ -69,7 +68,7 @@ import threading
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from .moment_map import CPPoint, FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight, as_gammas
+from .moment_map import CPPoint, InvalidWeight, as_gammas
 from .polytope import _HULL_EPS, ChamberPolytope, _distances, _float_lines, _hull_candidates, _pq_array, build_polytope, hull2d
 from .su3 import Frozen, _set, chamber_coordinates, check_tolerance, is_exact, spectra_of_entries
 
@@ -79,6 +78,12 @@ if TYPE_CHECKING:  # annotations only: importing the package loads no numpy
 BLOCK = 1 << 14
 _LINE_CHUNK = 1 << 11
 _ROW, _COL = [0, 0, 1], [1, 2, 2]  # upper entries 12, 13, 23
+#: Each anchor's torus-fixed configuration as a corner of the frame's
+#: uniforms (U0, U1, U2) of :func:`_frame_spectra`, keyed as the anchor
+#: table: U0 = 0 puts u2 at e1, U0 = 1 at e2, and (U1, U2) = (1, 1), (0, 1)
+#: and (0, 0) put u3 at e1, e2 and e3.
+_CORNERS = {"a": (0, 1, 1), "b": (1, 0, 0), "c1": (1, 0, 1), "c2": (1, 1, 1), "c3": (0, 0, 0)}
+_CORNERS_N2 = {"a": (0,), "c": (1,)}
 
 
 class PredictionUnavailable(ValueError):
@@ -195,25 +200,16 @@ def spectra_of_configurations(z: np.ndarray, gammas, out: Optional[np.ndarray] =
     a unit one; the result is (n, 3) with rows descending, written into
     ``out`` when given.  The momentum map is projective, so factor j enters
     as ``g_j z_j z_j^* / |z_j|^2``: the six independent entries of that sum
-    are formed from ``z`` with the weights ``g_j / |z_j|^2`` and handed to
-    the closed-form eigenvalue kernel :func:`su3.spectra_of_entries`; no unit
+    are formed from ``z`` with the weights ``g_j / |z_j|^2``, ``BLOCK`` rows
+    at a time so that the temporaries stay small, and handed to the
+    closed-form eigenvalue kernel :func:`su3.spectra_of_entries`; no unit
     vector and no (n, 3, 3) matrix is built.
     """
     import numpy as np
 
     floats, power = _float_weights(as_gammas(gammas))
-    out = _spectra_rows(z, np.array(floats) / power, np.empty((z.shape[0], 3)) if out is None else out)
-    if power != 1.0:
-        out *= power
-    return out
-
-
-def _spectra_rows(z: np.ndarray, gs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The kernel of :func:`spectra_of_configurations` at the weights ``gs``
-    (the caller's floats over their power), in chunks of ``BLOCK`` rows so
-    that the temporaries stay small; the targeted draws call it directly."""
-    import numpy as np
-
+    gs = np.array(floats) / power
+    out = np.empty((z.shape[0], 3)) if out is None else out
     for start in range(0, z.shape[0], BLOCK):
         zc = z[start : start + BLOCK]
         sq = zc.real * zc.real + zc.imag * zc.imag
@@ -225,6 +221,8 @@ def _spectra_rows(z: np.ndarray, gs: np.ndarray, out: np.ndarray) -> np.ndarray:
         for k, (a, b) in enumerate(zip(_ROW, _COL)):
             off[:, k] = np.einsum("cj,cj->c", zc[:, :, a], wzbar[:, :, b])
         out[start : start + len(zc)] = spectra_of_entries(diag, off)
+    if power != 1.0:
+        out *= power
     return out
 
 
@@ -309,67 +307,62 @@ class SampleBatch(Frozen):
 
 def _draw_spectra(floats: Tuple[float, ...], power: float, count: int, seed: int, targeted: int = 0, reduce: Optional[Callable] = None):
     """``(spectra, points, reduced)``: the spectra and chamber points of
-    ``count`` uniform draws, then of ``targeted`` draws per (torus-fixed
-    configuration, scale) pair, and per block, in block order,
-    ``reduce(start, spectra, points)`` of the block's rows from row
-    ``start`` (None without ``reduce``), all in one :func:`_run_blocks` call.
+    ``count`` uniform draws, then of ``targeted`` draws per (anchor, scale)
+    pair, and per block, in block order, ``reduce(start, spectra, points)``
+    of the block's rows from row ``start`` (None without ``reduce``), all in
+    one :func:`_run_blocks` call.
 
-    The kernels run at ``floats / power`` (an exact division) and each
+    The kernel runs at ``floats / power`` (an exact division) and each
     block's rows are multiplied back by ``power``; :func:`verify` passes the
     divided weights and power 1, so its rows stay at that scale.  The worker
     that draws a block then writes its chamber points and runs ``reduce`` on
     both, while the rows are in its cache; ``reduce`` must call only private
     functions, as :func:`_run_blocks` requires.
 
-    Block ``b < ceil(count / BLOCK)`` is uniform: 4 uniforms per row (1 with
-    two factors) from generator ``(seed, b)``, read by :func:`_frame_spectra`;
-    a partial last block is the prefix of the full one, as ``random`` fills
-    in order.  Each later block is one fixed configuration ``idx``, perturbed
-    by complex Gaussians of ``scales[k]`` from generator
-    ``(seed, 1_000_003 + 31 idx + k)`` for each k, all drawn into one buffer
-    and diagonalised together: uniform draws reach the polytope vertices
-    slowly, these cover them quickly, and all are genuine momentum-map images,
-    so they may be pooled.
+    Every block is 4 uniforms per row (1 with two factors), drawn into the
+    worker's buffer by one ``random`` call and read by one
+    :func:`_frame_spectra` call.  Block ``b < ceil(count / BLOCK)`` is
+    uniform, from generator ``(seed, b)``; a partial last block is the prefix
+    of the full one, as ``random`` fills in order.  Each later block is one
+    anchor ``idx`` of :data:`_CORNERS` (:data:`_CORNERS_N2`), from generator
+    ``(seed, 1_000_003 + idx)``: its k-th ``targeted`` rows have their first
+    3 uniforms (1) pulled to ``corner + scales[k] (u - corner)``.  Uniform
+    draws reach the polytope vertices slowly, these cover the anchor images
+    quickly, and all are genuine momentum-map images, so they may be pooled.
+    The pulls shrink fast because s^2 = sqrt(U0) moves as the fourth root
+    of a pull toward U0 = 0.
     """
     import numpy as np
 
-    scales = (0.5, 0.1, 0.02, 0.004)
-    configs = FIXED_CONFIGURATIONS if len(floats) == 3 else FIXED_CONFIGURATIONS_N2
-    bases = [np.array([list(p.coords) for p in configs[config]]) for config in sorted(configs)] if targeted else []  # each (N, 3)
+    scales = np.array([0.5, 1e-3, 1e-6, 1e-9])[:, None, None]
+    corners = list((_CORNERS if len(floats) == 3 else _CORNERS_N2).values()) if targeted else []
     gs = np.array(floats) / power
-    width = 4 if len(floats) == 3 else 1  # uniforms per uniform row
-    near = len(scales) * targeted  # rows per configuration
+    width = 4 if len(floats) == 3 else 1  # uniforms per row
+    near = len(scales) * targeted  # rows per anchor
     uniform = -(-count // BLOCK)
-    spectra = np.empty((count + len(bases) * near, 3))
+    spectra = np.empty((count + len(corners) * near, 3))
     points = np.empty((len(spectra), 2))
-    reduced = [None] * (uniform + len(bases))
+    reduced = [None] * (uniform + len(corners))
 
     def draw(block, buf):
-        if block < uniform:
-            start = block * BLOCK
-            stop = min(start + BLOCK, count)
-            u = buf[: (stop - start) * width].reshape(stop - start, width)
-            _rng_for_block(seed, block).random(out=u)
-            _frame_spectra(u, gs, spectra[start:stop])
-        else:
-            idx = block - uniform
-            part = buf[: near * len(floats) * 6].reshape(len(scales), targeted, len(floats), 3, 2)
-            z = part.view(complex)[..., 0]
-            for k, scale in enumerate(scales):
-                _rng_for_block(seed, 1_000_003 + idx * 31 + k).standard_normal(out=part[k])
-                z[k] *= scale
-            z += bases[idx]
-            start = count + idx * near
-            stop = start + near
-            _spectra_rows(z.reshape(near, len(floats), 3), gs, spectra[start:stop])
-        rows = spectra[start:stop]
+        idx = block - uniform
+        start = block * BLOCK if idx < 0 else count + idx * near
+        stop = min(start + BLOCK, count) if idx < 0 else start + near
+        u = buf[: (stop - start) * width].reshape(stop - start, width)
+        _rng_for_block(seed, block if idx < 0 else 1_000_003 + idx).random(out=u)
+        if idx >= 0:
+            pulled = u.reshape(len(scales), targeted, width)[:, :, : len(corners[idx])]
+            pulled -= corners[idx]
+            pulled *= scales
+            pulled += corners[idx]
+        rows = _frame_spectra(u, gs, spectra[start:stop])
         if power != 1.0:
             rows *= power
         points[start:stop, 0], points[start:stop, 1] = chamber_coordinates(rows[:, 0], rows[:, 1], rows[:, 2])
         if reduce is not None:
             reduced[block] = reduce(start, rows, points[start:stop])
 
-    _run_blocks(len(reduced), max(min(BLOCK, count) * width, near * len(floats) * 6), draw)
+    _run_blocks(len(reduced), max(min(BLOCK, count), near) * width, draw)
     return spectra, points, reduced
 
 
@@ -505,8 +498,9 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     times max|gamma| (1e-7 at the default ``tol``; every fixture of the test
     suite has a diameter of at least 0.7 max|gamma|), so there a violation is
     never an artefact of the eigenvalue computation.  ``targeted`` adds that
-    many draws per (torus-fixed configuration, scale) pair, which drive the
-    per-vertex coverage distances to zero much faster than uniform sampling;
+    many draws per (anchor, scale) pair, uniforms pulled toward the corner
+    of the torus-fixed configuration, which drive the coverage distances of
+    the anchor vertices to zero much faster than uniform sampling;
     :func:`_draw_spectra` makes both kinds of row in one pass, and each
     block's worker reduces its rows at once: its count of violations and
     largest excess, its hull candidates, and each vertex's least squared

@@ -128,6 +128,27 @@ N2_FIXTURES = [
 ]
 
 
+def gaussian_anchor_spectra(gammas, per_config, seed):
+    """Spectra in tight clusters near the anchor images: each torus-fixed
+    configuration plus complex Gaussians of scale 0.5, 0.1, 0.02 and 0.004,
+    ``per_config`` rows per scale from generator
+    ``(seed, 1_000_003 + 31 idx + k)``, the targeted rows of earlier versions
+    of ``verify``."""
+    import numpy as np
+
+    from su3poly.moment_map import FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2
+    from su3poly.oracle import _rng_for_block, spectra_of_configurations
+
+    configs = FIXED_CONFIGURATIONS if len(gammas) == 3 else FIXED_CONFIGURATIONS_N2
+    chunks = []
+    for idx, config in enumerate(sorted(configs)):
+        base = np.array([list(p.coords) for p in configs[config]])
+        for k, scale in enumerate((0.5, 0.1, 0.02, 0.004)):
+            noise = _rng_for_block(seed, 1_000_003 + idx * 31 + k).standard_normal((per_config, len(base), 3, 2))
+            chunks.append(spectra_of_configurations(base + scale * noise.view(complex)[..., 0], gammas))
+    return np.concatenate(chunks)
+
+
 def random_rational_gammas(rnd, n=3, lo=-12, hi=12):
     """Random nonzero rational weights with small denominators."""
     while True:

@@ -10,9 +10,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import N2_FIXTURES, POLYTOPE_FIXTURES
+from conftest import FIXTURE_ORDERS_AND_SIGNS, N2_FIXTURES, POLYTOPE_FIXTURES
 from su3poly import oracle
-from su3poly.moment_map import FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight
+from su3poly.moment_map import FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight, fixed_point_spectra
 from su3poly.oracle import (
     BLOCK,
     InvalidCount,
@@ -82,17 +82,29 @@ def serial_spectra(gammas, count, seed):
     return spectra * power
 
 
-def serial_targeted_spectra(gammas, per_config, seed):
-    """The targeted rows of ``_draw_spectra``, one configuration and scale
-    after another."""
-    configs = FIXED_CONFIGURATIONS if len(gammas) == 3 else FIXED_CONFIGURATIONS_N2
-    chunks = []
-    for idx, config in enumerate(sorted(configs)):
-        base = np.array([list(p.coords) for p in configs[config]])
-        for k, scale in enumerate((0.5, 0.1, 0.02, 0.004)):
-            noise = _rng_for_block(seed, 1_000_003 + idx * 31 + k).standard_normal((per_config, len(base), 3, 2))
-            chunks.append(spectra_of_configurations(base + scale * noise.view(complex)[..., 0], gammas))
-    return np.concatenate(chunks)
+#: The pull toward its anchor's corner of each targeted scale.
+PULLS = (0.5, 1e-3, 1e-6, 1e-9)
+
+
+def targeted_uniforms(n_factors, per_anchor, seed):
+    """The uniforms of ``_draw_spectra``'s targeted rows, one anchor after
+    another, each from generator ``(seed, 1_000_003 + anchor)``: the first 3
+    uniforms of a row (1 with two factors) pulled to
+    ``corner + pull (u - corner)``, ``per_anchor`` rows per pull."""
+    corners = oracle._CORNERS if n_factors == 3 else oracle._CORNERS_N2
+    for idx, corner in enumerate(corners.values()):
+        u = _rng_for_block(seed, 1_000_003 + idx).random((len(PULLS) * per_anchor, 4 if n_factors == 3 else 1))
+        for k, pull in enumerate(PULLS):
+            rows = u[k * per_anchor : (k + 1) * per_anchor, : len(corner)]
+            rows[:] = corner + pull * (rows - corner)
+        yield u
+
+
+def serial_targeted_spectra(gammas, per_anchor, seed):
+    """The targeted rows of ``_draw_spectra``, one anchor after another."""
+    floats, power = _float_weights(gammas)
+    gs = np.array(floats) / power
+    return np.concatenate([oracle._frame_spectra(u, gs, np.empty((len(u), 3))) * power for u in targeted_uniforms(len(gammas), per_anchor, seed)])
 
 
 def reference_verify(gammas, count, seed, targeted, tol=1e-6):
@@ -233,7 +245,7 @@ class TestBlockRunner:
             ((4, 2, -1), 2 * BLOCK, 0),
             ((4, 2, -1), 1000, BLOCK + 3),  # the targeted rows set the buffer's size
             ((4, 2, -1), BLOCK + 1, 300),  # a partial uniform block before the targeted ones
-            ((2, 1), 3 * BLOCK + 7, 500),  # two factors: 8 targeted blocks
+            ((2, 1), 3 * BLOCK + 7, 500),  # two factors: 2 targeted blocks
         ],
         ids=str,
     )
@@ -470,6 +482,18 @@ class TestVerify:
         assert report.vertex_coverage[0] < 0.05
         assert max(report.vertex_coverage) < 0.2
 
+    def test_anchor_vertices_are_covered(self):
+        # the targeted rows, pulled toward each anchor's corner, come within
+        # 2e-3 of the diameter of every vertex that is an anchor image
+        # (1.3e-3 at worst, on the point 0 of (1, -1))
+        for gammas in FIXTURE_WEIGHTS:
+            report = verify(gammas, 100_000, seed=505)
+            anchors = set(fixed_point_spectra(gammas).values())
+            vertices = build_polytope(gammas).vertices
+            assert len(vertices) == len(report.vertex_coverage)
+            for vertex, coverage in zip(vertices, report.vertex_coverage):
+                assert vertex not in anchors or coverage <= 2e-3 * report.diameter, (gammas, vertex, coverage)
+
     def test_zero_weight_delegates(self):
         report = verify((2, 1, 0), 10000, seed=2, tol=1e-6)
         assert report.ok
@@ -661,3 +685,23 @@ class TestReducedFrame:
     def test_frame_vectors_are_unit_vectors(self):
         z = frame_configurations(_rng_for_block(3, 0).random((1000, 4)))
         assert np.abs(np.linalg.norm(z, axis=-1) - 1.0).max() < 1e-15 * 4
+
+    @pytest.mark.parametrize("gammas", SPECTRA_WEIGHTS, ids=str)
+    def test_targeted_rows_are_the_spectra_of_their_configurations(self, gammas):
+        z = np.concatenate([frame_configurations(u) for u in targeted_uniforms(len(gammas), 300, 5)])
+        scale = max(abs(float(g)) for g in gammas)
+        got = _draw_spectra(*_float_weights(gammas), 0, 5, 300)[0]
+        assert np.abs(got - spectra_of_configurations(z, gammas)).max() <= SPECTRA_ERROR * scale
+
+    def test_corners_are_the_anchor_table(self):
+        # each corner is its anchor's torus-fixed configuration, in the
+        # caller's order and sign; alpha (here 0.3) does not matter there
+        n2 = {(s * a, s * b) for gammas, *_ in N2_FIXTURES for a, b in (gammas, gammas[::-1]) for s in (1, -1)}
+        for gammas in FIXTURE_ORDERS_AND_SIGNS + sorted(n2):
+            corners = oracle._CORNERS if len(gammas) == 3 else oracle._CORNERS_N2
+            anchors = fixed_point_spectra(gammas)
+            assert list(corners) == list(anchors)
+            u = np.array([corner + (0.3,) * (len(corner) == 3) for corner in corners.values()], dtype=float)
+            expected = np.array([anchors[name].astuple() for name in corners], dtype=float)
+            got = spectra_of_configurations(frame_configurations(u), gammas)
+            assert np.abs(got - expected).max() <= SPECTRA_ERROR * max(abs(g) for g in gammas), gammas

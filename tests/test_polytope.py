@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_ORDERS_AND_SIGNS, N2_FIXTURES, POLYTOPE_FIXTURES, random_rational_gammas
+from conftest import FIXTURE_ORDERS_AND_SIGNS, N2_FIXTURES, POLYTOPE_FIXTURES, gaussian_anchor_spectra, random_rational_gammas
 from su3poly import classifier, moment_map, oracle, polytope
 from su3poly.classifier import GENERIC_N3, classify_n3
 from su3poly.cones import AnchorKernel, ConeSpec, Germ
@@ -624,11 +624,13 @@ class TestHull2d:
         assert np.array_equal(polytope._quickhull(kept, 1e-9 * scale), polytope._quickhull(pts, 1e-9 * scale))
 
     def test_pooled_verify_cloud_has_one_hull(self):
-        # the pooled uniform and targeted cloud of verify((4, 2, -1), 1e5,
-        # seed 7), at verify's power of two: an area tolerance gave 10
-        # vertices with the filter and 10 others without it
+        # the uniform rows of verify((4, 2, -1), 1e5, seed 7) pooled with
+        # Gaussian clusters near the anchors, at verify's power of two: an
+        # area tolerance gave 10 vertices with the filter and 10 others
+        # without it
         w, seed = (4, 2, -1), 7
-        pq = oracle.chamber_points_of_spectra(oracle._draw_spectra(*oracle._float_weights(w), 100_000, seed, 500)[0] / 8)
+        uniform = oracle._draw_spectra(*oracle._float_weights(w), 100_000, seed)[0]
+        pq = oracle.chamber_points_of_spectra(np.concatenate([uniform, gaussian_anchor_spectra(w, 500, seed)]) / 8)
         scale = float(np.abs(pq).max())
         kept = polytope._extreme_point_filter(pq, 1e-9 * scale**2)
         assert len(kept) < 0.02 * len(pq)
