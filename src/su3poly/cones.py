@@ -12,18 +12,25 @@ The cones are built on one integer scale (:class:`AnchorKernel`).  The
 weights, as :func:`su3.snap_weights` gives them (integers over a
 denominator d) in the caller's order and sign, are multiplied by t / 3 with
 t = 3 d, so the weights and the five anchor points scaled by t are integer
-triples.  Every cone decision is the sign of an integer polynomial: the
-coefficient the paper writes down, multiplied by a positive square.  The
-kernel gives each cone as a :class:`Germ`, all integers: the scaled apex,
-the folded root rays, the line root if any and the side of the half-plane
-cone at ``a``, with the star involution of a negative sum applied in
-integers; c_j is where factor j sits alone.  The exact builder runs on
-germs.  A :class:`ConeSpec`, with ``Fraction`` apex entries over t and
-:class:`Generator` objects, is a view of a germ, made for output and for
-the ``slice_cone_*`` functions.  The public coefficient
-functions below (:func:`b_slice_coefficients`, :func:`c_alpha3_form`, ...)
-keep the paper's rational forms; the tests check the kernel's signs against
-them.
+triples.  Every slice-cone decision, a ray's sign or a form's
+definiteness, is a product of the signs of the transition forms
+(:func:`su3._form_values`: each weight, each sum and difference of two,
+each weight minus the others, the total), which the snap and the
+classifier read too: the discriminants AC - B^2 of the slice forms factor
+as x y^3 z (x - y - z) at c_j (weights rotated to start at g_j, form times
+y^2) and g1 g2 g3^3 (g1 + g2 + g3) at a (form times g3^2).  So each cone
+is a function of the form signs and changes only on a transition wall; its
+fold is the anchor's sort, and the side of the half-plane cone at ``a``
+points to the other anchors' centroid.  The kernel gives each cone as a
+:class:`Germ`, all integers: the scaled apex, the folded root rays, the
+line root if any and the side of the half-plane cone at ``a``, in the
+caller's frame whatever the sign of the total; c_j is where factor j sits
+alone.  The exact builder runs on germs.  A :class:`ConeSpec`, with
+``Fraction`` apex entries over t and :class:`Generator` objects, is a view
+of a germ, made for output and for the ``slice_cone_*`` functions.  The
+public coefficient functions below (:func:`b_slice_coefficients`,
+:func:`c_alpha3_form`, ...) keep the paper's rational forms; the tests
+check the kernel's germs against them.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .su3 import (
     Root,
     Scalar,
     Spectrum,
+    _form_values,
     _set,
     apply_perm,
     check_index,
@@ -46,7 +54,6 @@ from .su3 import (
     num_out,
     sgn,
     snap_weights,
-    star_vector,
 )
 
 
@@ -94,10 +101,15 @@ class QuadraticForm2(Frozen):
 def definiteness(q: QuadraticForm2) -> Definiteness:
     """Definite iff AC > B^2, with the sign of A deciding which; AC = B^2 is
     degenerate, AC < B^2 indefinite."""
-    d = q.discriminant
-    if d > 0:
-        return Definiteness.POSITIVE_DEFINITE if q.A > 0 else Definiteness.NEGATIVE_DEFINITE
-    if d == 0:
+    return _definiteness(q.discriminant, q.A)
+
+
+def _definiteness(disc: Scalar, a: Scalar) -> Definiteness:
+    """The rule of :func:`definiteness` on AC - B^2 and A, or on any numbers
+    of their signs."""
+    if disc > 0:
+        return Definiteness.POSITIVE_DEFINITE if a > 0 else Definiteness.NEGATIVE_DEFINITE
+    if disc == 0:
         return Definiteness.DEGENERATE
     return Definiteness.INDEFINITE
 
@@ -184,7 +196,7 @@ _RAY_GENERATORS = {
 _LINE_GENERATORS = {root.vector: Generator(root, LINE) for root in Root}
 _LINE_VECTOR = {v: g.root.vector for v, g in _RAY_GENERATORS.items()}
 
-_ALPHA2, _ALPHA3 = Root.ALPHA2.vector, Root.ALPHA3.vector
+_ALPHA1, _ALPHA2, _ALPHA3 = (root.vector for root in Root)
 
 
 class Germ:
@@ -196,7 +208,7 @@ class Germ:
     cone at ``a``, the facet direction (a, b) of the functional a*l1 + b*l2
     that is nonnegative on the cone side of ``line``; ``folded`` says whether
     the raw fixed point was sorted into the chamber.  Everything is already
-    Weyl-folded and, at a negative sum, star-reflected.
+    Weyl-folded.
     """
 
     __slots__ = ("apex", "rays", "line", "side", "folded")
@@ -207,14 +219,6 @@ class Germ:
         self.line = line
         self.side = side
         self.folded = folded
-
-    def star(self) -> "Germ":
-        """Image under the star involution (reflection across l2 = 0); it
-        maps the functional a*l1 + b*l2 to a*l1 + (a - b)*l2."""
-        x, y, z = self.apex
-        line = None if self.line is None else _LINE_VECTOR[star_vector(self.line)]
-        side = None if self.side is None else (self.side[0], self.side[0] - self.side[1])
-        return Germ((-z, -y, -x), tuple(star_vector(v) for v in self.rays), line, side, self.folded)
 
 
 class AnchorKernel:
@@ -228,68 +232,50 @@ class AnchorKernel:
     breaks ties the way a perturbation towards strictly decreasing entries
     would, which is the one-sided limit used at weight coincidences.
 
-    Every sign below is that of an integer polynomial in ``gammas``, equal to
-    the sign of the rational coefficient it stands for (the polynomial is the
-    coefficient times a positive square, and P(t gamma) = t P(gamma)).  The
-    ``germ_*`` methods give each cone as a :class:`Germ`, which :meth:`view`
-    wraps in a :class:`ConeSpec`, or None where the cone degenerates (c_j
-    on a wall, a zero sum at a): the one place where that is decided.
+    ``signs`` are the signs of the 13 transition forms of ``gammas``
+    (:func:`su3._form_values`), read once, in the caller's frame; every
+    germ's rays and line, before the fold, are products of them.  With
+    (x, y, z) the weights rotated to start at g_j, the form at c_j times
+    y^2 has AC - B^2 = x y^3 z (x - y - z), and the form at a times g3^2
+    has AC - B^2 = g1 g2 g3^3 (g1 + g2 + g3), so no slice form is made,
+    and a cone changes only where a transition form changes sign.  The
+    ``germ_*`` methods give each cone as a :class:`Germ`, which
+    :meth:`view` wraps in a :class:`ConeSpec`, or None where the cone
+    degenerates (c_j on a wall, a zero sum at a): the one place where that
+    is decided.
     """
 
-    __slots__ = ("scale", "gammas", "anchors")
+    __slots__ = ("scale", "gammas", "anchors", "signs")
 
     def __init__(self, scale: int, gammas: Tuple[int, int, int], anchors: Dict[str, Tuple[tuple, Tuple[int, ...]]]):
         self.scale = scale
         self.gammas = gammas
         self.anchors = anchors
+        self.signs = tuple(map(sgn, _form_values(gammas)))
 
     @classmethod
     def scaled(cls, gammas: Tuple[int, int, int], scale: int) -> "AnchorKernel":
         """Kernel of the integer triple ``gammas`` = t * gamma / 3, t = ``scale``."""
         return cls(scale, gammas, tripled_fixed_point_diagonals(gammas))
 
-    # -- signs ---------------------------------------------------------------
-
-    def b_ray_signs(self) -> Tuple[int, int, int]:
-        """Signs of :func:`b_slice_coefficients`, each times a square.
-
-        Where a difference g_i - g_j vanishes the one-sided limit from
-        g_i > g_j (i < j) is taken.
-        """
-        g1, g2, g3 = self.gammas
-        d23, d13, d12 = sgn(g2 - g3) or 1, sgn(g1 - g3) or 1, sgn(g1 - g2) or 1
-        return d23 * sgn(g2 * g3), -d13 * sgn(g1 * g3), d12 * sgn(g1 * g2)
-
-    def c_signs(self, j: int) -> Tuple[int, QuadraticForm2]:
-        """Sign of :func:`c_alpha1_coefficient` and :func:`c_alpha3_form`.
-
-        With (x, y, z) the weights rotated to start at g_j, the coefficient
-        is -(y / z)(y + z) and the form ((x / y)(x - y), xz / y, (z / y)(z + y));
-        returned are the sign of the first times z^2 and the second times y^2.
-        """
-        x, y, z = _rotated(check_index(j), self.gammas)
-        yz = y * z * (y + z)
-        return -sgn(yz), QuadraticForm2(x * y * (x - y), x * y * z, yz)
-
-    def a_form(self) -> QuadraticForm2:
-        """:func:`a_slice_form` times g3^2.  Its discriminant is
-        :func:`a_discriminant` times g3^4, so it is indefinite exactly when
-        that is negative."""
-        g1, g2, g3 = self.gammas
-        return QuadraticForm2(g1 * g3 * (g1 + g3), g1 * g2 * g3, g2 * g3 * (g2 + g3))
-
-    # -- germs ---------------------------------------------------------------
-
     def germ_b(self) -> Germ:
-        """Three signed root rays; coincident weights give the one-sided limit."""
-        s1, s2, s3 = self.b_ray_signs()
+        """Three signed root rays, of the signs of :func:`b_slice_coefficients`:
+        e23 g2 g3, -e13 g1 g3 and e12 g1 g2, with e_ij = g_i - g_j.  Where
+        e_ij vanishes the one-sided limit from g_i > g_j (i < j) is taken."""
+        g1, g2, g3, _, _, _, e12, e13, e23 = self.signs[:9]
+        s1, s2, s3 = (e23 or 1) * g2 * g3, -(e13 or 1) * g1 * g3, (e12 or 1) * g1 * g2
         return self._folded("b", ((0, s1, -s1), (-s2, 0, s2), (s3, -s3, 0)))
 
     def germ_c(self, j: int) -> Optional[Germ]:
-        """An alpha1-family ray plus an alpha3-family ray (definite form) or
-        line (indefinite form); None when c_j sits on a wall."""
-        a1_sign, form = self.c_signs(j)
-        defin = definiteness(form)
+        """An alpha1-family ray, of sign -y z z_j, plus an alpha3-family ray
+        (definite form) or line (indefinite form); None when c_j sits on a
+        wall.  (x, y, z) are the weight signs rotated to start at g_j; the
+        form has AC - B^2 of sign x y z t_j and A of sign x y e, with
+        e = e12, e23, -e13 for j = 1, 2, 3."""
+        g = self.signs
+        x, y, z = _rotated(check_index(j), g)
+        a1_sign = -y * z * g[2 + j]
+        defin = _definiteness(x * y * z * g[8 + j], x * y * (g[6], g[8], -g[7])[j - 1])
         # a vanishing coefficient or a degenerate form is a wall transition
         if a1_sign == 0 or defin is Definiteness.DEGENERATE:
             return None
@@ -300,33 +286,29 @@ class AnchorKernel:
         return self._folded(f"c{j}", (a1_ray, (s, -s, 0)))
 
     def germ_a(self) -> Optional[Germ]:
-        """The cone at a, None at a zero sum; a negative sum is the star
-        image of the cone of -gamma, whose anchors are the star images of
-        these and whose slice form is this one negated."""
-        s = sum(self.gammas)
-        if s == 0:
+        """The cone at a, None at a zero sum.  The form has AC - B^2 of sign
+        g1 g2 g3 total and A of sign g1 g3 z13.  A negative total negates
+        the form (A flips) and star-reflects the cone of -gamma, whose lines
+        alpha3 and alpha2 read alpha1 and alpha2 here, its wedge (-alpha2,
+        -alpha1)."""
+        g1, g2, g3, _, z13, *_, total = self.signs
+        if total == 0:
             return None
-        starred = s < 0
-        form = self.a_form()
-        if starred:
-            form = QuadraticForm2(-form.A, -form.B, -form.C)
-        defin = definiteness(form)
-        anchors = {k: star_vector(entries) if starred else entries for k, (entries, _) in self.anchors.items()}
-        apex = anchors["a"]
+        apex = self.anchors["a"][0]
+        defin = _definiteness(g1 * g2 * g3 * total, g1 * g3 * z13 * total)
         if defin is Definiteness.INDEFINITE:
-            germ = Germ(apex, ((1, 0, -1), (-1, 1, 0)))  # -alpha2, -alpha3
-        else:
-            line = _ALPHA3 if defin is Definiteness.POSITIVE_DEFINITE else _ALPHA2
-            # The side towards the centroid of the other four anchors, in
-            # integers: 3 * lift_2d(a, b) dotted with 4 * (centroid - apex).
-            a, b = -line[1], line[0]
-            normal3 = (2 * a - b, 2 * b - a, -a - b)
-            others = [anchors[k] for k in ("b", "c1", "c2", "c3")]
-            side = sgn(sum(n * (sum(p[i] for p in others) - 4 * apex[i]) for i, n in enumerate(normal3)))
-            if side == 0:
-                raise ValueError("ambiguous side for the half-plane cone at a")
-            germ = Germ(apex, (), line, (side * a, side * b))
-        return germ.star() if starred else germ
+            # -alpha2, then -alpha3 (a positive total) or -alpha1 (a negative one)
+            return Germ(apex, ((1, 0, -1), (-1, 1, 0) if total > 0 else (0, -1, 1)))
+        line = (_ALPHA3 if total > 0 else _ALPHA1) if defin is Definiteness.POSITIVE_DEFINITE else _ALPHA2
+        # The side towards the centroid of the other four anchors, in
+        # integers: 3 * lift_2d(a, b) dotted with 4 * (centroid - apex).
+        a, b = -line[1], line[0]
+        normal3 = (2 * a - b, 2 * b - a, -a - b)
+        others = [self.anchors[k][0] for k in ("b", "c1", "c2", "c3")]
+        side = sgn(sum(n * (sum(p[i] for p in others) - 4 * apex[i]) for i, n in enumerate(normal3)))
+        if side == 0:
+            raise ValueError("ambiguous side for the half-plane cone at a")
+        return Germ(apex, (), line, (side * a, side * b))
 
     def _folded(self, name: str, rays, line=None) -> Germ:
         entries, order = self.anchors[name]

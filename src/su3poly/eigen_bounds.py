@@ -18,8 +18,9 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
+from .moment_map import NotNormalized
 from .polytope import ChamberPolytope, build_polytope
-from .su3 import Frozen, Hermitian3, Scalar, Spectrum, _set, check_real, snap_weights, to_positive_chamber
+from .su3 import Frozen, Hermitian3, LengthMismatch, Scalar, Spectrum, _set, check_real, snap_weights, to_positive_chamber
 
 if TYPE_CHECKING:  # annotations only: importing the package loads no numpy
     import numpy as np
@@ -36,17 +37,27 @@ class DoubleEigMatrixSpec(Frozen):
         _set(self, "lam", lam)
 
     def realize(self, line: np.ndarray) -> Hermitian3:
-        """The matrix lam (I - 3 Z conj(Z)^T) with simple eigenvector line Z."""
+        """The matrix lam (I - 3 Z conj(Z)^T) with simple eigenvector line Z.
+
+        A line of other than three entries raises :class:`su3.LengthMismatch`,
+        a zero or non-finite one :class:`moment_map.NotNormalized`."""
         import numpy as np
 
-        z = np.asarray(line, dtype=complex) / np.linalg.norm(line)
+        z = np.asarray(line, dtype=complex)
+        if z.shape != (3,):
+            raise LengthMismatch(f"line of shape {z.shape} is not three entries")
+        norm = float(np.linalg.norm(z))
+        if norm == 0.0 or not math.isfinite(norm):
+            raise NotNormalized(f"line {z.tolist()} is zero or not finite")
+        z = z / norm
         m = float(self.lam) * (np.eye(3) - 3.0 * np.outer(z, z.conj()))
         return Hermitian3.from_numpy(m)
 
 
-def gamma_of_lambda(spec: DoubleEigMatrixSpec) -> Scalar:
-    """Weight corresponding to a double-eigenvalue class: gamma = -3 lam."""
-    return -3 * spec.lam
+def gamma_of_lambda(spec) -> Scalar:
+    """Weight corresponding to a double-eigenvalue class (a
+    :class:`DoubleEigMatrixSpec` or its lam): gamma = -3 lam."""
+    return -3 * _as_spec(spec).lam
 
 
 def _as_spec(x) -> DoubleEigMatrixSpec:

@@ -82,8 +82,8 @@ class AllWeightsDegenerate(ValueError):
 
 
 class InvalidHullPoints(ValueError):
-    """Points no chamber hull can be made of: none at all, a NaN or infinite
-    coordinate, or a hull vertex outside the positive chamber."""
+    """Points no chamber hull can be made of: none at all, not (n, 2), a NaN
+    or infinite coordinate, or a hull vertex outside the positive chamber."""
 
 
 class InvalidHalfPlane(ValueError):
@@ -242,9 +242,12 @@ class ChamberPolytope(Frozen):
         Exact when the polytope, the point and ``tol == 0`` are all exact:
         one integer sign test per line.  Otherwise the signed distances are
         floats, each rounded once from its exact value on exact input (a
-        non-finite entry raises :class:`su3.InvalidWeight`)."""
+        non-finite entry raises :class:`su3.InvalidWeight`, a point of other
+        than three entries :class:`su3.LengthMismatch`)."""
         check_tolerance(tol)
         triple = s.astuple() if isinstance(s, Spectrum) else tuple(s)
+        if len(triple) != 3:
+            raise LengthMismatch(f"point has {len(triple)} entries, not 3")
         exact = self.is_exact and all_exact(triple)
         if exact:
             # 3 * d * den * (n . s - c / den) for s = (x, y, z) / d, an integer on integer lines
@@ -676,18 +679,26 @@ def hull2d(points, eps: float = _HULL_EPS) -> ChamberPolytope:
     against (no absolute floor, so ``hull2d(t * points)`` is ``t`` times the
     hull).  The filter drops only points strictly inside the hull, which
     never change the quickhull's vertices, so they are the same without it.
-    No points, a non-finite point or a hull vertex outside the chamber
-    (beyond the slack that :class:`su3.Spectrum` allows), raise
-    :class:`InvalidHullPoints`, naming the point, and an
-    ``eps`` that :func:`su3.check_tolerance` refuses raises its error.
+    No points, points not of shape (n, 2), a non-finite point or a hull
+    vertex outside the chamber (beyond the slack that :class:`su3.Spectrum`
+    allows) raise :class:`InvalidHullPoints`, naming the shape or the point,
+    and an ``eps`` that :func:`su3.check_tolerance` refuses raises its error.
     """
     import numpy as np
 
     check_tolerance(eps)
 
-    arr = points if isinstance(points, np.ndarray) else np.array([(p.p, p.q) if isinstance(p, ChamberPoint) else (p[0], p[1]) for p in points], dtype=float)
+    if isinstance(points, np.ndarray):
+        arr = points
+    else:
+        try:
+            arr = np.array([(p.p, p.q) if isinstance(p, ChamberPoint) else p for p in points], dtype=float)
+        except ValueError as exc:  # rows of different lengths
+            raise InvalidHullPoints(f"points are not (p, q) pairs: {exc}") from None
     if arr.size == 0:
         raise InvalidHullPoints("hull2d needs at least one point")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise InvalidHullPoints(f"points of shape {arr.shape} are not (n, 2)")
     kept, scale = _hull_candidates(arr, eps)
     hull = _quickhull(kept, eps * scale).tolist()
 
@@ -741,7 +752,11 @@ def _distances(points, verts) -> List[float]:
 
 
 def distance_to_polytope_pq(point, P: ChamberPolytope) -> float:
-    """Euclidean distance from an embedding point to a convex polytope."""
+    """Euclidean distance from an embedding point (p, q) to a convex
+    polytope; a point of other than two entries raises
+    :class:`su3.LengthMismatch`, a non-finite one :class:`su3.InvalidWeight`."""
+    if len(point) != 2:
+        raise LengthMismatch(f"point has {len(point)} entries, not (p, q)")
     for k in (0, 1):
         check_real(point[k], f"point coordinate {k}")  # raises InvalidWeight
     return _distances([(float(point[0]), float(point[1]))], _pq_array(P))[0]

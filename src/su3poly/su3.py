@@ -118,7 +118,14 @@ def check_index(j) -> int:
 
 def _form_values(x: Sequence[int]) -> tuple:
     """The transition forms: each weight, then (for three weights) each sum
-    and difference of two, each weight minus the others, and the total."""
+    and difference of two, each weight minus the others, and the total.
+
+    For three weights the 13 values are, by index, (g1, g2, g3, z23, z13,
+    z12, e12, e13, e23, t1, t2, t3, total): z_ij = g_i + g_j, e_ij =
+    g_i - g_j, t_j = g_j minus the other two.  So z_j, the sum of the
+    weights other than g_j, is at index 2 + j, and t_j at 8 + j.  For two
+    weights they are (g1, g2, total, e12).  The snap and the classifier
+    read these, and the cone kernel reads their signs."""
     if len(x) == 2:
         a, b = x
         return (a, b, a + b, a - b)
@@ -291,7 +298,11 @@ _set = object.__setattr__
 
 
 class Spectrum(Frozen):
-    """Sorted trace-zero eigenvalue triple ``l1 >= l2 >= l3``."""
+    """Sorted trace-zero eigenvalue triple ``l1 >= l2 >= l3``.
+
+    An entry that is NaN, an infinity, a bool or no number raises
+    :class:`InvalidWeight`, naming it; then unsorted entries raise
+    :class:`NotSorted` and a nonzero sum :class:`SumNotZero`."""
 
     __slots__ = _fields = ("l1", "l2", "l3")
     l1: Scalar
@@ -309,6 +320,7 @@ class Spectrum(Frozen):
         return s
 
     def __init__(self, l1: Scalar, l2: Scalar, l3: Scalar):
+        _check_entries((l1, l2, l3))
         _set(self, "l1", l1)
         _set(self, "l2", l2)
         _set(self, "l3", l3)
@@ -389,12 +401,17 @@ def to_positive_chamber(raw: Sequence[Scalar]):
     raw = tuple(raw)
     if len(raw) != 3:
         raise LengthMismatch(f"expected a triple, got {len(raw)} entries")
-    for k, x in enumerate(raw):
+    _check_entries(raw)
+    entries, perm = sort_descending(raw)
+    return Spectrum(*entries), perm
+
+
+def _check_entries(entries: Sequence[Scalar]) -> None:
+    """:func:`check_real` on each entry of a would-be spectrum, naming it."""
+    for k, x in enumerate(entries):
         # the exact types need no check, and fixed_point_spectra sorts them often
         if type(x) is not int and type(x) is not Fraction:
             check_real(x, f"spectrum entry {k}")
-    entries, perm = sort_descending(raw)
-    return Spectrum(*entries), perm
 
 
 def sort_descending(v: Sequence[Scalar]) -> Tuple[tuple, Tuple[int, ...]]:
@@ -415,11 +432,6 @@ def star_involution(s: Spectrum) -> Spectrum:
     Acts as the reflection of the chamber across the line l2 = 0.
     """
     return Spectrum(-s.l3, -s.l2, -s.l1)
-
-
-def star_vector(v: Sequence[Scalar]) -> Tuple[Scalar, Scalar, Scalar]:
-    """The star involution as a linear map on sum-zero triples."""
-    return (-v[2], -v[1], -v[0])
 
 
 def lift_2d(a: Scalar, b: Scalar) -> Tuple[Scalar, Scalar, Scalar]:
@@ -633,7 +645,8 @@ def spectrum(mu: Hermitian3) -> Spectrum:
 
     Diagonal matrices are sorted exactly (Fractions stay Fractions).  The
     general case is one row of the closed-form kernel
-    :func:`spectra_of_entries`.
+    :func:`spectra_of_entries`; a NaN or infinite entry there raises
+    :class:`NotHermitian`.
     """
     if mu.is_diagonal:
         return to_positive_chamber((mu.d1, mu.d2, mu.d3))[0]
@@ -641,6 +654,8 @@ def spectrum(mu: Hermitian3) -> Spectrum:
 
     diag = np.array([[float(mu.d1), float(mu.d2), float(mu.d3)]])
     off = np.array([[complex(mu.off12), complex(mu.off13), complex(mu.off23)]])
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise NotHermitian(f"matrix has a NaN or infinite entry: {mu!r}")
     l1, l2, l3 = spectra_of_entries(diag, off)[0].tolist()
     return Spectrum(l1, l2, l3)
 

@@ -38,7 +38,7 @@ from su3poly.cones import (
 from su3poly import polytope
 from su3poly.polytope import AllWeightsDegenerate, build_polytope_n3, polytope_cones
 from su3poly.moment_map import FIXED_CONFIGURATIONS, fixed_point_spectra, tangent_weights, weighted_moment
-from su3poly.su3 import SQRT2, SQRT6, InvalidIndex, Root, integer_scaled, lift_2d, sgn
+from su3poly.su3 import SQRT2, SQRT6, InvalidIndex, Root, apply_perm, integer_scaled, lift_2d, sgn
 
 
 def embed(v):
@@ -374,21 +374,69 @@ def kernel_of(g):
     return AnchorKernel.scaled(ints, 3 * den)
 
 
+def folded(kernel, name, vectors):
+    """``vectors`` under the sort that folds anchor ``name`` into the chamber."""
+    order = kernel.anchors[name][1]
+    return tuple(apply_perm(v, order) for v in vectors)
+
+
+def signed(sign, root):
+    return tuple(sign * x for x in root.vector)
+
+
 class TestAnchorKernel:
-    """The kernel's integer signs stand for the paper's rational quantities."""
+    """The kernel's germs, read from the signs of the transition forms, are
+    the cones of the paper's rational coefficients and forms."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(integer_grid, st.tuples(nonzero_rational, nonzero_rational, nonzero_rational)))
-    def test_signs_match_public_quantities(self, g):
-        kernel = kernel_of(g)
-        if len(set(g)) == 3:
-            assert kernel.b_ray_signs() == tuple(sgn(c) for c in b_slice_coefficients(g))
-        for j in (1, 2, 3):
-            a1_sign, form = kernel.c_signs(j)
-            assert a1_sign == sgn(c_alpha1_coefficient(j, g))
-            assert definiteness(form) is definiteness(c_alpha3_form(j, g))
-        assert sgn(kernel.a_form().discriminant) == sgn(a_discriminant(g))
-        assert definiteness(kernel.a_form()) is definiteness(a_slice_form(g))
+    def test_germs_match_the_paper_coefficients_in_every_order_and_sign(self, g):
+        for w in {tuple(sign * x for x in p) for p in itertools.permutations(g) for sign in (1, -1)}:
+            kernel = kernel_of(w)
+            if len(set(w)) == 3:
+                rays = (signed(sgn(c), root) for c, root in zip(b_slice_coefficients(w), Root))
+                assert kernel.germ_b().rays == folded(kernel, "b", rays), w
+            for j in (1, 2, 3):
+                germ, a1 = kernel.germ_c(j), sgn(c_alpha1_coefficient(j, w))
+                defin = definiteness(c_alpha3_form(j, w))
+                if a1 == 0 or defin is Definiteness.DEGENERATE:
+                    assert germ is None, (w, j)
+                elif defin is Definiteness.INDEFINITE:
+                    assert germ.rays == folded(kernel, f"c{j}", [signed(a1, Root.ALPHA1)]), (w, j)
+                    (line,) = folded(kernel, f"c{j}", [Root.ALPHA3.vector])
+                    assert germ.line in (line, tuple(-x for x in line)), (w, j)
+                else:
+                    s = 1 if defin is Definiteness.POSITIVE_DEFINITE else -1
+                    assert germ.rays == folded(kernel, f"c{j}", [signed(a1, Root.ALPHA1), signed(s, Root.ALPHA3)]), (w, j)
+                    assert germ.line is None, (w, j)
+            self.check_germ_a(kernel, w)
+
+    @staticmethod
+    def check_germ_a(kernel, w):
+        # a negative total: the form of -gamma, with alpha1 for alpha3 in
+        # the caller's frame and the wedge (-alpha2, -alpha1)
+        germ, total = kernel.germ_a(), sum(w)
+        if total == 0:
+            assert germ is None, w
+            return
+        positive = total > 0
+        defin = definiteness(a_slice_form(w if positive else tuple(-x for x in w)))
+        if defin is Definiteness.INDEFINITE:
+            third = Root.ALPHA3 if positive else Root.ALPHA1
+            assert (germ.rays, germ.line) == ((signed(-1, Root.ALPHA2), signed(-1, third)), None), w
+            return
+        if defin is Definiteness.POSITIVE_DEFINITE:
+            line = Root.ALPHA3 if positive else Root.ALPHA1
+        else:
+            line = Root.ALPHA2
+        assert (germ.rays, germ.line) == ((), line.vector), w
+        # the side is nonnegative on the line and positive on the other anchors' centroid
+        a, b = germ.side
+        anchors = fixed_point_spectra(w)
+        apex = anchors["a"]
+        assert a * line.vector[0] + b * line.vector[1] == 0, w
+        others = [anchors[k] for k in ("b", "c1", "c2", "c3")]
+        assert sum(a * (s.l1 - apex.l1) + b * (s.l2 - apex.l2) for s in others) > 0, w
 
     @settings(max_examples=100, deadline=None)
     @given(st.tuples(nonzero_rational, nonzero_rational, nonzero_rational))
@@ -413,7 +461,7 @@ INDEXED = {
     "c_alpha1_coefficient": lambda j: c_alpha1_coefficient(j, (4, 2, -1)),
     "c_alpha3_form": lambda j: c_alpha3_form(j, (4, 2, -1)),
     "tangent_weights": tangent_weights,
-    "AnchorKernel.c_signs": lambda j: kernel_of((4, 2, -1)).c_signs(j),
+    "AnchorKernel.germ_c": lambda j: kernel_of((4, 2, -1)).germ_c(j),
 }
 
 

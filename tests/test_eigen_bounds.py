@@ -18,9 +18,9 @@ from su3poly.eigen_bounds import (
     sum_bounds_three,
     sum_bounds_two,
 )
-from su3poly.moment_map import InvalidWeight
+from su3poly.moment_map import InvalidWeight, NotNormalized
 from su3poly.polytope import build_polytope, build_polytope_n2, hausdorff
-from su3poly.su3 import Spectrum, spectrum
+from su3poly.su3 import LengthMismatch, Spectrum, spectrum
 
 
 def haar_unitary(rng):
@@ -38,6 +38,23 @@ class TestGammaBridge:
     @pytest.mark.parametrize("lam,gamma", [(1, -3), (0, 0), (F(-1, 3), 1)])
     def test_values(self, lam, gamma):
         assert gamma_of_lambda(DoubleEigMatrixSpec(lam)) == gamma
+
+    def test_plain_number_is_a_lambda(self):
+        # once an AttributeError; the sum_bounds_* functions take plain numbers too
+        assert gamma_of_lambda(2) == -6
+        assert gamma_of_lambda(F(1, 3)) == -1
+
+    @pytest.mark.parametrize(
+        "line, error, match",
+        [([0, 0, 0], NotNormalized, "zero or not finite"), ([1.0, math.nan, 0.0], NotNormalized, "zero or not finite"),
+         ([math.inf, 1.0, 0.0], NotNormalized, "zero or not finite"), ([1.0, 1.0], LengthMismatch, "shape (2,) is not three entries"),
+         ([1.0, 0.0, 0.0, 0.0], LengthMismatch, "shape (4,) is not three entries"), ([[1.0, 0.0, 0.0]], LengthMismatch, "shape (1, 3) is not three entries")],
+        ids=repr,
+    )
+    def test_line_that_is_no_nonzero_finite_triple_is_refused(self, line, error, match):
+        # [0, 0, 0] once divided by a zero norm, and a 2-vector hit numpy's broadcast error
+        with pytest.raises(error, match=re.escape(match)):
+            DoubleEigMatrixSpec(0.7).realize(line)
 
     def test_realized_matrix_has_double_spectrum(self, rng_seeded):
         # measured via the matrix route: the closed-form cubic loses half the
@@ -208,6 +225,7 @@ class TestBadLambda:
 
     ENTRY_POINTS = (
         lambda lam: DoubleEigMatrixSpec(lam),
+        lambda lam: gamma_of_lambda(lam),
         lambda lam: sum_bounds_two(lam, 1),
         lambda lam: sum_bounds_two(1, lam),
         lambda lam: sum_bounds_three(1, lam, 1),

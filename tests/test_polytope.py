@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURE_ORDERS_AND_SIGNS, N2_FIXTURES, POLYTOPE_FIXTURES, gaussian_anchor_spectra, random_rational_gammas
 from su3poly import classifier, moment_map, oracle, polytope
 from su3poly.classifier import GENERIC_N3, classify_n3
-from su3poly.cones import AnchorKernel, ConeSpec, Germ
+from su3poly.cones import AnchorKernel, ConeSpec, Germ, QuadraticForm2
 from su3poly.moment_map import fixed_point_spectra
 from su3poly.oracle import sample_batch
 from su3poly.polytope import (
@@ -233,6 +233,14 @@ class TestContains:
         # a NaN point was once reported outside: every comparison with NaN is False
         with pytest.raises(InvalidWeight, match=re.escape(f"point entry {k} is {point[k]!r}, not finite")):
             build_polytope_n3((4, 2, -1)).contains(point)
+
+    @pytest.mark.parametrize("point", [(1, -1), (1, 0, 0, -1), (1.0, -1.0), (), [0.5, 0.5, -0.5, -0.5]], ids=repr)
+    def test_point_of_other_than_three_entries_is_refused(self, point):
+        # an unpacking ValueError once, or an IndexError
+        for poly in (build_polytope_n3((4, 2, -1)), hull2d([(0.5, 1.0), (1.0, 3.0), (0.25, 1.5)])):
+            for call in (poly.contains, lambda s: polytope.contains(poly, s, 0)):
+                with pytest.raises(LengthMismatch, match=f"^point has {len(point)} entries, not 3$"):
+                    call(point)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1, -1e-300, True, False, "0", None, 1j])
     def test_tolerance_is_checked(self, tol):
@@ -573,6 +581,22 @@ class TestHull2d:
             with pytest.raises(InvalidHullPoints, match="at least one point"):
                 hull2d(empty)
 
+    @pytest.mark.parametrize(
+        "points, shape",
+        [(np.full((4, 3), 0.5), (4, 3)), (np.full((4, 1), 0.5), (4, 1)), (np.full(4, 0.5), (4,)), ([(0.5,), (1.0,)], (2, 1)),
+         ([(0.5, 1.0, 0.0), (1.0, 3.0, 0.0)], (2, 3)), ([0.5, 1.0], (2,))],
+        ids=["array-4x3", "array-4x1", "array-1d", "one-tuples", "triples", "flat-list"],
+    )
+    def test_points_that_are_not_n_by_2_are_refused_naming_the_shape(self, points, shape):
+        # an (n, 3) array was once read as its first two columns, and (n, 1)
+        # or 1-D input raised an IndexError
+        with pytest.raises(InvalidHullPoints, match=re.escape(f"points of shape {shape} are not (n, 2)")):
+            hull2d(points)
+
+    def test_points_of_different_lengths_are_refused(self):
+        with pytest.raises(InvalidHullPoints, match=re.escape("points are not (p, q) pairs")):
+            hull2d([(0.5, 1.0), (1.0, 3.0, 0.0)])
+
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1, True, "1e-9"])
     def test_bad_tolerance_is_named(self, eps):
         # a NaN eps once made three corners a Segment, and -1 raised from numpy
@@ -851,6 +875,12 @@ class TestDistances:
         with pytest.raises(InvalidWeight, match=f"^point coordinate {k} is {re.escape(repr(point[k]))}, not"):
             polytope.distance_to_polytope_pq(point, build_polytope((4, 2, -1)))
 
+    @pytest.mark.parametrize("point", [(1.0,), (1.0, 2.0, 3.0), ()], ids=repr)
+    def test_point_of_other_than_two_entries_is_refused(self, point):
+        # (1.0,) once raised an IndexError, and a third entry was ignored
+        with pytest.raises(LengthMismatch, match=re.escape(f"point has {len(point)} entries, not (p, q)")):
+            polytope.distance_to_polytope_pq(point, build_polytope((4, 2, -1)))
+
     def test_hausdorff_is_the_loop_over_vertices(self):
         P, Q = build_polytope((4, 2, -1)), build_polytope((3, -1, -2))
         p, q = polytope._pq_array(P), polytope._pq_array(Q)
@@ -1083,6 +1113,14 @@ EXACT_DIGEST = "7b04e1fd8e0b16c55dd9fee8cdb433bf867abf200731b111fd627dd22533b2bf
 #: built on the canonical weights and star-reflected the result.
 FRAME_FREE_DIGEST = "869292da5a9b0aa05aa8c6f11740bc7f08ec3a0987f4486cc4a5b01e04239945"
 
+#: sha256 of the :func:`polytope_cones` views (``asdict``, None, or the
+#: error type) of every weight of ``_digest_weights``, each also reversed and
+#: negated: the non-extreme rays at b, the fold flags and the side normals
+#: of non-canonical weights, which no polytope shows.  Pinned on the kernel
+#: that decided each cone with polynomials of its own and reached a
+#: negative total through the star involution.
+CONES_DIGEST = "8b85dbb8db28e277e970345b2e7f9ebae07f224fc0870a2843c610f7c7e89e41"
+
 
 def _digest_weights():
     rnd = random.Random(20261018)
@@ -1118,6 +1156,17 @@ class TestExactBuilder:
                 out = {"error": type(exc).__name__}
             h.update(json.dumps(out, sort_keys=True).encode())
         assert h.hexdigest() == FRAME_FREE_DIGEST
+
+    def test_cone_views_match_the_pinned_digest(self):
+        h = hashlib.sha256()
+        for gammas in _digest_weights():
+            for w in (gammas, gammas[::-1], tuple(-g for g in gammas)):
+                try:
+                    out = {name: None if cone is None else cone.asdict() for name, cone in polytope_cones(w).items()}
+                except ValueError as exc:
+                    out = {"error": type(exc).__name__}
+                h.update(json.dumps(out, sort_keys=True).encode())
+        assert h.hexdigest() == CONES_DIGEST
 
     def test_kernel_germs_are_none_exactly_where_their_forms_vanish(self):
         # on the snapped weights as given, in any order and sign: c_j where
@@ -1169,7 +1218,8 @@ class TestExactBuilder:
     def test_one_straight_line_per_build(self, monkeypatch):
         # one weight check and one classification per exact build, and no
         # re-validated spectrum, sum-zero normal or ConeSpec on the way: the
-        # vertices are a view, made when read
+        # vertices are a view, made when read; and no slice form, since every
+        # cone is read from the signs of the transition forms
         counts = Counter()
 
         def count(owner, name):
@@ -1191,6 +1241,7 @@ class TestExactBuilder:
         count(Spectrum, "__init__")
         count(polytope, "lift_2d")
         count(ConeSpec, "__init__")
+        count(QuadraticForm2, "__init__")
         weights = sorted(POLYTOPE_FIXTURES) + RANDOM_RATIONALS
         for gammas in weights:
             build_polytope(gammas)

@@ -108,6 +108,24 @@ class TestSpectrum:
         with pytest.raises(NotSorted, match=re.escape(f"spectrum not sorted: {entries}")):
             Spectrum(*entries)
 
+    @pytest.mark.parametrize(
+        "entries, k, problem",
+        [((math.nan, 0.0, 0.0), 0, "not finite"), ((2.0, -1.0, -math.inf), 2, "not finite"), ((math.inf, 0, -math.inf), 0, "not finite"),
+         ((True, False, -1), 0, "not a real number"), ((1, "a", -1), 1, "not a real number"), ((1, 0, None), 2, "not a real number")],
+        ids=repr,
+    )
+    def test_entry_that_is_no_finite_real_is_named(self, entries, k, problem):
+        # NaN once read NotSorted, "a" raised a TypeError and bools were accepted
+        with pytest.raises(InvalidWeight, match=re.escape(f"spectrum entry {k} is {entries[k]!r}, {problem}")):
+            Spectrum(*entries)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_spectrum_of_a_non_finite_matrix_is_refused(self, bad):
+        # a NaN matrix once read NotSorted
+        for mu in (Hermitian3(bad, 0.0, off12=1.0), Hermitian3(0.5, 0.0, off13=complex(0.0, bad))):
+            with pytest.raises(NotHermitian, match="NaN or infinite"):
+                spectrum(mu)
+
     def test_float_checks_are_relative_to_scale_without_floor(self):
         with pytest.raises(NotSorted, match="not sorted"):
             Spectrum(1e-12, 2e-12, -3e-12)
