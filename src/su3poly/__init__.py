@@ -74,7 +74,6 @@ from .polytope import (
     build_polytope,
     build_polytope_n2,
     build_polytope_n3,
-    contains,
     hausdorff,
     hull2d,
 )

@@ -36,15 +36,12 @@ from .su3 import (
 
 
 class NotNormalized(ValueError):
-    """A homogeneous coordinate vector that is zero, has a NaN or infinite
-    coordinate, or is not on the unit sphere."""
+    """A homogeneous coordinate vector that is zero or has a NaN or infinite
+    coordinate."""
 
 
 class DegenerateWeight(ValueError):
     """A zero weight was passed where a nonzero one is required."""
-
-
-NORM_TOL = 1e-12
 
 
 class CPPoint(Frozen):
@@ -65,17 +62,16 @@ class CPPoint(Frozen):
         _set(self, "z3", z3)
 
     @classmethod
-    def of(cls, z1, z2, z3, normalize: bool = True) -> "CPPoint":
+    def of(cls, z1, z2, z3) -> "CPPoint":
+        """The point of the line through (z1, z2, z3), normalized and
+        phase-fixed; a zero or non-finite vector raises :class:`NotNormalized`."""
         z = [complex(z1), complex(z2), complex(z3)]
         norm = math.sqrt(sum(abs(c) ** 2 for c in z))
         if norm == 0.0:
             raise NotNormalized("zero vector")
         if not math.isfinite(norm):
             raise NotNormalized(f"coordinates {z1!r}, {z2!r}, {z3!r} are not all finite")
-        if normalize:
-            z = [c / norm for c in z]
-        elif abs(norm - 1.0) > NORM_TOL:
-            raise NotNormalized(f"norm is {norm}")
+        z = [c / norm for c in z]
         for c in z:
             if c != 0:
                 phase = c.conjugate() / abs(c)

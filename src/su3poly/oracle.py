@@ -69,7 +69,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .moment_map import CPPoint, InvalidWeight, as_gammas
-from .polytope import _HULL_EPS, ChamberPolytope, _distances, _float_lines, _hull_candidates, _pq_array, build_polytope, hull2d
+from .polytope import ChamberPolytope, _distances, _float_lines, _hull_candidates, _pq_array, build_polytope, hull2d
 from .su3 import Frozen, _set, chamber_coordinates, check_tolerance, is_exact, spectra_of_entries
 
 if TYPE_CHECKING:  # annotations only: importing the package loads no numpy
@@ -84,6 +84,9 @@ _ROW, _COL = [0, 0, 1], [1, 2, 2]  # upper entries 12, 13, 23
 #: and (0, 0) put u3 at e1, e2 and e3.
 _CORNERS = {"a": (0, 1, 1), "b": (1, 0, 0), "c1": (1, 0, 1), "c2": (1, 1, 1), "c3": (0, 0, 0)}
 _CORNERS_N2 = {"a": (0,), "c": (1,)}
+#: The draws of :func:`verify` per (anchor, scale) pair, pulled toward the
+#: anchor's corner.
+_TARGETED = 500
 
 
 class PredictionUnavailable(ValueError):
@@ -193,23 +196,23 @@ def _float_weights(gammas) -> Tuple[Tuple[float, ...], float]:
     return floats, math.ldexp(1.0, math.frexp(max(abs(g) for g in floats))[1])
 
 
-def spectra_of_configurations(z: np.ndarray, gammas, out: Optional[np.ndarray] = None) -> np.ndarray:
+def spectra_of_configurations(z: np.ndarray, gammas) -> np.ndarray:
     """Sorted momentum-map spectra of an array of configurations.
 
     ``z`` has shape (n, N, 3), each factor a nonzero vector that need not be
-    a unit one; the result is (n, 3) with rows descending, written into
-    ``out`` when given.  The momentum map is projective, so factor j enters
-    as ``g_j z_j z_j^* / |z_j|^2``: the six independent entries of that sum
-    are formed from ``z`` with the weights ``g_j / |z_j|^2``, ``BLOCK`` rows
-    at a time so that the temporaries stay small, and handed to the
-    closed-form eigenvalue kernel :func:`su3.spectra_of_entries`; no unit
-    vector and no (n, 3, 3) matrix is built.
+    a unit one; the result is (n, 3) with rows descending.  The momentum map
+    is projective, so factor j enters as ``g_j z_j z_j^* / |z_j|^2``: the
+    six independent entries of that sum are formed from ``z`` with the
+    weights ``g_j / |z_j|^2``, ``BLOCK`` rows at a time so that the
+    temporaries stay small, and handed to the closed-form eigenvalue kernel
+    :func:`su3.spectra_of_entries`; no unit vector and no (n, 3, 3) matrix
+    is built.
     """
     import numpy as np
 
     floats, power = _float_weights(as_gammas(gammas))
     gs = np.array(floats) / power
-    out = np.empty((z.shape[0], 3)) if out is None else out
+    out = np.empty((z.shape[0], 3))
     for start in range(0, z.shape[0], BLOCK):
         zc = z[start : start + BLOCK]
         sq = zc.real * zc.real + zc.imag * zc.imag
@@ -384,7 +387,7 @@ def sample_batch(w, count: int, seed: int) -> SampleBatch:
 
 def _hull_block(start: int, spectra: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The points of one block that may be vertices of the batch's hull."""
-    return _hull_candidates(points, _HULL_EPS, start)[0]
+    return _hull_candidates(points, start)[0]
 
 
 def empirical_polytope(w, count: int, seed: int) -> Tuple[SampleBatch, ChamberPolytope]:
@@ -486,7 +489,7 @@ def violation_distances(P: ChamberPolytope, spectra: np.ndarray) -> np.ndarray:
     return _excess(_line_arrays(P), spectra)
 
 
-def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> VerificationReport:
+def verify(w, count: int, seed: int, tol: float = 1e-6) -> VerificationReport:
     """Sample, then report violations, hull deficit and vertex coverage.
 
     A sample counts as a violation when it falls outside the predicted
@@ -497,10 +500,11 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     ones, below that slack whenever the diameter exceeds ``1e-13 / tol``
     times max|gamma| (1e-7 at the default ``tol``; every fixture of the test
     suite has a diameter of at least 0.7 max|gamma|), so there a violation is
-    never an artefact of the eigenvalue computation.  ``targeted`` adds that
-    many draws per (anchor, scale) pair, uniforms pulled toward the corner
-    of the torus-fixed configuration, which drive the coverage distances of
-    the anchor vertices to zero much faster than uniform sampling;
+    never an artefact of the eigenvalue computation.  :data:`_TARGETED`
+    adds 500 draws per (anchor, scale) pair, uniforms pulled toward the
+    corner of the torus-fixed configuration, which drive the coverage
+    distances of the anchor vertices to zero much faster than uniform
+    sampling;
     :func:`_draw_spectra` makes both kinds of row in one pass, and each
     block's worker reduces its rows at once: its count of violations and
     largest excess, its hull candidates, and each vertex's least squared
@@ -508,17 +512,16 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
     results; the first block that reaches a vertex's least distance gives
     its nearest row, as one ``argmin`` over every row would.
     Every argument is checked before anything is drawn: a count that is not
-    a positive integer, or a ``targeted`` that is not an integer >= 0,
-    raises :class:`InvalidCount`, a seed that is not an integer >= 0
-    :class:`InvalidSeed`, and a ``tol`` that :func:`su3.check_tolerance`
-    refuses raises its error.  The weights are checked for sampling once.
+    a positive integer raises :class:`InvalidCount`, a seed that is not an
+    integer >= 0 :class:`InvalidSeed`, and a ``tol`` that
+    :func:`su3.check_tolerance` refuses raises its error.  The weights are
+    checked for sampling once.
     """
     import numpy as np
 
     count = _checked_integer(count, 1)
     seed = _checked_integer(seed, 0, InvalidSeed, "seed")
     check_tolerance(tol)
-    targeted = _checked_integer(targeted, 0)
     try:
         gammas = as_gammas(w)
     except ValueError as exc:
@@ -546,7 +549,7 @@ def verify(w, count: int, seed: int, tol: float = 1e-6, targeted: int = 500) -> 
         d2 = (points[:, 0] - vertices[:, :1]) ** 2 + (points[:, 1] - vertices[:, 1:]) ** 2
         return np.count_nonzero(excess > slack), excess.max(), _hull_block(start, spectra, points), d2.min(axis=1), start + d2.argmin(axis=1)
 
-    spectra, points, blocks = _draw_spectra(tuple(g / power for g in floats), 1.0, count, seed, targeted, check)
+    spectra, points, blocks = _draw_spectra(tuple(g / power for g in floats), 1.0, count, seed, _TARGETED, check)
     violations, worst, kept, least, rows = zip(*blocks)
     deficit = max(_distances(corners, _pq_array(hull2d(np.concatenate(kept)))))
     # each vertex's nearest row, from the first block with its least distance

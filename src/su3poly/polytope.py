@@ -378,11 +378,6 @@ def _num_in(x, name: str, error: type) -> Scalar:
     return x if is_exact(x) else float(x)
 
 
-def contains(P: ChamberPolytope, s, tol: float = 1e-9) -> bool:
-    """Functional alias for :meth:`ChamberPolytope.contains`."""
-    return P.contains(s, tol)
-
-
 # ---------------------------------------------------------------------------
 # Cone germs -> lines
 # ---------------------------------------------------------------------------
@@ -564,12 +559,7 @@ def build_polytope(w, tol: float = 1e-9) -> ChamberPolytope:
 # ---------------------------------------------------------------------------
 
 
-#: Fixed directions of the prefilter, every multiple of 45 degrees.  On 1e6
-#: samples of (4, 2, -1), on a 2-vCPU x86-64 host, 8 directions keep about
-#: 4,000 points in 30 ms.
-PREFILTER_DIRECTIONS = 8
-
-#: The default relative tolerance of :func:`hull2d`.
+#: The relative tolerance of :func:`hull2d`.
 _HULL_EPS = 1e-9
 
 
@@ -582,7 +572,9 @@ def _extreme_point_filter(pts, eps_abs: float):
     formed elementwise on contiguous copies of the two columns, no matrix
     product, so no BLAS thread runs.  Their rounding never reaches the hull:
     a point is dropped only when it is inside by more than ``eps_abs``.
-    Returns ``pts`` itself when the polygon has fewer than three corners."""
+    Returns ``pts`` itself when the polygon has fewer than three corners.
+    On 1e6 samples of (4, 2, -1), on a 2-vCPU x86-64 host, the eight
+    directions keep about 4,000 points in 30 ms."""
     import numpy as np
 
     x, y = pts[:, 0].copy(), pts[:, 1].copy()
@@ -605,10 +597,10 @@ def _extreme_point_filter(pts, eps_abs: float):
     return pts[~inside]
 
 
-def _hull_candidates(arr, eps: float, first: int = 0):
+def _hull_candidates(arr, first: int = 0):
     """``(kept, scale)`` of a non-empty (n, 2) float array: ``scale`` is its
     largest absolute entry and ``kept`` the points :func:`_extreme_point_filter`
-    keeps at :func:`hull2d`'s rule, ``eps * scale**2``.  This is the one
+    keeps at :func:`hull2d`'s rule, ``_HULL_EPS * scale**2``.  This is the one
     place that rule is applied.  Every hull vertex of ``arr`` is kept, and
     ``scale`` is reached at one (|x| and |y| are convex), so the hull of the
     points kept from several blocks, each at its own scale, has the hull
@@ -621,7 +613,7 @@ def _hull_candidates(arr, eps: float, first: int = 0):
     if not math.isfinite(scale):
         i = int(np.argmin(np.isfinite(arr).all(axis=1)))
         raise InvalidHullPoints(f"point {first + i} (p, q) = {tuple(arr[i].tolist())} is not finite")
-    return _extreme_point_filter(arr, eps * scale * scale), scale
+    return _extreme_point_filter(arr, _HULL_EPS * scale * scale), scale
 
 
 def _quickhull(arr, tol: float):
@@ -667,26 +659,23 @@ def _quickhull(arr, tol: float):
     return np.array(hull[:-1])
 
 
-def hull2d(points, eps: float = _HULL_EPS) -> ChamberPolytope:
+def hull2d(points) -> ChamberPolytope:
     """Convex hull of chamber points: the Akl-Toussaint prefilter
     (:func:`_hull_candidates`), then :func:`_quickhull`.
 
     ``points`` may be an (n, 2) array, a sequence of ChamberPoint, or (p, q)
     pairs, all inside the closed chamber.  Collinear inputs collapse to a
-    Segment, coincident ones to a Point.  ``eps`` is a relative distance
-    tolerance: a point becomes a vertex only when it lies more than ``eps``
-    times the cloud's largest absolute entry outside the chord it is tested
-    against (no absolute floor, so ``hull2d(t * points)`` is ``t`` times the
-    hull).  The filter drops only points strictly inside the hull, which
-    never change the quickhull's vertices, so they are the same without it.
+    Segment, coincident ones to a Point.  A point becomes a vertex only when
+    it lies more than ``_HULL_EPS`` = 1e-9 times the cloud's largest absolute
+    entry outside the chord it is tested against (no absolute floor, so
+    ``hull2d(t * points)`` is ``t`` times the hull).  The filter drops only
+    points strictly inside the hull, which never change the quickhull's
+    vertices, so they are the same without it.
     No points, points not of shape (n, 2), a non-finite point or a hull
     vertex outside the chamber (beyond the slack that :class:`su3.Spectrum`
-    allows) raise :class:`InvalidHullPoints`, naming the shape or the point,
-    and an ``eps`` that :func:`su3.check_tolerance` refuses raises its error.
+    allows) raise :class:`InvalidHullPoints`, naming the shape or the point.
     """
     import numpy as np
-
-    check_tolerance(eps)
 
     if isinstance(points, np.ndarray):
         arr = points
@@ -699,8 +688,8 @@ def hull2d(points, eps: float = _HULL_EPS) -> ChamberPolytope:
         raise InvalidHullPoints("hull2d needs at least one point")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidHullPoints(f"points of shape {arr.shape} are not (n, 2)")
-    kept, scale = _hull_candidates(arr, eps)
-    hull = _quickhull(kept, eps * scale).tolist()
+    kept, scale = _hull_candidates(arr)
+    hull = _quickhull(kept, _HULL_EPS * scale).tolist()
 
     # the chamber is convex, so the cloud lies in it iff every hull vertex does
     verts = []
@@ -752,9 +741,12 @@ def _distances(points, verts) -> List[float]:
 
 
 def distance_to_polytope_pq(point, P: ChamberPolytope) -> float:
-    """Euclidean distance from an embedding point (p, q) to a convex
-    polytope; a point of other than two entries raises
-    :class:`su3.LengthMismatch`, a non-finite one :class:`su3.InvalidWeight`."""
+    """Euclidean distance from an embedding point, a :class:`su3.ChamberPoint`
+    or a (p, q) pair, to a convex polytope; a pair of other than two entries
+    raises :class:`su3.LengthMismatch`, a non-finite coordinate
+    :class:`su3.InvalidWeight`."""
+    if isinstance(point, ChamberPoint):
+        point = (point.p, point.q)
     if len(point) != 2:
         raise LengthMismatch(f"point has {len(point)} entries, not (p, q)")
     for k in (0, 1):

@@ -9,11 +9,11 @@ root legend.  Output is deterministic: fixed float formatting, no timestamps.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from .moment_map import fixed_point_spectra
+from .moment_map import as_gammas, fixed_point_spectra, tripled_fixed_point_diagonals
 from .polytope import ChamberPolytope
-from .su3 import Root, chamber_coordinates, to_chamber
+from .su3 import Root, chamber_coordinates, snap_weights
 
 _WALL_DIRS = ((0.0, 1.0), (math.cos(math.pi / 6), math.sin(math.pi / 6)))
 
@@ -22,116 +22,90 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-class _Canvas:
-    def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
-        self.lines: List[str] = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">',
-            "<style>text { font-family: serif; font-style: italic; font-size: 14px; }</style>",
-            f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        ]
-
-    def add(self, element: str):
-        self.lines.append(element)
-
-    def finish(self) -> str:
-        return "\n".join(self.lines + ["</svg>"]) + "\n"
+#: The canvas, in pixels, and the margin round the figure.
+_SIZE = 480
+_MARGIN = 42.0
 
 
-def _transform(points: Sequence[Tuple[float, float]], width: int, height: int, margin: float):
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    span_x = max(xs) - min(xs) or 1.0
-    span_y = max(ys) - min(ys) or 1.0
-    scale = min((width - 2 * margin) / span_x, (height - 2 * margin) / span_y)
-    x0, y1 = min(xs), max(ys)
-
-    def tr(p: Tuple[float, float]) -> Tuple[float, float]:
-        return (margin + (p[0] - x0) * scale, margin + (y1 - p[1]) * scale)
-
-    return tr, scale
-
-
-def render_svg(
-    polytope: ChamberPolytope,
-    weights=None,
-    samples=None,
-    width: int = 480,
-    height: int = 480,
-    max_samples: int = 2000,
-) -> str:
-    """Render a chamber polytope (plus optional sample cloud) as SVG text.
+def render_svg(polytope: ChamberPolytope, weights=None) -> str:
+    """Render a chamber polytope as SVG text on a 480 x 480 canvas.
 
     ``weights``, when given, label the anchor points; weights that
-    :func:`moment_map.fixed_point_spectra` refuses raise its error."""
+    :func:`moment_map.fixed_point_spectra` refuses raise its error.  The
+    figure is scale-free: the weights t * w draw the bytes of w for a power
+    of two t."""
     pts = [(c.p, c.q) for c in polytope.pq_vertices()]
     anchors = _anchor_points(weights)
     frame = pts + [(0.0, 0.0)] + list(anchors.values())
-    reach = max(max(abs(x) for x, _ in frame), max(abs(y) for _, y in frame), 1.0)
-    frame += [(d[0] * reach * 1.25, d[1] * reach * 1.25) for d in _WALL_DIRS]
-    tr, scale = _transform(frame, width, height, margin=42.0)
+    reach = max(max(abs(x) for x, _ in frame), max(abs(y) for _, y in frame)) or 1.0
+    walls = [(d[0] * reach * 1.25, d[1] * reach * 1.25) for d in _WALL_DIRS]
+    xs, ys = [x for x, _ in frame + walls], [y for _, y in frame + walls]
+    # the wall along q has length 1.25 * reach > 0, so no span is 0
+    scale = (_SIZE - 2 * _MARGIN) / max(max(xs) - min(xs), max(ys) - min(ys))
+    left, top = min(xs), max(ys)
 
-    cv = _Canvas(width, height)
+    def tr(p: Tuple[float, float]) -> Tuple[float, float]:
+        return (_MARGIN + (p[0] - left) * scale, _MARGIN + (top - p[1]) * scale)
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
+        "<style>text { font-family: serif; font-style: italic; font-size: 14px; }</style>",
+        f'<rect x="0" y="0" width="{_SIZE}" height="{_SIZE}" fill="white"/>',
+    ]
     origin = tr((0.0, 0.0))
-    for d in _WALL_DIRS:
-        end = tr((d[0] * reach * 1.25, d[1] * reach * 1.25))
-        cv.add(
+    for wall in walls:
+        end = tr(wall)
+        out.append(
             f'<line x1="{_fmt(origin[0])}" y1="{_fmt(origin[1])}" x2="{_fmt(end[0])}" '
             f'y2="{_fmt(end[1])}" stroke="steelblue" stroke-width="1.2"/>'
         )
 
-    if samples is not None and len(samples):
-        step = max(1, len(samples) // max_samples)
-        for row in samples[::step]:
-            x, y = tr((float(row[0]), float(row[1])))
-            cv.add(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="1" fill="#999999"/>')
-
     if polytope.kind == "Polygon":
         path = " ".join(f"{_fmt(tr(p)[0])},{_fmt(tr(p)[1])}" for p in pts)
-        cv.add(f'<polygon points="{path}" fill="crimson" fill-opacity="0.75" stroke="black" stroke-width="1.6"/>')
+        out.append(f'<polygon points="{path}" fill="crimson" fill-opacity="0.75" stroke="black" stroke-width="1.6"/>')
     elif polytope.kind == "Segment":
         (x1, y1), (x2, y2) = tr(pts[0]), tr(pts[1])
-        cv.add(
+        out.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
             f'stroke="crimson" stroke-width="3.5"/>'
         )
     else:
         x, y = tr(pts[0])
-        cv.add(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="crimson"/>')
+        out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="crimson"/>')
 
     for name, pq in anchors.items():
         x, y = tr(pq)
-        cv.add(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.4" fill="black"/>')
-        cv.add(f'<text x="{_fmt(x + 6)}" y="{_fmt(y - 5)}">{name}</text>')
+        out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.4" fill="black"/>')
+        out.append(f'<text x="{_fmt(x + 6)}" y="{_fmt(y - 5)}">{name}</text>')
 
-    _root_legend(cv, width, height, scale)
-    if polytope.label:
-        star = "*" if polytope.starred else ""
-        cv.add(f'<text x="12" y="20">type {polytope.label}{star}</text>')
-    return cv.finish()
-
-
-def _anchor_points(weights) -> Dict[str, Tuple[float, float]]:
-    """Each anchor point of the weights by its label, coincident anchors under one merged label."""
-    if weights is None:
-        return {}
-    grouped: Dict[Tuple[float, float], List[str]] = {}
-    for name, spec in fixed_point_spectra(weights).items():
-        c = to_chamber(spec)
-        grouped.setdefault((round(c.p, 9), round(c.q, 9)), []).append(name)
-    return {"=".join(sorted(names)): key for key, names in grouped.items()}
-
-
-def _root_legend(cv: _Canvas, width: int, height: int, scale: float):
-    cx, cy, r = width - 58.0, height - 52.0, 26.0
+    # the root legend
+    cx, cy, r = _SIZE - 58.0, _SIZE - 52.0, 26.0
     for root in Root:
         c = chamber_coordinates(*root.vector)
         norm = math.hypot(c[0], c[1])
         ex, ey = cx + r * c[0] / norm, cy - r * c[1] / norm
-        cv.add(
+        out.append(
             f'<line x1="{_fmt(cx)}" y1="{_fmt(cy)}" x2="{_fmt(ex)}" y2="{_fmt(ey)}" '
             f'stroke="steelblue" stroke-width="1" stroke-dasharray="3 2"/>'
         )
-        cv.add(f'<text x="{_fmt(ex + 2)}" y="{_fmt(ey)}" font-size="10">{root.label}</text>')
+        out.append(f'<text x="{_fmt(ex + 2)}" y="{_fmt(ey)}" font-size="10">{root.label}</text>')
+
+    if polytope.label:
+        star = "*" if polytope.starred else ""
+        out.append(f'<text x="12" y="20">type {polytope.label}{star}</text>')
+    return "\n".join(out + ["</svg>"]) + "\n"
+
+
+def _anchor_points(weights) -> Dict[str, Tuple[float, float]]:
+    """Each anchor point of the weights by its label, coincident anchors
+    under one merged label: the anchors whose tripled diagonals
+    (:func:`moment_map.tripled_fixed_point_diagonals`) of the snapped
+    weights are equal, at the chamber point of the first one's spectrum."""
+    if weights is None:
+        return {}
+    spectra = fixed_point_spectra(weights)
+    grouped: Dict[tuple, List[str]] = {}
+    for name, (entries, _) in tripled_fixed_point_diagonals(snap_weights(as_gammas(weights), 1e-9)[0]).items():
+        grouped.setdefault(entries, []).append(name)
+    return {"=".join(sorted(names)): chamber_coordinates(*spectra[names[0]].as_floats()) for names in grouped.values()}
+

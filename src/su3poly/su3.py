@@ -344,9 +344,6 @@ class Spectrum(Frozen):
     def as_floats(self) -> Tuple[float, float, float]:
         return (float(self.l1), float(self.l2), float(self.l3))
 
-    def scale(self) -> Scalar:
-        return max(abs(self.l1), abs(self.l2), abs(self.l3))
-
 
 class ChamberPoint(Frozen):
     """Image of a spectrum under the fixed isometric plane embedding."""
@@ -450,7 +447,9 @@ class Hermitian3(Frozen):
 
     Stores the two free diagonal entries (``d3 = -d1-d2``) and the three
     upper-triangular entries; the lower triangle is implied by Hermiticity,
-    the trace is zero by construction.
+    the trace is zero by construction.  A diagonal entry that is NaN, an
+    infinity, a bool or no number raises :class:`InvalidWeight`, naming it,
+    and an upper entry that is no finite number :class:`NotHermitian`.
     """
 
     __slots__ = _fields = ("d1", "d2", "off12", "off13", "off23")
@@ -461,6 +460,11 @@ class Hermitian3(Frozen):
     off23: complex
 
     def __init__(self, d1: Scalar, d2: Scalar, off12: complex = 0, off13: complex = 0, off23: complex = 0):
+        check_real(d1, "diagonal entry 0")
+        check_real(d2, "diagonal entry 1")
+        for name, z in (("12", off12), ("13", off13), ("23", off23)):
+            if type(z) is bool or not isinstance(z, numbers.Complex) or not (is_exact(z) or math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise NotHermitian(f"entry {name} is {z!r}, not a finite number")
         _set(self, "d1", d1)
         _set(self, "d2", d2)
         _set(self, "off12", off12)
@@ -473,22 +477,24 @@ class Hermitian3(Frozen):
 
     @classmethod
     def diag(cls, a: Scalar, b: Scalar, c: Scalar) -> "Hermitian3":
+        for k, x in enumerate((a, b, c)):
+            check_real(x, f"diagonal entry {k}")
         if abs(a + b + c) > _sum_slack((a, b, c)):
             raise SumNotZero(f"diagonal sums to {a + b + c}")
         return cls(a, b)
 
     @classmethod
-    def from_numpy(cls, m, tol: float = 1e-9) -> "Hermitian3":
-        """The trace-zero Hermitian matrix of a 3x3 array, checked to ``tol`` times its largest entry."""
+    def from_numpy(cls, m) -> "Hermitian3":
+        """The trace-zero Hermitian matrix of a 3x3 array, checked to ``SUM_TOL`` times its largest entry."""
         import numpy as np
 
         m = np.asarray(m, dtype=complex)
         if not np.isfinite(m).all():
             raise NotHermitian(f"matrix has a NaN or infinite entry: {m.tolist()}")
         scale = float(np.abs(m).max())
-        if np.abs(m - m.conj().T).max() > tol * scale:
+        if np.abs(m - m.conj().T).max() > SUM_TOL * scale:
             raise NotHermitian("matrix is not Hermitian")
-        if abs(m.trace()) > tol * scale:
+        if abs(m.trace()) > SUM_TOL * scale:
             raise SumNotZero(f"trace is {m.trace()}")
         return cls(m[0, 0].real, m[1, 1].real, m[0, 1], m[0, 2], m[1, 2])
 
@@ -515,9 +521,6 @@ class Hermitian3(Frozen):
             self.off13 + other.off13,
             self.off23 + other.off23,
         )
-
-    def __neg__(self) -> "Hermitian3":
-        return self.scaled(-1)
 
     def scaled(self, c: Scalar) -> "Hermitian3":
         return Hermitian3(c * self.d1, c * self.d2, c * self.off12, c * self.off13, c * self.off23)
@@ -547,17 +550,6 @@ class SkewHermitian3(Frozen):
     @property
     def t3(self) -> Scalar:
         return -self.t1 - self.t2
-
-    def as_numpy(self):
-        import numpy as np
-
-        return np.array(
-            [
-                [1j * complex(self.t1), complex(self.off12), complex(self.off13)],
-                [-complex(self.off12).conjugate(), 1j * complex(self.t2), complex(self.off23)],
-                [-complex(self.off13).conjugate(), -complex(self.off23).conjugate(), 1j * complex(self.t3)],
-            ]
-        )
 
     @property
     def is_diagonal(self) -> bool:
@@ -619,15 +611,6 @@ class SignedRoot(Frozen):
     def __init__(self, sign: int, root: Root):
         _set(self, "sign", sign)
         _set(self, "root", root)
-
-    @property
-    def vector(self) -> Tuple[int, int, int]:
-        v = self.root.vector
-        return (self.sign * v[0], self.sign * v[1], self.sign * v[2])
-
-    @property
-    def label(self) -> str:
-        return ("" if self.sign > 0 else "-") + self.root.label
 
 
 def apply_perm(v: Sequence, perm: Sequence[int]) -> tuple:

@@ -15,7 +15,7 @@ from su3poly.classifier import (
     classify_n2,
     classify_n3,
 )
-from su3poly.su3 import snap_weights
+from su3poly.su3 import LengthMismatch, snap_weights
 
 #: Coefficients of the transition hyperplanes in (g1, g2, g3): a weight is
 #: zero, two are equal, a pair sums to zero, one is the sum of the others,
@@ -127,6 +127,10 @@ class TestClassifyN3:
         assert label is N3Type.DEGENERATE_ZERO_WEIGHT
         # the double-zero-at-infinity corner also degenerates
         assert classify_n3((1, 0, -1))[0] is N3Type.DEGENERATE_ZERO_WEIGHT
+
+    def test_four_weights_are_refused(self):
+        with pytest.raises(LengthMismatch, match="^expected 3 weights, got 4$"):
+            classify_n3((1, 2, 3, 4))
 
     def test_exact_stability_under_small_perturbation(self):
         quantities = lambda g: (

@@ -57,6 +57,8 @@ class TestErrors:
             (["sample", "--gamma", "4,2,-1", "--count", "3", "--tolerance", "nan"], "InvalidTolerance"),
             (["bounds", "--lambdas", "1,1,1", "--tolerance", "nan"], "InvalidTolerance"),
             (["bounds", "--lambdas", "1,1", "--tolerance", "-1"], "InvalidTolerance"),
+            (["verify", "--gamma", "1,2,3,4", "--count", "10"], "PredictionUnavailable"),
+            (["classify", "--gamma", "1,2,3,4"], "LengthMismatch"),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, capsys, argv, kind):
@@ -190,3 +192,13 @@ class TestSweep:
         assert labels.count("AB") == 1 and labels[10] == "AB"
         # monotone: no flicker back and forth
         assert labels == ["B"] * 10 + ["AB"] + ["A"] * 10
+
+    def test_emit_vertices_and_output_path(self, capsys, tmp_path):
+        argv = ["sweep", "--start", "4,2,-1", "--end", "1,1,1", "--steps", "3", "--emit-vertices"]
+        _, out = run_cli(capsys, *argv)
+        entries = [json.loads(line) for line in out.splitlines()]
+        assert [e["n_vertices"] for e in entries] == [len(e["vertices"]) for e in entries]
+        assert entries[0]["vertices"] == [[str(x) if type(x) is not int else x for x in v] for v in build_polytope_n3((4, 2, -1)).vertices]
+        path = tmp_path / "sweep.jsonl"
+        assert run_cli(capsys, *argv, "-o", str(path)) == (0, "")
+        assert path.read_text() == out

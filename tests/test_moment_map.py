@@ -38,15 +38,14 @@ class TestCPPoint:
         assert z.coords == (0, 1, 0)
         assert z.basis_index() == 2
 
-    def test_not_normalized(self):
-        with pytest.raises(NotNormalized):
-            CPPoint.of(1, 1, 0, normalize=False)
+    def test_zero_vector_is_refused(self):
+        with pytest.raises(NotNormalized, match="^zero vector$"):
+            CPPoint.of(0, 0, 0)
 
     @pytest.mark.parametrize("coords", [(float("nan"), 0, 0), (float("inf"), 0, 0), (1, 0, complex(0, float("-inf")))])
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_non_finite_coordinates_are_named(self, coords, normalize):
+    def test_non_finite_coordinates_are_named(self, coords):
         with pytest.raises(NotNormalized, match=re.escape(", ".join(map(repr, coords)))):
-            CPPoint.of(*coords, normalize=normalize)
+            CPPoint.of(*coords)
 
     def test_projective_equality(self):
         a = CPPoint.of(1, 1j, 0.5)

@@ -17,6 +17,7 @@ from su3poly.oracle import (
     BLOCK,
     InvalidCount,
     InvalidSeed,
+    PredictionUnavailable,
     VerificationReport,
     _draw_spectra,
     _float_weights,
@@ -253,9 +254,10 @@ class TestBlockRunner:
         # each block's worker reduces its own rows; the merged report is the
         # one the unfused tail makes from every serial row at once
         expected = reference_verify(gammas, count, 6, targeted)
+        monkeypatch.setattr(oracle, "_TARGETED", targeted)
         for workers in (1, 2, 3):
             monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
-            assert verify(gammas, count, 6, targeted=targeted).to_json_dict() == expected, workers
+            assert verify(gammas, count, 6).to_json_dict() == expected, workers
 
     @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 5])
     @pytest.mark.parametrize("gammas", [(4, 2, -1), (2, 1), (3, -1, -2)], ids=str)
@@ -346,12 +348,6 @@ class TestVerifySlack:
         monkeypatch.setattr(oracle, "_draw_spectra", None)
         with pytest.raises(InvalidTolerance, match=re.escape(repr(tol))):
             verify((4, 2, -1), 1000, seed=1, tol=tol)
-
-    @pytest.mark.parametrize("targeted", [-1, True, 1.5, "500"])
-    def test_bad_targeted_count_is_refused_before_drawing(self, monkeypatch, targeted):
-        monkeypatch.setattr(oracle, "_draw_spectra", None)
-        with pytest.raises(InvalidCount, match=re.escape(repr(targeted))):
-            verify((4, 2, -1), 10**6, seed=1, targeted=targeted)
 
     def test_point_prediction_slack_scales_with_weight(self):
         for g in (1.0, 1e-9):
@@ -477,7 +473,7 @@ class TestVerify:
         assert (excess > 1e-3).sum() > 0
 
     def test_vertex_coverage_with_targeted_sampling(self):
-        report = verify((1, 1, 1), 5000, seed=2, tol=1e-6, targeted=500)
+        report = verify((1, 1, 1), 5000, seed=2, tol=1e-6)
         # first vertex is the diagonal anchor a
         assert report.vertex_coverage[0] < 0.05
         assert max(report.vertex_coverage) < 0.2
@@ -497,6 +493,11 @@ class TestVerify:
     def test_zero_weight_delegates(self):
         report = verify((2, 1, 0), 10000, seed=2, tol=1e-6)
         assert report.ok
+
+    def test_weights_with_no_prediction_are_refused(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_draw_spectra", None)
+        with pytest.raises(PredictionUnavailable, match="^expected 2 or 3 weights, got 4$"):
+            verify((1, 2, 3, 4), 10, 0)
 
     def test_star_consistency(self):
         _, hull_pos = empirical_polytope((2, 1, -4), 50000, 6)
@@ -605,15 +606,6 @@ class TestBatchedSpectra:
         got = spectra_of_configurations(z, gammas)
         assert np.abs(got - reference_spectra(unit, gammas)).max() <= SPECTRA_ERROR * scale
 
-    def test_out_is_written_in_place(self):
-        z = _sample_vectors(3, 5000, 3)
-        expected = spectra_of_configurations(z, (4, 2, -1))
-        block = np.full((6000, 3), np.nan)
-        out = block[1000:]
-        assert spectra_of_configurations(z, (4, 2, -1), out=out) is out
-        assert np.array_equal(block[1000:], expected)
-        assert np.isnan(block[:1000]).all()
-
     def test_zero_weights_give_zero_spectra(self):
         z = _sample_vectors(1, 100, 3)
         assert np.array_equal(spectra_of_configurations(z, (0, 0, 0)), np.zeros((100, 3)))
@@ -623,7 +615,7 @@ def gaussian_spectra(gammas, count, seed):
     """Spectra of ``count`` Gaussian configurations: the reference law."""
     spectra = np.empty((count, 3))
     for start, z in _gaussian_blocks(seed, count, len(gammas)):
-        spectra_of_configurations(z, gammas, out=spectra[start : start + len(z)])
+        spectra[start : start + len(z)] = spectra_of_configurations(z, gammas)
     return spectra
 
 

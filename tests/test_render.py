@@ -4,17 +4,17 @@ from fractions import Fraction as F
 import pytest
 
 from su3poly.moment_map import InvalidWeight, LengthMismatch
-from su3poly.oracle import sample_batch
 from su3poly.polytope import build_polytope, build_polytope_n2, build_polytope_n3, point_polytope
 from su3poly.render import render_svg
 from su3poly.su3 import Spectrum
 
 
-#: sha256 of the SVG text, without samples, of the polytope of each weight
-#: of ``SVG_DIGEST_WEIGHTS`` labelled by its anchors, then of one point with
-#: no weights: a polygon, merged anchors c1=c2=c3, a starred type, a
-#: segment, rational and float weights.
-SVG_DIGEST = "2a45ad0d05d6716bf5c6903b7ca6beb2839b3b3cbfefe6089803afd9af2dfd1e"
+#: sha256 of the SVG text of the polytope of each weight of
+#: ``SVG_DIGEST_WEIGHTS`` labelled by its anchors, then of one point with no
+#: weights: a polygon, merged anchors c1=c2=c3, a starred type, a segment,
+#: rational and float weights.  (0.7, 0.35, -0.35), whose figure lies within
+#: 1 of the origin, is drawn at its own scale, with no floor of 1.
+SVG_DIGEST = "3e253591dd4303fe9f9ba2991110cbf482f1114adff56b6bd8bad185dbcbc3c9"
 SVG_DIGEST_WEIGHTS = [(4, 2, -1), (1, 1, 1), (-4, -2, 1), (2, 1), (F(4, 3), 2, -1), (0.7, 0.35, -0.35)]
 
 
@@ -26,10 +26,8 @@ class TestRenderSvg:
         h.update(render_svg(point_polytope(Spectrum(2, -1, -1))).encode())
         assert h.hexdigest() == SVG_DIGEST
 
-    def test_polygon_with_samples(self):
-        poly = build_polytope_n3((4, 2, -1))
-        batch = sample_batch((4, 2, -1), 500, 1)
-        svg = render_svg(poly, weights=(4, 2, -1), samples=batch.chamber_points)
+    def test_polygon_with_anchor_labels(self):
+        svg = render_svg(build_polytope_n3((4, 2, -1)), weights=(4, 2, -1))
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "polygon" in svg and "type C" in svg
         for name in ("a", "b", "c1", "c2", "c3"):
@@ -38,6 +36,19 @@ class TestRenderSvg:
     def test_merged_anchor_labels(self):
         svg = render_svg(build_polytope_n3((1, 1, 1)), weights=(1, 1, 1))
         assert "c1=c2=c3" in svg
+
+    @pytest.mark.parametrize("k", [-40, -3, 3, 40])
+    @pytest.mark.parametrize("w", [(4, 2, -1), (0.7, 0.35, -0.35)], ids=str)
+    def test_scaled_weights_draw_the_same_figure(self, w, k):
+        # P(t w) = t P(w): anchors once merged when they rounded to the same
+        # 9 decimals, and the figure had a floor of 1
+        tw = tuple(2.0**k * g for g in w)
+        assert render_svg(build_polytope(tw), weights=tw) == render_svg(build_polytope(w), weights=w)
+
+    def test_tiny_weights_keep_their_anchors_apart(self):
+        # (4e-10, 2e-10, -1e-10) once drew one label a=b=c1=c2=c3 at the origin
+        svg = render_svg(build_polytope((4e-10, 2e-10, -1e-10)), weights=(4e-10, 2e-10, -1e-10))
+        assert all(f">{name}<" in svg for name in ("a", "b", "c1", "c2", "c3"))
 
     def test_segment_and_point(self):
         seg = render_svg(build_polytope_n2((2, 1)), weights=(2, 1))

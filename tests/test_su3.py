@@ -119,12 +119,28 @@ class TestSpectrum:
         with pytest.raises(InvalidWeight, match=re.escape(f"spectrum entry {k} is {entries[k]!r}, {problem}")):
             Spectrum(*entries)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_spectrum_of_a_non_finite_matrix_is_refused(self, bad):
-        # a NaN matrix once read NotSorted
-        for mu in (Hermitian3(bad, 0.0, off12=1.0), Hermitian3(0.5, 0.0, off13=complex(0.0, bad))):
-            with pytest.raises(NotHermitian, match="NaN or infinite"):
-                spectrum(mu)
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda: Hermitian3.diag(math.nan, 0, 0), InvalidWeight, "diagonal entry 0 is nan, not finite"),
+            (lambda: Hermitian3.diag(0, 0, -math.inf), InvalidWeight, "diagonal entry 2 is -inf, not finite"),
+            (lambda: Hermitian3.diag(True, False, -1), InvalidWeight, "diagonal entry 0 is True, not a real number"),
+            (lambda: Hermitian3(math.inf, 0), InvalidWeight, "diagonal entry 0 is inf, not finite"),
+            (lambda: Hermitian3(0.5, "a", off12=1.0), InvalidWeight, "diagonal entry 1 is 'a', not a real number"),
+            (lambda: Hermitian3(0.5, 0.0, off13=complex(0.0, math.nan)), NotHermitian, "entry 13 is nanj, not a finite number"),
+            (lambda: Hermitian3(0.5, 0.0, off23=-math.inf), NotHermitian, "entry 23 is -inf, not a finite number"),
+            (lambda: Hermitian3(0.5, 0.0, off12=True), NotHermitian, "entry 12 is True, not a finite number"),
+        ],
+    )
+    def test_entry_that_is_no_finite_number_is_refused(self, make, error, message):
+        # NaN, infinite and bool entries were once stored, and a NaN matrix read NotSorted
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_spectrum_of_an_overflowing_matrix_is_refused(self):
+        # d3 = -d1 - d2 overflows although both stored entries are finite
+        with pytest.raises(NotHermitian, match="NaN or infinite"):
+            spectrum(Hermitian3(1e308, 1e308, off12=1.0))
 
     def test_float_checks_are_relative_to_scale_without_floor(self):
         with pytest.raises(NotSorted, match="not sorted"):
