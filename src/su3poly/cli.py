@@ -21,7 +21,7 @@ from .moment_map import InvalidWeight, LengthMismatch
 from .oracle import InvalidCount, sample_batch, verify
 from .polytope import build_polytope, hausdorff, polytope_cones
 from .render import render_svg
-from .su3 import check_tolerance, num_out, to_positive_chamber
+from .su3 import check_tolerance, num_out, snap_weights, to_positive_chamber
 
 
 def parse_number(text: str):
@@ -81,7 +81,10 @@ def cmd_polytope(args) -> int:
     gammas = parse_vector(args.gamma)
     poly = build_polytope(gammas, args.tolerance)
     if args.format == "svg":
-        _write(render_svg(poly, weights=gammas), args.output)
+        # the anchors of the weights the polygon was built from, snapped at
+        # this tolerance: exact, so the renderer's own snap keeps them
+        ints, den = snap_weights(gammas, args.tolerance)
+        _write(render_svg(poly, weights=tuple(Fraction(n, den) for n in ints)), args.output)
         return 0
     out = poly.to_json_dict()
     if args.emit_cones and len(gammas) == 3 and poly.kind == "Polygon":

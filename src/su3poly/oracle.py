@@ -15,12 +15,15 @@ uniform; the overall phase and the unitaries fixing e1 and u2 absorb the
 phases of z_1 and z_3, so the third factor is
 (sqrt t1, sqrt t2 e^{i alpha}, sqrt t3), with t cut from the simplex by the
 min and max of two uniforms and alpha = 2 pi U.  A sample costs 4 uniforms
-(1 with two factors) instead of 3 complex Gaussians per factor;
-:func:`_frame_spectra` forms the six entries of sum g_j u_j u_j^* in closed
-form and hands them to the closed-form 3x3 eigenvalue kernel
-:func:`su3.spectra_of_entries` (no LAPACK call).  The rows differ from those
-of earlier versions, which drew the Gaussians, at the same seed; their law
-is the same.
+(1 with two factors) instead of 3 complex Gaussians per factor.  The
+closed-form 3x3 eigenvalue kernel :func:`su3._spectra_of_invariants` (no
+LAPACK call) reads real invariants of sum g_j u_j u_j^*: the trace-free
+diagonal, the squared moduli of the upper entries and Re(o12 o23 conj(o13)).
+:func:`_frame_spectra` forms them in closed form from the uniforms and
+cos alpha alone, in float64, and forms complex entries only for the rows
+whose eigenvalues are nearly double, which the kernel deflates.  The rows
+differ from those of earlier versions, which drew the Gaussians, at the
+same seed; their law is the same.
 
 Sampling is block-seeded: sample ``i`` lives in block ``i // BLOCK`` with its
 own generator derived from ``(seed, block)``, whose uniforms fill the block's
@@ -70,7 +73,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .moment_map import CPPoint, InvalidWeight, as_gammas
 from .polytope import ChamberPolytope, _distances, _float_lines, _hull_candidates, _pq_array, build_polytope, hull2d
-from .su3 import Frozen, _set, chamber_coordinates, check_tolerance, is_exact, spectra_of_entries
+from .su3 import Frozen, _set, _spectra_of_invariants, chamber_coordinates, check_tolerance, is_exact, spectra_of_entries
 
 if TYPE_CHECKING:  # annotations only: importing the package loads no numpy
     import numpy as np
@@ -237,42 +240,85 @@ def _frame_spectra(u: np.ndarray, gs: np.ndarray, out: np.ndarray) -> np.ndarray
     s^2 = sqrt(U) and c^2 = 1 - s^2 of u2 = (c, s, 0); for three factors
     columns 1 and 2 cut the simplex point t = (lo, hi - lo, 1 - hi) of
     u3 = (sqrt t1, sqrt t2 e^{i alpha}, sqrt t3) and column 3 gives
-    alpha = 2 pi U; u1 = e1.  The entries of g1 e1 e1^* + g2 u2 u2^* +
-    g3 u3 u3^* are formed in closed form for one kernel call.
+    alpha = 2 pi U; u1 = e1.
+
+    The kernel :func:`su3._spectra_of_invariants` reads real invariants of
+    g1 e1 e1^* + g2 u2 u2^* + g3 u3 u3^*, formed here in float64 from the
+    uniforms and cos alpha alone.  With x = g2 c s and r12 = g3 sqrt(t1 t2)
+    the entries are o12 = x + r12 e^{-i alpha}, o13 = g3 sqrt(t1 t3) and
+    o23 = g3 sqrt(t2 t3) e^{i alpha}, so |o12|^2 = x^2 + 2 x r12 cos alpha +
+    r12^2, |o13|^2 = g3^2 t1 t3, |o23|^2 = g3^2 t2 t3 and Re(o12 o23
+    conj(o13)) = g3 t3 r12 (x cos alpha + r12).  The diagonal is made
+    trace-free by subtracting the mean weight.  The complex entries, and
+    sin alpha, are formed only for the rows the kernel deflates, whose
+    eigenvalues are nearly double.
     """
     import numpy as np
 
+    g1, g2 = gs[0], gs[1]
+    g3 = gs[2] if len(gs) == 3 else 0.0
+    mean = (g1 + g2 + g3) / 3.0
     s2 = np.sqrt(u[:, 0])
     c2 = 1.0 - s2
-    diag = np.zeros((len(u), 3))
-    off = np.zeros((len(u), 3), dtype=complex)
-    real, imag = off.real, off.imag
-    np.multiply(np.sqrt(c2 * s2), gs[1], out=real[:, 0])
-    np.multiply(c2, gs[1], out=diag[:, 0])
-    diag[:, 0] += gs[0]
-    np.multiply(s2, gs[1], out=diag[:, 1])
-    if len(gs) == 3:
-        g3 = gs[2]
-        lo = np.minimum(u[:, 1], u[:, 2])
-        hi = np.maximum(u[:, 1], u[:, 2])
-        t2 = hi - lo
-        t3 = 1.0 - hi
-        alpha = u[:, 3] * (2.0 * math.pi)
-        cos, sin = np.cos(alpha), np.sin(alpha)
-        r12 = np.sqrt(lo * t2)
-        r12 *= g3
-        r23 = np.sqrt(t2 * t3)
-        r23 *= g3
-        diag[:, 0] += g3 * lo
-        diag[:, 1] += g3 * t2
-        np.multiply(t3, g3, out=diag[:, 2])
-        real[:, 0] += r12 * cos
-        np.multiply(r12, -sin, out=imag[:, 0])
-        np.multiply(np.sqrt(lo * t3), g3, out=real[:, 1])
-        np.multiply(r23, cos, out=real[:, 2])
-        np.multiply(r23, sin, out=imag[:, 2])
-    out[:] = spectra_of_entries(diag, off)
-    return out
+    x = np.sqrt(c2 * s2)
+    x *= g2
+    d = np.empty((3, len(u)))  # the trace-free diagonal, one row per entry; the kernel reads d.T
+    np.multiply(c2, g2, out=d[0])
+    d[0] += g1 - mean
+    np.multiply(s2, g2, out=d[1])
+    d[1] -= mean
+    d[2] = -mean
+    if len(gs) == 2:
+
+        def near_entries(idx):
+            off = np.zeros((len(idx), 3), dtype=complex)
+            off.real[:, 0] = x[idx]
+            return off
+
+        return _spectra_of_invariants(d.T, x * x, 0.0, 0.0, 0.0, near_entries, out)
+
+    lo = np.minimum(u[:, 1], u[:, 2])
+    t2 = np.maximum(u[:, 1], u[:, 2])
+    t3 = 1.0 - t2
+    t2 -= lo
+    # cos(2 pi U) as sin(pi (|2U - 1| - 1/2)): the same value, from an exact
+    # argument within pi/2 of 0, where sin costs least
+    cos = np.abs(2.0 * u[:, 3] - 1.0)
+    cos -= 0.5
+    cos *= math.pi
+    np.sin(cos, out=cos)
+    r12 = np.sqrt(lo * t2)
+    r12 *= g3
+    g3t3 = g3 * t3
+    d[0] += g3 * lo
+    d[1] += g3 * t2
+    d[2] += g3t3
+    q = x * cos
+    q += r12  # x cos alpha + r12
+    a12 = q + q
+    a12 -= r12
+    a12 *= r12
+    a12 += x * x  # x^2 + r12 (2 x cos alpha + r12)
+    a13 = g3t3 * lo
+    a13 *= g3
+    a23 = g3t3 * t2
+    a23 *= g3
+    q *= r12
+    q *= g3t3
+
+    def near_entries(idx):
+        sin = np.sin(u[idx, 3] * (2.0 * math.pi))
+        off = np.empty((len(idx), 3), dtype=complex)
+        off.real[:, 0] = x[idx] + r12[idx] * cos[idx]
+        off.imag[:, 0] = -r12[idx] * sin
+        off.real[:, 1] = g3 * np.sqrt(lo[idx] * t3[idx])
+        off.imag[:, 1] = 0.0
+        r23 = g3 * np.sqrt(t2[idx] * t3[idx])
+        off.real[:, 2] = r23 * cos[idx]
+        off.imag[:, 2] = r23 * sin
+        return off
+
+    return _spectra_of_invariants(d.T, a12, a13, a23, q, near_entries, out)
 
 
 def chamber_points_of_spectra(spectra: np.ndarray) -> np.ndarray:

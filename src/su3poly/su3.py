@@ -27,6 +27,7 @@ from typing import Iterator, Sequence, Tuple, Union
 Scalar = Union[int, Fraction, float]
 
 SQRT2 = math.sqrt(2.0)
+SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
 
 #: Default relative tolerance for floating-point sum-zero / tie checks.
@@ -143,11 +144,23 @@ def snap_weights(gs: Sequence[Scalar], tol: float) -> Tuple[Tuple[int, ...], int
     tolerance rule for weights.
 
     A form of :func:`_form_values` that involves a float snaps when it is
-    within ``tol`` times the largest absolute weight, compared in integers
+    within ``tol`` times the largest absolute weight, b, compared in integers
     on the exact binary values.  The weights are projected orthogonally onto
-    the null space of the snapped forms; a form whose sign that moves snaps
-    too.  Exact weights keep their values.  A ``tol`` that
-    :func:`check_tolerance` refuses raises :class:`InvalidTolerance`.
+    the null space of the snapped forms.  Exact weights keep their values.
+    A ``tol`` that :func:`check_tolerance` refuses raises
+    :class:`InvalidTolerance`.
+
+    The projection gives no other form the opposite sign, so one projection
+    suffices.  The forms are the nonzero vectors of {-1, 0, 1}^n, one of
+    each pair +-c.  Snapped forms that span the whole space project to 0.
+    Along one snapped form c the projection moves a form g by
+    (g.c / |c|^2) c.x, at most b, which is less than |g.x| when g involves
+    a float and did not snap.  When g involves exact weights alone, a sign
+    change would put the form c - sign(g.c) g, which involves c's float,
+    within b too, and it would have snapped beside c.  For snapped forms
+    spanning a plane, linear programs over each pattern of exact weights
+    and each position of every form about +-b admit no sign change either;
+    the tests check every integer weight up to 4 in size.
     """
     check_tolerance(tol)
     ints, den = integer_scaled(gs)
@@ -160,14 +173,7 @@ def snap_weights(gs: Sequence[Scalar], tol: float) -> Tuple[Tuple[int, ...], int
     if min(map(abs, values)) > bound:
         return ints, den
     forms = _FORMS[len(ints)]
-    snapped = {k for k, v in enumerate(values) if abs(v) <= bound and not all(e for e, c in zip(exact, forms[k]) if c)}
-    x, f = ints, 1
-    while snapped:
-        x, f = _null_projection(ints, [forms[k] for k in sorted(snapped)])
-        moved = {k for k, (u, v) in enumerate(zip(values, _form_values(x))) if v and u * v <= 0}
-        if not moved:
-            break
-        snapped |= moved
+    x, f = _null_projection(ints, [form for form, v in zip(forms, values) if abs(v) <= bound and not all(e for e, c in zip(exact, form) if c)])
     g = math.gcd(*x, den * f)
     return tuple(n // g for n in x), den * f // g
 
@@ -644,13 +650,14 @@ def spectrum(mu: Hermitian3) -> Spectrum:
 
 
 #: Rows whose cubic angle lies this close to 0 or pi/3 have two nearly equal
-#: eigenvalues; :func:`spectra_of_entries` splits that pair by deflation.
+#: eigenvalues; :func:`_spectra_of_invariants` splits that pair by deflation.
 _NEAR_DOUBLE = 0.01
 
-#: Bound on the absolute error of :func:`spectra_of_entries`, as a multiple of
-#: the largest absolute matrix entry (for a weighted momentum map, of
-#: max |gamma|).  The measured worst case, over uniform configurations and
-#: configurations within 1e-8 of every torus-fixed one, is below 1e-14.
+#: Bound on the absolute error of :func:`_spectra_of_invariants`, and so of
+#: :func:`spectra_of_entries`, as a multiple of the largest absolute matrix
+#: entry (for a weighted momentum map, of max |gamma|).  The measured worst
+#: case, over uniform configurations and configurations within 1e-8 of every
+#: torus-fixed one, is below 1e-14.
 SPECTRA_ERROR = 1e-13
 
 
@@ -663,13 +670,39 @@ def spectra_of_entries(diag, off):
     result is (n, 3) with rows descending, within :data:`SPECTRA_ERROR` times
     the entry scale of the true eigenvalues.
 
+    A thin wrapper over the kernel :func:`_spectra_of_invariants`, which
+    reads real invariants: the entries are reduced to their squared moduli
+    and Re(o12 o23 conj(o13)), and the kernel takes the complex entries of
+    the rows it deflates, those with nearly double eigenvalues, from ``off``.
+    """
+    import numpy as np
+
+    d = diag - ((diag[:, 0] + diag[:, 1] + diag[:, 2]) / 3.0)[:, None]
+    a = off.real * off.real + off.imag * off.imag
+    triple = (off[:, 0] * off[:, 2] * off[:, 1].conj()).real
+    return _spectra_of_invariants(d, a[:, 0], a[:, 1], a[:, 2], triple, off.__getitem__, np.empty((len(d), 3)))
+
+
+def _spectra_of_invariants(d, a12, a13, a23, triple, near_entries, out):
+    """Sorted eigenvalues of a batch of trace-free Hermitian 3x3 matrices,
+    from their real invariants: the one eigenvalue kernel of the library.
+
+    ``d`` is the (n, 3) trace-free diagonal, ``a12``, ``a13`` and ``a23`` the
+    squared moduli of the upper entries and ``triple`` Re(o12 o23 conj(o13)),
+    each an (n,) array or a scalar.  ``near_entries(idx)`` gives the (k, 3)
+    complex upper entries of the rows ``idx``; it is called only for the rows
+    whose eigenvalues are nearly double, so a caller that holds no complex
+    entries forms them for those rows alone.  The rows are written into the
+    (n, 3) array ``out``, which is returned.
+
     Trigonometric solution of the depressed characteristic cubic
     ``u^3 + p u + q = 0`` (Smith, CACM 4(4), 1961): with r = sqrt(-p/3) the
     eigenvalues are 2 r cos(theta + 2 pi k / 3), theta = acos(-q / (2 r^3)) / 3.
     The acos argument is clamped to [-1, 1], which keeps the formula defined
     at repeated eigenvalues, and for theta in [0, pi/3] the order is k = 0,
-    2, 1, so no sort is needed.  The middle value is taken from the zero
-    trace, which keeps the rows summing to zero to rounding.
+    2, 1, so no sort is needed; the least one is taken as
+    -r (cos theta + sqrt(3) sin theta).  The middle value is taken from the
+    zero trace, which keeps the rows summing to zero to rounding.
 
     Near a double eigenvalue acos loses half the digits of the pair's gap
     (Kopp, arXiv:physics/0610206), so on those rows the isolated eigenvalue
@@ -677,27 +710,23 @@ def spectra_of_entries(diag, off):
     """
     import numpy as np
 
-    d = diag - ((diag[:, 0] + diag[:, 1] + diag[:, 2]) / 3.0)[:, None]
-    a = off.real * off.real + off.imag * off.imag
     d1, d2, d3 = d[:, 0], d[:, 1], d[:, 2]
-    a12, a13, a23 = a[:, 0], a[:, 1], a[:, 2]
-    o12, o13, o23 = off[:, 0], off[:, 1], off[:, 2]
-
     tr2 = d1 * d1 + d2 * d2 + d3 * d3 + 2.0 * (a12 + a13 + a23)
-    det = d1 * d2 * d3 + 2.0 * (o12 * o23 * o13.conj()).real - d1 * a23 - d2 * a13 - d3 * a12
+    det = d1 * d2 * d3 + 2.0 * triple - d1 * a23 - d2 * a13 - d3 * a12
     r = np.sqrt(tr2 / 6.0)
     arg = np.divide(det, 2.0 * r * r * r, out=np.zeros_like(r), where=r > 0.0)
     theta = np.arccos(np.clip(arg, -1.0, 1.0)) / 3.0
-    out = np.empty((len(d), 3))
-    out[:, 0] = 2.0 * r * np.cos(theta)
-    out[:, 2] = 2.0 * r * np.cos(theta + 2.0 * math.pi / 3.0)
+    top = r * np.cos(theta)
+    out[:, 0] = 2.0 * top
+    # 2 r cos(theta + 2 pi / 3), as a sum of two terms of one sign
+    out[:, 2] = -top - SQRT3 * r * np.sin(theta)
 
     near = np.flatnonzero(np.minimum(theta, math.pi / 3.0 - theta) < _NEAR_DOUBLE)
     if near.size:
         # theta near 0: the bottom pair is close and the top value isolated.
         bottom_pair = theta[near] < math.pi / 6.0
         iso = np.where(bottom_pair, out[near, 0], out[near, 2])
-        half_gap = _pair_half_gap(d[near], off[near], iso)
+        half_gap = _pair_half_gap(d[near], near_entries(near), iso)
         out[near, 0] = np.where(bottom_pair, iso, -0.5 * iso + half_gap)
         out[near, 2] = np.where(bottom_pair, -0.5 * iso - half_gap, iso)
 

@@ -118,6 +118,16 @@ class TestPolytope:
         _, out = run_cli(capsys, "polytope", "--gamma", "1,1,1", "--format", "svg")
         assert out.startswith("<svg") and "polygon" in out and "</svg>" in out
 
+    def test_svg_labels_the_anchors_of_the_weights_snapped_at_the_tolerance(self, capsys):
+        # at 1e-5 the weights snap to (1, 1, 1), whose polygon is drawn; the
+        # labels once grouped the anchors at the default 1e-9 as c1=c2 and c3
+        _, out = run_cli(capsys, "polytope", "--gamma", "1,1,1.000001", "--tolerance", "1e-5", "--format", "svg")
+        _, snapped = run_cli(capsys, "polytope", "--gamma", "1,1,1", "--format", "svg")
+        assert ">c1=c2=c3<" in out and ">c3<" not in out
+        assert out == snapped
+        _, out = run_cli(capsys, "polytope", "--gamma", "1,1,1.000001", "--format", "svg")
+        assert ">c1=c2<" in out and ">c3<" in out
+
     def test_byte_identical_reruns(self, capsys):
         _, out1 = run_cli(capsys, "polytope", "--gamma", "4,2,-1")
         _, out2 = run_cli(capsys, "polytope", "--gamma", "4,2,-1")

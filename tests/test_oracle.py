@@ -685,6 +685,38 @@ class TestReducedFrame:
         got = _draw_spectra(*_float_weights(gammas), 0, 5, 300)[0]
         assert np.abs(got - spectra_of_configurations(z, gammas)).max() <= SPECTRA_ERROR * scale
 
+    @pytest.mark.parametrize("gammas", [(1, 1, -1), (2, 1)], ids=str)
+    def test_near_double_rows_are_the_spectra_of_their_configurations(self, monkeypatch, gammas):
+        # Most targeted rows of these weights have a nearly double eigenvalue,
+        # so the kernel asks the frame for their complex entries and deflates
+        # them; those rows match the entries built from the configurations,
+        # and LAPACK.
+        asked = []
+        kernel = oracle._spectra_of_invariants
+
+        def spy(d, a12, a13, a23, triple, near_entries, out):
+            def entries(idx):
+                asked.append(idx.copy())
+                return near_entries(idx)
+
+            return kernel(d, a12, a13, a23, triple, entries, out)
+
+        monkeypatch.setattr(oracle, "_spectra_of_invariants", spy)
+        floats, power = _float_weights(gammas)
+        scale = max(abs(float(g)) for g in gammas)
+        deflated = 0
+        for u in targeted_uniforms(len(gammas), 300, 5):
+            asked.clear()
+            rows = oracle._frame_spectra(u, np.array(floats) / power, np.empty((len(u), 3))) * power
+            if not asked:
+                continue
+            (idx,) = asked
+            deflated += len(idx)
+            z = frame_configurations(u[idx])
+            assert np.abs(rows[idx] - spectra_of_configurations(z, gammas)).max() <= SPECTRA_ERROR * scale
+            assert np.abs(rows[idx] - reference_spectra(z, gammas)).max() <= SPECTRA_ERROR * scale
+        assert deflated > 0
+
     def test_corners_are_the_anchor_table(self):
         # each corner is its anchor's torus-fixed configuration, in the
         # caller's order and sign; alpha (here 0.3) does not matter there

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su3poly.su3 import (
+    _FORMS,
+    _form_values,
     SQRT2,
     SQRT6,
     XI1,
@@ -375,6 +377,25 @@ class TestSnapWeights:
         near = [abs(v) <= bound for v in form_values(gs)]
         for was, now, snaps in zip(before, after, near):
             assert now == 0 if snaps else now in (was, 0)
+
+    def test_one_projection_gives_no_form_the_opposite_sign(self):
+        # every integer weight up to 4 in size, each weight exact or a float
+        # (up to order), at every bound that snaps a different set of forms
+        for n in (2, 3):
+            for pairs in itertools.combinations_with_replacement(itertools.product(range(-4, 5), (int, float)), n):
+                g = [x for x, _ in pairs]
+                if float not in {kind for _, kind in pairs} or not any(g):
+                    continue
+                gs = tuple(kind(x) for x, kind in pairs)
+                values, top = _form_values(g), max(map(abs, g))
+                for bound in sorted(set(map(abs, values))):
+                    after = _form_values(snap_weights(gs, (bound + 0.5) / top)[0])
+                    for form, was, now in zip(_FORMS[n], values, after):
+                        # a snapped form vanishes; the others keep their sign or vanish
+                        if abs(was) <= bound and any(c and kind is float for c, (_, kind) in zip(form, pairs)):
+                            assert now == 0, (gs, bound)
+                        else:
+                            assert sgn(now) in (sgn(was), 0), (gs, bound)
 
     @settings(max_examples=300, deadline=None)
     @given(near_transitions)
