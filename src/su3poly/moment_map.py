@@ -231,29 +231,28 @@ FIXED_CONFIGURATIONS_N2 = {
 }
 
 
-def tripled_fixed_point_diagonals(gammas: Sequence[Scalar]) -> Dict[str, Tuple[tuple, Tuple[int, ...]]]:
-    """The anchor table: three times the raw diagonal at each representative
-    fixed point, as the ``(entries, perm)`` of :func:`su3.sort_descending`.
+#: The closed forms of the anchor points, in one place: for two and three
+#: weights, three times the raw diagonal at each representative fixed point
+#: as rows of integer coefficients over the weights.  Each entry is a linear
+#: form, so integer weights give integer triples.
+_ANCHOR_ROWS = {
+    2: {"a": ((2, 2), (-1, -1), (-1, -1)), "c": ((2, -1), (-1, 2), (-1, -1))},
+    3: {
+        "a": ((2, 2, 2), (-1, -1, -1), (-1, -1, -1)),
+        "b": ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),
+        "c1": ((2, -1, -1), (-1, 2, 2), (-1, -1, -1)),
+        "c2": ((-1, 2, -1), (2, -1, 2), (-1, -1, -1)),
+        "c3": ((-1, -1, 2), (2, 2, -1), (-1, -1, -1)),
+    },
+}
 
-    The closed forms of the anchor points, in one place: integer linear forms
-    in the weights, so integer weights give integer triples.  For N=3 the
-    keys are a, b, c1, c2, c3; for N=2 they are a, c.
+
+def tripled_fixed_point_diagonals(gammas: Sequence[Scalar]) -> Dict[str, Tuple[tuple, Tuple[int, ...]]]:
+    """The anchor table: :data:`_ANCHOR_ROWS` evaluated on the weights, each
+    tripled diagonal as the ``(entries, perm)`` of :func:`su3.sort_descending`.
+    For N=3 the keys are a, b, c1, c2, c3; for N=2 they are a, c.
     """
-    if len(gammas) == 2:
-        g1, g2 = gammas
-        s = g1 + g2
-        raw = {"a": (2 * s, -s, -s), "c": (2 * g1 - g2, 2 * g2 - g1, -s)}
-    else:
-        g1, g2, g3 = gammas
-        s = g1 + g2 + g3
-        raw = {
-            "a": (2 * s, -s, -s),
-            "b": (2 * g1 - g2 - g3, -g1 + 2 * g2 - g3, -g1 - g2 + 2 * g3),
-            "c1": (2 * g1 - g2 - g3, -g1 + 2 * g2 + 2 * g3, -s),
-            "c2": (-g1 + 2 * g2 - g3, 2 * g1 - g2 + 2 * g3, -s),
-            "c3": (-g1 - g2 + 2 * g3, 2 * g1 + 2 * g2 - g3, -s),
-        }
-    return {k: sort_descending(v) for k, v in raw.items()}
+    return {k: sort_descending([sum(c * g for c, g in zip(row, gammas)) for row in rows]) for k, rows in _ANCHOR_ROWS[len(gammas)].items()}
 
 
 def fixed_point_spectra(w) -> Dict[str, Spectrum]:

@@ -18,12 +18,15 @@ path runs no hull algorithm.
 The three-factor build is one straight line in integers: one
 :func:`classifier.classify_n3` checks the weights, snaps them once to
 integers (:func:`su3.snap_weights`) and reads the label from the signs of
-the transition forms of their canonical form; one
-:class:`cones.AnchorKernel` takes the snapped weights, in the caller's
-order and sign, on an integer scale t and gives each cone as a
+the transition forms of their canonical form.  The signs of the same forms
+of the snapped weights, in the caller's order and sign, name a sign cell,
+which fixes all but the offsets.  The first build in a cell takes one
+:class:`cones.AnchorKernel`, which gives each cone as a
 :class:`cones.Germ`, or None where the cone degenerates; one line-maker
-turns each germ into lines a*l1 + b*l2 >= c / t with integer c; and the
-vertices come out as integers over m * t.  Each line's provenance names
+turns each germ into lines a*l1 + b*l2 >= c / t, c an integer linear form
+in the weights on the scale t = 3 * den; and the walk gives which lines
+meet at each vertex.  A build takes the offsets as dot products and each
+vertex in one 2x2 integer solve, over m * t.  Each line's provenance names
 the anchor of the weights as given (c_j: factor j alone).  The two-factor
 build snaps once too and takes its two anchors from the same integers.  A
 :class:`ChamberPolytope` stores these lines and vertices over one
@@ -52,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classifier import Canonicalization, N3Type, _classify_n2, classify_n3
 from .cones import AnchorKernel, ConeSpec, Germ, _snapped_kernel
-from .moment_map import DegenerateWeight, as_gammas, tripled_fixed_point_diagonals, weight_entries
+from .moment_map import _ANCHOR_ROWS, DegenerateWeight, as_gammas, tripled_fixed_point_diagonals, weight_entries
 from .su3 import (
     SQRT2,
     SQRT6,
@@ -63,6 +66,7 @@ from .su3 import (
     Root,
     Scalar,
     Spectrum,
+    _form_values,
     _set,
     all_exact,
     chamber_to_spectrum_floats,
@@ -72,6 +76,7 @@ from .su3 import (
     is_exact,
     lift_2d,
     num_out,
+    sgn,
     snap_weights,
     to_chamber,
 )
@@ -101,8 +106,8 @@ class InvalidPolytopeDocument(ValueError):
     no bool, or a vertex outside the document's own half-planes."""
 
 
-#: The chamber walls l1 >= l2 and l2 >= l3 as lines (a, b, c, provenance).
-_WALLS = ((1, -1, 0, "wall:l1=l2"), (1, 2, 0, "wall:l2=l3"))
+#: The chamber walls l1 >= l2 and l2 >= l3 as lines (a, b, offset coefficients, provenance).
+_WALLS = ((1, -1, (0, 0, 0), "wall:l1=l2"), (1, 2, (0, 0, 0), "wall:l2=l3"))
 
 #: Provenance suffixes (after the anchor or ``wall``) under the star
 #: involution: the two walls trade places, and so do the root axes alpha1 =
@@ -128,47 +133,63 @@ def _star_name(provenance: str) -> str:
 _FACET_NORMALS = {d: tuple(map(float, lift_2d(*d))) for d in ((1, 0), (1, 1), (1, 2), (0, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))}
 
 
-def _integer_vertices(lines: Sequence[Tuple[int, int, int]]) -> Tuple[List[Tuple[int, int]], int]:
-    """Vertices of the polygon {a*l1 + b*l2 >= c for each line (a, b, c)}.
+def _integer_vertices(lines: Sequence[Tuple[int, int, int]]) -> List[int]:
+    """The ring of the polygon {a*l1 + b*l2 >= c for each line (a, b, c)}:
+    the indices into ``lines`` of its edge lines, counterclockwise.
 
     ``(a, b)`` must be a facet direction (a key of ``_FACET_NORMALS``) and
     every ``c`` an integer over one common denominator; each direction
-    keeps its tightest offset.  The lines are walked in the fixed
+    keeps its first tightest line.  The lines are walked in the fixed
     counterclockwise order of their directions.  The intersection is
     unbounded exactly when two neighbours are half a turn or more apart;
     otherwise each line meets the next in one 2x2 integer solve with a
-    positive determinant, and its edge runs along (b, -a) from the vertex
-    with its predecessor to the vertex with its successor.  A line whose
-    edge has signed length <= 0 is redundant or the polygon is empty or
-    flat; it is dropped until every edge is positive.  Returns the vertices
-    as integers over m = lcm of the determinants, counterclockwise from the
-    lexicographic minimum, and m.  Raises :class:`AllWeightsDegenerate` for
-    another direction, an unbounded intersection, or one that is empty, a
-    point or a segment (a determinant <= 0 after a drop).
+    positive determinant (:func:`_corners`), and its edge runs along
+    (b, -a) from the vertex with its predecessor to the vertex with its
+    successor.  A line whose edge has signed length <= 0 is redundant or
+    the polygon is empty or flat; it is dropped until every edge is
+    positive.  Raises :class:`AllWeightsDegenerate` for another direction,
+    an unbounded intersection, or one that is empty, a point or a segment
+    (a determinant <= 0 after a drop).
     """
     tightest: Dict[Tuple[int, int], int] = {}
-    for a, b, c in lines:
+    for i, (a, b, c) in enumerate(lines):
         if (a, b) not in _FACET_NORMALS:
             raise AllWeightsDegenerate(f"functional {a}*l1 + {b}*l2 is no facet direction")
-        tightest[a, b] = max(c, tightest.get((a, b), c))
-    ring = [(a, b, tightest[a, b]) for a, b in _FACET_NORMALS if (a, b) in tightest]
-    if len(ring) < 3 or any(a1 * b2 - a2 * b1 <= 0 for (a1, b1, _), (a2, b2, _) in zip(ring, ring[1:] + ring[:1])):
+        if c > lines[tightest.setdefault((a, b), i)][2]:
+            tightest[a, b] = i
+    ring = [tightest[d] for d in _FACET_NORMALS if d in tightest]
+    if len(ring) < 3 or any(lines[i][0] * lines[j][1] - lines[j][0] * lines[i][1] <= 0 for i, j in zip(ring, ring[1:] + ring[:1])):
         raise AllWeightsDegenerate("half-plane intersection is unbounded")
     while True:
-        # corner i is where line i - 1 meets line i, as (x, y, det) for (x/det, y/det)
-        corners = []
-        for (a1, b1, c1), (a2, b2, c2) in zip(ring[-1:] + ring[:-1], ring):
-            det = a1 * b2 - a2 * b1
-            if det <= 0:
-                raise AllWeightsDegenerate("half-plane intersection has no interior")
-            corners.append((c1 * b2 - c2 * b1, a1 * c2 - a2 * c1, det))
-        # the edge of line i runs from corner i to corner i + 1 along (b, -a)
-        for i, ((a, b, _), (x0, y0, d0), (x1, y1, d1)) in enumerate(zip(ring, corners, corners[1:] + corners[:1])):
+        corners = _corners(lines, ring)
+        # the edge of line i runs from corner k to corner k + 1 along (b, -a)
+        for k, (i, (x0, y0, d0), (x1, y1, d1)) in enumerate(zip(ring, corners, corners[1:] + corners[:1])):
+            a, b = lines[i][:2]
             if b * (x1 * d0 - x0 * d1) - a * (y1 * d0 - y0 * d1) <= 0:
-                del ring[i]
+                del ring[k]
                 break
         else:
-            break
+            return ring
+
+
+def _corners(lines: Sequence[tuple], ring: Sequence[int]) -> List[Tuple[int, int, int]]:
+    """Corner k of ``ring``, where line ring[k - 1] meets line ring[k], as
+    (x, y, det) for the vertex (x / det, y / det): one 2x2 integer solve.
+    A determinant <= 0 raises :class:`AllWeightsDegenerate`."""
+    corners = []
+    for i, j in zip(ring[-1:] + ring[:-1], ring):
+        (a1, b1, c1), (a2, b2, c2) = lines[i][:3], lines[j][:3]
+        det = a1 * b2 - a2 * b1
+        if det <= 0:
+            raise AllWeightsDegenerate("half-plane intersection has no interior")
+        corners.append((c1 * b2 - c2 * b1, a1 * c2 - a2 * c1, det))
+    return corners
+
+
+def _ring_vertices(lines: Sequence[tuple], ring: Sequence[int]) -> Tuple[List[Tuple[int, int]], int]:
+    """The corners of ``ring`` as integers over m = lcm of the determinants,
+    counterclockwise from the lexicographic minimum, and m."""
+    corners = _corners(lines, ring)
     m = math.lcm(*(det for _, _, det in corners))
     hull = [(x * m // det, y * m // det) for x, y, det in corners]
     i = hull.index(min(hull))
@@ -455,31 +476,49 @@ def build_polytope_n3(w, tol: float = 1e-9) -> ChamberPolytope:
     return _build_n3(label, can)
 
 
+#: The :func:`_cell` entry of each sign cell a three-factor build has met: at
+#: most one per face of the arrangement of the transition forms' planes (248
+#: with no zero weight), so no eviction; a race derives one entry twice.
+_CELLS: Dict[Tuple[int, ...], tuple] = {}
+
+
 def _build_n3(label: N3Type, can: Canonicalization) -> ChamberPolytope:
     """:func:`build_polytope_n3` of weights through :func:`classify_n3`,
     none of them snapped to zero.
 
-    The classification gives the label and the snapped weights; one kernel
-    gives the cone germs, None where a cone degenerates, the germs give
-    integer lines, and the vertices are solved in integers on the kernel's
-    scale.  The polytope stores the lines and vertices over one denominator.
+    The signs of the transition forms of the snapped weights, in the
+    caller's order and sign, fix the lines and the ring: their cell's entry
+    (:func:`_cell`).  Each offset on the scale t = 3 * den is a dot product
+    with the weights and each vertex one 2x2 integer solve, stored over one
+    denominator from the a anchor when it is a vertex.
     """
     ints, den = can.snapped
-    kernel = AnchorKernel.scaled(ints, 3 * den)
+    key = tuple(map(sgn, _form_values(ints)))
+    spec, ring, anchor = _CELLS.get(key) or _CELLS.setdefault(key, _cell(ints))
+    g1, g2, g3 = ints
+    lines = [(a, b, u * g1 + v * g2 + w * g3, p) for a, b, (u, v, w), p in spec]
+    hull, m = _ring_vertices(lines, ring)
+    start = tuple((u * g1 + v * g2 + w * g3) * m for u, v, w in anchor)
+    i = hull.index(start) if start in hull else 0
+    hull = hull[i:] + hull[:i]
+    # the vertices satisfy both walls and sum to zero by construction
+    return ChamberPolytope(tuple((a, b, c * m, p) for a, b, c, p in lines), tuple((x, y, -x - y) for x, y in hull), 3 * m * den, "Polygon", label.value, can.starred)
+
+
+def _cell(ints: Tuple[int, int, int]) -> tuple:
+    """The entry of the sign cell of the snapped weights ``ints``: the walls
+    and each germ's lines as (a, b, offset, provenance), each offset as its
+    coefficients over the weights (anchor table rows in the anchor's sorted
+    order), the ring of :func:`_integer_vertices` on ``ints``, and the a
+    anchor's (l1, l2) coefficients.  The tests check each on a whole cell."""
+    kernel = AnchorKernel.scaled(ints, 3)
+    rows = {name: [_ANCHOR_ROWS[3][name][k] for k in perm] for name, (_, perm) in kernel.anchors.items()}
     lines = list(_WALLS)
     for name, germ in kernel.germs().items():
         if germ is not None:
-            lines.extend(_germ_lines(germ, name))
-    hull, m = _integer_vertices([line[:3] for line in lines])
-
-    # start from the a anchor when it is a vertex
-    ax, ay, _ = kernel.anchors["a"][0]
-    if (ax * m, ay * m) in hull:
-        i = hull.index((ax * m, ay * m))
-        hull = hull[i:] + hull[:i]
-    lines = tuple((a, b, c * m, provenance) for a, b, c, provenance in lines)
-    # the vertices satisfy both walls and sum to zero by construction
-    return ChamberPolytope(lines, tuple((x, y, -x - y) for x, y in hull), m * kernel.scale, "Polygon", label.value, can.starred)
+            lines += [(a, b, tuple(a * u + b * v for u, v in zip(*rows[name][:2])), p) for a, b, _, p in _germ_lines(germ, name)]
+    ring = _integer_vertices([(a, b, sum(c * g for c, g in zip(coefs, ints))) for a, b, coefs, _ in lines])
+    return tuple(lines), tuple(ring), tuple(rows["a"][:2])
 
 
 def _segment(a: Sequence[Scalar], c: Sequence[Scalar], tag: str, label: Optional[str] = None) -> ChamberPolytope:

@@ -674,13 +674,20 @@ def spectra_of_entries(diag, off):
     reads real invariants: the entries are reduced to their squared moduli
     and Re(o12 o23 conj(o13)), and the kernel takes the complex entries of
     the rows it deflates, those with nearly double eigenvalues, from ``off``.
+    Each row is first divided by the power of two nearest above its largest
+    entry and its eigenvalues multiplied back, both exactly, so no cube of
+    the scale under- or overflows and a row times 2^k gives its eigenvalues
+    times 2^k, bit for bit, wherever both are in range.
     """
     import numpy as np
 
+    big = np.maximum(np.abs(diag).max(axis=1), np.maximum(np.abs(off.real), np.abs(off.imag)).max(axis=1))
+    power = np.ldexp(1.0, np.frexp(big)[1])[:, None]
+    diag, off = diag / power, off / power
     d = diag - ((diag[:, 0] + diag[:, 1] + diag[:, 2]) / 3.0)[:, None]
     a = off.real * off.real + off.imag * off.imag
     triple = (off[:, 0] * off[:, 2] * off[:, 1].conj()).real
-    return _spectra_of_invariants(d, a[:, 0], a[:, 1], a[:, 2], triple, off.__getitem__, np.empty((len(d), 3)))
+    return _spectra_of_invariants(d, a[:, 0], a[:, 1], a[:, 2], triple, off.__getitem__, np.empty((len(d), 3))) * power
 
 
 def _spectra_of_invariants(d, a12, a13, a23, triple, near_entries, out):

@@ -121,6 +121,7 @@ WITHOUT_NUMPY = textwrap.dedent(
     import su3poly as sp
     from su3poly import cli, polytope, render
     assert "dataclasses" not in sys.modules
+    assert polytope._CELLS == {}
 
     for argv in (
         ["classify", "--gamma", "4,2,-1"],

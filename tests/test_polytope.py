@@ -35,7 +35,7 @@ from su3poly.polytope import (
     point_polytope,
     polytope_cones,
 )
-from su3poly.su3 import InvalidTolerance, InvalidWeight, LengthMismatch, Root, Spectrum, chamber_to_spectrum_floats, lift_2d, star_involution, to_chamber
+from su3poly.su3 import _FORMS, InvalidTolerance, InvalidWeight, LengthMismatch, Root, Spectrum, _form_values, chamber_to_spectrum_floats, lift_2d, sgn, star_involution, to_chamber
 
 
 def vertex_set(poly):
@@ -410,7 +410,7 @@ class TestPolygonVertices:
 
     def test_keeps_tightest_offset_per_direction(self):
         # the chamber cut by l1 <= 2, also given as the slack l1 <= 5
-        hull, m = polytope._integer_vertices([*self.WALLS, (-1, 0, -5), (-1, 0, -2)])
+        hull, m = _solved([*self.WALLS, (-1, 0, -5), (-1, 0, -2)])
         assert [(F(x, m), F(y, m)) for x, y in hull] == [(0, 0), (2, -1), (2, 2)]
 
 
@@ -451,8 +451,13 @@ def _pairwise_vertices(lines):
     return hull
 
 
+def _solved(lines):
+    """The walk's ring of ``lines``, solved into integer vertices over m, and m."""
+    return polytope._ring_vertices(lines, polytope._integer_vertices(lines))
+
+
 def _walked_vertices(lines):
-    hull, m = polytope._integer_vertices(lines)
+    hull, m = _solved(lines)
     return [(F(x, m), F(y, m)) for x, y in hull]
 
 
@@ -1248,3 +1253,126 @@ class TestExactBuilder:
         for gammas in weights:
             build_polytope(gammas)
         assert counts == {"as_gammas": len(weights), "classify_n3": len(weights)}
+
+
+def _dot(coefs, w):
+    return sum(c * g for c, g in zip(coefs, w))
+
+
+def _sign_key(w):
+    return tuple(map(sgn, _form_values(w)))
+
+
+#: The normals of the 13 transition forms, and the primitive cross products
+#: of two of them, with both signs: every edge ray of every face of the
+#: arrangement of the forms' planes is one of these.
+FORM_NORMALS = _FORMS[3]
+CELL_RAYS = sorted(
+    {
+        tuple(s * x // math.gcd(*c) for x in c)
+        for n, k in itertools.combinations(FORM_NORMALS, 2)
+        for c in [(n[1] * k[2] - n[2] * k[1], n[2] * k[0] - n[0] * k[2], n[0] * k[1] - n[1] * k[0])]
+        if any(c)
+        for s in (1, -1)
+    }
+)
+
+
+def _faces(box):
+    """One point of each face of the arrangement met by the nonzero points of {-box..box}^3, by sign key."""
+    faces = {}
+    for w in itertools.product(range(-box, box + 1), repeat=3):
+        if any(w):
+            faces.setdefault(_sign_key(w), w)
+    return faces
+
+
+class TestSignCells:
+    """The entry of each sign cell (:func:`polytope._cell`), derived from one
+    weight, is the build of every weight of the cell.
+
+    The cells are the faces of the arrangement of the 13 planes of the
+    transition forms with no weight zero.  The closure of a face is a
+    pointed cone generated by edge rays of the arrangement, each a primitive
+    cross product of two form normals (``CELL_RAYS``, entries at most 2 in
+    size), and the sum of at most 3 independent generators lies in its
+    relative interior, so {-6..6}^3 meets every face.  Every sign the
+    derivation reads is a linear form in the weights with the cell's sorts
+    fixed, so it is checked at the generators: a form >= 0 at each one and
+    > 0 at one is > 0 on the whole relative interior."""
+
+    def test_the_box_meets_every_face_of_the_arrangement(self):
+        assert len(CELL_RAYS) == 50 and max(abs(x) for r in CELL_RAYS for x in r) == 2
+        # Zaslavsky: the regions are the sum of |mu| over the intersection
+        # lattice, and each flat X adds the regions of the arrangement restricted to it
+        lines = {r for r in CELL_RAYS if r > tuple(-x for x in r)}
+        through = {line: sum(_dot(n, line) == 0 for n in FORM_NORMALS) for line in lines}
+        mu_lines = sum(m - 1 for m in through.values())
+        regions = 1 + len(FORM_NORMALS) + mu_lines + abs(1 - len(FORM_NORMALS) + mu_lines)
+        arcs = sum(2 * sum(_dot(n, line) == 0 for line in lines) for n in FORM_NORMALS)
+        faces = _faces(6)
+        assert len(faces) == regions + arcs + 2 * len(lines)
+        assert sum(all(key) for key in faces) == regions
+        cells = {key for key in faces if all(key[:3])}
+        assert len(cells) == 248
+        assert sorted(faces) == sorted(_faces(14))
+
+    def test_every_sign_the_derivation_reads_holds_on_its_whole_cell(self):
+        for key, w in _faces(6).items():
+            if not all(key[:3]):
+                continue
+            rays = [r for r in CELL_RAYS if all(s * f >= 0 if s else f == 0 for s, f in zip(key, _form_values(r)))]
+            lines, ring, _ = polytope._cell(w)
+            kernel = AnchorKernel.scaled(w, 3)
+            rows = {name: [moment_map._ANCHOR_ROWS[3][name][k] for k in perm] for name, (_, perm) in kernel.anchors.items()}
+
+            def positive(values, what):
+                # >= 0 at every generator and > 0 at one
+                assert min(values) >= 0 and max(values) > 0, (w, what, values)
+
+            # the anchors' sorts: each adjacent pair strictly apart, or tied on the whole cell in index order
+            for name, (_, perm) in kernel.anchors.items():
+                for k in (0, 1):
+                    values = [_dot(rows[name][k], r) - _dot(rows[name][k + 1], r) for r in rays]
+                    if any(values):
+                        positive(values, f"sort of {name}")
+                    else:
+                        assert perm[k] < perm[k + 1], (w, name)
+            # germ_a's side: the other anchors' centroid inside the half-plane cone at a
+            for a, b, _, p in lines:
+                if p.startswith("a:") and p.endswith("-halfplane"):
+                    positive([sum(a * (_dot(rows[o][0], r) - _dot(rows["a"][0], r)) + b * (_dot(rows[o][1], r) - _dot(rows["a"][1], r)) for o in ("b", "c1", "c2", "c3")) for r in rays], "side of a")
+            # the ring: each edge of positive length, and every line slack at each corner
+            edges, slacks = [], []
+            for r in rays:
+                at_r = [(a, b, _dot(coefs, r), p) for a, b, coefs, p in lines]
+                corners = polytope._corners(at_r, ring)
+                edges.append([b * (x1 * d0 - x0 * d1) - a * (y1 * d0 - y0 * d1) for (a, b, *_), (x0, y0, d0), (x1, y1, d1) in zip([at_r[i] for i in ring], corners, corners[1:] + corners[:1])])
+                slacks += [a * x + b * y - c * d for a, b, c, _ in at_r for x, y, d in corners]
+            for k, values in enumerate(zip(*edges)):
+                positive(values, f"edge {k}")
+            assert min(slacks) >= 0, w
+
+    def test_a_cold_build_equals_a_warm_one(self, monkeypatch):
+        # warm: each cell's entry derived from the first of these weights in
+        # it; the fixtures in every order and sign meet every cell
+        weights = FIXTURE_ORDERS_AND_SIGNS + [tuple(float(g) for g in w) for w in FIXTURE_ORDERS_AND_SIGNS]
+        monkeypatch.setattr(polytope, "_CELLS", {})
+        warm = [build_polytope(w) for w in weights]
+        assert len(polytope._CELLS) == 248
+        for w, hot in zip(weights, warm):
+            monkeypatch.setattr(polytope, "_CELLS", {})
+            cold = build_polytope(w)
+            assert (cold.lines, cold.corners, cold.den, cold.label, cold.starred) == (hot.lines, hot.corners, hot.den, hot.label, hot.starred), w
+
+    def test_a_build_after_the_first_in_its_cell_calls_no_germs_and_no_walk(self, monkeypatch):
+        counts = Counter()
+        germs, walk = AnchorKernel.germs, polytope._integer_vertices
+        monkeypatch.setattr(AnchorKernel, "germs", lambda self: counts.update(["germs"]) or germs(self))
+        monkeypatch.setattr(polytope, "_integer_vertices", lambda lines: counts.update(["walk"]) or walk(lines))
+        monkeypatch.setattr(polytope, "_CELLS", {})
+        for w in ((4, 2, -1), (8, 4, -2), (4.0, 2.25, -1.25), (F(7, 2), 2, -1)):
+            build_polytope(w)
+        assert counts == {"germs": 1, "walk": 1}
+        build_polytope((-4, -2, 1))
+        assert counts == {"germs": 2, "walk": 2}

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su3poly.su3 import (
+    SPECTRA_ERROR,
     _FORMS,
     _form_values,
     SQRT2,
@@ -182,6 +184,28 @@ class TestSpectrum:
         h = Hermitian3(1.0, 1.0 - 1e-14, off12=1e-15)
         s = spectrum(h)
         assert np.allclose(s.as_floats(), (1, 1, -2), atol=1e-9)
+
+    @pytest.mark.parametrize("s", [1e-200, 1e-110, 1e105, 1e150])
+    def test_matches_lapack_at_extreme_scales(self, s):
+        # unscaled, the cube of the scale gave (0, 0, 0) at 1e-200, a NaN
+        # at 1e-110 and an overflow warning at 1e105
+        h = Hermitian3(s, -s, 0.1 * s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.array(spectrum(h).as_floats())
+        assert np.abs(got - np.linalg.eigvalsh(h.as_numpy())[::-1]).max() <= SPECTRA_ERROR * s
+
+    def test_a_power_of_two_scales_the_spectrum_bit_for_bit(self, rng_seeded):
+        rows = [Hermitian3(1.0, 1.0 - 1e-14, off12=1e-15), Hermitian3(0.7, -0.2, 0.3 + 0.4j, -0.1j, 0.25 - 0.6j)]
+        for _ in range(20):
+            m = rng_seeded.standard_normal((3, 3)) + 1j * rng_seeded.standard_normal((3, 3))
+            h = m + m.conj().T
+            rows.append(Hermitian3.from_numpy(h - np.trace(h) / 3 * np.eye(3)))
+        for h in rows:
+            base = spectrum(h).as_floats()
+            for k in (-600, -599, -1, 1, 599, 600):
+                t = math.ldexp(1.0, k)
+                assert spectrum(h.scaled(t)).as_floats() == tuple(t * x for x in base), (h, k)
 
 
 class TestChamberEmbedding:
