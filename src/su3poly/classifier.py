@@ -76,27 +76,17 @@ class Canonicalization(Frozen):
     """Sorted, sign-normalised weights plus the bookkeeping to undo it.
 
     ``sorted_gammas[i] == (-1 if starred else 1) * original[permutation[i]]``.
-    ``snapped`` is ``(ints, den)`` from :func:`su3.snap_weights` in the
-    caller's order and sign, read through ``permutation`` and ``starred``
-    for the label; it takes no part in comparisons or in the repr.
     """
 
-    __slots__ = ("sorted_gammas", "permutation", "starred", "snapped")
-    _fields = __slots__[:3]
+    __slots__ = _fields = ("sorted_gammas", "permutation", "starred")
     sorted_gammas: Tuple[Scalar, ...]
     permutation: Tuple[int, ...]
     starred: bool
-    snapped: Tuple[Tuple[int, ...], int]
 
-    def __init__(self, sorted_gammas: Tuple[Scalar, ...], permutation: Tuple[int, ...], starred: bool, snapped: Tuple[Tuple[int, ...], int]):
+    def __init__(self, sorted_gammas: Tuple[Scalar, ...], permutation: Tuple[int, ...], starred: bool):
         _set(self, "sorted_gammas", sorted_gammas)
         _set(self, "permutation", permutation)
         _set(self, "starred", starred)
-        _set(self, "snapped", snapped)
-
-    def __reduce__(self):
-        # the constructor takes the uncompared field too
-        return (Canonicalization, tuple(getattr(self, name) for name in self.__slots__))
 
     def restore(self) -> Tuple[Scalar, ...]:
         sign = -1 if self.starred else 1
@@ -114,17 +104,15 @@ def canonicalize(w, tol: float = 1e-9) -> Canonicalization:
     recorded permutation is the lexicographically smallest one realising
     the descending order.
     """
-    return _canonicalize(w, tol)[0]
+    return classify_n3(w, tol)[1]
 
 
-def _canonicalize(w, tol: float) -> Tuple[Canonicalization, Tuple[int, ...]]:
-    """:func:`canonicalize` and the snapped integers in canonical form."""
-    g = as_gammas(w, n=3)
-    ints, den = snap_weights(g, tol)
+def _canonical(ints) -> Tuple[bool, tuple, Tuple[int, ...]]:
+    """Snapped integers flipped when their total is negative, then sorted
+    descending: (flipped, canonical form, permutation)."""
     starred = sum(ints) < 0
     canonical, permutation = sort_descending([-n for n in ints] if starred else ints)
-    g = apply_perm(g, permutation)
-    return Canonicalization(tuple(-x for x in g) if starred else g, permutation, starred, (ints, den)), canonical
+    return starred, canonical, permutation
 
 
 def _classify_canonical(ints) -> N3Type:
@@ -178,9 +166,11 @@ def _classify_canonical(ints) -> N3Type:
 
 
 def classify_n3(w, tol: float = 1e-9) -> Tuple[N3Type, Canonicalization]:
-    """Polytope type of a weight triple plus its canonicalization."""
-    can, canonical = _canonicalize(w, tol)
-    return _classify_canonical(canonical), can
+    """Polytope type of a weight triple plus its :func:`canonicalize`."""
+    g = as_gammas(w, n=3)
+    starred, canonical, permutation = _canonical(snap_weights(g, tol)[0])
+    g = apply_perm(g, permutation)
+    return _classify_canonical(canonical), Canonicalization(tuple(-x for x in g) if starred else g, permutation, starred)
 
 
 def classify_n2(w, tol: float = 1e-9) -> N2Type:

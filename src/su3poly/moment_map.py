@@ -134,11 +134,6 @@ class Weights(Frozen):
         return all_exact(self.gammas)
 
 
-def weight_entries(w) -> tuple:
-    """The entries of a Weights instance or plain sequence, unchecked."""
-    return w.gammas if isinstance(w, Weights) else tuple(w)
-
-
 def as_gammas(w, n: Optional[int] = None, allow_zero: bool = True) -> Tuple[Scalar, ...]:
     """Normalise a Weights instance or plain sequence to a tuple of scalars.
 
@@ -149,7 +144,7 @@ def as_gammas(w, n: Optional[int] = None, allow_zero: bool = True) -> Tuple[Scal
     weight beyond float range the floats are returned as their exact binary
     values, since any sum of that weight with a float overflows.
     """
-    gs = weight_entries(w)
+    gs = w.gammas if isinstance(w, Weights) else tuple(w)
     n_exact = 0
     for k, g in enumerate(gs):
         # Exact type tests first: the exact builder calls this often, and

@@ -15,13 +15,12 @@ per direction, one 2x2 integer solve of each line with the next, and
 redundant lines dropped until every edge has positive length.  The exact
 path runs no hull algorithm.
 
-The three-factor build is one straight line in integers: one
-:func:`classifier.classify_n3` checks the weights, snaps them once to
-integers (:func:`su3.snap_weights`) and reads the label from the signs of
-the transition forms of their canonical form.  The signs of the same forms
-of the snapped weights, in the caller's order and sign, name a sign cell,
-which fixes all but the offsets.  The first build in a cell takes one
-:class:`cones.AnchorKernel`, which gives each cone as a
+The three-factor build is one straight line in integers: one check and one
+snap of the weights to integers (:func:`su3.snap_weights`).  The signs of
+the transition forms of the snapped weights, in the caller's order and sign,
+name a sign cell, which fixes all but the offsets.  The first build in a
+cell reads the label from the signs of the forms of their canonical form and
+takes one :class:`cones.AnchorKernel`, which gives each cone as a
 :class:`cones.Germ`, or None where the cone degenerates; one line-maker
 turns each germ into lines a*l1 + b*l2 >= c / t, c an integer linear form
 in the weights on the scale t = 3 * den; and the walk gives which lines
@@ -53,9 +52,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .classifier import Canonicalization, N3Type, _classify_n2, classify_n3
+from .classifier import _canonical, _classify_canonical, _classify_n2
 from .cones import AnchorKernel, ConeSpec, Germ, _snapped_kernel
-from .moment_map import _ANCHOR_ROWS, DegenerateWeight, as_gammas, tripled_fixed_point_diagonals, weight_entries
+from .moment_map import _ANCHOR_ROWS, DegenerateWeight, as_gammas, tripled_fixed_point_diagonals
 from .su3 import (
     SQRT2,
     SQRT6,
@@ -67,8 +66,10 @@ from .su3 import (
     Scalar,
     Spectrum,
     _form_values,
+    _ratio,
     _set,
     all_exact,
+    chamber_coordinates,
     chamber_to_spectrum_floats,
     check_real,
     check_tolerance,
@@ -251,9 +252,24 @@ class ChamberPolytope(Frozen):
 
     def diameter(self) -> float:
         pts = self.pq_vertices()
-        if len(pts) < 2:
-            return 0.0
-        return max(p.distance(q) for i, p in enumerate(pts) for q in pts[i + 1:])
+        return max((p.distance(q) for p in pts for q in pts), default=0.0)
+
+    @cached_property
+    def _own_scale(self) -> Tuple[int, List[tuple], float]:
+        """In floats over 2**e near its largest vertex entry: e; each line's
+        normal over 2**f (f = 0 for a facet direction, else near its size),
+        offset over 2**(e + f), f and norm; and the diameter (for a point,
+        the largest absolute entry).  Each is rounded once, in range."""
+        den = self.den
+        e = _exponent(max(abs(x) for v in self.corners for x in v) or 1) - den.bit_length()
+        verts = [[_over_power(x, e, den) for x in v] for v in self.corners]
+        pts = [chamber_coordinates(*v) for v in verts]
+        rows = []
+        for a, b, c, _ in self.lines:
+            f = 0 if (a, b) in _FACET_NORMALS else _exponent(max(abs(a), abs(b)))
+            n = _FACET_NORMALS.get((a, b)) or [_over_power(x, f) for x in lift_2d(a, b)]
+            rows.append((n, _over_power(c, e + f, den), f, math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)))
+        return e, rows, max(math.dist(p, q) for p in pts for q in pts) or max(abs(x) for v in verts for x in v)
 
     def contains(self, s, tol: float = 1e-9) -> bool:
         """Membership within ``tol`` scaled by the polytope diameter (for a
@@ -262,9 +278,10 @@ class ChamberPolytope(Frozen):
 
         Exact when the polytope, the point and ``tol == 0`` are all exact:
         one integer sign test per line.  Otherwise the signed distances are
-        floats, each rounded once from its exact value on exact input (a
-        non-finite entry raises :class:`su3.InvalidWeight`, a point of other
-        than three entries :class:`su3.LengthMismatch`)."""
+        floats in the polytope's own scale (:attr:`_own_scale`, the point
+        over the same power of two), each rounded once from its exact value
+        on exact input (a non-finite entry raises :class:`su3.InvalidWeight`,
+        a point of other than three entries :class:`su3.LengthMismatch`)."""
         check_tolerance(tol)
         triple = s.astuple() if isinstance(s, Spectrum) else tuple(s)
         if len(triple) != 3:
@@ -273,21 +290,19 @@ class ChamberPolytope(Frozen):
         if exact:
             # 3 * d * den * (n . s - c / den) for s = (x, y, z) / d, an integer on integer lines
             (x, y, z), d = integer_scaled(triple)
-            den = self.den
-            gaps = [den * ((2 * a - b) * x + (2 * b - a) * y - (a + b) * z) - 3 * c * d for a, b, c, _ in self.lines]
+            gaps = [self.den * ((2 * a - b) * x + (2 * b - a) * y - (a + b) * z) - 3 * c * d for a, b, c, _ in self.lines]
             inside = min(gaps) >= 0
             if inside or tol == 0:
                 return inside
-        rows = _float_lines(self)
+        e, rows, scale = self._own_scale
         if exact:
-            values = [g / (3 * d * den) for g in gaps]  # int / int is correctly rounded
+            values = [_over_power(g, e + f, 3 * d * self.den) for g, (_, _, f, _) in zip(gaps, rows)]
         else:
             for k, v in enumerate(triple):
                 check_real(v, f"point entry {k}")
-            x, y, z = map(float, triple)
-            values = [n0 * x + n1 * y + n2 * z - offset for (n0, n1, n2), offset in rows]
-        slack = tol * (self.diameter() or max(abs(float(x)) for v in self.vertices for x in v))
-        return all(float(v) / math.sqrt(n0**2 + n1**2 + n2**2) >= -slack for v, ((n0, n1, n2), _) in zip(values, rows))
+            x, y, z = (_over_power(v, e) for v in triple)
+            values = [n0 * x + n1 * y + n2 * z - offset for (n0, n1, n2), offset, _, _ in rows]
+        return all(v / norm >= -tol * scale for v, (*_, norm) in zip(values, rows))
 
     def star(self) -> "ChamberPolytope":
         """Image under the star involution (l1, l2, l3) -> (-l3, -l2, -l1),
@@ -365,11 +380,19 @@ class ChamberPolytope(Frozen):
         return poly
 
 
-def _float_lines(P: ChamberPolytope) -> List[Tuple[Tuple[float, float, float], float]]:
-    """Each line of ``P`` as its sum-zero normal and its offset c / den in
-    floats, every entry rounded once from its exact value: the normal of a
-    facet direction from the fixed table, any other by :func:`su3.lift_2d`."""
-    return [(_FACET_NORMALS.get((a, b)) or tuple(map(float, lift_2d(a, b))), float(c / P.den)) for a, b, c, _ in P.lines]
+def _exponent(x: Scalar) -> int:
+    """An e with 2**e within a factor 2 of x > 0."""
+    n, d = _ratio(x)
+    return n.bit_length() - d.bit_length()
+
+
+def _over_power(x: Scalar, e: int, den: int = 1) -> float:
+    """``x / (den * 2**e)`` rounded once to a float, or an infinity past float range."""
+    n, d = _ratio(x)
+    try:
+        return n / (d * den << e) if e >= 0 else (n << -e) / (d * den)  # int / int is correctly rounded
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 #: What each type check of :func:`_json_in` asks for, as its errors say it.
@@ -470,10 +493,11 @@ def build_polytope_n3(w, tol: float = 1e-9) -> ChamberPolytope:
     exactly.  The returned label is the taxonomy type of the input, and
     ``starred`` says whether its canonical form flipped the sign.
     """
-    label, can = classify_n3(w, tol)
-    if label is N3Type.DEGENERATE_ZERO_WEIGHT:
-        raise DegenerateWeight(f"weights {can.restore()} have a zero within tolerance: use build_polytope for the delegated shape")
-    return _build_n3(label, can)
+    g = as_gammas(w, n=3)
+    ints, den = snap_weights(g, tol)
+    if not all(ints):
+        raise DegenerateWeight(f"weights {g} have a zero within tolerance: use build_polytope for the delegated shape")
+    return _build_n3(ints, den)
 
 
 #: The :func:`_cell` entry of each sign cell a three-factor build has met: at
@@ -482,19 +506,16 @@ def build_polytope_n3(w, tol: float = 1e-9) -> ChamberPolytope:
 _CELLS: Dict[Tuple[int, ...], tuple] = {}
 
 
-def _build_n3(label: N3Type, can: Canonicalization) -> ChamberPolytope:
-    """:func:`build_polytope_n3` of weights through :func:`classify_n3`,
-    none of them snapped to zero.
-
-    The signs of the transition forms of the snapped weights, in the
-    caller's order and sign, fix the lines and the ring: their cell's entry
-    (:func:`_cell`).  Each offset on the scale t = 3 * den is a dot product
-    with the weights and each vertex one 2x2 integer solve, stored over one
-    denominator from the a anchor when it is a vertex.
-    """
-    ints, den = can.snapped
+def _build_n3(ints: Tuple[int, int, int], den: int) -> ChamberPolytope:
+    """:func:`build_polytope_n3` of the snapped weights ``ints`` / ``den``,
+    none zero, in the caller's order and sign.  The signs of their
+    transition forms fix the label, ``starred`` (the total's sign), the
+    lines and the ring: their cell's entry (:func:`_cell`).  Each offset on
+    the scale t = 3 * den is a dot product with the weights and each vertex
+    one 2x2 integer solve, stored over one denominator from the a anchor
+    when it is a vertex."""
     key = tuple(map(sgn, _form_values(ints)))
-    spec, ring, anchor = _CELLS.get(key) or _CELLS.setdefault(key, _cell(ints))
+    spec, ring, anchor, label = _CELLS.get(key) or _CELLS.setdefault(key, _cell(ints))
     g1, g2, g3 = ints
     lines = [(a, b, u * g1 + v * g2 + w * g3, p) for a, b, (u, v, w), p in spec]
     hull, m = _ring_vertices(lines, ring)
@@ -502,15 +523,15 @@ def _build_n3(label: N3Type, can: Canonicalization) -> ChamberPolytope:
     i = hull.index(start) if start in hull else 0
     hull = hull[i:] + hull[:i]
     # the vertices satisfy both walls and sum to zero by construction
-    return ChamberPolytope(tuple((a, b, c * m, p) for a, b, c, p in lines), tuple((x, y, -x - y) for x, y in hull), 3 * m * den, "Polygon", label.value, can.starred)
+    return ChamberPolytope(tuple((a, b, c * m, p) for a, b, c, p in lines), tuple((x, y, -x - y) for x, y in hull), 3 * m * den, "Polygon", label, key[-1] < 0)
 
 
 def _cell(ints: Tuple[int, int, int]) -> tuple:
     """The entry of the sign cell of the snapped weights ``ints``: the walls
     and each germ's lines as (a, b, offset, provenance), each offset as its
     coefficients over the weights (anchor table rows in the anchor's sorted
-    order), the ring of :func:`_integer_vertices` on ``ints``, and the a
-    anchor's (l1, l2) coefficients.  The tests check each on a whole cell."""
+    order), the ring of :func:`_integer_vertices` on ``ints``, the a anchor's
+    (l1, l2) coefficients and the label.  The tests check each on a whole cell."""
     kernel = AnchorKernel.scaled(ints, 3)
     rows = {name: [_ANCHOR_ROWS[3][name][k] for k in perm] for name, (_, perm) in kernel.anchors.items()}
     lines = list(_WALLS)
@@ -518,7 +539,7 @@ def _cell(ints: Tuple[int, int, int]) -> tuple:
         if germ is not None:
             lines += [(a, b, tuple(a * u + b * v for u, v in zip(*rows[name][:2])), p) for a, b, _, p in _germ_lines(germ, name)]
     ring = _integer_vertices([(a, b, sum(c * g for c, g in zip(coefs, ints))) for a, b, coefs, _ in lines])
-    return tuple(lines), tuple(ring), tuple(rows["a"][:2])
+    return tuple(lines), tuple(ring), tuple(rows["a"][:2]), _classify_canonical(_canonical(ints)[1]).value
 
 
 def _segment(a: Sequence[Scalar], c: Sequence[Scalar], tag: str, label: Optional[str] = None) -> ChamberPolytope:
@@ -578,16 +599,10 @@ def build_polytope(w, tol: float = 1e-9) -> ChamberPolytope:
     equals the one for the remaining weights (a segment for one surviving
     pair, a point for a single weight or none) of the snapped weights.
     """
-    entries = weight_entries(w)
-    if len(entries) == 3:
-        # classify_n3 is the one check and the one snap of three weights
-        label, can = classify_n3(entries, tol)
-        ints, den = can.snapped
-    else:
-        ints, den = snap_weights(as_gammas(entries), tol)
+    ints, den = snap_weights(as_gammas(w), tol)
     nz = tuple(n for n in ints if n)
     if len(nz) == 3:
-        return _build_n3(label, can)
+        return _build_n3(ints, den)
     # padded with zero weights, one weight or none makes the point of its
     # two anchors, which coincide, labelled DegenerateZeroWeight
     return _build_n2((nz + (0, 0))[:2], den)

@@ -64,6 +64,7 @@ VALUE_CLASSES = [
     (su3.SignedRoot, "sign root", (1, su3.Root.ALPHA2), (-1, su3.Root.ALPHA2)),
     (moment_map.CPPoint, "z1 z2 z3", (1 + 0j, 0j, 0j), (1 + 0j, 0j, 1j)),
     (moment_map.Weights, "gammas allow_zero", ((4, 2, -1), False), ((4, 2, -1), True)),
+    (classifier.Canonicalization, "sorted_gammas permutation starred", ((4, 2, -1), (0, 1, 2), False), ((4, 2, -1), (0, 1, 2), True)),
     (cones.QuadraticForm2, "A B C", (1, 2, 3), (1, 2, 4)),
     (cones.Generator, "root kind", (su3.Root.ALPHA1, cones.RAY_POS), (su3.Root.ALPHA1, cones.LINE)),
     (cones.ConeSpec, "apex generators weyl_folded side_normal", (_S, (_RAY,), False, None), (_S, (_RAY,), True, None)),
@@ -96,19 +97,6 @@ def test_value_classes_compare_hash_show_and_refuse_assignment_by_field(cls, nam
         delattr(a, names[-1])
     assert tuple(getattr(a, n) for n in names) == values
     assert copy.copy(a) == a and copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
-
-
-def test_canonicalization_compares_and_shows_no_snapped():
-    can = classifier.canonicalize((4, 2, -1))
-    other = classifier.Canonicalization(can.sorted_gammas, can.permutation, can.starred, ((8, 4, -2), 2))
-    assert not hasattr(other, "profile")
-    assert other == can and hash(other) == hash(can)
-    assert repr(other) == "Canonicalization(sorted_gammas=(4, 2, -1), permutation=(0, 1, 2), starred=False)"
-    assert other != classifier.Canonicalization(can.sorted_gammas, can.permutation, True, can.snapped)
-    back = pickle.loads(pickle.dumps(other))
-    assert back.snapped == other.snapped
-    with pytest.raises(AttributeError):
-        other.snapped = can.snapped
 
 
 #: Runs with numpy blocked: any ``import numpy`` raises ImportError.  The

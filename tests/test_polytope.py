@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURE_ORDERS_AND_SIGNS, N2_FIXTURES, POLYTOPE_FIXTURES, gaussian_anchor_spectra, random_rational_gammas
 from su3poly import classifier, moment_map, oracle, polytope
-from su3poly.classifier import GENERIC_N3, classify_n3
+from su3poly.classifier import GENERIC_N3, canonicalize, classify_n3
 from su3poly.cones import AnchorKernel, ConeSpec, Germ, QuadraticForm2
 from su3poly.moment_map import fixed_point_spectra
 from su3poly.oracle import sample_batch
@@ -35,7 +35,7 @@ from su3poly.polytope import (
     point_polytope,
     polytope_cones,
 )
-from su3poly.su3 import _FORMS, InvalidTolerance, InvalidWeight, LengthMismatch, Root, Spectrum, _form_values, chamber_to_spectrum_floats, lift_2d, sgn, star_involution, to_chamber
+from su3poly.su3 import _FORMS, InvalidTolerance, InvalidWeight, LengthMismatch, Root, Spectrum, _form_values, chamber_to_spectrum_floats, lift_2d, sgn, snap_weights, star_involution, to_chamber
 
 
 def vertex_set(poly):
@@ -273,12 +273,16 @@ class TestContains:
         for v in verts:
             assert not poly.contains(tuple(centroid + F(6, 5) * (v - centroid)))
             assert poly.contains(tuple(centroid + F(9, 10) * (v - centroid)))
+        # a point beyond float range in the polytope's own scale is outside, and raises nothing
+        for far in ((1e300, 0.0, -1e300), (10**400, 0, -10**400)):
+            assert not poly.contains(far)
 
     @pytest.mark.parametrize("gammas", [(4, 2, -1), (1, 1, 1), (2, 1), (3, 0, 0)])
-    @pytest.mark.parametrize("k", range(-12, 13, 3))
+    @pytest.mark.parametrize("k", [*range(-12, 13, 3), -400, -330, -300, 300, 308, 400])
     def test_scale_invariance(self, gammas, k):
         # contains(tP, tx) == contains(P, x) for t = 10^k, on points inside,
-        # on and outside the boundary by 1e-6 and 1e-12 of the scale
+        # on and outside the boundary by 1e-6 and 1e-12 of the scale; past
+        # float range too, where the polytope and the points stay exact
         t = F(10) ** k
         poly = build_polytope(gammas)
         scaled = build_polytope(tuple(t * g for g in gammas))
@@ -1181,10 +1185,10 @@ class TestExactBuilder:
         # total
         n_none = Counter()
         for gammas in _digest_weights() + FIXTURE_ORDERS_AND_SIGNS:
-            label, can = classify_n3(gammas)
+            label, _ = classify_n3(gammas)
             if label is classifier.N3Type.DEGENERATE_ZERO_WEIGHT:
                 continue
-            ints, den = can.snapped
+            ints, den = snap_weights(gammas, 1e-9)
             kernel = AnchorKernel.scaled(ints, 3 * den)
             total = sum(ints)
             expected = {f"c{j}": 2 * g == total or g == total for j, g in enumerate(ints, 1)}
@@ -1223,10 +1227,11 @@ class TestExactBuilder:
         assert n_starred > 400
 
     def test_one_straight_line_per_build(self, monkeypatch):
-        # one weight check and one classification per exact build, and no
-        # re-validated spectrum, sum-zero normal or ConeSpec on the way: the
-        # vertices are a view, made when read; and no slice form, since every
-        # cone is read from the signs of the transition forms
+        # one weight check and one snap per exact build, and no
+        # classification, canonical form, re-validated spectrum, sum-zero
+        # normal or ConeSpec on the way: the sign cell gives the label, and
+        # the vertices are a view, made when read; and no slice form, since
+        # every cone is read from the signs of the transition forms
         counts = Counter()
 
         def count(owner, name):
@@ -1244,7 +1249,10 @@ class TestExactBuilder:
                 monkeypatch.setattr(owner, name, counted)
 
         count(moment_map, "as_gammas")
+        count(polytope, "snap_weights")
         count(classifier, "classify_n3")
+        count(classifier, "canonicalize")
+        count(classifier.Canonicalization, "__init__")
         count(Spectrum, "__init__")
         count(polytope, "lift_2d")
         count(ConeSpec, "__init__")
@@ -1252,7 +1260,7 @@ class TestExactBuilder:
         weights = sorted(POLYTOPE_FIXTURES) + RANDOM_RATIONALS
         for gammas in weights:
             build_polytope(gammas)
-        assert counts == {"as_gammas": len(weights), "classify_n3": len(weights)}
+        assert counts == {"as_gammas": len(weights), "snap_weights": len(weights)}
 
 
 def _dot(coefs, w):
@@ -1322,7 +1330,7 @@ class TestSignCells:
             if not all(key[:3]):
                 continue
             rays = [r for r in CELL_RAYS if all(s * f >= 0 if s else f == 0 for s, f in zip(key, _form_values(r)))]
-            lines, ring, _ = polytope._cell(w)
+            lines, ring, _, label = polytope._cell(w)
             kernel = AnchorKernel.scaled(w, 3)
             rows = {name: [moment_map._ANCHOR_ROWS[3][name][k] for k in perm] for name, (_, perm) in kernel.anchors.items()}
 
@@ -1330,6 +1338,21 @@ class TestSignCells:
                 # >= 0 at every generator and > 0 at one
                 assert min(values) >= 0 and max(values) > 0, (w, what, values)
 
+            # the canonical flip and sort: the total's sign is the key's at every
+            # generator, and each adjacent pair of the flipped weights is
+            # strictly apart or tied on the whole cell in index order
+            starred, _, perm = classifier._canonical(w)
+            flip = -1 if starred else 1
+            assert starred == (key[-1] < 0), w
+            if key[-1]:
+                positive([flip * sum(r) for r in rays], "total")
+            for k in (0, 1):
+                values = [flip * (r[perm[k]] - r[perm[k + 1]]) for r in rays]
+                if any(values):
+                    positive(values, "canonical sort")
+                else:
+                    assert perm[k] < perm[k + 1], w
+            assert label == classify_n3(w)[0].value, w
             # the anchors' sorts: each adjacent pair strictly apart, or tied on the whole cell in index order
             for name, (_, perm) in kernel.anchors.items():
                 for k in (0, 1):
@@ -1364,6 +1387,8 @@ class TestSignCells:
             monkeypatch.setattr(polytope, "_CELLS", {})
             cold = build_polytope(w)
             assert (cold.lines, cold.corners, cold.den, cold.label, cold.starred) == (hot.lines, hot.corners, hot.den, hot.label, hot.starred), w
+            # the cell fixes the label and the flip
+            assert (hot.label, hot.starred) == (classify_n3(w)[0].value, canonicalize(w).starred), w
 
     def test_a_build_after_the_first_in_its_cell_calls_no_germs_and_no_walk(self, monkeypatch):
         counts = Counter()
