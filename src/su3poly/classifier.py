@@ -107,14 +107,6 @@ def canonicalize(w, tol: float = 1e-9) -> Canonicalization:
     return classify_n3(w, tol)[1]
 
 
-def _canonical(ints) -> Tuple[bool, tuple, Tuple[int, ...]]:
-    """Snapped integers flipped when their total is negative, then sorted
-    descending: (flipped, canonical form, permutation)."""
-    starred = sum(ints) < 0
-    canonical, permutation = sort_descending([-n for n in ints] if starred else ints)
-    return starred, canonical, permutation
-
-
 def _classify_canonical(ints) -> N3Type:
     """Type of the snapped canonical integers, read from the signs of their
     transition forms (:func:`su3._form_values`)."""
@@ -168,7 +160,9 @@ def _classify_canonical(ints) -> N3Type:
 def classify_n3(w, tol: float = 1e-9) -> Tuple[N3Type, Canonicalization]:
     """Polytope type of a weight triple plus its :func:`canonicalize`."""
     g = as_gammas(w, n=3)
-    starred, canonical, permutation = _canonical(snap_weights(g, tol)[0])
+    ints = snap_weights(g, tol)[0]
+    starred = sum(ints) < 0
+    canonical, permutation = sort_descending([-n for n in ints] if starred else ints)
     g = apply_perm(g, permutation)
     return _classify_canonical(canonical), Canonicalization(tuple(-x for x in g) if starred else g, permutation, starred)
 

@@ -72,7 +72,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .moment_map import CPPoint, InvalidWeight, as_gammas
-from .polytope import ChamberPolytope, _distances, _hull_candidates, _pq_array, build_polytope, hull2d
+from .polytope import ChamberPolytope, _distances, _float_lines, _hull_candidates, _pq_array, build_polytope, hull2d
 from .su3 import Frozen, _set, _spectra_of_invariants, chamber_coordinates, check_tolerance, is_exact, spectra_of_entries
 
 if TYPE_CHECKING:  # annotations only: importing the package loads no numpy
@@ -498,13 +498,13 @@ class VerificationReport(Frozen):
 
 
 def _line_arrays(P: ChamberPolytope) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The float normals of ``P._own_scale``'s lines as a (lines, 3) array,
-    and their offsets in ``P``'s scale and norms as (lines, 1) columns."""
+    """The float normals of ``P``'s lines as a (lines, 3) array, and their
+    offsets and norms as (lines, 1) columns, for :func:`_excess`."""
     import numpy as np
 
-    e, rows, _ = P._own_scale
-    normals = np.array([normal for normal, *_ in rows])
-    offsets = np.array([[math.ldexp(offset, e)] for _, offset, *_ in rows])
+    rows = _float_lines(P)
+    normals = np.array([normal for normal, _ in rows])
+    offsets = np.array([[offset] for _, offset in rows])
     return normals, offsets, np.linalg.norm(normals, axis=1)[:, None]
 
 

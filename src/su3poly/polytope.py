@@ -19,8 +19,8 @@ The three-factor build is one straight line in integers: one check and one
 snap of the weights to integers (:func:`su3.snap_weights`).  The signs of
 the transition forms of the snapped weights, in the caller's order and sign,
 name a sign cell, which fixes all but the offsets.  The first build in a
-cell reads the label from the signs of the forms of their canonical form and
-takes one :class:`cones.AnchorKernel`, which gives each cone as a
+cell labels it by one :func:`classifier.classify_n3` of the snapped weights
+and takes one :class:`cones.AnchorKernel`, which gives each cone as a
 :class:`cones.Germ`, or None where the cone degenerates; one line-maker
 turns each germ into lines a*l1 + b*l2 >= c / t, c an integer linear form
 in the weights on the scale t = 3 * den; and the walk gives which lines
@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .classifier import _canonical, _classify_canonical, _classify_n2
+from .classifier import _classify_n2, classify_n3
 from .cones import AnchorKernel, ConeSpec, Germ, _snapped_kernel
 from .moment_map import _ANCHOR_ROWS, DegenerateWeight, as_gammas, tripled_fixed_point_diagonals
 from .su3 import (
@@ -251,15 +251,15 @@ class ChamberPolytope(Frozen):
         return self._chamber_points
 
     def diameter(self) -> float:
-        pts = self.pq_vertices()
-        return max((p.distance(q) for p in pts for q in pts), default=0.0)
+        e, _, diam, _ = self._own_scale  # over 2**e: an infinity past float range
+        return _over_power(diam, -e)
 
     @cached_property
-    def _own_scale(self) -> Tuple[int, List[tuple], float]:
+    def _own_scale(self) -> Tuple[int, List[tuple], float, float]:
         """In floats over 2**e near its largest vertex entry: e; each line's
         normal over 2**f (f = 0 for a facet direction, else near its size),
-        offset over 2**(e + f), f and norm; and the diameter (for a point,
-        the largest absolute entry).  Each is rounded once, in range."""
+        offset over 2**(e + f), f and norm; the diameter; and the scale of
+        :meth:`contains` (for a point, its largest entry).  Each rounded once."""
         den = self.den
         e = _exponent(max(abs(x) for v in self.corners for x in v) or 1) - den.bit_length()
         verts = [[_over_power(x, e, den) for x in v] for v in self.corners]
@@ -269,7 +269,8 @@ class ChamberPolytope(Frozen):
             f = 0 if (a, b) in _FACET_NORMALS else _exponent(max(abs(a), abs(b)))
             n = _FACET_NORMALS.get((a, b)) or [_over_power(x, f) for x in lift_2d(a, b)]
             rows.append((n, _over_power(c, e + f, den), f, math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)))
-        return e, rows, max(math.dist(p, q) for p in pts for q in pts) or max(abs(x) for v in verts for x in v)
+        diam = max((math.dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]), default=0.0)
+        return e, rows, diam, diam or max(abs(x) for v in verts for x in v)
 
     def contains(self, s, tol: float = 1e-9) -> bool:
         """Membership within ``tol`` scaled by the polytope diameter (for a
@@ -294,7 +295,7 @@ class ChamberPolytope(Frozen):
             inside = min(gaps) >= 0
             if inside or tol == 0:
                 return inside
-        e, rows, scale = self._own_scale
+        e, rows, _, scale = self._own_scale
         if exact:
             values = [_over_power(g, e + f, 3 * d * self.den) for g, (_, _, f, _) in zip(gaps, rows)]
         else:
@@ -378,6 +379,11 @@ class ChamberPolytope(Frozen):
             if not (poly.contains(v, 0) if poly.is_exact else poly.contains(v)):
                 raise doc(f"vertex {i} ({', '.join(map(str, v))}) is outside the document's half-planes")
         return poly
+
+
+def _float_lines(P: ChamberPolytope) -> List[Tuple[List[float], float]]:
+    """Each line of ``P`` as its float normal and offset in ``P``'s scale, from :attr:`ChamberPolytope._own_scale`."""
+    return [(n, _over_power(offset, -P._own_scale[0])) for n, offset, _, _ in P._own_scale[1]]
 
 
 def _exponent(x: Scalar) -> int:
@@ -539,7 +545,7 @@ def _cell(ints: Tuple[int, int, int]) -> tuple:
         if germ is not None:
             lines += [(a, b, tuple(a * u + b * v for u, v in zip(*rows[name][:2])), p) for a, b, _, p in _germ_lines(germ, name)]
     ring = _integer_vertices([(a, b, sum(c * g for c, g in zip(coefs, ints))) for a, b, coefs, _ in lines])
-    return tuple(lines), tuple(ring), tuple(rows["a"][:2]), _classify_canonical(_canonical(ints)[1]).value
+    return tuple(lines), tuple(ring), tuple(rows["a"][:2]), classify_n3(ints)[0].value
 
 
 def _segment(a: Sequence[Scalar], c: Sequence[Scalar], tag: str, label: Optional[str] = None) -> ChamberPolytope:

@@ -298,6 +298,9 @@ class TestContains:
                 probes.append(tuple(x + push * scale * a for x, a in zip(v.astuple(), away)))
         for s in probes:
             assert scaled.contains(tuple(t * x for x in s)) == poly.contains(s), (gammas, k, s)
+        # the diameter scales too, to an infinity past float range
+        d = F(poly.diameter()) * t
+        assert scaled.diameter() == (math.inf if d > sys.float_info.max else pytest.approx(float(d), rel=1e-14, abs=0)), (gammas, k)
 
 
 class TestN2:
@@ -1227,11 +1230,15 @@ class TestExactBuilder:
         assert n_starred > 400
 
     def test_one_straight_line_per_build(self, monkeypatch):
-        # one weight check and one snap per exact build, and no
-        # classification, canonical form, re-validated spectrum, sum-zero
-        # normal or ConeSpec on the way: the sign cell gives the label, and
-        # the vertices are a view, made when read; and no slice form, since
-        # every cone is read from the signs of the transition forms
+        # one weight check and one snap per exact build after the first in
+        # its cell, and no classification, canonical form, re-validated
+        # spectrum, sum-zero normal or ConeSpec on the way: the sign cell
+        # gives the label, and the vertices are a view, made when read; and
+        # no slice form, since every cone is read from the signs of the
+        # transition forms
+        weights = sorted(POLYTOPE_FIXTURES) + RANDOM_RATIONALS
+        for gammas in weights:
+            build_polytope(gammas)
         counts = Counter()
 
         def count(owner, name):
@@ -1257,7 +1264,6 @@ class TestExactBuilder:
         count(polytope, "lift_2d")
         count(ConeSpec, "__init__")
         count(QuadraticForm2, "__init__")
-        weights = sorted(POLYTOPE_FIXTURES) + RANDOM_RATIONALS
         for gammas in weights:
             build_polytope(gammas)
         assert counts == {"as_gammas": len(weights), "snap_weights": len(weights)}
@@ -1341,7 +1347,8 @@ class TestSignCells:
             # the canonical flip and sort: the total's sign is the key's at every
             # generator, and each adjacent pair of the flipped weights is
             # strictly apart or tied on the whole cell in index order
-            starred, _, perm = classifier._canonical(w)
+            can = canonicalize(w)
+            starred, perm = can.starred, can.permutation
             flip = -1 if starred else 1
             assert starred == (key[-1] < 0), w
             if key[-1]:
@@ -1391,13 +1398,15 @@ class TestSignCells:
             assert (hot.label, hot.starred) == (classify_n3(w)[0].value, canonicalize(w).starred), w
 
     def test_a_build_after_the_first_in_its_cell_calls_no_germs_and_no_walk(self, monkeypatch):
+        # the first build in a cell labels it with one classify_n3 of its snapped integers
         counts = Counter()
-        germs, walk = AnchorKernel.germs, polytope._integer_vertices
+        germs, walk, label = AnchorKernel.germs, polytope._integer_vertices, polytope.classify_n3
         monkeypatch.setattr(AnchorKernel, "germs", lambda self: counts.update(["germs"]) or germs(self))
         monkeypatch.setattr(polytope, "_integer_vertices", lambda lines: counts.update(["walk"]) or walk(lines))
+        monkeypatch.setattr(polytope, "classify_n3", lambda ints: counts.update(["classify"]) or label(ints))
         monkeypatch.setattr(polytope, "_CELLS", {})
         for w in ((4, 2, -1), (8, 4, -2), (4.0, 2.25, -1.25), (F(7, 2), 2, -1)):
             build_polytope(w)
-        assert counts == {"germs": 1, "walk": 1}
+        assert counts == {"germs": 1, "walk": 1, "classify": 1}
         build_polytope((-4, -2, 1))
-        assert counts == {"germs": 2, "walk": 2}
+        assert counts == {"germs": 2, "walk": 2, "classify": 2}
