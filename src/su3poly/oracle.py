@@ -54,7 +54,11 @@ from :func:`_excess`, the containment kernel of
 :func:`violation_distances`, and, per predicted vertex, its least squared
 distance and the row where it occurs, from one (vertices, rows) array.  The
 first block that reaches a vertex's least distance gives its nearest row,
-as one ``argmin`` over every row would.
+as one ``argmin`` over every row would.  All of it runs in the prediction's
+own scale: the rows are drawn at the weights over its power of two 2**e,
+the one float view of its vertices and lines
+(:attr:`polytope.ChamberPolytope._own_scale`), and every length is
+multiplied back by 2**e.
 
 Numpy is imported inside the functions that batch floats, not with the
 module, so importing the package and running the exact pipeline never load
@@ -68,12 +72,11 @@ import numbers
 import os
 import sys
 import threading
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .moment_map import CPPoint, InvalidWeight, as_gammas
-from .polytope import ChamberPolytope, _distances, _float_lines, _hull_candidates, _pq_array, build_polytope, hull2d
-from .su3 import Frozen, _set, _spectra_of_invariants, chamber_coordinates, check_tolerance, is_exact, spectra_of_entries
+from .polytope import ChamberPolytope, _distances, _hull_candidates, _over_power, build_polytope, hull2d
+from .su3 import Frozen, _set, _spectra_of_invariants, chamber_coordinates, check_tolerance, spectra_of_entries
 
 if TYPE_CHECKING:  # annotations only: importing the package loads no numpy
     import numpy as np
@@ -362,11 +365,12 @@ def _draw_spectra(floats: Tuple[float, ...], power: float, count: int, seed: int
     one :func:`_run_blocks` call.
 
     The kernel runs at ``floats / power`` (an exact division) and each
-    block's rows are multiplied back by ``power``; :func:`verify` passes the
-    divided weights and power 1, so its rows stay at that scale.  The worker
-    that draws a block then writes its chamber points and runs ``reduce`` on
-    both, while the rows are in its cache; ``reduce`` must call only private
-    functions, as :func:`_run_blocks` requires.
+    block's rows are multiplied back by ``power``; :func:`verify` passes its
+    weights over its prediction's 2**e and power 1, so its rows stay in the
+    prediction's own scale.  The worker that draws a block then writes its
+    chamber points and runs ``reduce`` on both, while the rows are in its
+    cache; ``reduce`` must call only private functions, as
+    :func:`_run_blocks` requires.
 
     Every block is 4 uniforms per row (1 with two factors), drawn into the
     worker's buffer by one ``random`` call and read by one
@@ -431,11 +435,6 @@ def sample_batch(w, count: int, seed: int) -> SampleBatch:
     return SampleBatch(seed, count, spectra, points)
 
 
-def _hull_block(start: int, spectra: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """The points of one block that may be vertices of the batch's hull."""
-    return _hull_candidates(points, start)[0]
-
-
 def empirical_polytope(w, count: int, seed: int) -> Tuple[SampleBatch, ChamberPolytope]:
     """Uniform batch plus the convex hull of its chamber image.
 
@@ -449,7 +448,7 @@ def empirical_polytope(w, count: int, seed: int) -> Tuple[SampleBatch, ChamberPo
 
     count = _checked_integer(count, 1)
     seed = _checked_integer(seed, 0, InvalidSeed, "seed")
-    spectra, points, kept = _draw_spectra(*_float_weights(as_gammas(w)), count, seed, reduce=_hull_block)
+    spectra, points, kept = _draw_spectra(*_float_weights(as_gammas(w)), count, seed, reduce=lambda start, _, points: _hull_candidates(points, start)[0])
     return SampleBatch(seed, count, spectra, points), hull2d(np.concatenate(kept))
 
 
@@ -498,13 +497,13 @@ class VerificationReport(Frozen):
 
 
 def _line_arrays(P: ChamberPolytope) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The float normals of ``P``'s lines as a (lines, 3) array, and their
-    offsets and norms as (lines, 1) columns, for :func:`_excess`."""
+    """The float normals of ``P``'s lines as a (lines, 3) array, and offsets
+    and norms as (lines, 1) columns in ``P``'s own scale, for :func:`_excess`."""
     import numpy as np
 
-    rows = _float_lines(P)
-    normals = np.array([normal for normal, _ in rows])
-    offsets = np.array([[offset] for _, offset in rows])
+    rows = P._own_lines
+    normals = np.array([normal for normal, *_ in rows])
+    offsets = np.array([[offset] for _, offset, *_ in rows])
     return normals, offsets, np.linalg.norm(normals, axis=1)[:, None]
 
 
@@ -531,8 +530,12 @@ def _excess(lines: Tuple[np.ndarray, np.ndarray, np.ndarray], spectra: np.ndarra
 
 
 def violation_distances(P: ChamberPolytope, spectra: np.ndarray) -> np.ndarray:
-    """Per-sample distance outside the polytope (0 inside), from one (lines, n) array."""
-    return _excess(_line_arrays(P), spectra)
+    """Per-sample distance outside the polytope (0 inside), from one
+    (lines, n) array in ``P``'s own scale 2**e, multiplied back."""
+    import numpy as np
+
+    e = P._own_scale[0]
+    return np.ldexp(_excess(_line_arrays(P), np.ldexp(spectra, -e)), e)
 
 
 def verify(w, count: int, seed: int, tol: float = 1e-6) -> VerificationReport:
@@ -550,18 +553,13 @@ def verify(w, count: int, seed: int, tol: float = 1e-6) -> VerificationReport:
     adds 500 draws per (anchor, scale) pair, uniforms pulled toward the
     corner of the torus-fixed configuration, which drive the coverage
     distances of the anchor vertices to zero much faster than uniform
-    sampling;
-    :func:`_draw_spectra` makes both kinds of row in one pass, and each
-    block's worker reduces its rows at once: its count of violations and
-    largest excess, its hull candidates, and each vertex's least squared
-    distance and the row where it occurs.  The caller merges those per-block
-    results; the first block that reaches a vertex's least distance gives
-    its nearest row, as one ``argmin`` over every row would.
-    Every argument is checked before anything is drawn: a count that is not
-    a positive integer raises :class:`InvalidCount`, a seed that is not an
-    integer >= 0 :class:`InvalidSeed`, and a ``tol`` that
+    sampling.  Every argument is checked before anything is drawn: a count
+    that is not a positive integer raises :class:`InvalidCount`, a seed that
+    is not an integer >= 0 :class:`InvalidSeed`, and a ``tol`` that
     :func:`su3.check_tolerance` refuses raises its error.  The weights are
-    checked for sampling once.
+    checked for sampling once, the prediction is built once at the weights
+    as given, and one pass of :func:`_draw_spectra` draws the rows in the
+    prediction's own scale and reduces them (see the module docstring).
     """
     import numpy as np
 
@@ -572,32 +570,26 @@ def verify(w, count: int, seed: int, tol: float = 1e-6) -> VerificationReport:
         gammas = as_gammas(w)
     except ValueError as exc:
         raise PredictionUnavailable(str(exc)) from exc
-    floats, power = _float_weights(gammas)
-    # The comparison runs at the weights over the sampler's power of two: a
-    # segment's end half-planes have offsets quadratic in the weights, and
-    # the hull's prefilter and the distances square coordinates.  The
-    # scaling is exact, the draws run at the same weights, and every
-    # reported length is scaled back.
+    floats, _ = _float_weights(gammas)
     try:
-        predicted = build_polytope(tuple(g / power if not is_exact(g) else Fraction(g) / Fraction(power) for g in gammas))
+        predicted = build_polytope(gammas)
     except ValueError as exc:
         raise PredictionUnavailable(str(exc)) from exc
 
-    diam = predicted.diameter()
-    slack = tol * (diam if diam > 0 else max(abs(g) for g in floats) / power)
+    e, corners, diam, _ = predicted._own_scale
+    slack = tol * (diam if diam > 0 else math.ldexp(max(abs(g) for g in floats), -e))
     lines = _line_arrays(predicted)
-    corners = _pq_array(predicted)
     vertices = np.array(corners)
 
     def check(start, spectra, points):
         excess = _excess(lines, spectra)
         # (vertices, rows) squared distances
         d2 = (points[:, 0] - vertices[:, :1]) ** 2 + (points[:, 1] - vertices[:, 1:]) ** 2
-        return np.count_nonzero(excess > slack), excess.max(), _hull_block(start, spectra, points), d2.min(axis=1), start + d2.argmin(axis=1)
+        return np.count_nonzero(excess > slack), excess.max(), _hull_candidates(points, start)[0], d2.min(axis=1), start + d2.argmin(axis=1)
 
-    spectra, points, blocks = _draw_spectra(tuple(g / power for g in floats), 1.0, count, seed, _TARGETED, check)
+    spectra, points, blocks = _draw_spectra(tuple(math.ldexp(g, -e) for g in floats), 1.0, count, seed, _TARGETED, check)
     violations, worst, kept, least, rows = zip(*blocks)
-    deficit = max(_distances(corners, _pq_array(hull2d(np.concatenate(kept)))))
+    deficit = max(_distances(corners, [(c.p, c.q) for c in hull2d(np.concatenate(kept)).pq_vertices()]))
     # each vertex's nearest row, from the first block with its least distance
     nearest = points[np.array(rows)[np.argmin(least, axis=0), np.arange(len(corners))]]
     coverage = np.hypot(nearest[:, 0] - vertices[:, 0], nearest[:, 1] - vertices[:, 1])
@@ -607,9 +599,9 @@ def verify(w, count: int, seed: int, tol: float = 1e-6) -> VerificationReport:
         seed=seed,
         n_samples=len(spectra),
         n_violations=int(sum(violations)),
-        max_violation=power * float(max(worst)),
-        hausdorff_inner=power * deficit,
-        vertex_coverage=tuple(power * float(d) for d in coverage),
-        diameter=power * diam,
+        max_violation=_over_power(float(max(worst)), -e),
+        hausdorff_inner=_over_power(deficit, -e),
+        vertex_coverage=tuple(_over_power(float(d), -e) for d in coverage),
+        diameter=predicted.diameter(),
         tolerance=tol,
     )

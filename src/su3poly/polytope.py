@@ -30,12 +30,13 @@ the anchor of the weights as given (c_j: factor j alone).  The two-factor
 build snaps once too and takes its two anchors from the same integers.  A
 :class:`ChamberPolytope` stores these lines and vertices over one
 denominator and nothing else (segments, points and float hulls over 1);
-its :class:`su3.Spectrum` vertices and the :class:`cones.ConeSpec` views
-of the germs (:func:`polytope_cones`) are made only when read.  Every
-reader takes the lines as stored: three times the sum-zero normal of
-a*l1 + b*l2 is the integer triple (2a - b, 2b - a, -a - b), and signed
-distances divide by the normal's norm, the gradient norm in the isometric
-chamber embedding.
+its :class:`su3.Spectrum` vertices, its one float view over a power of two
+near its size, which every float reader takes, and the
+:class:`cones.ConeSpec` views of the germs (:func:`polytope_cones`) are
+made only when read.  Every reader takes the lines as stored: three times
+the sum-zero normal of a*l1 + b*l2 is the integer triple (2a - b, 2b - a,
+-a - b), and signed distances divide by the normal's norm, the gradient
+norm in the isometric chamber embedding.
 
 Everything here but the hull is plain Python: the builder, containment, and
 the one point-to-polygon distance behind :func:`distance_to_polytope_pq`,
@@ -79,7 +80,6 @@ from .su3 import (
     num_out,
     sgn,
     snap_weights,
-    to_chamber,
 )
 
 
@@ -244,10 +244,12 @@ class ChamberPolytope(Frozen):
 
     @cached_property
     def _chamber_points(self) -> Tuple[ChamberPoint, ...]:
-        return tuple(to_chamber(v) for v in self.vertices)
+        e, pts = self._own_scale[:2]
+        return tuple(ChamberPoint(_over_power(p, -e), _over_power(q, -e)) for p, q in pts)
 
     def pq_vertices(self) -> Tuple[ChamberPoint, ...]:
-        """The vertices in the chamber embedding, converted once per polytope."""
+        """The vertices in the chamber embedding: :attr:`_own_scale`'s points
+        times 2**e, an infinity past float range, made once per polytope."""
         return self._chamber_points
 
     def diameter(self) -> float:
@@ -255,22 +257,29 @@ class ChamberPolytope(Frozen):
         return _over_power(diam, -e)
 
     @cached_property
-    def _own_scale(self) -> Tuple[int, List[tuple], float, float]:
-        """In floats over 2**e near its largest vertex entry: e; each line's
-        normal over 2**f (f = 0 for a facet direction, else near its size),
-        offset over 2**(e + f), f and norm; the diameter; and the scale of
-        :meth:`contains` (for a point, its largest entry).  Each rounded once."""
+    def _own_scale(self) -> Tuple[int, List[Tuple[float, float]], float, float]:
+        """The one float view of the corners, each entry rounded once over
+        2**e near the largest (the first entry of a sorted sum-zero triple
+        is within 2 of it, and 0 only at 0): e; each vertex's chamber point;
+        the diameter; and the scale of :meth:`contains` (a point's largest entry)."""
         den = self.den
-        e = _exponent(max(abs(x) for v in self.corners for x in v) or 1) - den.bit_length()
+        e = max((_exponent(v[0]) for v in self.corners if v[0]), default=0) - den.bit_length()
         verts = [[_over_power(x, e, den) for x in v] for v in self.corners]
         pts = [chamber_coordinates(*v) for v in verts]
-        rows = []
+        diam = max((math.dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]), default=0.0)
+        return e, pts, diam, diam or max(abs(x) for v in verts for x in v)
+
+    @cached_property
+    def _own_lines(self) -> List[Tuple[List[float], float, int, float]]:
+        """Each line in floats in the scale of :attr:`_own_scale`: normal over
+        2**f (f = 0 for a facet direction, else near its size), offset over
+        2**(e + f), f and norm, each rounded once."""
+        e, den, rows = self._own_scale[0], self.den, []
         for a, b, c, _ in self.lines:
             f = 0 if (a, b) in _FACET_NORMALS else _exponent(max(abs(a), abs(b)))
             n = _FACET_NORMALS.get((a, b)) or [_over_power(x, f) for x in lift_2d(a, b)]
             rows.append((n, _over_power(c, e + f, den), f, math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)))
-        diam = max((math.dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]), default=0.0)
-        return e, rows, diam, diam or max(abs(x) for v in verts for x in v)
+        return rows
 
     def contains(self, s, tol: float = 1e-9) -> bool:
         """Membership within ``tol`` scaled by the polytope diameter (for a
@@ -279,7 +288,7 @@ class ChamberPolytope(Frozen):
 
         Exact when the polytope, the point and ``tol == 0`` are all exact:
         one integer sign test per line.  Otherwise the signed distances are
-        floats in the polytope's own scale (:attr:`_own_scale`, the point
+        floats in the polytope's own scale (:attr:`_own_lines`, the point
         over the same power of two), each rounded once from its exact value
         on exact input (a non-finite entry raises :class:`su3.InvalidWeight`,
         a point of other than three entries :class:`su3.LengthMismatch`)."""
@@ -295,7 +304,7 @@ class ChamberPolytope(Frozen):
             inside = min(gaps) >= 0
             if inside or tol == 0:
                 return inside
-        e, rows, _, scale = self._own_scale
+        (e, _, _, scale), rows = self._own_scale, self._own_lines
         if exact:
             values = [_over_power(g, e + f, 3 * d * self.den) for g, (_, _, f, _) in zip(gaps, rows)]
         else:
@@ -381,24 +390,22 @@ class ChamberPolytope(Frozen):
         return poly
 
 
-def _float_lines(P: ChamberPolytope) -> List[Tuple[List[float], float]]:
-    """Each line of ``P`` as its float normal and offset in ``P``'s scale, from :attr:`ChamberPolytope._own_scale`."""
-    return [(n, _over_power(offset, -P._own_scale[0])) for n, offset, _, _ in P._own_scale[1]]
-
-
 def _exponent(x: Scalar) -> int:
-    """An e with 2**e within a factor 2 of x > 0."""
+    """An e with 2**e within a factor 2 of |x| > 0."""
     n, d = _ratio(x)
     return n.bit_length() - d.bit_length()
 
 
 def _over_power(x: Scalar, e: int, den: int = 1) -> float:
-    """``x / (den * 2**e)`` rounded once to a float, or an infinity past float range."""
-    n, d = _ratio(x)
+    """``x / (den * 2**e)`` rounded once to a float, a float over ``den`` 1
+    keeping its sign, or an infinity past float range."""
     try:
+        if type(x) is float and den == 1:
+            return math.ldexp(x, -e)
+        n, d = _ratio(x)
         return n / (d * den << e) if e >= 0 else (n << -e) / (d * den)  # int / int is correctly rounded
     except OverflowError:
-        return math.inf if n > 0 else -math.inf
+        return math.inf if x > 0 else -math.inf
 
 
 #: What each type check of :func:`_json_in` asks for, as its errors say it.
@@ -772,31 +779,35 @@ def hull2d(points) -> ChamberPolytope:
     return ChamberPolytope(tuple(lines), corners, 1, "Polygon")
 
 
-def _pq_array(P: ChamberPolytope) -> List[Tuple[float, float]]:
-    return [(c.p, c.q) for c in P.pq_vertices()]
+def _scaled_points(P: ChamberPolytope, e: int) -> List[Tuple[float, float]]:
+    """``P``'s chamber points over 2**e, e at least its own: exact, or below float range."""
+    own, pts = P._own_scale[:2]
+    return pts if e == own else [(math.ldexp(p, own - e), math.ldexp(q, own - e)) for p, q in pts]
 
 
 def _distances(points, verts) -> List[float]:
     """Euclidean distances from (p, q) points to the convex polytope with
     vertex list ``verts``: a point, the two ends of a segment, or a
-    counterclockwise polygon, whose inside is at distance 0.  Each is the
-    least distance to an edge, one edge at a time; every caller has a few
-    dozen vertices at most."""
+    counterclockwise polygon, whose inside, right of no edge and left of
+    one (none once its vertices fall together below float range), is at
+    distance 0.  Each is the least distance to an edge, one edge at a time;
+    every caller has a few dozen vertices at most."""
     n = len(verts)
     edges = [(verts[i], verts[(i + 1) % n]) for i in range(n if n > 2 else 1)]
     out = []
     for px, py in points:
-        inside = n > 2
+        inside, left = n > 2, False
         best = math.inf
         for (ax, ay), (bx, by) in edges:
             dx, dy = bx - ax, by - ay
-            if inside and dx * (py - ay) - dy * (px - ax) < 0:
-                inside = False
+            if inside:
+                cross = dx * (py - ay) - dy * (px - ax)
+                inside, left = cross >= 0, left or cross > 0
             # a point's one edge has zero length, so t is 0 there
             denom = dx * dx + dy * dy
             t = 0.0 if denom == 0.0 else max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
             best = min(best, math.hypot(px - (ax + t * dx), py - (ay + t * dy)))
-        out.append(0.0 if inside else best)
+        out.append(0.0 if inside and left else best)
     return out
 
 
@@ -804,18 +815,22 @@ def distance_to_polytope_pq(point, P: ChamberPolytope) -> float:
     """Euclidean distance from an embedding point, a :class:`su3.ChamberPoint`
     or a (p, q) pair, to a convex polytope; a pair of other than two entries
     raises :class:`su3.LengthMismatch`, a non-finite coordinate
-    :class:`su3.InvalidWeight`."""
+    :class:`su3.InvalidWeight`.  Taken over the larger power of two of the
+    point and ``P``'s own scale; an infinity past float range."""
     if isinstance(point, ChamberPoint):
         point = (point.p, point.q)
     if len(point) != 2:
         raise LengthMismatch(f"point has {len(point)} entries, not (p, q)")
     for k in (0, 1):
         check_real(point[k], f"point coordinate {k}")  # raises InvalidWeight
-    return _distances([(float(point[0]), float(point[1]))], _pq_array(P))[0]
+    e = max([P._own_scale[0]] + [_exponent(x) for x in point if x])
+    return _over_power(_distances([(_over_power(point[0], e), _over_power(point[1], e))], _scaled_points(P, e))[0], -e)
 
 
 def hausdorff(P: ChamberPolytope, Q: ChamberPolytope) -> float:
     """Symmetric Hausdorff distance in the chamber-embedding metric; both sets
-    are convex, so each one-sided supremum is attained at a vertex."""
-    p, q = _pq_array(P), _pq_array(Q)
-    return max(max(_distances(p, q)), max(_distances(q, p)))
+    are convex, so each one-sided supremum is attained at a vertex.  Taken
+    over the larger power of two of their own scales; an infinity past float range."""
+    e = max(P._own_scale[0], Q._own_scale[0])
+    p, q = _scaled_points(P, e), _scaled_points(Q, e)
+    return _over_power(max(max(_distances(p, q)), max(_distances(q, p))), -e)

@@ -12,7 +12,7 @@ import math
 from typing import Dict, List, Tuple
 
 from .moment_map import as_gammas, fixed_point_spectra, tripled_fixed_point_diagonals
-from .polytope import ChamberPolytope
+from .polytope import ChamberPolytope, _over_power
 from .su3 import Root, chamber_coordinates, snap_weights
 
 _WALL_DIRS = ((0.0, 1.0), (math.cos(math.pi / 6), math.sin(math.pi / 6)))
@@ -20,6 +20,10 @@ _WALL_DIRS = ((0.0, 1.0), (math.cos(math.pi / 6), math.sin(math.pi / 6)))
 
 def _fmt(x: float) -> str:
     return f"{x:.4f}"
+
+
+def _line(a: Tuple[float, float], b: Tuple[float, float], style: str) -> str:
+    return f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" {style}/>'
 
 
 #: The canvas, in pixels, and the margin round the figure.
@@ -32,10 +36,11 @@ def render_svg(polytope: ChamberPolytope, weights=None) -> str:
 
     ``weights``, when given, label the anchor points; weights that
     :func:`moment_map.fixed_point_spectra` refuses raise its error.  The
-    figure is scale-free: the weights t * w draw the bytes of w for a power
-    of two t."""
-    pts = [(c.p, c.q) for c in polytope.pq_vertices()]
-    anchors = _anchor_points(weights)
+    figure is scale-free: the weights t * w draw the bytes of w for any power
+    of two t, every point being drawn over the polytope's own power of two
+    (:attr:`ChamberPolytope._own_scale`)."""
+    e, pts = polytope._own_scale[:2]
+    anchors = _anchor_points(weights, e)
     frame = pts + [(0.0, 0.0)] + list(anchors.values())
     reach = max(max(abs(x) for x, _ in frame), max(abs(y) for _, y in frame)) or 1.0
     walls = [(d[0] * reach * 1.25, d[1] * reach * 1.25) for d in _WALL_DIRS]
@@ -52,23 +57,13 @@ def render_svg(polytope: ChamberPolytope, weights=None) -> str:
         "<style>text { font-family: serif; font-style: italic; font-size: 14px; }</style>",
         f'<rect x="0" y="0" width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
-    origin = tr((0.0, 0.0))
-    for wall in walls:
-        end = tr(wall)
-        out.append(
-            f'<line x1="{_fmt(origin[0])}" y1="{_fmt(origin[1])}" x2="{_fmt(end[0])}" '
-            f'y2="{_fmt(end[1])}" stroke="steelblue" stroke-width="1.2"/>'
-        )
+    out += [_line(tr((0.0, 0.0)), tr(wall), 'stroke="steelblue" stroke-width="1.2"') for wall in walls]
 
     if polytope.kind == "Polygon":
         path = " ".join(f"{_fmt(tr(p)[0])},{_fmt(tr(p)[1])}" for p in pts)
         out.append(f'<polygon points="{path}" fill="crimson" fill-opacity="0.75" stroke="black" stroke-width="1.6"/>')
     elif polytope.kind == "Segment":
-        (x1, y1), (x2, y2) = tr(pts[0]), tr(pts[1])
-        out.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="crimson" stroke-width="3.5"/>'
-        )
+        out.append(_line(tr(pts[0]), tr(pts[1]), 'stroke="crimson" stroke-width="3.5"'))
     else:
         x, y = tr(pts[0])
         out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="crimson"/>')
@@ -84,10 +79,7 @@ def render_svg(polytope: ChamberPolytope, weights=None) -> str:
         c = chamber_coordinates(*root.vector)
         norm = math.hypot(c[0], c[1])
         ex, ey = cx + r * c[0] / norm, cy - r * c[1] / norm
-        out.append(
-            f'<line x1="{_fmt(cx)}" y1="{_fmt(cy)}" x2="{_fmt(ex)}" y2="{_fmt(ey)}" '
-            f'stroke="steelblue" stroke-width="1" stroke-dasharray="3 2"/>'
-        )
+        out.append(_line((cx, cy), (ex, ey), 'stroke="steelblue" stroke-width="1" stroke-dasharray="3 2"'))
         out.append(f'<text x="{_fmt(ex + 2)}" y="{_fmt(ey)}" font-size="10">{root.label}</text>')
 
     if polytope.label:
@@ -96,16 +88,16 @@ def render_svg(polytope: ChamberPolytope, weights=None) -> str:
     return "\n".join(out + ["</svg>"]) + "\n"
 
 
-def _anchor_points(weights) -> Dict[str, Tuple[float, float]]:
+def _anchor_points(weights, e: int) -> Dict[str, Tuple[float, float]]:
     """Each anchor point of the weights by its label, coincident anchors
     under one merged label: the anchors whose tripled diagonals
     (:func:`moment_map.tripled_fixed_point_diagonals`) of the snapped
-    weights are equal, at the chamber point of the first one's spectrum."""
+    weights are equal, at the chamber point of the first one's spectrum over 2**e."""
     if weights is None:
         return {}
     spectra = fixed_point_spectra(weights)
     grouped: Dict[tuple, List[str]] = {}
     for name, (entries, _) in tripled_fixed_point_diagonals(snap_weights(as_gammas(weights), 1e-9)[0]).items():
         grouped.setdefault(entries, []).append(name)
-    return {"=".join(sorted(names)): chamber_coordinates(*spectra[names[0]].as_floats()) for names in grouped.values()}
+    return {"=".join(sorted(names)): chamber_coordinates(*(_over_power(x, e) for x in spectra[names[0]])) for names in grouped.values()}
 

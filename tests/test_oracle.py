@@ -29,8 +29,8 @@ from su3poly.oracle import (
     verify,
     violation_distances,
 )
-from su3poly.polytope import ChamberPolytope, InvalidHullPoints, _distances, _pq_array, build_polytope, build_polytope_n2, build_polytope_n3, hull2d
-from su3poly.su3 import SPECTRA_ERROR, InvalidTolerance, is_exact, lift_2d
+from su3poly.polytope import ChamberPolytope, InvalidHullPoints, _distances, build_polytope, build_polytope_n2, build_polytope_n3, hull2d
+from su3poly.su3 import SPECTRA_ERROR, InvalidTolerance, lift_2d
 
 
 def _gaussian_blocks(seed, count, n_factors):
@@ -113,16 +113,17 @@ def reference_verify(gammas, count, seed, targeted, tol=1e-6):
     serial uniform and targeted rows, with the containment, the hull and the
     coverage each taken over every row at once: one ``violation_distances``,
     ``hull2d`` of every chamber point and one ``argmin`` per vertex."""
-    floats, power = _float_weights(gammas)
-    predicted = build_polytope(tuple(F(g) / F(power) if is_exact(g) else g / power for g in gammas))
-    # verify's rows are at the weights over the sampler's power of two
-    spectra = np.concatenate([serial_spectra(gammas, count, seed), serial_targeted_spectra(gammas, targeted, seed)]) / power
+    floats, _ = _float_weights(gammas)
+    predicted = build_polytope(gammas)
+    # every row and length at the weights' own scale, where verify works in
+    # the prediction's power of two: the scalings are exact, so the bits agree
+    spectra = np.concatenate([serial_spectra(gammas, count, seed), serial_targeted_spectra(gammas, targeted, seed)])
     pq = oracle.chamber_points_of_spectra(spectra)
     diam = predicted.diameter()
-    slack = tol * (diam if diam > 0 else max(abs(g) for g in floats) / power)
+    slack = tol * (diam if diam > 0 else max(abs(g) for g in floats))
     excess = violation_distances(predicted, spectra)
-    corners = _pq_array(predicted)
-    deficit = max(_distances(corners, _pq_array(hull2d(pq))))
+    corners = pq_list(predicted)
+    deficit = max(_distances(corners, pq_list(hull2d(pq))))
     corners = np.array(corners)
     nearest = pq[((pq[:, 0] - corners[:, :1]) ** 2 + (pq[:, 1] - corners[:, 1:]) ** 2).argmin(axis=1)]
     coverage = np.hypot(nearest[:, 0] - corners[:, 0], nearest[:, 1] - corners[:, 1])
@@ -131,12 +132,17 @@ def reference_verify(gammas, count, seed, targeted, tol=1e-6):
         seed,
         len(spectra),
         int(np.count_nonzero(excess > slack)),
-        power * float(excess.max()),
-        power * deficit,
-        tuple(power * float(d) for d in coverage),
-        power * diam,
+        float(excess.max()),
+        deficit,
+        tuple(float(d) for d in coverage),
+        diam,
         tol,
     ).to_json_dict()
+
+
+def pq_list(P):
+    """The chamber points of ``P``'s vertices as (p, q) pairs."""
+    return [(c.p, c.q) for c in P.pq_vertices()]
 
 
 def _gaussians(seed, count, n_factors):

@@ -35,7 +35,7 @@ from su3poly.polytope import (
     point_polytope,
     polytope_cones,
 )
-from su3poly.su3 import _FORMS, InvalidTolerance, InvalidWeight, LengthMismatch, Root, Spectrum, _form_values, chamber_to_spectrum_floats, lift_2d, sgn, snap_weights, star_involution, to_chamber
+from su3poly.su3 import _FORMS, InvalidTolerance, InvalidWeight, LengthMismatch, Root, Spectrum, _form_values, chamber_coordinates, chamber_to_spectrum_floats, lift_2d, sgn, snap_weights, star_involution, to_chamber
 
 
 def vertex_set(poly):
@@ -205,6 +205,16 @@ def points_near_the_lines(draw):
     return poly, points
 
 
+def scales(got: float, want: float, t: F, scale) -> bool:
+    """``got`` is t * ``want`` within 1e-14 * t * (|want| + ``scale``) plus the
+    least subnormal, so 0 below float range, or an infinity where that
+    interval reaches past float range."""
+    slack = F(1, 10**14) * t * (abs(F(want)) + scale) + F(2) ** -1074
+    if math.isinf(got):
+        return got > 0 and t * F(want) + slack > sys.float_info.max
+    return abs(F(got) - t * F(want)) <= slack
+
+
 class TestContains:
     @settings(max_examples=200, deadline=None)
     @given(points_near_the_lines())
@@ -301,6 +311,18 @@ class TestContains:
         # the diameter scales too, to an infinity past float range
         d = F(poly.diameter()) * t
         assert scaled.diameter() == (math.inf if d > sys.float_info.max else pytest.approx(float(d), rel=1e-14, abs=0)), (gammas, k)
+        # and so does every float reader of the vertices, which raises nothing:
+        # each value t times its unscaled one within 1e-14 of the scale, an
+        # infinity past float range
+        for got, want in zip(scaled.pq_vertices(), poly.pq_vertices()):
+            assert scales(got.p, want.p, t, scale) and scales(got.q, want.q, t, scale), (gammas, k, got, want)
+        for s in probes:
+            pq = [F(x) for x in chamber_coordinates(*map(float, s))]
+            got = polytope.distance_to_polytope_pq([t * x for x in pq], scaled)
+            assert scales(got, polytope.distance_to_polytope_pq(pq, poly), t, scale), (gammas, k, s, got)
+        other = gammas[:-1] + (gammas[-1] + 1,)
+        got = hausdorff(scaled, build_polytope(tuple(t * g for g in other)))
+        assert scales(got, hausdorff(poly, build_polytope(other)), t, scale), (gammas, k, got)
 
 
 class TestN2:
@@ -837,23 +859,24 @@ class TestQuickhull:
 
 def _distance_loop(point, verts):
     """The point-to-polytope distance of one point, one edge at a time: the
-    scalar reference for :func:`polytope._distances`."""
+    scalar reference for :func:`polytope._distances`.  A polygon's inside
+    is on the right of no edge and on the left of one."""
     px, py = float(point[0]), float(point[1])
     n = len(verts)
     if n == 1:
         return math.hypot(px - verts[0][0], py - verts[0][1])
-    inside = n > 2
+    inside, left = n > 2, False
     best = math.inf
     for i in range(n if n > 2 else n - 1):
         ax, ay = verts[i]
         bx, by = verts[(i + 1) % n]
-        if inside and ((bx - ax) * (py - ay) - (by - ay) * (px - ax)) < 0:
-            inside = False
+        cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        inside, left = inside and cross >= 0, left or cross > 0
         dx, dy = bx - ax, by - ay
         denom = dx * dx + dy * dy
         t = 0.0 if denom == 0.0 else max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
         best = min(best, math.hypot(px - (ax + t * dx), py - (ay + t * dy)))
-    return 0.0 if inside else best
+    return 0.0 if inside and left else best
 
 
 class TestDistances:
@@ -864,7 +887,7 @@ class TestDistances:
         # points inside, on every edge, at every vertex and outside the
         # polygons, segments and points
         P = build_polytope(gammas)
-        corners = polytope._pq_array(P)
+        corners = [(c.p, c.q) for c in P.pq_vertices()]
         verts = np.array(corners)
         rng = np.random.default_rng(17)
         lo, hi = verts.min(axis=0) - 1.0, verts.max(axis=0) + 1.0
@@ -879,9 +902,17 @@ class TestDistances:
         assert [polytope.distance_to_polytope_pq(p, P) for p in points] == want
         # a ChamberPoint, as pq_vertices gives, once raised a bare TypeError
         assert [polytope.distance_to_polytope_pq(c, P) for c in P.pq_vertices()] == [0.0] * len(verts)
+        # a point past float range is at an infinite distance; it once raised a bare OverflowError
+        assert polytope.distance_to_polytope_pq((10**400, 0), P) == math.inf
         if P.kind == "Polygon":
             assert got[len(verts)] == 0.0
             assert not any(got[: len(verts)])
+
+    def test_polygon_fallen_together_has_no_inside(self):
+        # vertices that fell together, as below float range, or onto one line
+        # once put every point, or every point of their line, inside
+        assert polytope._distances([(1.0, 0.0), (0.0, 0.0)], [(0.0, 0.0)] * 3) == [1.0, 0.0]
+        assert polytope._distances([(3.0, 0.0), (1.5, 0.0)], [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]) == [1.0, 0.0]
 
     @pytest.mark.parametrize("point, k", [((math.nan, 1.0), 0), ((1.0, math.inf), 1), ((True, 1.0), 0)], ids=repr)
     def test_point_that_is_no_finite_real_is_named(self, point, k):
@@ -897,7 +928,7 @@ class TestDistances:
 
     def test_hausdorff_is_the_loop_over_vertices(self):
         P, Q = build_polytope((4, 2, -1)), build_polytope((3, -1, -2))
-        p, q = polytope._pq_array(P), polytope._pq_array(Q)
+        p, q = ([(c.p, c.q) for c in R.pq_vertices()] for R in (P, Q))
         want = max(max(_distance_loop(v, q) for v in p), max(_distance_loop(v, p) for v in q))
         assert hausdorff(P, Q) == want
 

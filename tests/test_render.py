@@ -37,13 +37,17 @@ class TestRenderSvg:
         svg = render_svg(build_polytope_n3((1, 1, 1)), weights=(1, 1, 1))
         assert "c1=c2=c3" in svg
 
-    @pytest.mark.parametrize("k", [-40, -3, 3, 40])
+    @pytest.mark.parametrize("k", [-1000, -40, -3, 3, 40, 1000, 1300])
     @pytest.mark.parametrize("w", [(4, 2, -1), (0.7, 0.35, -0.35)], ids=str)
     def test_scaled_weights_draw_the_same_figure(self, w, k):
         # P(t w) = t P(w): anchors once merged when they rounded to the same
-        # 9 decimals, and the figure had a floor of 1
-        tw = tuple(2.0**k * g for g in w)
-        assert render_svg(build_polytope(tw), weights=tw) == render_svg(build_polytope(w), weights=w)
+        # 9 decimals, and the figure had a floor of 1; exact weights past
+        # float range once raised an OverflowError
+        tw = tuple(2.0**k * g if abs(k) < 1000 else F(2) ** k * F(g) for g in w)
+        for weights in (tw, None):
+            svg = render_svg(build_polytope(tw), weights=weights)
+            assert svg == render_svg(build_polytope(w), weights=None if weights is None else w)
+            assert "nan" not in svg and "inf" not in svg
 
     def test_tiny_weights_keep_their_anchors_apart(self):
         # (4e-10, 2e-10, -1e-10) once drew one label a=b=c1=c2=c3 at the origin
