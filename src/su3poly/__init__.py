@@ -71,6 +71,7 @@ from .polytope import (
     InvalidHalfPlane,
     InvalidHullPoints,
     InvalidPolytopeDocument,
+    NotAPolytope,
     build_polytope,
     build_polytope_n2,
     build_polytope_n3,

@@ -75,7 +75,7 @@ import threading
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .moment_map import CPPoint, InvalidWeight, as_gammas
-from .polytope import ChamberPolytope, _distances, _hull_candidates, _over_power, build_polytope, hull2d
+from .polytope import ChamberPolytope, _farthest, _hull_candidates, _over_power, build_polytope, hull2d
 from .su3 import Frozen, _set, _spectra_of_invariants, chamber_coordinates, check_tolerance, spectra_of_entries
 
 if TYPE_CHECKING:  # annotations only: importing the package loads no numpy
@@ -589,7 +589,7 @@ def verify(w, count: int, seed: int, tol: float = 1e-6) -> VerificationReport:
 
     spectra, points, blocks = _draw_spectra(tuple(math.ldexp(g, -e) for g in floats), 1.0, count, seed, _TARGETED, check)
     violations, worst, kept, least, rows = zip(*blocks)
-    deficit = max(_distances(corners, [(c.p, c.q) for c in hull2d(np.concatenate(kept)).pq_vertices()]))
+    deficit = _farthest(corners, [(c.p, c.q) for c in hull2d(np.concatenate(kept)).pq_vertices()])
     # each vertex's nearest row, from the first block with its least distance
     nearest = points[np.array(rows)[np.argmin(least, axis=0), np.arange(len(corners))]]
     coverage = np.hypot(nearest[:, 0] - vertices[:, 0], nearest[:, 1] - vertices[:, 1])

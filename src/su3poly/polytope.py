@@ -39,10 +39,10 @@ the sum-zero normal of a*l1 + b*l2 is the integer triple (2a - b, 2b - a,
 norm in the isometric chamber embedding.
 
 Everything here but the hull is plain Python: the builder, containment, and
-the one point-to-polygon distance behind :func:`distance_to_polytope_pq`,
-:func:`hausdorff` and the hull deficit of :func:`oracle.verify`, a scalar
-loop over a few dozen vertices at most.  Only :func:`hull2d`, which batches
-sampled points, imports numpy, and only when it is called.
+the farthest-point kernel behind :func:`distance_to_polytope_pq`,
+:func:`hausdorff` and :func:`oracle.verify`'s hull deficit, a scalar loop
+over a few dozen vertices: inside test first, then an early exit.  Only
+:func:`hull2d`, which batches sampled points, imports numpy, when called.
 """
 
 from __future__ import annotations
@@ -97,6 +97,10 @@ class InvalidHalfPlane(ValueError):
     list or has n0 = n1 = n2 (it vanishes on the sum-zero plane), a normal
     or offset entry that is not a finite number, or a provenance that is no
     string."""
+
+
+class NotAPolytope(ValueError):
+    """An operand of :func:`hausdorff` or :func:`distance_to_polytope_pq` that is no :class:`ChamberPolytope`."""
 
 
 class InvalidPolytopeDocument(ValueError):
@@ -785,37 +789,58 @@ def _scaled_points(P: ChamberPolytope, e: int) -> List[Tuple[float, float]]:
     return pts if e == own else [(math.ldexp(p, own - e), math.ldexp(q, own - e)) for p, q in pts]
 
 
-def _distances(points, verts) -> List[float]:
-    """Euclidean distances from (p, q) points to the convex polytope with
-    vertex list ``verts``: a point, the two ends of a segment, or a
-    counterclockwise polygon, whose inside, right of no edge and left of
-    one (none once its vertices fall together below float range), is at
-    distance 0.  Each is the least distance to an edge, one edge at a time;
-    every caller has a few dozen vertices at most."""
+def _own_exponent(P, name: str) -> int:
+    """The exponent of ``P``'s own scale; :class:`NotAPolytope`, naming ``name``, for any other operand."""
+    if not isinstance(P, ChamberPolytope):
+        raise NotAPolytope(f"{name} is {P!r}, not a ChamberPolytope")
+    return P._own_scale[0]
+
+
+def _farthest(points, verts) -> float:
+    """The largest Euclidean distance from the (p, q) ``points`` to the convex
+    point, segment or counterclockwise polygon ``verts``, each edge formed
+    once.  A point's edge crosses stop at the first negative one; a point
+    inside, right of no edge and left of one (none once the vertices fall
+    together), is skipped.  A point's projections stop once its distance is
+    at most the largest so far.  Every float is formed as in one full loop
+    over the edges, so the result is bitwise the largest of that loop's."""
     n = len(verts)
-    edges = [(verts[i], verts[(i + 1) % n]) for i in range(n if n > 2 else 1)]
-    out = []
+    edges = []
+    for i in range(n if n > 2 else 1):
+        (ax, ay), (bx, by) = verts[i], verts[(i + 1) % n]
+        dx, dy = bx - ax, by - ay
+        edges.append((ax, ay, dx, dy, dx * dx + dy * dy))
+    far = 0.0
     for px, py in points:
-        inside, left = n > 2, False
+        left = False  # a point with no negative cross and a positive one is inside
+        for ax, ay, dx, dy, _ in edges if n > 2 else ():
+            cross = dx * (py - ay) - dy * (px - ax)
+            if cross < 0.0:
+                break
+            left = left or cross > 0.0
+        else:
+            if left:
+                continue
         best = math.inf
-        for (ax, ay), (bx, by) in edges:
-            dx, dy = bx - ax, by - ay
-            if inside:
-                cross = dx * (py - ay) - dy * (px - ax)
-                inside, left = cross >= 0, left or cross > 0
-            # a point's one edge has zero length, so t is 0 there
-            denom = dx * dx + dy * dy
-            t = 0.0 if denom == 0.0 else max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
-            best = min(best, math.hypot(px - (ax + t * dx), py - (ay + t * dy)))
-        out.append(0.0 if inside and left else best)
-    return out
+        for ax, ay, dx, dy, denom in edges:
+            # a point's one edge has zero length, so t is 0 there; the clamp is max(0, min(1, t))
+            t = 0.0 if denom == 0.0 else ((px - ax) * dx + (py - ay) * dy) / denom
+            t = (t if t > 0.0 else 0.0) if t < 1.0 else 1.0
+            d = math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+            best = d if d < best else best
+            if best <= far:
+                break
+        else:
+            far = best
+    return far
 
 
 def distance_to_polytope_pq(point, P: ChamberPolytope) -> float:
     """Euclidean distance from an embedding point, a :class:`su3.ChamberPoint`
     or a (p, q) pair, to a convex polytope; a pair of other than two entries
     raises :class:`su3.LengthMismatch`, a non-finite coordinate
-    :class:`su3.InvalidWeight`.  Taken over the larger power of two of the
+    :class:`su3.InvalidWeight`, a ``P`` that is no polytope
+    :class:`NotAPolytope`.  Taken over the larger power of two of the
     point and ``P``'s own scale; an infinity past float range."""
     if isinstance(point, ChamberPoint):
         point = (point.p, point.q)
@@ -823,14 +848,15 @@ def distance_to_polytope_pq(point, P: ChamberPolytope) -> float:
         raise LengthMismatch(f"point has {len(point)} entries, not (p, q)")
     for k in (0, 1):
         check_real(point[k], f"point coordinate {k}")  # raises InvalidWeight
-    e = max([P._own_scale[0]] + [_exponent(x) for x in point if x])
-    return _over_power(_distances([(_over_power(point[0], e), _over_power(point[1], e))], _scaled_points(P, e))[0], -e)
+    e = max([_own_exponent(P, "P")] + [_exponent(x) for x in point if x])
+    return _over_power(_farthest([(_over_power(point[0], e), _over_power(point[1], e))], _scaled_points(P, e)), -e)
 
 
 def hausdorff(P: ChamberPolytope, Q: ChamberPolytope) -> float:
     """Symmetric Hausdorff distance in the chamber-embedding metric; both sets
     are convex, so each one-sided supremum is attained at a vertex.  Taken
-    over the larger power of two of their own scales; an infinity past float range."""
-    e = max(P._own_scale[0], Q._own_scale[0])
+    over the larger power of two of their own scales; an infinity past float
+    range.  An operand that is no polytope raises :class:`NotAPolytope`."""
+    e = max(_own_exponent(P, "P"), _own_exponent(Q, "Q"))
     p, q = _scaled_points(P, e), _scaled_points(Q, e)
-    return _over_power(max(max(_distances(p, q)), max(_distances(q, p))), -e)
+    return _over_power(max(_farthest(p, q), _farthest(q, p)), -e)

@@ -157,6 +157,31 @@ def random_rational_gammas(rnd, n=3, lo=-12, hi=12):
             return g
 
 
+def distance_loop(point, verts):
+    """The point-to-polytope distance of one point, one edge at a time: the
+    scalar reference for :func:`polytope._farthest`, whose result is the
+    largest of these over its points.  A polygon's inside is on the right of
+    no edge and on the left of one."""
+    import math
+
+    px, py = float(point[0]), float(point[1])
+    n = len(verts)
+    if n == 1:
+        return math.hypot(px - verts[0][0], py - verts[0][1])
+    inside, left = n > 2, False
+    best = math.inf
+    for i in range(n if n > 2 else n - 1):
+        ax, ay = verts[i]
+        bx, by = verts[(i + 1) % n]
+        cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        inside, left = inside and cross >= 0, left or cross > 0
+        dx, dy = bx - ax, by - ay
+        denom = dx * dx + dy * dy
+        t = 0.0 if denom == 0.0 else max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
+        best = min(best, math.hypot(px - (ax + t * dx), py - (ay + t * dy)))
+    return 0.0 if inside and left else best
+
+
 @pytest.fixture
 def rng_seeded():
     import numpy as np

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_ORDERS_AND_SIGNS, N2_FIXTURES, POLYTOPE_FIXTURES
+from conftest import FIXTURE_ORDERS_AND_SIGNS, N2_FIXTURES, POLYTOPE_FIXTURES, distance_loop
 from su3poly import oracle
 from su3poly.moment_map import FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight, fixed_point_spectra
 from su3poly.oracle import (
@@ -29,7 +29,7 @@ from su3poly.oracle import (
     verify,
     violation_distances,
 )
-from su3poly.polytope import ChamberPolytope, InvalidHullPoints, _distances, build_polytope, build_polytope_n2, build_polytope_n3, hull2d
+from su3poly.polytope import ChamberPolytope, InvalidHullPoints, build_polytope, build_polytope_n2, build_polytope_n3, hull2d
 from su3poly.su3 import SPECTRA_ERROR, InvalidTolerance, lift_2d
 
 
@@ -112,7 +112,8 @@ def reference_verify(gammas, count, seed, targeted, tol=1e-6):
     """``verify(gammas, count, seed, tol, targeted).to_json_dict()`` from the
     serial uniform and targeted rows, with the containment, the hull and the
     coverage each taken over every row at once: one ``violation_distances``,
-    ``hull2d`` of every chamber point and one ``argmin`` per vertex."""
+    ``hull2d`` of every chamber point, the deficit by the scalar reference
+    loop of each vertex, and one ``argmin`` per vertex."""
     floats, _ = _float_weights(gammas)
     predicted = build_polytope(gammas)
     # every row and length at the weights' own scale, where verify works in
@@ -123,7 +124,8 @@ def reference_verify(gammas, count, seed, targeted, tol=1e-6):
     slack = tol * (diam if diam > 0 else max(abs(g) for g in floats))
     excess = violation_distances(predicted, spectra)
     corners = pq_list(predicted)
-    deficit = max(_distances(corners, pq_list(hull2d(pq))))
+    hull = pq_list(hull2d(pq))
+    deficit = max(distance_loop(c, hull) for c in corners)
     corners = np.array(corners)
     nearest = pq[((pq[:, 0] - corners[:, :1]) ** 2 + (pq[:, 1] - corners[:, 1:]) ** 2).argmin(axis=1)]
     coverage = np.hypot(nearest[:, 0] - corners[:, 0], nearest[:, 1] - corners[:, 1])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_ORDERS_AND_SIGNS, N2_FIXTURES, POLYTOPE_FIXTURES, gaussian_anchor_spectra, random_rational_gammas
+from conftest import FIXTURE_ORDERS_AND_SIGNS, N2_FIXTURES, POLYTOPE_FIXTURES, distance_loop, gaussian_anchor_spectra, random_rational_gammas
 from su3poly import classifier, moment_map, oracle, polytope
 from su3poly.classifier import GENERIC_N3, canonicalize, classify_n3
 from su3poly.cones import AnchorKernel, ConeSpec, Germ, QuadraticForm2
@@ -27,9 +27,11 @@ from su3poly.polytope import (
     InvalidHalfPlane,
     InvalidHullPoints,
     InvalidPolytopeDocument,
+    NotAPolytope,
     build_polytope,
     build_polytope_n2,
     build_polytope_n3,
+    distance_to_polytope_pq,
     hausdorff,
     hull2d,
     point_polytope,
@@ -857,28 +859,6 @@ class TestQuickhull:
         assert np.array_equal(polytope._quickhull(cloud, 1e-9 * float(np.abs(cloud).max())), ref)
 
 
-def _distance_loop(point, verts):
-    """The point-to-polytope distance of one point, one edge at a time: the
-    scalar reference for :func:`polytope._distances`.  A polygon's inside
-    is on the right of no edge and on the left of one."""
-    px, py = float(point[0]), float(point[1])
-    n = len(verts)
-    if n == 1:
-        return math.hypot(px - verts[0][0], py - verts[0][1])
-    inside, left = n > 2, False
-    best = math.inf
-    for i in range(n if n > 2 else n - 1):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % n]
-        cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        inside, left = inside and cross >= 0, left or cross > 0
-        dx, dy = bx - ax, by - ay
-        denom = dx * dx + dy * dy
-        t = 0.0 if denom == 0.0 else max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
-        best = min(best, math.hypot(px - (ax + t * dx), py - (ay + t * dy)))
-    return 0.0 if inside and left else best
-
-
 class TestDistances:
     SHAPES = [(4, 2, -1), (1, 1, 1), (-5, 20, 10), (3, -1, -2), (2, 1), (1, -1), (1, 1), (4, 0, 0), (0, 0, 0)]
 
@@ -895,15 +875,15 @@ class TestDistances:
         t = rng.random((len(verts), 4))[:, :, None]
         on_edges = (verts[:, None, :] + t * (ends - verts)[:, None, :]).reshape(-1, 2)
         points = np.concatenate([verts, verts.mean(axis=0, keepdims=True), on_edges, lo + (hi - lo) * rng.random((200, 2))]).tolist()
-        got = polytope._distances(points, corners)
-        want = [_distance_loop(p, corners) for p in points]
+        got = [distance_to_polytope_pq(p, P) for p in points]
+        want = [distance_loop(p, corners) for p in points]
         assert all(type(d) is float for d in got)
         assert got == want
-        assert [polytope.distance_to_polytope_pq(p, P) for p in points] == want
+        assert polytope._farthest(points, corners) == max(want)
         # a ChamberPoint, as pq_vertices gives, once raised a bare TypeError
-        assert [polytope.distance_to_polytope_pq(c, P) for c in P.pq_vertices()] == [0.0] * len(verts)
+        assert [distance_to_polytope_pq(c, P) for c in P.pq_vertices()] == [0.0] * len(verts)
         # a point past float range is at an infinite distance; it once raised a bare OverflowError
-        assert polytope.distance_to_polytope_pq((10**400, 0), P) == math.inf
+        assert distance_to_polytope_pq((10**400, 0), P) == math.inf
         if P.kind == "Polygon":
             assert got[len(verts)] == 0.0
             assert not any(got[: len(verts)])
@@ -911,26 +891,124 @@ class TestDistances:
     def test_polygon_fallen_together_has_no_inside(self):
         # vertices that fell together, as below float range, or onto one line
         # once put every point, or every point of their line, inside
-        assert polytope._distances([(1.0, 0.0), (0.0, 0.0)], [(0.0, 0.0)] * 3) == [1.0, 0.0]
-        assert polytope._distances([(3.0, 0.0), (1.5, 0.0)], [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]) == [1.0, 0.0]
+        for points, verts in FALLEN_TOGETHER:
+            assert [polytope._farthest([p], verts) for p in points] == [distance_loop(p, verts) for p in points] == [1.0, 0.0]
+            assert polytope._farthest(points, verts) == 1.0
 
     @pytest.mark.parametrize("point, k", [((math.nan, 1.0), 0), ((1.0, math.inf), 1), ((True, 1.0), 0)], ids=repr)
     def test_point_that_is_no_finite_real_is_named(self, point, k):
         # a NaN point was once at distance 0.0
         with pytest.raises(InvalidWeight, match=f"^point coordinate {k} is {re.escape(repr(point[k]))}, not"):
-            polytope.distance_to_polytope_pq(point, build_polytope((4, 2, -1)))
+            distance_to_polytope_pq(point, build_polytope((4, 2, -1)))
 
     @pytest.mark.parametrize("point", [(1.0,), (1.0, 2.0, 3.0), ()], ids=repr)
     def test_point_of_other_than_two_entries_is_refused(self, point):
         # (1.0,) once raised an IndexError, and a third entry was ignored
         with pytest.raises(LengthMismatch, match=re.escape(f"point has {len(point)} entries, not (p, q)")):
-            polytope.distance_to_polytope_pq(point, build_polytope((4, 2, -1)))
+            distance_to_polytope_pq(point, build_polytope((4, 2, -1)))
+
+    @pytest.mark.parametrize(
+        "call, name, operand",
+        [
+            (lambda P: hausdorff(P, None), "Q", None),
+            (lambda P: hausdorff(P, (1, 2, 3)), "Q", (1, 2, 3)),
+            (lambda P: hausdorff(None, P), "P", None),
+            (lambda P: distance_to_polytope_pq((1.0, 2.0), None), "P", None),
+        ],
+        ids=["hausdorff-None", "hausdorff-tuple", "hausdorff-first-None", "distance-None"],
+    )
+    def test_operand_that_is_no_polytope_is_named(self, call, name, operand):
+        # each once raised a bare AttributeError on '_own_scale'
+        with pytest.raises(NotAPolytope, match=f"^{name} is {re.escape(repr(operand))}, not a ChamberPolytope$"):
+            call(build_polytope((4, 2, -1)))
+        assert issubclass(NotAPolytope, ValueError)
 
     def test_hausdorff_is_the_loop_over_vertices(self):
         P, Q = build_polytope((4, 2, -1)), build_polytope((3, -1, -2))
         p, q = ([(c.p, c.q) for c in R.pq_vertices()] for R in (P, Q))
-        want = max(max(_distance_loop(v, q) for v in p), max(_distance_loop(v, p) for v in q))
+        want = max(max(distance_loop(v, q) for v in p), max(distance_loop(v, p) for v in q))
         assert hausdorff(P, Q) == want
+
+
+#: The two fallen-together polygons: vertices that coincide, as below float
+#: range, and vertices on one line, each with a point off them and one on them.
+FALLEN_TOGETHER = [
+    ([(1.0, 0.0), (0.0, 0.0)], [(0.0, 0.0)] * 3),
+    ([(3.0, 0.0), (1.5, 0.0)], [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]),
+]
+
+
+def _convex_polygon(rnd):
+    """Counterclockwise vertices of a random convex polygon of 3 to 9 corners."""
+    cx, cy, r = rnd.uniform(-3, 3), rnd.uniform(-3, 3), rnd.uniform(0.01, 4)
+    angles = sorted(rnd.uniform(0, 2 * math.pi) for _ in range(rnd.randint(3, 9)))
+    verts = [(cx + r * math.cos(a), cy + r * math.sin(a)) for a in angles]
+    return verts if len(set(verts)) == len(verts) and len(polytope._quickhull(np.array(verts), 0.0)) == len(verts) else None
+
+
+def _probe_points(rnd, verts):
+    """Points at the vertices, on the edges, inside (convex combinations with
+    every weight bounded away from 0) and around ``verts``, by group."""
+    n = len(verts)
+    ends = verts[1:] + verts[:1] if n > 2 else verts[1:] or verts
+    on_edges = [(ax + t * (bx - ax), ay + t * (by - ay)) for (ax, ay), (bx, by) in zip(verts, ends) for t in (rnd.random(), rnd.random())]
+    weights = [[rnd.random() + 0.05 for _ in verts] for _ in range(4)]
+    inside = [tuple(sum(w * v[k] for w, v in zip(ws, verts)) / sum(ws) for k in (0, 1)) for ws in weights]
+    xs, ys = [x for x, _ in verts], [y for _, y in verts]
+    around = [(rnd.uniform(min(xs) - 2, max(xs) + 2), rnd.uniform(min(ys) - 2, max(ys) + 2)) for _ in range(12)]
+    return list(verts), on_edges, inside, around
+
+
+class TestFarthest:
+    """``_farthest`` is the largest of the scalar reference loop's distances, bit for bit."""
+
+    @staticmethod
+    def shapes(rnd):
+        atlas = [[(c.p, c.q) for c in build_polytope(g).pq_vertices()] for g in [(4, 2, -1), (7, 6, -8), (5, 4, 3), (2, 1), (1, -1), (1, 1, 1), (3, 0, 0)]]
+        yield from atlas
+        for _ in range(150):
+            kind = rnd.randrange(3)
+            if kind == 0:
+                verts = _convex_polygon(rnd)
+                if verts:
+                    yield verts
+            else:
+                yield [(rnd.uniform(-4, 4), rnd.uniform(-4, 4)) for _ in range(kind)]  # a point or a segment
+
+    def test_farthest_is_the_largest_loop_distance(self):
+        rnd = random.Random(2029)
+        checked = Counter()
+        for verts in self.shapes(rnd):
+            at, on, inside, around = _probe_points(rnd, verts)
+            if len(verts) > 2:
+                # a polygon's inside is at distance 0, and so are its vertices
+                assert [distance_loop(p, verts) for p in at + inside] == [0.0] * (len(at) + len(inside))
+            for points in (at, on, inside, around, at + on + inside + around):
+                points = rnd.sample(points, len(points))
+                want = [distance_loop(p, verts) for p in points]
+                got = polytope._farthest(points, verts)
+                assert type(got) is float and got == max(want), verts
+                # every suffix and every single point, so the largest so far differs at each start
+                assert [polytope._farthest(points[k:], verts) for k in range(len(points))] == [max(want[k:]) for k in range(len(points))]
+                assert [polytope._farthest([p], verts) for p in points] == want
+            checked[min(len(verts), 3)] += 1
+        for points, verts in FALLEN_TOGETHER:
+            assert polytope._farthest(points, verts) == max(distance_loop(p, verts) for p in points) == 1.0
+        assert checked[1] > 20 and checked[2] > 20 and checked[3] > 40
+
+    def test_hausdorff_is_symmetric_and_zero_on_itself(self):
+        rnd = random.Random(7)
+        polys = [build_polytope(g) for g in TRANSITION_GRID[::7]] + [build_polytope(g) for g in [(2, 1), (1, -1), (3, 0, 0)]]
+        polys += [hull2d([(1, 2), (2, 2), (2, 3), (1, 3)]), hull2d([(1, 2), (2, 3)])]
+        for P in polys:
+            if P.kind == "Segment":
+                # the far end is a + 1.0 * (b - a), which may miss b by a rounding
+                assert hausdorff(P, P) <= 4 * math.ulp(P.diameter())
+            else:
+                assert hausdorff(P, P) == 0.0
+        for _ in range(300):
+            P, Q = rnd.choice(polys), rnd.choice(polys)
+            assert hausdorff(P, Q) == hausdorff(Q, P)
 
 
 GENERIC_LABELS = {t.value for t in GENERIC_N3} | {"GenA", "GenB", "GenC", "GenD"}
@@ -990,7 +1068,36 @@ class TestScaling:
         assert [v.astuple() for v in poly.vertices] == [tuple(t * x for x in v) for v in ref.vertices]
 
 
+#: One 100-step sweep across each transition wall that the benchmark's
+#: sweeps cross, B|A, C|H, E|F, F|G and C|E, from start to end: the label
+#: at each end and the wall's label at the middle step.
+HAUSDORFF_SWEEPS = [
+    ((F(7, 2), 2, 1), (F(5, 2), 2, 1), ("B", "AB", "A")),
+    ((6, 3, -2), (4, 3, -2), ("C", "CH", "H")),
+    ((F(17, 2), 3, -4), (F(11, 2), 3, -4), ("E", "EF", "F")),
+    ((5, 3, -4), (5, 3, -6), ("F", "FG", "G")),
+    ((3, 1, F(-1, 2)), (3, 1, F(-3, 2)), ("C", "CE", "E")),
+]
+
+#: sha256 of ``float.hex`` of :func:`hausdorff` over every consecutive pair of
+#: ``HAUSDORFF_SWEEPS``, then of ``verify(w, 2000, 0).hausdorff_inner`` for
+#: (4, 2, -1) and (7, 6, -8).  Pinned on the kernel that took every point's
+#: distance to every edge and kept every distance.
+HAUSDORFF_DIGEST = "d832934009c363734c96777bece38c37b3ea8e7e1ee18ada2ad9b5ffbde96512"
+
+
 class TestHausdorff:
+    def test_outputs_match_the_pinned_digest(self):
+        h = hashlib.sha256()
+        for start, end, labels in HAUSDORFF_SWEEPS:
+            polys = [build_polytope(tuple(a + F(i, 100) * (b - a) for a, b in zip(start, end))) for i in range(101)]
+            assert (polys[0].label, polys[50].label, polys[100].label) == labels
+            for P, Q in zip(polys, polys[1:]):
+                h.update(hausdorff(P, Q).hex().encode())
+        for w in [(4, 2, -1), (7, 6, -8)]:
+            h.update(oracle.verify(w, 2000, 0).hausdorff_inner.hex().encode())
+        assert h.hexdigest() == HAUSDORFF_DIGEST
+
     def test_identity(self):
         poly = build_polytope_n3((4, 2, -1))
         assert hausdorff(poly, poly) == 0.0
