@@ -75,7 +75,7 @@ import threading
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .moment_map import CPPoint, InvalidWeight, as_gammas
-from .polytope import ChamberPolytope, _farthest, _hull_candidates, _over_power, build_polytope, hull2d
+from .polytope import ChamberPolytope, _farthest, _hull_candidates, _over_power, _own_exponent, build_polytope, hull2d
 from .su3 import Frozen, _set, _spectra_of_invariants, chamber_coordinates, check_tolerance, spectra_of_entries
 
 if TYPE_CHECKING:  # annotations only: importing the package loads no numpy
@@ -534,7 +534,7 @@ def violation_distances(P: ChamberPolytope, spectra: np.ndarray) -> np.ndarray:
     (lines, n) array in ``P``'s own scale 2**e, multiplied back."""
     import numpy as np
 
-    e = P._own_scale[0]
+    e = _own_exponent(P, "P")
     return np.ldexp(_excess(_line_arrays(P), np.ldexp(spectra, -e)), e)
 
 

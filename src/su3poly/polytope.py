@@ -23,9 +23,10 @@ cell labels it by one :func:`classifier.classify_n3` of the snapped weights
 and takes one :class:`cones.AnchorKernel`, which gives each cone as a
 :class:`cones.Germ`, or None where the cone degenerates; one line-maker
 turns each germ into lines a*l1 + b*l2 >= c / t, c an integer linear form
-in the weights on the scale t = 3 * den; and the walk gives which lines
-meet at each vertex.  A build takes the offsets as dot products and each
-vertex in one 2x2 integer solve, over m * t.  Each line's provenance names
+in the weights on the scale t = 3 * den; the walk gives which lines meet at
+each vertex, from the a anchor, and the directions fix m, the lcm of the
+solves' determinants.  A build takes each offset times m and each vertex in
+one exactly divided 2x2 integer solve, over m * t.  Each line's provenance names
 the anchor of the weights as given (c_j: factor j alone).  The two-factor
 build snaps once too and takes its two anchors from the same integers.  A
 :class:`ChamberPolytope` stores these lines and vertices over one
@@ -41,8 +42,9 @@ norm in the isometric chamber embedding.
 Everything here but the hull is plain Python: the builder, containment, and
 the farthest-point kernel behind :func:`distance_to_polytope_pq`,
 :func:`hausdorff` and :func:`oracle.verify`'s hull deficit, a scalar loop
-over a few dozen vertices: inside test first, then an early exit.  Only
-:func:`hull2d`, which batches sampled points, imports numpy, when called.
+over a ring's edges (a segment's two, a point's one of length zero): inside
+test first, then an early exit.  Only :func:`hull2d`, which batches sampled
+points, imports numpy, when called.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ class InvalidHalfPlane(ValueError):
 
 
 class NotAPolytope(ValueError):
-    """An operand of :func:`hausdorff` or :func:`distance_to_polytope_pq` that is no :class:`ChamberPolytope`."""
+    """An operand that is no :class:`ChamberPolytope` of :func:`hausdorff`, :func:`distance_to_polytope_pq`,
+    :func:`oracle.violation_distances` or :func:`render.render_svg`."""
 
 
 class InvalidPolytopeDocument(ValueError):
@@ -192,13 +195,11 @@ def _corners(lines: Sequence[tuple], ring: Sequence[int]) -> List[Tuple[int, int
 
 
 def _ring_vertices(lines: Sequence[tuple], ring: Sequence[int]) -> Tuple[List[Tuple[int, int]], int]:
-    """The corners of ``ring`` as integers over m = lcm of the determinants,
-    counterclockwise from the lexicographic minimum, and m."""
+    """The corners of ``ring``, in its order, as integers over m = lcm of
+    the determinants, and m."""
     corners = _corners(lines, ring)
     m = math.lcm(*(det for _, _, det in corners))
-    hull = [(x * m // det, y * m // det) for x, y, det in corners]
-    i = hull.index(min(hull))
-    return hull[i:] + hull[:i], m
+    return [(x * m // det, y * m // det) for x, y, det in corners], m
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +214,7 @@ class ChamberPolytope(Frozen):
     ``lines`` are (a, b, c, provenance), each the half-plane
     a*l1 + b*l2 >= c / den, redundant lines included; ``corners`` are
     (x, y, z), each the vertex (x, y, z) / den, counterclockwise in the
-    chamber embedding from the diagonal anchor point when one exists.
+    chamber embedding, from the a anchor for three nonzero weights.
     Entries are ints or Fractions, or floats over ``den`` 1 for a sampled
     hull.  :attr:`vertices` is a view made when first read; over ``den`` 1
     it keeps the entries as stored.  No ``__slots__``: the cached views
@@ -527,36 +528,36 @@ def _build_n3(ints: Tuple[int, int, int], den: int) -> ChamberPolytope:
     """:func:`build_polytope_n3` of the snapped weights ``ints`` / ``den``,
     none zero, in the caller's order and sign.  The signs of their
     transition forms fix the label, ``starred`` (the total's sign), the
-    lines and the ring: their cell's entry (:func:`_cell`).  Each offset on
-    the scale t = 3 * den is a dot product with the weights and each vertex
-    one 2x2 integer solve, stored over one denominator from the a anchor
-    when it is a vertex."""
+    lines, the ring from the a anchor and m: their cell's entry
+    (:func:`_cell`).  Each offset on the scale t = 3 * den is a dot product
+    times m and each vertex one 2x2 integer solve, exact over m * t."""
     key = tuple(map(sgn, _form_values(ints)))
-    spec, ring, anchor, label = _CELLS.get(key) or _CELLS.setdefault(key, _cell(ints))
+    spec, ring, m, label = _CELLS.get(key) or _CELLS.setdefault(key, _cell(ints))
     g1, g2, g3 = ints
-    lines = [(a, b, u * g1 + v * g2 + w * g3, p) for a, b, (u, v, w), p in spec]
-    hull, m = _ring_vertices(lines, ring)
-    start = tuple((u * g1 + v * g2 + w * g3) * m for u, v, w in anchor)
-    i = hull.index(start) if start in hull else 0
-    hull = hull[i:] + hull[:i]
+    lines = [(a, b, (u * g1 + v * g2 + w * g3) * m, p) for a, b, (u, v, w), p in spec]
     # the vertices satisfy both walls and sum to zero by construction
-    return ChamberPolytope(tuple((a, b, c * m, p) for a, b, c, p in lines), tuple((x, y, -x - y) for x, y in hull), 3 * m * den, "Polygon", label, key[-1] < 0)
+    corners = tuple((x // d, y // d, -(x + y) // d) for x, y, d in _corners(lines, ring))
+    return ChamberPolytope(tuple(lines), corners, 3 * m * den, "Polygon", label, key[-1] < 0)
 
 
 def _cell(ints: Tuple[int, int, int]) -> tuple:
     """The entry of the sign cell of the snapped weights ``ints``: the walls
     and each germ's lines as (a, b, offset, provenance), each offset as its
     coefficients over the weights (anchor table rows in the anchor's sorted
-    order), the ring of :func:`_integer_vertices` on ``ints``, the a anchor's
-    (l1, l2) coefficients and the label.  The tests check each on a whole cell."""
+    order); the ring of :func:`_integer_vertices` on ``ints`` from the a
+    anchor; m, the lcm of its determinants; and the label.  The tests check
+    each on a whole cell."""
     kernel = AnchorKernel.scaled(ints, 3)
     rows = {name: [_ANCHOR_ROWS[3][name][k] for k in perm] for name, (_, perm) in kernel.anchors.items()}
     lines = list(_WALLS)
     for name, germ in kernel.germs().items():
         if germ is not None:
             lines += [(a, b, tuple(a * u + b * v for u, v in zip(*rows[name][:2])), p) for a, b, _, p in _germ_lines(germ, name)]
-    ring = _integer_vertices([(a, b, sum(c * g for c, g in zip(coefs, ints))) for a, b, coefs, _ in lines])
-    return tuple(lines), tuple(ring), tuple(rows["a"][:2]), classify_n3(ints)[0].value
+    at_w = [(a, b, sum(c * g for c, g in zip(coefs, ints))) for a, b, coefs, _ in lines]
+    ring = _integer_vertices(at_w)
+    hull, m = _ring_vertices(at_w, ring)
+    k = hull.index(tuple(sum(c * g for c, g in zip(row, ints)) * m for row in rows["a"][:2]))
+    return tuple(lines), tuple(ring[k:] + ring[:k]), m, classify_n3(ints)[0].value
 
 
 def _segment(a: Sequence[Scalar], c: Sequence[Scalar], tag: str, label: Optional[str] = None) -> ChamberPolytope:
@@ -798,22 +799,21 @@ def _own_exponent(P, name: str) -> int:
 
 def _farthest(points, verts) -> float:
     """The largest Euclidean distance from the (p, q) ``points`` to the convex
-    point, segment or counterclockwise polygon ``verts``, each edge formed
-    once.  A point's edge crosses stop at the first negative one; a point
-    inside, right of no edge and left of one (none once the vertices fall
-    together), is skipped.  A point's projections stop once its distance is
-    at most the largest so far.  Every float is formed as in one full loop
-    over the edges, so the result is bitwise the largest of that loop's."""
-    n = len(verts)
-    edges = []
-    for i in range(n if n > 2 else 1):
-        (ax, ay), (bx, by) = verts[i], verts[(i + 1) % n]
-        dx, dy = bx - ax, by - ay
-        edges.append((ax, ay, dx, dy, dx * dx + dy * dy))
+    ring ``verts``, each edge formed once: a counterclockwise polygon, a
+    segment (edges a -> b and b -> a) or a point (one edge of length zero).
+    A point inside a polygon, right of no edge and left of one (none once the
+    vertices fall together), is skipped after its crosses up to the first
+    negative one.  A segment has no inside, though rounding may put a point
+    on its line left of both edges.  A point's projections stop once its
+    distance is at most the largest so far.  Every float is formed as in one
+    full loop over the edges, so the result is bitwise the largest of that
+    loop's."""
+    edges = [(ax, ay, bx - ax, by - ay) for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1])]
+    edges = [(ax, ay, dx, dy, dx * dx + dy * dy) for ax, ay, dx, dy in edges]
     far = 0.0
     for px, py in points:
         left = False  # a point with no negative cross and a positive one is inside
-        for ax, ay, dx, dy, _ in edges if n > 2 else ():
+        for ax, ay, dx, dy, _ in edges if len(verts) > 2 else ():
             cross = dx * (py - ay) - dy * (px - ax)
             if cross < 0.0:
                 break

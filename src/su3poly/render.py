@@ -12,7 +12,7 @@ import math
 from typing import Dict, List, Tuple
 
 from .moment_map import as_gammas, fixed_point_spectra, tripled_fixed_point_diagonals
-from .polytope import ChamberPolytope, _over_power
+from .polytope import ChamberPolytope, _over_power, _own_exponent
 from .su3 import Root, chamber_coordinates, snap_weights
 
 _WALL_DIRS = ((0.0, 1.0), (math.cos(math.pi / 6), math.sin(math.pi / 6)))
@@ -39,7 +39,7 @@ def render_svg(polytope: ChamberPolytope, weights=None) -> str:
     figure is scale-free: the weights t * w draw the bytes of w for any power
     of two t, every point being drawn over the polytope's own power of two
     (:attr:`ChamberPolytope._own_scale`)."""
-    e, pts = polytope._own_scale[:2]
+    e, pts = _own_exponent(polytope, "polytope"), polytope._own_scale[1]
     anchors = _anchor_points(weights, e)
     frame = pts + [(0.0, 0.0)] + list(anchors.values())
     reach = max(max(abs(x) for x, _ in frame), max(abs(y) for _, y in frame)) or 1.0

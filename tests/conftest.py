@@ -160,17 +160,17 @@ def random_rational_gammas(rnd, n=3, lo=-12, hi=12):
 def distance_loop(point, verts):
     """The point-to-polytope distance of one point, one edge at a time: the
     scalar reference for :func:`polytope._farthest`, whose result is the
-    largest of these over its points.  A polygon's inside is on the right of
-    no edge and on the left of one."""
+    largest of these over its points.  ``verts`` is a ring: a segment's edges
+    run a -> b and b -> a, and a point's one edge has length zero.  A
+    polygon's inside is on the right of no edge and on the left of one; a
+    segment has none."""
     import math
 
     px, py = float(point[0]), float(point[1])
     n = len(verts)
-    if n == 1:
-        return math.hypot(px - verts[0][0], py - verts[0][1])
     inside, left = n > 2, False
     best = math.inf
-    for i in range(n if n > 2 else n - 1):
+    for i in range(n):
         ax, ay = verts[i]
         bx, by = verts[(i + 1) % n]
         cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)

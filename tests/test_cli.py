@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -161,6 +163,29 @@ class TestGoldenOutput:
     def test_polytope_two_factors(self, capsys, gammas, label):
         _, out = run_cli(capsys, "polytope", "--gamma=" + ",".join(map(str, gammas)))
         assert out == (DATA / f"polytope_{label}.json").read_text()
+
+
+#: sha256 of the exit status and stdout of each command of the README's
+#: "Command line" block that runs in well under a second (``classify``,
+#: ``polytope``, ``bounds`` and ``sweep``), in README order, each followed by
+#: the file it writes with ``-o``.
+README_DIGEST = "fbd273e503ba2fb73b467cabbbffa000c148e388629210c14a52c3b0dfcd0bd0"
+
+
+def test_readme_commands_match_the_pinned_digest(capsys, monkeypatch, tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(line.partition("#")[0])[1:] for line in block.splitlines()]
+    commands = [argv for argv in commands if argv[0] in ("classify", "polytope", "bounds", "sweep")]
+    assert [argv[0] for argv in commands] == ["classify", "polytope", "polytope", "bounds", "sweep"]
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for argv in commands:
+        code, out = run_cli(capsys, *argv)
+        h.update(f"{code}\n{out}".encode())
+        if "-o" in argv:
+            h.update((tmp_path / argv[argv.index("-o") + 1]).read_bytes())
+    assert h.hexdigest() == README_DIGEST
 
 
 class TestSampleAndVerify:

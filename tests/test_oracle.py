@@ -29,7 +29,7 @@ from su3poly.oracle import (
     verify,
     violation_distances,
 )
-from su3poly.polytope import ChamberPolytope, InvalidHullPoints, build_polytope, build_polytope_n2, build_polytope_n3, hull2d
+from su3poly.polytope import ChamberPolytope, InvalidHullPoints, NotAPolytope, build_polytope, build_polytope_n2, build_polytope_n3, hull2d
 from su3poly.su3 import SPECTRA_ERROR, InvalidTolerance, lift_2d
 
 
@@ -479,6 +479,11 @@ class TestVerify:
         shrunk = build_polytope_n3((0.8, 0.8, 0.8))
         excess = violation_distances(shrunk, batch.spectra)
         assert (excess > 1e-3).sum() > 0
+
+    def test_operand_that_is_no_polytope_is_named(self):
+        # it once raised a bare AttributeError on '_own_scale'
+        with pytest.raises(NotAPolytope, match=r"^P is None, not a ChamberPolytope$"):
+            violation_distances(None, np.zeros((4, 3)))
 
     def test_vertex_coverage_with_targeted_sampling(self):
         report = verify((1, 1, 1), 5000, seed=2, tol=1e-6)

@@ -483,8 +483,11 @@ def _pairwise_vertices(lines):
 
 
 def _solved(lines):
-    """The walk's ring of ``lines``, solved into integer vertices over m, and m."""
-    return polytope._ring_vertices(lines, polytope._integer_vertices(lines))
+    """The walk's ring of ``lines``, solved into integer vertices over m from
+    the lexicographic minimum, the monotone chain's first vertex, and m."""
+    hull, m = polytope._ring_vertices(lines, polytope._integer_vertices(lines))
+    i = hull.index(min(hull))
+    return hull[i:] + hull[:i], m
 
 
 def _walked_vertices(lines):
@@ -996,16 +999,26 @@ class TestFarthest:
             assert polytope._farthest(points, verts) == max(distance_loop(p, verts) for p in points) == 1.0
         assert checked[1] > 20 and checked[2] > 20 and checked[3] > 40
 
+    def test_a_point_on_a_segments_line_is_never_inside_it(self):
+        # the two segments run from one end along one line, sqrt(2) apart at
+        # the far ends; rounding puts the far end of Q left of both of P's
+        # edges, which an inside test on a segment read as inside it
+        P, Q = build_polytope((2, -3)), build_polytope((3, -4))
+        p, q = ([(c.p, c.q) for c in R.pq_vertices()] for R in (P, Q))
+        assert p[0] == q[0] and polytope._farthest(q[1:], p) == distance_loop(q[1], p)
+        assert math.isclose(hausdorff(P, Q), math.sqrt(2), rel_tol=1e-12) and hausdorff(P, Q) == hausdorff(Q, P)
+
     def test_hausdorff_is_symmetric_and_zero_on_itself(self):
         rnd = random.Random(7)
         polys = [build_polytope(g) for g in TRANSITION_GRID[::7]] + [build_polytope(g) for g in [(2, 1), (1, -1), (3, 0, 0)]]
         polys += [hull2d([(1, 2), (2, 2), (2, 3), (1, 3)]), hull2d([(1, 2), (2, 3)])]
         for P in polys:
-            if P.kind == "Segment":
-                # the far end is a + 1.0 * (b - a), which may miss b by a rounding
-                assert hausdorff(P, P) <= 4 * math.ulp(P.diameter())
-            else:
-                assert hausdorff(P, P) == 0.0
+            assert hausdorff(P, P) == 0.0, P
+        # each end of a segment lies on its own edge's start, so no rounding
+        # moves it off itself; 24 of these were once a few ulp from zero
+        segments = [P for P in map(build_polytope, itertools.product(range(-4, 5), repeat=3)) if P.kind == "Segment"]
+        assert len(segments) == 192
+        assert [hausdorff(P, P) for P in segments] == [0.0] * 192
         for _ in range(300):
             P, Q = rnd.choice(polys), rnd.choice(polys)
             assert hausdorff(P, Q) == hausdorff(Q, P)
@@ -1470,11 +1483,12 @@ class TestSignCells:
         assert sorted(faces) == sorted(_faces(14))
 
     def test_every_sign_the_derivation_reads_holds_on_its_whole_cell(self):
+        checked = 0
         for key, w in _faces(6).items():
             if not all(key[:3]):
                 continue
             rays = [r for r in CELL_RAYS if all(s * f >= 0 if s else f == 0 for s, f in zip(key, _form_values(r)))]
-            lines, ring, _, label = polytope._cell(w)
+            lines, ring, m, label = polytope._cell(w)
             kernel = AnchorKernel.scaled(w, 3)
             rows = {name: [moment_map._ANCHOR_ROWS[3][name][k] for k in perm] for name, (_, perm) in kernel.anchors.items()}
 
@@ -1510,16 +1524,23 @@ class TestSignCells:
             for a, b, _, p in lines:
                 if p.startswith("a:") and p.endswith("-halfplane"):
                     positive([sum(a * (_dot(rows[o][0], r) - _dot(rows["a"][0], r)) + b * (_dot(rows[o][1], r) - _dot(rows["a"][1], r)) for o in ("b", "c1", "c2", "c3")) for r in rays], "side of a")
-            # the ring: each edge of positive length, and every line slack at each corner
+            # the ring: each edge of positive length, every line slack at each
+            # corner, corner 0 the a anchor and m the lcm of the determinants
             edges, slacks = [], []
             for r in rays:
                 at_r = [(a, b, _dot(coefs, r), p) for a, b, coefs, p in lines]
                 corners = polytope._corners(at_r, ring)
+                (x, y, d), a0, a1 = corners[0], *rows["a"][:2]
+                assert (x, y) == (_dot(a0, r) * d, _dot(a1, r) * d), (w, r)
+                assert m == math.lcm(*(d for *_, d in corners)), (w, r)
+                checked += 1
                 edges.append([b * (x1 * d0 - x0 * d1) - a * (y1 * d0 - y0 * d1) for (a, b, *_), (x0, y0, d0), (x1, y1, d1) in zip([at_r[i] for i in ring], corners, corners[1:] + corners[:1])])
                 slacks += [a * x + b * y - c * d for a, b, c, _ in at_r for x, y, d in corners]
             for k, values in enumerate(zip(*edges)):
                 positive(values, f"edge {k}")
             assert min(slacks) >= 0, w
+        # every generating ray of each of the 248 cells
+        assert checked == 560
 
     def test_a_cold_build_equals_a_warm_one(self, monkeypatch):
         # warm: each cell's entry derived from the first of these weights in

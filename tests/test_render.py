@@ -1,10 +1,11 @@
 import hashlib
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from su3poly.moment_map import InvalidWeight, LengthMismatch
-from su3poly.polytope import build_polytope, build_polytope_n2, build_polytope_n3, point_polytope
+from su3poly.polytope import NotAPolytope, build_polytope, build_polytope_n2, build_polytope_n3, point_polytope
 from su3poly.render import render_svg
 from su3poly.su3 import Spectrum
 
@@ -64,6 +65,12 @@ class TestRenderSvg:
     def test_bad_weights_are_refused_not_dropped(self, weights, error):
         with pytest.raises(error, match="weight 0 " if error is InvalidWeight else "got 4"):
             render_svg(build_polytope_n3((4, 2, -1)), weights=weights)
+
+    @pytest.mark.parametrize("operand", [None, (1, 2, 3)], ids=repr)
+    def test_operand_that_is_no_polytope_is_named(self, operand):
+        # each once raised a bare AttributeError on '_own_scale'
+        with pytest.raises(NotAPolytope, match=f"^polytope is {re.escape(repr(operand))}, not a ChamberPolytope$"):
+            render_svg(operand)
 
     def test_deterministic(self):
         a = render_svg(build_polytope_n3((4, 2, -1)), weights=(4, 2, -1))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su3poly.oracle import _CORNERS, _frame_spectra, _rng_for_block
 from su3poly.su3 import (
     SPECTRA_ERROR,
     _FORMS,
@@ -32,6 +33,7 @@ from su3poly.su3 import (
     sgn,
     snap_weights,
     sort_descending,
+    spectra_of_entries,
     spectrum,
     star_involution,
     to_chamber,
@@ -206,6 +208,137 @@ class TestSpectrum:
             for k in (-600, -599, -1, 1, 599, 600):
                 t = math.ldexp(1.0, k)
                 assert spectrum(h.scaled(t)).as_floats() == tuple(t * x for x in base), (h, k)
+
+
+def _trace_free_charpoly(diag, off):
+    """Exact coefficients, highest first, of det(x I - (H - tr H / 3 I)) for
+    the Hermitian matrix H with float diagonal ``diag`` and complex upper
+    entries ``off`` (12, 13, 23), each entry read at its exact binary value."""
+    d = [F(x) for x in diag]
+    mean = sum(d) / 3
+    d1, d2, d3 = (x - mean for x in d)
+    (r12, i12), (r13, i13), (r23, i23) = ((F(z.real), F(z.imag)) for z in map(complex, off))
+    a12, a13, a23 = r12 * r12 + i12 * i12, r13 * r13 + i13 * i13, r23 * r23 + i23 * i23
+    triple = (r12 * r23 - i12 * i23) * r13 + (r12 * i23 + i12 * r23) * i13  # Re(o12 o23 conj(o13))
+    return [F(1), F(0), d1 * d2 + d1 * d3 + d2 * d3 - a12 - a13 - a23, -(d1 * d2 * d3 + 2 * triple - d1 * a23 - d2 * a13 - d3 * a12)]
+
+
+def _remainder(p, q):
+    p = list(p)
+    while len(p) >= len(q):
+        c = p[0] / q[0]
+        p = [x - c * y for x, y in zip(p[1:], q[1:] + [0] * (len(p) - len(q)))]
+    while p and p[0] == 0:
+        p.pop(0)
+    return p
+
+
+def _variations(sequence, x):
+    signs = []
+    for q in sequence:
+        v = F(0)
+        for c in q:
+            v = v * x + c
+        if v:
+            signs.append(v > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _roots_in(p, lo, hi):
+    """The roots of the real-rooted ``p`` in (lo, hi], with multiplicity: the
+    Sturm count of p's distinct roots, then of those of gcd(p, p'), which are
+    p's multiple roots, one multiplicity lower, and so on."""
+    count = 0
+    while len(p) > 1:
+        sequence = [p, [c * (len(p) - 1 - k) for k, c in enumerate(p[:-1])]]
+        while len(sequence[-1]) > 1:
+            r = _remainder(sequence[-2], sequence[-1])
+            if not r:
+                break
+            sequence.append([-c for c in r])
+        count += _variations(sequence, lo) - _variations(sequence, hi)
+        p = sequence[-1]
+    return count
+
+
+def _certified(diag, off, eigenvalues):
+    """Whether the eigenvalues lie within ``SPECTRA_ERROR`` times the largest
+    absolute entry of the exact eigenvalues of the trace-free part: every
+    connected component of the intervals round them holds as many roots of
+    the exact characteristic polynomial as it holds computed eigenvalues."""
+    err = F(SPECTRA_ERROR) * max(F(abs(x)) for z in list(diag) + [complex(z) for z in off] for x in (z.real, z.imag))
+    p = _trace_free_charpoly(diag, off)
+    components = []
+    for lo, hi in sorted((F(x) - err, F(x) + err) for x in eigenvalues):
+        if components and lo <= components[-1][1]:
+            components[-1][1:] = [max(hi, components[-1][1]), components[-1][2] + 1]
+        else:
+            components.append([lo, hi, 1])
+    return all(_roots_in(p, lo, hi) == k for lo, hi, k in components)
+
+
+def _frame_entries(u, gs):
+    """The diagonal and upper entries, in float, of the reduced-frame
+    configurations of the uniforms ``u`` at the weights ``gs``: the matrices
+    whose spectra :func:`oracle._frame_spectra` computes from their invariants."""
+    g1, g2, g3 = gs
+    s2 = np.sqrt(u[:, 0])
+    c2 = 1.0 - s2
+    lo, hi = np.minimum(u[:, 1], u[:, 2]), np.maximum(u[:, 1], u[:, 2])
+    t2, t3 = hi - lo, 1.0 - hi
+    phase = np.exp(2j * math.pi * u[:, 3])
+    diag = np.stack([g1 + g2 * c2 + g3 * lo, g2 * s2 + g3 * t2, g3 * t3], axis=1)
+    off = np.stack([g2 * np.sqrt(c2 * s2) + g3 * np.sqrt(lo * t2) * phase.conj(), g3 * np.sqrt(lo * t3) + 0j, g3 * np.sqrt(t2 * t3) * phase], axis=1)
+    return diag, off
+
+
+class TestSpectraCertificate:
+    """``SPECTRA_ERROR`` checked exactly: the kernel's eigenvalues of each
+    row, each widened by the bound, hold the roots of the row's exact
+    characteristic polynomial (:func:`_certified`)."""
+
+    def test_the_bound_holds_exactly_on_every_kind_of_row(self):
+        rng = np.random.default_rng(2030)
+        diag, off = [], []
+
+        def add(h):
+            diag.append(h.diagonal().real)
+            off.append(h[[0, 0, 1], [1, 2, 2]])
+
+        for k in range(150):  # near-diagonal
+            add(np.diag(rng.standard_normal(3)) + 10.0 ** -(4 + k % 13) * haar_unitary(rng) @ np.diag(rng.standard_normal(3)) @ haar_unitary(rng).conj().T)
+        for k in range(200):  # a pair 10^-3 to 10^-15 apart, at the top or the bottom
+            lam, gap = rng.standard_normal(), 10.0 ** -(3 + k % 13)
+            q = haar_unitary(rng)
+            add(q @ np.diag([lam, lam + gap, lam + (3.0 if k % 2 else -3.0)]) @ q.conj().T)
+        for k in range(60):  # triple: c I, then nudged by 10^-15 to 10^-6
+            q = haar_unitary(rng)
+            add(rng.standard_normal() * np.eye(3) + (k % 5 and 10.0 ** -(3 * (k % 5) + 3)) * q @ np.diag(rng.standard_normal(3)) @ q.conj().T)
+        diag, off = np.array(diag), np.array(off)
+        rows = list(zip(diag, off, spectra_of_entries(diag, off)))
+
+        # the sampler's own kernel on uniform rows and on rows pulled toward each anchor's corner
+        for gs in (np.array([1.0, 0.5, -0.25]), np.array([1.0, 1.0, -1.0])):
+            u = [_rng_for_block(9, 0).random((150, 4))]
+            for idx, corner in enumerate(_CORNERS.values()):
+                pulled = _rng_for_block(9, 1_000_003 + idx).random((4, 20, 4))
+                pulled[:, :, :3] = corner + np.array([0.5, 1e-3, 1e-6, 1e-9])[:, None, None] * (pulled[:, :, :3] - corner)
+                u.append(pulled.reshape(-1, 4))
+            u = np.concatenate(u)
+            rows += zip(*_frame_entries(u, gs), _frame_spectra(u, gs, np.empty((len(u), 3))))
+
+        # spectrum at 2^1000 and 2^-1000, where a cube of the scale leaves float range
+        for k in range(20):
+            q, gap = haar_unitary(rng), 10.0 ** -(k % 10) if k % 2 else 1.0
+            h = Hermitian3.from_numpy(q @ np.diag([1.0, 1.0 - gap, -2.0 + gap]) @ q.conj().T)
+            for t in (2.0**1000, 2.0**-1000):
+                ht = h.scaled(t)
+                entries = (float(ht.d1), float(ht.d2), float(ht.d3)), (ht.off12, ht.off13, ht.off23)
+                rows.append((*entries, spectrum(ht).as_floats()))
+
+        assert len(rows) == 1550
+        failed = [k for k, (d, o, lam) in enumerate(rows) if not _certified(d, o, lam)]
+        assert failed == []
 
 
 class TestChamberEmbedding:
