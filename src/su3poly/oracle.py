@@ -36,26 +36,29 @@ one more block per anchor, on every CPU the process may use
 (``os.sched_getaffinity``): the calling thread and one helper thread per
 further CPU pull block indices from one shared iterator.  The worker that
 draws a block writes only the block's rows of spectra and chamber points,
-then reduces them while they are in its cache; the calling thread merges
+the points formed once as two contiguous columns, then reduces the columns
+while they are in its cache; the calling thread merges
 one small result per block, in block order, so every output is bitwise the
 same at any worker count.  Every block is one ``random`` draw into the
 worker's reused buffer and one kernel call.  The torus-fixed configurations
 are corners of the frame's cube of uniforms, so a targeted block pulls its
 uniforms toward its anchor's corner at four scales.
 
-Each block keeps its hull candidates, the points that the prefilter of
-:func:`polytope.hull2d` keeps at the block's own scale.  They hold every
-vertex of the batch's hull and its largest entry, so one ``hull2d`` of the
-candidates is the hull of the batch: :func:`empirical_polytope` returns it,
-and :func:`verify` takes the scalar point-to-polygon distance of
-:mod:`polytope` from the predicted vertices to it.  For :func:`verify` a
-block also keeps its count of rows beyond the slack and its largest excess,
-from :func:`_excess`, the containment kernel of
-:func:`violation_distances`, and, per predicted vertex, its least squared
-distance and the row where it occurs, from one (vertices, rows) array.  The
-first block that reaches a vertex's least distance gives its nearest row,
-as one ``argmin`` over every row would.  All of it runs in the prediction's
-own scale: the rows are drawn at the weights over its power of two 2**e,
+Each block keeps its hull candidates, the indices of the rows whose points
+the prefilter of :func:`polytope.hull2d` keeps at the block's own scale.
+They hold every vertex of the batch's hull and its largest entry, so one
+``hull2d`` of the candidates is the hull of the batch:
+:func:`empirical_polytope` returns it, and :func:`verify` takes the scalar
+point-to-polygon distance of :mod:`polytope` from the predicted vertices to
+it.  For :func:`verify` a block also keeps, per predicted vertex, its
+nearest row and their squared distance, from one ``argmin`` over one
+(vertices, rows) array.  The first block that reaches a vertex's least
+distance gives its nearest row, as one ``argmin`` over every row would.
+After the blocks, :func:`verify` runs :func:`_excess`, the containment
+kernel of :func:`violation_distances`, on the candidate rows: they hold the
+largest excess of the batch, and only when it exceeds the slack does
+``_excess`` run over every row, to count the violations.  All of it runs in
+the prediction's own scale: the rows are drawn at the weights over its power of two 2**e,
 the one float view of its vertices and lines
 (:attr:`polytope.ChamberPolytope._own_scale`), and every length is
 multiplied back by 2**e.
@@ -147,8 +150,7 @@ def _run_blocks(n_blocks: int, buffer_size: int, work: Callable) -> None:
     is joined before it is raised again here.  Helpers run only private
     functions and the :mod:`su3` kernels, none of the public oracle and
     polytope functions a tracer may wrap: a block's reduction calls
-    :func:`_excess` and :func:`polytope._hull_candidates`, never
-    :func:`violation_distances` or :func:`polytope.hull2d`.
+    :func:`polytope._hull_candidates`, never :func:`polytope.hull2d`.
     """
     import numpy as np
 
@@ -360,17 +362,18 @@ class SampleBatch(Frozen):
 def _draw_spectra(floats: Tuple[float, ...], power: float, count: int, seed: int, targeted: int = 0, reduce: Optional[Callable] = None):
     """``(spectra, points, reduced)``: the spectra and chamber points of
     ``count`` uniform draws, then of ``targeted`` draws per (anchor, scale)
-    pair, and per block, in block order, ``reduce(start, spectra, points)``
-    of the block's rows from row ``start`` (None without ``reduce``), all in
-    one :func:`_run_blocks` call.
+    pair, and per block, in block order, ``reduce(start, p, q)`` of the
+    chamber columns p and q of the block's rows from row ``start`` (None
+    without ``reduce``), all in one :func:`_run_blocks` call.
 
     The kernel runs at ``floats / power`` (an exact division) and each
     block's rows are multiplied back by ``power``; :func:`verify` passes its
     weights over its prediction's 2**e and power 1, so its rows stay in the
-    prediction's own scale.  The worker that draws a block then writes its
-    chamber points and runs ``reduce`` on both, while the rows are in its
-    cache; ``reduce`` must call only private functions, as
-    :func:`_run_blocks` requires.
+    prediction's own scale.  The worker that draws a block then forms its
+    chamber columns once, as two contiguous arrays, writes them into
+    ``points`` and runs ``reduce`` on them, while the rows are in its cache;
+    ``reduce`` must call only private functions, as :func:`_run_blocks`
+    requires.
 
     Every block is 4 uniforms per row (1 with two factors), drawn into the
     worker's buffer by one ``random`` call and read by one
@@ -411,9 +414,10 @@ def _draw_spectra(floats: Tuple[float, ...], power: float, count: int, seed: int
         rows = _frame_spectra(u, gs, spectra[start:stop])
         if power != 1.0:
             rows *= power
-        points[start:stop, 0], points[start:stop, 1] = chamber_coordinates(rows[:, 0], rows[:, 1], rows[:, 2])
+        p, q = chamber_coordinates(rows[:, 0], rows[:, 1], rows[:, 2])
+        points[start:stop, 0], points[start:stop, 1] = p, q
         if reduce is not None:
-            reduced[block] = reduce(start, rows, points[start:stop])
+            reduced[block] = reduce(start, p, q)
 
     _run_blocks(len(reduced), max(min(BLOCK, count), near) * width, draw)
     return spectra, points, reduced
@@ -448,8 +452,8 @@ def empirical_polytope(w, count: int, seed: int) -> Tuple[SampleBatch, ChamberPo
 
     count = _checked_integer(count, 1)
     seed = _checked_integer(seed, 0, InvalidSeed, "seed")
-    spectra, points, kept = _draw_spectra(*_float_weights(as_gammas(w)), count, seed, reduce=lambda start, _, points: _hull_candidates(points, start)[0])
-    return SampleBatch(seed, count, spectra, points), hull2d(np.concatenate(kept))
+    spectra, points, kept = _draw_spectra(*_float_weights(as_gammas(w)), count, seed, reduce=lambda start, p, q: start + _hull_candidates(p, q, start)[0])
+    return SampleBatch(seed, count, spectra, points), hull2d(points.take(np.concatenate(kept), axis=0))
 
 
 class VerificationReport(Frozen):
@@ -560,6 +564,22 @@ def verify(w, count: int, seed: int, tol: float = 1e-6) -> VerificationReport:
     checked for sampling once, the prediction is built once at the weights
     as given, and one pass of :func:`_draw_spectra` draws the rows in the
     prediction's own scale and reduces them (see the module docstring).
+
+    Containment is checked on the hull candidates, the rows that the
+    prefilter of :func:`polytope.hull2d` keeps in each block.  A row's
+    excess, its distance outside the predicted half-planes, is the larger of
+    0 and its largest signed distance beyond a line.  Each such distance is
+    affine in the row's chamber point (unit, sum-zero normals), so the
+    excess is convex in it, as the polytope itself is (Kirwan, Invent. Math.
+    77, 1984).  A row the prefilter drops lies inside its block's prefilter
+    polygon, whose corners are candidates, by delta >= 1e-9 scale**2 / edge
+    >= 3.5e-10 scale, with scale the block's largest absolute entry and
+    every edge at most 2 sqrt(2) scale long.  So its distance beyond each
+    line is at least delta below the candidates' largest, and its excess is
+    0 or more than delta below theirs, far above the rounding of either.
+    The largest excess over the candidates is therefore the largest over
+    every row, bit for bit.  When it is at most the slack no row is a
+    violation; otherwise :func:`_excess` runs over every row to count them.
     """
     import numpy as np
 
@@ -578,28 +598,34 @@ def verify(w, count: int, seed: int, tol: float = 1e-6) -> VerificationReport:
 
     e, corners, diam, _ = predicted._own_scale
     slack = tol * (diam if diam > 0 else math.ldexp(max(abs(g) for g in floats), -e))
-    lines = _line_arrays(predicted)
     vertices = np.array(corners)
+    each = np.arange(len(corners))
 
-    def check(start, spectra, points):
-        excess = _excess(lines, spectra)
+    def check(start, p, q):
         # (vertices, rows) squared distances
-        d2 = (points[:, 0] - vertices[:, :1]) ** 2 + (points[:, 1] - vertices[:, 1:]) ** 2
-        return np.count_nonzero(excess > slack), excess.max(), _hull_candidates(points, start)[0], d2.min(axis=1), start + d2.argmin(axis=1)
+        d2 = np.square(p - vertices[:, :1])
+        d2 += np.square(q - vertices[:, 1:])
+        nearest = d2.argmin(axis=1)
+        return start + _hull_candidates(p, q, start)[0], d2[each, nearest], start + nearest
 
     spectra, points, blocks = _draw_spectra(tuple(math.ldexp(g, -e) for g in floats), 1.0, count, seed, _TARGETED, check)
-    violations, worst, kept, least, rows = zip(*blocks)
-    deficit = _farthest(corners, [(c.p, c.q) for c in hull2d(np.concatenate(kept)).pq_vertices()])
+    kept, least, rows = zip(*blocks)
+    kept = np.concatenate(kept)
+    lines = _line_arrays(predicted)
+    excess = _excess(lines, spectra.take(kept, axis=0))
+    if excess.max() > slack:  # a violation: count every row
+        excess = _excess(lines, spectra)
+    deficit = _farthest(corners, [(c.p, c.q) for c in hull2d(points.take(kept, axis=0)).pq_vertices()])
     # each vertex's nearest row, from the first block with its least distance
-    nearest = points[np.array(rows)[np.argmin(least, axis=0), np.arange(len(corners))]]
+    nearest = points[np.array(rows)[np.argmin(least, axis=0), each]]
     coverage = np.hypot(nearest[:, 0] - vertices[:, 0], nearest[:, 1] - vertices[:, 1])
 
     return VerificationReport(
         label=predicted.label,
         seed=seed,
         n_samples=len(spectra),
-        n_violations=int(sum(violations)),
-        max_violation=_over_power(float(max(worst)), -e),
+        n_violations=int(np.count_nonzero(excess > slack)),
+        max_violation=_over_power(float(excess.max()), -e),
         hausdorff_inner=_over_power(deficit, -e),
         vertex_coverage=tuple(_over_power(float(d), -e) for d in coverage),
         diameter=predicted.diameter(),

@@ -9,6 +9,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURE_ORDERS_AND_SIGNS, N2_FIXTURES, POLYTOPE_FIXTURES, distance_loop
 from su3poly import oracle
@@ -29,8 +31,8 @@ from su3poly.oracle import (
     verify,
     violation_distances,
 )
-from su3poly.polytope import ChamberPolytope, InvalidHullPoints, NotAPolytope, build_polytope, build_polytope_n2, build_polytope_n3, hull2d
-from su3poly.su3 import SPECTRA_ERROR, InvalidTolerance, lift_2d
+from su3poly.polytope import ChamberPolytope, InvalidHullPoints, NotAPolytope, _hull_candidates, build_polytope, build_polytope_n2, build_polytope_n3, hull2d
+from su3poly.su3 import SPECTRA_ERROR, InvalidTolerance, chamber_coordinates, chamber_to_spectrum_floats, lift_2d
 
 
 def _gaussian_blocks(seed, count, n_factors):
@@ -267,6 +269,25 @@ class TestBlockRunner:
             monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
             assert verify(gammas, count, 6).to_json_dict() == expected, workers
 
+    @pytest.mark.parametrize("gammas, count", [((4, 2, -1), 40_000), ((7, 6, -8), 30_000), ((2, 1), 20_000)], ids=str)
+    def test_verify_recounts_every_row_at_every_worker_count(self, monkeypatch, gammas, count):
+        # a prediction shrunk to 9/10 of the weights leaves rows outside it,
+        # so the candidates' largest excess exceeds the slack and verify
+        # counts every row again: the count and the largest excess are the
+        # reference's, which takes every row at once
+        built = build_polytope
+
+        def shrunk(w):
+            return built(tuple(F(9, 10) * g for g in w))
+
+        monkeypatch.setattr(oracle, "build_polytope", shrunk)
+        monkeypatch.setitem(globals(), "build_polytope", shrunk)
+        expected = reference_verify(gammas, count, 6, oracle._TARGETED)
+        assert expected["n_violations"] > 0
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+            assert verify(gammas, count, 6).to_json_dict() == expected, workers
+
     @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 5])
     @pytest.mark.parametrize("gammas", [(4, 2, -1), (2, 1), (3, -1, -2)], ids=str)
     def test_empirical_hull_is_the_hull_of_every_point_at_every_worker_count(self, monkeypatch, gammas, count):
@@ -380,6 +401,48 @@ class TestVerifySlack:
         monkeypatch.setattr(oracle, "build_polytope", lambda _: shifted)
         report = verify(w, 2000, seed=4, tol=1e-6)
         assert report.n_violations == report.n_samples
+
+
+class TestCandidateExcess:
+    """A row's excess beyond the half-planes is convex in its chamber point,
+    so its largest value over a cloud is reached at a row the hull
+    prefilter keeps: a dropped row is inside the prefilter's polygon by far
+    more than rounding, and so is its excess below the candidates' largest."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(sorted(POLYTOPE_FIXTURES)),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3000),
+        st.integers(0, 300),
+        st.integers(0, 300),
+        st.sampled_from([0.5, 0.999999, 1.0, 1.000001, 1.001, 1.2]),
+    )
+    def test_the_kept_rows_hold_the_largest_excess(self, gammas, seed, inside, on_edges, at_vertices, reach):
+        # rows inside the polygon, on its edges and at its vertices, in its
+        # own scale as verify draws them, all moved away from the centroid
+        # by ``reach``: beyond 1 they stick out of the polygon
+        predicted = build_polytope(gammas)
+        corners = np.array(predicted._own_scale[1])
+        rng = np.random.default_rng(seed)
+        k = len(corners)
+        t = rng.random((on_edges, 1))
+        edge = rng.integers(k, size=on_edges)
+        cloud = np.concatenate([
+            rng.dirichlet(np.ones(k), inside) @ corners,
+            corners[edge] + t * (corners[(edge + 1) % k] - corners[edge]),
+            corners[rng.integers(k, size=at_vertices)],
+        ])
+        centre = corners.mean(axis=0)
+        cloud = centre + reach * (cloud - centre)
+        spectra = np.stack(chamber_to_spectrum_floats(cloud[:, 0], cloud[:, 1]), axis=1)
+        p, q = chamber_coordinates(spectra[:, 0], spectra[:, 1], spectra[:, 2])
+        lines = oracle._line_arrays(predicted)
+        every = oracle._excess(lines, spectra)
+        kept = oracle._excess(lines, spectra[_hull_candidates(p, q)[0]])
+        assert kept.max().tobytes() == every.max().tobytes()
+        # so no row is beyond a slack at least that large
+        assert np.count_nonzero(every > kept.max()) == 0
 
 
 class TestSeed:

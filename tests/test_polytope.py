@@ -682,9 +682,30 @@ class TestHull2d:
         pts = np.abs(rng.standard_normal((20000, 2))) + (0.0, 1.0)
         pts = np.concatenate([pts, np.round(pts[:500] * 64) / 64])
         scale = float(np.abs(pts).max())
-        kept = polytope._extreme_point_filter(pts, 1e-9 * scale**2)
+        kept = pts[polytope._extreme_point_filter(pts[:, 0], pts[:, 1], 1e-9 * scale**2)]
         assert len(kept) < 1000
         assert np.array_equal(polytope._quickhull(kept, 1e-9 * scale), polytope._quickhull(pts, 1e-9 * scale))
+
+    def test_integer_array_is_read_as_floats(self):
+        pts = [(0, 1), (1, 3), (2, 5), (0, 4), (1, 6), (1, 4)]
+        assert hull2d(np.array(pts)) == hull2d(np.array(pts, dtype=float))
+
+    def test_nearly_coincident_corners_are_merged(self):
+        # the largest x and the largest x + y are two points 1e-10 apart, as
+        # in a targeted cluster: no cross product along the edge between
+        # them exceeds eps_abs, so unmerged they would keep every point
+        rng = np.random.default_rng(12)
+        angle, radius = 2.0 * np.pi * rng.random(5000), 0.3 * np.sqrt(rng.random(5000))
+        disk = np.stack([0.6 + radius * np.cos(angle), 0.9 + radius * np.sin(angle)], axis=1)
+        pts = np.concatenate([disk, [(1.0, 1.0), (1.0 - 5e-11, 1.0 + 1e-10)]])
+        x, y = pts[:, 0].copy(), pts[:, 1].copy()
+        assert x.argmax() == 5000 and (x + y).argmax() == 5001
+        scale = float(np.abs(pts).max())
+        kept = polytope._extreme_point_filter(x, y, 1e-9 * scale**2)
+        assert len(kept) < len(pts) // 5 and {5000, 5001} <= set(kept.tolist())
+        every = polytope._quickhull(pts, 1e-9 * scale)
+        assert np.array_equal(polytope._quickhull(pts[kept], 1e-9 * scale), every)
+        assert [v.astuple() for v in hull2d(pts).vertices] == [chamber_to_spectrum_floats(*v) for v in every.tolist()]
 
     def test_pooled_verify_cloud_has_one_hull(self):
         # the uniform rows of verify((4, 2, -1), 1e5, seed 7) pooled with
@@ -695,7 +716,7 @@ class TestHull2d:
         uniform = oracle._draw_spectra(*oracle._float_weights(w), 100_000, seed)[0]
         pq = oracle.chamber_points_of_spectra(np.concatenate([uniform, gaussian_anchor_spectra(w, 500, seed)]) / 8)
         scale = float(np.abs(pq).max())
-        kept = polytope._extreme_point_filter(pq, 1e-9 * scale**2)
+        kept = pq[polytope._extreme_point_filter(pq[:, 0], pq[:, 1], 1e-9 * scale**2)]
         assert len(kept) < 0.02 * len(pq)
         got = polytope._quickhull(kept, 1e-9 * scale)
         assert np.array_equal(got, polytope._quickhull(pq, 1e-9 * scale))
@@ -721,7 +742,7 @@ class TestHull2d:
         scale = float(np.abs(pts).max())
         ends = [min(map(tuple, pts.tolist())), max(map(tuple, pts.tolist()))]
         assert polytope._quickhull(pts, 1e-9 * scale).tolist() == [list(p) for p in ends]
-        kept = polytope._extreme_point_filter(pts, 1e-9 * scale**2)
+        kept = pts[polytope._extreme_point_filter(pts[:, 0], pts[:, 1], 1e-9 * scale**2)]
         assert polytope._quickhull(kept, 1e-9 * scale).tolist() == [list(p) for p in ends]
         hull = hull2d(pts)
         assert hull.kind == "Segment"
@@ -790,7 +811,7 @@ class TestHullPrefilter:
         # exact hull is the reference; the grid is not inside the chamber,
         # so hull2d's two stages are called directly
         arr = np.array(points, dtype=float) / 8
-        got = [tuple(v) for v in polytope._quickhull(polytope._extreme_point_filter(arr, 1e-9), 1e-9).tolist()]
+        got = [tuple(v) for v in polytope._quickhull(arr[polytope._extreme_point_filter(arr[:, 0], arr[:, 1], 1e-9)], 1e-9).tolist()]
         assert got == [tuple(v) for v in polytope._quickhull(arr, 1e-9).tolist()]
         assert {(round(x * 8), round(y * 8)) for x, y in got} == exact_hull_vertices(points)
         assert len(got) == len(set(got))
