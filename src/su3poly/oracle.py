@@ -30,31 +30,37 @@ own generator derived from ``(seed, block)``, whose uniforms fill the block's
 rows in order, so batches are bitwise reproducible, independent of how work
 is partitioned, and a shorter batch is a prefix of a longer one.
 
-Sampling, spectra and their reductions are one pass, :func:`_draw_spectra`:
-one :func:`_run_blocks` call over the uniform blocks and, for :func:`verify`,
-one more block per anchor, on every CPU the process may use
-(``os.sched_getaffinity``): the calling thread and one helper thread per
-further CPU pull block indices from one shared iterator.  The worker that
-draws a block writes only the block's rows of spectra and chamber points,
-the points formed once as two contiguous columns, then reduces the columns
-while they are in its cache; the calling thread merges
-one small result per block, in block order, so every output is bitwise the
-same at any worker count.  Every block is one ``random`` draw into the
-worker's reused buffer and one kernel call.  The torus-fixed configurations
-are corners of the frame's cube of uniforms, so a targeted block pulls its
-uniforms toward its anchor's corner at four scales.
+Sampling, spectra and their reductions are one pass, :func:`_draw_spectra`,
+on every CPU the process may use (``os.sched_getaffinity``).  A block is the
+unit of seeding and an item the unit of work: an item is up to two
+consecutive uniform blocks, or all of :func:`verify`'s targeted blocks, one
+per anchor, together; with one worker, or with fewer than two such items
+per worker, it is one block.  One :func:`_run_blocks` call runs the items: the
+calling thread and one helper thread per further CPU pull item indices from
+one shared iterator.  The worker that runs an item draws each block's
+uniforms from the block's own generator into its reused buffer, then makes
+one kernel call over the item's rows, writes only those rows of spectra and
+chamber points, the points formed once as two contiguous columns, and
+reduces the columns while they are in its cache.  Fewer, larger kernel calls
+hand the interpreter lock between workers less often.  The calling thread
+merges one small result per item, in item order.  Every step is elementwise
+per row, or a reduction whose exactness holds for any set of rows, so every
+output is bitwise the same at any worker count and any grouping of blocks.
+The torus-fixed configurations are corners of the frame's cube of uniforms,
+so a targeted block pulls its uniforms toward its anchor's corner at four
+scales.
 
-Each block keeps its hull candidates, the indices of the rows whose points
-the prefilter of :func:`polytope.hull2d` keeps at the block's own scale.
+Each item keeps its hull candidates, the indices of the rows whose points
+the prefilter of :func:`polytope.hull2d` keeps at the item's own scale.
 They hold every vertex of the batch's hull and its largest entry, so one
 ``hull2d`` of the candidates is the hull of the batch:
 :func:`empirical_polytope` returns it, and :func:`verify` takes the scalar
 point-to-polygon distance of :mod:`polytope` from the predicted vertices to
-it.  For :func:`verify` a block also keeps, per predicted vertex, its
+it.  For :func:`verify` an item also keeps, per predicted vertex, its
 nearest row and their squared distance, from one ``argmin`` over one
-(vertices, rows) array.  The first block that reaches a vertex's least
+(vertices, rows) array.  The first item that reaches a vertex's least
 distance gives its nearest row, as one ``argmin`` over every row would.
-After the blocks, :func:`verify` runs :func:`_excess`, the containment
+After the items, :func:`verify` runs :func:`_excess`, the containment
 kernel of :func:`violation_distances`, on the candidate rows: they hold the
 largest excess of the batch, and only when it exceeds the slack does
 ``_excess`` run over every row, to count the violations.  All of it runs in
@@ -79,7 +85,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .moment_map import CPPoint, InvalidWeight, as_gammas
 from .polytope import ChamberPolytope, _farthest, _hull_candidates, _over_power, _own_exponent, build_polytope, hull2d
-from .su3 import Frozen, _set, _spectra_of_invariants, chamber_coordinates, check_tolerance, spectra_of_entries
+from .su3 import Frozen, _set, _spectra_of_invariants, chamber_coordinates, check_tolerance, real_rows, spectra_of_entries
 
 if TYPE_CHECKING:  # annotations only: importing the package loads no numpy
     import numpy as np
@@ -137,24 +143,24 @@ def _worker_count() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _run_blocks(n_blocks: int, buffer_size: int, work: Callable) -> None:
-    """Run ``work(block, buf)`` for every block in ``range(n_blocks)``.
+def _run_blocks(n_items: int, buffer_size: int, work: Callable) -> None:
+    """Run ``work(item, buf)`` for every work item in ``range(n_items)``.
 
     The workers are the calling thread and up to W - 1 helper threads, W
-    being :func:`_worker_count` capped at ``n_blocks``.  Each worker owns one
-    flat float buffer of ``buffer_size``, reused for every block it runs, and
-    takes the next block index from one shared iterator.  ``work`` must
-    depend only on the block (its own seeded generator) and write only that
-    block's rows and its own result, so the result is bitwise the same at
-    every W.  The first error stops the blocks not yet started; every helper
-    is joined before it is raised again here.  Helpers run only private
-    functions and the :mod:`su3` kernels, none of the public oracle and
-    polytope functions a tracer may wrap: a block's reduction calls
+    being :func:`_worker_count` capped at ``n_items``.  Each worker owns one
+    flat float buffer of ``buffer_size``, reused for every item it runs, and
+    takes the next item index from one shared iterator.  ``work`` must
+    depend only on the item (its blocks' own seeded generators) and write
+    only that item's rows and its own result, so the result is bitwise the
+    same at every W.  The first error stops the items not yet started; every
+    helper is joined before it is raised again here.  Helpers run only
+    private functions and the :mod:`su3` kernels, none of the public oracle
+    and polytope functions a tracer may wrap: an item's reduction calls
     :func:`polytope._hull_candidates`, never :func:`polytope.hull2d`.
     """
     import numpy as np
 
-    blocks = iter(range(n_blocks))
+    items = iter(range(n_items))
     lock = threading.Lock()
     errors = []
 
@@ -163,15 +169,15 @@ def _run_blocks(n_blocks: int, buffer_size: int, work: Callable) -> None:
             buf = np.empty(buffer_size)
             while not errors:
                 with lock:
-                    block = next(blocks, None)
-                if block is None:
+                    item = next(items, None)
+                if item is None:
                     return
-                work(block, buf)
+                work(item, buf)
         except BaseException as exc:  # raised again in the caller, after every join
             errors.append(exc)
 
     helpers = []
-    for _ in range(min(_worker_count(), n_blocks) - 1):
+    for _ in range(min(_worker_count(), n_items) - 1):
         helper = threading.Thread(target=drain, daemon=True)
         try:
             helper.start()
@@ -327,9 +333,11 @@ def _frame_spectra(u: np.ndarray, gs: np.ndarray, out: np.ndarray) -> np.ndarray
 
 
 def chamber_points_of_spectra(spectra: np.ndarray) -> np.ndarray:
-    """(n, 2) isometric chamber coordinates of sorted spectra rows."""
+    """(n, 2) isometric chamber coordinates of sorted spectra rows; spectra
+    that are not (n, 3) real numbers are refused as by :func:`su3.real_rows`."""
     import numpy as np
 
+    spectra = real_rows(spectra, 3, "spectra")
     return np.stack(chamber_coordinates(spectra[:, 0], spectra[:, 1], spectra[:, 2]), axis=1)
 
 
@@ -362,31 +370,41 @@ class SampleBatch(Frozen):
 def _draw_spectra(floats: Tuple[float, ...], power: float, count: int, seed: int, targeted: int = 0, reduce: Optional[Callable] = None):
     """``(spectra, points, reduced)``: the spectra and chamber points of
     ``count`` uniform draws, then of ``targeted`` draws per (anchor, scale)
-    pair, and per block, in block order, ``reduce(start, p, q)`` of the
-    chamber columns p and q of the block's rows from row ``start`` (None
+    pair, and per work item, in item order, ``reduce(start, p, q)`` of the
+    chamber columns p and q of the item's rows from row ``start`` (None
     without ``reduce``), all in one :func:`_run_blocks` call.
 
-    The kernel runs at ``floats / power`` (an exact division) and each
-    block's rows are multiplied back by ``power``; :func:`verify` passes its
-    weights over its prediction's 2**e and power 1, so its rows stay in the
-    prediction's own scale.  The worker that draws a block then forms its
-    chamber columns once, as two contiguous arrays, writes them into
-    ``points`` and runs ``reduce`` on them, while the rows are in its cache;
-    ``reduce`` must call only private functions, as :func:`_run_blocks`
-    requires.
-
-    Every block is 4 uniforms per row (1 with two factors), drawn into the
-    worker's buffer by one ``random`` call and read by one
-    :func:`_frame_spectra` call.  Block ``b < ceil(count / BLOCK)`` is
-    uniform, from generator ``(seed, b)``; a partial last block is the prefix
-    of the full one, as ``random`` fills in order.  Each later block is one
-    anchor ``idx`` of :data:`_CORNERS` (:data:`_CORNERS_N2`), from generator
+    Block ``b < ceil(count / BLOCK)`` is uniform, from generator
+    ``(seed, b)``; a partial last block is the prefix of the full one, as
+    ``random`` fills in order.  Each later block is one anchor ``idx`` of
+    :data:`_CORNERS` (:data:`_CORNERS_N2`), from generator
     ``(seed, 1_000_003 + idx)``: its k-th ``targeted`` rows have their first
     3 uniforms (1) pulled to ``corner + scales[k] (u - corner)``.  Uniform
     draws reach the polytope vertices slowly, these cover the anchor images
     quickly, and all are genuine momentum-map images, so they may be pooled.
     The pulls shrink fast because s^2 = sqrt(U0) moves as the fourth root
     of a pull toward U0 = 0.
+
+    An item is two consecutive uniform blocks (the last one may be alone)
+    or every targeted block, whose rows are consecutive too, when there are
+    at least two such items per worker.  Otherwise every block is an item
+    of its own: with fewer items than that, a worker running a pair could
+    finish well after the others, which would share the single blocks; and
+    one worker hands no lock over, while on a 2-vCPU x86-64 host its paired
+    32,768-row temporaries made a repeated ``verify`` about a fifth slower,
+    from pages the allocator gives back and faults in again.  Pairs were
+    measured at 2 workers only, on ``verify`` of 100,000 rows (5 items) and
+    ``empirical_polytope`` of 1e6 (31 items).  The worker that runs an item draws each block's
+    4 uniforms per row (1 with two factors) into its own rows of the
+    worker's buffer, by one ``random`` call on the block's generator, then
+    reads the whole item by one :func:`_frame_spectra` call.  The kernel
+    runs at ``floats / power`` (an exact division) and the rows are
+    multiplied back by ``power``; :func:`verify` passes its weights over its
+    prediction's 2**e and power 1, so its rows stay in the prediction's own
+    scale.  The worker then forms the item's chamber columns once, as two
+    contiguous arrays, writes them into ``points`` and runs ``reduce`` on
+    them, while the rows are in its cache; ``reduce`` must call only private
+    functions, as :func:`_run_blocks` requires.
     """
     import numpy as np
 
@@ -398,28 +416,35 @@ def _draw_spectra(floats: Tuple[float, ...], power: float, count: int, seed: int
     uniform = -(-count // BLOCK)
     spectra = np.empty((count + len(corners) * near, 3))
     points = np.empty((len(spectra), 2))
-    reduced = [None] * (uniform + len(corners))
+    blocks = range(uniform + len(corners))
+    starts = [b * BLOCK for b in range(uniform)] + [count + idx * near for idx in range(len(corners) + 1)]  # block b: rows starts[b]:starts[b + 1]
+    if 1 < _worker_count() <= (-(-uniform // 2) + bool(corners)) // 2:
+        items = [blocks[b : min(b + 2, uniform)] for b in range(0, uniform, 2)] + ([blocks[uniform:]] if corners else [])
+    else:
+        items = [blocks[b : b + 1] for b in blocks]
+    reduced = [None] * len(items)
 
-    def draw(block, buf):
-        idx = block - uniform
-        start = block * BLOCK if idx < 0 else count + idx * near
-        stop = min(start + BLOCK, count) if idx < 0 else start + near
+    def draw(item, buf):
+        start, stop = starts[items[item][0]], starts[items[item][-1] + 1]
         u = buf[: (stop - start) * width].reshape(stop - start, width)
-        _rng_for_block(seed, block if idx < 0 else 1_000_003 + idx).random(out=u)
-        if idx >= 0:
-            pulled = u.reshape(len(scales), targeted, width)[:, :, : len(corners[idx])]
-            pulled -= corners[idx]
-            pulled *= scales
-            pulled += corners[idx]
+        for block in items[item]:
+            idx = block - uniform
+            part = u[starts[block] - start : starts[block + 1] - start]
+            _rng_for_block(seed, block if idx < 0 else 1_000_003 + idx).random(out=part)
+            if idx >= 0:
+                pulled = part.reshape(len(scales), targeted, width)[:, :, : len(corners[idx])]
+                pulled -= corners[idx]
+                pulled *= scales
+                pulled += corners[idx]
         rows = _frame_spectra(u, gs, spectra[start:stop])
         if power != 1.0:
             rows *= power
         p, q = chamber_coordinates(rows[:, 0], rows[:, 1], rows[:, 2])
         points[start:stop, 0], points[start:stop, 1] = p, q
         if reduce is not None:
-            reduced[block] = reduce(start, p, q)
+            reduced[item] = reduce(start, p, q)
 
-    _run_blocks(len(reduced), max(min(BLOCK, count), near) * width, draw)
+    _run_blocks(len(items), max((starts[r[-1] + 1] - starts[r[0]] for r in items), default=0) * width, draw)
     return spectra, points, reduced
 
 
@@ -444,7 +469,7 @@ def empirical_polytope(w, count: int, seed: int) -> Tuple[SampleBatch, ChamberPo
 
     The hull is an inner approximation of the true momentum polytope.  It
     is :func:`polytope.hull2d` of the batch's chamber points, taken on the
-    points each block keeps as hull candidates.  The count, the seed and
+    points each work item keeps as hull candidates.  The count, the seed and
     the weights are checked as by :func:`sample_batch`, but the count must
     be positive.
     """
@@ -517,9 +542,10 @@ def _excess(lines: Tuple[np.ndarray, np.ndarray, np.ndarray], spectra: np.ndarra
     ``_LINE_CHUNK`` rows.  Each entry has the same bits as in one product
     over every row.  OpenBLAS runs a product of at most 65,536 x 4
     multiply-adds on the calling thread by default, and a predicted
-    polytope has at most a dozen lines (2,048 x 3 x 12 = 73,728), so a
-    block worker of :func:`verify` wakes no BLAS threads, which would
-    compete with the other workers for the CPUs.
+    polytope has at most a dozen lines (2,048 x 3 x 12 = 73,728), so
+    :func:`verify` wakes no BLAS threads, which would compete with the
+    sampler's workers for the CPUs.  A row on a line reads +0.0, never
+    -0.0.
     """
     import numpy as np
 
@@ -530,15 +556,24 @@ def _excess(lines: Tuple[np.ndarray, np.ndarray, np.ndarray], spectra: np.ndarra
         signed -= offsets
         signed /= units
         signed.min(axis=0, out=least[start : start + _LINE_CHUNK])
-    return np.maximum(0.0, -least)
+    # 0 - x, unlike -x, is +0.0 at x = 0
+    return np.maximum(np.subtract(0.0, least, out=least), 0.0, out=least)
 
 
 def violation_distances(P: ChamberPolytope, spectra: np.ndarray) -> np.ndarray:
     """Per-sample distance outside the polytope (0 inside), from one
-    (lines, n) array in ``P``'s own scale 2**e, multiplied back."""
+    (lines, n) array in ``P``'s own scale 2**e, multiplied back.  Spectra
+    that are not (n, 3) real numbers are refused as by :func:`su3.real_rows`,
+    and a row that is not finite raises :class:`moment_map.InvalidWeight`
+    naming it."""
     import numpy as np
 
     e = _own_exponent(P, "P")
+    spectra = real_rows(spectra, 3, "spectra")
+    finite = np.isfinite(spectra).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InvalidWeight(f"spectra row {i} {spectra[i].tolist()} is not finite")
     return np.ldexp(_excess(_line_arrays(P), np.ldexp(spectra, -e)), e)
 
 
@@ -566,14 +601,14 @@ def verify(w, count: int, seed: int, tol: float = 1e-6) -> VerificationReport:
     prediction's own scale and reduces them (see the module docstring).
 
     Containment is checked on the hull candidates, the rows that the
-    prefilter of :func:`polytope.hull2d` keeps in each block.  A row's
+    prefilter of :func:`polytope.hull2d` keeps in each work item.  A row's
     excess, its distance outside the predicted half-planes, is the larger of
     0 and its largest signed distance beyond a line.  Each such distance is
     affine in the row's chamber point (unit, sum-zero normals), so the
     excess is convex in it, as the polytope itself is (Kirwan, Invent. Math.
-    77, 1984).  A row the prefilter drops lies inside its block's prefilter
+    77, 1984).  A row the prefilter drops lies inside its item's prefilter
     polygon, whose corners are candidates, by delta >= 1e-9 scale**2 / edge
-    >= 3.5e-10 scale, with scale the block's largest absolute entry and
+    >= 3.5e-10 scale, with scale the item's largest absolute entry and
     every edge at most 2 sqrt(2) scale long.  So its distance beyond each
     line is at least delta below the candidates' largest, and its excess is
     0 or more than delta below theirs, far above the rounding of either.
@@ -608,15 +643,15 @@ def verify(w, count: int, seed: int, tol: float = 1e-6) -> VerificationReport:
         nearest = d2.argmin(axis=1)
         return start + _hull_candidates(p, q, start)[0], d2[each, nearest], start + nearest
 
-    spectra, points, blocks = _draw_spectra(tuple(math.ldexp(g, -e) for g in floats), 1.0, count, seed, _TARGETED, check)
-    kept, least, rows = zip(*blocks)
+    spectra, points, items = _draw_spectra(tuple(math.ldexp(g, -e) for g in floats), 1.0, count, seed, _TARGETED, check)
+    kept, least, rows = zip(*items)
     kept = np.concatenate(kept)
     lines = _line_arrays(predicted)
     excess = _excess(lines, spectra.take(kept, axis=0))
     if excess.max() > slack:  # a violation: count every row
         excess = _excess(lines, spectra)
     deficit = _farthest(corners, [(c.p, c.q) for c in hull2d(points.take(kept, axis=0)).pq_vertices()])
-    # each vertex's nearest row, from the first block with its least distance
+    # each vertex's nearest row, from the first item with its least distance
     nearest = points[np.array(rows)[np.argmin(least, axis=0), each]]
     coverage = np.hypot(nearest[:, 0] - vertices[:, 0], nearest[:, 1] - vertices[:, 1])
 

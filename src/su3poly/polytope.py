@@ -80,6 +80,7 @@ from .su3 import (
     is_exact,
     lift_2d,
     num_out,
+    real_rows,
     sgn,
     snap_weights,
 )
@@ -687,7 +688,7 @@ def _hull_candidates(x, y, first: int = 0):
     :func:`hull2d`'s rule, ``_HULL_EPS * scale**2``.  This is the one place
     that rule is applied.  Every hull vertex is kept, and ``scale`` is
     reached at one (|x| and |y| are convex), so the hull of the points kept
-    from several blocks, each at its own scale, has the hull vertices and
+    from several work items, each at its own scale, has the hull vertices and
     the scale of the whole cloud.  A NaN or infinite coordinate raises
     :class:`InvalidHullPoints`, naming the first such point as point
     ``first + i``."""
@@ -755,23 +756,26 @@ def hull2d(points) -> ChamberPolytope:
     ``hull2d(t * points)`` is ``t`` times the hull).  The filter drops only
     points strictly inside the hull, which never change the quickhull's
     vertices, so they are the same without it.
-    No points, points not of shape (n, 2), a non-finite point or a hull
-    vertex outside the chamber (beyond the slack that :class:`su3.Spectrum`
-    allows) raise :class:`InvalidHullPoints`, naming the shape or the point.
+    An array of integers, or of objects that are real numbers, is read as
+    its float array (:func:`su3.real_rows`).  No points, points not of shape
+    (n, 2), points of another dtype (bool, complex or text) or an object
+    that is no real number, a non-finite point or a hull vertex outside the
+    chamber (beyond the slack that :class:`su3.Spectrum` allows) raise
+    :class:`InvalidHullPoints`, naming the shape, the dtype, the object or
+    the point.
     """
     import numpy as np
 
-    if isinstance(points, np.ndarray):
-        arr = points
-    else:
-        try:
-            arr = np.array([(p.p, p.q) if isinstance(p, ChamberPoint) else p for p in points], dtype=float)
-        except ValueError as exc:  # rows of different lengths
-            raise InvalidHullPoints(f"points are not (p, q) pairs: {exc}") from None
-    if arr.size == 0:
+    if not isinstance(points, np.ndarray):
+        points = [(p.p, p.q) if isinstance(p, ChamberPoint) else p for p in points]
+    if (points.size if isinstance(points, np.ndarray) else len(points)) == 0:
         raise InvalidHullPoints("hull2d needs at least one point")
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise InvalidHullPoints(f"points of shape {arr.shape} are not (n, 2)")
+    try:
+        arr = real_rows(points, 2, "points", InvalidHullPoints, InvalidHullPoints)
+    except InvalidHullPoints:
+        raise
+    except ValueError as exc:  # rows of different lengths
+        raise InvalidHullPoints(f"points are not (p, q) pairs: {exc}") from None
     kept, scale = _hull_candidates(arr[:, 0], arr[:, 1])
     hull = _quickhull(arr.take(kept, axis=0), _HULL_EPS * scale).tolist()
 

@@ -68,6 +68,31 @@ def check_real(x, name: str) -> None:
         raise InvalidWeight(f"{name} is {x!r}, not finite")
 
 
+def real_rows(values, width: int, name: str, shape_error: type = LengthMismatch, value_error: type = InvalidWeight):
+    """``values`` as an (n, ``width``) array of real numbers: a float array
+    as it is, an array of integers, or of objects that are real numbers, as
+    its float array.  Another shape raises ``shape_error`` and another dtype,
+    bool and complex included, or an object that is no real number (a bool
+    is none) raises ``value_error``, each naming ``name`` and the shape, the
+    dtype or the object.  The entries of a sequence are checked as given,
+    as numpy would read a bool among numbers as 1.0; rows of different
+    lengths raise numpy's ``ValueError``."""
+    import numpy as np
+
+    arr = np.asarray(values)
+    if not isinstance(values, np.ndarray) and arr.dtype.kind in "biuf":
+        arr = np.array(values, dtype=object)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise shape_error(f"{name} of shape {arr.shape} are not (n, {width})")
+    if arr.dtype.kind == "O":
+        for x in arr.flat:
+            if type(x) is bool or not isinstance(x, numbers.Real):
+                raise value_error(f"{name} hold {x!r}, not a real number")
+    elif arr.dtype.kind not in "iuf":
+        raise value_error(f"{name} of dtype {arr.dtype} are not real numbers")
+    return arr if arr.dtype.kind == "f" else arr.astype(float)
+
+
 class NotHermitian(ValueError):
     """A matrix with a NaN or infinite entry, or that differs from its
     conjugate transpose beyond tolerance."""

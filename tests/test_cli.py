@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -203,6 +204,13 @@ class TestSampleAndVerify:
         )
         assert code == 0
         assert json.loads(out)["n_violations"] == 0
+
+    def test_verify_prints_no_negative_zero(self, capsys):
+        # every row of the zero weights lies on the prediction's lines
+        code, out = run_cli(capsys, "verify", "--gamma", "0,0,0", "--count", "10")
+        assert code == 0
+        assert '"max_violation": 0.0,' in out and "-0.0" not in out
+        assert math.copysign(1.0, json.loads(out)["max_violation"]) == 1.0
 
 
 class TestBounds:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURE_ORDERS_AND_SIGNS, N2_FIXTURES, POLYTOPE_FIXTURES, distance_loop
 from su3poly import oracle
-from su3poly.moment_map import FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight, fixed_point_spectra
+from su3poly.moment_map import FIXED_CONFIGURATIONS, FIXED_CONFIGURATIONS_N2, InvalidWeight, LengthMismatch, fixed_point_spectra
 from su3poly.oracle import (
     BLOCK,
     InvalidCount,
@@ -228,13 +228,15 @@ class BlockFailure(RuntimeError):
 
 
 class TestBlockRunner:
-    """The blocks run on several threads and give the serial rows bit for bit."""
+    """The work items run on several threads and give the serial rows bit for bit."""
 
-    @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 200_000])
+    @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 5, 4 * BLOCK + 1, 200_000])
     @pytest.mark.parametrize("gammas", [(2, 1), (4, 2, -1)], ids=str)
     def test_equal_to_the_serial_loop_at_every_worker_count(self, monkeypatch, gammas, count):
+        # at 8 workers every count here has fewer pairs of blocks than
+        # workers, so each block is a work item of its own
         expected = serial_spectra(gammas, count, 8)
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 8):
             monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
             batch = sample_batch(gammas, count, 8)
             assert np.array_equal(batch.spectra, expected), workers
@@ -243,7 +245,7 @@ class TestBlockRunner:
     @pytest.mark.parametrize("gammas", [(2, 1), (4, 2, -1)], ids=str)
     def test_targeted_draws_equal_to_the_serial_loop(self, monkeypatch, gammas):
         expected = serial_targeted_spectra(gammas, 300, 5)
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 8):
             monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
             spectra, points, reduced = _draw_spectra(*_float_weights(gammas), 0, 5, 300)
             assert np.array_equal(spectra, expected), workers
@@ -257,15 +259,16 @@ class TestBlockRunner:
             ((4, 2, -1), 1000, BLOCK + 3),  # the targeted rows set the buffer's size
             ((4, 2, -1), BLOCK + 1, 300),  # a partial uniform block before the targeted ones
             ((2, 1), 3 * BLOCK + 7, 500),  # two factors: 2 targeted blocks
+            ((4, 2, -1), 4 * BLOCK + 1, 500),  # two uniform pairs, a lone block and the targeted blocks
         ],
         ids=str,
     )
     def test_verify_equal_to_the_serial_streams_at_every_worker_count(self, monkeypatch, gammas, count, targeted):
-        # each block's worker reduces its own rows; the merged report is the
-        # one the unfused tail makes from every serial row at once
+        # each work item's worker reduces its own rows; the merged report is
+        # the one the unfused tail makes from every serial row at once
         expected = reference_verify(gammas, count, 6, targeted)
         monkeypatch.setattr(oracle, "_TARGETED", targeted)
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 8):
             monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
             assert verify(gammas, count, 6).to_json_dict() == expected, workers
 
@@ -288,14 +291,14 @@ class TestBlockRunner:
             monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
             assert verify(gammas, count, 6).to_json_dict() == expected, workers
 
-    @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 5])
     @pytest.mark.parametrize("gammas", [(4, 2, -1), (2, 1), (3, -1, -2)], ids=str)
     def test_empirical_hull_is_the_hull_of_every_point_at_every_worker_count(self, monkeypatch, gammas, count):
-        # the hull of the blocks' hull candidates, each kept at its block's
-        # own scale, is the hull of the whole batch
+        # the hull of the work items' hull candidates, each kept at its
+        # item's own scale, is the hull of the whole batch
         batch = sample_batch(gammas, count, 6)
         expected = hull2d(batch.chamber_points)
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 8):
             monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
             got, hull = empirical_polytope(gammas, count, 6)
             assert got == batch, workers
@@ -355,6 +358,36 @@ class TestBlockRunner:
             sys.setswitchinterval(interval)
         assert sorted(drawn) == list(range(11))
         assert np.array_equal(batch.spectra, expected)
+
+    @pytest.mark.parametrize(
+        "call, workers, rows",
+        [
+            # verify(w, 1e5) has 7 uniform blocks, the last of 1,696 rows, and
+            # 5 targeted blocks of 2,000 rows: 5 items if paired
+            ("verify", 1, [BLOCK] * 6 + [1696] + [2000] * 5),  # one worker: a block per call
+            ("verify", 2, [2 * BLOCK] * 3 + [1696, 10_000]),  # three pairs, the lone last block, every targeted block
+            ("verify", 3, [BLOCK] * 6 + [1696] + [2000] * 5),  # fewer than two items per worker
+            ("verify", 8, [BLOCK] * 6 + [1696] + [2000] * 5),
+            ("sample", 2, [BLOCK, BLOCK, 1]),  # 2 items if paired: one worker would run a pair alone
+            ("sample", 2, [2 * BLOCK] * 4),  # 4 items: two per worker
+        ],
+        ids=["verify-1", "verify-2", "verify-3", "verify-8", "sample-3-blocks-2", "sample-8-blocks-2"],
+    )
+    def test_one_kernel_call_per_work_item(self, monkeypatch, call, workers, rows):
+        calls = []
+        kernel = oracle._frame_spectra
+
+        def counting(u, gs, out):
+            calls.append(len(u))
+            return kernel(u, gs, out)
+
+        monkeypatch.setattr(oracle, "_frame_spectra", counting)
+        monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+        if call == "verify":
+            verify((4, 2, -1), 100_000, 1)
+        else:
+            sample_batch((4, 2, -1), sum(rows), 1)
+        assert sorted(calls) == sorted(rows)
 
     def test_worker_count_is_the_cpus_the_process_may_use(self):
         if hasattr(os, "sched_getaffinity"):
@@ -548,6 +581,47 @@ class TestVerify:
         with pytest.raises(NotAPolytope, match=r"^P is None, not a ChamberPolytope$"):
             violation_distances(None, np.zeros((4, 3)))
 
+    @pytest.mark.parametrize(
+        "spectra, error, message",
+        [
+            (np.zeros(3), LengthMismatch, "spectra of shape (3,) are not (n, 3)"),  # once a bare matmul ValueError
+            (np.zeros((4, 2)), LengthMismatch, "spectra of shape (4, 2) are not (n, 3)"),
+            (np.zeros((4, 3), dtype=bool), InvalidWeight, "spectra of dtype bool are not real numbers"),  # once accepted
+            (np.zeros((4, 3), dtype=complex), InvalidWeight, "spectra of dtype complex128 are not real numbers"),
+            (np.array([[1.0, 0.0, -1.0], [math.inf, 0.0, -math.inf]]), InvalidWeight, "spectra row 1 [inf, 0.0, -inf] is not finite"),  # once NaN
+            (np.array([[1.0, 0.0, -1.0], [1.0, math.nan, -1.0]]), InvalidWeight, "spectra row 1 [1.0, nan, -1.0] is not finite"),
+            (np.array([[1.0, None, -1.0]], dtype=object), InvalidWeight, "spectra hold None, not a real number"),
+            ([[1.0, 0.0, -1.0], [True, 0.0, -1.0]], InvalidWeight, "spectra hold True, not a real number"),  # once read as 1.0
+        ],
+        ids=["1-d", "n-by-2", "bool", "complex", "infinite-row", "nan-row", "object-none", "mixed-bool-list"],
+    )
+    def test_spectra_that_are_not_real_rows_are_refused_by_violation_distances(self, spectra, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            violation_distances(build_polytope((4, 2, -1)), spectra)
+
+    @pytest.mark.parametrize(
+        "spectra, error, message",
+        [
+            (np.zeros(3), LengthMismatch, "spectra of shape (3,) are not (n, 3)"),  # once an IndexError
+            (np.zeros((2, 3, 1)), LengthMismatch, "spectra of shape (2, 3, 1) are not (n, 3)"),
+            (np.zeros((4, 3), dtype=bool), InvalidWeight, "spectra of dtype bool are not real numbers"),
+            (np.array([["1", "0", "-1"]]), InvalidWeight, "spectra of dtype <U2 are not real numbers"),
+            ([[1, 0, -1], [1, False, -1]], InvalidWeight, "spectra hold False, not a real number"),
+        ],
+        ids=["1-d", "3-d", "bool", "str", "mixed-bool-list"],
+    )
+    def test_spectra_that_are_not_real_rows_are_refused_by_chamber_points(self, spectra, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            oracle.chamber_points_of_spectra(spectra)
+
+    def test_integer_and_object_spectra_are_read_as_floats(self):
+        spectra = sample_batch((4, 2, -1), 50, 3).spectra
+        P = build_polytope((4, 2, -1))
+        exact = np.array([[3, 0, -3], [2, 1, -3]])
+        for other, floats in ((spectra.astype(object), spectra), (exact, exact.astype(float)), (exact.astype(object), exact.astype(float))):
+            assert np.array_equal(violation_distances(P, other), violation_distances(P, floats))
+            assert np.array_equal(oracle.chamber_points_of_spectra(other), oracle.chamber_points_of_spectra(floats))
+
     def test_vertex_coverage_with_targeted_sampling(self):
         report = verify((1, 1, 1), 5000, seed=2, tol=1e-6)
         # first vertex is the diagonal anchor a
@@ -569,6 +643,15 @@ class TestVerify:
     def test_zero_weight_delegates(self):
         report = verify((2, 1, 0), 10000, seed=2, tol=1e-6)
         assert report.ok
+
+    def test_a_row_on_a_line_reads_positive_zero(self):
+        # every row of the zero weights lies on the point prediction's lines;
+        # its excess, and the report's largest, was once -0.0
+        report = verify((0, 0, 0), 10, 0)
+        assert report.max_violation == 0.0 and math.copysign(1.0, report.max_violation) == 1.0
+        vertex = np.array([build_polytope((3, 0, 0)).vertices[0].as_floats()])
+        for excess in (violation_distances(build_polytope((0, 0, 0)), np.zeros((3, 3))), violation_distances(build_polytope((3, 0, 0)), vertex)):
+            assert [math.copysign(1.0, x) for x in excess] == [1.0] * len(excess)
 
     def test_weights_with_no_prediction_are_refused(self, monkeypatch):
         monkeypatch.setattr(oracle, "_draw_spectra", None)

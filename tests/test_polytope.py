@@ -690,6 +690,30 @@ class TestHull2d:
         pts = [(0, 1), (1, 3), (2, 5), (0, 4), (1, 6), (1, 4)]
         assert hull2d(np.array(pts)) == hull2d(np.array(pts, dtype=float))
 
+    def test_object_array_of_real_numbers_is_read_as_floats(self):
+        # an object array of ints once raised AttributeError on .item()
+        pts = [(0, 1), (1, 3), (2, 5), (0, 4), (1, 6), (1, 4)]
+        expected = hull2d(np.array(pts, dtype=float))
+        for points in (np.array(pts, dtype=object), np.array([(F(p), F(q)) for p, q in pts], dtype=object), [(F(p), F(q)) for p, q in pts]):
+            assert hull2d(points) == expected
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            (np.array([(False, True), (True, True), (False, True)]), "points of dtype bool are not real numbers"),  # once numpy's TypeError
+            (np.array([(0.5, 1.0), (1.0, 3.0)], dtype=complex), "points of dtype complex128 are not real numbers"),  # once a TypeError
+            (np.array([("0.5", "1.0"), ("1.0", "3.0")]), "points of dtype <U3 are not real numbers"),  # once UFuncTypeError
+            ([(False, True), (True, True), (False, True)], "points hold False, not a real number"),  # once a Segment
+            ([(0.5, True), (1.0, 3.0)], "points hold True, not a real number"),  # once read as (0.5, 1.0)
+            (np.array([(0.5, None), (1.0, 3.0)], dtype=object), "points hold None, not a real number"),
+            (np.array([(0.5, True), (1.0, 3.0)], dtype=object), "points hold True, not a real number"),
+        ],
+        ids=["bool-array", "complex-array", "str-array", "bool-pairs", "mixed-bool-pairs", "object-none", "object-bool"],
+    )
+    def test_points_that_are_not_real_numbers_are_refused_naming_the_dtype_or_entry(self, points, message):
+        with pytest.raises(InvalidHullPoints, match=f"^{re.escape(message)}$"):
+            hull2d(points)
+
     def test_nearly_coincident_corners_are_merged(self):
         # the largest x and the largest x + y are two points 1e-10 apart, as
         # in a targeted cluster: no cross product along the edge between
