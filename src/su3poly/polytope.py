@@ -25,8 +25,9 @@ and takes one :class:`cones.AnchorKernel`, which gives each cone as a
 turns each germ into lines a*l1 + b*l2 >= c / t, c an integer linear form
 in the weights on the scale t = 3 * den; the walk gives which lines meet at
 each vertex, from the a anchor, and the directions fix m, the lcm of the
-solves' determinants.  A build takes each offset times m and each vertex in
-one exactly divided 2x2 integer solve, over m * t.  Each line's provenance names
+solves' determinants, so each vertex's solve is an integer linear map of the
+weights.  A build takes each offset times m and each vertex coordinate as
+one three-term dot product, over m * t.  Each line's provenance names
 the anchor of the weights as given (c_j: factor j alone).  The two-factor
 build snaps once too and takes its two anchors from the same integers.  A
 :class:`ChamberPolytope` stores these lines and vertices over one
@@ -267,10 +268,26 @@ class ChamberPolytope(Frozen):
         """The one float view of the corners, each entry rounded once over
         2**e near the largest (the first entry of a sorted sum-zero triple
         is within 2 of it, and 0 only at 0): e; each vertex's chamber point;
-        the diameter; and the scale of :meth:`contains` (a point's largest entry)."""
-        den = self.den
-        e = max((_exponent(v[0]) for v in self.corners if v[0]), default=0) - den.bit_length()
-        verts = [[_over_power(x, e, den) for x in v] for v in self.corners]
+        the diameter; and the scale of :meth:`contains` (a point's largest entry).
+        Integer entries over an integer ``den``, as every three-factor build
+        makes them, are rounded by one int division each, as
+        :func:`_over_power` rounds them; one past float range takes the
+        general path, which gives it its infinity."""
+        den, corners, verts = self.den, self.corners, None
+        if type(den) is int and all(type(x) is int for v in corners for x in v):
+            e = max((v[0].bit_length() - 1 for v in corners if v[0]), default=0) - den.bit_length()
+            try:
+                if e >= 0:
+                    d = den << e
+                    verts = [[x / d for x in v] for v in corners]
+                else:
+                    verts = [[(x << -e) / den for x in v] for v in corners]
+            except OverflowError:
+                pass
+        else:
+            e = max((_exponent(v[0]) for v in corners if v[0]), default=0) - den.bit_length()
+        if verts is None:
+            verts = [[_over_power(x, e, den) for x in v] for v in corners]
         pts = [chamber_coordinates(*v) for v in verts]
         diam = max((math.dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]), default=0.0)
         return e, pts, diam, diam or max(abs(x) for v in verts for x in v)
@@ -529,25 +546,36 @@ def _build_n3(ints: Tuple[int, int, int], den: int) -> ChamberPolytope:
     """:func:`build_polytope_n3` of the snapped weights ``ints`` / ``den``,
     none zero, in the caller's order and sign.  The signs of their
     transition forms fix the label, ``starred`` (the total's sign), the
-    lines, the ring from the a anchor and m: their cell's entry
-    (:func:`_cell`).  Each offset on the scale t = 3 * den is a dot product
-    times m and each vertex one 2x2 integer solve, exact over m * t."""
+    lines, the integer maps of the corners from the a anchor and m: their
+    cell's entry (:func:`_cell`).  Each offset times m and each corner's
+    two coordinates are three-term dot products with ``ints``, exact over
+    m * t on the scale t = 3 * den."""
     key = tuple(map(sgn, _form_values(ints)))
-    spec, ring, m, label = _CELLS.get(key) or _CELLS.setdefault(key, _cell(ints))
+    spec, maps, m, label = _CELLS.get(key) or _CELLS.setdefault(key, _cell(ints))
     g1, g2, g3 = ints
-    lines = [(a, b, (u * g1 + v * g2 + w * g3) * m, p) for a, b, (u, v, w), p in spec]
+    lines = tuple((a, b, u * g1 + v * g2 + w * g3, p) for a, b, (u, v, w), p in spec)
+    corners = []
     # the vertices satisfy both walls and sum to zero by construction
-    corners = tuple((x // d, y // d, -(x + y) // d) for x, y, d in _corners(lines, ring))
-    return ChamberPolytope(tuple(lines), corners, 3 * m * den, "Polygon", label, key[-1] < 0)
+    for (x1, x2, x3), (y1, y2, y3) in maps:
+        x, y = x1 * g1 + x2 * g2 + x3 * g3, y1 * g1 + y2 * g2 + y3 * g3
+        corners.append((x, y, -x - y))
+    return ChamberPolytope(lines, tuple(corners), 3 * m * den, "Polygon", label, key[-1] < 0)
 
 
 def _cell(ints: Tuple[int, int, int]) -> tuple:
     """The entry of the sign cell of the snapped weights ``ints``: the walls
-    and each germ's lines as (a, b, offset, provenance), each offset as its
-    coefficients over the weights (anchor table rows in the anchor's sorted
-    order); the ring of :func:`_integer_vertices` on ``ints`` from the a
-    anchor; m, the lcm of its determinants; and the label.  The tests check
-    each on a whole cell."""
+    and each germ's lines as (a, b, offset, provenance), each offset times m
+    as its coefficients over the weights (anchor table rows in the anchor's
+    sorted order); one integer map (X, Y) of each corner, from the a anchor
+    round the ring of :func:`_integer_vertices` on ``ints``; m, the lcm of
+    the ring's determinants; and the label.
+
+    The corner where the lines (a1, b1, u1) and (a2, b2, u2) meet, u1 and u2
+    their offsets' coefficients, is (X . g, Y . g, -X . g - Y . g) / (3 * m) at the
+    weights g, with X = (m / d) (b2 u1 - b1 u2) and Y = (m / d) (a1 u2 - a2 u1):
+    their 2x2 solve, whose determinant d = a1 b2 - a2 b1 > 0 is fixed on the
+    cell and divides m.  The ring is used only here.  The tests check each
+    part on a whole cell."""
     kernel = AnchorKernel.scaled(ints, 3)
     rows = {name: [_ANCHOR_ROWS[3][name][k] for k in perm] for name, (_, perm) in kernel.anchors.items()}
     lines = list(_WALLS)
@@ -558,7 +586,14 @@ def _cell(ints: Tuple[int, int, int]) -> tuple:
     ring = _integer_vertices(at_w)
     hull, m = _ring_vertices(at_w, ring)
     k = hull.index(tuple(sum(c * g for c, g in zip(row, ints)) * m for row in rows["a"][:2]))
-    return tuple(lines), tuple(ring[k:] + ring[:k]), m, classify_n3(ints)[0].value
+    ring = ring[k:] + ring[:k]
+    maps = []
+    for i, j in zip(ring[-1:] + ring[:-1], ring):
+        (a1, b1, u1, _), (a2, b2, u2, _) = lines[i], lines[j]
+        q = m // (a1 * b2 - a2 * b1)
+        maps.append((tuple(q * (b2 * s - b1 * t) for s, t in zip(u1, u2)), tuple(q * (a1 * t - a2 * s) for s, t in zip(u1, u2))))
+    spec = tuple((a, b, tuple(m * c for c in coefs), p) for a, b, coefs, p in lines)
+    return spec, tuple(maps), m, classify_n3(ints)[0].value
 
 
 def _segment(a: Sequence[Scalar], c: Sequence[Scalar], tag: str, label: Optional[str] = None) -> ChamberPolytope:

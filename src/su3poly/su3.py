@@ -126,7 +126,8 @@ class InvalidTolerance(ValueError):
 def check_tolerance(tol) -> None:
     """Raise :class:`InvalidTolerance`, naming ``tol``, unless it is a finite
     nonnegative real number other than a bool: the library's one check."""
-    if type(tol) is bool or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
+    # a plain type test first: every build checks its tolerance
+    if type(tol) is bool or not (type(tol) is float or isinstance(tol, numbers.Real)) or not 0 <= tol < math.inf:
         raise InvalidTolerance(f"tolerance {tol!r} is not a finite nonnegative number")
 
 
@@ -173,7 +174,10 @@ def snap_weights(gs: Sequence[Scalar], tol: float) -> Tuple[Tuple[int, ...], int
     on the exact binary values.  The weights are projected orthogonally onto
     the null space of the snapped forms.  Exact weights keep their values.
     A ``tol`` that :func:`check_tolerance` refuses raises
-    :class:`InvalidTolerance`.
+    :class:`InvalidTolerance`.  Exact weights alone (int and Fraction) are
+    read in one type loop and returned as :func:`integer_scaled` gives them;
+    any other weight takes the general path, the tolerance read exactly
+    through :func:`_ratio` (a numpy number among the tolerances).
 
     The projection gives no other form the opposite sign, so one projection
     suffices.  The forms are the nonzero vectors of {-1, 0, 1}^n, one of
@@ -188,12 +192,21 @@ def snap_weights(gs: Sequence[Scalar], tol: float) -> Tuple[Tuple[int, ...], int
     the tests check every integer weight up to 4 in size.
     """
     check_tolerance(tol)
+    den = 1
+    for g in gs:
+        kind = type(g)
+        if kind is Fraction:
+            den = math.lcm(den, g.denominator)
+        elif kind is not int:
+            break
+    else:
+        return tuple(g.numerator * (den // g.denominator) for g in gs), den
     ints, den = integer_scaled(gs)
     exact = [is_exact(g) for g in gs]
     if all(exact):
         return ints, den
     values = _form_values(ints)
-    p, q = tol.as_integer_ratio()
+    p, q = _ratio(tol)
     bound = p * max(map(abs, ints)) // q  # |v| <= tol * max|x| for an integer v
     if min(map(abs, values)) > bound:
         return ints, den

@@ -1125,6 +1125,22 @@ class TestScaling:
         assert poly.label == ref.label
         assert [v.astuple() for v in poly.vertices] == [tuple(t * x for x in v) for v in ref.vertices]
 
+    @pytest.mark.parametrize("t", [1, 10**400, F(1, 10**400)])
+    def test_the_float_view_of_integer_corners_is_the_general_one_bitwise(self, t):
+        # every three-factor build stores int corners over an int den, each
+        # rounded by one int division; the same corners as Fractions take the
+        # general path, and past float range the diameter is inf or 0.0
+        for g in FIXTURE_ORDERS_AND_SIGNS:
+            poly = build_polytope(tuple(t * x for x in g))
+            assert type(poly.den) is int and all(type(x) is int for v in poly.corners for x in v), g
+            general = ChamberPolytope(poly.lines, tuple(tuple(map(F, v)) for v in poly.corners), poly.den, poly.kind)
+            assert repr(poly._own_scale) == repr(general._own_scale), g
+            assert poly.diameter() == {1: general.diameter(), 10**400: math.inf, F(1, 10**400): 0.0}[t], g
+        # a corner past float range over 2**e, which no build makes, falls back to the general path's infinity
+        huge = ChamberPolytope((), ((1, 10**400, -(10**400) - 1),), 1, "Point")
+        assert huge._own_scale[1] == ChamberPolytope((), ((F(1), F(10**400), F(-(10**400) - 1)),), 1, "Point")._own_scale[1]
+        assert huge._own_scale[1][0][1] == math.inf
+
 
 #: One 100-step sweep across each transition wall that the benchmark's
 #: sweeps cross, B|A, C|H, E|F, F|G and C|E, from start to end: the label
@@ -1425,6 +1441,12 @@ class TestExactBuilder:
                 assert cone is None or cone.apex in anchors, (gammas, name)
         assert n_starred > 400
 
+    @pytest.mark.parametrize("tol", [np.int64(0), np.uint8(0)])
+    @pytest.mark.parametrize("call, w", [(build_polytope, (4.0, 2.0, -1.0)), (classify_n3, (4.0, 2.0, -1.0)), (build_polytope, (2.0, 1.0)), (polytope_cones, (4.0, 2.0, -1.0))])
+    def test_a_numpy_integer_tolerance_is_read_as_its_value(self, call, w, tol):
+        # each once raised a bare AttributeError from tol.as_integer_ratio()
+        assert call(w, tol) == call(w, 0)
+
     def test_one_straight_line_per_build(self, monkeypatch):
         # one weight check and one snap per exact build after the first in
         # its cell, and no classification, canonical form, re-validated
@@ -1533,7 +1555,7 @@ class TestSignCells:
             if not all(key[:3]):
                 continue
             rays = [r for r in CELL_RAYS if all(s * f >= 0 if s else f == 0 for s, f in zip(key, _form_values(r)))]
-            lines, ring, m, label = polytope._cell(w)
+            lines, maps, m, label = polytope._cell(w)
             kernel = AnchorKernel.scaled(w, 3)
             rows = {name: [moment_map._ANCHOR_ROWS[3][name][k] for k in perm] for name, (_, perm) in kernel.anchors.items()}
 
@@ -1569,14 +1591,22 @@ class TestSignCells:
             for a, b, _, p in lines:
                 if p.startswith("a:") and p.endswith("-halfplane"):
                     positive([sum(a * (_dot(rows[o][0], r) - _dot(rows["a"][0], r)) + b * (_dot(rows[o][1], r) - _dot(rows["a"][1], r)) for o in ("b", "c1", "c2", "c3")) for r in rays], "side of a")
-            # the ring: each edge of positive length, every line slack at each
-            # corner, corner 0 the a anchor and m the lcm of the determinants
+            # the ring of the walk at w, started at the corner of the first map
+            at_w = [(a, b, _dot(coefs, w)) for a, b, coefs, _ in lines]
+            ring = polytope._integer_vertices(at_w)
+            starts = [k for k, (x, y, d) in enumerate(polytope._corners(at_w, ring)) if (x, y) == (_dot(maps[0][0], w) * d, _dot(maps[0][1], w) * d)]
+            assert len(starts) == 1, w
+            ring = ring[starts[0]:] + ring[:starts[0]]
+            # the ring: each map its corner's 2x2 solve, each edge of positive
+            # length, every line slack at each corner, corner 0 the a anchor
+            # and m the lcm of the determinants; maps and solves are linear on
+            # the cell, so equal at its generators they are equal on all of it
             edges, slacks = [], []
             for r in rays:
                 at_r = [(a, b, _dot(coefs, r), p) for a, b, coefs, p in lines]
                 corners = polytope._corners(at_r, ring)
-                (x, y, d), a0, a1 = corners[0], *rows["a"][:2]
-                assert (x, y) == (_dot(a0, r) * d, _dot(a1, r) * d), (w, r)
+                assert [(x, y) for x, y, _ in corners] == [(_dot(X, r) * d, _dot(Y, r) * d) for (X, Y), (*_, d) in zip(maps, corners)], (w, r)
+                assert [_dot(X, r) for X in maps[0]] == [_dot(row, r) * m for row in rows["a"][:2]], (w, r)
                 assert m == math.lcm(*(d for *_, d in corners)), (w, r)
                 checked += 1
                 edges.append([b * (x1 * d0 - x0 * d1) - a * (y1 * d0 - y0 * d1) for (a, b, *_), (x0, y0, d0), (x1, y1, d1) in zip([at_r[i] for i in ring], corners, corners[1:] + corners[:1])])
@@ -1586,6 +1616,50 @@ class TestSignCells:
             assert min(slacks) >= 0, w
         # every generating ray of each of the 248 cells
         assert checked == 560
+
+    def test_each_open_cells_maps_give_the_polygon_of_each_transition_on_its_boundary(self):
+        # continuity across transitions: w on a transition, 10 * w + delta in
+        # an open cell beside it (the forms nonzero at w are at least 1 in
+        # size and move by at most 3 / 10, so they keep their signs), and the
+        # open cell's corner maps, linear in the weights, taken at w give the
+        # transition's own vertices, with coincident corners merged; each pair
+        # of denominators cross-multiplied
+        cells, pairs, checked = {}, set(), 0
+
+        def entry(w):
+            key = _sign_key(w)
+            return cells.get(key) or cells.setdefault(key, polytope._cell(w))
+
+        def at_rays(maps, rays, scale):
+            # each map's two coordinates at each ray, times the other side's m
+            return {tuple(_dot(X, r) * scale for r in rays for X in XY) for XY in maps}
+
+        for w in itertools.product(range(-6, 7), repeat=3):
+            key = _sign_key(w)
+            if not all(w) or all(key):
+                continue
+            poly = build_polytope(w)
+            for delta in itertools.product((-1, 0, 1), repeat=3):
+                near = tuple(10 * g + e for g, e in zip(w, delta))
+                open_key = _sign_key(near)
+                if not all(open_key):
+                    continue
+                _, maps, m, _ = entry(near)
+                limit = {(_dot(X, w) * poly.den, _dot(Y, w) * poly.den) for X, Y in maps}
+                assert limit == {(x * 3 * m, y * 3 * m) for x, y, _ in poly.corners}, (w, near)
+                checked += 1
+                if (key, open_key) not in pairs:
+                    pairs.add((key, open_key))
+                    # on the whole face: the two sets of maps are equal at
+                    # each generating ray of the face, and so on all of it
+                    _, face_maps, face_m, _ = entry(w)
+                    rays = [r for r in CELL_RAYS if all(s * f >= 0 if s else f == 0 for s, f in zip(key, _form_values(r)))]
+                    assert at_rays(maps, rays, face_m) == at_rays(face_maps, rays, m), (w, near)
+        assert (checked, len(pairs)) == (18576, 384)
+        # every adjacent pair: a face lies in the closure of an open cell
+        # exactly when the cell's signs agree with the face's where those are nonzero
+        faces = [key for key in _faces(6) if all(key[:3])]
+        assert pairs == {(face, key) for face in faces if not all(face) for key in faces if all(key) and all(f in (0, k) for f, k in zip(face, key))}
 
     def test_a_cold_build_equals_a_warm_one(self, monkeypatch):
         # warm: each cell's entry derived from the first of these weights in
@@ -1602,15 +1676,20 @@ class TestSignCells:
             assert (hot.label, hot.starred) == (classify_n3(w)[0].value, canonicalize(w).starred), w
 
     def test_a_build_after_the_first_in_its_cell_calls_no_germs_and_no_walk(self, monkeypatch):
-        # the first build in a cell labels it with one classify_n3 of its snapped integers
+        # the first build in a cell labels it with one classify_n3 of its
+        # snapped integers and solves its corners; a later one solves none
         counts = Counter()
-        germs, walk, label = AnchorKernel.germs, polytope._integer_vertices, polytope.classify_n3
+        germs, walk, solve, label = AnchorKernel.germs, polytope._integer_vertices, polytope._corners, polytope.classify_n3
         monkeypatch.setattr(AnchorKernel, "germs", lambda self: counts.update(["germs"]) or germs(self))
         monkeypatch.setattr(polytope, "_integer_vertices", lambda lines: counts.update(["walk"]) or walk(lines))
+        monkeypatch.setattr(polytope, "_corners", lambda lines, ring: counts.update(["corners"]) or solve(lines, ring))
         monkeypatch.setattr(polytope, "classify_n3", lambda ints: counts.update(["classify"]) or label(ints))
         monkeypatch.setattr(polytope, "_CELLS", {})
-        for w in ((4, 2, -1), (8, 4, -2), (4.0, 2.25, -1.25), (F(7, 2), 2, -1)):
+        build_polytope((4, 2, -1))
+        cold = counts["corners"]
+        assert cold > 0
+        for w in ((8, 4, -2), (4.0, 2.25, -1.25), (F(7, 2), 2, -1)):
             build_polytope(w)
-        assert counts == {"germs": 1, "walk": 1, "classify": 1}
+        assert counts == {"germs": 1, "walk": 1, "corners": cold, "classify": 1}
         build_polytope((-4, -2, 1))
-        assert counts == {"germs": 2, "walk": 2, "classify": 2}
+        assert counts["germs"] == counts["walk"] == counts["classify"] == 2 and counts["corners"] > cold

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su3poly import su3
 from su3poly.oracle import _CORNERS, _frame_spectra, _rng_for_block
 from su3poly.su3 import (
     SPECTRA_ERROR,
@@ -484,6 +485,23 @@ class TestSnapWeights:
         assert snapped((10**400, 1, 1)) == (10**400, 1, 1)  # never converted to float
         assert snap_weights((0, 0, 0), 1e-9) == ((0, 0, 0), 1)
         assert snap_weights((0.0, -0.0), 1e-9) == ((0, 0), 1)
+
+    def test_exact_weights_are_read_in_one_type_loop(self, monkeypatch):
+        # ints and Fractions, negative ones and ones past float range: the
+        # values integer_scaled gives, which only the general path calls
+        cases = [(4, 2, -1), (-4, -2, 1), (F(7, 2), 2, -1), (F(-1, 6), F(4, 9), F(3)), (10**400, -1, F(1, 10**400)), (2, F(-5, 3)), (0, 0)]
+        expected = [su3.integer_scaled(gs) for gs in cases]
+        calls, scaled = [], su3.integer_scaled
+        monkeypatch.setattr(su3, "integer_scaled", lambda xs: calls.append(xs) or scaled(xs))
+        for gs, want in zip(cases, expected):
+            ints, den = snap_weights(gs, 1e-9)
+            assert (ints, den) == want and all(type(n) is int for n in ints) and type(den) is int, gs
+        assert calls == []
+        # numpy numbers and floats still take the general path
+        others = [(np.int64(4), 2, -1), (F(7, 2), np.int32(2), -1), (4.0, 2, -1), (np.float64(4.0), 2.0, -1.0)]
+        for gs in others:
+            assert snap_weights(gs, 1e-9) == scaled(gs), gs
+        assert calls == others
 
     def test_float_tolerance_is_relative_without_floor(self):
         # largest weight 4e-9: the bound is 4e-18
